@@ -33,6 +33,7 @@ use crate::scan::ElasticMapArray;
 use datanet_dfs::{BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use serde::{DeError, Deserialize, Serialize, Value};
+use serde_json::Parser;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fs;
@@ -126,23 +127,59 @@ impl From<StoreError> for io::Error {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, the Ethernet/zip one), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, entry) in table.iter_mut().enumerate() {
+/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the state with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
         let mut c = i as u32;
-        for _ in 0..8 {
+        let mut bit = 0;
+        while bit < 8 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
+            bit += 1;
         }
-        *entry = c;
+        t[0][i] = c;
+        i += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, the Ethernet/zip one), table-driven,
+/// eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -313,6 +350,31 @@ impl BlockSummary {
         }
     }
 
+    /// Decode a summary straight off the tokenizer: what the derived
+    /// [`Deserialize::from_value`] makes of the same bytes (a missing field
+    /// reads as `null`), without the tree in between.
+    fn pull(r: &mut Parser<'_>) -> serde_json::Result<Self> {
+        r.begin(b'{', "BlockSummary object")?;
+        let (mut block, mut head, mut tail, mut delta) = (None, None, None, None);
+        while r.more(b'}')? {
+            // A repeated field decodes like an unknown one: the first wins.
+            match &*r.key()? {
+                "block" if block.is_none() => block = Some(BlockId::from_value(&r.value()?)?),
+                "head" if head.is_none() => head = Some(BloomFilter::pull(r)?),
+                "tail" if tail.is_none() => tail = Some(BloomFilter::pull(r)?),
+                "delta" if delta.is_none() => delta = Some(r.u64()?),
+                _ => drop(r.value()?),
+            }
+        }
+        let null = &Value::Null;
+        Ok(Self {
+            block: block.map_or_else(|| BlockId::from_value(null), Ok)?,
+            head: head.map_or_else(|| BloomFilter::from_value(null), Ok)?,
+            tail: tail.map_or_else(|| BloomFilter::from_value(null), Ok)?,
+            delta: delta.map_or_else(|| u64::from_value(null), Ok)?,
+        })
+    }
+
     /// The block this summary describes.
     pub fn block(&self) -> BlockId {
         self.block
@@ -359,6 +421,37 @@ impl ReadFail {
             ReadFail::Corrupt(d) => d.clone(),
         }
     }
+}
+
+/// Decode a JSON array through its items' pull decoder — one pass over the
+/// bytes, no [`Value`] tree.
+fn pull_array<T>(
+    bytes: &[u8],
+    item: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+) -> serde_json::Result<Vec<T>> {
+    let mut r = Parser::new(bytes);
+    let mut out = Vec::new();
+    r.begin(b'[', "array")?;
+    while r.more(b']')? {
+        out.push(item(&mut r)?);
+    }
+    r.finish()?;
+    Ok(out)
+}
+
+/// Decode a shard-resident array, which must hold one entry per block of
+/// the shard's span.
+fn pull_blocks<T>(
+    bytes: &[u8],
+    want: usize,
+    what: &str,
+    item: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+) -> Result<Vec<T>, String> {
+    let out = pull_array(bytes, item).map_err(|e| e.to_string())?;
+    if out.len() != want {
+        return Err(format!("expected {want} {what}, found {}", out.len()));
+    }
+    Ok(out)
 }
 
 /// On-disk handle to sharded, replicated meta-data.
@@ -624,9 +717,9 @@ impl MetaStore {
         (start, end)
     }
 
-    /// One verified read attempt of `file` in `dir`.
-    fn try_read(dir: &Path, file: &str, expect_crc: Option<u32>) -> Result<Vec<u8>, ReadFail> {
-        let bytes = fs::read(dir.join(file)).map_err(ReadFail::Io)?;
+    /// One verified read attempt of the file at `path`.
+    fn try_read(path: &Path, expect_crc: Option<u32>) -> Result<Vec<u8>, ReadFail> {
+        let bytes = fs::read(path).map_err(ReadFail::Io)?;
         if let Some(want) = expect_crc {
             let got = crc32(&bytes);
             if got != want {
@@ -648,35 +741,28 @@ impl MetaStore {
         decode: impl Fn(&[u8]) -> Result<T, String>,
     ) -> Result<T, StoreError> {
         let mut last = String::from("no replica tried");
-        for (d, dir) in self.dirs.clone().iter().enumerate() {
+        for d in 0..self.dirs.len() {
+            let path = self.dirs[d].join(file);
             if d > 0 {
                 self.health.failovers += 1;
                 self.rec.add("meta_failovers", 1);
-                self.rec.flight(
-                    FlightKind::Retry,
-                    Domain::Wall,
-                    self.rec.wall_us(),
-                    None,
-                    format!("failover to replica {d} for {file}"),
-                );
+                self.flight(FlightKind::Retry, || {
+                    format!("failover to replica {d} for {file}")
+                });
             }
             for attempt in 0..self.retry.attempts_per_replica {
                 if attempt > 0 {
                     self.health.retries += 1;
                     self.rec.add("meta_retries", 1);
-                    self.rec.flight(
-                        FlightKind::Retry,
-                        Domain::Wall,
-                        self.rec.wall_us(),
-                        None,
-                        format!("retry {attempt} of {file} on replica {d}"),
-                    );
+                    self.flight(FlightKind::Retry, || {
+                        format!("retry {attempt} of {file} on replica {d}")
+                    });
                     // Deterministic per-(shard, replica) jitter: concurrent
                     // readers of different shards never sleep in lockstep.
                     let seed = (shard as u64) << 8 | d as u64;
                     std::thread::sleep(self.retry.backoff_jittered(attempt, seed));
                 }
-                let outcome = Self::try_read(dir, file, expect_crc)
+                let outcome = Self::try_read(&path, expect_crc)
                     .and_then(|bytes| decode(&bytes).map_err(ReadFail::Corrupt));
                 match outcome {
                     Ok(v) => return Ok(v),
@@ -685,7 +771,7 @@ impl MetaStore {
                             ReadFail::Io(_) => self.health.io_failures += 1,
                             ReadFail::Corrupt(_) => self.health.checksum_failures += 1,
                         }
-                        last = format!("{}: {}", dir.join(file).display(), fail.describe());
+                        last = format!("{}: {}", path.display(), fail.describe());
                     }
                 }
             }
@@ -694,6 +780,25 @@ impl MetaStore {
             shard,
             detail: last,
         })
+    }
+
+    /// Push a wall-clock flight event; `detail` is only built when a flight
+    /// ring is attached.
+    fn flight(&self, kind: FlightKind, detail: impl FnOnce() -> String) {
+        if self.rec.has_flight() {
+            self.rec
+                .flight(kind, Domain::Wall, self.rec.wall_us(), None, detail());
+        }
+    }
+
+    /// Span context naming `file`; the name is only copied when a trace or
+    /// metrics plane will keep it.
+    fn file_ctx(&self, file: &str) -> SpanCtx {
+        if self.rec.is_enabled() || self.rec.is_metering() {
+            SpanCtx::default().note(file)
+        } else {
+            SpanCtx::default()
+        }
     }
 
     /// Mark a shard irreparable; counts once per shard.
@@ -728,26 +833,18 @@ impl MetaStore {
             return Err(StoreError::Quarantined { shard: index });
         }
         self.rec.add("shard_cache_misses", 1);
+        let file = self.manifest.shard_file_name(index);
         let span = self.rec.begin(
             Category::ShardLoad,
             "shard-load",
             Domain::Wall,
             self.rec.wall_us(),
-            SpanCtx::default().note(self.manifest.shard_file_name(index)),
+            self.file_ctx(&file),
         );
         let (start, end) = self.shard_span(index);
         let expect = self.manifest.expected_shard_crc(index);
-        let file = self.manifest.shard_file_name(index);
         let maps = match self.read_with_failover(index, &file, expect, |bytes| {
-            let maps: Vec<ElasticMap> = serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
-            if maps.len() != end - start {
-                return Err(format!(
-                    "expected {} block maps, found {}",
-                    end - start,
-                    maps.len()
-                ));
-            }
-            Ok(maps)
+            pull_blocks(bytes, end - start, "block maps", ElasticMap::pull)
         }) {
             Ok(maps) => {
                 self.rec.end(span, self.rec.wall_us());
@@ -785,25 +882,16 @@ impl MetaStore {
         );
         let (start, end) = self.shard_span(index);
         let expect = self.manifest.expected_summary_crc(index);
+        let file = self.manifest.summary_file_name(index);
         let span = self.rec.begin(
             Category::ShardLoad,
             "summary-load",
             Domain::Wall,
             self.rec.wall_us(),
-            SpanCtx::default().note(self.manifest.summary_file_name(index)),
+            self.file_ctx(&file),
         );
-        let file = self.manifest.summary_file_name(index);
         let out = self.read_with_failover(index, &file, expect, |bytes| {
-            let sums: Vec<BlockSummary> =
-                serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
-            if sums.len() != end - start {
-                return Err(format!(
-                    "expected {} block summaries, found {}",
-                    end - start,
-                    sums.len()
-                ));
-            }
-            Ok(sums)
+            pull_blocks(bytes, end - start, "block summaries", BlockSummary::pull)
         });
         match &out {
             Ok(_) => self.rec.end(span, self.rec.wall_us()),
@@ -939,25 +1027,17 @@ impl MetaStore {
                             }
                         }
                         sources.push(ShardSource::Summary);
-                        self.rec.flight(
-                            FlightKind::RungChange,
-                            Domain::Wall,
-                            self.rec.wall_us(),
-                            None,
-                            format!("shard {i} degraded to summary (rung 2)"),
-                        );
+                        self.flight(FlightKind::RungChange, || {
+                            format!("shard {i} degraded to summary (rung 2)")
+                        });
                     }
                     Err(_) => {
                         let (start, end) = self.shard_span(i);
                         unknown.extend((start..end).map(|b| BlockId(b as u32)));
                         sources.push(ShardSource::Lost);
-                        self.rec.flight(
-                            FlightKind::RungChange,
-                            Domain::Wall,
-                            self.rec.wall_us(),
-                            None,
-                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)"),
-                        );
+                        self.flight(FlightKind::RungChange, || {
+                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)")
+                        });
                     }
                 },
             }
@@ -1015,25 +1095,17 @@ impl MetaStore {
                             }
                         }
                         sources.push(ShardSource::Summary);
-                        self.rec.flight(
-                            FlightKind::RungChange,
-                            Domain::Wall,
-                            self.rec.wall_us(),
-                            None,
-                            format!("shard {i} degraded to summary (rung 2)"),
-                        );
+                        self.flight(FlightKind::RungChange, || {
+                            format!("shard {i} degraded to summary (rung 2)")
+                        });
                     }
                     Err(_) => {
                         let (start, end) = self.shard_span(i);
                         unknown.extend((start..end).map(|b| BlockId(b as u32)));
                         sources.push(ShardSource::Lost);
-                        self.rec.flight(
-                            FlightKind::RungChange,
-                            Domain::Wall,
-                            self.rec.wall_us(),
-                            None,
-                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)"),
-                        );
+                        self.flight(FlightKind::RungChange, || {
+                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)")
+                        });
                     }
                 },
             }
@@ -1140,7 +1212,7 @@ impl MetaStore {
         let mut healthy: Option<Vec<u8>> = None;
         let mut bad: Vec<&PathBuf> = Vec::new();
         for dir in &dirs {
-            match Self::try_read(dir, file, expect_crc) {
+            match Self::try_read(&dir.join(file), expect_crc) {
                 // Without recorded CRCs (v1), "verifies" = parses as JSON.
                 Ok(bytes) if expect_crc.is_some() || serde_json::parse_value(&bytes).is_ok() => {
                     if healthy.is_none() {
@@ -1211,6 +1283,174 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The textbook one-table, byte-at-a-time CRC-32 that `crc32` replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        let mut x = 0x243F_6A88_85A3_08D3u64;
+        let buf: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+    }
+
+    /// What a decoder made of `bytes`, in canonical form: `None` when it
+    /// rejected them.
+    fn canon<T: Serialize, E>(decoded: Result<Vec<T>, E>) -> Option<String> {
+        decoded
+            .ok()
+            .map(|v| serde_json::to_string(&v).expect("serialise"))
+    }
+
+    /// The pull decode and the tree decode of `bytes` agree: the same value
+    /// or both reject.
+    fn assert_pull_matches_tree<T: Serialize + Deserialize>(
+        bytes: &[u8],
+        item: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+        what: &str,
+    ) {
+        assert_eq!(
+            canon(pull_array(bytes, item)),
+            canon(serde_json::from_slice::<Vec<T>>(bytes)),
+            "{what}: {}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+
+    /// Every truncation of `bytes`, and at every position every single-bit
+    /// flip and every structural byte.
+    fn for_each_damaged(bytes: &[u8], mut check: impl FnMut(&[u8])) {
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut]);
+        }
+        let mut bad = bytes.to_vec();
+        for at in 0..bytes.len() {
+            let flips = (0..8).map(|bit| bytes[at] ^ (1 << bit));
+            for b in flips.chain(*b"\"\\,:[]{}0-.e n") {
+                bad[at] = b;
+                check(&bad);
+            }
+            bad[at] = bytes[at];
+        }
+    }
+
+    #[test]
+    fn pull_decode_matches_tree_decode_on_damaged_shards() {
+        let (_dfs, arr) = sample_array();
+        let maps = &arr.maps()[..2];
+        let shard = serde_json::to_vec(&maps).unwrap();
+        let summaries: Vec<BlockSummary> = maps[..1].iter().map(BlockSummary::of).collect();
+        let summary = serde_json::to_vec(&summaries).unwrap();
+        assert!(pull_array(&shard, ElasticMap::pull).is_ok());
+        assert!(pull_array(&summary, BlockSummary::pull).is_ok());
+        for_each_damaged(&shard, |bad| {
+            assert_pull_matches_tree(bad, ElasticMap::pull, "damaged shard")
+        });
+        for_each_damaged(&summary, |bad| {
+            assert_pull_matches_tree(bad, BlockSummary::pull, "damaged summary")
+        });
+    }
+
+    #[test]
+    fn pull_decode_matches_tree_decode_on_shapes_the_writer_never_emits() {
+        let bloom = r#"{"bits":[1,2],"num_bits":128,"num_hashes":3,"items":2}"#;
+        let one = |fields: &str| format!("[{{{fields}}}]");
+        let full = format!(
+            r#""block":4,"exact":{{"10":7,"9":3}},"bloom":{bloom},"bloom_items":2,"threshold":5"#
+        );
+        let cases = [
+            // Pre-blocking bloom, absent `bloom_min_bytes`: still accepted.
+            one(&full),
+            one(&format!(
+                r#"{full},"bloom_min_bytes":null,"later":[1,{{"x":2}}]"#
+            )),
+            // Repeated fields: the first occurrence wins, whatever follows.
+            one(&format!(r#"{full},"block":"x","exact":5,"bloom":null"#)),
+            one(&format!(r#""block":"x",{full}"#)),
+            // Numbers the tree decode converts, and ones it refuses.
+            one(&full.replace(r#""block":4"#, r#""block":4.0"#)),
+            one(&full.replace(r#""block":4"#, r#""block":-4"#)),
+            one(&full.replace(r#""block":4"#, r#""block":4294967296"#)),
+            one(&full.replace(r#""10":7"#, r#""10":7e0"#)),
+            one(&full.replace(r#""10":7"#, r#""+10":7,"1\u0030":8"#)),
+            one(&full.replace(r#""10":7"#, r#""ten":7"#)),
+            one(&full.replace(r#""threshold":5"#, r#""threshold":"5""#)),
+            // Missing fields and wrong shapes.
+            one(r#""block":4"#),
+            one(&full.replace(r#""exact":{"10":7,"9":3}"#, r#""exact":[1]"#)),
+            one(&full.replace(bloom, "[]")),
+            one(&full.replace(r#""bits":[1,2]"#, r#""bits":{}"#)),
+            one(&full.replace(r#","items":2"#, "")),
+            "[[]]".to_string(),
+            "{}".to_string(),
+            format!("{} x", one(&full)),
+        ];
+        for case in &cases {
+            assert_pull_matches_tree(case.as_bytes(), ElasticMap::pull, "hand-written map");
+        }
+        assert!(pull_array(cases[0].as_bytes(), ElasticMap::pull).is_ok());
+        assert!(pull_array(cases[2].as_bytes(), ElasticMap::pull).is_ok());
+        for case in [
+            one(&format!(
+                r#""block":1,"head":{bloom},"tail":{bloom},"delta":9,"x":0"#
+            )),
+            one(&format!(r#""block":1,"head":{bloom},"tail":{bloom}"#)),
+            one(&format!(r#""head":{bloom},"tail":{bloom},"delta":9"#)),
+            one(&format!(r#""block":1,"tail":{bloom},"delta":9"#)),
+            one(&format!(r#""block":1,"head":{bloom},"tail":7,"delta":9"#)),
+            "[7]".to_string(),
+        ] {
+            assert_pull_matches_tree(case.as_bytes(), BlockSummary::pull, "hand-written summary");
+        }
+    }
+
+    #[test]
+    fn pull_decode_matches_tree_decode_on_the_golden_v2_store() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/meta_v2/r0");
+        let mut files = 0;
+        for entry in fs::read_dir(&dir).expect("golden v2 fixture present") {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let bytes = fs::read(&path).unwrap();
+            if name.starts_with("shard-") {
+                assert!(pull_array(&bytes, ElasticMap::pull).is_ok(), "{name}");
+                assert_pull_matches_tree(&bytes, ElasticMap::pull, &name);
+            } else if name.starts_with("summary-") {
+                assert!(pull_array(&bytes, BlockSummary::pull).is_ok(), "{name}");
+                assert_pull_matches_tree(&bytes, BlockSummary::pull, &name);
+            } else {
+                continue;
+            }
+            files += 1;
+        }
+        assert!(files >= 2, "fixture holds shards and summaries");
     }
 
     #[test]
@@ -1444,6 +1684,17 @@ mod tests {
             MetaStore::open(&dir, 1),
             Err(StoreError::Corrupt { .. })
         ));
+        // Nested far past any stack: still a typed error, not an abort.
+        for poison in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            assert!(serde_json::from_slice::<Manifest>(poison.as_bytes()).is_err());
+            fs::write(dir.join("manifest.json"), poison).unwrap();
+            match MetaStore::open(&dir, 1) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("nesting deeper"), "{detail}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
         // Valid JSON, wrong shape.
         fs::write(dir.join("manifest.json"), b"[1, 2, 3]").unwrap();
         assert!(matches!(

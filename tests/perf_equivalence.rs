@@ -5,9 +5,12 @@
 //!   serial build over many generated datasets;
 //! - `query_batch` / batched views answer bit-identically to N single
 //!   queries, driven by the same seed corpus the simulation-check
-//!   harness gates on (`tests/corpus/seeds.txt`).
+//!   harness gates on (`tests/corpus/seeds.txt`);
+//! - the store's single-pass shard and summary decode yields exactly what
+//!   the generic tree decode yields, on every shard of that corpus.
 
-use datanet::{ElasticMapArray, Separation};
+use datanet::store::BlockSummary;
+use datanet::{ElasticMap, ElasticMapArray, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 
 /// A deterministic dataset whose shape (records, sub-dataset skew, block
@@ -108,4 +111,40 @@ fn per_block_query_batch_matches_single_queries_across_the_corpus() {
             }
         }
     }
+}
+
+#[test]
+fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
+    let root = std::env::temp_dir().join(format!("datanet-pull-tree-{}", std::process::id()));
+    for &seed in &corpus_seeds() {
+        let dfs = dataset(seed);
+        let policy = match seed % 3 {
+            0 => Separation::Alpha(0.3),
+            1 => Separation::Threshold { min_bytes: 600 },
+            _ => Separation::All,
+        };
+        let arr = ElasticMapArray::build(&dfs, &policy);
+        let dir = root.join(seed.to_string());
+        MetaStore::save(&arr, &dir, 1 + (seed % 5) as usize).expect("save");
+        let mut store = MetaStore::open(&dir, 1).expect("open");
+        for i in 0..store.manifest().shard_count() {
+            let bytes = std::fs::read(dir.join(format!("shard-{i:04}.json"))).expect("shard");
+            let tree: Vec<ElasticMap> = serde_json::from_slice(&bytes).expect("tree decode");
+            let pulled = store.shard(i).expect("store decode");
+            assert_eq!(
+                serde_json::to_string(&pulled).expect("serialise"),
+                serde_json::to_string(&tree).expect("serialise"),
+                "seed {seed}: shard {i} decodes differently"
+            );
+            let bytes = std::fs::read(dir.join(format!("summary-{i:04}.json"))).expect("summary");
+            let tree: Vec<BlockSummary> = serde_json::from_slice(&bytes).expect("tree decode");
+            let pulled = store.summary(i).expect("store decode");
+            assert_eq!(
+                serde_json::to_string(&pulled).expect("serialise"),
+                serde_json::to_string(&tree).expect("serialise"),
+                "seed {seed}: summary {i} decodes differently"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
