@@ -10,10 +10,7 @@
 use datanet::{plan_aggregation, AggregationPlan, ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
-use datanet_dfs::NodeId;
-use datanet_mapreduce::{
-    run_analysis_aggregated, run_selection, AnalysisConfig, LocalityScheduler, SelectionConfig,
-};
+use datanet_mapreduce::{run_selection, AnalysisConfig, Exec, LocalityScheduler, SelectionConfig};
 
 fn main() {
     let (dfs, catalog) = movie_dataset(NODES);
@@ -35,11 +32,7 @@ fn main() {
         .collect();
 
     let reducers = 8usize;
-    let default_plan = AggregationPlan {
-        reducers: (0..NODES).map(NodeId).collect(),
-        shares: vec![1.0 / NODES as f64; NODES as usize],
-        est_traffic: 0,
-    };
+    let default_plan = AggregationPlan::uniform(NODES as usize);
     let placed = plan_aggregation(&outputs, reducers, 1.0);
     let weighted = plan_aggregation(&outputs, reducers, 2.0);
 
@@ -56,7 +49,7 @@ fn main() {
         ("placement only", &placed),
         ("placement + weighted shares", &weighted),
     ] {
-        let rep = run_analysis_aggregated(&selection.per_node_bytes, &job, &cfg, plan);
+        let rep = Exec::default().analysis(&selection.per_node_bytes, &job, &cfg, plan, None);
         t.row([
             name.to_string(),
             plan.reducers.len().to_string(),

@@ -18,7 +18,7 @@
 //! damaged in a freshly persisted 2-replica store: some lose only their
 //! primary copy (scrub repairs them), some lose every full copy but keep
 //! summaries (rung 2), and some lose everything (rung 3, quarantined). The
-//! run then selects through `run_selection_resilient` and reports the
+//! run then selects through `Exec::selection_resilient` and reports the
 //! degradation-ladder rung mix, the Equation 6 estimate error and the bytes
 //! recovered.
 //!
@@ -38,9 +38,8 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{
-    run_selection, run_selection_faulty, run_selection_faulty_traced, run_selection_resilient,
-    DataNetScheduler, FaultConfig, LocalityScheduler, MapScheduler, SelectionConfig,
-    SelectionOutcome,
+    run_selection, DataNetScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler,
+    SelectionConfig, SelectionOutcome,
 };
 use datanet_obs::{ObsSummary, Recorder};
 use rand::rngs::StdRng;
@@ -200,7 +199,9 @@ fn main() {
                 FaultConfig::new(plan)
             };
             let mut sched = mk();
-            let out = run_selection_faulty(&dfs, &truth, sched.as_mut(), &sel, &faults);
+            let out = Exec::default()
+                .faults(&faults)
+                .selection(&dfs, &truth, sched.as_mut(), &sel);
             acc.recovered += out.per_node_bytes.iter().sum::<u64>() as f64 / total;
             acc.survivor_imbalance += survivor_imbalance(&out);
             acc.phase_secs += out.end.as_secs_f64();
@@ -310,7 +311,7 @@ fn main() {
             );
 
             let scrubbed = store.scrub();
-            let out = run_selection_resilient(&dfs, hot, &mut store, &sel, None);
+            let out = Exec::default().selection_resilient(&dfs, hot, &mut store, &sel);
             acc.repaired += scrubbed.repaired as f64;
             acc.quarantined += scrubbed.quarantined.len() as f64;
             acc.rung_exact += out.meta.rungs.exact as f64;
@@ -367,7 +368,10 @@ fn main() {
         let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
         let rec = Recorder::new();
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        let out = run_selection_faulty_traced(&dfs, &truth, &mut sched, &sel, &faults, &rec);
+        let out = Exec::default()
+            .rec(&rec)
+            .faults(&faults)
+            .selection(&dfs, &truth, &mut sched, &sel);
         let data = rec.take();
         let summary = data.summary(None);
         fs::write(&path, data.to_chrome_json()).unwrap();

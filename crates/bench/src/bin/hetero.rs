@@ -9,13 +9,13 @@
 //! * DataNet with capability-proportional targets (balances *time*).
 
 use datanet::planner::BalancePolicy;
-use datanet::{Algorithm1, ElasticMapArray, Separation};
+use datanet::{AggregationPlan, Algorithm1, ElasticMapArray, Separation};
 use datanet_analytics::profiles::top_k_profile;
 use datanet_bench::{movie_dataset, Table, NODES};
 use datanet_cluster::NodeSpec;
 use datanet_mapreduce::{
-    capability_of, run_analysis_hetero, run_selection, AnalysisConfig, LocalityScheduler,
-    PlannedScheduler, SelectionConfig,
+    capability_of, run_selection, AnalysisConfig, Exec, LocalityScheduler, PlannedScheduler,
+    SelectionConfig,
 };
 
 fn main() {
@@ -68,7 +68,8 @@ fn main() {
         "job makespan (s)",
     ]);
     for (name, filtered) in &rows {
-        let rep = run_analysis_hetero(filtered, &job, &ana, &specs);
+        let uniform = AggregationPlan::uniform(filtered.len());
+        let rep = Exec::default().analysis(filtered, &job, &ana, &uniform, Some(&specs));
         let total: u64 = filtered.iter().sum();
         let mean = total as f64 / filtered.len() as f64;
         let max = *filtered.iter().max().expect("non-empty") as f64;

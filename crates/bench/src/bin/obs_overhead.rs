@@ -22,12 +22,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use datanet::{ElasticMapArray, Separation};
+use datanet::{AggregationPlan, ElasticMapArray, Separation};
 use datanet_bench::{movie_dataset, quick, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{
-    run_analysis_traced, run_selection, run_selection_faulty_traced, AnalysisConfig,
-    DataNetScheduler, FaultConfig, LocalityScheduler, SelectionConfig,
+    run_selection, AnalysisConfig, DataNetScheduler, Exec, FaultConfig, LocalityScheduler,
+    SelectionConfig,
 };
 use datanet_obs::{QueryCtx, Recorder};
 use serde::{Deserialize, Serialize};
@@ -107,8 +107,13 @@ fn main() -> ExitCode {
         let view = array.view(hot);
         let faults = FaultConfig::with_detection(plan.clone(), DetectorConfig::default());
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        let out = run_selection_faulty_traced(&dfs, &truth, &mut sched, &sel, &faults, rec);
-        run_analysis_traced(&out.per_node_bytes, &job, &ana, out.end, rec);
+        let exec = Exec::default().rec(rec);
+        let out = exec
+            .faults(&faults)
+            .selection(&dfs, &truth, &mut sched, &sel);
+        let reducers = AggregationPlan::uniform(NODES as usize);
+        exec.base(out.end)
+            .analysis(&out.per_node_bytes, &job, &ana, &reducers, None);
     };
 
     // A single workload is ~3 ms of wall time — scheduler noise is a

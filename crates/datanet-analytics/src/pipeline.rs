@@ -16,7 +16,7 @@
 //! Algorithm 1 ([`DataNetScheduler`]); unhealthy metadata falls down the
 //! degradation ladder to a [`ResilientScheduler`] over the degraded view.
 //! Node crashes, slow windows and detector suspicion are priced by the
-//! fault engine (`run_selection_faulty_traced`, with its `node_lost`
+//! engine's selection loop (`Exec::selection`, with its `node_lost`
 //! re-planning and shared retry budget), and each stage stamps its own
 //! [`FaultStats`]/[`ObsSummary`] into the report. The *data plane* is
 //! computed from DFS ground truth — the simulation prices the stage, it
@@ -36,13 +36,12 @@ use crate::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet::checkpoint::{self, CheckpointPlan};
-use datanet::{ElasticMapArray, MetaStore, RetryPolicy, StoreError};
+use datanet::{AggregationPlan, ElasticMapArray, MetaStore, RetryPolicy, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
-    key_range_of, range_matrix_truth, run_analysis_shuffled_traced, run_analysis_surviving_traced,
-    run_analysis_traced, run_selection_faulty_traced, run_selection_traced, AnalysisConfig,
-    DataNetScheduler, FaultConfig, FaultStats, JobProfile, MapScheduler, ResilientScheduler,
-    SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
+    key_range_of, range_matrix_truth, AnalysisConfig, DataNetScheduler, Exec, FaultConfig,
+    FaultStats, JobProfile, MapScheduler, ResilientScheduler, SelectionConfig, SelectionOutcome,
+    ShufflePlan, ShufflePlanner,
 };
 use datanet_obs::{Category, Domain, FlightKind, ObsSummary, Recorder, SpanCtx};
 use serde::{Deserialize, Serialize, Value};
@@ -757,20 +756,10 @@ impl Pipeline {
                     let sel = last_selection.as_ref().expect("selection planned above");
                     let profile = job.profile();
                     let mut routed: Option<ShufflePlan> = None;
-                    let report = if env.faults.is_some() {
-                        let mut alive = vec![true; sel.per_node_bytes.len()];
-                        for &n in &sel.faults.crashed_nodes {
-                            alive[n] = false;
-                        }
-                        run_analysis_surviving_traced(
-                            &sel.per_node_bytes,
-                            &profile,
-                            &env.analysis,
-                            &alive,
-                            sel.end,
-                            &stage_rec,
-                        )
-                    } else if let Some(p) = env.shuffle {
+                    let exec = Exec::default().rec(&stage_rec).base(sel.end);
+                    // Under a fault plan the stage is priced on survivor-only
+                    // uniform reducers; shuffle routing applies to healthy runs.
+                    let report = if let Some(p) = env.shuffle.filter(|_| env.faults.is_none()) {
                         // Distribution-aware (or hash-baseline) shuffle:
                         // price the stage on the per-(node, key-range)
                         // matrix of the stage's input sub-dataset and route
@@ -787,24 +776,14 @@ impl Pipeline {
                                 (0..matrix.len() as u32).map(datanet_dfs::NodeId).collect(),
                             )
                         };
-                        let out = run_analysis_shuffled_traced(
-                            &matrix,
-                            &profile,
-                            &env.analysis,
-                            &plan,
-                            sel.end,
-                            &stage_rec,
-                        );
+                        let out = exec.analysis_shuffled(&matrix, &profile, &env.analysis, &plan);
                         routed = Some(plan);
                         out.report
                     } else {
-                        run_analysis_traced(
-                            &sel.per_node_bytes,
-                            &profile,
-                            &env.analysis,
-                            sel.end,
-                            &stage_rec,
-                        )
+                        let parts = &sel.per_node_bytes;
+                        let reducers =
+                            AggregationPlan::uniform_over(parts, &sel.faults.crashed_nodes);
+                        exec.analysis(parts, &profile, &env.analysis, &reducers, None)
                     };
                     sim_secs = report.makespan_secs;
                     faults = sel.faults.clone();
@@ -894,8 +873,8 @@ impl Pipeline {
     }
 
     /// Plan one data stage distribution-aware: scheduler from the metadata
-    /// plane (down the degradation ladder if unhealthy), priced by the
-    /// fault engine when faults are configured. Returns
+    /// plane (down the degradation ladder if unhealthy), priced under the
+    /// configured faults, if any. Returns
     /// `(outcome, unknown_blocks, healthy)`.
     fn plan_data_stage(
         &self,
@@ -905,17 +884,10 @@ impl Pipeline {
     ) -> (SelectionOutcome, u64, bool) {
         let truth = env.dfs.subdataset_distribution(s);
         let (mut sched, unknown, healthy) = env.meta.scheduler_for(env.dfs, s);
-        let outcome = match &env.faults {
-            Some(fc) => run_selection_faulty_traced(
-                env.dfs,
-                &truth,
-                sched.as_mut(),
-                &env.selection,
-                fc,
-                rec,
-            ),
-            None => run_selection_traced(env.dfs, &truth, sched.as_mut(), &env.selection, rec),
-        };
+        let outcome = Exec::default()
+            .rec(rec)
+            .faults(env.faults.as_ref())
+            .selection(env.dfs, &truth, sched.as_mut(), &env.selection);
         (outcome, unknown, healthy)
     }
 }

@@ -16,21 +16,19 @@ use datanet_analytics::{
     word_count_profile, AggJob, CrashPoint, MetaPlane, Pipeline, PipelineEnv, ShuffleParams,
     StageOp,
 };
-use datanet_cluster::SimTime;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
 use datanet_mapreduce::{
-    apportion, planned_load_bound, range_matrix_estimate, range_matrix_truth,
-    run_analysis_shuffled, run_analysis_shuffled_traced, run_pipeline_faulty_traced,
-    run_pipeline_traced, run_selection_resilient_traced, run_selection_traced, AnalysisConfig,
-    DataNetScheduler, DelayScheduler, ExecutionReport, FaultConfig, LocalityScheduler,
-    PlannedScheduler, SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
+    apportion, planned_load_bound, range_matrix_estimate, range_matrix_truth, AnalysisConfig,
+    DataNetScheduler, DelayScheduler, Exec, LocalityScheduler, MapScheduler, PlannedScheduler,
+    SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
 };
-use datanet_obs::Recorder;
+use datanet_obs::{Recorder, TraceData};
 use datanet_serve::{
     generate_stream, plan_digest, serve, serve_with_planted_staleness, Disposition, ScriptedEvent,
     ServeConfig, ServeEvent, StreamConfig, TenantMix, World,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -286,21 +284,15 @@ pub fn check_scenario_instrumented(
 
     // ---- healthy engine: all four schedulers -------------------------
     let cfg = SelectionConfig::default();
-    let loc = run_selection_traced(&dfs, &truth, &mut LocalityScheduler::new(&dfs), &cfg, rec);
-    let del = run_selection_traced(&dfs, &truth, &mut DelayScheduler::new(&dfs, 2), &cfg, rec);
-    let dn = run_selection_traced(
-        &dfs,
-        &truth,
-        &mut DataNetScheduler::new(&dfs, &view),
-        &cfg,
-        rec,
-    );
-    let ff = run_selection_traced(
+    let exec = Exec::default().rec(rec);
+    let loc = exec.selection(&dfs, &truth, &mut LocalityScheduler::new(&dfs), &cfg);
+    let del = exec.selection(&dfs, &truth, &mut DelayScheduler::new(&dfs, 2), &cfg);
+    let dn = exec.selection(&dfs, &truth, &mut DataNetScheduler::new(&dfs, &view), &cfg);
+    let ff = exec.selection(
         &dfs,
         &truth,
         &mut PlannedScheduler::new(&plan, dfs.namenode()),
         &cfg,
-        rec,
     );
     for out in [&loc, &del, &dn, &ff] {
         conservation_oracle(&mut v, "healthy-conservation", out, &truth, total);
@@ -317,53 +309,22 @@ pub fn check_scenario_instrumented(
     }
     makespan_oracle(&mut v, &cfg, &loc, &dn, &ff);
 
-    // ---- faulty engine + traced twins --------------------------------
+    // ---- engine under faults, recorder off vs on -----------------------
     if sc.has_faults() {
         let fc = sc.fault_config();
-        type FaultyRun<'a> = Box<dyn Fn(&Recorder) -> SelectionOutcome + 'a>;
-        let runs: [(&str, FaultyRun); 3] = [
-            (
-                "locality",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut LocalityScheduler::new(&dfs),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
-            ),
-            (
-                "datanet",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut DataNetScheduler::new(&dfs, &view),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
-            ),
-            (
-                "planned",
-                Box::new(|rec| {
-                    faulty_run(
-                        &dfs,
-                        &truth,
-                        &mut PlannedScheduler::new(&plan, dfs.namenode()),
-                        &cfg,
-                        &fc,
-                        rec,
-                    )
-                }),
-            ),
-        ];
-        for (name, run) in &runs {
-            let out = traced_twin(&mut v, name, run);
+        for name in ["locality", "datanet", "planned"] {
+            // A fresh scheduler per run: the two runs must not share state.
+            let (out, _) = recorder_transparency(&mut v, name, |rec| {
+                let mut sched: Box<dyn MapScheduler> = match name {
+                    "locality" => Box::new(LocalityScheduler::new(&dfs)),
+                    "datanet" => Box::new(DataNetScheduler::new(&dfs, &view)),
+                    _ => Box::new(PlannedScheduler::new(&plan, dfs.namenode())),
+                };
+                Exec::default()
+                    .rec(rec)
+                    .faults(&fc)
+                    .selection(&dfs, &truth, sched.as_mut(), &cfg)
+            });
             conservation_oracle(&mut v, "fault-conservation", &out, &truth, total);
             dead_zero_credit_oracle(&mut v, &out);
         }
@@ -372,7 +333,7 @@ pub fn check_scenario_instrumented(
     // ---- resilient engine off the (possibly corrupted) store ---------
     resilient_oracles(&mut v, sc, &dfs, &dirs, &truth, total, &degraded_unknown);
 
-    // ---- full pipeline twins + obs closure ---------------------------
+    // ---- full pipeline, recorder off vs on + obs closure --------------
     pipeline_oracles(&mut v, sc, &dfs, &view);
 
     // ---- checkpointed pipeline executor: crash + resume ≡ run --------
@@ -658,34 +619,21 @@ fn dead_zero_credit_oracle(v: &mut Vec<Violation>, out: &SelectionOutcome) {
     }
 }
 
-/// One faulty selection run with a fresh scheduler (twin runs must not
-/// share scheduler state).
-fn faulty_run(
-    dfs: &Dfs,
-    truth: &[u64],
-    scheduler: &mut dyn datanet_mapreduce::MapScheduler,
-    cfg: &SelectionConfig,
-    fc: &FaultConfig,
-    rec: &Recorder,
-) -> SelectionOutcome {
-    datanet_mapreduce::run_selection_faulty_traced(dfs, truth, scheduler, cfg, fc, rec)
-}
-
-/// Tracing must be a pure observer: the outcome with a live recorder is
-/// bit-identical to the outcome with `Recorder::off()`, and every span the
-/// live run opened is closed.
-fn traced_twin(
+/// The recorder may watch but never steer: `run` under a live recorder
+/// returns exactly what it returns under `Recorder::off()`, and the live
+/// run closes every span it opened. Hands back the recorder-off result
+/// and what the live recorder saw.
+fn recorder_transparency<O: PartialEq>(
     v: &mut Vec<Violation>,
     name: &str,
-    run: &dyn Fn(&Recorder) -> SelectionOutcome,
-) -> SelectionOutcome {
+    run: impl Fn(&Recorder) -> O,
+) -> (O, TraceData) {
     let off = run(&Recorder::off());
     let rec = Recorder::new();
-    let on = run(&rec);
-    if off != on {
+    if run(&rec) != off {
         v.push(Violation::new(
-            "traced-twin",
-            format!("{name}: traced run diverged from untraced twin"),
+            "recorder-transparency",
+            format!("{name}: run under a live recorder diverged from the recorder-off run"),
         ));
     }
     let data = rec.take();
@@ -695,7 +643,7 @@ fn traced_twin(
             format!("{name}: {} spans never closed", data.unclosed_spans()),
         ));
     }
-    off
+    (off, data)
 }
 
 /// How many more tasks `a`'s busiest node runs than `b`'s busiest node
@@ -741,7 +689,7 @@ fn makespan_oracle(
 
 /// The degradation ladder end-to-end: resilient selection off the
 /// corrupted store conserves bytes, reports a finite estimator error, and
-/// its traced twin (a fresh store handle, same files) is bit-identical.
+/// a live recorder (on a fresh store handle, same files) changes nothing.
 fn resilient_oracles(
     v: &mut Vec<Violation>,
     sc: &Scenario,
@@ -759,34 +707,19 @@ fn resilient_oracles(
             None
         }
     };
-    let (Some(mut store_a), Some(mut store_b)) = (open(v), open(v)) else {
+    // One fresh handle per run: reads warm a handle's shard cache.
+    let (Some(store_a), Some(store_b)) = (open(v), open(v)) else {
         return;
     };
+    let handles = RefCell::new(vec![store_a, store_b]);
     let cfg = SelectionConfig::default();
-    let off = run_selection_resilient_traced(
-        dfs,
-        sc.target_id(),
-        &mut store_a,
-        &cfg,
-        fc.as_ref(),
-        &Recorder::off(),
-    );
-    let rec = Recorder::new();
-    let on =
-        run_selection_resilient_traced(dfs, sc.target_id(), &mut store_b, &cfg, fc.as_ref(), &rec);
-    if off != on {
-        v.push(Violation::new(
-            "traced-twin",
-            "resilient: traced run diverged from untraced twin".to_string(),
-        ));
-    }
-    let data = rec.take();
-    if data.unclosed_spans() != 0 {
-        v.push(Violation::new(
-            "unclosed-spans",
-            format!("resilient: {} spans never closed", data.unclosed_spans()),
-        ));
-    }
+    let (off, _) = recorder_transparency(v, "resilient", |rec| {
+        let mut store = handles.borrow_mut().pop().expect("one handle per run");
+        Exec::default()
+            .rec(rec)
+            .faults(fc.as_ref())
+            .selection_resilient(dfs, sc.target_id(), &mut store, &cfg)
+    });
     conservation_oracle(v, "resilient-conservation", &off, truth, total);
     dead_zero_credit_oracle(v, &off);
     if !off.meta.est_error.is_finite() || off.meta.est_error < 0.0 {
@@ -813,7 +746,7 @@ fn resilient_oracles(
     }
 }
 
-/// Full selection→analysis pipeline: traced twins agree, spans close, and
+/// Full selection→analysis pipeline: the recorder is transparent, spans close, and
 /// the crash lifecycle is fully chained (crash → suspicion) for every
 /// crashed node.
 fn pipeline_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, view: &SubDatasetView) {
@@ -821,46 +754,17 @@ fn pipeline_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, view: &Sub
     let sel_cfg = SelectionConfig::default();
     let ana_cfg = AnalysisConfig::default();
     let fc = sc.has_faults().then(|| sc.fault_config());
-    let run = |rec: &Recorder| -> ExecutionReport {
+    let (off, data) = recorder_transparency(v, "pipeline", |rec| {
         let mut sched = DataNetScheduler::new(dfs, view);
-        match &fc {
-            Some(fc) => run_pipeline_faulty_traced(
-                dfs,
-                sc.target_id(),
-                &mut sched,
-                &job,
-                &sel_cfg,
-                &ana_cfg,
-                fc,
-                rec,
-            ),
-            None => run_pipeline_traced(
-                dfs,
-                sc.target_id(),
-                &mut sched,
-                &job,
-                &sel_cfg,
-                &ana_cfg,
-                rec,
-            ),
-        }
-    };
-    let off = run(&Recorder::off());
-    let rec = Recorder::new();
-    let on = run(&rec);
-    if off != on {
-        v.push(Violation::new(
-            "traced-twin",
-            "pipeline: traced run diverged from untraced twin".to_string(),
-        ));
-    }
-    let data = rec.take();
-    if data.unclosed_spans() != 0 {
-        v.push(Violation::new(
-            "unclosed-spans",
-            format!("pipeline: {} spans never closed", data.unclosed_spans()),
-        ));
-    }
+        Exec::default().rec(rec).faults(fc.as_ref()).pipeline(
+            dfs,
+            sc.target_id(),
+            &mut sched,
+            &job,
+            &sel_cfg,
+            &ana_cfg,
+        )
+    });
     let chains = data.crash_chains();
     let crashed = &off.selection.faults.crashed_nodes;
     if chains.len() != crashed.len() {
@@ -1089,8 +993,8 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
 ///   `AggJob::run`, and a full pipeline run with shuffle routing enabled
 ///   reproduces the unrouted pipeline's `data_fingerprint` bit for bit.
 ///
-/// The traced shuffled run is also twinned against its untraced double
-/// under the existing `traced-twin`/`unclosed-spans` names.
+/// The shuffled run is also checked under the `recorder-transparency`/
+/// `unclosed-spans` oracles.
 fn shuffle_oracles(
     v: &mut Vec<Violation>,
     sc: &Scenario,
@@ -1131,7 +1035,7 @@ fn shuffle_oracles(
         ));
     }
 
-    // Engine runs: conservation and traced twins, both plans.
+    // Engine runs: conservation and recorder transparency, both plans.
     let job = word_count_profile();
     let cfg = AnalysisConfig::default();
     let expected: u64 = truth
@@ -1140,25 +1044,11 @@ fn shuffle_oracles(
         .sum();
     let mut aware_out = None;
     for (name, plan) in [("aware", &aware), ("hash", &hash)] {
-        let off = run_analysis_shuffled(&truth, &job, &cfg, plan);
-        let rec = Recorder::new();
-        let on = run_analysis_shuffled_traced(&truth, &job, &cfg, plan, SimTime::ZERO, &rec);
-        if on != off {
-            v.push(Violation::new(
-                "traced-twin",
-                format!("shuffled {name} run diverged from its untraced twin"),
-            ));
-        }
-        let data = rec.take();
-        if data.unclosed_spans() != 0 {
-            v.push(Violation::new(
-                "unclosed-spans",
-                format!(
-                    "shuffled {name} run: {} spans never closed",
-                    data.unclosed_spans()
-                ),
-            ));
-        }
+        let (off, _) = recorder_transparency(v, &format!("shuffled {name}"), |rec| {
+            Exec::default()
+                .rec(rec)
+                .analysis_shuffled(&truth, &job, &cfg, plan)
+        });
         let received: u64 = off.received.iter().sum();
         if received != expected {
             v.push(Violation::new(
@@ -1766,6 +1656,7 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datanet_mapreduce::run_selection;
 
     /// Tolerance calibration sweep: prints the worst observed makespan
     /// ratios (net of the same slacks the oracle grants) and any
@@ -1787,27 +1678,14 @@ mod tests {
             let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha));
             let view = arr.view(target);
             let cfg = SelectionConfig::default();
-            let loc = run_selection_traced(
-                &dfs,
-                &truth,
-                &mut LocalityScheduler::new(&dfs),
-                &cfg,
-                &Recorder::off(),
-            );
-            let dn = run_selection_traced(
-                &dfs,
-                &truth,
-                &mut DataNetScheduler::new(&dfs, &view),
-                &cfg,
-                &Recorder::off(),
-            );
+            let loc = run_selection(&dfs, &truth, &mut LocalityScheduler::new(&dfs), &cfg);
+            let dn = run_selection(&dfs, &truth, &mut DataNetScheduler::new(&dfs, &view), &cfg);
             let plan = FordFulkersonPlanner::new(&dfs, &view).plan();
-            let ff = run_selection_traced(
+            let ff = run_selection(
                 &dfs,
                 &truth,
                 &mut PlannedScheduler::new(&plan, dfs.namenode()),
                 &cfg,
-                &Recorder::off(),
             );
             let slack = cfg.task_overhead.as_secs_f64() * MAKESPAN_SLACK_TASKS;
             let count_slack = cfg.task_overhead.as_secs_f64() * excess_peak_tasks(&ff, &dn) as f64;

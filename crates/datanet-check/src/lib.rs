@@ -5,7 +5,7 @@
 //! count, cluster size, fault plan, shard-corruption pattern, detection
 //! config). The harness drives the full pipeline for that world — scan →
 //! [`datanet::ElasticMapArray`] → [`datanet::MetaStore`] round-trip → all
-//! four schedulers → faulty/resilient/traced execution — and checks a
+//! four schedulers → faulty/resilient/recorded execution — and checks a
 //! catalog of invariant oracles after every run:
 //!
 //! * **byte conservation** — `processed + lost == input` per
@@ -17,8 +17,10 @@
 //!   all-locality and the fractional-optimum lower bound, and the
 //!   makespan ordering FF ≤ greedy ≤ locality (with a documented
 //!   task-overhead tolerance);
-//! * **traced twins** — every `*_traced` run is bit-identical to its
-//!   untraced twin, and no observability span is left unclosed;
+//! * **recorder transparency** — every engine run returns bit-identical
+//!   results with a live recorder and with `Recorder::off()`
+//!   (`recorder-transparency`), and no observability span is left
+//!   unclosed;
 //! * **streaming ingest** — replaying the world's blocks as a stream
 //!   through [`datanet::Ingestor`] yields a snapshot byte-identical to a
 //!   from-scratch rebuild at every arrival prefix, including across a

@@ -17,9 +17,9 @@ use datanet_analytics::{
 use datanet_bench::Table;
 use datanet_dfs::{DfsConfig, NodeId, SubDatasetId, Topology};
 use datanet_mapreduce::{
-    range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, run_pipeline,
-    run_pipeline_traced, AnalysisConfig, DataNetScheduler, JobProfile, LocalityScheduler,
-    SelectionConfig, ShufflePlan, ShufflePlanner,
+    range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, AnalysisConfig,
+    DataNetScheduler, Exec, JobProfile, LocalityScheduler, SelectionConfig, ShufflePlan,
+    ShufflePlanner,
 };
 use datanet_obs::Recorder;
 use datanet_workloads::{GithubConfig, MoviesConfig, WorldCupConfig};
@@ -351,7 +351,8 @@ const FLIGHT_CAPACITY: usize = 256;
 /// `--metrics-window-ms` wide), `--flight OUT.json` (last
 /// `--flight-events` significant events), and `--query-id N` /
 /// `--tenant NAME` (stamp a causal query scope on every event recorded).
-/// With none of them every instrumented call degrades to its no-op twin.
+/// With none of them the recorder is off and every instrumented call is a
+/// no-op.
 fn recorder(args: &Args) -> Result<(Recorder, ObsOutputs), CliError> {
     let outputs = ObsOutputs {
         trace: args.get("trace").map(PathBuf::from),
@@ -718,10 +719,12 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // user wants a timeline of, and the baseline stays untouched.
     let (rec, obs) = recorder(args)?;
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_pipeline(&dfs, s, &mut base, &job, &sel, &ana);
+    let without = Exec::default().pipeline(&dfs, s, &mut base, &job, &sel, &ana);
     let view = ElasticMapArray::build_traced(&dfs, &Separation::Alpha(alpha), &rec).view(s);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let mut with = run_pipeline_traced(&dfs, s, &mut dn, &job, &sel, &ana, &rec);
+    let mut with = Exec::default()
+        .rec(&rec)
+        .pipeline(&dfs, s, &mut dn, &job, &sel, &ana);
     if rec.is_enabled() {
         with.obs = Some(rec.snapshot().summary(None));
     }

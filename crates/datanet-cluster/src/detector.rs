@@ -13,9 +13,9 @@
 //!   with suspicion at `last + multiplier · EWMA`.
 //! * [`suspicion_schedule`] — pure function from a [`FaultPlan`] to the
 //!   times each crashed node becomes *suspected*, with heartbeats stretched
-//!   by the plan's slow windows. The fault engine injects crash handling at
-//!   these times instead of the oracle crash instants, so every recovery
-//!   action pays a realistic detection latency.
+//!   by the plan's slow windows. Under detection the engine's selection
+//!   loop handles a crash at these times instead of the oracle crash
+//!   instants, so every recovery action pays a realistic detection latency.
 //!
 //! Everything is integer-time deterministic: same plan + config → same
 //! schedule, bit for bit.
@@ -148,20 +148,14 @@ impl FailureDetector {
 /// instant is its detector's deadline after the final pre-crash heartbeat,
 /// never earlier than the crash itself.
 ///
-/// # Panics
-/// Panics on an invalid `cfg` (see [`FailureDetector::new`]).
-pub fn suspicion_schedule(plan: &FaultPlan, cfg: DetectorConfig) -> Vec<(SimTime, usize)> {
-    suspicion_schedule_traced(plan, cfg, &Recorder::off())
-}
-
-/// [`suspicion_schedule`] with tracing: records one [`Category::Detection`]
-/// span per crashed node covering the crash → suspicion window, a
-/// `suspect` instant at its close, and the detection latency in the
-/// `detection_us` histogram. Identical schedule to the untraced form.
+/// Recorded through `rec`: one [`Category::Detection`] span per crashed
+/// node covering the crash → suspicion window, a `suspect` instant at its
+/// close, and the detection latency in the `detection_us` histogram. The
+/// schedule is the same whatever `rec` is.
 ///
 /// # Panics
 /// Panics on an invalid `cfg` (see [`FailureDetector::new`]).
-pub fn suspicion_schedule_traced(
+pub fn suspicion_schedule(
     plan: &FaultPlan,
     cfg: DetectorConfig,
     rec: &Recorder,
@@ -283,7 +277,7 @@ mod tests {
         let plan = FaultPlan::none(6)
             .crash(2, SimTime::from_secs(3))
             .crash(4, SimTime::from_secs(1));
-        let schedule = suspicion_schedule(&plan, cfg());
+        let schedule = suspicion_schedule(&plan, cfg(), &Recorder::off());
         assert_eq!(schedule.len(), 2);
         // Sorted by suspicion time, and every suspicion strictly follows
         // its crash (silence must accumulate first).
@@ -297,13 +291,13 @@ mod tests {
             assert!(latency <= SimTime::from_millis(400), "latency {latency}");
         }
         // Determinism: same plan, same schedule.
-        assert_eq!(schedule, suspicion_schedule(&plan, cfg()));
+        assert_eq!(schedule, suspicion_schedule(&plan, cfg(), &Recorder::off()));
     }
 
     #[test]
     fn crash_at_time_zero_is_still_detected() {
         let plan = FaultPlan::none(3).crash(1, SimTime::ZERO);
-        let schedule = suspicion_schedule(&plan, cfg());
+        let schedule = suspicion_schedule(&plan, cfg(), &Recorder::off());
         // Never a single heartbeat: suspicion fires after the nominal
         // grace period from time zero.
         assert_eq!(schedule, vec![(SimTime::from_millis(300), 1)]);
@@ -319,8 +313,8 @@ mod tests {
             SimTime::from_secs(4),
             4.0,
         );
-        let t_base = suspicion_schedule(&baseline, cfg())[0].0;
-        let t_slow = suspicion_schedule(&slowed, cfg())[0].0;
+        let t_base = suspicion_schedule(&baseline, cfg(), &Recorder::off())[0].0;
+        let t_slow = suspicion_schedule(&slowed, cfg(), &Recorder::off())[0].0;
         // Stretched heartbeats teach the EWMA a longer gap, so the detector
         // waits longer before declaring the node dead.
         assert!(t_slow > t_base, "{t_slow} vs {t_base}");
@@ -328,6 +322,6 @@ mod tests {
 
     #[test]
     fn healthy_plan_yields_empty_schedule() {
-        assert!(suspicion_schedule(&FaultPlan::none(8), cfg()).is_empty());
+        assert!(suspicion_schedule(&FaultPlan::none(8), cfg(), &Recorder::off()).is_empty());
     }
 }

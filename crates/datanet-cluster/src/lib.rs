@@ -27,9 +27,7 @@ pub mod resource;
 pub mod time;
 
 pub use cluster::SimCluster;
-pub use detector::{
-    suspicion_schedule, suspicion_schedule_traced, DetectorConfig, FailureDetector,
-};
+pub use detector::{suspicion_schedule, DetectorConfig, FailureDetector};
 pub use event::EventQueue;
 pub use fault::{FaultPlan, SlowWindow};
 pub use node::{NodeSpec, SimNode};

@@ -208,12 +208,6 @@ impl Dfs {
         self.namenode.replicas(b)
     }
 
-    /// Replicas of `b` on nodes still alive under `alive` (delegates to the
-    /// NameNode).
-    pub fn surviving_replicas(&self, b: BlockId, alive: &[bool]) -> Vec<NodeId> {
-        self.namenode.surviving_replicas(b, alive)
-    }
-
     /// Blocks with no surviving replica under `alive` (delegates to the
     /// NameNode).
     pub fn lost_blocks(&self, alive: &[bool]) -> Vec<BlockId> {

@@ -18,6 +18,14 @@
 //! NICs (its own share stays local). A reducer's shuffle time spans from the
 //! *first* map completion to its last received byte — Hadoop's definition,
 //! and the reason imbalanced maps inflate shuffle times 4–5× in Figure 7.
+//!
+//! ### One engine, optional inputs
+//!
+//! There is one selection loop and one analysis driver. What a run may be
+//! given beyond its data and cost models — a [`Recorder`], a
+//! [`FaultConfig`], a clock base — travels in one [`Exec`] value whose
+//! default is "none of them"; [`run_selection`], [`run_analysis`] and
+//! [`run_analysis_shuffled`] are that default spelled as free functions.
 
 use crate::job::JobProfile;
 use crate::report::{ExecutionReport, FaultStats, JobReport, SelectionOutcome, ShuffleOutcome};
@@ -26,10 +34,11 @@ use crate::shuffle::{self, ShufflePlan};
 use datanet::store::MetaStore;
 use datanet::{AggregationPlan, Assignment, RetryBudget};
 use datanet_cluster::{
-    suspicion_schedule_traced, DetectorConfig, EventQueue, FaultPlan, NodeSpec, SimCluster, SimTime,
+    suspicion_schedule, DetectorConfig, EventQueue, FaultPlan, NodeSpec, SimCluster, SimTime,
 };
 use datanet_dfs::{BlockId, Dfs, NodeId, SubDatasetId};
-use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
+use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx, SpanId};
+use std::sync::OnceLock;
 
 /// Fixed per-task cost (scheduling heartbeat, JVM reuse, commit) — Hadoop
 /// charges ~1 s per task; scaled here by the same 256× factor as the
@@ -90,6 +99,79 @@ impl Default for AnalysisConfig {
     }
 }
 
+/// Fault-injection parameters for a selection run.
+#[derive(Debug, Clone)]
+pub struct FaultConfig {
+    /// The scripted fault schedule.
+    pub plan: FaultPlan,
+    /// How many times a block may be *re*-executed after crashes before the
+    /// engine gives up on it (Hadoop's `mapreduce.map.maxattempts` − 1).
+    pub max_retries: u32,
+    /// `Some` switches crash notification from the PR 1 oracle (the engine
+    /// reacts at the exact crash instant) to heartbeat-driven *suspicion*:
+    /// recovery starts only once the failure detector's EWMA deadline
+    /// passes, and every action in between is charged realistically — work
+    /// "completing" on a dead-but-unsuspected node is void.
+    pub detection: Option<DetectorConfig>,
+}
+
+impl FaultConfig {
+    /// A plan with the default Hadoop-like retry budget of 3 and oracle
+    /// crash notification (PR 1 semantics).
+    pub fn new(plan: FaultPlan) -> Self {
+        Self {
+            plan,
+            max_retries: 3,
+            detection: None,
+        }
+    }
+
+    /// Same, but crashes are learned through the failure detector.
+    pub fn with_detection(plan: FaultPlan, detector: DetectorConfig) -> Self {
+        Self {
+            detection: Some(detector),
+            ..Self::new(plan)
+        }
+    }
+}
+
+/// The optional inputs of a run: everything the engine accepts beyond the
+/// data and the cost models. `Exec::default()` is a plain run — recorder
+/// off, no faults, clock at zero — and each setter turns one input on:
+///
+/// ```text
+/// Exec::default().rec(&rec).faults(&fc).selection(&dfs, &truth, &mut sched, &cfg)
+/// ```
+///
+/// The recorder may watch but never steer: every run method returns the
+/// same value whatever `rec` is. `faults: None` is not "an empty fault
+/// plan" but *no fault model*: no crash events, NIC and slow factors of 1,
+/// and nothing fault-specific recorded (no zero-valued `crashes` counter,
+/// the plain `selection plan` flight line).
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    /// Where spans, counters, histograms and flight lines go.
+    pub rec: &'a Recorder,
+    /// Scripted faults for the selection phase.
+    pub faults: Option<&'a FaultConfig>,
+    /// Start of the analysis phase on the caller's simulated timeline. An
+    /// analysis job runs on its own clock from zero; every span it emits
+    /// is shifted by `base` (pass the selection end so both phases line up
+    /// on one timeline — [`Exec::pipeline`] does). Never changes a result.
+    pub base: SimTime,
+}
+
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        static OFF: OnceLock<Recorder> = OnceLock::new();
+        Self {
+            rec: OFF.get_or_init(Recorder::off),
+            faults: None,
+            base: SimTime::ZERO,
+        }
+    }
+}
+
 /// Run the selection phase.
 ///
 /// * `truth` — ground-truth bytes of the target sub-dataset per block
@@ -105,118 +187,34 @@ pub fn run_selection(
     scheduler: &mut dyn MapScheduler,
     cfg: &SelectionConfig,
 ) -> SelectionOutcome {
-    run_selection_traced(dfs, truth, scheduler, cfg, &Recorder::off())
+    Exec::default().selection(dfs, truth, scheduler, cfg)
 }
 
-/// [`run_selection`] with a [`Recorder`] attached: emits one `select` task
-/// span per granted block on the simulated clock (node/block attributes), a
-/// `selection` phase span, a `task_us` duration histogram and locality
-/// counters. With a disabled recorder this is exactly [`run_selection`] —
-/// tracing never perturbs the simulation.
-pub fn run_selection_traced(
-    dfs: &Dfs,
-    truth: &[u64],
-    scheduler: &mut dyn MapScheduler,
-    cfg: &SelectionConfig,
-    rec: &Recorder,
-) -> SelectionOutcome {
-    assert_eq!(
-        truth.len(),
-        dfs.block_count(),
-        "ground-truth vector must cover every block"
-    );
-    cfg.spec.validate();
-    assert!(cfg.slots_per_node > 0, "need at least one slot per node");
-    let m = dfs.config().topology.len();
-    let mut per_node_bytes = vec![0u64; m];
-    let mut tasks_per_node = vec![0usize; m];
-    let mut per_node_end = vec![SimTime::ZERO; m];
-    let mut local_tasks = 0usize;
-    let mut total_tasks = 0usize;
-    let mut bytes_read = 0u64;
+/// Run one analysis job over per-node filtered partitions with the Hadoop
+/// default reducer layout: one reducer per node, uniform partition shares.
+///
+/// Every node with a non-empty partition runs one map task starting at t=0
+/// (the job is launched after selection completes).
+pub fn run_analysis(filtered: &[u64], profile: &JobProfile, cfg: &AnalysisConfig) -> JobReport {
+    let plan = AggregationPlan::uniform(filtered.len());
+    Exec::default().analysis(filtered, profile, cfg, &plan, None)
+}
 
-    rec.flight(
-        FlightKind::Plan,
-        Domain::Sim,
-        0,
-        None,
-        format!(
-            "selection plan: {} tasks over {m} nodes",
-            scheduler.remaining()
-        ),
-    );
-    // Slot-free events: all slots free at t=0 (slots_per_node tokens per
-    // node). FIFO tie-break keeps node order deterministic.
-    let mut slots: EventQueue<NodeId> = EventQueue::new();
-    for _ in 0..cfg.slots_per_node {
-        for n in 0..m {
-            slots.push(SimTime::ZERO, NodeId(n as u32));
-        }
-    }
-    while let Some((now, node)) = slots.pop() {
-        let Some((block, local)) = scheduler.next_task(node) else {
-            if scheduler.remaining() > 0 {
-                // The scheduler deferred this node (e.g. delay scheduling
-                // waiting for a local slot): retry on the next heartbeat.
-                slots.push(now + cfg.task_overhead.max(SimTime::from_millis(1)), node);
-            } else {
-                // Nothing left anywhere: the node stops requesting.
-                per_node_end[node.index()] = per_node_end[node.index()].max(now);
-            }
-            continue;
-        };
-        let block_bytes = dfs.block(block).bytes();
-        let filtered = truth[block.index()];
-        let dur = map_task_duration(dfs, block, node, local, filtered, cfg, 1.0);
-        let end = now + dur;
-        let span = rec.begin(
-            Category::Task,
-            "select",
-            Domain::Sim,
-            now.as_micros(),
-            SpanCtx::default()
-                .node(node.index())
-                .block(block.index() as u64),
-        );
-        rec.end(span, end.as_micros());
-        rec.observe("task_us", dur.as_micros());
-        per_node_bytes[node.index()] += filtered;
-        tasks_per_node[node.index()] += 1;
-        per_node_end[node.index()] = end;
-        bytes_read += block_bytes;
-        total_tasks += 1;
-        if local {
-            local_tasks += 1;
-        }
-        slots.push(end, node);
-    }
-    debug_assert_eq!(scheduler.remaining(), 0, "engine drained the scheduler");
-
-    let end = per_node_end.iter().copied().max().unwrap_or(SimTime::ZERO);
-    let phase = rec.begin(
-        Category::Phase,
-        "selection",
-        Domain::Sim,
-        0,
-        SpanCtx::default(),
-    );
-    rec.end(phase, end.as_micros());
-    rec.add("tasks_executed", total_tasks as u64);
-    rec.add("local_tasks", local_tasks as u64);
-    rec.add("remote_tasks", (total_tasks - local_tasks) as u64);
-    rec.add("bytes_read", bytes_read);
-    SelectionOutcome {
-        scheduler: scheduler.name().to_string(),
-        per_node_bytes,
-        tasks_per_node,
-        per_node_end,
-        end,
-        local_tasks,
-        total_tasks,
-        bytes_read,
-        faults: FaultStats::default(),
-        meta: datanet::MetaHealth::default(),
-    }
+/// Run one analysis job routed by a [`ShufflePlan`] over a per-(node,
+/// key-range) byte matrix (one row per node — see
+/// [`crate::shuffle::range_matrix_truth`]). Map timing matches
+/// [`run_analysis`] on the row sums; the shuffle sends each mapper's
+/// output to the plan's per-range reducers (fragments of split ranges
+/// spread by their shares, all integer splits largest-remainder exact),
+/// and each reducer processes exactly what it received rather than a
+/// uniform share.
+pub fn run_analysis_shuffled(
+    matrix: &[Vec<u64>],
+    profile: &JobProfile,
+    cfg: &AnalysisConfig,
+    plan: &ShufflePlan,
+) -> ShuffleOutcome {
+    Exec::default().analysis_shuffled(matrix, profile, cfg, plan)
 }
 
 /// Cost of one selection map task: disk read of the whole block, a NIC hop
@@ -300,689 +298,6 @@ fn stretch(dur: SimTime, factor: f64) -> SimTime {
     }
 }
 
-/// Fault-injection parameters for a selection run.
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    /// The scripted fault schedule.
-    pub plan: FaultPlan,
-    /// How many times a block may be *re*-executed after crashes before the
-    /// engine gives up on it (Hadoop's `mapreduce.map.maxattempts` − 1).
-    pub max_retries: u32,
-    /// `Some` switches crash notification from the PR 1 oracle (the engine
-    /// reacts at the exact crash instant) to heartbeat-driven *suspicion*:
-    /// recovery starts only once the failure detector's EWMA deadline
-    /// passes, and every action in between is charged realistically — work
-    /// "completing" on a dead-but-unsuspected node is void.
-    pub detection: Option<DetectorConfig>,
-}
-
-impl FaultConfig {
-    /// A plan with the default Hadoop-like retry budget of 3 and oracle
-    /// crash notification (PR 1 semantics).
-    pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            max_retries: 3,
-            detection: None,
-        }
-    }
-
-    /// Same, but crashes are learned through the failure detector.
-    pub fn with_detection(plan: FaultPlan, detector: DetectorConfig) -> Self {
-        Self {
-            detection: Some(detector),
-            ..Self::new(plan)
-        }
-    }
-}
-
-/// Events driving the fault-tolerant selection loop.
-enum FaultEvent {
-    /// A map slot on this node freed up (task completion or initial token).
-    Slot(NodeId),
-    /// The scripted crash of a node fires.
-    Crash(NodeId),
-}
-
-/// Run the selection phase under fault injection.
-///
-/// Differs from [`run_selection`] in exactly the ways a fail-stop fault
-/// model demands:
-///
-/// * filtered bytes are credited at task **completion**, not at grant —
-///   a task in flight when its node dies contributes nothing;
-/// * when a node crashes, its in-flight tasks *and* its completed filtered
-///   partitions are lost. Every affected block with a surviving replica is
-///   re-enqueued via [`MapScheduler::node_lost`] and re-executed (charged
-///   full re-read cost); blocks whose replicas all died are reported in
-///   [`FaultStats::unrecoverable_blocks`], and blocks exceeding the retry
-///   budget in [`FaultStats::abandoned_blocks`];
-/// * transient slow-node windows stretch task durations; NIC degradation
-///   slows remote reads;
-/// * nodes that went idle (scheduler drained) are woken again when a crash
-///   requeues work.
-///
-/// The run is deterministic for a fixed `FaultPlan` and scheduler state.
-pub fn run_selection_faulty(
-    dfs: &Dfs,
-    truth: &[u64],
-    scheduler: &mut dyn MapScheduler,
-    cfg: &SelectionConfig,
-    faults: &FaultConfig,
-) -> SelectionOutcome {
-    run_selection_faulty_traced(dfs, truth, scheduler, cfg, faults, &Recorder::off())
-}
-
-/// [`run_selection_faulty`] with a [`Recorder`] attached. On top of the
-/// healthy-engine spans this emits the full crash lifecycle on the simulated
-/// clock: a `crash` instant at the physical failure time, a `suspect`
-/// instant when the engine learns of it (the detector records it in
-/// detection mode; the oracle records it at the crash itself), a `replan`
-/// instant from [`MapScheduler::record_replan`], and every in-flight task
-/// span on the dead node closed with a `lost` note. With a disabled
-/// recorder this is exactly [`run_selection_faulty`].
-pub fn run_selection_faulty_traced(
-    dfs: &Dfs,
-    truth: &[u64],
-    scheduler: &mut dyn MapScheduler,
-    cfg: &SelectionConfig,
-    faults: &FaultConfig,
-    rec: &Recorder,
-) -> SelectionOutcome {
-    assert_eq!(
-        truth.len(),
-        dfs.block_count(),
-        "ground-truth vector must cover every block"
-    );
-    cfg.spec.validate();
-    assert!(cfg.slots_per_node > 0, "need at least one slot per node");
-    let m = dfs.config().topology.len();
-    assert_eq!(
-        faults.plan.nodes(),
-        m,
-        "fault plan sized for another cluster"
-    );
-
-    let mut per_node_bytes = vec![0u64; m];
-    let mut tasks_per_node = vec![0usize; m];
-    let mut per_node_end = vec![SimTime::ZERO; m];
-    let mut local_tasks = 0usize;
-    let mut total_tasks = 0usize;
-    let mut bytes_read = 0u64;
-    let mut stats = FaultStats::default();
-
-    let mut alive = vec![true; m];
-    // Blocks whose filtered output currently lives on node n.
-    let mut done: Vec<Vec<BlockId>> = vec![Vec::new(); m];
-    // Tasks running on node n: (block, was_local, completes_at, span).
-    let mut in_flight: Vec<Vec<(BlockId, bool, SimTime, datanet_obs::SpanId)>> =
-        vec![Vec::new(); m];
-    // Slot tokens parked because the scheduler had nothing left; a crash
-    // that requeues work revives them.
-    let mut parked = vec![0u32; m];
-    // Executions started per block (first run + retries), capped by the
-    // shared retry budget (datanet::retry).
-    let mut budget = RetryBudget::new(dfs.block_count(), faults.max_retries);
-    let mut first_crash: Option<SimTime> = None;
-
-    rec.flight(
-        FlightKind::Plan,
-        Domain::Sim,
-        0,
-        None,
-        format!(
-            "faulty selection plan: {} tasks over {m} nodes, {} planned crashes",
-            scheduler.remaining(),
-            faults.plan.crash_count()
-        ),
-    );
-    let mut events: EventQueue<FaultEvent> = EventQueue::new();
-    // Under detection, the engine learns of a crash at the *suspicion*
-    // instant; under the oracle model, at the crash instant itself.
-    let notifications = match faults.detection {
-        Some(det) => suspicion_schedule_traced(&faults.plan, det, rec),
-        None => faults.plan.crash_events(),
-    };
-    for (t, node) in notifications {
-        events.push(t, FaultEvent::Crash(NodeId(node as u32)));
-    }
-    for _ in 0..cfg.slots_per_node {
-        for n in 0..m {
-            events.push(SimTime::ZERO, FaultEvent::Slot(NodeId(n as u32)));
-        }
-    }
-
-    while let Some((now, event)) = events.pop() {
-        match event {
-            FaultEvent::Crash(dead) => {
-                alive[dead.index()] = false;
-                let crashed_at = faults.plan.crash_time(dead.index()).unwrap_or(now);
-                first_crash.get_or_insert(crashed_at);
-                stats.crashed_nodes.push(dead.index());
-                rec.instant(
-                    Category::Detection,
-                    "crash",
-                    Domain::Sim,
-                    crashed_at.as_micros(),
-                    SpanCtx::default().node(dead.index()),
-                );
-                if faults.detection.is_some() {
-                    stats
-                        .detection_latency_secs
-                        .push((now.saturating_sub(crashed_at)).as_secs_f64());
-                } else {
-                    // Oracle notification: suspicion is instantaneous, but
-                    // the chain still gets its `suspect` marker so crash
-                    // timelines read uniformly across both modes.
-                    rec.instant(
-                        Category::Detection,
-                        "suspect",
-                        Domain::Sim,
-                        now.as_micros(),
-                        SpanCtx::default().node(dead.index()).note("oracle"),
-                    );
-                }
-                per_node_end[dead.index()] = crashed_at;
-                // Everything the node produced or was producing is gone.
-                per_node_bytes[dead.index()] = 0;
-                tasks_per_node[dead.index()] = 0;
-                // Tasks still in flight died with the node: their spans end
-                // at the physical crash, not at the (later) suspicion.
-                for &(_, _, _, span) in &in_flight[dead.index()] {
-                    rec.end_with_note(span, crashed_at.as_micros(), "lost");
-                }
-                let casualties: Vec<BlockId> = done[dead.index()]
-                    .drain(..)
-                    .chain(in_flight[dead.index()].drain(..).map(|(b, _, _, _)| b))
-                    .collect();
-                // Triage: re-enqueue what survivors can serve, report the rest.
-                let mut requeue = Vec::new();
-                for b in casualties {
-                    if dfs.surviving_replicas(b, &alive).is_empty() {
-                        stats.unrecoverable_blocks.push(b);
-                    } else if budget.exhausted(b.index()) {
-                        stats.abandoned_blocks.push(b);
-                    } else {
-                        requeue.push(b);
-                    }
-                }
-                stats.requeued_tasks += requeue.len();
-                scheduler.node_lost(dead, &requeue);
-                scheduler.record_replan(rec, now.as_micros(), dead, requeue.len());
-                // Wake idle survivors: new work just appeared.
-                if !requeue.is_empty() {
-                    for (n, tokens) in parked.iter_mut().enumerate() {
-                        for _ in 0..*tokens {
-                            events.push(now, FaultEvent::Slot(NodeId(n as u32)));
-                        }
-                        *tokens = 0;
-                    }
-                }
-            }
-            FaultEvent::Slot(node) => {
-                if !alive[node.index()] {
-                    // The token belonged to a node that died; drop it.
-                    continue;
-                }
-                if !faults.plan.is_alive(node.index(), now) {
-                    // Physically dead but not yet *suspected* (detection
-                    // mode): the node emits nothing. Its completed work and
-                    // credits are reaped when suspicion fires.
-                    continue;
-                }
-                // Complete the task this token was running, if any.
-                if let Some(pos) = in_flight[node.index()]
-                    .iter()
-                    .position(|&(_, _, e, _)| e == now)
-                {
-                    let (block, local, _, span) = in_flight[node.index()].remove(pos);
-                    rec.end(span, now.as_micros());
-                    done[node.index()].push(block);
-                    per_node_bytes[node.index()] += truth[block.index()];
-                    tasks_per_node[node.index()] += 1;
-                    bytes_read += dfs.block(block).bytes();
-                    total_tasks += 1;
-                    if local {
-                        local_tasks += 1;
-                    }
-                    per_node_end[node.index()] = now;
-                }
-                // Ask for the next task.
-                let Some((block, local)) = scheduler.next_task(node) else {
-                    if scheduler.remaining() > 0 {
-                        events.push(
-                            now + cfg.task_overhead.max(SimTime::from_millis(1)),
-                            FaultEvent::Slot(node),
-                        );
-                    } else {
-                        per_node_end[node.index()] = per_node_end[node.index()].max(now);
-                        parked[node.index()] += 1;
-                    }
-                    continue;
-                };
-                if dfs.surviving_replicas(block, &alive).is_empty() {
-                    // Every replica died while the block sat in the pool:
-                    // nothing can serve the read. Report it and keep the
-                    // token cycling (next_task advanced, so this terminates).
-                    stats.unrecoverable_blocks.push(block);
-                    events.push(now, FaultEvent::Slot(node));
-                    continue;
-                }
-                if budget.tried(block.index()) {
-                    stats.reexecuted_tasks += 1;
-                    stats.wasted_bytes_read += dfs.block(block).bytes();
-                }
-                let attempt = budget.record(block.index());
-                let dur = map_task_duration(
-                    dfs,
-                    block,
-                    node,
-                    local,
-                    truth[block.index()],
-                    cfg,
-                    faults.plan.nic_fraction(node.index()),
-                );
-                let dur = stretch(dur, faults.plan.slow_factor(node.index(), now));
-                let end = now + dur;
-                let mut ctx = SpanCtx::default()
-                    .node(node.index())
-                    .block(block.index() as u64);
-                if attempt > 1 {
-                    ctx = ctx.note(format!("attempt {attempt}"));
-                }
-                let span = rec.begin(Category::Task, "select", Domain::Sim, now.as_micros(), ctx);
-                rec.observe("task_us", dur.as_micros());
-                in_flight[node.index()].push((block, local, end, span));
-                events.push(end, FaultEvent::Slot(node));
-            }
-        }
-    }
-    debug_assert!(
-        scheduler.remaining() == 0 || alive.iter().all(|&a| !a),
-        "engine drained the scheduler or lost every node"
-    );
-
-    let end = per_node_end.iter().copied().max().unwrap_or(SimTime::ZERO);
-    stats.recovery_secs = first_crash
-        .map(|c| end.saturating_sub(c).as_secs_f64())
-        .unwrap_or(0.0);
-    let phase = rec.begin(
-        Category::Phase,
-        "selection",
-        Domain::Sim,
-        0,
-        SpanCtx::default(),
-    );
-    rec.end(phase, end.as_micros());
-    rec.add("tasks_executed", total_tasks as u64);
-    rec.add("local_tasks", local_tasks as u64);
-    rec.add("remote_tasks", (total_tasks - local_tasks) as u64);
-    rec.add("bytes_read", bytes_read);
-    rec.add("crashes", stats.crashed_nodes.len() as u64);
-    rec.add("requeued_tasks", stats.requeued_tasks as u64);
-    rec.add("reexecuted_tasks", stats.reexecuted_tasks as u64);
-    rec.add("wasted_bytes_read", stats.wasted_bytes_read);
-    rec.add(
-        "unrecoverable_blocks",
-        stats.unrecoverable_blocks.len() as u64,
-    );
-    rec.add("abandoned_blocks", stats.abandoned_blocks.len() as u64);
-    SelectionOutcome {
-        scheduler: scheduler.name().to_string(),
-        per_node_bytes,
-        tasks_per_node,
-        per_node_end,
-        end,
-        local_tasks,
-        total_tasks,
-        bytes_read,
-        faults: stats,
-        meta: datanet::MetaHealth::default(),
-    }
-}
-
-/// Run the selection phase straight off a (possibly degraded) [`MetaStore`]
-/// — the full degradation ladder, end to end:
-///
-/// 1. [`MetaStore::view_degraded`] assembles the best available view, with
-///    retry, replica failover and quarantine along the way;
-/// 2. a [`ResilientScheduler`] places rung-1/2 blocks with Algorithm 1 and
-///    rung-3 blocks (shard *and* summary lost) with the locality baseline;
-/// 3. the run executes healthily or under fault injection (`faults`);
-/// 4. the outcome's [`SelectionOutcome::meta`] records the store's health
-///    counters, the per-rung block counts, and the relative error of the
-///    degraded Equation 6 estimate against ground truth.
-///
-/// # Panics
-/// Panics if the store's manifest does not cover `dfs`'s blocks.
-pub fn run_selection_resilient(
-    dfs: &Dfs,
-    s: SubDatasetId,
-    store: &mut MetaStore,
-    cfg: &SelectionConfig,
-    faults: Option<&FaultConfig>,
-) -> SelectionOutcome {
-    run_selection_resilient_traced(dfs, s, store, cfg, faults, &Recorder::off())
-}
-
-/// [`run_selection_resilient`] with a [`Recorder`] attached: the store's
-/// shard loads and scrubs, the degraded-view assembly, and the selection run
-/// itself all land in one trace. With a disabled recorder this is exactly
-/// [`run_selection_resilient`].
-pub fn run_selection_resilient_traced(
-    dfs: &Dfs,
-    s: SubDatasetId,
-    store: &mut MetaStore,
-    cfg: &SelectionConfig,
-    faults: Option<&FaultConfig>,
-    rec: &Recorder,
-) -> SelectionOutcome {
-    assert_eq!(
-        store.manifest().blocks,
-        dfs.block_count(),
-        "metadata store describes a different DFS"
-    );
-    store.set_recorder(rec.clone());
-    let truth = dfs.subdataset_distribution(s);
-    let degraded = store.view_degraded(s);
-    let mut scheduler = ResilientScheduler::new(dfs, &degraded);
-    let mut out = match faults {
-        Some(f) => run_selection_faulty_traced(dfs, &truth, &mut scheduler, cfg, f, rec),
-        None => run_selection_traced(dfs, &truth, &mut scheduler, cfg, rec),
-    };
-    let mut meta = store.health().clone();
-    meta.rungs = degraded.rung_counts();
-    let actual = dfs.subdataset_total(s);
-    if actual > 0 {
-        let est = degraded.view().estimated_total();
-        meta.est_error = (est as f64 - actual as f64).abs() / actual as f64;
-    }
-    out.meta = meta;
-    out
-}
-
-/// Run one analysis job over per-node filtered partitions with the Hadoop
-/// default reducer layout: one reducer per node, uniform partition shares.
-///
-/// Every node with a non-empty partition runs one map task starting at t=0
-/// (the job is launched after selection completes).
-pub fn run_analysis(filtered: &[u64], profile: &JobProfile, cfg: &AnalysisConfig) -> JobReport {
-    run_analysis_traced(filtered, profile, cfg, SimTime::ZERO, &Recorder::off())
-}
-
-/// [`run_analysis`] with a [`Recorder`] attached. The analysis phase runs on
-/// its own job-local clock starting at zero; `base` shifts every emitted
-/// span onto the pipeline clock (pass the selection end so selection and
-/// analysis line up on one timeline, or [`SimTime::ZERO`] for a standalone
-/// job).
-pub fn run_analysis_traced(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    base: SimTime,
-    rec: &Recorder,
-) -> JobReport {
-    let m = filtered.len();
-    assert!(m > 0, "need at least one partition");
-    let default_plan = AggregationPlan {
-        reducers: (0..m as u32).map(NodeId).collect(),
-        shares: vec![1.0 / m as f64; m],
-        est_traffic: 0,
-    };
-    run_analysis_aggregated_traced(filtered, profile, cfg, &default_plan, base, rec)
-}
-
-/// Run one analysis job with an explicit [`AggregationPlan`] (reducer
-/// placement + weighted partition shares) — the traffic-aware extension of
-/// Section IV-B.
-pub fn run_analysis_aggregated(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    plan: &AggregationPlan,
-) -> JobReport {
-    run_analysis_aggregated_traced(
-        filtered,
-        profile,
-        cfg,
-        plan,
-        SimTime::ZERO,
-        &Recorder::off(),
-    )
-}
-
-/// [`run_analysis_aggregated`] with a [`Recorder`] attached; see
-/// [`run_analysis_traced`] for the meaning of `base`.
-pub fn run_analysis_aggregated_traced(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    plan: &AggregationPlan,
-    base: SimTime,
-    rec: &Recorder,
-) -> JobReport {
-    let m = filtered.len();
-    assert!(m > 0, "need at least one partition");
-    let cluster = SimCluster::homogeneous(m, cfg.spec);
-    run_analysis_on(filtered, profile, cfg, plan, cluster, base, rec)
-}
-
-/// Run one analysis job on a **heterogeneous** cluster (one spec per node)
-/// with uniform reducers — the environment where Section IV-B's
-/// capability-proportional targets matter.
-pub fn run_analysis_hetero(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    specs: &[NodeSpec],
-) -> JobReport {
-    let m = filtered.len();
-    assert_eq!(m, specs.len(), "one spec per partition/node");
-    let plan = AggregationPlan {
-        reducers: (0..m as u32).map(NodeId).collect(),
-        shares: vec![1.0 / m as f64; m],
-        est_traffic: 0,
-    };
-    let cluster = SimCluster::heterogeneous(specs);
-    run_analysis_on(
-        filtered,
-        profile,
-        cfg,
-        &plan,
-        cluster,
-        SimTime::ZERO,
-        &Recorder::off(),
-    )
-}
-
-/// Run one analysis job routed by a [`ShufflePlan`] over a per-(node,
-/// key-range) byte matrix (one row per node — see
-/// [`crate::shuffle::range_matrix_truth`]). Map timing matches
-/// [`run_analysis`] on the row sums; the shuffle sends each mapper's
-/// output to the plan's per-range reducers (fragments of split ranges
-/// spread by their shares, all integer splits largest-remainder exact),
-/// and each reducer processes exactly what it received rather than a
-/// uniform share.
-pub fn run_analysis_shuffled(
-    matrix: &[Vec<u64>],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    plan: &ShufflePlan,
-) -> ShuffleOutcome {
-    run_analysis_shuffled_traced(matrix, profile, cfg, plan, SimTime::ZERO, &Recorder::off())
-}
-
-/// [`run_analysis_shuffled`] with a [`Recorder`] attached; emits the same
-/// span vocabulary as [`run_analysis_traced`] (`map`/`shuffle`/`reduce`
-/// tasks under one `analysis` phase), shifted by `base`.
-pub fn run_analysis_shuffled_traced(
-    matrix: &[Vec<u64>],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    plan: &ShufflePlan,
-    base: SimTime,
-    rec: &Recorder,
-) -> ShuffleOutcome {
-    profile.validate();
-    plan.validate();
-    let m = matrix.len();
-    assert!(m > 0, "need at least one node");
-    let ranges = plan.key_ranges();
-    assert!(
-        matrix.iter().all(|row| row.len() == ranges),
-        "matrix width must match the plan's key ranges"
-    );
-    assert_eq!(plan.reducers.len(), m, "one reducer slot per node expected");
-    assert!(
-        plan.reducers.iter().all(|r| r.index() < m),
-        "reducer outside the cluster"
-    );
-    let mut cluster = SimCluster::homogeneous(m, cfg.spec);
-    let filtered: Vec<u64> = matrix.iter().map(|row| row.iter().sum()).collect();
-
-    // --- Map phase: identical to `run_analysis_on` over the row sums.
-    let mut map_end = vec![SimTime::ZERO; m];
-    let mut map_secs = Vec::with_capacity(m);
-    for (i, &bytes) in filtered.iter().enumerate() {
-        let (_, read_end) = cluster.node_mut(i).read_disk(cfg.task_overhead, bytes);
-        let (_, cpu_end) = cluster
-            .node_mut(i)
-            .compute(read_end, bytes, profile.map_compute_factor);
-        map_end[i] = cpu_end;
-        map_secs.push(cpu_end.as_secs_f64());
-        let span = rec.begin(
-            Category::Task,
-            "map",
-            Domain::Sim,
-            base.as_micros(),
-            SpanCtx::default().node(i),
-        );
-        rec.end(span, (base + cpu_end).as_micros());
-        rec.observe("map_us", cpu_end.as_micros());
-    }
-    let first_map_end = map_end.iter().copied().min().unwrap_or(SimTime::ZERO);
-
-    // --- Shuffle: mapper i's output is apportioned over its own key-range
-    // column weights, each range's cell split over the plan's fragments,
-    // and everything bound for one reducer slot batched into a single
-    // transfer. Largest-remainder at both levels keeps the inflows summing
-    // exactly to the total map output.
-    let r_count = plan.reducers.len();
-    let mut last_arrival = vec![first_map_end; r_count];
-    let mut received = vec![0u64; r_count];
-    let mut network_bytes = 0u64;
-    let mut local_bytes = 0u64;
-    for i in 0..m {
-        let out = profile.map_output_bytes(filtered[i]);
-        if out == 0 {
-            continue;
-        }
-        let cells = crate::skewtune::apportion(out, &matrix[i]);
-        let mut send = vec![0u64; r_count];
-        for (g, &cell) in cells.iter().enumerate() {
-            if cell == 0 {
-                continue;
-            }
-            let frags = &plan.assignments[g];
-            if frags.len() == 1 {
-                send[frags[0].reducer] += cell;
-            } else {
-                let shares: Vec<f64> = frags.iter().map(|f| f.share).collect();
-                for (f, bytes) in frags.iter().zip(shuffle::apportion_shares(cell, &shares)) {
-                    send[f.reducer] += bytes;
-                }
-            }
-        }
-        for (ri, &bytes) in send.iter().enumerate() {
-            if bytes == 0 {
-                continue;
-            }
-            received[ri] += bytes;
-            let rnode = plan.reducers[ri];
-            if rnode.index() == i {
-                local_bytes += bytes;
-                last_arrival[ri] = last_arrival[ri].max(map_end[i]);
-            } else {
-                let (_, arr) = cluster.transfer(i, rnode.index(), map_end[i], bytes);
-                network_bytes += bytes;
-                last_arrival[ri] = last_arrival[ri].max(arr);
-            }
-        }
-    }
-    let shuffle_secs: Vec<f64> = last_arrival
-        .iter()
-        .map(|&t| t.saturating_sub(first_map_end).as_secs_f64())
-        .collect();
-    for (ri, &rnode) in plan.reducers.iter().enumerate() {
-        let span = rec.begin(
-            Category::Phase,
-            "shuffle",
-            Domain::Sim,
-            (base + first_map_end).as_micros(),
-            SpanCtx::default().node(rnode.index()),
-        );
-        rec.end(span, (base + last_arrival[ri]).as_micros());
-    }
-    rec.add("shuffle_bytes", network_bytes);
-
-    // --- Reduce: each reducer processes exactly its inflow.
-    let mut reduce_secs = Vec::with_capacity(r_count);
-    let mut makespan = map_end.iter().copied().max().unwrap_or(SimTime::ZERO);
-    for (ri, &rnode) in plan.reducers.iter().enumerate() {
-        let inflow = received[ri];
-        let ready = last_arrival[ri];
-        let end = if inflow == 0 || profile.reduce_compute_factor == 0.0 {
-            ready
-        } else {
-            let ready = ready + cfg.task_overhead;
-            let (_, cpu_end) = cluster.node_mut(rnode.index()).compute(
-                ready,
-                inflow,
-                profile.reduce_compute_factor,
-            );
-            let (_, w_end) = cluster.node_mut(rnode.index()).write_disk(cpu_end, inflow);
-            w_end
-        };
-        reduce_secs.push((end.saturating_sub(ready)).as_secs_f64());
-        makespan = makespan.max(end);
-        let span = rec.begin(
-            Category::Task,
-            "reduce",
-            Domain::Sim,
-            (base + ready).as_micros(),
-            SpanCtx::default().node(rnode.index()),
-        );
-        rec.end(span, (base + end).as_micros());
-        rec.observe("reduce_us", end.saturating_sub(ready).as_micros());
-    }
-    let phase = rec.begin(
-        Category::Phase,
-        "analysis",
-        Domain::Sim,
-        base.as_micros(),
-        SpanCtx::default().note(profile.name.clone()),
-    );
-    rec.end(phase, (base + makespan).as_micros());
-
-    let cpu_util = (0..m)
-        .map(|i| cluster.node(i).cpu().utilisation(makespan))
-        .collect();
-    ShuffleOutcome {
-        report: JobReport {
-            job: profile.name.clone(),
-            map_secs,
-            shuffle_secs,
-            reduce_secs,
-            makespan_secs: makespan.as_secs_f64(),
-            shuffle_bytes: network_bytes,
-            cpu_util,
-        },
-        received,
-        network_bytes,
-        local_bytes,
-    }
-}
-
 /// Effective map throughput of a node for a given job, in bytes/second:
 /// the harmonic combination of its disk rate and its job-adjusted CPU rate
 /// (a map task reads then computes, so per-byte costs add). This is the
@@ -995,306 +310,659 @@ pub fn capability_of(spec: &NodeSpec, profile: &JobProfile) -> f64 {
     1.0 / per_byte
 }
 
-/// Core analysis phase over an arbitrary prepared cluster. All spans are
-/// emitted on the simulated clock shifted by `base` (the pipeline-relative
-/// start of the job).
-fn run_analysis_on(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    plan: &AggregationPlan,
-    mut cluster: SimCluster,
-    base: SimTime,
-    rec: &Recorder,
-) -> JobReport {
-    profile.validate();
-    plan.validate();
-    let m = filtered.len();
-    assert!(m > 0, "need at least one partition");
-    assert_eq!(cluster.len(), m, "cluster size must match partitions");
-    assert!(
-        plan.reducers.iter().all(|r| r.index() < m),
-        "reducer outside the cluster"
-    );
+/// Events driving the selection loop.
+enum SlotEvent {
+    /// A map slot on this node freed up (task completion or initial token).
+    Free(NodeId),
+    /// The engine learns that a node crashed (at the crash instant under
+    /// the oracle, at the suspicion instant under detection).
+    Crash(NodeId),
+}
 
-    // --- Map phase: read partition + job CPU. One map task per node.
-    let mut map_end = vec![SimTime::ZERO; m];
-    let mut map_secs = Vec::with_capacity(m);
-    for (i, &bytes) in filtered.iter().enumerate() {
-        let (_, read_end) = cluster.node_mut(i).read_disk(cfg.task_overhead, bytes);
-        let (_, cpu_end) = cluster
-            .node_mut(i)
-            .compute(read_end, bytes, profile.map_compute_factor);
-        map_end[i] = cpu_end;
-        map_secs.push(cpu_end.as_secs_f64());
-        let span = rec.begin(
-            Category::Task,
-            "map",
-            Domain::Sim,
-            base.as_micros(),
-            SpanCtx::default().node(i),
-        );
-        rec.end(span, (base + cpu_end).as_micros());
-        rec.observe("map_us", cpu_end.as_micros());
+/// How a mapper's output reaches the reducers — the one thing the two
+/// analysis forms differ in.
+#[derive(Clone, Copy)]
+enum Routing<'a> {
+    /// Mapper `i` sends `share_r · out_i` to reducer `r`, and reducer `r`
+    /// processes `share_r` of the total map output.
+    Shares(&'a AggregationPlan),
+    /// Mapper `i`'s output is apportioned over its own key-range row, each
+    /// range's cell split over the plan's fragments (largest-remainder at
+    /// both levels, so inflows sum exactly to the total map output), and a
+    /// reducer processes exactly what it received.
+    Ranges(&'a [Vec<u64>], &'a ShufflePlan),
+}
+
+impl<'a> Exec<'a> {
+    /// Record through `rec`.
+    pub fn rec(self, rec: &'a Recorder) -> Self {
+        Self { rec, ..self }
     }
-    let first_map_end = map_end.iter().copied().min().unwrap_or(SimTime::ZERO);
 
-    // --- Shuffle: mapper i sends `share_r · out_i` to each reducer r when
-    // its map finishes; a reducer's own share stays local. Reducer r's
-    // shuffle spans first_map_end → its last arrival.
-    let r_count = plan.reducers.len();
-    let mut last_arrival = vec![first_map_end; r_count];
-    let mut shuffle_bytes = 0u64;
-    for i in 0..m {
-        let out = profile.map_output_bytes(filtered[i]);
-        if out == 0 {
-            continue;
+    /// Run the selection phase under `faults` (a `&FaultConfig`, or an
+    /// `Option` of one).
+    pub fn faults(self, faults: impl Into<Option<&'a FaultConfig>>) -> Self {
+        Self {
+            faults: faults.into(),
+            ..self
         }
-        for (ri, (&rnode, &share)) in plan.reducers.iter().zip(&plan.shares).enumerate() {
-            let bytes = (out as f64 * share) as u64;
-            if bytes == 0 {
+    }
+
+    /// Shift emitted analysis spans by `base`.
+    pub fn base(self, base: SimTime) -> Self {
+        Self { base, ..self }
+    }
+
+    /// The selection phase ([`run_selection`] documents the arguments).
+    ///
+    /// One event loop serves every run. Filtered bytes are credited at task
+    /// **completion**, so under a [`FaultConfig`] the fail-stop model falls
+    /// out of the same bookkeeping:
+    ///
+    /// * when a node crashes, its in-flight tasks *and* its completed
+    ///   filtered partitions are lost. Every affected block with a
+    ///   surviving replica is re-enqueued via [`MapScheduler::node_lost`]
+    ///   and re-executed (charged full re-read cost); blocks whose replicas
+    ///   all died are reported in [`FaultStats::unrecoverable_blocks`], and
+    ///   blocks exceeding the retry budget in
+    ///   [`FaultStats::abandoned_blocks`];
+    /// * transient slow-node windows stretch task durations; NIC
+    ///   degradation slows remote reads;
+    /// * nodes that went idle (scheduler drained) are woken again when a
+    ///   crash requeues work.
+    ///
+    /// Recorded, on the simulated clock: one `select` task span per granted
+    /// block (node/block attributes, `attempt N` on re-executions, closed
+    /// with a `lost` note if its node dies first), a `selection` phase
+    /// span, a `task_us` histogram and locality counters; under faults also
+    /// the crash lifecycle — a `crash` instant at the physical failure, a
+    /// `suspect` instant when the engine learns of it, a `replan` instant
+    /// from [`MapScheduler::record_replan`] — and the fault counters.
+    ///
+    /// The run is deterministic for a fixed `FaultPlan` and scheduler state.
+    ///
+    /// # Panics
+    /// Panics if `truth.len() != dfs.block_count()` or the fault plan is
+    /// sized for another cluster.
+    pub fn selection(
+        &self,
+        dfs: &Dfs,
+        truth: &[u64],
+        scheduler: &mut dyn MapScheduler,
+        cfg: &SelectionConfig,
+    ) -> SelectionOutcome {
+        let rec = self.rec;
+        assert_eq!(
+            truth.len(),
+            dfs.block_count(),
+            "ground-truth vector must cover every block"
+        );
+        cfg.spec.validate();
+        assert!(cfg.slots_per_node > 0, "need at least one slot per node");
+        let m = dfs.config().topology.len();
+        let plan = self.faults.map(|f| &f.plan);
+        let detection = self.faults.and_then(|f| f.detection);
+
+        let mut per_node_bytes = vec![0u64; m];
+        let mut tasks_per_node = vec![0usize; m];
+        let mut per_node_end = vec![SimTime::ZERO; m];
+        let mut local_tasks = 0usize;
+        let mut total_tasks = 0usize;
+        let mut bytes_read = 0u64;
+        let mut stats = FaultStats::default();
+
+        let mut alive = vec![true; m];
+        let readable =
+            |b: BlockId, alive: &[bool]| dfs.replicas(b).iter().any(|n| alive[n.index()]);
+        // Blocks whose filtered output currently lives on node n.
+        let mut done: Vec<Vec<BlockId>> = vec![Vec::new(); m];
+        // Tasks running on node n: (block, was_local, completes_at, span).
+        let mut in_flight: Vec<Vec<(BlockId, bool, SimTime, SpanId)>> = vec![Vec::new(); m];
+        // Slot tokens parked because the scheduler had nothing left; a crash
+        // that requeues work revives them.
+        let mut parked = vec![0u32; m];
+        // Executions started per block (first run + retries), capped by the
+        // shared retry budget (datanet::retry).
+        let mut budget =
+            RetryBudget::new(dfs.block_count(), self.faults.map_or(0, |f| f.max_retries));
+        let mut first_crash: Option<SimTime> = None;
+
+        let mut events: EventQueue<SlotEvent> = EventQueue::new();
+        let mut plan_line = format!(
+            "selection plan: {} tasks over {m} nodes",
+            scheduler.remaining()
+        );
+        if let Some(plan) = plan {
+            assert_eq!(plan.nodes(), m, "fault plan sized for another cluster");
+            plan_line = format!("faulty {plan_line}, {} planned crashes", plan.crash_count());
+        }
+        rec.flight(FlightKind::Plan, Domain::Sim, 0, None, plan_line);
+        // Under detection, the engine learns of a crash at the *suspicion*
+        // instant; under the oracle model, at the crash instant itself.
+        let notifications = match (plan, detection) {
+            (Some(plan), Some(det)) => suspicion_schedule(plan, det, rec),
+            (Some(plan), None) => plan.crash_events(),
+            (None, _) => Vec::new(),
+        };
+        // `done` is only ever read by a crash.
+        let may_crash = !notifications.is_empty();
+        for (t, node) in notifications {
+            events.push(t, SlotEvent::Crash(NodeId(node as u32)));
+        }
+        // All slots free at t=0 (slots_per_node tokens per node). FIFO
+        // tie-break keeps node order deterministic.
+        for _ in 0..cfg.slots_per_node {
+            for n in 0..m {
+                events.push(SimTime::ZERO, SlotEvent::Free(NodeId(n as u32)));
+            }
+        }
+
+        while let Some((now, event)) = events.pop() {
+            match event {
+                SlotEvent::Crash(dead) => {
+                    alive[dead.index()] = false;
+                    let crashed_at = plan.and_then(|p| p.crash_time(dead.index())).unwrap_or(now);
+                    first_crash.get_or_insert(crashed_at);
+                    stats.crashed_nodes.push(dead.index());
+                    rec.instant(
+                        Category::Detection,
+                        "crash",
+                        Domain::Sim,
+                        crashed_at.as_micros(),
+                        SpanCtx::default().node(dead.index()),
+                    );
+                    if detection.is_some() {
+                        stats
+                            .detection_latency_secs
+                            .push((now.saturating_sub(crashed_at)).as_secs_f64());
+                    } else {
+                        // Oracle notification: suspicion is instantaneous, but
+                        // the chain still gets its `suspect` marker so crash
+                        // timelines read uniformly across both modes.
+                        rec.instant(
+                            Category::Detection,
+                            "suspect",
+                            Domain::Sim,
+                            now.as_micros(),
+                            SpanCtx::default().node(dead.index()).note("oracle"),
+                        );
+                    }
+                    per_node_end[dead.index()] = crashed_at;
+                    // Everything the node produced or was producing is gone.
+                    per_node_bytes[dead.index()] = 0;
+                    tasks_per_node[dead.index()] = 0;
+                    // Tasks still in flight died with the node: their spans end
+                    // at the physical crash, not at the (later) suspicion.
+                    for &(_, _, _, span) in &in_flight[dead.index()] {
+                        rec.end_with_note(span, crashed_at.as_micros(), "lost");
+                    }
+                    let casualties: Vec<BlockId> = done[dead.index()]
+                        .drain(..)
+                        .chain(in_flight[dead.index()].drain(..).map(|(b, _, _, _)| b))
+                        .collect();
+                    // Triage: re-enqueue what survivors can serve, report the rest.
+                    let mut requeue = Vec::new();
+                    for b in casualties {
+                        if !readable(b, &alive) {
+                            stats.unrecoverable_blocks.push(b);
+                        } else if budget.exhausted(b.index()) {
+                            stats.abandoned_blocks.push(b);
+                        } else {
+                            requeue.push(b);
+                        }
+                    }
+                    stats.requeued_tasks += requeue.len();
+                    scheduler.node_lost(dead, &requeue);
+                    scheduler.record_replan(rec, now.as_micros(), dead, requeue.len());
+                    // Wake idle survivors: new work just appeared.
+                    if !requeue.is_empty() {
+                        for (n, tokens) in parked.iter_mut().enumerate() {
+                            for _ in 0..*tokens {
+                                events.push(now, SlotEvent::Free(NodeId(n as u32)));
+                            }
+                            *tokens = 0;
+                        }
+                    }
+                }
+                SlotEvent::Free(node) => {
+                    if !alive[node.index()] {
+                        // The token belonged to a node that died; drop it.
+                        continue;
+                    }
+                    if plan.is_some_and(|p| !p.is_alive(node.index(), now)) {
+                        // Physically dead but not yet *suspected* (detection
+                        // mode): the node emits nothing. Its completed work and
+                        // credits are reaped when suspicion fires.
+                        continue;
+                    }
+                    // Complete the task this token was running, if any.
+                    if let Some(pos) = in_flight[node.index()]
+                        .iter()
+                        .position(|&(_, _, e, _)| e == now)
+                    {
+                        let (block, local, _, span) = in_flight[node.index()].remove(pos);
+                        rec.end(span, now.as_micros());
+                        if may_crash {
+                            done[node.index()].push(block);
+                        }
+                        per_node_bytes[node.index()] += truth[block.index()];
+                        tasks_per_node[node.index()] += 1;
+                        bytes_read += dfs.block(block).bytes();
+                        total_tasks += 1;
+                        if local {
+                            local_tasks += 1;
+                        }
+                        per_node_end[node.index()] = now;
+                    }
+                    // Ask for the next task.
+                    let Some((block, local)) = scheduler.next_task(node) else {
+                        if scheduler.remaining() > 0 {
+                            // The scheduler deferred this node (e.g. delay
+                            // scheduling waiting for a local slot): retry on
+                            // the next heartbeat.
+                            events.push(
+                                now + cfg.task_overhead.max(SimTime::from_millis(1)),
+                                SlotEvent::Free(node),
+                            );
+                        } else {
+                            // Nothing left anywhere: the node stops requesting.
+                            per_node_end[node.index()] = per_node_end[node.index()].max(now);
+                            parked[node.index()] += 1;
+                        }
+                        continue;
+                    };
+                    if !stats.crashed_nodes.is_empty() && !readable(block, &alive) {
+                        // Every replica died while the block sat in the pool:
+                        // nothing can serve the read. Report it and keep the
+                        // token cycling (next_task advanced, so this terminates).
+                        stats.unrecoverable_blocks.push(block);
+                        events.push(now, SlotEvent::Free(node));
+                        continue;
+                    }
+                    if budget.tried(block.index()) {
+                        stats.reexecuted_tasks += 1;
+                        stats.wasted_bytes_read += dfs.block(block).bytes();
+                    }
+                    let attempt = budget.record(block.index());
+                    let dur = map_task_duration(
+                        dfs,
+                        block,
+                        node,
+                        local,
+                        truth[block.index()],
+                        cfg,
+                        plan.map_or(1.0, |p| p.nic_fraction(node.index())),
+                    );
+                    let dur = stretch(dur, plan.map_or(1.0, |p| p.slow_factor(node.index(), now)));
+                    let end = now + dur;
+                    let mut ctx = SpanCtx::default()
+                        .node(node.index())
+                        .block(block.index() as u64);
+                    if attempt > 1 {
+                        ctx = ctx.note(format!("attempt {attempt}"));
+                    }
+                    let span =
+                        rec.begin(Category::Task, "select", Domain::Sim, now.as_micros(), ctx);
+                    rec.observe("task_us", dur.as_micros());
+                    in_flight[node.index()].push((block, local, end, span));
+                    events.push(end, SlotEvent::Free(node));
+                }
+            }
+        }
+        debug_assert!(
+            scheduler.remaining() == 0 || alive.iter().all(|&a| !a),
+            "engine drained the scheduler or lost every node"
+        );
+
+        let end = per_node_end.iter().copied().max().unwrap_or(SimTime::ZERO);
+        stats.recovery_secs = first_crash
+            .map(|c| end.saturating_sub(c).as_secs_f64())
+            .unwrap_or(0.0);
+        let phase = rec.begin(
+            Category::Phase,
+            "selection",
+            Domain::Sim,
+            0,
+            SpanCtx::default(),
+        );
+        rec.end(phase, end.as_micros());
+        rec.add("tasks_executed", total_tasks as u64);
+        rec.add("local_tasks", local_tasks as u64);
+        rec.add("remote_tasks", (total_tasks - local_tasks) as u64);
+        rec.add("bytes_read", bytes_read);
+        if plan.is_some() {
+            rec.add("crashes", stats.crashed_nodes.len() as u64);
+            rec.add("requeued_tasks", stats.requeued_tasks as u64);
+            rec.add("reexecuted_tasks", stats.reexecuted_tasks as u64);
+            rec.add("wasted_bytes_read", stats.wasted_bytes_read);
+            rec.add(
+                "unrecoverable_blocks",
+                stats.unrecoverable_blocks.len() as u64,
+            );
+            rec.add("abandoned_blocks", stats.abandoned_blocks.len() as u64);
+        }
+        SelectionOutcome {
+            scheduler: scheduler.name().to_string(),
+            per_node_bytes,
+            tasks_per_node,
+            per_node_end,
+            end,
+            local_tasks,
+            total_tasks,
+            bytes_read,
+            faults: stats,
+            meta: datanet::MetaHealth::default(),
+        }
+    }
+
+    /// The selection phase straight off a (possibly degraded) [`MetaStore`]
+    /// — the full degradation ladder, end to end:
+    ///
+    /// 1. [`MetaStore::view_degraded`] assembles the best available view,
+    ///    with retry, replica failover and quarantine along the way (its
+    ///    shard loads and scrubs land in this run's recorder; the store's
+    ///    own recorder is put back before returning);
+    /// 2. a [`ResilientScheduler`] places rung-1/2 blocks with Algorithm 1
+    ///    and rung-3 blocks (shard *and* summary lost) with the locality
+    ///    baseline;
+    /// 3. [`Exec::selection`] runs it;
+    /// 4. the outcome's [`SelectionOutcome::meta`] records the store's
+    ///    health counters, the per-rung block counts, and the relative
+    ///    error of the degraded Equation 6 estimate against ground truth.
+    ///
+    /// # Panics
+    /// Panics if the store's manifest does not cover `dfs`'s blocks.
+    pub fn selection_resilient(
+        &self,
+        dfs: &Dfs,
+        s: SubDatasetId,
+        store: &mut MetaStore,
+        cfg: &SelectionConfig,
+    ) -> SelectionOutcome {
+        assert_eq!(
+            store.manifest().blocks,
+            dfs.block_count(),
+            "metadata store describes a different DFS"
+        );
+        let callers = store.set_recorder(self.rec.clone());
+        let degraded = store.view_degraded(s);
+        store.set_recorder(callers);
+        let truth = dfs.subdataset_distribution(s);
+        let mut scheduler = ResilientScheduler::new(dfs, &degraded);
+        let mut out = self.selection(dfs, &truth, &mut scheduler, cfg);
+        let mut meta = store.health().clone();
+        meta.rungs = degraded.rung_counts();
+        let actual = dfs.subdataset_total(s);
+        if actual > 0 {
+            let est = degraded.view().estimated_total();
+            meta.est_error = (est as f64 - actual as f64).abs() / actual as f64;
+        }
+        out.meta = meta;
+        out
+    }
+
+    /// One analysis job over per-node filtered partitions, with reducers
+    /// placed and weighted by `plan`: [`AggregationPlan::uniform`] is the
+    /// Hadoop default ([`run_analysis`]), [`AggregationPlan::uniform_over`]
+    /// keeps reducers off dead nodes, `datanet::plan_aggregation` is the
+    /// traffic-aware extension of Section IV-B. `specs` (one per node)
+    /// runs the job on a heterogeneous cluster — the environment where
+    /// Section IV-B's capability-proportional targets matter — instead of
+    /// `cfg.spec` everywhere.
+    ///
+    /// Recorded: `map`/`reduce` task spans and per-reducer `shuffle` spans
+    /// under one `analysis` phase span, all shifted by [`Exec::base`];
+    /// `map_us`/`reduce_us` histograms; a `shuffle_bytes` counter.
+    ///
+    /// # Panics
+    /// Panics on an empty partition list, a reducer outside the cluster, or
+    /// `specs` not matching the partitions.
+    pub fn analysis(
+        &self,
+        filtered: &[u64],
+        profile: &JobProfile,
+        cfg: &AnalysisConfig,
+        plan: &AggregationPlan,
+        specs: Option<&[NodeSpec]>,
+    ) -> JobReport {
+        let m = filtered.len();
+        assert!(m > 0, "need at least one partition");
+        plan.validate();
+        let cluster = match specs {
+            Some(specs) => {
+                assert_eq!(m, specs.len(), "one spec per partition/node");
+                SimCluster::heterogeneous(specs)
+            }
+            None => SimCluster::homogeneous(m, cfg.spec),
+        };
+        self.job(filtered, profile, cfg, cluster, Routing::Shares(plan))
+            .report
+    }
+
+    /// [`run_analysis_shuffled`] with this value's recorder and base; emits
+    /// the same span vocabulary as [`Exec::analysis`].
+    pub fn analysis_shuffled(
+        &self,
+        matrix: &[Vec<u64>],
+        profile: &JobProfile,
+        cfg: &AnalysisConfig,
+        plan: &ShufflePlan,
+    ) -> ShuffleOutcome {
+        plan.validate();
+        let m = matrix.len();
+        assert!(m > 0, "need at least one node");
+        let ranges = plan.key_ranges();
+        assert!(
+            matrix.iter().all(|row| row.len() == ranges),
+            "matrix width must match the plan's key ranges"
+        );
+        assert_eq!(plan.reducers.len(), m, "one reducer slot per node expected");
+        let filtered: Vec<u64> = matrix.iter().map(|row| row.iter().sum()).collect();
+        let cluster = SimCluster::homogeneous(m, cfg.spec);
+        self.job(
+            &filtered,
+            profile,
+            cfg,
+            cluster,
+            Routing::Ranges(matrix, plan),
+        )
+    }
+
+    /// The analysis phase over a prepared cluster: map, shuffle as
+    /// `routing` directs, reduce, report.
+    fn job(
+        &self,
+        filtered: &[u64],
+        profile: &JobProfile,
+        cfg: &AnalysisConfig,
+        mut cluster: SimCluster,
+        routing: Routing<'_>,
+    ) -> ShuffleOutcome {
+        let (rec, base) = (self.rec, self.base);
+        // A closed span on the job-local clock, shifted onto the caller's.
+        let span = |cat, name: &str, start: SimTime, end: SimTime, ctx| {
+            let id = rec.begin(cat, name, Domain::Sim, (base + start).as_micros(), ctx);
+            rec.end(id, (base + end).as_micros());
+        };
+        profile.validate();
+        let m = filtered.len();
+        let reducers: &[NodeId] = match routing {
+            Routing::Shares(plan) => &plan.reducers,
+            Routing::Ranges(_, plan) => &plan.reducers,
+        };
+        assert!(
+            reducers.iter().all(|r| r.index() < m),
+            "reducer outside the cluster"
+        );
+
+        // --- Map phase: read partition + job CPU. One map task per node.
+        let mut map_end = vec![SimTime::ZERO; m];
+        let mut map_secs = Vec::with_capacity(m);
+        for (i, &bytes) in filtered.iter().enumerate() {
+            let (_, read_end) = cluster.node_mut(i).read_disk(cfg.task_overhead, bytes);
+            let (_, cpu_end) =
+                cluster
+                    .node_mut(i)
+                    .compute(read_end, bytes, profile.map_compute_factor);
+            map_end[i] = cpu_end;
+            map_secs.push(cpu_end.as_secs_f64());
+            let node = SpanCtx::default().node(i);
+            span(Category::Task, "map", SimTime::ZERO, cpu_end, node);
+            rec.observe("map_us", cpu_end.as_micros());
+        }
+        let first_map_end = map_end.iter().copied().min().unwrap_or(SimTime::ZERO);
+
+        // --- Shuffle: when its map finishes, mapper i sends each reducer
+        // slot what `routing` says, everything bound for one slot batched
+        // into a single transfer; a slot on the mapper's own node keeps its
+        // bytes local. Reducer r's shuffle spans first_map_end → its last
+        // arrival.
+        let r_count = reducers.len();
+        let mut last_arrival = vec![first_map_end; r_count];
+        let mut received = vec![0u64; r_count];
+        let mut network_bytes = 0u64;
+        let mut local_bytes = 0u64;
+        let mut total_out = 0u64;
+        let mut send = vec![0u64; r_count];
+        for i in 0..m {
+            let out = profile.map_output_bytes(filtered[i]);
+            total_out += out;
+            if out == 0 {
                 continue;
             }
-            if rnode.index() == i {
-                // Local share: available as soon as the map finishes.
-                last_arrival[ri] = last_arrival[ri].max(map_end[i]);
-            } else {
-                let (_, arr) = cluster.transfer(i, rnode.index(), map_end[i], bytes);
-                shuffle_bytes += bytes;
-                last_arrival[ri] = last_arrival[ri].max(arr);
+            match routing {
+                Routing::Shares(plan) => {
+                    for (bytes, &share) in send.iter_mut().zip(&plan.shares) {
+                        *bytes = (out as f64 * share) as u64;
+                    }
+                }
+                Routing::Ranges(matrix, plan) => {
+                    send.fill(0);
+                    let cells = crate::skewtune::apportion(out, &matrix[i]);
+                    for (g, &cell) in cells.iter().enumerate() {
+                        if cell == 0 {
+                            continue;
+                        }
+                        let frags = &plan.assignments[g];
+                        if frags.len() == 1 {
+                            send[frags[0].reducer] += cell;
+                        } else {
+                            let shares: Vec<f64> = frags.iter().map(|f| f.share).collect();
+                            let split = shuffle::apportion_shares(cell, &shares);
+                            for (f, bytes) in frags.iter().zip(split) {
+                                send[f.reducer] += bytes;
+                            }
+                        }
+                    }
+                }
+            }
+            for (ri, &bytes) in send.iter().enumerate() {
+                if bytes == 0 {
+                    continue;
+                }
+                received[ri] += bytes;
+                let rnode = reducers[ri];
+                if rnode.index() == i {
+                    local_bytes += bytes;
+                    last_arrival[ri] = last_arrival[ri].max(map_end[i]);
+                } else {
+                    let (_, arr) = cluster.transfer(i, rnode.index(), map_end[i], bytes);
+                    network_bytes += bytes;
+                    last_arrival[ri] = last_arrival[ri].max(arr);
+                }
             }
         }
-    }
-    let shuffle_secs: Vec<f64> = last_arrival
-        .iter()
-        .map(|&t| t.saturating_sub(first_map_end).as_secs_f64())
-        .collect();
-    for (ri, &rnode) in plan.reducers.iter().enumerate() {
-        let span = rec.begin(
-            Category::Phase,
-            "shuffle",
-            Domain::Sim,
-            (base + first_map_end).as_micros(),
-            SpanCtx::default().node(rnode.index()),
-        );
-        rec.end(span, (base + last_arrival[ri]).as_micros());
-    }
-    rec.add("shuffle_bytes", shuffle_bytes);
-
-    // --- Reduce: reducer r processes its share of the total map output.
-    let total_out: u64 = filtered.iter().map(|&b| profile.map_output_bytes(b)).sum();
-    let mut reduce_secs = Vec::with_capacity(r_count);
-    let mut makespan = map_end.iter().copied().max().unwrap_or(SimTime::ZERO);
-    for (ri, (&rnode, &share)) in plan.reducers.iter().zip(&plan.shares).enumerate() {
-        let reduce_share = (total_out as f64 * share) as u64;
-        let ready = last_arrival[ri];
-        let end = if reduce_share == 0 || profile.reduce_compute_factor == 0.0 {
-            ready
-        } else {
-            let ready = ready + cfg.task_overhead;
-            let (_, cpu_end) = cluster.node_mut(rnode.index()).compute(
-                ready,
-                reduce_share,
-                profile.reduce_compute_factor,
+        let shuffle_secs: Vec<f64> = last_arrival
+            .iter()
+            .map(|&t| t.saturating_sub(first_map_end).as_secs_f64())
+            .collect();
+        for (ri, &rnode) in reducers.iter().enumerate() {
+            let node = SpanCtx::default().node(rnode.index());
+            span(
+                Category::Phase,
+                "shuffle",
+                first_map_end,
+                last_arrival[ri],
+                node,
             );
-            // Write the reduce output file.
-            let (_, w_end) = cluster
-                .node_mut(rnode.index())
-                .write_disk(cpu_end, reduce_share);
-            w_end
-        };
-        reduce_secs.push((end.saturating_sub(ready)).as_secs_f64());
-        makespan = makespan.max(end);
-        let span = rec.begin(
-            Category::Task,
-            "reduce",
-            Domain::Sim,
-            (base + ready).as_micros(),
-            SpanCtx::default().node(rnode.index()),
-        );
-        rec.end(span, (base + end).as_micros());
-        rec.observe("reduce_us", end.saturating_sub(ready).as_micros());
+        }
+        rec.add("shuffle_bytes", network_bytes);
+
+        // --- Reduce: each reducer processes its inflow and writes the
+        // reduce output file.
+        let mut reduce_secs = Vec::with_capacity(r_count);
+        let mut makespan = map_end.iter().copied().max().unwrap_or(SimTime::ZERO);
+        for (ri, &rnode) in reducers.iter().enumerate() {
+            let inflow = match routing {
+                Routing::Shares(plan) => (total_out as f64 * plan.shares[ri]) as u64,
+                Routing::Ranges(..) => received[ri],
+            };
+            let ready = last_arrival[ri];
+            let end = if inflow == 0 || profile.reduce_compute_factor == 0.0 {
+                ready
+            } else {
+                let ready = ready + cfg.task_overhead;
+                let (_, cpu_end) = cluster.node_mut(rnode.index()).compute(
+                    ready,
+                    inflow,
+                    profile.reduce_compute_factor,
+                );
+                let (_, w_end) = cluster.node_mut(rnode.index()).write_disk(cpu_end, inflow);
+                w_end
+            };
+            reduce_secs.push((end.saturating_sub(ready)).as_secs_f64());
+            makespan = makespan.max(end);
+            let node = SpanCtx::default().node(rnode.index());
+            span(Category::Task, "reduce", ready, end, node);
+            rec.observe("reduce_us", end.saturating_sub(ready).as_micros());
+        }
+        let job = SpanCtx::default().note(profile.name.clone());
+        span(Category::Phase, "analysis", SimTime::ZERO, makespan, job);
+
+        let cpu_util = (0..m)
+            .map(|i| cluster.node(i).cpu().utilisation(makespan))
+            .collect();
+        ShuffleOutcome {
+            report: JobReport {
+                job: profile.name.clone(),
+                map_secs,
+                shuffle_secs,
+                reduce_secs,
+                makespan_secs: makespan.as_secs_f64(),
+                shuffle_bytes: network_bytes,
+                cpu_util,
+            },
+            received,
+            network_bytes,
+            local_bytes,
+        }
     }
-    let phase = rec.begin(
-        Category::Phase,
-        "analysis",
-        Domain::Sim,
-        base.as_micros(),
-        SpanCtx::default().note(profile.name.clone()),
-    );
-    rec.end(phase, (base + makespan).as_micros());
 
-    let cpu_util = (0..m)
-        .map(|i| cluster.node(i).cpu().utilisation(makespan))
-        .collect();
-    JobReport {
-        job: profile.name.clone(),
-        map_secs,
-        shuffle_secs,
-        reduce_secs,
-        makespan_secs: makespan.as_secs_f64(),
-        shuffle_bytes,
-        cpu_util,
-    }
-}
-
-/// Full pipeline: selection of `subdataset` under `scheduler`, then `job`
-/// over the filtered partitions.
-pub fn run_pipeline(
-    dfs: &Dfs,
-    subdataset: SubDatasetId,
-    scheduler: &mut dyn MapScheduler,
-    job: &JobProfile,
-    sel_cfg: &SelectionConfig,
-    ana_cfg: &AnalysisConfig,
-) -> ExecutionReport {
-    run_pipeline_traced(
-        dfs,
-        subdataset,
-        scheduler,
-        job,
-        sel_cfg,
-        ana_cfg,
-        &Recorder::off(),
-    )
-}
-
-/// [`run_pipeline`] with a [`Recorder`] attached: selection and analysis
-/// spans share one simulated timeline (the analysis phase is based at the
-/// selection end). With a disabled recorder this is exactly
-/// [`run_pipeline`].
-pub fn run_pipeline_traced(
-    dfs: &Dfs,
-    subdataset: SubDatasetId,
-    scheduler: &mut dyn MapScheduler,
-    job: &JobProfile,
-    sel_cfg: &SelectionConfig,
-    ana_cfg: &AnalysisConfig,
-    rec: &Recorder,
-) -> ExecutionReport {
-    let truth = dfs.subdataset_distribution(subdataset);
-    let selection = run_selection_traced(dfs, &truth, scheduler, sel_cfg, rec);
-    let job = run_analysis_traced(&selection.per_node_bytes, job, ana_cfg, selection.end, rec);
-    ExecutionReport {
-        selection,
-        job,
-        obs: None,
-    }
-}
-
-/// Run one analysis job over partitions when some nodes are dead: reducers
-/// are placed only on survivors (uniform shares among them). Dead nodes
-/// must hold empty partitions — the fault-tolerant selection rebuilt their
-/// data on survivors — so they contribute no map output and no shuffle
-/// traffic.
-///
-/// # Panics
-/// Panics if a dead node still holds filtered bytes or no node survives.
-pub fn run_analysis_surviving(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    alive: &[bool],
-) -> JobReport {
-    run_analysis_surviving_traced(
-        filtered,
-        profile,
-        cfg,
-        alive,
-        SimTime::ZERO,
-        &Recorder::off(),
-    )
-}
-
-/// [`run_analysis_surviving`] with a [`Recorder`] attached; see
-/// [`run_analysis_traced`] for the meaning of `base`.
-pub fn run_analysis_surviving_traced(
-    filtered: &[u64],
-    profile: &JobProfile,
-    cfg: &AnalysisConfig,
-    alive: &[bool],
-    base: SimTime,
-    rec: &Recorder,
-) -> JobReport {
-    let m = filtered.len();
-    assert_eq!(m, alive.len(), "one liveness flag per partition");
-    let survivors: Vec<NodeId> = (0..m)
-        .filter(|&n| alive[n])
-        .map(|n| NodeId(n as u32))
-        .collect();
-    assert!(!survivors.is_empty(), "no surviving node to analyse on");
-    for (n, &bytes) in filtered.iter().enumerate() {
-        assert!(
-            alive[n] || bytes == 0,
-            "dead node {n} still credited with {bytes} filtered bytes"
-        );
-    }
-    let share = 1.0 / survivors.len() as f64;
-    let plan = AggregationPlan {
-        shares: vec![share; survivors.len()],
-        reducers: survivors,
-        est_traffic: 0,
-    };
-    run_analysis_aggregated_traced(filtered, profile, cfg, &plan, base, rec)
-}
-
-/// Full pipeline under fault injection: fault-tolerant selection of
-/// `subdataset`, then `job` over the filtered partitions with reducers on
-/// the surviving nodes only.
-pub fn run_pipeline_faulty(
-    dfs: &Dfs,
-    subdataset: SubDatasetId,
-    scheduler: &mut dyn MapScheduler,
-    job: &JobProfile,
-    sel_cfg: &SelectionConfig,
-    ana_cfg: &AnalysisConfig,
-    faults: &FaultConfig,
-) -> ExecutionReport {
-    run_pipeline_faulty_traced(
-        dfs,
-        subdataset,
-        scheduler,
-        job,
-        sel_cfg,
-        ana_cfg,
-        faults,
-        &Recorder::off(),
-    )
-}
-
-/// [`run_pipeline_faulty`] with a [`Recorder`] attached: the crash
-/// lifecycle instants from selection and the survivor-only analysis spans
-/// land on one simulated timeline. With a disabled recorder this is exactly
-/// [`run_pipeline_faulty`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_faulty_traced(
-    dfs: &Dfs,
-    subdataset: SubDatasetId,
-    scheduler: &mut dyn MapScheduler,
-    job: &JobProfile,
-    sel_cfg: &SelectionConfig,
-    ana_cfg: &AnalysisConfig,
-    faults: &FaultConfig,
-    rec: &Recorder,
-) -> ExecutionReport {
-    let truth = dfs.subdataset_distribution(subdataset);
-    let selection = run_selection_faulty_traced(dfs, &truth, scheduler, sel_cfg, faults, rec);
-    let m = dfs.config().topology.len();
-    let alive: Vec<bool> = (0..m)
-        .map(|n| !selection.faults.crashed_nodes.contains(&n))
-        .collect();
-    let job = run_analysis_surviving_traced(
-        &selection.per_node_bytes,
-        job,
-        ana_cfg,
-        &alive,
-        selection.end,
-        rec,
-    );
-    ExecutionReport {
-        selection,
-        job,
-        obs: None,
+    /// Full pipeline on one simulated clock: selection of `subdataset`
+    /// under `scheduler`, then `job` over the filtered partitions, based at
+    /// the selection end, with one uniform reducer per node that survived
+    /// the selection.
+    pub fn pipeline(
+        &self,
+        dfs: &Dfs,
+        subdataset: SubDatasetId,
+        scheduler: &mut dyn MapScheduler,
+        job: &JobProfile,
+        sel_cfg: &SelectionConfig,
+        ana_cfg: &AnalysisConfig,
+    ) -> ExecutionReport {
+        let truth = dfs.subdataset_distribution(subdataset);
+        let selection = self.selection(dfs, &truth, scheduler, sel_cfg);
+        let parts = &selection.per_node_bytes;
+        let reducers = AggregationPlan::uniform_over(parts, &selection.faults.crashed_nodes);
+        let job = self
+            .base(selection.end)
+            .analysis(parts, job, ana_cfg, &reducers, None);
+        ExecutionReport {
+            selection,
+            job,
+            obs: None,
+        }
     }
 }
 
@@ -1485,7 +1153,7 @@ mod tests {
         let dfs = clustered_dfs(4);
         let s = SubDatasetId(0);
         let mut sched = LocalityScheduler::new(&dfs);
-        let rep = run_pipeline(
+        let rep = Exec::default().pipeline(
             &dfs,
             s,
             &mut sched,
@@ -1506,7 +1174,7 @@ mod tests {
         let s = SubDatasetId(0);
         let run = || {
             let mut sched = LocalityScheduler::new(&dfs);
-            run_pipeline(
+            Exec::default().pipeline(
                 &dfs,
                 s,
                 &mut sched,
@@ -1546,8 +1214,10 @@ mod tests {
             })
             .collect();
         let cfg = AnalysisConfig::default();
-        let ju = run_analysis_hetero(&uniform, &job, &cfg, &specs);
-        let jp = run_analysis_hetero(&proportional, &job, &cfg, &specs);
+        let reducers = AggregationPlan::uniform(8);
+        let run = |parts| Exec::default().analysis(parts, &job, &cfg, &reducers, Some(&specs));
+        let ju = run(&uniform);
+        let jp = run(&proportional);
         assert!(
             jp.makespan_secs < ju.makespan_secs,
             "proportional {} !< uniform {}",
@@ -1580,7 +1250,7 @@ mod tests {
             2,
             2.0,
         );
-        let planned_run = run_analysis_aggregated(&filtered, &job, &cfg, &plan);
+        let planned_run = Exec::default().analysis(&filtered, &job, &cfg, &plan, None);
         assert!(
             planned_run.shuffle_bytes < default_run.shuffle_bytes,
             "planned {} !< default {}",
@@ -1602,7 +1272,7 @@ mod tests {
             shares: vec![0.25; 4],
             est_traffic: 0,
         };
-        let b = run_analysis_aggregated(&filtered, &job, &cfg, &plan);
+        let b = Exec::default().analysis(&filtered, &job, &cfg, &plan, None);
         assert_eq!(a, b);
     }
 
@@ -1614,11 +1284,12 @@ mod tests {
             shares: vec![1.0],
             est_traffic: 0,
         };
-        run_analysis_aggregated(
+        Exec::default().analysis(
             &[1_000, 1_000],
             &test_job(),
             &AnalysisConfig::default(),
             &plan,
+            None,
         );
     }
 
@@ -1695,17 +1366,39 @@ mod tests {
         run_selection(&dfs, &[1, 2, 3], &mut sched, &SelectionConfig::default());
     }
 
+    /// `faults: None` ≡ `Some(FaultPlan::none)`: same outcome, and the same
+    /// recorded trace once the fault-only counters (present, all zero,
+    /// under a plan; absent without one) are set aside.
     #[test]
     fn fault_free_plan_matches_healthy_engine() {
         let dfs = clustered_dfs(8);
         let truth = dfs.subdataset_distribution(SubDatasetId(0));
         let cfg = SelectionConfig::default();
-        let mut a = LocalityScheduler::new(&dfs);
-        let healthy = run_selection(&dfs, &truth, &mut a, &cfg);
-        let mut b = LocalityScheduler::new(&dfs);
-        let faults = FaultConfig::new(datanet_cluster::FaultPlan::none(8));
-        let faulty = run_selection_faulty(&dfs, &truth, &mut b, &cfg, &faults);
+        let empty = FaultConfig::new(datanet_cluster::FaultPlan::none(8));
+        let run = |faults: Option<&FaultConfig>| {
+            let rec = Recorder::new();
+            let mut sched = LocalityScheduler::new(&dfs);
+            let out = Exec::default()
+                .rec(&rec)
+                .faults(faults)
+                .selection(&dfs, &truth, &mut sched, &cfg);
+            (out, rec.take())
+        };
+        let (healthy, healthy_trace) = run(None);
+        let (faulty, mut faulty_trace) = run(Some(&empty));
         assert_eq!(healthy, faulty, "empty fault plan must not perturb a run");
+        for fault_only in [
+            "crashes",
+            "requeued_tasks",
+            "reexecuted_tasks",
+            "wasted_bytes_read",
+            "unrecoverable_blocks",
+            "abandoned_blocks",
+        ] {
+            assert!(!healthy_trace.counters.contains_key(fault_only));
+            assert_eq!(faulty_trace.counters.remove(fault_only), Some(0));
+        }
+        assert_eq!(healthy_trace, faulty_trace);
     }
 
     #[test]
@@ -1720,7 +1413,9 @@ mod tests {
 
         let plan = datanet_cluster::FaultPlan::none(8).crash(3, crash_at);
         let mut sched = LocalityScheduler::new(&dfs);
-        let out = run_selection_faulty(&dfs, &truth, &mut sched, &cfg, &FaultConfig::new(plan));
+        let out = Exec::default()
+            .faults(&FaultConfig::new(plan))
+            .selection(&dfs, &truth, &mut sched, &cfg);
         assert_eq!(out.faults.crashed_nodes, vec![3]);
         assert_eq!(out.per_node_bytes[3], 0, "the dead node keeps nothing");
         assert_eq!(out.tasks_per_node[3], 0);
@@ -1748,7 +1443,9 @@ mod tests {
         let run = || {
             let plan = datanet_cluster::FaultPlan::random(8, 0xF417, 0.3, SimTime::from_secs(2));
             let mut sched = LocalityScheduler::new(&dfs);
-            run_selection_faulty(&dfs, &truth, &mut sched, &cfg, &FaultConfig::new(plan))
+            Exec::default()
+                .faults(&FaultConfig::new(plan))
+                .selection(&dfs, &truth, &mut sched, &cfg)
         };
         assert_eq!(run(), run());
     }
@@ -1765,7 +1462,9 @@ mod tests {
         let crash_at = SimTime::from_micros(healthy.end.as_micros() / 2);
         let plan = datanet_cluster::FaultPlan::none(8).crash(5, crash_at);
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        let out = run_selection_faulty(&dfs, &truth, &mut sched, &cfg, &FaultConfig::new(plan));
+        let out = Exec::default()
+            .faults(&FaultConfig::new(plan))
+            .selection(&dfs, &truth, &mut sched, &cfg);
         assert_eq!(
             out.per_node_bytes.iter().sum::<u64>(),
             dfs.subdataset_total(s),
@@ -1780,13 +1479,9 @@ mod tests {
         let truth = dfs.subdataset_distribution(SubDatasetId(0));
         let cfg = SelectionConfig::default();
         let mut a = LocalityScheduler::new(&dfs);
-        let base = run_selection_faulty(
-            &dfs,
-            &truth,
-            &mut a,
-            &cfg,
-            &FaultConfig::new(datanet_cluster::FaultPlan::none(8)),
-        );
+        let base = Exec::default()
+            .faults(&FaultConfig::new(datanet_cluster::FaultPlan::none(8)))
+            .selection(&dfs, &truth, &mut a, &cfg);
         let plan = datanet_cluster::FaultPlan::none(8).slow(
             0,
             SimTime::ZERO,
@@ -1794,7 +1489,9 @@ mod tests {
             4.0,
         );
         let mut b = LocalityScheduler::new(&dfs);
-        let slowed = run_selection_faulty(&dfs, &truth, &mut b, &cfg, &FaultConfig::new(plan));
+        let slowed = Exec::default()
+            .faults(&FaultConfig::new(plan))
+            .selection(&dfs, &truth, &mut b, &cfg);
         assert!(
             slowed.end > base.end,
             "a 4x-slowed node must lengthen the phase: {:?} !> {:?}",
@@ -1827,7 +1524,9 @@ mod tests {
         let cfg = SelectionConfig::default();
         let plan = datanet_cluster::FaultPlan::none(2).crash(1, SimTime::from_millis(20));
         let mut sched = LocalityScheduler::new(&dfs);
-        let out = run_selection_faulty(&dfs, &truth, &mut sched, &cfg, &FaultConfig::new(plan));
+        let out = Exec::default()
+            .faults(&FaultConfig::new(plan))
+            .selection(&dfs, &truth, &mut sched, &cfg);
         assert!(
             !out.faults.unrecoverable_blocks.is_empty(),
             "unreplicated blocks on the dead node must be reported lost"
@@ -1860,7 +1559,9 @@ mod tests {
             max_retries: 0,
             ..FaultConfig::new(plan)
         };
-        let out = run_selection_faulty(&dfs, &truth, &mut sched, &cfg, &faults);
+        let out = Exec::default()
+            .faults(&faults)
+            .selection(&dfs, &truth, &mut sched, &cfg);
         assert!(
             !out.faults.abandoned_blocks.is_empty(),
             "with no retry budget, executed-then-lost blocks are abandoned"
@@ -1883,14 +1584,13 @@ mod tests {
         let crash_at = SimTime::from_micros(healthy.end.as_micros() / 2);
         let plan = datanet_cluster::FaultPlan::none(8).crash(6, crash_at);
         let mut sched = LocalityScheduler::new(&dfs);
-        let rep = run_pipeline_faulty(
+        let rep = Exec::default().faults(&FaultConfig::new(plan)).pipeline(
             &dfs,
             s,
             &mut sched,
             &test_job(),
             &cfg,
             &AnalysisConfig::default(),
-            &FaultConfig::new(plan),
         );
         assert!(rep.faults().any());
         assert_eq!(

@@ -17,6 +17,11 @@
 //!    map (disk + job-specific CPU), shuffle (all-to-all transfers over the
 //!    simulated NICs), reduce. The report records per-node map times,
 //!    per-reducer shuffle times and the makespan — Figures 5, 6 and 7.
+//!
+//!    Both phases take their optional inputs — a recorder, a fault plan, a
+//!    clock base — through one [`engine::Exec`] value; the free functions
+//!    above are its all-defaults form, and [`engine::Exec::pipeline`] runs
+//!    the two phases back to back on one clock.
 //! 3. **SkewTune-like baseline** ([`skewtune`]): the runtime-migration
 //!    alternative the paper discusses (Section V-A-4) — rebalance the
 //!    filtered partitions after selection and account the network cost.
@@ -30,13 +35,8 @@ pub mod skewtune;
 pub mod speculation;
 
 pub use engine::{
-    capability_of, planned_makespan, run_analysis, run_analysis_aggregated,
-    run_analysis_aggregated_traced, run_analysis_hetero, run_analysis_shuffled,
-    run_analysis_shuffled_traced, run_analysis_surviving, run_analysis_surviving_traced,
-    run_analysis_traced, run_pipeline, run_pipeline_faulty, run_pipeline_faulty_traced,
-    run_pipeline_traced, run_selection, run_selection_faulty, run_selection_faulty_traced,
-    run_selection_resilient, run_selection_resilient_traced, run_selection_traced, AnalysisConfig,
-    FaultConfig, SelectionConfig,
+    capability_of, planned_makespan, run_analysis, run_analysis_shuffled, run_selection,
+    AnalysisConfig, Exec, FaultConfig, SelectionConfig,
 };
 pub use job::JobProfile;
 pub use report::{

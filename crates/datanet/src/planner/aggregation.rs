@@ -33,6 +33,48 @@ pub struct AggregationPlan {
 }
 
 impl AggregationPlan {
+    /// The Hadoop default on an `m`-node cluster: one reducer per node,
+    /// uniform partition shares.
+    ///
+    /// # Panics
+    /// Panics if `m == 0`.
+    pub fn uniform(m: usize) -> Self {
+        assert!(m > 0, "need at least one partition");
+        Self::uniform_on((0..m as u32).map(NodeId).collect())
+    }
+
+    /// Uniform reducers on the survivors of a cluster holding per-node
+    /// partitions `filtered`: every node but the `dead` ones. Dead nodes
+    /// must hold empty partitions — the fault-tolerant selection rebuilt
+    /// their data on survivors — so they contribute no map output and no
+    /// shuffle traffic.
+    ///
+    /// # Panics
+    /// Panics if a dead node still holds filtered bytes or no node survives.
+    pub fn uniform_over(filtered: &[u64], dead: &[usize]) -> Self {
+        for &n in dead {
+            let bytes = filtered[n];
+            assert!(
+                bytes == 0,
+                "dead node {n} still credited with {bytes} filtered bytes"
+            );
+        }
+        let reducers: Vec<NodeId> = (0..filtered.len())
+            .filter(|n| !dead.contains(n))
+            .map(|n| NodeId(n as u32))
+            .collect();
+        assert!(!reducers.is_empty(), "no surviving node to analyse on");
+        Self::uniform_on(reducers)
+    }
+
+    fn uniform_on(reducers: Vec<NodeId>) -> Self {
+        Self {
+            shares: vec![1.0 / reducers.len() as f64; reducers.len()],
+            reducers,
+            est_traffic: 0,
+        }
+    }
+
     /// Validate internal consistency.
     ///
     /// # Panics

@@ -696,8 +696,10 @@ impl MetaStore {
     /// Attach an observability recorder: subsequent shard reads emit
     /// wall-clock `shard-load`/`summary-load` spans and cache counters, and
     /// scrub passes emit `scrub` spans. Pass [`Recorder::off`] to detach.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.rec = rec;
+    /// Returns the recorder that was attached before, so a borrower of the
+    /// handle can put it back.
+    pub fn set_recorder(&mut self, rec: Recorder) -> Recorder {
+        std::mem::replace(&mut self.rec, rec)
     }
 
     /// Resilience accounting accumulated by this handle's reads and scrubs.

@@ -10,7 +10,7 @@ use datanet_analytics::profiles::word_count_profile;
 use datanet_analytics::{partitions_from_assignment, LocalExecutor};
 use datanet_dfs::{Dfs, DfsConfig, Topology};
 use datanet_mapreduce::{
-    run_pipeline, AnalysisConfig, DataNetScheduler, LocalityScheduler, SelectionConfig,
+    AnalysisConfig, DataNetScheduler, Exec, LocalityScheduler, SelectionConfig,
 };
 use datanet_workloads::MoviesConfig;
 
@@ -43,10 +43,10 @@ fn main() {
     let sel = SelectionConfig::default();
     let ana = AnalysisConfig::default();
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_pipeline(&dfs, hot, &mut base, &job, &sel, &ana);
+    let without = Exec::default().pipeline(&dfs, hot, &mut base, &job, &sel, &ana);
     let maps = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     let mut dn = DataNetScheduler::new(&dfs, &maps.view(hot));
-    let with = run_pipeline(&dfs, hot, &mut dn, &job, &sel, &ana);
+    let with = Exec::default().pipeline(&dfs, hot, &mut dn, &job, &sel, &ana);
     println!(
         "simulated WordCount: without DataNet {:.3}s, with DataNet {:.3}s ({:.1}% faster)",
         without.total_secs(),

@@ -5,13 +5,11 @@ use datanet::{ElasticMapArray, MetaStore, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::{github_dataset, movie_dataset, NODES};
 use datanet_cluster::{FaultPlan, SimTime};
+use datanet_integration::testkit::ReplicaDirs;
 use datanet_mapreduce::{
-    run_pipeline, run_pipeline_faulty, run_pipeline_faulty_traced, run_pipeline_traced,
-    run_selection, run_selection_faulty, run_selection_faulty_traced, run_selection_resilient,
-    run_selection_resilient_traced, run_selection_traced, AnalysisConfig, DataNetScheduler,
-    FaultConfig, LocalityScheduler, SelectionConfig,
+    AnalysisConfig, DataNetScheduler, Exec, FaultConfig, LocalityScheduler, SelectionConfig,
 };
-use datanet_obs::Recorder;
+use datanet_obs::{Recorder, TraceData};
 
 #[test]
 fn movie_pipeline_is_bitwise_reproducible() {
@@ -19,7 +17,7 @@ fn movie_pipeline_is_bitwise_reproducible() {
         let (dfs, catalog) = movie_dataset(NODES);
         let hot = catalog.most_reviewed();
         let mut sched = LocalityScheduler::new(&dfs);
-        run_pipeline(
+        Exec::default().pipeline(
             &dfs,
             hot,
             &mut sched,
@@ -38,7 +36,7 @@ fn datanet_pipeline_is_bitwise_reproducible() {
         let hot = catalog.most_reviewed();
         let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_pipeline(
+        Exec::default().pipeline(
             &dfs,
             hot,
             &mut sched,
@@ -70,30 +68,31 @@ fn parallel_scan_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Traced twins: every `*_traced` entry point must be observation-transparent.
-// The recorder may watch, but never steer — results are bit-identical whether
-// tracing is disabled (`Recorder::off()`), active, or the untraced function
-// is called instead; and an active recorder closes every span it opens.
+// Recorder on/off transparency: the recorder may watch, but never steer. Every
+// run form returns bit-identical results from the all-defaults `Exec`, from an
+// explicit `Recorder::off()` and from a live recorder — and a live recorder
+// closes every span it opens. One check, one form per test.
+
+fn assert_recorder_transparent<O: PartialEq + std::fmt::Debug>(
+    run: impl Fn(Exec) -> O,
+) -> TraceData {
+    let plain = run(Exec::default());
+    assert_eq!(plain, run(Exec::default().rec(&Recorder::off())));
+    let rec = Recorder::new();
+    assert_eq!(plain, run(Exec::default().rec(&rec)));
+    let trace = rec.take();
+    assert_eq!(trace.unclosed_spans(), 0);
+    trace
+}
 
 #[test]
 fn traced_selection_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
-    let hot = catalog.most_reviewed();
-    let truth = dfs.subdataset_distribution(hot);
-    let run_untraced = || {
+    let truth = dfs.subdataset_distribution(catalog.most_reviewed());
+    let trace = assert_recorder_transparent(|exec| {
         let mut sched = LocalityScheduler::new(&dfs);
-        run_selection(&dfs, &truth, &mut sched, &SelectionConfig::default())
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_traced(&dfs, &truth, &mut sched, &SelectionConfig::default(), rec)
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    let trace = rec.take();
-    assert_eq!(trace.unclosed_spans(), 0);
+        exec.selection(&dfs, &truth, &mut sched, &SelectionConfig::default())
+    });
     assert!(trace.sim_end_us() > 0, "an active recorder saw the run");
 }
 
@@ -101,11 +100,10 @@ fn traced_selection_twin_matches_untraced() {
 fn traced_pipeline_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
-    let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-    let view = arr.view(hot);
-    let run_untraced = || {
+    let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
+    assert_recorder_transparent(|exec| {
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_pipeline(
+        exec.pipeline(
             &dfs,
             hot,
             &mut sched,
@@ -113,74 +111,29 @@ fn traced_pipeline_twin_matches_untraced() {
             &SelectionConfig::default(),
             &AnalysisConfig::default(),
         )
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_pipeline_traced(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+    });
 }
 
 #[test]
 fn traced_faulty_selection_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
-    let hot = catalog.most_reviewed();
-    let truth = dfs.subdataset_distribution(hot);
-    let faults = || {
-        FaultConfig::new(
-            FaultPlan::none(NODES as usize)
-                .crash(1, SimTime::from_micros(5_000))
-                .slow(
-                    2,
-                    SimTime::from_micros(0),
-                    SimTime::from_micros(50_000),
-                    3.0,
-                ),
-        )
-    };
-    let run_untraced = || {
+    let truth = dfs.subdataset_distribution(catalog.most_reviewed());
+    let faults = FaultConfig::new(
+        FaultPlan::none(NODES as usize)
+            .crash(1, SimTime::from_micros(5_000))
+            .slow(2, SimTime::ZERO, SimTime::from_micros(50_000), 3.0),
+    );
+    let run = |exec: Exec| {
         let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_faulty(
-            &dfs,
-            &truth,
-            &mut sched,
-            &SelectionConfig::default(),
-            &faults(),
-        )
+        exec.faults(&faults)
+            .selection(&dfs, &truth, &mut sched, &SelectionConfig::default())
     };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_selection_faulty_traced(
-            &dfs,
-            &truth,
-            &mut sched,
-            &SelectionConfig::default(),
-            &faults(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
     assert_eq!(
-        plain.faults.crashed_nodes,
+        run(Exec::default()).faults.crashed_nodes,
         vec![1],
         "the scripted crash must actually fire"
     );
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+    assert_recorder_transparent(run);
 }
 
 #[test]
@@ -188,37 +141,18 @@ fn traced_faulty_pipeline_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let faults =
-        || FaultConfig::new(FaultPlan::none(NODES as usize).crash(2, SimTime::from_micros(8_000)));
-    let run_untraced = || {
+        FaultConfig::new(FaultPlan::none(NODES as usize).crash(2, SimTime::from_micros(8_000)));
+    assert_recorder_transparent(|exec| {
         let mut sched = LocalityScheduler::new(&dfs);
-        run_pipeline_faulty(
+        exec.faults(&faults).pipeline(
             &dfs,
             hot,
             &mut sched,
             &word_count_profile(),
             &SelectionConfig::default(),
             &AnalysisConfig::default(),
-            &faults(),
         )
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut sched = LocalityScheduler::new(&dfs);
-        run_pipeline_faulty_traced(
-            &dfs,
-            hot,
-            &mut sched,
-            &word_count_profile(),
-            &SelectionConfig::default(),
-            &AnalysisConfig::default(),
-            &faults(),
-            rec,
-        )
-    };
-    let plain = run_untraced();
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
+    });
 }
 
 #[test]
@@ -226,34 +160,20 @@ fn traced_resilient_selection_twin_matches_untraced() {
     let (dfs, catalog) = movie_dataset(NODES);
     let hot = catalog.most_reviewed();
     let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-    let base = std::env::temp_dir().join(format!("datanet-det-twin-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let dirs = [base.join("a"), base.join("b")];
-    let refs: Vec<&std::path::Path> = dirs.iter().map(|d| d.as_path()).collect();
-    MetaStore::save_replicated(&arr, &refs, 8).expect("save");
-    // Each run opens its own store: reads populate the shard cache, so a
-    // shared handle would not be a fair twin comparison.
-    let open = || MetaStore::open_replicated(&refs, 2).expect("open");
-    let plain = {
-        let mut store = open();
-        run_selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default(), None)
-    };
-    let run_traced = |rec: &Recorder| {
-        let mut store = open();
-        run_selection_resilient_traced(
-            &dfs,
-            hot,
-            &mut store,
-            &SelectionConfig::default(),
-            None,
-            rec,
-        )
-    };
-    assert_eq!(plain, run_traced(&Recorder::off()));
-    let rec = Recorder::new();
-    assert_eq!(plain, run_traced(&rec));
-    assert_eq!(rec.take().unclosed_spans(), 0);
-    std::fs::remove_dir_all(&base).expect("cleanup");
+    let dirs = ReplicaDirs::new("det-transparency", 2);
+    MetaStore::save_replicated(&arr, &dirs.paths(), 8).expect("save");
+    assert_recorder_transparent(|exec| {
+        // Each run opens its own store: reads populate the shard cache, so
+        // a shared handle would not be a fair comparison.
+        let mut store = MetaStore::open_replicated(&dirs.paths(), 2).expect("open");
+        let out = exec.selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default());
+        // The engine only borrowed the store: a later read on the same
+        // handle stays out of the finished run's recorder.
+        let recorded = exec.rec.snapshot();
+        store.views(&[hot]).expect("views");
+        assert_eq!(exec.rec.snapshot(), recorded);
+        out
+    });
 }
 
 #[test]
@@ -274,23 +194,18 @@ fn github_dataset_is_reproducible() {
 // *calls* below; it may not change one digest.
 
 mod engine_digests {
+    use super::ReplicaDirs;
     use datanet::planner::FordFulkersonPlanner;
     use datanet::store::crc32;
-    use datanet::{plan_aggregation, ElasticMapArray, MetaStore, Separation};
+    use datanet::{plan_aggregation, AggregationPlan, ElasticMapArray, MetaStore, Separation};
     use datanet_analytics::profiles::word_count_profile;
     use datanet_check::Scenario;
     use datanet_cluster::{DetectorConfig, FaultPlan, NodeSpec, SimTime};
     use datanet_dfs::NodeId;
-    use datanet_integration::testkit::ReplicaDirs;
     use datanet_mapreduce::{
-        range_matrix_estimate, range_matrix_truth, run_analysis, run_analysis_aggregated,
-        run_analysis_aggregated_traced, run_analysis_hetero, run_analysis_shuffled,
-        run_analysis_shuffled_traced, run_analysis_surviving, run_analysis_surviving_traced,
-        run_analysis_traced, run_pipeline, run_pipeline_faulty, run_pipeline_faulty_traced,
-        run_pipeline_traced, run_selection, run_selection_faulty, run_selection_faulty_traced,
-        run_selection_resilient, run_selection_resilient_traced, run_selection_traced,
-        AnalysisConfig, DataNetScheduler, DelayScheduler, FaultConfig, LocalityScheduler,
-        MapScheduler, PlannedScheduler, SelectionConfig, ShufflePlan, ShufflePlanner,
+        range_matrix_estimate, range_matrix_truth, run_selection, AnalysisConfig, DataNetScheduler,
+        DelayScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler, PlannedScheduler,
+        SelectionConfig, ShufflePlan, ShufflePlanner,
     };
     use datanet_obs::{Domain, Recorder};
     use std::fmt::{Debug, Write};
@@ -317,6 +232,15 @@ mod engine_digests {
         .expect("write to a String");
     }
 
+    /// One form, three log entries: the all-defaults recorder, an explicit
+    /// `Recorder::off()`, a live recorder.
+    fn pin<O: Debug>(log: &mut String, exec: Exec, run: impl Fn(Exec) -> O) {
+        observe(log, &run(exec), &Recorder::off());
+        for rec in [Recorder::off(), Recorder::new()] {
+            observe(log, &run(exec.rec(&rec)), &rec);
+        }
+    }
+
     /// The digests of one corpus world, one `group=crc` per family of forms.
     fn digests_of(seed: u64) -> String {
         let sc = Scenario::from_seed(seed);
@@ -338,27 +262,26 @@ mod engine_digests {
                 _ => Box::new(PlannedScheduler::new(&plan, dfs.namenode())),
             }
         };
-        let recorders = || [Recorder::off(), Recorder::new()];
         let mut line = format!("{seed}");
         let mut close = |group: &str, log: &mut String| {
             write!(line, " {group}={:08x}", crc32(log.as_bytes())).expect("write to a String");
             log.clear();
         };
         let mut log = String::new();
+        let exec = Exec::default();
 
-        // Healthy selection, all four schedulers.
-        for i in 0..4 {
-            let out = run_selection(&dfs, &truth, schedulers(i).as_mut(), &sel);
-            observe(&mut log, &out, &Recorder::off());
-            for rec in recorders() {
-                let out = run_selection_traced(&dfs, &truth, schedulers(i).as_mut(), &sel, &rec);
-                observe(&mut log, &out, &rec);
+        // Selection under all four schedulers: healthy, then under an empty
+        // plan, one mid-phase crash beside a slow window and a degraded NIC
+        // (oracle and detector-driven), and the scenario's own faults.
+        let select = |log: &mut String, exec: Exec| {
+            for i in 0..4 {
+                pin(log, exec, |e| {
+                    e.selection(&dfs, &truth, schedulers(i).as_mut(), &sel)
+                });
             }
-        }
+        };
+        select(&mut log, exec);
         close("healthy", &mut log);
-
-        // Fault plans: empty, one mid-phase crash beside a slow window and
-        // a degraded NIC (oracle and detector-driven), and the scenario's own.
         let healthy_end = run_selection(&dfs, &truth, schedulers(0).as_mut(), &sel).end;
         let dead = 1 + (seed % (m as u64 - 1)) as usize;
         let scripted = FaultPlan::none(m)
@@ -368,27 +291,13 @@ mod engine_digests {
         let mut fault_cfgs = vec![
             FaultConfig::new(FaultPlan::none(m)),
             FaultConfig::new(scripted.clone()),
-            FaultConfig::with_detection(scripted.clone(), DetectorConfig::default()),
+            FaultConfig::with_detection(scripted, DetectorConfig::default()),
         ];
         if sc.has_faults() {
             fault_cfgs.push(sc.fault_config());
         }
         for fc in &fault_cfgs {
-            for i in 0..4 {
-                let out = run_selection_faulty(&dfs, &truth, schedulers(i).as_mut(), &sel, fc);
-                observe(&mut log, &out, &Recorder::off());
-                for rec in recorders() {
-                    let out = run_selection_faulty_traced(
-                        &dfs,
-                        &truth,
-                        schedulers(i).as_mut(),
-                        &sel,
-                        fc,
-                        &rec,
-                    );
-                    observe(&mut log, &out, &rec);
-                }
-            }
+            select(&mut log, exec.faults(fc));
         }
         close("faulty", &mut log);
 
@@ -400,62 +309,35 @@ mod engine_digests {
         for dir in dirs.paths() {
             std::fs::write(dir.join("shard-0000.json"), b"garbage").expect("corrupt");
         }
-        let open = || MetaStore::open_replicated(&dirs.paths(), 4).expect("open");
         for fc in [None, Some(&fault_cfgs[1])] {
-            let out = run_selection_resilient(&dfs, target, &mut open(), &sel, fc);
-            observe(&mut log, &out, &Recorder::off());
-            for rec in recorders() {
-                let out = run_selection_resilient_traced(&dfs, target, &mut open(), &sel, fc, &rec);
-                observe(&mut log, &out, &rec);
-            }
+            pin(&mut log, exec.faults(fc), |e| {
+                let mut store = MetaStore::open_replicated(&dirs.paths(), 4).expect("open");
+                e.selection_resilient(&dfs, target, &mut store, &sel)
+            });
         }
         close("resilient", &mut log);
 
-        // Analysis over the partitions the DataNet selection left behind:
-        // default, aggregated, surviving, heterogeneous, shuffled.
+        // Analysis over the partitions the DataNet selection left behind,
+        // based at its end: default, aggregated, surviving, heterogeneous
+        // (recorder off only), shuffled.
         let healthy = run_selection(&dfs, &truth, schedulers(2).as_mut(), &sel);
         let crashed =
-            run_selection_faulty(&dfs, &truth, schedulers(2).as_mut(), &sel, &fault_cfgs[1]);
+            exec.faults(&fault_cfgs[1])
+                .selection(&dfs, &truth, schedulers(2).as_mut(), &sel);
         let filtered = &healthy.per_node_bytes;
-        let base = healthy.end;
-        observe(
-            &mut log,
-            &run_analysis(filtered, &job, &ana),
-            &Recorder::off(),
-        );
-        for rec in recorders() {
-            let out = run_analysis_traced(filtered, &job, &ana, base, &rec);
-            observe(&mut log, &out, &rec);
-        }
+        let uniform = AggregationPlan::uniform(m);
         let map_out: Vec<u64> = filtered.iter().map(|&b| job.map_output_bytes(b)).collect();
         let agg = plan_aggregation(&map_out, (m / 2).max(1), 2.0);
-        observe(
-            &mut log,
-            &run_analysis_aggregated(filtered, &job, &ana, &agg),
-            &Recorder::off(),
-        );
-        for rec in recorders() {
-            let out = run_analysis_aggregated_traced(filtered, &job, &ana, &agg, base, &rec);
-            observe(&mut log, &out, &rec);
-        }
-        let alive: Vec<bool> = (0..m)
-            .map(|n| !crashed.faults.crashed_nodes.contains(&n))
-            .collect();
-        observe(
-            &mut log,
-            &run_analysis_surviving(&crashed.per_node_bytes, &job, &ana, &alive),
-            &Recorder::off(),
-        );
-        for rec in recorders() {
-            let out = run_analysis_surviving_traced(
-                &crashed.per_node_bytes,
-                &job,
-                &ana,
-                &alive,
-                crashed.end,
-                &rec,
-            );
-            observe(&mut log, &out, &rec);
+        let survivors =
+            AggregationPlan::uniform_over(&crashed.per_node_bytes, &crashed.faults.crashed_nodes);
+        for (sel_out, reducers) in [
+            (&healthy, &uniform),
+            (&healthy, &agg),
+            (&crashed, &survivors),
+        ] {
+            pin(&mut log, exec.base(sel_out.end), |e| {
+                e.analysis(&sel_out.per_node_bytes, &job, &ana, reducers, None)
+            });
         }
         let specs: Vec<NodeSpec> = (0..m)
             .map(|n| NodeSpec {
@@ -463,90 +345,42 @@ mod engine_digests {
                 ..NodeSpec::marmot()
             })
             .collect();
-        observe(
-            &mut log,
-            &run_analysis_hetero(filtered, &job, &ana, &specs),
-            &Recorder::off(),
-        );
+        let hetero = exec.analysis(filtered, &job, &ana, &uniform, Some(&specs));
+        observe(&mut log, &hetero, &Recorder::off());
         let ranges = sc.shuffle.key_ranges;
         let matrix = range_matrix_truth(&dfs, target, ranges);
         let aware = ShufflePlanner::new(sc.shuffle.split_factor)
             .plan(&range_matrix_estimate(&dfs, &view, ranges));
         let hash = ShufflePlan::hash(ranges, (0..m as u32).map(NodeId).collect());
         for plan in [&aware, &hash] {
-            observe(
-                &mut log,
-                &run_analysis_shuffled(&matrix, &job, &ana, plan),
-                &Recorder::off(),
-            );
-            for rec in recorders() {
-                let out = run_analysis_shuffled_traced(&matrix, &job, &ana, plan, base, &rec);
-                observe(&mut log, &out, &rec);
-            }
+            pin(&mut log, exec.base(healthy.end), |e| {
+                e.analysis_shuffled(&matrix, &job, &ana, plan)
+            });
         }
         close("analysis", &mut log);
 
-        // Both pipelines.
-        let out = run_pipeline(&dfs, target, schedulers(2).as_mut(), &job, &sel, &ana);
-        observe(&mut log, &out, &Recorder::off());
-        for rec in recorders() {
-            let out =
-                run_pipeline_traced(&dfs, target, schedulers(2).as_mut(), &job, &sel, &ana, &rec);
-            observe(&mut log, &out, &rec);
-        }
-        for fc in &fault_cfgs[1..] {
-            let out =
-                run_pipeline_faulty(&dfs, target, schedulers(2).as_mut(), &job, &sel, &ana, fc);
-            observe(&mut log, &out, &Recorder::off());
-            for rec in recorders() {
-                let out = run_pipeline_faulty_traced(
-                    &dfs,
-                    target,
-                    schedulers(2).as_mut(),
-                    &job,
-                    &sel,
-                    &ana,
-                    fc,
-                    &rec,
-                );
-                observe(&mut log, &out, &rec);
-            }
+        // The pipeline: healthy, then under each plan that scripts a fault.
+        for fc in std::iter::once(None).chain(fault_cfgs[1..].iter().map(Some)) {
+            pin(&mut log, exec.faults(fc), |e| {
+                e.pipeline(&dfs, target, schedulers(2).as_mut(), &job, &sel, &ana)
+            });
         }
         close("pipeline", &mut log);
         line
     }
 
-    fn corpus_digests() -> Vec<String> {
-        include_str!("corpus/seeds.txt")
+    #[test]
+    fn engine_forms_match_the_committed_digests() {
+        let got: Vec<String> = include_str!("corpus/seeds.txt")
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty() && !l.starts_with('#'))
             .map(|l| digests_of(l.parse().expect("corpus lines are u64 seeds")))
-            .collect()
-    }
-
-    #[test]
-    fn engine_forms_match_the_committed_digests() {
-        let got = corpus_digests();
-        let want: Vec<&str> = include_str!("fixtures/engine_digests.txt")
-            .lines()
             .collect();
-        assert_eq!(got.len(), want.len(), "one fixture line per corpus seed");
-        for (g, w) in got.iter().zip(want) {
-            assert_eq!(g, w, "engine digests changed (seed, then group=crc)");
-        }
-    }
-
-    /// Regenerates the fixture: `cargo test -p datanet-integration --test
-    /// determinism -- --ignored write_engine_digests`. Only ever at a
-    /// commit whose engine is the reference.
-    #[test]
-    #[ignore = "rewrites tests/fixtures/engine_digests.txt"]
-    fn write_engine_digests() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../tests/fixtures/engine_digests.txt"
+        let got = got.join("\n") + "\n";
+        assert!(
+            got == include_str!("fixtures/engine_digests.txt"),
+            "engine digests changed (seed, then group=crc); the engine now produces:\n{got}"
         );
-        std::fs::write(path, corpus_digests().join("\n") + "\n").expect("write fixture");
     }
 }

@@ -8,8 +8,8 @@ use datanet_bench::movie_dataset;
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
-    run_pipeline_faulty, run_selection, run_selection_faulty, AnalysisConfig, DataNetScheduler,
-    FaultConfig, JobProfile, LocalityScheduler, MapScheduler, SelectionConfig, SelectionOutcome,
+    run_selection, AnalysisConfig, DataNetScheduler, Exec, FaultConfig, JobProfile,
+    LocalityScheduler, MapScheduler, SelectionConfig, SelectionOutcome,
 };
 
 const NODES: u32 = 8;
@@ -56,12 +56,11 @@ fn killing_one_of_eight_loses_no_bytes() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut sched = LocalityScheduler::new(&dfs);
-    let out = run_selection_faulty(
+    let out = Exec::default().faults(&FaultConfig::new(plan)).selection(
         &dfs,
         &truth,
         &mut sched,
         &SelectionConfig::default(),
-        &FaultConfig::new(plan),
     );
     assert_eq!(out.faults.crashed_nodes, vec![3]);
     assert_eq!(out.per_node_bytes[3], 0, "dead node keeps nothing");
@@ -82,12 +81,11 @@ fn killing_one_of_eight_loses_no_bytes() {
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty(
+    let out = Exec::default().faults(&FaultConfig::new(plan)).selection(
         &dfs,
         &truth,
         &mut sched,
         &SelectionConfig::default(),
-        &FaultConfig::new(plan),
     );
     assert_eq!(out.per_node_bytes[3], 0);
     assert_eq!(
@@ -104,12 +102,11 @@ fn faulty_runs_are_deterministic_for_a_fixed_seed() {
     let run = || {
         let plan = FaultPlan::random(NODES as usize, 0xFA17, 0.25, SimTime::from_secs(3));
         let mut sched = DataNetScheduler::new(&dfs, &view);
-        run_selection_faulty(
+        Exec::default().faults(&FaultConfig::new(plan)).selection(
             &dfs,
             &truth,
             &mut sched,
             &SelectionConfig::default(),
-            &FaultConfig::new(plan),
         )
     };
     let a = run();
@@ -130,23 +127,21 @@ fn datanet_rebalances_survivors_better_than_locality() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut base = LocalityScheduler::new(&dfs);
-    let without = run_selection_faulty(
+    let without = Exec::default().faults(&FaultConfig::new(plan)).selection(
         &dfs,
         &truth,
         &mut base,
         &SelectionConfig::default(),
-        &FaultConfig::new(plan),
     );
 
     let mut probe = DataNetScheduler::new(&dfs, &view);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 3);
     let mut dn = DataNetScheduler::new(&dfs, &view);
-    let with = run_selection_faulty(
+    let with = Exec::default().faults(&FaultConfig::new(plan)).selection(
         &dfs,
         &truth,
         &mut dn,
         &SelectionConfig::default(),
-        &FaultConfig::new(plan),
     );
 
     let dn_imb = survivor_imbalance(&with);
@@ -163,14 +158,13 @@ fn faulty_pipeline_runs_end_to_end_on_survivors() {
     let mut probe = LocalityScheduler::new(&dfs);
     let plan = mid_phase_crash(&dfs, &truth, &mut probe, 6);
     let mut sched = LocalityScheduler::new(&dfs);
-    let rep = run_pipeline_faulty(
+    let rep = Exec::default().faults(&FaultConfig::new(plan)).pipeline(
         &dfs,
         hot,
         &mut sched,
         &JobProfile::new("wordcount", 3.0, 0.4, 1.0),
         &SelectionConfig::default(),
         &AnalysisConfig::default(),
-        &FaultConfig::new(plan),
     );
     assert!(rep.faults().any());
     assert!(rep.faults().recovery_secs > 0.0);

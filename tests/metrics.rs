@@ -8,7 +8,7 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
 use datanet_bench::movie_dataset;
 use datanet_check::{check_scenario_instrumented, shrink, CheckOptions, Repro, Scenario};
-use datanet_mapreduce::{run_pipeline_traced, AnalysisConfig, DataNetScheduler, SelectionConfig};
+use datanet_mapreduce::{AnalysisConfig, DataNetScheduler, Exec, SelectionConfig};
 use datanet_obs::{parse_openmetrics, to_openmetrics, OmKind, QueryCtx, Recorder};
 
 const NODES: u32 = 8;
@@ -61,14 +61,13 @@ fn openmetrics_roundtrip_preserves_every_series() {
         .with_metrics(WINDOW_US)
         .scoped(QueryCtx::new(42).tenant("acme"));
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    run_pipeline_traced(
+    Exec::default().rec(&rec).pipeline(
         &dfs,
         hot,
         &mut sched,
         &word_count_profile(),
         &SelectionConfig::default(),
         &AnalysisConfig::default(),
-        &rec,
     );
     let snap = rec.metrics_snapshot().expect("metrics attached");
     let families = parse_openmetrics(&to_openmetrics(&snap)).expect("exposition must parse");
@@ -127,14 +126,13 @@ fn per_query_span_totals_reconcile_with_execution_report() {
         .with_metrics(WINDOW_US)
         .scoped(QueryCtx::new(7).tenant("acme"));
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let report = run_pipeline_traced(
+    let report = Exec::default().rec(&rec).pipeline(
         &dfs,
         hot,
         &mut sched,
         &word_count_profile(),
         &SelectionConfig::default(),
         &AnalysisConfig::default(),
-        &rec,
     );
     let snap = rec.metrics_snapshot().expect("metrics attached");
     let families = parse_openmetrics(&to_openmetrics(&snap)).expect("exposition must parse");

@@ -10,8 +10,8 @@ use datanet_bench::movie_dataset;
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
-    run_pipeline, run_pipeline_traced, run_selection, run_selection_faulty_traced, AnalysisConfig,
-    DataNetScheduler, FaultConfig, MapScheduler, SelectionConfig,
+    run_selection, AnalysisConfig, DataNetScheduler, Exec, FaultConfig, MapScheduler,
+    SelectionConfig,
 };
 use datanet_obs::{NodeClass, Recorder};
 
@@ -46,14 +46,10 @@ fn traced_faulty_run_covers_every_task_and_crash() {
 
     let rec = Recorder::new();
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-        &rec,
-    );
+    let out = Exec::default()
+        .rec(&rec)
+        .faults(&FaultConfig::new(plan))
+        .selection(&dfs, &truth, &mut sched, &SelectionConfig::default());
     assert_eq!(out.faults.crashed_nodes, vec![3]);
     let data = rec.take();
 
@@ -100,13 +96,12 @@ fn detector_chain_latencies_match_fault_stats() {
 
     let rec = Recorder::new();
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
+    let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
+    let out = Exec::default().rec(&rec).faults(&faults).selection(
         &dfs,
         &truth,
         &mut sched,
         &SelectionConfig::default(),
-        &FaultConfig::with_detection(plan, DetectorConfig::default()),
-        &rec,
     );
     assert_eq!(out.faults.crashed_nodes, vec![5]);
     let data = rec.take();
@@ -135,14 +130,10 @@ fn straggler_idler_classification_is_consistent_with_busy_times() {
 
     let rec = Recorder::new();
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let out = run_selection_faulty_traced(
-        &dfs,
-        &truth,
-        &mut sched,
-        &SelectionConfig::default(),
-        &FaultConfig::new(plan),
-        &rec,
-    );
+    let out = Exec::default()
+        .rec(&rec)
+        .faults(&FaultConfig::new(plan))
+        .selection(&dfs, &truth, &mut sched, &SelectionConfig::default());
     let summary = rec.take().summary(None);
 
     assert!(!summary.node_util.is_empty());
@@ -187,11 +178,13 @@ fn recorder_off_report_is_byte_identical_to_a_traced_run() {
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
 
     let mut plain_sched = DataNetScheduler::new(&dfs, &view);
-    let plain = run_pipeline(&dfs, hot, &mut plain_sched, &job, &sel, &ana);
+    let plain = Exec::default().pipeline(&dfs, hot, &mut plain_sched, &job, &sel, &ana);
 
     let rec = Recorder::new();
     let mut traced_sched = DataNetScheduler::new(&dfs, &view);
-    let traced = run_pipeline_traced(&dfs, hot, &mut traced_sched, &job, &sel, &ana, &rec);
+    let traced = Exec::default()
+        .rec(&rec)
+        .pipeline(&dfs, hot, &mut traced_sched, &job, &sel, &ana);
     assert!(!rec.take().spans.is_empty(), "the recorder really was on");
 
     // Tracing never perturbs the simulation, and an untraced report

@@ -17,7 +17,7 @@ use datanet::{ElasticMapArray, Separation};
 use datanet_bench::movie_dataset;
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
-use datanet_mapreduce::{run_selection_resilient, FaultConfig, SelectionConfig};
+use datanet_mapreduce::{Exec, FaultConfig, SelectionConfig};
 
 const NODES: u32 = 8;
 const SHARD_BLOCKS: usize = 4;
@@ -79,7 +79,8 @@ fn scrub_heals_twenty_percent_corruption_back_to_rung_one() {
 
     // Repaired bytes must verify: re-open the primary *alone* and select.
     let mut primary = MetaStore::open(&dirs[0], 4).unwrap();
-    let out = run_selection_resilient(&dfs, hot, &mut primary, &SelectionConfig::default(), None);
+    let out =
+        Exec::default().selection_resilient(&dfs, hot, &mut primary, &SelectionConfig::default());
     assert_eq!(out.meta.rungs.bloom, 0, "no rung-2 blocks after repair");
     assert_eq!(out.meta.rungs.fallback, 0, "no rung-3 blocks after repair");
     assert!(out.meta.rungs.exact > 0);
@@ -112,7 +113,8 @@ fn losing_every_replica_of_a_shard_degrades_to_rung_three() {
         fs::remove_file(dir.join(summary_file(doomed))).unwrap();
     }
 
-    let out = run_selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default(), None);
+    let out =
+        Exec::default().selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default());
     assert_eq!(
         out.meta.rungs.fallback, SHARD_BLOCKS,
         "the lost shard's whole block span runs on rung 3"
@@ -153,7 +155,8 @@ fn summary_survival_offers_rung_two_instead() {
         fs::remove_file(dir.join(shard_file(doomed))).unwrap();
     }
 
-    let out = run_selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default(), None);
+    let out =
+        Exec::default().selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default());
     assert_eq!(out.meta.rungs.fallback, 0, "summaries keep us off rung 3");
     assert!(
         out.meta.rungs.bloom > 0,
@@ -183,18 +186,18 @@ fn degraded_metadata_and_node_crash_compose() {
     }
 
     // Healthy-engine probe to place the crash mid-phase.
-    let probe = run_selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default(), None);
+    let probe =
+        Exec::default().selection_resilient(&dfs, hot, &mut store, &SelectionConfig::default());
     let crash_at = SimTime::from_micros(probe.end.as_micros() / 2);
     assert!(crash_at > SimTime::ZERO);
 
     let plan = FaultPlan::none(NODES as usize).crash(3, crash_at);
     let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
-    let out = run_selection_resilient(
+    let out = Exec::default().faults(&faults).selection_resilient(
         &dfs,
         hot,
         &mut store,
         &SelectionConfig::default(),
-        Some(&faults),
     );
     assert_eq!(out.faults.crashed_nodes, vec![3]);
     assert_eq!(out.per_node_bytes[3], 0, "dead node keeps nothing");

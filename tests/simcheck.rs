@@ -18,8 +18,8 @@ fn corpus_seeds() -> Vec<u64> {
 
 /// Every corpus seed expands into a world that passes the full oracle
 /// catalog. This is the regression net: a future PR that breaks byte
-/// conservation, the Equation 6 envelope, planner bounds or traced-twin
-/// purity fails here with the offending seed named.
+/// conservation, the Equation 6 envelope, planner bounds or recorder
+/// transparency fails here with the offending seed named.
 #[test]
 fn fixed_seed_corpus_passes() {
     let seeds = corpus_seeds();
