@@ -12,7 +12,8 @@
 //! served.
 
 use datanet::{
-    plan_balanced_batch, plan_maxflow_batch, Assignment, ElasticMapArray, EpochKey, Separation,
+    plan_balanced_batch, plan_maxflow_batch, Assignment, ElasticMap, ElasticMapArray, EpochKey,
+    Separation,
 };
 use datanet_cluster::SimCluster;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
@@ -24,8 +25,8 @@ use std::hash::Hasher;
 pub enum ServeEvent {
     /// An ingest batch commits: `blocks` new blocks (records round-robined
     /// over every sub-dataset, so *every* sub-dataset's plan changes) are
-    /// appended and the metadata array is rebuilt. Bumps the ingest epoch
-    /// (and, via block registration, the NameNode epoch).
+    /// appended and their maps pushed onto the metadata array. Bumps the
+    /// ingest epoch (and, via block registration, the NameNode epoch).
     IngestCommit {
         /// Blocks appended by this commit (≥ 1).
         blocks: u32,
@@ -60,7 +61,6 @@ pub struct World {
     cluster: SimCluster,
     /// Sub-dataset id space (ingest round-robins new records over it).
     subdatasets: u64,
-    policy: Separation,
     /// Seed for synthetic ingest-commit record content.
     ingest_seed: u64,
     ingest_epoch: u64,
@@ -79,7 +79,6 @@ impl World {
             alive: vec![true; nodes],
             cluster: SimCluster::marmot(nodes),
             subdatasets,
-            policy,
             ingest_seed,
             ingest_epoch: 0,
         }
@@ -137,9 +136,10 @@ impl World {
                             )
                         })
                         .collect();
-                    self.dfs.append_block(records);
+                    let id = self.dfs.append_block(records);
+                    let map = ElasticMap::build(self.dfs.block(id), self.array.policy());
+                    self.array.push(map);
                 }
-                self.array = ElasticMapArray::build_sequential(&self.dfs, &self.policy);
                 self.ingest_epoch += 1;
             }
             ServeEvent::NodeLoss { node } => {
@@ -291,6 +291,14 @@ mod tests {
             let a = live.plan_batch(&subs, false);
             let b = replay.plan_batch(&subs, false);
             assert_eq!(a, b, "replayed world must plan identically");
+            // The array grown by pushed deltas is the from-scratch build.
+            let rebuilt = ElasticMapArray::build_sequential(live.dfs(), live.array().policy());
+            assert_eq!(
+                serde_json::to_string(live.array()).unwrap(),
+                serde_json::to_string(&rebuilt).unwrap(),
+                "delta diverged from rebuild after event {i}"
+            );
+            assert_eq!(live.array().symbols(), rebuilt.symbols());
         }
     }
 

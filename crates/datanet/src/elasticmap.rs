@@ -17,6 +17,7 @@
 
 use crate::bloom::BloomFilter;
 use crate::buckets::{BucketCounter, Buckets};
+use crate::symbol::FastMap;
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use serde::{DeError, Deserialize, Serialize, Value};
 use serde_json::Parser;
@@ -80,6 +81,35 @@ pub struct ElasticMap {
 /// "10 bits per sub-dataset" figure.
 pub const BLOOM_EPSILON: f64 = 0.01;
 
+/// Exact bytes per sub-dataset of `block`: one map hit per record, the
+/// table pre-sized for the worst case (every record a distinct
+/// sub-dataset) so accumulation never rehashes. Both the batch build and
+/// the ingest path's write-time delta start from this table.
+pub(crate) fn size_table(block: &Block) -> FastMap<SubDatasetId, u64> {
+    let mut sizes =
+        FastMap::<SubDatasetId, u64>::with_capacity_and_hasher(block.len(), Default::default());
+    for r in block.records() {
+        let e = sizes.entry(r.subdataset).or_insert(0);
+        *e = e.saturating_add(r.size as u64);
+    }
+    sizes
+}
+
+/// The bucket series of a block holding `records` records in `bytes`
+/// bytes: a Fibonacci progression based at the **mean record size**.
+/// Per-sub-dataset sizes are integer multiples of record sizes, so this
+/// keeps the walk discriminating from "one record" up to "~34 records"
+/// regardless of experiment scale. At the paper's scale (64 MB blocks,
+/// ~600 B–1 kB log records) it reproduces their 1 kB-based series.
+pub(crate) fn mean_record_buckets(bytes: u64, records: usize) -> Buckets {
+    let base = if records == 0 {
+        1024 // paper default; irrelevant for an empty block
+    } else {
+        (bytes / records as u64).max(1)
+    };
+    Buckets::fibonacci(base, 9)
+}
+
 impl ElasticMap {
     /// Build the ElasticMap of `block` with the given separation policy.
     ///
@@ -88,37 +118,15 @@ impl ElasticMap {
     /// distinct sub-datasets to split them — O(records + distinct·log
     /// distinct) for the final sort of the (small) dominant set.
     ///
-    /// Buckets use a Fibonacci progression based at the block's **mean
-    /// record size**: per-sub-dataset sizes are integer multiples of record
-    /// sizes, so this keeps the walk discriminating from "one record" up to
-    /// "~34 records" regardless of experiment scale. At the paper's scale
-    /// (64 MB blocks, ~600 B–1 kB log records) this reproduces their
-    /// 1 kB-based bucket series.
+    /// Buckets follow [`mean_record_buckets`].
     pub fn build(block: &Block, policy: &Separation) -> Self {
-        let base = if block.is_empty() {
-            1024 // paper default; irrelevant for an empty block
-        } else {
-            (block.bytes() / block.len() as u64).max(1)
-        };
-        Self::build_with_buckets(block, policy, Buckets::fibonacci(base, 9))
+        let buckets = mean_record_buckets(block.bytes(), block.len());
+        Self::build_with_buckets(block, policy, buckets)
     }
 
     /// [`ElasticMap::build`] with explicit buckets (for tests/ablations).
     pub fn build_with_buckets(block: &Block, policy: &Separation, buckets: Buckets) -> Self {
-        // Accumulate sizes in a tight one-map-hit-per-record loop, then
-        // bucket the final sizes once: identical counts to incremental
-        // `BucketCounter::record`, minus two bucket walks per record.
-        // Pre-size for the worst case (every record a distinct sub-dataset):
-        // one up-front table, zero rehashes during accumulation.
-        let mut sizes = crate::symbol::FastMap::<SubDatasetId, u64>::with_capacity_and_hasher(
-            block.len(),
-            crate::symbol::FxBuildHasher::default(),
-        );
-        for r in block.records() {
-            let e = sizes.entry(r.subdataset).or_insert(0);
-            *e = e.saturating_add(r.size as u64);
-        }
-        Self::from_size_table(block.id(), sizes, policy, buckets)
+        Self::from_size_table(block.id(), size_table(block), policy, buckets)
     }
 
     /// Build from an already-accumulated per-sub-dataset size table — the
@@ -129,7 +137,7 @@ impl ElasticMap {
     /// byte-identical to [`ElasticMap::build`] on the same block.
     pub(crate) fn from_size_table(
         block: BlockId,
-        sizes: crate::symbol::FastMap<SubDatasetId, u64>,
+        sizes: FastMap<SubDatasetId, u64>,
         policy: &Separation,
         buckets: Buckets,
     ) -> Self {
@@ -210,20 +218,32 @@ impl ElasticMap {
             return ids.iter().map(|&id| self.query(id)).collect();
         }
         let mut out = Vec::with_capacity(ids.len());
+        self.query_sorted(ids, |_, info| out.push(info));
+        out
+    }
+
+    /// Answer every id of an **ascending** probe list, handing
+    /// `(position, answer)` to `visit` — no allocation. The exact side is
+    /// resolved by one merge-join over the two sorted id lists.
+    pub(crate) fn query_sorted(
+        &self,
+        sorted: &[SubDatasetId],
+        mut visit: impl FnMut(usize, SizeInfo),
+    ) {
         let mut i = 0; // cursor into exact_ids
-        for &id in ids {
+        for (k, &id) in sorted.iter().enumerate() {
             while i < self.exact_ids.len() && self.exact_ids[i] < id {
                 i += 1;
             }
-            out.push(if i < self.exact_ids.len() && self.exact_ids[i] == id {
+            let info = if self.exact_ids.get(i) == Some(&id) {
                 SizeInfo::Exact(self.exact_sizes[i])
             } else if self.bloom.contains(id) {
                 SizeInfo::Approximate
             } else {
                 SizeInfo::Absent
-            });
+            };
+            visit(k, info);
         }
-        out
     }
 
     /// Exact entries (dominant sub-datasets) in ascending id order — the

@@ -11,14 +11,13 @@
 //!   un-inserted, so the write path never commits to a separation early).
 //! * Periodic **compaction** seals pending deltas through the same bucket
 //!   walk the batch build uses ([`ElasticMap`]'s separation policy), builds
-//!   their [`BlockSummary`] sidecars, and folds them into the sorted-array
-//!   base in block order using the deterministic shard-merge rule (chunks
-//!   sealed in parallel, merged in chunk order, symbols interned in
-//!   first-appearance order). Sealing is where **re-dominance** happens: a
-//!   sub-dataset that was exact in the delta but falls below the block's
-//!   dominance threshold is demoted to the bloom tail — it crossed the
-//!   dominant/bloom boundary as the block's contents grew around it
-//!   ([`IngestStats::redominated`] counts these crossings).
+//!   their [`BlockSummary`] sidecars, and pushes them onto the sealed
+//!   [`ElasticMapArray`] in block order (chunks sealed in parallel;
+//!   [`ElasticMapArray::push`] interns). Sealing is where **re-dominance**
+//!   happens: a sub-dataset that was exact in the delta but falls below
+//!   the block's dominance threshold is demoted to the bloom tail — it
+//!   crossed the dominant/bloom boundary as the block's contents grew
+//!   around it ([`IngestStats::redominated`] counts these crossings).
 //! * [`Ingestor::commit`] persists an **epoch-stamped snapshot**: complete
 //!   shards are written once as the immutable `shard-NNNN.json` files the
 //!   batch writer produces, the partial tail goes to a per-epoch
@@ -34,15 +33,14 @@
 //! to a from-scratch [`crate::scan::ElasticMapArray::build`] over the same
 //! blocks, including across out-of-order arrival, crash, and resume.
 
-use crate::buckets::Buckets;
 use crate::distribution::SubDatasetView;
-use crate::elasticmap::{ElasticMap, Separation, SizeInfo};
+use crate::elasticmap::{mean_record_buckets, size_table, ElasticMap, Separation, SizeInfo};
 use crate::scan::{ElasticMapArray, SHARD_BLOCKS};
 use crate::store::{
     crc32, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file, summary_file,
     BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
 };
-use crate::symbol::{FastMap, FxBuildHasher, SymbolTable};
+use crate::symbol::FastMap;
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use rayon::prelude::*;
@@ -111,17 +109,9 @@ struct DeltaMap {
 
 impl DeltaMap {
     fn of(block: &Block) -> Self {
-        let mut sizes = FastMap::<SubDatasetId, u64>::with_capacity_and_hasher(
-            block.len(),
-            FxBuildHasher::default(),
-        );
-        for r in block.records() {
-            let e = sizes.entry(r.subdataset).or_insert(0);
-            *e = e.saturating_add(r.size as u64);
-        }
         Self {
             block: block.id(),
-            sizes,
+            sizes: size_table(block),
             bytes: block.bytes(),
             records: block.len(),
         }
@@ -140,20 +130,15 @@ impl DeltaMap {
         }
     }
 
-    /// Seal through the separation policy. Reproduces the bucket base of
-    /// [`ElasticMap::build`] (mean record size), so the sealed map is
+    /// Seal through the separation policy: the same size table through
+    /// the same buckets as [`ElasticMap::build`], so the sealed map is
     /// byte-identical to a batch build of the same block.
     fn seal(&self, policy: &Separation) -> ElasticMap {
-        let base = if self.records == 0 {
-            1024
-        } else {
-            (self.bytes / self.records as u64).max(1)
-        };
         ElasticMap::from_size_table(
             self.block,
             self.sizes.clone(),
             policy,
-            Buckets::fibonacci(base, 9),
+            mean_record_buckets(self.bytes, self.records),
         )
     }
 }
@@ -224,13 +209,10 @@ impl CommitPlan {
 #[derive(Debug)]
 pub struct Ingestor {
     cfg: IngestConfig,
-    /// Sealed maps, dense in block-id order (`base[i]` describes block i).
-    base: Vec<ElasticMap>,
-    /// Bloom-only sidecars, parallel to `base`.
+    /// Sealed maps: the array a batch build of the same blocks would give.
+    sealed: ElasticMapArray,
+    /// Bloom-only sidecars, parallel to `sealed`'s maps.
     summaries: Vec<BlockSummary>,
-    /// Dominant ids interned in block-major first-appearance order —
-    /// maintained incrementally to match the batch build's table.
-    symbols: SymbolTable,
     /// Arrived-but-unsealed deltas, keyed by block id (out-of-order safe).
     pending: BTreeMap<u32, DeltaMap>,
     durable_epoch: u64,
@@ -250,10 +232,9 @@ impl Ingestor {
         assert!(cfg.compact_every > 0, "compact_every must be positive");
         assert!(cfg.shard_blocks > 0, "shard_blocks must be positive");
         Self {
+            sealed: ElasticMapArray::from_maps(Vec::new(), cfg.policy.clone()),
             cfg,
-            base: Vec::new(),
             summaries: Vec::new(),
-            symbols: SymbolTable::new(),
             pending: BTreeMap::new(),
             durable_epoch: 0,
             durable_blocks: 0,
@@ -288,23 +269,14 @@ impl Ingestor {
         let manifest = store.manifest().clone();
         cfg.policy = manifest.policy.clone();
         cfg.shard_blocks = manifest.shard_blocks;
-        let mut base = Vec::with_capacity(manifest.blocks);
-        let mut summaries = Vec::with_capacity(manifest.blocks);
-        for i in 0..manifest.shard_count() {
-            base.extend_from_slice(store.shard(i)?);
-            summaries.extend(store.summary(i)?);
-        }
-        let mut symbols = SymbolTable::new();
-        for m in &base {
-            for (id, _) in m.exact_entries() {
-                symbols.intern(id);
-            }
-        }
         let mut ing = Self::new(cfg);
+        for i in 0..manifest.shard_count() {
+            for map in store.shard(i)? {
+                ing.sealed.push(map.clone());
+            }
+            ing.summaries.extend(store.summary(i)?);
+        }
         ing.stats.resumed_blocks = manifest.blocks as u64;
-        ing.base = base;
-        ing.summaries = summaries;
-        ing.symbols = symbols;
         ing.durable_epoch = manifest.epoch;
         ing.durable_blocks = manifest.blocks;
         ing.durable_shard_crc = manifest.shard_crc;
@@ -336,7 +308,7 @@ impl Ingestor {
 
     /// Blocks known to this ingestor: sealed base plus pending deltas.
     pub fn blocks(&self) -> usize {
-        self.base.len() + self.pending.len()
+        self.sealed.len() + self.pending.len()
     }
 
     /// Pending (arrived, not yet compacted) blocks.
@@ -356,7 +328,7 @@ impl Ingestor {
         assert!(!block.is_empty(), "cannot ingest an empty block");
         let id = block.id();
         assert!(
-            id.index() >= self.base.len(),
+            id.index() >= self.sealed.len(),
             "block {id} was already compacted"
         );
         assert!(
@@ -384,17 +356,16 @@ impl Ingestor {
 
     /// Length of the contiguous pending run starting at the base frontier.
     fn contiguous_pending(&self) -> usize {
-        (self.base.len() as u32..)
+        (self.sealed.len() as u32..)
             .zip(self.pending.keys())
             .take_while(|(next, &id)| id == *next)
             .count()
     }
 
-    /// Fold the contiguous pending prefix into the base: seal each delta
-    /// through the separation policy (in parallel, chunks merged in block
-    /// order — the deterministic shard-merge rule), build its summary
-    /// sidecar, and intern its dominant ids. Returns the number of blocks
-    /// folded (0 when nothing was contiguous).
+    /// Fold the contiguous pending prefix into the sealed array: seal each
+    /// delta through the separation policy (in parallel), build its
+    /// summary sidecar, and push the maps in block order. Returns the
+    /// number of blocks folded (0 when nothing was contiguous).
     pub fn compact(&mut self) -> usize {
         let run = self.contiguous_pending();
         if run == 0 {
@@ -407,7 +378,7 @@ impl Ingestor {
             self.rec.wall_us(),
             SpanCtx::default().note(format!("{run} blocks")),
         );
-        let first = self.base.len() as u32;
+        let first = self.sealed.len() as u32;
         let deltas: Vec<DeltaMap> = (first..first + run as u32)
             .map(|id| self.pending.remove(&id).expect("contiguous run"))
             .collect();
@@ -430,10 +401,7 @@ impl Ingestor {
         for chunk in sealed {
             for (map, summary, distinct) in chunk {
                 redominated += (distinct - map.exact_len()) as u64;
-                for (id, _) in map.exact_entries() {
-                    self.symbols.intern(id);
-                }
-                self.base.push(map);
+                self.sealed.push(map);
                 self.summaries.push(summary);
                 self.stats.summaries_built += 1;
             }
@@ -454,8 +422,8 @@ impl Ingestor {
     /// their ElasticMap; pending blocks answer from the lossless delta
     /// (always exact — the write path has not separated them yet).
     pub fn query(&self, b: BlockId, s: SubDatasetId) -> SizeInfo {
-        if b.index() < self.base.len() {
-            self.base[b.index()].query(s)
+        if b.index() < self.sealed.len() {
+            self.sealed.query(b, s)
         } else if let Some(d) = self.pending.get(&b.0) {
             d.query(s)
         } else {
@@ -466,25 +434,12 @@ impl Ingestor {
     /// Distribution view of one sub-dataset over everything ingested so
     /// far — sealed base plus pending deltas (whose answers are exact).
     pub fn view(&self, s: SubDatasetId) -> SubDatasetView {
-        let mut exact = Vec::new();
-        let mut bloom = Vec::new();
-        let mut delta_hint = u64::MAX;
-        for m in &self.base {
-            match m.query(s) {
-                SizeInfo::Exact(sz) => exact.push((m.block(), sz)),
-                SizeInfo::Approximate => {
-                    bloom.push(m.block());
-                    delta_hint = delta_hint.min(m.bloom_delta_hint());
-                }
-                SizeInfo::Absent => {}
-            }
+        let ids = [s];
+        let mut fold = self.sealed.fold(&ids);
+        for d in self.pending.values() {
+            fold.fold_sizes(d.block, &d.sizes);
         }
-        for (&id, d) in &self.pending {
-            if let SizeInfo::Exact(sz) = d.query(s) {
-                exact.push((BlockId(id), sz));
-            }
-        }
-        SubDatasetView::new(s, exact, bloom, delta_hint)
+        (fold.finish().pop()).expect("one view per probe id")
     }
 
     /// Materialize the current state as an [`ElasticMapArray`]: the sealed
@@ -493,13 +448,11 @@ impl Ingestor {
     /// [`ElasticMapArray::build`] over the same blocks — the invariant the
     /// ingest oracles enforce at every arrival prefix.
     pub fn snapshot(&self) -> ElasticMapArray {
-        let mut maps = self.base.clone();
-        let mut next = self.base.len() as u32;
-        while let Some(d) = self.pending.get(&next) {
-            maps.push(d.seal(&self.cfg.policy));
-            next += 1;
+        let mut out = self.sealed.clone();
+        while let Some(d) = self.pending.get(&(out.len() as u32)) {
+            out.push(d.seal(&self.cfg.policy));
         }
-        ElasticMapArray::from_maps(maps, self.cfg.policy.clone())
+        out
     }
 
     /// Plan the next durable epoch: compact, then serialize everything that
@@ -513,7 +466,7 @@ impl Ingestor {
     /// `manifest.json`.
     pub fn commit_plan(&mut self) -> Option<CommitPlan> {
         self.compact();
-        let blocks = self.base.len();
+        let blocks = self.sealed.len();
         if blocks == self.durable_blocks {
             return None;
         }
@@ -531,7 +484,7 @@ impl Ingestor {
         };
         for i in durable_full..full {
             let (start, end) = (i * sb, (i + 1) * sb);
-            let (m, s) = encode(&self.base[start..end], &self.summaries[start..end])
+            let (m, s) = encode(&self.sealed.maps()[start..end], &self.summaries[start..end])
                 .expect("in-memory serialization cannot fail");
             shard_crc.push(crc32(&m));
             summary_crc.push(crc32(&s));
@@ -540,7 +493,7 @@ impl Ingestor {
         }
         let (tail_crc, tail_summary_crc) = if !blocks.is_multiple_of(sb) {
             let start = full * sb;
-            let (m, s) = encode(&self.base[start..], &self.summaries[start..])
+            let (m, s) = encode(&self.sealed.maps()[start..], &self.summaries[start..])
                 .expect("in-memory serialization cannot fail");
             let crcs = (Some(crc32(&m)), Some(crc32(&s)));
             writes.push((epoch_file(epoch), m));

@@ -29,7 +29,7 @@ use crate::bloom::BloomFilter;
 use crate::degrade::{DegradedView, MetaHealth, ShardSource};
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
-use crate::scan::ElasticMapArray;
+use crate::scan::{ElasticMapArray, ViewFold};
 use datanet_dfs::{BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -38,6 +38,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Current on-disk format version. Version 1 (no checksums, no summaries)
@@ -242,7 +243,7 @@ impl Deserialize for Manifest {
                 Some(list) => Vec::<u32>::from_value(list),
             }
         };
-        Ok(Self {
+        let manifest = Self {
             blocks: usize::from_value(field("blocks")?)?,
             shard_blocks: usize::from_value(field("shard_blocks")?)?,
             policy: Separation::from_value(field("policy")?)?,
@@ -257,11 +258,41 @@ impl Deserialize for Manifest {
             tail_summary_crc: Option::<u32>::from_value(
                 v.get("tail_summary_crc").unwrap_or(&Value::Null),
             )?,
-        })
+        };
+        manifest.validate().map_err(DeError::msg)?;
+        Ok(manifest)
     }
 }
 
 impl Manifest {
+    /// What every reader of a decoded manifest relies on: shards hold at
+    /// least one block (the shard arithmetic divides by it), and a checksum
+    /// list is either empty (a v1 store: verification skipped) or has one
+    /// entry per shard file — the tail of a streaming-ingest store lives in
+    /// its epoch file and is covered by `tail_crc` instead.
+    fn validate(&self) -> Result<(), String> {
+        if self.shard_blocks == 0 {
+            return Err("manifest `shard_blocks` must be at least 1".to_string());
+        }
+        let most = self.shard_count();
+        let least = match self.tail_crc {
+            Some(_) => self.blocks / self.shard_blocks,
+            None => most,
+        };
+        for (name, list) in [
+            ("shard_crc", &self.shard_crc),
+            ("summary_crc", &self.summary_crc),
+        ] {
+            if !list.is_empty() && !(least..=most).contains(&list.len()) {
+                return Err(format!(
+                    "manifest `{name}` lists {} checksums, expected {least}..={most}",
+                    list.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of shard files.
     pub fn shard_count(&self) -> usize {
         self.blocks.div_ceil(self.shard_blocks)
@@ -440,19 +471,37 @@ fn pull_array<T>(
 }
 
 /// Decode a shard-resident array, which must hold one entry per block of
-/// the shard's span.
+/// the shard's `span`, in block order: entry `k` describes block
+/// `span.start + k`. Everything downstream indexes by that position.
 fn pull_blocks<T>(
     bytes: &[u8],
-    want: usize,
+    span: Range<usize>,
     what: &str,
     item: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+    block_of: fn(&T) -> BlockId,
 ) -> Result<Vec<T>, String> {
     let out = pull_array(bytes, item).map_err(|e| e.to_string())?;
-    if out.len() != want {
-        return Err(format!("expected {want} {what}, found {}", out.len()));
+    if out.len() != span.len() {
+        return Err(format!(
+            "expected {} {what}, found {}",
+            span.len(),
+            out.len()
+        ));
+    }
+    for (t, want) in out.iter().zip(span) {
+        if block_of(t).index() != want {
+            return Err(format!(
+                "{what}: entry for block {want} describes block {}",
+                block_of(t)
+            ));
+        }
     }
     Ok(out)
 }
+
+/// What one walk over the shards yields: the view of each probed id, the
+/// rung-3 unknown pool, and where each shard's answer came from.
+type Walk = (Vec<SubDatasetView>, Vec<BlockId>, Vec<ShardSource>);
 
 /// On-disk handle to sharded, replicated meta-data.
 #[derive(Debug)]
@@ -712,11 +761,10 @@ impl MetaStore {
         self.quarantined.iter().copied().collect()
     }
 
-    /// Blocks covered by shard `i`: `[start, end)`.
-    fn shard_span(&self, i: usize) -> (usize, usize) {
+    /// Blocks covered by shard `i`.
+    fn shard_span(&self, i: usize) -> Range<usize> {
         let start = i * self.manifest.shard_blocks;
-        let end = (start + self.manifest.shard_blocks).min(self.manifest.blocks);
-        (start, end)
+        start..(start + self.manifest.shard_blocks).min(self.manifest.blocks)
     }
 
     /// One verified read attempt of the file at `path`.
@@ -843,10 +891,16 @@ impl MetaStore {
             self.rec.wall_us(),
             self.file_ctx(&file),
         );
-        let (start, end) = self.shard_span(index);
+        let blocks = self.shard_span(index);
         let expect = self.manifest.expected_shard_crc(index);
         let maps = match self.read_with_failover(index, &file, expect, |bytes| {
-            pull_blocks(bytes, end - start, "block maps", ElasticMap::pull)
+            pull_blocks(
+                bytes,
+                blocks.clone(),
+                "block maps",
+                ElasticMap::pull,
+                ElasticMap::block,
+            )
         }) {
             Ok(maps) => {
                 self.rec.end(span, self.rec.wall_us());
@@ -882,7 +936,7 @@ impl MetaStore {
             index < self.manifest.shard_count(),
             "shard {index} out of range"
         );
-        let (start, end) = self.shard_span(index);
+        let blocks = self.shard_span(index);
         let expect = self.manifest.expected_summary_crc(index);
         let file = self.manifest.summary_file_name(index);
         let span = self.rec.begin(
@@ -893,7 +947,13 @@ impl MetaStore {
             self.file_ctx(&file),
         );
         let out = self.read_with_failover(index, &file, expect, |bytes| {
-            pull_blocks(bytes, end - start, "block summaries", BlockSummary::pull)
+            pull_blocks(
+                bytes,
+                blocks.clone(),
+                "block summaries",
+                BlockSummary::pull,
+                BlockSummary::block,
+            )
         });
         match &out {
             Ok(_) => self.rec.end(span, self.rec.wall_us()),
@@ -932,67 +992,20 @@ impl MetaStore {
     /// # Errors
     /// Shard read failures (after retry/failover).
     pub fn view(&mut self, s: SubDatasetId) -> Result<SubDatasetView, StoreError> {
-        let mut exact = Vec::new();
-        let mut bloom = Vec::new();
-        let mut delta_hint = u64::MAX;
-        for i in 0..self.manifest.shard_count() {
-            for m in self.shard(i)? {
-                match m.query(s) {
-                    SizeInfo::Exact(sz) => exact.push((m.block(), sz)),
-                    SizeInfo::Approximate => {
-                        bloom.push(m.block());
-                        delta_hint = delta_hint.min(m.bloom_delta_hint());
-                    }
-                    SizeInfo::Absent => {}
-                }
-            }
-        }
-        Ok(SubDatasetView::new(s, exact, bloom, delta_hint))
+        Ok((self.views(&[s])?.pop()).expect("one view per probe id"))
     }
 
     /// Batched [`MetaStore::view`]: one view per input id, in input order,
     /// bit-identical to N single `view` calls — but each shard is decoded
     /// (or fetched from cache) **once** for the whole batch instead of once
-    /// per id, and the per-block exact sides are merge-joined against the
-    /// sorted probe list ([`ElasticMap::query_batch`]). This is the path
-    /// scheduling-time multi-query workloads should use.
+    /// per id, and each block answers the sorted probe list in one forward
+    /// pass. This is the path scheduling-time multi-query workloads should
+    /// use.
     ///
     /// # Errors
     /// Shard read failures (after retry/failover).
     pub fn views(&mut self, ids: &[SubDatasetId]) -> Result<Vec<SubDatasetView>, StoreError> {
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_by_key(|&i| ids[i]);
-        let sorted: Vec<SubDatasetId> = order.iter().map(|&i| ids[i]).collect();
-        let mut exact: Vec<Vec<(BlockId, u64)>> = vec![Vec::new(); ids.len()];
-        let mut bloom: Vec<Vec<BlockId>> = vec![Vec::new(); ids.len()];
-        let mut delta: Vec<u64> = vec![u64::MAX; ids.len()];
-        for i in 0..self.manifest.shard_count() {
-            for m in self.shard(i)? {
-                for (k, info) in m.query_batch(&sorted).into_iter().enumerate() {
-                    let at = order[k];
-                    match info {
-                        SizeInfo::Exact(sz) => exact[at].push((m.block(), sz)),
-                        SizeInfo::Approximate => {
-                            bloom[at].push(m.block());
-                            delta[at] = delta[at].min(m.bloom_delta_hint());
-                        }
-                        SizeInfo::Absent => {}
-                    }
-                }
-            }
-        }
-        Ok(ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                SubDatasetView::new(
-                    id,
-                    std::mem::take(&mut exact[i]),
-                    std::mem::take(&mut bloom[i]),
-                    delta[i],
-                )
-            })
-            .collect())
+        Ok(self.walk(ids, true)?.0)
     }
 
     /// Assemble a sub-dataset view under metadata failures — the degradation
@@ -1000,55 +1013,7 @@ impl MetaStore {
     /// (rung 1/2), then the bloom-only summary (rung 2), and finally gives
     /// the shard's whole block span to the rung-3 unknown pool.
     pub fn view_degraded(&mut self, s: SubDatasetId) -> DegradedView {
-        let mut exact = Vec::new();
-        let mut bloom = Vec::new();
-        let mut delta_hint = u64::MAX;
-        let mut unknown = Vec::new();
-        let mut sources = Vec::new();
-        for i in 0..self.manifest.shard_count() {
-            match self.shard(i) {
-                Ok(maps) => {
-                    for m in maps {
-                        match m.query(s) {
-                            SizeInfo::Exact(sz) => exact.push((m.block(), sz)),
-                            SizeInfo::Approximate => {
-                                bloom.push(m.block());
-                                delta_hint = delta_hint.min(m.bloom_delta_hint());
-                            }
-                            SizeInfo::Absent => {}
-                        }
-                    }
-                    sources.push(ShardSource::Full);
-                }
-                Err(_) => match self.summary(i) {
-                    Ok(sums) => {
-                        for sum in &sums {
-                            if sum.contains(s) {
-                                bloom.push(sum.block());
-                                delta_hint = delta_hint.min(sum.delta());
-                            }
-                        }
-                        sources.push(ShardSource::Summary);
-                        self.flight(FlightKind::RungChange, || {
-                            format!("shard {i} degraded to summary (rung 2)")
-                        });
-                    }
-                    Err(_) => {
-                        let (start, end) = self.shard_span(i);
-                        unknown.extend((start..end).map(|b| BlockId(b as u32)));
-                        sources.push(ShardSource::Lost);
-                        self.flight(FlightKind::RungChange, || {
-                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)")
-                        });
-                    }
-                },
-            }
-        }
-        DegradedView::new(
-            SubDatasetView::new(s, exact, bloom, delta_hint),
-            unknown,
-            sources,
-        )
+        (self.views_degraded(&[s]).pop()).expect("one view per probe id")
     }
 
     /// Batched [`MetaStore::view_degraded`]: one degraded view per input
@@ -1057,76 +1022,52 @@ impl MetaStore {
     /// once per shard for the whole batch (so the rung bookkeeping — and
     /// any repair-triggering side effects — fire once, not once per id).
     pub fn views_degraded(&mut self, ids: &[SubDatasetId]) -> Vec<DegradedView> {
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_by_key(|&i| ids[i]);
-        let sorted: Vec<SubDatasetId> = order.iter().map(|&i| ids[i]).collect();
-        let mut exact: Vec<Vec<(BlockId, u64)>> = vec![Vec::new(); ids.len()];
-        let mut bloom: Vec<Vec<BlockId>> = vec![Vec::new(); ids.len()];
-        let mut delta: Vec<u64> = vec![u64::MAX; ids.len()];
+        let (views, unknown, sources) = self
+            .walk(ids, false)
+            .expect("only a strict walk stops at an unreadable shard");
         // Shard health is id-independent: one source row and one unknown
         // pool shared by every view in the batch.
+        (views.into_iter())
+            .map(|view| DegradedView::new(view, unknown.clone(), sources.clone()))
+            .collect()
+    }
+
+    /// The store's one read path: fold every shard, in block order, into
+    /// the views of `ids`. A `strict` walk returns the first unreadable
+    /// shard's error; a lenient one steps down the ladder instead and
+    /// cannot fail.
+    fn walk(&mut self, ids: &[SubDatasetId], strict: bool) -> Result<Walk, StoreError> {
+        let mut fold = ViewFold::new(ids);
         let mut unknown = Vec::new();
         let mut sources = Vec::new();
         for i in 0..self.manifest.shard_count() {
-            match self.shard(i) {
+            let unreadable = match self.shard(i) {
                 Ok(maps) => {
-                    for m in maps {
-                        for (k, info) in m.query_batch(&sorted).into_iter().enumerate() {
-                            let at = order[k];
-                            match info {
-                                SizeInfo::Exact(sz) => exact[at].push((m.block(), sz)),
-                                SizeInfo::Approximate => {
-                                    bloom[at].push(m.block());
-                                    delta[at] = delta[at].min(m.bloom_delta_hint());
-                                }
-                                SizeInfo::Absent => {}
-                            }
-                        }
-                    }
+                    fold.fold_maps(maps);
                     sources.push(ShardSource::Full);
+                    continue;
                 }
-                Err(_) => match self.summary(i) {
-                    Ok(sums) => {
-                        for sum in &sums {
-                            for (k, &s) in sorted.iter().enumerate() {
-                                if sum.contains(s) {
-                                    let at = order[k];
-                                    bloom[at].push(sum.block());
-                                    delta[at] = delta[at].min(sum.delta());
-                                }
-                            }
-                        }
-                        sources.push(ShardSource::Summary);
-                        self.flight(FlightKind::RungChange, || {
-                            format!("shard {i} degraded to summary (rung 2)")
-                        });
-                    }
-                    Err(_) => {
-                        let (start, end) = self.shard_span(i);
-                        unknown.extend((start..end).map(|b| BlockId(b as u32)));
-                        sources.push(ShardSource::Lost);
-                        self.flight(FlightKind::RungChange, || {
-                            format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)")
-                        });
-                    }
-                },
+                Err(e) => e,
+            };
+            if strict {
+                return Err(unreadable);
+            }
+            if let Ok(summaries) = self.summary(i) {
+                summaries.iter().for_each(|sum| fold.fold_summary(sum));
+                sources.push(ShardSource::Summary);
+                self.flight(FlightKind::RungChange, || {
+                    format!("shard {i} degraded to summary (rung 2)")
+                });
+            } else {
+                let Range { start, end } = self.shard_span(i);
+                unknown.extend((start..end).map(|b| BlockId(b as u32)));
+                sources.push(ShardSource::Lost);
+                self.flight(FlightKind::RungChange, || {
+                    format!("shard {i} lost, blocks {start}..{end} unknown (rung 3)")
+                });
             }
         }
-        ids.iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                DegradedView::new(
-                    SubDatasetView::new(
-                        id,
-                        std::mem::take(&mut exact[i]),
-                        std::mem::take(&mut bloom[i]),
-                        delta[i],
-                    ),
-                    unknown.clone(),
-                    sources.clone(),
-                )
-            })
-            .collect()
+        Ok((fold.finish(), unknown, sources))
     }
 
     /// Background scrub: verify every copy of every shard and summary,
@@ -1710,6 +1651,102 @@ mod tests {
                 assert!(detail.contains("missing field"), "{detail}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // Every field present, values no reader can work with: 12 blocks in
+        // shards of 5 are 3 shard files (regression: `shard_blocks` 0 opened,
+        // then divided by zero on the first view).
+        for (fields, complaint) in [
+            ("\"shard_blocks\": 0", "shard_blocks"),
+            (
+                "\"shard_blocks\": 5, \"shard_crc\": [1, 2, 3, 4]",
+                "shard_crc",
+            ),
+            (
+                "\"shard_blocks\": 5, \"summary_crc\": [1, 2]",
+                "summary_crc",
+            ),
+            (
+                "\"shard_blocks\": 5, \"tail_crc\": 9, \"shard_crc\": [1]",
+                "shard_crc",
+            ),
+        ] {
+            let json = format!("{{\"blocks\": 12, \"policy\": \"All\", \"version\": 3, {fields}}}");
+            assert!(serde_json::from_slice::<Manifest>(json.as_bytes()).is_err());
+            fs::write(dir.join("manifest.json"), &json).unwrap();
+            match MetaStore::open(&dir, 1) {
+                Err(StoreError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains(complaint), "{json}: {detail}")
+                }
+                other => panic!("{json}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The tail of an ingest store is covered by `tail_crc`, not the list.
+        let tailed = "{\"blocks\": 12, \"policy\": \"All\", \"version\": 3, \"shard_blocks\": 5, \
+                      \"tail_crc\": 9, \"shard_crc\": [1, 2], \"summary_crc\": [1, 2]}";
+        assert!(serde_json::from_slice::<Manifest>(tailed.as_bytes()).is_ok());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A shard (or summary) whose entries do not describe the blocks of its
+    /// span is corrupt, whatever its checksum says: here the manifest CRC
+    /// is rewritten to match the doctored bytes, as a v1 store would accept
+    /// them unchecked.
+    #[test]
+    fn shard_describing_the_wrong_blocks_takes_the_corruption_ladder() {
+        let (dfs, arr) = sample_array();
+        let dir = tmpdir("wrong-block");
+        MetaStore::save(&arr, &dir, 4).unwrap();
+        let manifest_path = dir.join("manifest.json");
+        let mut manifest: Manifest =
+            serde_json::from_slice(&fs::read(&manifest_path).unwrap()).unwrap();
+        let doctor = |file: String| {
+            let text = fs::read_to_string(dir.join(&file)).unwrap();
+            assert!(
+                text.starts_with("[{\"block\":4,"),
+                "{file}: {}",
+                &text[..40]
+            );
+            let bytes = text
+                .replacen("\"block\":4,", "\"block\":999999,", 1)
+                .into_bytes();
+            fs::write(dir.join(file), &bytes).unwrap();
+            crc32(&bytes)
+        };
+        manifest.shard_crc[1] = doctor(shard_file(1));
+        fs::write(
+            &manifest_path,
+            serde_json::to_vec_pretty(&manifest).unwrap(),
+        )
+        .unwrap();
+
+        let s = SubDatasetId(0);
+        let mut store = MetaStore::open(&dir, 2).unwrap();
+        match store.view(s) {
+            Err(StoreError::AllReplicasFailed { shard: 1, detail }) => {
+                assert!(detail.contains("describes block b999999"), "{detail}")
+            }
+            other => panic!("expected AllReplicasFailed, got {other:?}"),
+        }
+        assert!(store.health().checksum_failures > 0);
+        let rung2 = store.view_degraded(s);
+        assert_eq!(rung2.shard_sources()[1], ShardSource::Summary);
+
+        manifest.summary_crc[1] = doctor(summary_file(1));
+        fs::write(
+            &manifest_path,
+            serde_json::to_vec_pretty(&manifest).unwrap(),
+        )
+        .unwrap();
+        let rung3 = MetaStore::open(&dir, 2).unwrap().view_degraded(s);
+        assert_eq!(rung3.shard_sources()[1], ShardSource::Lost);
+        assert_eq!(
+            rung3.unknown_blocks(),
+            (4..8).map(BlockId).collect::<Vec<_>>()
+        );
+        // What the planner indexes the NameNode by stays inside the dataset
+        // (regression: `Algorithm1::new` panicked on block b999999).
+        for view in [&rung2, &rung3] {
+            assert!(view.view().blocks().all(|b| b.index() < dfs.block_count()));
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,12 +2,12 @@
 //! asserting the paper's comparative claims hold in the reproduction —
 //! plus the checkpointed pipeline executor's crash/resume properties.
 
-use datanet::{checkpoint, ElasticMapArray, Separation};
+use datanet::{checkpoint, ElasticMapArray, MetaStore, Separation};
 use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet_analytics::{
-    join_word_count_pipeline, word_count_pipeline, CrashPoint, Pipeline, PipelineEnv,
+    join_word_count_pipeline, word_count_pipeline, CrashPoint, MetaPlane, Pipeline, PipelineEnv,
 };
 use datanet_bench::{movie_dataset, NODES};
 use datanet_check::Scenario;
@@ -222,6 +222,54 @@ fn resume_edges_fresh_store_and_complete_store() {
     assert_eq!(again.resumed_from, Some(pipe.len() as u64 - 1));
     assert!(again.stages.is_empty(), "nothing left to re-execute");
     assert_eq!(again.output, fresh.output);
+}
+
+/// Planning off a replicated `MetaStore` (`MetaPlane::Store`): a healthy
+/// store plans exactly what the in-memory array plans, and a store that
+/// lost one shard *and* its summary on every replica steps down the
+/// degradation ladder — the lost span is scanned through the rung-3
+/// fallback, so the data product does not move.
+#[test]
+fn store_backed_pipeline_matches_the_array_and_degrades_without_changing_the_answer() {
+    let sc = Scenario::from_seed(5);
+    let dfs = sc.build_dfs();
+    let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha));
+    let pipe = Pipeline::new(word_count_pipeline(sc.target_id()));
+    let from_array = pipe
+        .run(
+            &mut PipelineEnv::new(&dfs, &arr),
+            &TmpDirs::new("plane-array", 2).paths(),
+            &Recorder::off(),
+        )
+        .expect("array-planned run");
+
+    let meta = TmpDirs::new("plane-meta", 2);
+    MetaStore::save_replicated(&arr, &meta.paths(), 2).expect("save");
+    let run_from_store = |tag: &str| {
+        let mut store = MetaStore::open_replicated(&meta.paths(), 2).expect("open");
+        let mut env = PipelineEnv::new(&dfs, &arr);
+        env.meta = MetaPlane::Store(&mut store);
+        pipe.run(&mut env, &TmpDirs::new(tag, 2).paths(), &Recorder::off())
+            .expect("store-planned run")
+    };
+
+    let healthy = run_from_store("plane-healthy");
+    assert_eq!(healthy.data_fingerprint(), from_array.data_fingerprint());
+    assert_eq!(healthy.stages.len(), from_array.stages.len());
+    for (h, a) in healthy.stages.iter().zip(&from_array.stages) {
+        assert_eq!(h.sim_secs, a.sim_secs, "stage {}", a.label);
+        assert!(!h.degraded, "stage {}", h.label);
+        assert_eq!(h.unknown_blocks, 0);
+    }
+
+    for dir in meta.paths() {
+        std::fs::remove_file(dir.join("shard-0000.json")).expect("shard 0 exists");
+        std::fs::remove_file(dir.join("summary-0000.json")).expect("summary 0 exists");
+    }
+    let degraded = run_from_store("plane-degraded");
+    assert!(degraded.stages.iter().any(|s| s.degraded));
+    assert!(degraded.stages.iter().any(|s| s.unknown_blocks > 0));
+    assert_eq!(degraded.data_fingerprint(), from_array.data_fingerprint());
 }
 
 /// A differently-named pipeline refuses another pipeline's checkpoints

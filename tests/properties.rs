@@ -6,7 +6,8 @@
 use datanet::planner::BalancePolicy;
 use datanet::{
     plan_aggregation, uniform_baseline_traffic, Algorithm1, BloomFilter, Buckets, ElasticMap,
-    ElasticMapArray, FordFulkersonPlanner, MetaStore, Separation, SizeInfo,
+    ElasticMapArray, FordFulkersonPlanner, IngestConfig, Ingestor, MetaStore, Separation,
+    ShardSource, SizeInfo, SubDatasetView,
 };
 use datanet_dfs::{Block, BlockId, Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_stats::GammaDist;
@@ -316,9 +317,72 @@ fn replicated_store_answers_every_query_like_memory() {
             }
             assert_eq!(store.view(s).expect("view"), arr.view(s), "case {case}");
         }
+        // Every holder folds the same views, batched or one at a time:
+        // random id batches with repeats and absent ids (≥ 20).
+        for _ in 0..4 {
+            let ids: Vec<SubDatasetId> = (0..rng.gen_range(0usize..9))
+                .map(|_| SubDatasetId(rng.gen_range(0u64..26)))
+                .collect();
+            let single: Vec<SubDatasetView> = ids.iter().map(|&s| arr.view(s)).collect();
+            assert_eq!(arr.views(&ids), single, "case {case}: {ids:?}");
+            assert_eq!(store.views(&ids).expect("views"), single, "case {case}");
+            let degraded = store.views_degraded(&ids);
+            assert_eq!(degraded.len(), ids.len());
+            for (d, v) in degraded.iter().zip(&single) {
+                assert_eq!(d.view(), v, "case {case}: {ids:?}");
+                assert!(d.unknown_blocks().is_empty());
+                assert_eq!(d.shard_sources().len(), store.manifest().shard_count());
+                assert!(d
+                    .shard_sources()
+                    .iter()
+                    .all(|&src| src == ShardSource::Full));
+            }
+        }
         // The store never had to repair, fail over or degrade anything.
         assert!(!store.health().any(), "case {case}: {:?}", store.health());
         std::fs::remove_dir_all(&base).expect("cleanup");
+
+        // The ingestor's live view over the same blocks, one of them held
+        // back so later arrivals park as out-of-order deltas: the sealed
+        // prefix answers like its snapshot, each pending delta exactly.
+        let held = rng.gen_range(0..arr.len());
+        let mut ing = Ingestor::new(IngestConfig {
+            compact_every: rng.gen_range(1usize..5),
+            ..IngestConfig::new(Separation::Alpha(0.3))
+        });
+        for b in dfs.blocks().iter().filter(|b| b.id().index() != held) {
+            ing.append(b, 0);
+        }
+        ing.compact();
+        let sealed = ing.snapshot();
+        assert_eq!(
+            sealed.len(),
+            held,
+            "case {case}: nothing past the gap seals"
+        );
+        assert_eq!(ing.pending_blocks(), arr.len() - held - 1);
+        for s in (0..26u64).map(SubDatasetId) {
+            let prefix = sealed.view(s);
+            let mut exact = prefix.exact().to_vec();
+            for b in &dfs.blocks()[held + 1..] {
+                if b.subdataset_bytes(s) > 0 {
+                    exact.push((b.id(), b.subdataset_bytes(s)));
+                }
+            }
+            let want = SubDatasetView::new(s, exact, prefix.bloom().to_vec(), prefix.delta());
+            assert_eq!(
+                ing.view(s),
+                want,
+                "case {case}: {s:?} with block {held} held back"
+            );
+        }
+        ing.append(&dfs.blocks()[held], 0);
+        ing.compact();
+        let full = ing.snapshot();
+        for s in (0..26u64).map(SubDatasetId) {
+            assert_eq!(ing.view(s), full.view(s), "case {case}");
+            assert_eq!(full.view(s), arr.view(s), "case {case}");
+        }
     }
 }
 

@@ -15,7 +15,8 @@
 //!    every completed query's served digest equals a fresh plan's digest
 //!    at the epoch the outcome claims.
 
-use datanet::Separation;
+use datanet::{ElasticMapArray, Separation};
+use datanet_check::{Scenario, ServeEventPlan};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit;
 use datanet_obs::Recorder;
@@ -200,5 +201,48 @@ fn sweep_runs_actually_exercise_the_cache() {
     assert!(
         report.answers.cache_misses >= 2,
         "the epoch bump must force at least one fresh plan per side"
+    );
+}
+
+/// Delta ≡ rebuild on sim-check worlds: after every scripted event of a
+/// corpus scenario with at least two ingest commits and a node loss, the
+/// array `World::apply` grew by pushing the new blocks' maps is — bytes and
+/// symbol table — the from-scratch build over the world's DFS.
+#[test]
+fn world_array_grown_by_commits_equals_a_rebuild_on_corpus_worlds() {
+    let mut covered = 0;
+    for seed in include_str!("corpus/seeds.txt")
+        .lines()
+        .filter_map(|l| l.trim().parse::<u64>().ok())
+    {
+        let sc = Scenario::from_seed(seed);
+        let commits = (sc.serve.events.iter())
+            .filter(|e| matches!(e, ServeEventPlan::Ingest { .. }))
+            .count();
+        if commits < 2 || commits == sc.serve.events.len() {
+            continue;
+        }
+        covered += 1;
+        let policy = Separation::Alpha(sc.alpha);
+        let mut world = World::new(sc.build_dfs(), sc.subdatasets, policy.clone(), sc.seed);
+        for (k, e) in sc.serve.events.iter().enumerate() {
+            world.apply(&match *e {
+                ServeEventPlan::Ingest { blocks, .. } => ServeEvent::IngestCommit { blocks },
+                ServeEventPlan::NodeLoss { node, .. } => ServeEvent::NodeLoss {
+                    node: node % sc.nodes,
+                },
+            });
+            let rebuilt = ElasticMapArray::build_sequential(world.dfs(), &policy);
+            assert_eq!(
+                serde_json::to_string(world.array()).expect("arrays serialise"),
+                serde_json::to_string(&rebuilt).expect("arrays serialise"),
+                "seed {seed}: delta diverged from rebuild after event {k}"
+            );
+            assert_eq!(world.array().symbols(), rebuilt.symbols(), "seed {seed}");
+        }
+    }
+    assert!(
+        covered > 0,
+        "no corpus seed scripts 2 commits and a node loss"
     );
 }
