@@ -22,6 +22,11 @@
 //! degradation-ladder rung mix, the Equation 6 estimate error and the bytes
 //! recovered.
 //!
+//! ```text
+//! faults [--quick] [--json OUT] [--trace OUT]
+//! ```
+//!
+//! `--quick` shrinks both sweeps (two rates, two seeds) for CI.
 //! `--json PATH` additionally writes both sweeps as a JSON report (the CI
 //! degraded-mode smoke job uploads this as an artifact). `--trace PATH`
 //! re-runs one representative detector run (highest crash rate, seed 0)
@@ -34,17 +39,18 @@ use std::fs;
 use std::path::PathBuf;
 
 use datanet::store::MetaStore;
-use datanet::{ElasticMapArray, Separation};
-use datanet_bench::{movie_dataset, quick, Table, NODES};
+use datanet_bench::{usage_error, Fixtures, Flags, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{
-    run_selection, DataNetScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler,
-    SelectionConfig, SelectionOutcome,
+    DataNetScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler, SelectionConfig,
+    SelectionOutcome,
 };
 use datanet_obs::{ObsSummary, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Serialize, Value};
+
+const USAGE: &str = "faults [--quick] [--json OUT] [--trace OUT]";
 
 const SHARD_BLOCKS: usize = 4;
 
@@ -119,15 +125,6 @@ impl Serialize for FaultsReport {
     }
 }
 
-/// Value of `--<flag> PATH`, if given.
-fn path_flag(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 /// Damage `count` shards of a freshly saved 2-replica store. Fate cycles
 /// deterministically: primary-copy corruption (repairable), all-replica
 /// full-copy loss (rung 2) and full loss including summaries (rung 3).
@@ -161,20 +158,19 @@ fn damage_shards(dirs: &[PathBuf], shards: usize, count: usize, rng: &mut StdRng
 }
 
 fn main() {
-    let (dfs, catalog) = movie_dataset(NODES);
-    let hot = catalog.most_reviewed();
-    let truth = dfs.subdataset_distribution(hot);
+    let flags = Flags::from_env(USAGE, &["quick"], &["json", "trace"]);
+    if let [stray, ..] = flags.positional() {
+        usage_error(USAGE, &format!("unexpected argument `{stray}`"));
+    }
+    let f = Fixtures::default();
+    let (dfs, hot, truth, array, view) = (f.dfs(), f.hot(), f.truth(), f.array(), f.view());
     let total = dfs.subdataset_total(hot) as f64;
-    let array = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-    let view = array.view(hot);
     let sel = SelectionConfig::default();
 
     // Fault horizon: crashes land inside the healthy phase.
-    let mut probe = LocalityScheduler::new(&dfs);
-    let healthy_end = run_selection(&dfs, &truth, &mut probe, &sel).end;
-    let horizon = SimTime::from_micros(healthy_end.as_micros().max(1));
+    let horizon = SimTime::from_micros(f.without().end.as_micros().max(1));
 
-    let (rates, seeds): (&[f64], u64) = if quick() {
+    let (rates, seeds): (&[f64], u64) = if flags.switch("quick") {
         (&[0.0, 0.25], 2)
     } else {
         (&[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], 5)
@@ -201,7 +197,7 @@ fn main() {
             let mut sched = mk();
             let out = Exec::default()
                 .faults(&faults)
-                .selection(&dfs, &truth, sched.as_mut(), &sel);
+                .selection(dfs, truth, sched.as_mut(), &sel);
             acc.recovered += out.per_node_bytes.iter().sum::<u64>() as f64 / total;
             acc.survivor_imbalance += survivor_imbalance(&out);
             acc.phase_secs += out.end.as_secs_f64();
@@ -242,13 +238,13 @@ fn main() {
     for &rate in rates {
         let rows = [
             run(rate, "locality", false, &mut || {
-                Box::new(LocalityScheduler::new(&dfs))
+                Box::new(LocalityScheduler::new(dfs))
             }),
             run(rate, "datanet", false, &mut || {
-                Box::new(DataNetScheduler::new(&dfs, &view))
+                Box::new(DataNetScheduler::new(dfs, view))
             }),
             run(rate, "datanet-det", true, &mut || {
-                Box::new(DataNetScheduler::new(&dfs, &view))
+                Box::new(DataNetScheduler::new(dfs, view))
             }),
         ];
         for a in rows {
@@ -298,7 +294,7 @@ fn main() {
                     d
                 })
                 .collect();
-            MetaStore::save_replicated(&array, &[&dirs[0], &dirs[1]], SHARD_BLOCKS).unwrap();
+            MetaStore::save_replicated(array, &[&dirs[0], &dirs[1]], SHARD_BLOCKS).unwrap();
             let mut store = MetaStore::open_replicated(&[&dirs[0], &dirs[1]], 8).unwrap();
             let shards = store.manifest().shard_count();
             acc.shards = shards;
@@ -311,7 +307,7 @@ fn main() {
             );
 
             let scrubbed = store.scrub();
-            let out = Exec::default().selection_resilient(&dfs, hot, &mut store, &sel);
+            let out = Exec::default().selection_resilient(dfs, hot, &mut store, &sel);
             acc.repaired += scrubbed.repaired as f64;
             acc.quarantined += scrubbed.quarantined.len() as f64;
             acc.rung_exact += out.meta.rungs.exact as f64;
@@ -362,19 +358,19 @@ fn main() {
     // the highest swept crash rate, seed 0 — the full
     // crash → suspicion → re-plan lifecycle on one Perfetto timeline.
     let mut obs = None;
-    if let Some(path) = path_flag("--trace") {
+    if let Some(path) = flags.path_flag("trace") {
         let rate = rates.last().copied().unwrap_or(0.5).max(0.25);
         let plan = FaultPlan::random(NODES as usize, 0xFA01, rate, horizon);
         let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
         let rec = Recorder::new();
-        let mut sched = DataNetScheduler::new(&dfs, &view);
+        let mut sched = DataNetScheduler::new(dfs, view);
         let out = Exec::default()
             .rec(&rec)
             .faults(&faults)
-            .selection(&dfs, &truth, &mut sched, &sel);
+            .selection(dfs, truth, &mut sched, &sel);
         let data = rec.take();
         let summary = data.summary(None);
-        fs::write(&path, data.to_chrome_json()).unwrap();
+        fs::write(path, data.to_chrome_json()).unwrap();
         println!(
             "\nwrote Chrome trace to {} ({} spans, {} crash chain(s), {} unclosed, \
              {} straggler(s) / {} idler(s) over {} survivors)",
@@ -389,7 +385,7 @@ fn main() {
         obs = Some(summary);
     }
 
-    if let Some(path) = path_flag("--json") {
+    if let Some(path) = flags.path_flag("json") {
         let report = FaultsReport {
             nodes: NODES,
             seeds,
@@ -397,7 +393,7 @@ fn main() {
             corruption_sweep,
             obs,
         };
-        fs::write(&path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
+        fs::write(path, serde_json::to_vec_pretty(&report).unwrap()).unwrap();
         println!("\nwrote JSON report to {}", path.display());
     }
 }

@@ -16,12 +16,12 @@
 //!   compaction per commit point — every record is summarized exactly
 //!   once.
 //!
-//! As in the core bench, absolute times are machine-dependent, so the
-//! gate is built on the **within-run speedup ratio** (both sides run in
-//! the same process on the same workload, each timed as the minimum over
-//! repetitions) against a committed baseline ± [`INGEST_GATE_TOLERANCE`],
-//! plus the absolute floor [`INGEST_SPEEDUP_FLOOR`]. Ingest throughput
-//! and the durable-commit (epoch persistence) time are reported for the
+//! Absolute times are machine-dependent, so the gate is built on the
+//! **within-run speedup ratio** (both sides run in the same process on
+//! the same workload, each timed as the minimum over repetitions) against
+//! a committed baseline ± [`INGEST_GATE_TOLERANCE`], plus the absolute
+//! floor [`INGEST_SPEEDUP_FLOOR`]. Ingest throughput and the
+//! durable-commit (epoch persistence) time are reported for the
 //! trajectory record but not gated — disk speed has no within-run
 //! baseline.
 
@@ -41,8 +41,8 @@ const ALPHA: f64 = 0.3;
 pub const COMMIT_EVERY: usize = 16;
 
 /// Ratio tolerance of the ingest gate: current ≥ baseline × (1 − 0.20).
-/// Wider than the core gate's 15% — the rebuild side's quadratic scan is
-/// long enough for allocator and page-cache noise to move the ratio more.
+/// This wide because the rebuild side's quadratic scan is long enough for
+/// allocator and page-cache noise to move the ratio.
 pub const INGEST_GATE_TOLERANCE: f64 = 0.20;
 
 /// Absolute floor for the ingest speedup (acceptance criterion): streaming
@@ -195,11 +195,6 @@ impl IngestBenchReport {
             self.ingest_mb_per_s, self.epochs, self.commit_disk_ms
         ));
         s
-    }
-
-    /// Render the human-readable summary table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 
     /// The ingest gate: the speedup ratio must stay within

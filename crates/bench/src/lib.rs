@@ -1,6 +1,8 @@
 //! Shared scaffolding for the reproduction harness: canonical experiment
-//! datasets (scaled versions of the paper's setups) and table-printing
-//! helpers used by the `fig*`/`table*` binaries.
+//! datasets (scaled versions of the paper's setups) and the fixtures,
+//! table printer and flag parser of its three binaries — `repro` (every
+//! paper table/figure and extension study, one section each), `gate` (the
+//! within-run bench gates) and `faults` (the fault-injection sweeps).
 //!
 //! ## Scaling
 //!
@@ -13,24 +15,18 @@
 //! absolute seconds are not comparable to the paper's testbed and are not
 //! meant to be.
 
-pub mod core;
+pub mod flags;
 pub mod ingest;
-pub mod legacy;
+pub mod obs;
 pub mod serve;
 pub mod setup;
 pub mod shuffle;
 pub mod table;
 
-pub use core::{run_core_bench, CoreBenchReport};
+pub use flags::{usage_error, Flags};
 pub use ingest::{run_ingest_bench, IngestBenchReport};
+pub use obs::{run_obs_bench, ObsBenchReport};
 pub use serve::{run_serve_bench, ServeBenchReport};
-pub use setup::{github_dataset, movie_dataset, MOVIE_BLOCKS, NODES};
+pub use setup::{github_dataset, movie_dataset, Fixtures, MOVIE_BLOCKS, NODES};
 pub use shuffle::{run_shuffle_bench, ShuffleBenchReport};
 pub use table::Table;
-
-/// Whether the binary was invoked with `--quick`: CI smoke mode. Binaries
-/// shrink their sweeps (fewer seeds, smaller clusters, fewer rows) so every
-/// figure exercises its full code path in a couple of seconds.
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}

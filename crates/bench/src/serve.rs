@@ -254,11 +254,6 @@ impl ServeBenchReport {
         s
     }
 
-    /// Render the human-readable summary to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// The serve gate. Returns every violated check, empty = pass.
     pub fn gate_against(&self, baseline: &ServeBenchReport) -> Vec<String> {
         let mut violations = Vec::new();

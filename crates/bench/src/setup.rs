@@ -1,7 +1,13 @@
 //! Canonical datasets for the figure/table reproductions.
 
-use datanet_dfs::{Dfs, DfsConfig, Topology};
-use datanet_workloads::{GithubConfig, MoviesConfig};
+use datanet::{ElasticMapArray, Separation, SubDatasetView};
+use datanet_dfs::{Dfs, DfsConfig, SubDatasetId, Topology};
+use datanet_mapreduce::{
+    run_selection, DataNetScheduler, LocalityScheduler, MapScheduler, SelectionConfig,
+    SelectionOutcome,
+};
+use datanet_workloads::{GithubConfig, MovieCatalog, MoviesConfig};
+use std::cell::OnceCell;
 
 /// Cluster size used by the paper's main experiments.
 pub const NODES: u32 = 32;
@@ -15,7 +21,7 @@ pub const BLOCK_SIZE: u64 = 256 * 1024;
 
 /// The movie-review dataset of Section V-A: chronological, Zipf popularity,
 /// release-burst clustering; sized to fill ~256 blocks.
-pub fn movie_dataset(nodes: u32) -> (Dfs, datanet_workloads::MovieCatalog) {
+pub fn movie_dataset(nodes: u32) -> (Dfs, MovieCatalog) {
     let cfg = MoviesConfig {
         movies: 8_000,
         // 256 blocks × 256 kB ≈ 64 MB; mean review 600 B → ~112k records.
@@ -70,6 +76,79 @@ pub fn github_dataset(nodes: u32) -> Dfs {
         },
         records,
     )
+}
+
+/// What most of Section V starts from — the movie dataset on [`NODES`]
+/// nodes, its hot movie, the α = 0.3 meta-data and the two selections the
+/// figures compare. Every member is built at most once per process, on
+/// first use, so a run of many sections pays for each once and a run of
+/// one section pays only for what it reads.
+#[derive(Default)]
+pub struct Fixtures {
+    movies: OnceCell<(Dfs, MovieCatalog)>,
+    truth: OnceCell<Vec<u64>>,
+    array: OnceCell<ElasticMapArray>,
+    view: OnceCell<SubDatasetView>,
+    without: OnceCell<SelectionOutcome>,
+    with: OnceCell<SelectionOutcome>,
+}
+
+impl Fixtures {
+    fn movies(&self) -> &(Dfs, MovieCatalog) {
+        self.movies.get_or_init(|| movie_dataset(NODES))
+    }
+
+    /// The movie dataset on the paper's 32-node cluster.
+    pub fn dfs(&self) -> &Dfs {
+        &self.movies().0
+    }
+
+    /// The catalog the movie dataset was generated from.
+    pub fn catalog(&self) -> &MovieCatalog {
+        &self.movies().1
+    }
+
+    /// The target sub-dataset of Section V: the most-reviewed movie.
+    pub fn hot(&self) -> SubDatasetId {
+        self.catalog().most_reviewed()
+    }
+
+    /// Ground-truth bytes of the hot movie per block.
+    pub fn truth(&self) -> &[u64] {
+        self.truth
+            .get_or_init(|| self.dfs().subdataset_distribution(self.hot()))
+    }
+
+    /// The meta-data at the paper's setting: "we set the value of α in
+    /// Equation 5 to 0.3".
+    pub fn array(&self) -> &ElasticMapArray {
+        self.array
+            .get_or_init(|| ElasticMapArray::build(self.dfs(), &Separation::Alpha(0.3)))
+    }
+
+    /// The Equation 6 view of the hot movie over [`Fixtures::array`].
+    pub fn view(&self) -> &SubDatasetView {
+        self.view.get_or_init(|| self.array().view(self.hot()))
+    }
+
+    fn select(&self, scheduler: &mut dyn MapScheduler) -> SelectionOutcome {
+        let cfg = SelectionConfig::default();
+        run_selection(self.dfs(), self.truth(), scheduler, &cfg)
+    }
+
+    /// Selection of the hot movie under Hadoop's locality scheduling
+    /// ("without DataNet").
+    pub fn without(&self) -> &SelectionOutcome {
+        self.without
+            .get_or_init(|| self.select(&mut LocalityScheduler::new(self.dfs())))
+    }
+
+    /// Selection of the hot movie under Algorithm 1 over
+    /// [`Fixtures::view`] ("with DataNet").
+    pub fn with(&self) -> &SelectionOutcome {
+        self.with
+            .get_or_init(|| self.select(&mut DataNetScheduler::new(self.dfs(), self.view())))
+    }
 }
 
 #[cfg(test)]

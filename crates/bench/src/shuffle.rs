@@ -218,11 +218,6 @@ impl ShuffleBenchReport {
         s
     }
 
-    /// Render the human-readable summary table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// The shuffle gate. Returns every violated check, empty = pass.
     pub fn gate_against(&self, baseline: &ShuffleBenchReport) -> Vec<String> {
         let mut violations = Vec::new();

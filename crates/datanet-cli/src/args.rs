@@ -115,6 +115,7 @@ impl Args {
     ///
     /// # Errors
     /// Names the first unknown flag and lists the accepted ones.
+    #[allow(dead_code)] // its one caller, `datanet bench`, is gone; exercised by tests
     pub fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ArgError> {
         let mut unknown: Vec<&str> = self
             .options

@@ -106,7 +106,6 @@ USAGE:
   datanet check [--seeds N] [--seed-start N] [--corpus FILE] [--shrink]
               [--repro-dir DIR]
   datanet check --repro FILE
-  datanet bench [--quick] [--json OUT.json] [--baseline FILE]
   datanet help
 
 `--trace OUT.json` records the run on the observability plane and writes a
@@ -133,12 +132,6 @@ fixed seeds (one per line, `#` comments); `--shrink` minimises failures
 and writes self-contained repro files into `--repro-dir` (default `.`);
 `--repro FILE` replays such a file.
 
-`datanet bench` runs the core hot-path benchmark (ElasticMap build,
-batched queries, planner) on the paper's 256-block workload, comparing
-against frozen pre-optimization reference implementations. `--json`
-writes the machine-readable report; `--baseline FILE` gates the measured
-speedups against a committed baseline and fails on regression.
-
 `datanet pipeline` runs one of the analysis jobs as a checkpointed
 multi-stage pipeline: every completed stage commits a checksummed,
 epoch-stamped checkpoint into the `--ckpt` replica directories under the
@@ -155,8 +148,8 @@ across reducers (merged back deterministically, so answers never change).
 `--shuffle hash` selects the classic skew- and locality-blind
 `hash(key) % reducers` baseline. Both print an aware-vs-hash comparison:
 network bytes, locality fraction, reduce imbalance and makespan.
-The `shuffle` bench binary (`cargo run --release -p datanet-bench --bin
-shuffle`) gates the reduction ratio in CI.
+The `shuffle` bench gate (`cargo run --release -p datanet-bench --bin
+gate -- shuffle`) gates the reduction ratio in CI.
 
 `datanet serve` runs the multi-tenant serving plane over a seeded query
 stream on the simulated clock: a bounded admission queue with typed
@@ -196,7 +189,6 @@ pub fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError
         Some("trace") => cmd_trace(&args, out),
         Some("top") => cmd_top(&args, out),
         Some("check") => cmd_check(&args, out),
-        Some("bench") => cmd_bench(&args, out),
         Some("help") | None => {
             write!(out, "{USAGE}")?;
             Ok(())
@@ -1025,49 +1017,6 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `datanet bench` — the core hot-path benchmark with optional JSON
-/// report and baseline gating. Flags are validated (and the baseline
-/// parsed) *before* the measurement loop so a typo or a bad baseline
-/// path fails in milliseconds, not after a full bench run.
-fn cmd_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    use datanet_bench::{run_core_bench, CoreBenchReport};
-
-    args.reject_unknown(&["quick", "json", "baseline"])?;
-    let baseline = match args.get("baseline") {
-        None => None,
-        Some(path) => {
-            let raw = std::fs::read_to_string(path)?;
-            let report: CoreBenchReport = serde_json::from_str(&raw)
-                .map_err(|e| ArgError(format!("{path}: not a bench report: {e}")))?;
-            Some((path.to_string(), report))
-        }
-    };
-
-    let report = run_core_bench(args.flag("quick"));
-    write!(out, "{}", report.render())?;
-    if let Some(path) = args.get("json") {
-        let bytes = serde_json::to_vec_pretty(&report)
-            .map_err(|e| ArgError(format!("cannot serialise report: {e}")))?;
-        std::fs::write(path, bytes)?;
-        writeln!(out, "wrote JSON report to {path}")?;
-    }
-    if let Some((path, base)) = baseline {
-        let violations = report.gate_against(&base);
-        if violations.is_empty() {
-            writeln!(out, "perf gate: PASS against {path}")?;
-        } else {
-            for v in &violations {
-                writeln!(out, "perf gate: {v}")?;
-            }
-            return Err(CliError::Check(format!(
-                "{} perf-gate violation(s) against {path}",
-                violations.len()
-            )));
-        }
-    }
-    Ok(())
-}
-
 fn val_u64(v: Option<&Value>) -> u64 {
     match v {
         Some(Value::U64(n)) => *n,
@@ -1657,27 +1606,8 @@ mod tests {
     fn help_prints_usage() {
         let s = run("help").unwrap();
         assert!(s.contains("USAGE"));
-        assert!(s.contains("datanet bench"), "{s}");
         let s = run("").unwrap();
         assert!(s.contains("USAGE"));
-    }
-
-    #[test]
-    fn bench_fails_fast_on_bad_flags_and_baselines() {
-        // All three error paths trip *before* the measurement loop runs,
-        // so this test is milliseconds, not a bench run.
-        let err = run("bench --quik").unwrap_err();
-        assert!(matches!(err, CliError::Args(_)), "{err}");
-        assert!(format!("{err}").contains("--quik"), "{err}");
-
-        let err = run("bench --baseline /nonexistent/base.json").unwrap_err();
-        assert!(matches!(err, CliError::Io(_)), "{err}");
-
-        let bogus = tmp("bogus-baseline.json");
-        std::fs::write(&bogus, b"not json").unwrap();
-        let err = run(&format!("bench --baseline {bogus}")).unwrap_err();
-        assert!(matches!(err, CliError::Args(_)), "{err}");
-        let _ = std::fs::remove_file(&bogus);
     }
 
     #[test]

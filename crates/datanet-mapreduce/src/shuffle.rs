@@ -28,7 +28,7 @@
 //!
 //! The hash baseline ([`ShufflePlan::hash`]) is the classic
 //! `hash(key) % reducers` partitioner: correct, skew-blind, and
-//! locality-blind — exactly what the `datanet-bench --bin shuffle` gate
+//! locality-blind — exactly what the `datanet-bench` `gate shuffle` bench
 //! measures the planner against.
 
 use crate::skewtune::{apportion, fragments_needed, split_even, split_threshold};

@@ -645,4 +645,173 @@ mod tests {
         let min = counts.iter().min().unwrap();
         assert!(max - min <= 1, "counts {counts:?}");
     }
+
+    /// The naive reference the indexed [`DistributionGraph`] is checked
+    /// against: `heaviest`/`lightest` answered by a full scan over every
+    /// block the NameNode knows, per task request.
+    struct RescanGraph {
+        adj_node: Vec<Vec<BlockId>>,
+        holders: Vec<Option<Vec<NodeId>>>,
+        weight: Vec<u64>,
+        remaining: usize,
+    }
+
+    impl RescanGraph {
+        fn from_view(dfs: &Dfs, v: &SubDatasetView) -> Self {
+            let nn = dfs.namenode();
+            let total = nn.block_count();
+            let mut holders: Vec<Option<Vec<NodeId>>> = vec![None; total];
+            let mut weight = vec![0u64; total];
+            let mut adj_node = vec![Vec::new(); nn.node_count()];
+            let mut remaining = 0;
+            for b in v.blocks() {
+                let nodes = nn.replicas(b).to_vec();
+                for &n in &nodes {
+                    adj_node[n.index()].push(b);
+                }
+                holders[b.index()] = Some(nodes);
+                weight[b.index()] = v.weight(b);
+                remaining += 1;
+            }
+            Self {
+                adj_node,
+                holders,
+                weight,
+                remaining,
+            }
+        }
+
+        fn contains(&self, b: BlockId) -> bool {
+            self.holders[b.index()].is_some()
+        }
+
+        fn local_blocks(&self, n: NodeId) -> impl Iterator<Item = BlockId> + '_ {
+            self.adj_node[n.index()]
+                .iter()
+                .copied()
+                .filter(|&b| self.contains(b))
+        }
+
+        fn remaining_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+            self.holders
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| h.is_some())
+                .map(|(i, _)| BlockId(i as u32))
+        }
+
+        fn remove(&mut self, b: BlockId) {
+            self.holders[b.index()] = None;
+            self.remaining -= 1;
+        }
+    }
+
+    /// Algorithm 1 written naively (paced-greedy policy only, no fault
+    /// hooks): the same picks as [`Algorithm1::plan_balanced`], but every
+    /// global candidate is found by rescanning all blocks.
+    fn naive_plan(dfs: &Dfs, v: &SubDatasetView) -> Assignment {
+        let mut graph = RescanGraph::from_view(dfs, v);
+        let m = dfs.namenode().node_count();
+        let target = v.estimated_total() as f64 / m as f64;
+        let mut workloads = vec![0u64; m];
+        let mut assignment = Assignment::new(m);
+        let largest_fit = |g: &RescanGraph,
+                           w: &[u64],
+                           node: NodeId,
+                           cands: &mut dyn Iterator<Item = BlockId>|
+         -> Option<BlockId> {
+            let headroom = (target - w[node.index()] as f64).max(0.0);
+            cands
+                .map(|b| (g.weight[b.index()], b))
+                .filter(|&(wt, _)| wt as f64 <= headroom)
+                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+                .map(|(_, b)| b)
+        };
+        while graph.remaining > 0 {
+            let node = NodeId(
+                (0..m)
+                    .min_by(|&a, &b| {
+                        let rel = |i: usize| {
+                            if target > 0.0 {
+                                workloads[i] as f64 / target
+                            } else {
+                                workloads[i] as f64
+                            }
+                        };
+                        rel(a).partial_cmp(&rel(b)).unwrap().then(a.cmp(&b))
+                    })
+                    .unwrap() as u32,
+            );
+            let global_heaviest = graph
+                .remaining_blocks()
+                .map(|b| (graph.weight[b.index()], b))
+                .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+                .map(|(_, b)| b);
+            let local_fit = largest_fit(&graph, &workloads, node, &mut graph.local_blocks(node));
+            let global_fit =
+                largest_fit(&graph, &workloads, node, &mut global_heaviest.into_iter());
+            let my_headroom = target - workloads[node.index()] as f64;
+            let rescue =
+                global_fit.filter(|&g| {
+                    let beats_local =
+                        local_fit.is_none_or(|l| graph.weight[g.index()] > graph.weight[l.index()]);
+                    beats_local
+                        && graph.holders[g.index()].as_ref().unwrap().iter().all(|h| {
+                            *h != node && target - (workloads[h.index()] as f64) < my_headroom
+                        })
+                });
+            let (block, local) = if let Some(b) = rescue.or(local_fit).or(global_fit) {
+                let local = graph.holders[b.index()].as_ref().unwrap().contains(&node);
+                (b, local)
+            } else {
+                let light = |cands: &mut dyn Iterator<Item = BlockId>| {
+                    cands
+                        .map(|b| (graph.weight[b.index()], b))
+                        .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
+                        .map(|(_, b)| b)
+                };
+                let light_local = light(&mut graph.local_blocks(node));
+                let light_global = light(&mut graph.remaining_blocks()).unwrap();
+                match light_local {
+                    Some(l)
+                        if graph.weight[l.index()]
+                            <= graph.weight[light_global.index()].saturating_mul(4) =>
+                    {
+                        (l, true)
+                    }
+                    _ => (light_global, false),
+                }
+            };
+            let w = graph.weight[block.index()];
+            workloads[node.index()] += w;
+            graph.remove(block);
+            assignment.assign(node, block, w, local);
+        }
+        assignment
+    }
+
+    /// The naive planner and the indexed planner must make identical picks
+    /// on identical views — indexing may only save work, never change a
+    /// plan.
+    #[test]
+    fn indexed_planner_plans_identically_to_naive_rescan() {
+        let recs =
+            (0..6000u64).map(|i| Record::new(SubDatasetId(i % 37), i, 90 + (i % 5) as u32 * 30, i));
+        let dfs = Dfs::write_random(
+            DfsConfig {
+                block_size: 15_000,
+                replication: 3,
+                topology: Topology::single_rack(8),
+                seed: 9,
+            },
+            recs,
+        );
+        let array = ElasticMapArray::build(&dfs, &Separation::Alpha(0.4));
+        for s in 0..37u64 {
+            let v = array.view(SubDatasetId(s));
+            let naive = naive_plan(&dfs, &v);
+            let indexed = Algorithm1::new(&dfs, &v).plan_balanced();
+            assert_eq!(naive, indexed, "plans diverged for sub-dataset {s}");
+        }
+    }
 }
