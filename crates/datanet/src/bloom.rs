@@ -23,6 +23,7 @@
 //! probes modulo the whole bit array — so their membership answers are
 //! bit-for-bit what they were when written.
 
+use crate::wire::{put_var, Reader};
 use datanet_dfs::SubDatasetId;
 use serde::{DeError, Deserialize, Serialize, Value};
 use serde_json::Parser;
@@ -214,13 +215,15 @@ impl Deserialize for BloomFilter {
             None | Some(Value::Null) => 0,
             Some(b) => u64::from_value(b)?,
         };
-        Ok(Self {
+        let filter = Self {
             bits: Vec::<u64>::from_value(field("bits")?)?,
             num_bits: u64::from_value(field("num_bits")?)?,
             num_hashes: u32::from_value(field("num_hashes")?)?,
             items: usize::from_value(field("items")?)?,
             blocks,
-        })
+        };
+        filter.check_shape().map_err(DeError::msg)?;
+        Ok(filter)
     }
 }
 
@@ -255,13 +258,66 @@ impl BloomFilter {
             }
         }
         let missing = |name| DeError::msg(format!("bloom filter missing field `{name}`"));
-        Ok(Self {
+        let filter = Self {
             bits: bits.ok_or_else(|| missing("bits"))?,
             num_bits: num_bits.ok_or_else(|| missing("num_bits"))?,
             num_hashes: num_hashes.ok_or_else(|| missing("num_hashes"))?,
             items: items.ok_or_else(|| missing("items"))?,
             blocks: blocks.flatten().unwrap_or(0),
-        })
+        };
+        filter.check_shape().map_err(DeError::msg)?;
+        Ok(filter)
+    }
+
+    /// What [`BloomFilter::probe`] relies on, checked by every decoder: a
+    /// filter built here has it by construction, one read from bytes this
+    /// build did not write may not. At least one bit and one hash, and
+    /// every probe index inside `bits` — flat probes reach `num_bits`,
+    /// blocked ones `blocks` whole cache lines.
+    fn check_shape(&self) -> Result<(), String> {
+        let words = self.bits.len() as u64;
+        let in_range = if self.blocks == 0 {
+            words.saturating_mul(64) >= self.num_bits
+        } else {
+            words >= self.blocks.saturating_mul(BLOCK_WORDS)
+                && self.blocks.checked_mul(BLOCK_BITS) == Some(self.num_bits)
+        };
+        if self.num_bits >= 1 && self.num_hashes >= 1 && in_range {
+            return Ok(());
+        }
+        Err(format!(
+            "bloom filter shape cannot be probed: {words} words for {} bits, {} hashes, {} blocks",
+            self.num_bits, self.num_hashes, self.blocks
+        ))
+    }
+
+    /// Append the binary form (see [`crate::store`]'s layout table).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_var(out, self.num_bits);
+        put_var(out, u64::from(self.num_hashes));
+        put_var(out, self.items as u64);
+        put_var(out, self.blocks);
+        put_var(out, self.bits.len() as u64);
+        for w in &self.bits {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Decode what [`BloomFilter::encode`] wrote.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (num_bits, num_hashes, items, blocks) = (r.var()?, r.var()?, r.var()?, r.var()?);
+        let words = r.count(8)?;
+        let filter = Self {
+            bits: (r.take(words * 8)?.chunks_exact(8))
+                .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of eight")))
+                .collect(),
+            num_bits,
+            num_hashes,
+            items,
+            blocks,
+        };
+        filter.check_shape()?;
+        Ok(filter)
     }
 }
 

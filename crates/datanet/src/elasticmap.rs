@@ -11,13 +11,15 @@
 //! entries), so a branch-light binary search beats hashing every probe,
 //! stays cache-resident, iterates in deterministic order (which makes the
 //! sharded array build byte-identical to the serial one), and spends zero
-//! bytes on empty hash buckets. On disk the exact side keeps its PR 2
+//! bytes on empty hash buckets. In JSON the exact side keeps its PR 2
 //! object shape (`{"id": size, …}`), so stores written before this layout
-//! load unchanged.
+//! load unchanged; the store's binary shard payload (format version 4)
+//! writes the two arrays as they are.
 
 use crate::bloom::BloomFilter;
 use crate::buckets::{BucketCounter, Buckets};
 use crate::symbol::FastMap;
+use crate::wire::{put_var, Reader};
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use serde::{DeError, Deserialize, Serialize, Value};
 use serde_json::Parser;
@@ -424,6 +426,66 @@ impl ElasticMap {
             bloom_items: bloom_items.ok_or_else(|| missing("bloom_items"))?,
             threshold: threshold.ok_or_else(|| missing("threshold"))?,
             bloom_min_bytes: bloom_min_bytes.flatten(),
+        })
+    }
+
+    /// Append the binary form (see [`crate::store`]'s layout table): the
+    /// exact side as two columns, ids as ascending deltas then sizes.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_var(out, u64::from(self.block.0));
+        put_var(out, self.exact_ids.len() as u64);
+        let mut prev = 0;
+        for id in &self.exact_ids {
+            put_var(out, id.0 - prev);
+            prev = id.0;
+        }
+        for &size in &self.exact_sizes {
+            put_var(out, size);
+        }
+        self.bloom.encode(out);
+        put_var(out, self.bloom_items as u64);
+        put_var(out, self.threshold);
+        match self.bloom_min_bytes {
+            None => put_var(out, 0),
+            Some(min) => {
+                put_var(out, 1);
+                put_var(out, min);
+            }
+        }
+    }
+
+    /// Decode what [`ElasticMap::encode`] wrote. Lookups binary-search the
+    /// exact ids, so a list that does not strictly ascend is an error.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let block = BlockId(r.var()?);
+        let exact = r.count(2)?;
+        let mut exact_ids: Vec<SubDatasetId> = Vec::with_capacity(exact);
+        for _ in 0..exact {
+            let delta: u64 = r.var()?;
+            let id = match exact_ids.last() {
+                None => Some(delta),
+                Some(prev) => prev.0.checked_add(delta).filter(|_| delta > 0),
+            };
+            exact_ids.push(SubDatasetId(
+                id.ok_or_else(|| format!("exact ids of block {block} do not ascend"))?,
+            ));
+        }
+        let mut exact_sizes = Vec::with_capacity(exact);
+        for _ in 0..exact {
+            exact_sizes.push(r.var()?);
+        }
+        Ok(Self {
+            block,
+            exact_ids,
+            exact_sizes,
+            bloom: BloomFilter::decode(r)?,
+            bloom_items: r.var()?,
+            threshold: r.var()?,
+            bloom_min_bytes: match r.var::<u64>()? {
+                0 => None,
+                1 => Some(r.var()?),
+                tag => return Err(format!("bad option tag {tag} in block {block}")),
+            },
         })
     }
 }

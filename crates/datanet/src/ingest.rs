@@ -37,8 +37,8 @@ use crate::distribution::SubDatasetView;
 use crate::elasticmap::{mean_record_buckets, size_table, ElasticMap, Separation, SizeInfo};
 use crate::scan::{ElasticMapArray, SHARD_BLOCKS};
 use crate::store::{
-    crc32, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file, summary_file,
-    BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
+    crc32, encode_blocks, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file,
+    summary_file, BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
 };
 use crate::symbol::FastMap;
 use datanet_dfs::{Block, BlockId, SubDatasetId};
@@ -47,7 +47,6 @@ use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io;
 use std::path::Path;
 
 /// Tuning knobs of a streaming [`Ingestor`].
@@ -477,24 +476,20 @@ impl Ingestor {
         let mut shard_crc = self.durable_shard_crc.clone();
         let mut summary_crc = self.durable_summary_crc.clone();
         let mut writes: Vec<(String, Vec<u8>)> = Vec::new();
-        let encode = |maps: &[ElasticMap], sums: &[BlockSummary]| {
-            let m = serde_json::to_vec(&maps).map_err(io::Error::from)?;
-            let s = serde_json::to_vec(&sums).map_err(io::Error::from)?;
-            Ok::<_, StoreError>((m, s))
+        let encode = |span: std::ops::Range<usize>| {
+            let maps = encode_blocks(&self.sealed.maps()[span.clone()], ElasticMap::encode);
+            let summaries = encode_blocks(&self.summaries[span], BlockSummary::encode);
+            (maps, summaries)
         };
         for i in durable_full..full {
-            let (start, end) = (i * sb, (i + 1) * sb);
-            let (m, s) = encode(&self.sealed.maps()[start..end], &self.summaries[start..end])
-                .expect("in-memory serialization cannot fail");
+            let (m, s) = encode(i * sb..(i + 1) * sb);
             shard_crc.push(crc32(&m));
             summary_crc.push(crc32(&s));
             writes.push((shard_file(i), m));
             writes.push((summary_file(i), s));
         }
         let (tail_crc, tail_summary_crc) = if !blocks.is_multiple_of(sb) {
-            let start = full * sb;
-            let (m, s) = encode(&self.sealed.maps()[start..], &self.summaries[start..])
-                .expect("in-memory serialization cannot fail");
+            let (m, s) = encode(full * sb..blocks);
             let crcs = (Some(crc32(&m)), Some(crc32(&s)));
             writes.push((epoch_file(epoch), m));
             writes.push((epoch_summary_file(epoch), s));

@@ -53,6 +53,7 @@ pub mod retry;
 pub mod scan;
 pub mod store;
 pub mod symbol;
+mod wire;
 
 pub use bipartite::DistributionGraph;
 pub use bloom::BloomFilter;

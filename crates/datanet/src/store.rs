@@ -24,12 +24,62 @@
 //!
 //! Queries stream shard-by-shard through a bounded LRU cache, so a dataset
 //! whose meta-data exceeds memory can still be scanned for a view.
+//!
+//! ## Payload encoding
+//!
+//! Since [`FORMAT_VERSION`] 4 the four shard-resident payloads (`shard-`,
+//! `summary-`, `epoch-NNNN`, `epoch-NNNN-summary`) are **binary**, converted
+//! once at write time so that no read re-parses text (HAIL's upload-time
+//! layout argument): a shard load is a CRC pass plus a few hundred varint
+//! reads instead of a JSON parse of stringified ids and 20-digit bloom
+//! words, and a block costs ≈ 660 B on disk instead of ≈ 2.1 kB. The `.json`
+//! extension is historical — file names did not change with the encoding.
+//! Manifests stay pretty-printed JSON.
+//!
+//! A reader picks the decoder **per file, by its first four bytes**, not by
+//! the manifest's version: an ingest store resumed across the upgrade keeps
+//! its immutable JSON shards from old epochs beside new binary ones under
+//! one v4 manifest, and v1–v3 stores load unchanged. Checksum verification
+//! precedes either decoder and the span/order validation follows both.
+//!
+//! `var` is an unsigned LEB128 varint, `u64le` a raw little-endian word;
+//! fields appear in this order with no padding and nothing may follow the
+//! last entry.
+//!
+//! | payload        | field                | encoding                               |
+//! |----------------|----------------------|----------------------------------------|
+//! | every file     | magic                | 4 bytes `89 44 4E 34` (`\x89DN4`)       |
+//! |                | entries              | `var` count, then that many entries    |
+//! | `ElasticMap`   | block                | `var` (u32)                            |
+//! |                | exact entries        | `var` count *n*                        |
+//! |                | exact ids            | *n* × `var`: first id, then the gap to |
+//! |                |                      | the previous id (≥ 1: strictly rising) |
+//! |                | exact sizes          | *n* × `var`                            |
+//! |                | bloom                | `BloomFilter`                          |
+//! |                | `bloom_items`        | `var`                                  |
+//! |                | `threshold`          | `var`                                  |
+//! |                | `bloom_min_bytes`    | `var` tag 0 (none) or 1, then `var`    |
+//! | `BlockSummary` | block                | `var` (u32)                            |
+//! |                | head, tail           | `BloomFilter` each                     |
+//! |                | δ                    | `var`                                  |
+//! | `BloomFilter`  | `num_bits`           | `var`                                  |
+//! |                | `num_hashes`         | `var` (u32)                            |
+//! |                | `items`              | `var`                                  |
+//! |                | `blocks`             | `var` (0 = flat layout)                |
+//! |                | words                | `var` count *w*, then *w* × `u64le`    |
+//!
+//! Every count is checked against the bytes that remain before anything is
+//! reserved for it, and every decoded filter against the shape its probes
+//! index by; a payload that fails either counts as a corrupt read, exactly
+//! like a checksum mismatch, and takes the same failover → summary → lost
+//! ladder.
 
 use crate::bloom::BloomFilter;
 use crate::degrade::{DegradedView, MetaHealth, ShardSource};
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
 use crate::scan::{ElasticMapArray, ViewFold};
+use crate::wire::{put_var, Reader};
 use datanet_dfs::{BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -46,16 +96,23 @@ use std::path::{Path, PathBuf};
 /// rung-3 (no sidecar to fall back to). Version 2 (flat bloom layout,
 /// hash-map exact sides) also loads unchanged — the per-structure serde
 /// keeps both shapes decodable. Version 3 writes cache-line-blocked bloom
-/// filters, which pre-3 readers would mis-probe, hence the bump.
-pub const FORMAT_VERSION: u32 = 3;
+/// filters, which pre-3 readers would mis-probe, hence the bump. Version 4
+/// writes the shard-resident payloads in the binary encoding of the module
+/// doc's table; the bump makes a v3 build answer
+/// [`StoreError::FutureVersion`] instead of "corrupt". Readers never consult
+/// the version to pick a decoder — each file's first four bytes say which
+/// encoding it holds — so one store may mix JSON payloads written before
+/// the upgrade with binary ones written after; the `.json` in the file
+/// names is historical.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Typed errors of the metadata store.
 #[derive(Debug)]
 pub enum StoreError {
     /// Filesystem failure.
     Io(io::Error),
-    /// A file exists but its contents are invalid: truncated or malformed
-    /// JSON, a checksum mismatch, or fields that fail validation.
+    /// A file exists but its contents are invalid: a truncated or malformed
+    /// payload, a checksum mismatch, or fields that fail validation.
     Corrupt {
         /// Offending file.
         path: PathBuf,
@@ -406,6 +463,24 @@ impl BlockSummary {
         })
     }
 
+    /// Append the binary form (see the module's layout table).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_var(out, u64::from(self.block.0));
+        self.head.encode(out);
+        self.tail.encode(out);
+        put_var(out, self.delta);
+    }
+
+    /// Decode what [`BlockSummary::encode`] wrote.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(Self {
+            block: BlockId(r.var()?),
+            head: BloomFilter::decode(r)?,
+            tail: BloomFilter::decode(r)?,
+            delta: r.var()?,
+        })
+    }
+
     /// The block this summary describes.
     pub fn block(&self) -> BlockId {
         self.block
@@ -470,17 +545,53 @@ fn pull_array<T>(
     Ok(out)
 }
 
-/// Decode a shard-resident array, which must hold one entry per block of
+/// First bytes of a binary shard payload. No JSON document starts with
+/// them, so a reader tells the two encodings apart per file.
+const MAGIC: [u8; 4] = *b"\x89DN4";
+
+/// Encode a shard-resident payload — the one writer of `shard-`,
+/// `summary-` and `epoch-` files: the magic, the entry count, the entries.
+pub(crate) fn encode_blocks<T>(entries: &[T], entry: fn(&T, &mut Vec<u8>)) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    put_var(&mut out, entries.len() as u64);
+    for e in entries {
+        entry(e, &mut out);
+    }
+    out
+}
+
+/// Decode what [`encode_blocks`] wrote after the magic.
+fn decode_blocks<T>(
+    payload: &[u8],
+    entry: fn(&mut Reader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut r = Reader::new(payload);
+    let mut out = Vec::new();
+    for _ in 0..r.count(1)? {
+        out.push(entry(&mut r)?);
+    }
+    r.done()?;
+    Ok(out)
+}
+
+/// Decode a shard-resident payload, which must hold one entry per block of
 /// the shard's `span`, in block order: entry `k` describes block
-/// `span.start + k`. Everything downstream indexes by that position.
+/// `span.start + k`. Everything downstream indexes by that position. The
+/// file's own first bytes choose the decoder — [`MAGIC`] means the binary
+/// payload, anything else the JSON array every earlier version wrote — so
+/// one store may hold both.
 fn pull_blocks<T>(
     bytes: &[u8],
     span: Range<usize>,
     what: &str,
-    item: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+    pull: fn(&mut Parser<'_>) -> serde_json::Result<T>,
+    decode: fn(&mut Reader<'_>) -> Result<T, String>,
     block_of: fn(&T) -> BlockId,
 ) -> Result<Vec<T>, String> {
-    let out = pull_array(bytes, item).map_err(|e| e.to_string())?;
+    let out = match bytes.strip_prefix(&MAGIC) {
+        Some(payload) => decode_blocks(payload, decode)?,
+        None => pull_array(bytes, pull).map_err(|e| e.to_string())?,
+    };
     if out.len() != span.len() {
         return Err(format!(
             "expected {} {what}, found {}",
@@ -590,11 +701,11 @@ impl MetaStore {
         let mut shard_crc = Vec::new();
         let mut summary_crc = Vec::new();
         for chunk in array.maps().chunks(shard_blocks) {
-            let bytes = serde_json::to_vec(&chunk).map_err(io::Error::from)?;
+            let bytes = encode_blocks(chunk, ElasticMap::encode);
             shard_crc.push(crc32(&bytes));
             shard_bytes.push(bytes);
             let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
-            let bytes = serde_json::to_vec(&summaries).map_err(io::Error::from)?;
+            let bytes = encode_blocks(&summaries, BlockSummary::encode);
             summary_crc.push(crc32(&bytes));
             summary_bytes.push(bytes);
         }
@@ -899,6 +1010,7 @@ impl MetaStore {
                 blocks.clone(),
                 "block maps",
                 ElasticMap::pull,
+                ElasticMap::decode,
                 ElasticMap::block,
             )
         }) {
@@ -952,6 +1064,7 @@ impl MetaStore {
                 blocks.clone(),
                 "block summaries",
                 BlockSummary::pull,
+                BlockSummary::decode,
                 BlockSummary::block,
             )
         });
@@ -1193,7 +1306,7 @@ impl MetaStore {
 mod tests {
     use super::*;
     use crate::degrade::Rung;
-    use datanet_dfs::{BlockId, Dfs, DfsConfig, Record, Topology};
+    use datanet_dfs::{Block, BlockId, Dfs, DfsConfig, Record, Topology};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("datanet-store-{tag}-{}", std::process::id()));
@@ -1394,6 +1507,194 @@ mod tests {
             files += 1;
         }
         assert!(files >= 2, "fixture holds shards and summaries");
+    }
+
+    /// Where every varint of a binary payload starts (offsets into the
+    /// whole file) and whether it is a count, from decoding it.
+    fn varints<T>(
+        bytes: &[u8],
+        entry: fn(&mut Reader<'_>) -> Result<T, String>,
+    ) -> Vec<(usize, bool)> {
+        let mut r = Reader::new(bytes.strip_prefix(&MAGIC).expect("binary payload"));
+        for _ in 0..r.count(1).unwrap() {
+            entry(&mut r).unwrap();
+        }
+        r.done().unwrap();
+        let shift = |&(at, count): &(usize, bool)| (at + MAGIC.len(), count);
+        r.vars.iter().map(shift).collect()
+    }
+
+    /// `bytes` with the varint at `at` replaced by `with`.
+    fn splice_varint(bytes: &[u8], at: usize, with: &[u8]) -> Vec<u8> {
+        let len = 1 + bytes[at..].iter().take_while(|&&b| b & 0x80 != 0).count();
+        [&bytes[..at], with, &bytes[at + len..]].concat()
+    }
+
+    fn var_bytes(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_var(&mut out, v);
+        out
+    }
+
+    /// The binary decoder's boundary, for one payload kind: `decode` is the
+    /// store's own entry (sniff, decode, span check) and `used` touches every
+    /// decoded filter the way a query would.
+    fn assert_binary_boundary<T>(
+        good: &[u8],
+        entry: fn(&mut Reader<'_>) -> Result<T, String>,
+        decode: impl Fn(&[u8]) -> Result<Vec<T>, String>,
+        used: impl Fn(&T),
+    ) {
+        assert!(decode(good).is_ok());
+        // No prefix of a payload is a payload.
+        for cut in 0..good.len() {
+            assert!(decode(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(
+            decode(&[good, &[0u8][..]].concat()).is_err(),
+            "trailing byte"
+        );
+        // Flipped bits may still decode (the CRC, not the decoder, catches
+        // a changed size) — to something every probe can use.
+        for_each_damaged(good, |bad| {
+            decode(bad).iter().flatten().for_each(&used);
+        });
+        for (at, is_count) in varints(good, entry) {
+            let value: u64 = Reader::new(&good[at..]).var().unwrap();
+            assert!(
+                decode(&splice_varint(good, at, &[0xFF; 10])).is_err(),
+                "overlong varint at {at}"
+            );
+            for lie in [u64::MAX, value + 1] {
+                let got = decode(&splice_varint(good, at, &var_bytes(lie)));
+                assert!(!is_count || got.is_err(), "count {value} at {at} as {lie}");
+                got.iter().flatten().for_each(&used);
+            }
+        }
+    }
+
+    #[test]
+    fn binary_decode_rejects_damage_without_panicking_or_trusting_counts() {
+        let (_dfs, arr) = sample_array();
+        let maps = &arr.maps()[..2];
+        let shard = encode_blocks(maps, ElasticMap::encode);
+        let summaries: Vec<BlockSummary> = maps[..1].iter().map(BlockSummary::of).collect();
+        let summary = encode_blocks(&summaries, BlockSummary::encode);
+        let decode_maps = |b: &[u8]| {
+            let (pull, decode) = (ElasticMap::pull, ElasticMap::decode);
+            pull_blocks(b, 0..2, "block maps", pull, decode, ElasticMap::block)
+        };
+        let decode_summaries = |b: &[u8]| {
+            let (pull, decode) = (BlockSummary::pull, BlockSummary::decode);
+            pull_blocks(
+                b,
+                0..1,
+                "block summaries",
+                pull,
+                decode,
+                BlockSummary::block,
+            )
+        };
+        assert_eq!(
+            canon(decode_maps(&shard)),
+            Some(serde_json::to_string(&maps).unwrap())
+        );
+        assert_eq!(
+            canon(decode_summaries(&summary)),
+            Some(serde_json::to_string(&summaries).unwrap())
+        );
+        let probes: Vec<SubDatasetId> = (0..8).map(SubDatasetId).collect();
+        assert_binary_boundary(&shard, ElasticMap::decode, decode_maps, |m| {
+            m.query_batch(&probes);
+        });
+        assert_binary_boundary(&summary, BlockSummary::decode, decode_summaries, |s| {
+            assert!(probes.iter().filter(|&&id| s.contains(id)).count() <= probes.len());
+        });
+
+        // Field by field: block, exact count, first id, second id's gap…
+        let vars = varints(&shard, ElasticMap::decode);
+        assert!(maps[0].exact_len() >= 2 && maps[1].bloom_len() > 0);
+        let repeat = splice_varint(&shard, vars[4].0, &[0]);
+        let err = decode_maps(&repeat).unwrap_err();
+        assert!(err.contains("do not ascend"), "{err}");
+        let wrap = splice_varint(&shard, vars[4].0, &var_bytes(u64::MAX));
+        let err = decode_maps(&wrap).unwrap_err();
+        assert!(err.contains("do not ascend"), "{err}");
+        // …and, last in a map with a bloom tail, the option tag and its value.
+        let tag = vars[vars.len() - 2].0;
+        assert_eq!(shard[tag], 1);
+        let err = decode_maps(&splice_varint(&shard, tag, &[2])).unwrap_err();
+        assert!(err.contains("bad option tag 2"), "{err}");
+        let block = splice_varint(&shard, vars[1].0, &var_bytes(1 << 32));
+        assert!(decode_maps(&block).unwrap_err().contains("out of range"));
+    }
+
+    /// Regression: both filters decoded, then `contains` divided by zero
+    /// (no bits) or indexed past `bits` (640 bits, no words).
+    #[test]
+    fn unprobeable_bloom_filters_are_rejected_by_every_decoder() {
+        let literals = [
+            r#"{"bits":[],"num_bits":0,"num_hashes":1,"items":0}"#,
+            r#"{"bits":[],"num_bits":640,"num_hashes":3,"items":0,"blocks":0}"#,
+            // Blocked: too few words; a bit count that is not whole blocks.
+            r#"{"bits":[0,0,0,0,0,0,0],"num_bits":512,"num_hashes":3,"items":0,"blocks":1}"#,
+            r#"{"bits":[0,0,0,0,0,0,0,0],"num_bits":640,"num_hashes":3,"items":0,"blocks":1}"#,
+            r#"{"bits":[0],"num_bits":64,"num_hashes":0,"items":0}"#,
+        ];
+        let dir = tmpdir("unprobeable");
+        fs::create_dir_all(&dir).unwrap();
+        // A v1 store: no checksum stands between these bytes and the decoder.
+        let v1 = r#"{"blocks": 1, "shard_blocks": 1, "policy": "All", "version": 1}"#;
+        fs::write(dir.join("manifest.json"), v1).unwrap();
+        for literal in literals {
+            // The tree decode, also `ElasticMapArray`'s way in.
+            let err = serde_json::from_slice::<BloomFilter>(literal.as_bytes()).unwrap_err();
+            assert!(err.to_string().contains("cannot be probed"), "{err}");
+            let map = format!(
+                r#"[{{"block":0,"exact":{{}},"bloom":{literal},"bloom_items":0,"threshold":0}}]"#
+            );
+            assert!(serde_json::from_slice::<Vec<ElasticMap>>(map.as_bytes()).is_err());
+            // The pull decode, through the store.
+            fs::write(dir.join(shard_file(0)), &map).unwrap();
+            let mut store = MetaStore::open(&dir, 1).unwrap();
+            match store.view(SubDatasetId(7)) {
+                Err(StoreError::AllReplicasFailed { shard: 0, detail }) => {
+                    assert!(detail.contains("cannot be probed"), "{detail}")
+                }
+                other => panic!("{literal}: expected AllReplicasFailed, got {other:?}"),
+            }
+            let lost = store.view_degraded(SubDatasetId(7));
+            assert_eq!(lost.shard_sources(), [ShardSource::Lost]);
+        }
+        // The binary decode: the same shapes as (bits, hashes, blocks, words).
+        for (num_bits, num_hashes, blocks, words) in [
+            (0u64, 1u64, 0u64, 0u64),
+            (640, 3, 0, 0),
+            (512, 3, 1, 7),
+            (640, 3, 1, 8),
+            (64, 0, 0, 1),
+            (u64::MAX, 3, u64::MAX / 512, 8),
+        ] {
+            let mut bytes = MAGIC.to_vec();
+            for v in [1, 0, 0, num_bits, num_hashes, 0, blocks, words] {
+                put_var(&mut bytes, v);
+            }
+            bytes.extend(vec![0; words as usize * 8]);
+            [0u64; 3].iter().for_each(|&v| put_var(&mut bytes, v));
+            fs::write(dir.join(shard_file(0)), &bytes).unwrap();
+            let mut store = MetaStore::open(&dir, 1).unwrap();
+            match store.view(SubDatasetId(7)) {
+                Err(StoreError::AllReplicasFailed { shard: 0, detail }) => {
+                    assert!(detail.contains("cannot be probed"), "{detail}")
+                }
+                other => panic!("{num_bits} bits: expected AllReplicasFailed, got {other:?}"),
+            }
+        }
+        // One word short of unprobeable is fine.
+        let ok = r#"{"bits":[0],"num_bits":64,"num_hashes":1,"items":0}"#;
+        let ok: BloomFilter = serde_json::from_str(ok).unwrap();
+        assert!(!ok.contains(SubDatasetId(7)));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1687,68 +1988,110 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A shard (or summary) whose entries do not describe the blocks of its
-    /// span is corrupt, whatever its checksum says: here the manifest CRC
-    /// is rewritten to match the doctored bytes, as a v1 store would accept
-    /// them unchecked.
-    #[test]
-    fn shard_describing_the_wrong_blocks_takes_the_corruption_ladder() {
-        let (dfs, arr) = sample_array();
-        let dir = tmpdir("wrong-block");
-        MetaStore::save(&arr, &dir, 4).unwrap();
+    /// Rewrite the store in `dir` as format version 3 wrote it: the same
+    /// maps and summaries as JSON arrays under a `version: 3` manifest.
+    fn rewrite_as_v3(arr: &ElasticMapArray, dir: &Path) {
         let manifest_path = dir.join("manifest.json");
         let mut manifest: Manifest =
             serde_json::from_slice(&fs::read(&manifest_path).unwrap()).unwrap();
-        let doctor = |file: String| {
-            let text = fs::read_to_string(dir.join(&file)).unwrap();
-            assert!(
-                text.starts_with("[{\"block\":4,"),
-                "{file}: {}",
-                &text[..40]
+        manifest.version = 3;
+        for (i, chunk) in arr.maps().chunks(manifest.shard_blocks).enumerate() {
+            let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
+            let (maps, summaries) = (
+                serde_json::to_vec(&chunk).unwrap(),
+                serde_json::to_vec(&summaries).unwrap(),
             );
-            let bytes = text
-                .replacen("\"block\":4,", "\"block\":999999,", 1)
-                .into_bytes();
-            fs::write(dir.join(file), &bytes).unwrap();
-            crc32(&bytes)
-        };
-        manifest.shard_crc[1] = doctor(shard_file(1));
-        fs::write(
-            &manifest_path,
-            serde_json::to_vec_pretty(&manifest).unwrap(),
-        )
-        .unwrap();
+            manifest.shard_crc[i] = crc32(&maps);
+            manifest.summary_crc[i] = crc32(&summaries);
+            fs::write(dir.join(shard_file(i)), maps).unwrap();
+            fs::write(dir.join(summary_file(i)), summaries).unwrap();
+        }
+        fs::write(manifest_path, serde_json::to_vec_pretty(&manifest).unwrap()).unwrap();
+    }
 
-        let s = SubDatasetId(0);
-        let mut store = MetaStore::open(&dir, 2).unwrap();
-        match store.view(s) {
-            Err(StoreError::AllReplicasFailed { shard: 1, detail }) => {
-                assert!(detail.contains("describes block b999999"), "{detail}")
+    /// A shard (or summary) whose entries do not describe the blocks of its
+    /// span is corrupt, whatever its checksum says: here the payload is
+    /// re-encoded with its first entry claiming another block and the
+    /// manifest CRC rewritten to match, as a v1 store would accept the bytes
+    /// unchecked — once in the binary encoding, once as a v3 store's JSON.
+    #[test]
+    fn shard_describing_the_wrong_blocks_takes_the_corruption_ladder() {
+        let (dfs, arr) = sample_array();
+        let mut doctored = arr.maps()[4..8].to_vec();
+        let far = Block::new(BlockId(999_999), dfs.block(BlockId(4)).records().to_vec());
+        doctored[0] = ElasticMap::build(&far, arr.policy());
+        let summaries: Vec<BlockSummary> = doctored.iter().map(BlockSummary::of).collect();
+        let cases = [
+            (
+                "binary",
+                encode_blocks(&doctored, ElasticMap::encode),
+                encode_blocks(&summaries, BlockSummary::encode),
+            ),
+            (
+                "json",
+                serde_json::to_vec(&doctored).unwrap(),
+                serde_json::to_vec(&summaries).unwrap(),
+            ),
+        ];
+        for (tag, shard, summary) in cases {
+            let dir = tmpdir(&format!("wrong-block-{tag}"));
+            MetaStore::save(&arr, &dir, 4).unwrap();
+            if tag == "json" {
+                rewrite_as_v3(&arr, &dir);
             }
-            other => panic!("expected AllReplicasFailed, got {other:?}"),
-        }
-        assert!(store.health().checksum_failures > 0);
-        let rung2 = store.view_degraded(s);
-        assert_eq!(rung2.shard_sources()[1], ShardSource::Summary);
+            assert_eq!(
+                fs::read(dir.join(shard_file(1)))
+                    .unwrap()
+                    .starts_with(&MAGIC),
+                tag == "binary"
+            );
+            let manifest_path = dir.join("manifest.json");
+            let mut manifest: Manifest =
+                serde_json::from_slice(&fs::read(&manifest_path).unwrap()).unwrap();
+            manifest.shard_crc[1] = crc32(&shard);
+            fs::write(dir.join(shard_file(1)), &shard).unwrap();
+            fs::write(
+                &manifest_path,
+                serde_json::to_vec_pretty(&manifest).unwrap(),
+            )
+            .unwrap();
 
-        manifest.summary_crc[1] = doctor(summary_file(1));
-        fs::write(
-            &manifest_path,
-            serde_json::to_vec_pretty(&manifest).unwrap(),
-        )
-        .unwrap();
-        let rung3 = MetaStore::open(&dir, 2).unwrap().view_degraded(s);
-        assert_eq!(rung3.shard_sources()[1], ShardSource::Lost);
-        assert_eq!(
-            rung3.unknown_blocks(),
-            (4..8).map(BlockId).collect::<Vec<_>>()
-        );
-        // What the planner indexes the NameNode by stays inside the dataset
-        // (regression: `Algorithm1::new` panicked on block b999999).
-        for view in [&rung2, &rung3] {
-            assert!(view.view().blocks().all(|b| b.index() < dfs.block_count()));
+            let s = SubDatasetId(0);
+            let mut store = MetaStore::open(&dir, 2).unwrap();
+            match store.view(s) {
+                Err(StoreError::AllReplicasFailed { shard: 1, detail }) => {
+                    assert!(
+                        detail.contains("describes block b999999"),
+                        "{tag}: {detail}"
+                    )
+                }
+                other => panic!("{tag}: expected AllReplicasFailed, got {other:?}"),
+            }
+            assert!(store.health().checksum_failures > 0);
+            let rung2 = store.view_degraded(s);
+            assert_eq!(rung2.shard_sources()[1], ShardSource::Summary, "{tag}");
+
+            manifest.summary_crc[1] = crc32(&summary);
+            fs::write(dir.join(summary_file(1)), &summary).unwrap();
+            fs::write(
+                &manifest_path,
+                serde_json::to_vec_pretty(&manifest).unwrap(),
+            )
+            .unwrap();
+            let rung3 = MetaStore::open(&dir, 2).unwrap().view_degraded(s);
+            assert_eq!(rung3.shard_sources()[1], ShardSource::Lost, "{tag}");
+            assert_eq!(
+                rung3.unknown_blocks(),
+                (4..8).map(BlockId).collect::<Vec<_>>()
+            );
+            // What the planner indexes the NameNode by stays inside the
+            // dataset (regression: `Algorithm1::new` panicked on block
+            // b999999).
+            for view in [&rung2, &rung3] {
+                assert!(view.view().blocks().all(|b| b.index() < dfs.block_count()));
+            }
+            fs::remove_dir_all(&dir).unwrap();
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Streaming-ingest integration: the incremental path must be
 //! indistinguishable from a batch build no matter how blocks arrive, and
-//! a FORMAT_VERSION-3 store interrupted mid-ingest must resume from its
-//! last durable epoch without redoing any work.
+//! a store interrupted mid-ingest must resume from its last durable epoch
+//! without redoing any work. (`tests/upgrade.rs` resumes a store an older
+//! format version wrote.)
 
+use datanet::store::FORMAT_VERSION;
 use datanet::{ElasticMapArray, IngestConfig, Ingestor, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit::{write_prefixes, ReplicaDirs};
@@ -75,10 +77,10 @@ fn arrival_order_is_immaterial_after_final_compaction() {
     }
 }
 
-/// A FORMAT_VERSION-3 store left mid-ingest reopens at its last durable
-/// epoch and resumes without re-summarizing any durable block.
+/// A store left mid-ingest reopens at its last durable epoch and resumes
+/// without re-summarizing any durable block.
 #[test]
-fn v3_store_resumes_mid_ingest_without_resummarizing() {
+fn store_resumes_mid_ingest_without_resummarizing() {
     let dfs = sample_dfs(42);
     let dirs = ReplicaDirs::new("ingest-resume", 2);
     let refs = dirs.paths();
@@ -92,9 +94,9 @@ fn v3_store_resumes_mid_ingest_without_resummarizing() {
     assert_eq!(epoch, 1);
     drop(first); // the "crash": everything not committed is gone
 
-    // The store on disk is a plain format-3 store.
+    // The store on disk is a plain current-format store.
     let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
-    assert_eq!(store.manifest().version, 3);
+    assert_eq!(store.manifest().version, FORMAT_VERSION);
     assert_eq!(store.manifest().epoch, 1);
     assert_eq!(store.manifest().blocks, cut);
     store.view(SubDatasetId(0)).unwrap();

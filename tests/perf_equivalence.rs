@@ -6,11 +6,12 @@
 //! - `query_batch` / batched views answer bit-identically to N single
 //!   queries, driven by the same seed corpus the simulation-check
 //!   harness gates on (`tests/corpus/seeds.txt`);
-//! - the store's single-pass shard and summary decode yields exactly what
-//!   the generic tree decode yields, on every shard of that corpus.
+//! - the store's binary shard and summary decode yields exactly the maps
+//!   that were encoded, and exactly what the JSON decode of the same maps
+//!   yields, on every shard of that corpus.
 
-use datanet::store::BlockSummary;
-use datanet::{ElasticMap, ElasticMapArray, MetaStore, Separation};
+use datanet::store::{crc32, BlockSummary};
+use datanet::{ElasticMapArray, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 
 /// A deterministic dataset whose shape (records, sub-dataset skew, block
@@ -124,26 +125,56 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
             _ => Separation::All,
         };
         let arr = ElasticMapArray::build(&dfs, &policy);
-        let dir = root.join(seed.to_string());
-        MetaStore::save(&arr, &dir, 1 + (seed % 5) as usize).expect("save");
-        let mut store = MetaStore::open(&dir, 1).expect("open");
-        for i in 0..store.manifest().shard_count() {
-            let bytes = std::fs::read(dir.join(format!("shard-{i:04}.json"))).expect("shard");
-            let tree: Vec<ElasticMap> = serde_json::from_slice(&bytes).expect("tree decode");
-            let pulled = store.shard(i).expect("store decode");
-            assert_eq!(
-                serde_json::to_string(&pulled).expect("serialise"),
-                serde_json::to_string(&tree).expect("serialise"),
-                "seed {seed}: shard {i} decodes differently"
+        let shard_blocks = 1 + (seed % 5) as usize;
+        // The store as this build writes it, and the same maps as format
+        // version 3 wrote them: JSON arrays under a `version: 3` manifest.
+        let (binary, json) = (
+            root.join(format!("{seed}-v4")),
+            root.join(format!("{seed}-v3")),
+        );
+        MetaStore::save(&arr, &binary, shard_blocks).expect("save");
+        let mut binary = MetaStore::open(&binary, 1).expect("open");
+        let mut manifest = binary.manifest().clone();
+        manifest.version = 3;
+        std::fs::create_dir_all(&json).expect("mkdir");
+        for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
+            let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
+            let maps = serde_json::to_vec(&chunk).expect("serialise");
+            let summaries = serde_json::to_vec(&summaries).expect("serialise");
+            manifest.shard_crc[i] = crc32(&maps);
+            manifest.summary_crc[i] = crc32(&summaries);
+            std::fs::write(json.join(format!("shard-{i:04}.json")), maps).expect("shard");
+            std::fs::write(json.join(format!("summary-{i:04}.json")), summaries).expect("summary");
+        }
+        let manifest = serde_json::to_vec_pretty(&manifest).expect("serialise");
+        std::fs::write(json.join("manifest.json"), manifest).expect("manifest");
+        let mut json = MetaStore::open(&json, 1).expect("open");
+
+        // decode(encode(x)) = x = pull(to_vec(x)), in canonical JSON.
+        let text = |v: serde_json::Result<String>| v.expect("serialise");
+        for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
+            let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
+            let want = (
+                text(serde_json::to_string(&chunk)),
+                text(serde_json::to_string(&summaries)),
             );
-            let bytes = std::fs::read(dir.join(format!("summary-{i:04}.json"))).expect("summary");
-            let tree: Vec<BlockSummary> = serde_json::from_slice(&bytes).expect("tree decode");
-            let pulled = store.summary(i).expect("store decode");
-            assert_eq!(
-                serde_json::to_string(&pulled).expect("serialise"),
-                serde_json::to_string(&tree).expect("serialise"),
-                "seed {seed}: summary {i} decodes differently"
-            );
+            for (encoding, store) in [("binary", &mut binary), ("json", &mut json)] {
+                let file = store.replica_dirs()[0].join(format!("shard-{i:04}.json"));
+                let on_disk = std::fs::read(file).expect("shard file");
+                assert_eq!(on_disk.starts_with(b"["), encoding == "json");
+                let got = (
+                    text(serde_json::to_string(
+                        &store.shard(i).expect("shard decode"),
+                    )),
+                    text(serde_json::to_string(
+                        &store.summary(i).expect("summary decode"),
+                    )),
+                );
+                assert!(
+                    got == want,
+                    "seed {seed}: {encoding} shard or summary {i} decodes differently"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&root);
