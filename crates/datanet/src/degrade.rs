@@ -164,7 +164,7 @@ pub struct MetaHealth {
     pub checksum_failures: usize,
     /// Reads that failed at the I/O or decode layer.
     pub io_failures: usize,
-    /// Same-replica retry attempts after a failed read.
+    /// Back-off rounds: re-reads of a file after every replica failed.
     pub retries: usize,
     /// Fail-overs to another replica directory.
     pub failovers: usize,

@@ -2,9 +2,11 @@
 //!
 //! Three call sites use it:
 //!
-//! 1. **MetaStore replica failover** ([`crate::MetaStore`]): each replica is
-//!    tried `attempts_per_replica` times with an exponential (jittered) sleep
-//!    between attempts before the read fails over to the next replica.
+//! 1. **MetaStore replica failover** ([`crate::MetaStore`]): a read tries
+//!    every replica once and fails over on any error; only when all of them
+//!    failed does it sleep the exponential (jittered) back-off and go round
+//!    again, so each replica is still tried `attempts_per_replica` times at
+//!    most and nothing sleeps while a healthy copy exists.
 //! 2. **Engine re-execution budget** (`datanet-mapreduce`): a [`RetryBudget`]
 //!    counts executions per block; a block whose re-execution count exceeds
 //!    `max_retries` after a crash is abandoned (Hadoop's
@@ -20,8 +22,9 @@ use std::time::Duration;
 
 /// Bounded retry with exponential backoff. The same operation is tried
 /// `attempts_per_replica` times (sleeping between attempts) before the
-/// caller escalates — to the next replica for store reads, to a violation
-/// for checkpoint writes.
+/// caller escalates — to a quarantined shard for store reads (whose one
+/// attempt is a pass over every replica), to a violation for checkpoint
+/// writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per replica / per target (≥ 1).

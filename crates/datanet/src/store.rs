@@ -16,8 +16,9 @@
 //!   ladder instead of rung 3 (see [`crate::degrade`]).
 //!
 //! The [`Manifest`] records a CRC-32 per shard and per summary, so a read
-//! distinguishes corruption from absence. Read paths do bounded same-replica
-//! retries with exponential backoff, then fail over to the next replica;
+//! distinguishes corruption from absence. A read fails over before it backs
+//! off: it tries every replica once and sleeps the (exponential, jittered)
+//! back-off only when all of them failed, for a bounded number of rounds;
 //! shards with no healthy copy anywhere are **quarantined** (subsequent
 //! reads fail fast). A [`MetaStore::scrub`] pass detects bad copies and
 //! repairs them from a healthy replica, HDFS-block-scanner style.
@@ -892,8 +893,14 @@ impl MetaStore {
         Ok(bytes)
     }
 
-    /// Read `file` with bounded retry + backoff per replica, failing over
-    /// across replicas; `decode` validates and parses the verified bytes.
+    /// Read `file` from the first replica that yields it, **failing over
+    /// before backing off**: every replica is tried once, and only when all
+    /// of them failed does the read sleep the back-off and go round again —
+    /// `attempts_per_replica` rounds, so at most that many reads of each
+    /// copy. A checksum mismatch on a fully-read file does not heal by
+    /// waiting, while a healthy replica answers now; with one replica this
+    /// is plain retry-with-backoff. `decode` validates and parses the
+    /// verified bytes.
     fn read_with_failover<T>(
         &mut self,
         shard: usize,
@@ -902,27 +909,27 @@ impl MetaStore {
         decode: impl Fn(&[u8]) -> Result<T, String>,
     ) -> Result<T, StoreError> {
         let mut last = String::from("no replica tried");
-        for d in 0..self.dirs.len() {
-            let path = self.dirs[d].join(file);
-            if d > 0 {
-                self.health.failovers += 1;
-                self.rec.add("meta_failovers", 1);
+        for round in 0..self.retry.attempts_per_replica {
+            if round > 0 {
+                self.health.retries += 1;
+                self.rec.add("meta_retries", 1);
                 self.flight(FlightKind::Retry, || {
-                    format!("failover to replica {d} for {file}")
+                    format!("retry round {round} for {file}: every replica failed")
                 });
+                // Deterministic per-shard jitter: concurrent readers of
+                // different shards never sleep in lockstep.
+                let seed = (shard as u64) << 8;
+                std::thread::sleep(self.retry.backoff_jittered(round, seed));
             }
-            for attempt in 0..self.retry.attempts_per_replica {
-                if attempt > 0 {
-                    self.health.retries += 1;
-                    self.rec.add("meta_retries", 1);
+            for d in 0..self.dirs.len() {
+                if d > 0 {
+                    self.health.failovers += 1;
+                    self.rec.add("meta_failovers", 1);
                     self.flight(FlightKind::Retry, || {
-                        format!("retry {attempt} of {file} on replica {d}")
+                        format!("failover to replica {d} for {file} (round {round})")
                     });
-                    // Deterministic per-(shard, replica) jitter: concurrent
-                    // readers of different shards never sleep in lockstep.
-                    let seed = (shard as u64) << 8 | d as u64;
-                    std::thread::sleep(self.retry.backoff_jittered(attempt, seed));
                 }
+                let path = self.dirs[d].join(file);
                 let outcome = Self::try_read(&path, expect_crc)
                     .and_then(|bytes| decode(&bytes).map_err(ReadFail::Corrupt));
                 match outcome {
@@ -2141,6 +2148,55 @@ mod tests {
         assert!(store.health().checksum_failures > 0);
         assert!(store.health().io_failures > 0);
         assert!(store.quarantined_shards().is_empty());
+        for d in &dirs {
+            let _ = fs::remove_dir_all(d);
+        }
+    }
+
+    /// Attempt-major order: a healthy replica is reached without a sleep,
+    /// and the bound of `attempts_per_replica` reads per copy holds.
+    #[test]
+    fn read_fails_over_before_it_backs_off() {
+        let (_dfs, arr) = sample_array();
+        let reads = |h: &MetaHealth| (h.checksum_failures, h.retries, h.failovers);
+
+        // Replica 0 corrupt, replica 1 healthy, a two-second back-off that
+        // must never be slept.
+        let dirs = replica_dirs("retry-order", 2);
+        let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
+        MetaStore::save_replicated(&arr, &refs, 5).unwrap();
+        fs::write(dirs[0].join(shard_file(0)), b"garbage").unwrap();
+        let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
+        store.set_retry_policy(RetryPolicy {
+            attempts_per_replica: 2,
+            backoff_base_micros: 2_000_000,
+            ..RetryPolicy::default()
+        });
+        let started = std::time::Instant::now();
+        store.shard(0).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_millis(500));
+        let expected = MetaHealth {
+            checksum_failures: 1,
+            failovers: 1,
+            ..MetaHealth::default()
+        };
+        assert_eq!(store.health(), &expected);
+
+        // Both copies corrupt, default policy: round, back-off, round.
+        fs::write(dirs[1].join(shard_file(0)), b"garbage").unwrap();
+        let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
+        assert!(matches!(
+            store.shard(0),
+            Err(StoreError::AllReplicasFailed { shard: 0, .. })
+        ));
+        assert_eq!(reads(store.health()), (4, 1, 2));
+        assert_eq!(store.quarantined_shards(), vec![0]);
+
+        // One replica: retry with back-off, as it always was.
+        let mut solo = MetaStore::open(&dirs[0], 2).unwrap();
+        assert!(solo.shard(0).is_err());
+        assert_eq!(reads(solo.health()), (2, 1, 0));
+        assert_eq!(solo.health().shards_quarantined, 1);
         for d in &dirs {
             let _ = fs::remove_dir_all(d);
         }
