@@ -1572,7 +1572,7 @@ mod tests {
                 decode(&splice_varint(good, at, &[0xFF; 10])).is_err(),
                 "overlong varint at {at}"
             );
-            for lie in [u64::MAX, value + 1] {
+            for lie in [u64::MAX, value.wrapping_add(1)] {
                 let got = decode(&splice_varint(good, at, &var_bytes(lie)));
                 assert!(!is_count || got.is_err(), "count {value} at {at} as {lie}");
                 got.iter().flatten().for_each(&used);
@@ -1588,17 +1588,22 @@ mod tests {
         let summaries: Vec<BlockSummary> = maps[..1].iter().map(BlockSummary::of).collect();
         let summary = encode_blocks(&summaries, BlockSummary::encode);
         let decode_maps = |b: &[u8]| {
-            let (pull, decode) = (ElasticMap::pull, ElasticMap::decode);
-            pull_blocks(b, 0..2, "block maps", pull, decode, ElasticMap::block)
+            pull_blocks(
+                b,
+                0..2,
+                "maps",
+                ElasticMap::pull,
+                ElasticMap::decode,
+                ElasticMap::block,
+            )
         };
         let decode_summaries = |b: &[u8]| {
-            let (pull, decode) = (BlockSummary::pull, BlockSummary::decode);
             pull_blocks(
                 b,
                 0..1,
-                "block summaries",
-                pull,
-                decode,
+                "summaries",
+                BlockSummary::pull,
+                BlockSummary::decode,
                 BlockSummary::block,
             )
         };

@@ -3,7 +3,7 @@
 //! the shared scaffolding they all lean on.
 
 pub mod testkit {
-    //! Shared scaffolding for the durable-store crash-sweep tests.
+    //! Shared scaffolding for the durable-store tests.
     //!
     //! Both the checkpointed-pipeline sweep (`tests/pipeline.rs`) and the
     //! streaming-ingest sweep (`tests/ingest.rs`) exercise the same shape
@@ -13,6 +13,8 @@ pub mod testkit {
     //! resume-point derivation used to be re-derived in each file; they
     //! live here once now.
 
+    use datanet::store::{crc32, BlockSummary, Manifest};
+    use datanet::{ElasticMap, Separation};
     use std::fs;
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +71,56 @@ pub mod testkit {
             Some(stage as u64 - 1)
         } else {
             None
+        }
+    }
+
+    /// What a format-version-3 ingestor left in `dirs` after committing
+    /// `maps` as epoch 1, for the tests that read old stores: the payloads
+    /// are JSON arrays — `shard-`/`summary-` files for the complete shards,
+    /// the partial tail in `epoch-0001.json` (+ summary) — under the same
+    /// `version: 3` manifest twice (`manifest-e0001.json`, `manifest.json`).
+    pub fn write_v3_ingest_store(
+        dirs: &[&Path],
+        maps: &[ElasticMap],
+        policy: &Separation,
+        shard_blocks: usize,
+    ) {
+        let mut manifest = Manifest {
+            blocks: maps.len(),
+            shard_blocks,
+            policy: policy.clone(),
+            version: 3,
+            shard_crc: Vec::new(),
+            summary_crc: Vec::new(),
+            epoch: 1,
+            tail_crc: None,
+            tail_summary_crc: None,
+        };
+        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        for (i, chunk) in maps.chunks(shard_blocks).enumerate() {
+            let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
+            let shard = serde_json::to_vec(&chunk).expect("serialise");
+            let summary = serde_json::to_vec(&summaries).expect("serialise");
+            if chunk.len() == shard_blocks {
+                manifest.shard_crc.push(crc32(&shard));
+                manifest.summary_crc.push(crc32(&summary));
+                files.push((format!("shard-{i:04}.json"), shard));
+                files.push((format!("summary-{i:04}.json"), summary));
+            } else {
+                manifest.tail_crc = Some(crc32(&shard));
+                manifest.tail_summary_crc = Some(crc32(&summary));
+                files.push(("epoch-0001.json".to_string(), shard));
+                files.push(("epoch-0001-summary.json".to_string(), summary));
+            }
+        }
+        let bytes = serde_json::to_vec_pretty(&manifest).expect("serialise");
+        files.push(("manifest-e0001.json".to_string(), bytes.clone()));
+        files.push(("manifest.json".to_string(), bytes));
+        for dir in dirs {
+            fs::create_dir_all(dir).expect("mkdir");
+            for (name, bytes) in &files {
+                fs::write(dir.join(name), bytes).expect("write");
+            }
         }
     }
 

@@ -10,9 +10,11 @@
 //!   that were encoded, and exactly what the JSON decode of the same maps
 //!   yields, on every shard of that corpus.
 
-use datanet::store::{crc32, BlockSummary};
+use datanet::store::BlockSummary;
 use datanet::{ElasticMapArray, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
+use datanet_integration::testkit::{write_v3_ingest_store, ReplicaDirs};
+use std::path::Path;
 
 /// A deterministic dataset whose shape (records, sub-dataset skew, block
 /// size, cluster) is derived from `seed` — small enough to build in
@@ -116,7 +118,7 @@ fn per_block_query_batch_matches_single_queries_across_the_corpus() {
 
 #[test]
 fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
-    let root = std::env::temp_dir().join(format!("datanet-pull-tree-{}", std::process::id()));
+    let text = |v: serde_json::Result<String>| v.expect("serialise");
     for &seed in &corpus_seeds() {
         let dfs = dataset(seed);
         let policy = match seed % 3 {
@@ -128,40 +130,23 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
         let shard_blocks = 1 + (seed % 5) as usize;
         // The store as this build writes it, and the same maps as format
         // version 3 wrote them: JSON arrays under a `version: 3` manifest.
-        let (binary, json) = (
-            root.join(format!("{seed}-v4")),
-            root.join(format!("{seed}-v3")),
-        );
-        MetaStore::save(&arr, &binary, shard_blocks).expect("save");
-        let mut binary = MetaStore::open(&binary, 1).expect("open");
-        let mut manifest = binary.manifest().clone();
-        manifest.version = 3;
-        std::fs::create_dir_all(&json).expect("mkdir");
-        for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
-            let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
-            let maps = serde_json::to_vec(&chunk).expect("serialise");
-            let summaries = serde_json::to_vec(&summaries).expect("serialise");
-            manifest.shard_crc[i] = crc32(&maps);
-            manifest.summary_crc[i] = crc32(&summaries);
-            std::fs::write(json.join(format!("shard-{i:04}.json")), maps).expect("shard");
-            std::fs::write(json.join(format!("summary-{i:04}.json")), summaries).expect("summary");
-        }
-        let manifest = serde_json::to_vec_pretty(&manifest).expect("serialise");
-        std::fs::write(json.join("manifest.json"), manifest).expect("manifest");
-        let mut json = MetaStore::open(&json, 1).expect("open");
+        let dirs = ReplicaDirs::new("binary-json", 2);
+        let (binary, json) = (dirs.paths()[0], dirs.paths()[1]);
+        MetaStore::save(&arr, binary, shard_blocks).expect("save");
+        write_v3_ingest_store(&[json], arr.maps(), &policy, shard_blocks);
+        let first = |dir: &Path| std::fs::read(dir.join("shard-0000.json")).expect("shard 0");
+        assert!(first(json).starts_with(b"[") && !first(binary).starts_with(b"["));
 
         // decode(encode(x)) = x = pull(to_vec(x)), in canonical JSON.
-        let text = |v: serde_json::Result<String>| v.expect("serialise");
+        let mut stores = [("binary", binary), ("json", json)]
+            .map(|(encoding, dir)| (encoding, MetaStore::open(dir, 1).expect("open")));
         for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
             let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
             let want = (
                 text(serde_json::to_string(&chunk)),
                 text(serde_json::to_string(&summaries)),
             );
-            for (encoding, store) in [("binary", &mut binary), ("json", &mut json)] {
-                let file = store.replica_dirs()[0].join(format!("shard-{i:04}.json"));
-                let on_disk = std::fs::read(file).expect("shard file");
-                assert_eq!(on_disk.starts_with(b"["), encoding == "json");
+            for (encoding, store) in &mut stores {
                 let got = (
                     text(serde_json::to_string(
                         &store.shard(i).expect("shard decode"),
@@ -177,5 +162,4 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -5,10 +5,10 @@
 //! beside binary ones from the new — and every epoch must keep answering.
 //! (`tests/compat.rs` holds the committed golden v2 store.)
 
-use datanet::store::{crc32, BlockSummary, Manifest, StoreError};
-use datanet::{ElasticMap, ElasticMapArray, IngestConfig, Ingestor, MetaStore, Separation};
+use datanet::store::StoreError;
+use datanet::{ElasticMapArray, IngestConfig, Ingestor, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
-use datanet_integration::testkit::ReplicaDirs;
+use datanet_integration::testkit::{write_v3_ingest_store, ReplicaDirs};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -34,49 +34,6 @@ fn sample_dfs() -> Dfs {
     Dfs::write_random(cfg, recs)
 }
 
-/// What a version-3 ingestor left after committing `maps` as epoch 1: JSON
-/// `shard-`/`summary-` files for the complete shards, the partial tail in
-/// `epoch-0001.json` (+ summary), and the same `version: 3` manifest twice.
-fn write_v3_ingest_store(dirs: &[&Path], maps: &[ElasticMap]) {
-    let mut manifest = Manifest {
-        blocks: maps.len(),
-        shard_blocks: SHARD_BLOCKS,
-        policy: policy(),
-        version: 3,
-        shard_crc: Vec::new(),
-        summary_crc: Vec::new(),
-        epoch: 1,
-        tail_crc: None,
-        tail_summary_crc: None,
-    };
-    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
-    for (i, chunk) in maps.chunks(SHARD_BLOCKS).enumerate() {
-        let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
-        let shard = serde_json::to_vec(&chunk).expect("serialise");
-        let summary = serde_json::to_vec(&summaries).expect("serialise");
-        if chunk.len() == SHARD_BLOCKS {
-            manifest.shard_crc.push(crc32(&shard));
-            manifest.summary_crc.push(crc32(&summary));
-            files.push((format!("shard-{i:04}.json"), shard));
-            files.push((format!("summary-{i:04}.json"), summary));
-        } else {
-            manifest.tail_crc = Some(crc32(&shard));
-            manifest.tail_summary_crc = Some(crc32(&summary));
-            files.push(("epoch-0001.json".to_string(), shard));
-            files.push(("epoch-0001-summary.json".to_string(), summary));
-        }
-    }
-    let bytes = serde_json::to_vec_pretty(&manifest).expect("serialise");
-    files.push(("manifest-e0001.json".to_string(), bytes.clone()));
-    files.push(("manifest.json".to_string(), bytes));
-    for dir in dirs {
-        std::fs::create_dir_all(dir).expect("mkdir");
-        for (name, bytes) in &files {
-            std::fs::write(dir.join(name), bytes).expect("write");
-        }
-    }
-}
-
 fn files_of(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .expect("replica directory")
@@ -96,7 +53,7 @@ fn v3_ingest_store_resumed_by_this_build_mixes_encodings_and_answers_at_every_ep
     assert!(cut > SHARD_BLOCKS && cut + SHARD_BLOCKS < dfs.block_count());
     let dirs = ReplicaDirs::new("upgrade", 2);
     let refs = dirs.paths();
-    write_v3_ingest_store(&refs, &batch.maps()[..cut]);
+    write_v3_ingest_store(&refs, &batch.maps()[..cut], &policy(), SHARD_BLOCKS);
     let before = files_of(refs[0]);
     assert!(before.contains_key("epoch-0001.json") && before.contains_key("shard-0000.json"));
 
