@@ -1,11 +1,11 @@
-//! The real parallel execution path: run a [`RecordJob`] over per-node
-//! partitions with Rayon, one worker task per virtual node.
+//! The real execution path: run a [`RecordJob`] over per-node partitions,
+//! one map task per virtual node, through `par_iter` — which the vendored
+//! `rayon` stand-in runs one after another, so nothing here is parallel.
 //!
 //! This is the counterpart of the simulated engine for *actual* computation:
 //! partition wall-times measured here exhibit the same imbalance the
 //! simulator predicts (a node with 4× the records takes ≈4× as long),
-//! which the Criterion benchmarks exploit to demonstrate the DataNet win on
-//! real hardware.
+//! which is what the Criterion benchmarks report.
 
 use crate::jobs::RecordJob;
 use datanet::planner::Assignment;
@@ -46,13 +46,13 @@ impl LocalRunReport {
     }
 }
 
-/// Rayon-backed executor.
+/// Executor over per-node partitions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LocalExecutor;
 
 impl LocalExecutor {
-    /// Execute `job` over `partitions` (one map task per partition, run on
-    /// the Rayon pool), then merge and reduce. If the job provides a
+    /// Execute `job` over `partitions` (one map task per partition), then
+    /// merge and reduce. If the job provides a
     /// combiner, each partition's values are compacted map-side before the
     /// merge — the Hadoop combiner optimisation.
     pub fn execute(&self, job: &dyn RecordJob, partitions: &[Vec<Record>]) -> LocalRunReport {

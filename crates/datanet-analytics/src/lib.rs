@@ -5,16 +5,14 @@
 //! * a **cost profile** ([`profiles`]) consumed by the simulated engine in
 //!   `datanet-mapreduce` (used for the Figure 5–7 reproductions), and
 //! * a **real implementation** ([`jobs`], [`executor`]) that maps and
-//!   reduces actual records under Rayon — one worker per virtual node — so
-//!   the imbalance effects can also be observed as genuine wall-clock skew
-//!   on the machine running the benchmarks.
+//!   reduces actual records — one map task per virtual node — so the
+//!   imbalance effects can also be observed as genuine per-partition
+//!   wall-clock skew on the machine running the benchmarks.
 //!
-//! [`session`] (user sessionization) and [`flows`] (network-flow
-//! construction) implement the two motivating analyses from the paper's
-//! introduction as additional sub-dataset applications.
+//! [`session`] (user sessionization) implements a motivating analysis from
+//! the paper's introduction as an additional sub-dataset application.
 
 pub mod executor;
-pub mod flows;
 pub mod jobs;
 pub mod pipeline;
 pub mod profiles;

@@ -25,32 +25,45 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse a raw token stream (no program name). A `--flag` followed by
-    /// another `--option` or the end of the stream is a boolean switch and
-    /// stores the value `"true"` (see [`Args::flag`]).
+    /// Parse a raw token stream (no program name) against the flags the
+    /// command declares, each a space-separated list of names without
+    /// dashes: one of `values` takes the next token, one of `switches`
+    /// stands alone, and every other token is a positional.
     ///
     /// # Errors
-    /// None today; the `Result` is kept so callers are ready for stricter
-    /// parses (duplicate detection, unknown-flag rejection).
-    pub fn parse(tokens: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
-        let mut positional = Vec::new();
-        let mut options = HashMap::new();
-        let mut it = tokens.into_iter().peekable();
+    /// An undeclared `--flag` (a typo fails loudly instead of being silently
+    /// ignored), or a value flag followed by another `--flag` or nothing.
+    pub fn parse(
+        tokens: impl IntoIterator<Item = String>,
+        values: &str,
+        switches: &str,
+    ) -> Result<Self, ArgError> {
+        let declared = |list: &str, key: &str| list.split_whitespace().any(|name| name == key);
+        let mut args = Self::default();
+        let mut it = tokens.into_iter();
         while let Some(tok) = it.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(next) if !next.starts_with("--") => it.next().expect("just peeked"),
-                    _ => "true".to_string(),
-                };
-                options.insert(key.to_string(), value);
+            let Some(key) = tok.strip_prefix("--") else {
+                args.positional.push(tok);
+                continue;
+            };
+            let value = if declared(switches, key) {
+                "true".to_string()
+            } else if declared(values, key) {
+                (it.next().filter(|v| !v.starts_with("--")))
+                    .ok_or_else(|| ArgError(format!("{tok} needs a value")))?
             } else {
-                positional.push(tok);
-            }
+                let accepted: Vec<_> = (values.split_whitespace())
+                    .chain(switches.split_whitespace())
+                    .map(|name| format!("--{name}"))
+                    .collect();
+                return Err(ArgError(format!(
+                    "unknown flag {tok}; accepted flags: {}",
+                    accepted.join(", ")
+                )));
+            };
+            args.options.insert(key.to_string(), value);
         }
-        Ok(Self {
-            positional,
-            options,
-        })
+        Ok(args)
     }
 
     /// Positional argument `i`, if present.
@@ -81,10 +94,9 @@ impl Args {
             .ok_or_else(|| ArgError(format!("missing required --{key} <value>")))
     }
 
-    /// Boolean switch: `--key` alone (or `--key true`) turns it on;
-    /// absent, `--key false` or `--key 0` leave it off.
+    /// Whether the switch `--key` was given.
     pub fn flag(&self, key: &str) -> bool {
-        self.get(key).is_some_and(|v| v != "false" && v != "0")
+        self.options.contains_key(key)
     }
 
     /// Typed flag with a default.
@@ -104,37 +116,8 @@ impl Args {
     }
 
     /// Number of positional arguments.
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
     pub fn positional_len(&self) -> usize {
         self.positional.len()
-    }
-
-    /// Reject any option outside `allowed` — commands with a closed flag
-    /// set call this so a typo (`--quik`) fails loudly instead of being
-    /// silently ignored.
-    ///
-    /// # Errors
-    /// Names the first unknown flag and lists the accepted ones.
-    #[allow(dead_code)] // its one caller, `datanet bench`, is gone; exercised by tests
-    pub fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        let mut unknown: Vec<&str> = self
-            .options
-            .keys()
-            .map(String::as_str)
-            .filter(|k| !allowed.contains(k))
-            .collect();
-        unknown.sort_unstable();
-        match unknown.first() {
-            None => Ok(()),
-            Some(flag) => Err(ArgError(format!(
-                "unknown flag --{flag}; accepted flags: {}",
-                allowed
-                    .iter()
-                    .map(|a| format!("--{a}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ))),
-        }
     }
 }
 
@@ -142,13 +125,18 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(String::from)).expect("parses")
+    fn parse(line: &str, values: &str, switches: &str) -> Result<Args, ArgError> {
+        Args::parse(line.split_whitespace().map(String::from), values, switches)
     }
 
     #[test]
     fn positionals_and_flags() {
-        let a = parse("gen movies --records 100 --seed 7 out.json");
+        let a = parse(
+            "gen movies --records 100 --seed 7 out.json",
+            "records seed",
+            "",
+        )
+        .unwrap();
         assert_eq!(a.positional(0), Some("gen"));
         assert_eq!(a.positional(1), Some("movies"));
         assert_eq!(a.positional(2), Some("out.json"));
@@ -161,39 +149,45 @@ mod tests {
 
     #[test]
     fn valueless_flag_is_a_boolean_switch() {
-        let a = parse("check --shrink --seeds 10 --verbose");
+        let a = parse(
+            "check --shrink --seeds 10 --verbose",
+            "seeds",
+            "shrink verbose",
+        )
+        .unwrap();
         assert!(a.flag("shrink"));
         assert!(a.flag("verbose"));
         assert!(!a.flag("absent"));
-        assert_eq!(a.get("shrink"), Some("true"));
         assert_eq!(a.get_or("seeds", 0usize).unwrap(), 10);
-        let a = parse("check --shrink false");
-        assert!(!a.flag("shrink"));
+        // A switch takes nothing: what follows it is a positional.
+        let a = parse("check --shrink false", "", "shrink").unwrap();
+        assert!(a.flag("shrink"));
+        assert_eq!(a.positional(1), Some("false"));
     }
 
     #[test]
     fn bad_typed_value_is_an_error() {
-        let a = parse("--records nope");
+        let a = parse("--records nope", "records", "").unwrap();
         assert!(a.get_or("records", 1usize).is_err());
     }
 
     #[test]
     fn missing_required_is_an_error() {
-        let a = parse("gen");
+        let a = parse("gen", "alpha", "").unwrap();
         assert!(a.require("alpha").is_err());
         assert!(a.require_positional(3, "file").is_err());
     }
 
     #[test]
     fn bench_switches_round_trip() {
-        let a = parse("bench --quick --json out.json --baseline BENCH_baseline.json");
+        let bench = |line| parse(line, "json baseline", "quick").unwrap();
+        let a = bench("bench --quick --json out.json --baseline BENCH_baseline.json");
         assert_eq!(a.positional(0), Some("bench"));
         assert!(a.flag("quick"));
         assert_eq!(a.get("json"), Some("out.json"));
         assert_eq!(a.get("baseline"), Some("BENCH_baseline.json"));
-        a.reject_unknown(&["quick", "json", "baseline"]).unwrap();
         // Flag order must not matter.
-        let b = parse("bench --baseline BENCH_baseline.json --quick");
+        let b = bench("bench --baseline BENCH_baseline.json --quick");
         assert!(b.flag("quick"));
         assert_eq!(b.get("baseline"), Some("BENCH_baseline.json"));
         assert_eq!(b.get("json"), None);
@@ -201,11 +195,23 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_rejected_with_the_accepted_list() {
-        let a = parse("bench --quik");
-        let err = a
-            .reject_unknown(&["quick", "json", "baseline"])
-            .unwrap_err();
+        let err = parse("bench --quik", "json baseline", "quick").unwrap_err();
         assert!(err.0.contains("--quik"), "{err}");
-        assert!(err.0.contains("--baseline"), "{err}");
+        assert!(err.0.contains("--baseline, --quick"), "{err}");
+        // Nothing is declared by default, the bare `--` included.
+        assert!(parse("help --", "", "").is_err());
+    }
+
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        let scan = |line| parse(line, "dataset meta alpha", "resume");
+        let err = scan("scan --dataset d.json --meta --alpha 0.3").unwrap_err();
+        assert_eq!(err.0, "--meta needs a value");
+        let err = scan("scan --dataset d.json --alpha").unwrap_err();
+        assert_eq!(err.0, "--alpha needs a value");
+        assert_eq!(
+            scan("scan --alpha -0.3").unwrap().get("alpha"),
+            Some("-0.3")
+        );
     }
 }

@@ -99,12 +99,13 @@ USAGE:
               [--mix uniform|skewed|adversarial] [--workers N] [--queue-cap N]
               [--quantum-kb N] [--max-wait-rounds N] [--no-cache]
               [--planner alg1|maxflow] [--ingest-at N[,N...]] [--lose-node I@N]
+              [--round-us N] [--schedule-seed N] [--ingest-blocks N] [--alpha F]
               [--subdatasets N] [--records N] [--nodes N] [--block-kb N]
               [--seed N] [--json OUT.json] [--trace OUT.json]
   datanet trace TRACE.json
   datanet top SNAPSHOT.json [--flight FLIGHT.json]
   datanet check [--seeds N] [--seed-start N] [--corpus FILE] [--shrink]
-              [--repro-dir DIR]
+              [--repro-dir DIR] [--trace OUT.json]
   datanet check --repro FILE
   datanet help
 
@@ -170,33 +171,134 @@ the manifest). `datanet query --epoch N` answers from the frozen
 epoch-N snapshot instead of the live manifest.
 ";
 
-/// Dispatch a command line (tokens exclude the program name).
+/// The observability flags every recording command shares (read by
+/// [`recorder`]); each takes a value.
+const OBS_FLAGS: &str =
+    "trace metrics openmetrics metrics-window-ms flight flight-events query-id tenant";
+
+type Handler = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// What one command accepts: `(name, handler, positional arguments after
+/// the name, flags that take a value, flags that stand alone, whether it
+/// also takes OBS_FLAGS)`, flag names space-separated without dashes.
+type Command = (
+    &'static str,
+    Handler,
+    usize,
+    &'static str,
+    &'static str,
+    bool,
+);
+
+/// Every command, in [`USAGE`] order. [`dispatch`] holds the command line
+/// to the command's row before its handler runs, so a flag the handler
+/// would never read is a usage error, not a silently applied default.
+const COMMANDS: &[Command] = &[
+    (
+        "gen",
+        cmd_gen,
+        1,
+        "out records nodes block-kb seed",
+        "",
+        false,
+    ),
+    (
+        "scan",
+        cmd_scan,
+        0,
+        "dataset meta alpha shard-blocks",
+        "",
+        true,
+    ),
+    (
+        "ingest",
+        cmd_ingest,
+        0,
+        "dataset meta alpha shard-blocks compact-every commit-every",
+        "resume",
+        true,
+    ),
+    (
+        "query",
+        cmd_query,
+        0,
+        "dataset meta subdataset epoch",
+        "",
+        true,
+    ),
+    (
+        "plan",
+        cmd_plan,
+        0,
+        "dataset meta subdataset planner",
+        "",
+        true,
+    ),
+    ("scrub", cmd_scrub, 0, "meta", "", false),
+    (
+        "simulate",
+        cmd_simulate,
+        0,
+        "dataset subdataset job alpha shuffle key-ranges split-factor",
+        "",
+        true,
+    ),
+    (
+        "pipeline",
+        cmd_pipeline,
+        0,
+        "dataset subdataset ckpt job with window-secs alpha json shuffle key-ranges split-factor",
+        "resume",
+        true,
+    ),
+    (
+        "serve",
+        cmd_serve,
+        0,
+        "dataset tenants queries qps gap-us mix workers queue-cap quantum-kb max-wait-rounds \
+         planner ingest-at lose-node round-us schedule-seed ingest-blocks alpha subdatasets \
+         records nodes block-kb seed json",
+        "no-cache",
+        true,
+    ),
+    ("trace", cmd_trace, 1, "", "", false),
+    ("top", cmd_top, 1, "flight", "", false),
+    (
+        "check",
+        cmd_check,
+        0,
+        "seeds seed-start corpus repro-dir repro",
+        "shrink",
+        true,
+    ),
+    ("help", cmd_help, 0, "", "", false),
+];
+
+/// Dispatch a command line (tokens exclude the program name; the command
+/// comes first, none means `help`).
 ///
 /// # Errors
 /// Usage or I/O failures; the caller prints them and exits non-zero.
 pub fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
-    let args = Args::parse(tokens)?;
-    match args.positional(0) {
-        Some("gen") => cmd_gen(&args, out),
-        Some("scan") => cmd_scan(&args, out),
-        Some("ingest") => cmd_ingest(&args, out),
-        Some("query") => cmd_query(&args, out),
-        Some("plan") => cmd_plan(&args, out),
-        Some("scrub") => cmd_scrub(&args, out),
-        Some("simulate") => cmd_simulate(&args, out),
-        Some("pipeline") => cmd_pipeline(&args, out),
-        Some("serve") => cmd_serve(&args, out),
-        Some("trace") => cmd_trace(&args, out),
-        Some("top") => cmd_top(&args, out),
-        Some("check") => cmd_check(&args, out),
-        Some("help") | None => {
-            write!(out, "{USAGE}")?;
-            Ok(())
-        }
-        Some(other) => {
-            Err(ArgError(format!("unknown command `{other}`; try `datanet help`")).into())
-        }
+    let name = tokens.first().map_or("help", String::as_str).to_string();
+    let &(_, run, positionals, values, switches, obs) = (COMMANDS.iter())
+        .find(|row| row.0 == name)
+        .ok_or_else(|| ArgError(format!("unknown command `{name}`; try `datanet help`")))?;
+    let values = format!("{values} {}", if obs { OBS_FLAGS } else { "" });
+    let args = Args::parse(tokens, &values, switches)?;
+    if args.positional_len() > 1 + positionals {
+        return Err(ArgError(format!(
+            "`datanet {name}` takes {positionals} positional argument(s), got {}",
+            args.positional_len() - 1
+        ))
+        .into());
     }
+    run(&args, out)
+}
+
+fn cmd_help(_args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    write!(out, "{USAGE}")?;
+    Ok(())
 }
 
 fn dfs_config(args: &Args) -> Result<DfsConfig, CliError> {
@@ -1613,6 +1715,83 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(run("frobnicate").is_err());
+    }
+
+    /// Regression: `scan --shard-blocs 8` used to write one 64-block shard
+    /// and `scan --meta --alpha 0.3` a store in `./true`, both with exit 0.
+    #[test]
+    fn every_command_rejects_what_its_row_does_not_declare() {
+        for &(name, _, positionals, values, _, obs) in COMMANDS {
+            let err = run(&format!("{name} --no-such-flag 1")).unwrap_err();
+            assert!(matches!(&err, CliError::Args(e) if e.0.contains("--no-such-flag")));
+            let own = values.split_whitespace().next();
+            for flag in own.into_iter().chain(obs.then_some("tenant")) {
+                let err = run(&format!("{name} --{flag}")).unwrap_err();
+                let want = format!("--{flag} needs a value");
+                assert!(matches!(&err, CliError::Args(e) if e.0 == want), "{err}");
+            }
+            let words = "x ".repeat(positionals + 1);
+            let err = run(&format!("{name} {words}")).unwrap_err();
+            assert!(matches!(&err, CliError::Args(e) if e.0.contains("positional")));
+        }
+        let err = run("scan --dataset d.json --meta m --shard-blocs 8").unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --shard-blocs"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("--shard-blocks"), "{err}");
+        let err = run("scan --dataset d.json --meta --alpha 0.3").unwrap_err();
+        assert!(err.to_string().contains("--meta needs a value"), "{err}");
+    }
+
+    /// The synopsis block of `USAGE` and `COMMANDS` declare the same
+    /// commands, positionals, value flags and switches (`--trace` standing
+    /// for the whole observability set).
+    #[test]
+    fn usage_and_the_command_table_agree() {
+        use std::collections::{BTreeMap, BTreeSet};
+        type Row<'a> = (usize, BTreeSet<&'a str>, BTreeSet<&'a str>);
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let synopsis = synopsis.split("\n\n").next().unwrap();
+        let mut usage: BTreeMap<&str, Row> = BTreeMap::new();
+        let mut name = "";
+        let mut words = synopsis.split_whitespace();
+        while let Some(word) = words.next() {
+            if word == "datanet" {
+                name = words.next().unwrap();
+                usage.entry(name).or_default();
+                continue;
+            }
+            let row = usage.get_mut(name).unwrap();
+            match word.trim_start_matches('[').strip_prefix("--") {
+                Some(switch) if switch.ends_with(']') => {
+                    row.2.insert(switch.trim_end_matches(']'));
+                }
+                Some(flag) => {
+                    row.1.insert(flag);
+                    words.next().expect("a value flag names its value");
+                }
+                None if word == "|" => {}
+                None => row.0 += 1,
+            }
+        }
+        let table: BTreeMap<&str, Row> = (COMMANDS.iter())
+            .map(|&(name, _, positionals, values, switches, obs)| {
+                let values = values.split_whitespace().chain(obs.then_some("trace"));
+                let row = (
+                    positionals,
+                    values.collect(),
+                    switches.split_whitespace().collect(),
+                );
+                (name, row)
+            })
+            .collect();
+        assert_eq!(table.len(), COMMANDS.len(), "a command is listed twice");
+        assert_eq!(usage, table);
+        // The shared set is spelled out once, in the paragraph under it.
+        for flag in OBS_FLAGS.split_whitespace() {
+            assert!(USAGE.contains(&format!("`--{flag}")), "--{flag}");
+        }
     }
 
     #[test]

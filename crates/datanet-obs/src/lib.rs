@@ -53,7 +53,6 @@ mod hist;
 mod metrics;
 mod recorder;
 mod summary;
-mod sync;
 mod trace;
 
 pub use context::QueryCtx;

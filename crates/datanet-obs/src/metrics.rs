@@ -37,9 +37,10 @@
 //! series at `begin` and park them in a generation-tagged slab, making
 //! `end` a slab read plus the bumps. Per-window storage is a sorted
 //! vector with an O(1) fast path for the common case of time moving
-//! forward, and the whole registry sits behind a spinlock
-//! ([`crate::sync::SpinLock`]) because the critical sections are
-//! nanosecond-scale.
+//! forward. The whole registry sits behind one `std::sync::Mutex`, like
+//! the trace and flight planes: measured against the spinlock it
+//! replaced, the lock is not what a metered event costs — the front
+//! caches are (DESIGN.md §16).
 
 use crate::hist::FibHistogram;
 use crate::recorder::{Category, Domain, SpanCtx};

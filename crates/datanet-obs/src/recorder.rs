@@ -18,10 +18,9 @@
 use crate::context::QueryCtx;
 use crate::flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 use crate::metrics::{MetricsData, MetricsSnapshot};
-use crate::sync::SpinLock;
 use crate::trace::{GaugeSample, InstantEvent, Span, TraceData};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which clock an event's timestamps belong to.
@@ -183,10 +182,18 @@ impl SpanCtx {
 #[derive(Debug, Clone)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<TraceData>>>,
-    metrics: Option<Arc<SpinLock<MetricsData>>>,
+    metrics: Option<Arc<Mutex<MetricsData>>>,
     flight: Option<Arc<Mutex<FlightRing>>>,
     query: Option<Arc<QueryCtx>>,
     epoch: Instant,
+}
+
+/// Lock the metrics registry, through a poisoned mutex too: the registry's
+/// only panics are the span-shape asserts, which fire before anything is
+/// written, so the data a panicking holder leaves behind is whole and one
+/// bad span cannot wedge every other handle.
+fn registry(metrics: &Mutex<MetricsData>) -> MutexGuard<'_, MetricsData> {
+    metrics.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Recorder {
@@ -217,7 +224,7 @@ impl Recorder {
     /// microseconds per window). Works on an enabled *or* disabled
     /// recorder — metrics without traces is the cheap always-on mode.
     pub fn with_metrics(mut self, window_us: u64) -> Self {
-        self.metrics = Some(Arc::new(SpinLock::new(MetricsData::new(window_us))));
+        self.metrics = Some(Arc::new(Mutex::new(MetricsData::new(window_us))));
         self
     }
 
@@ -328,7 +335,7 @@ impl Recorder {
             let (sq, st) = self.scope_parts();
             let query = ctx.query.or(sq);
             let tenant = ctx.tenant.as_deref().or(st);
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.open_span(cat, name, domain, start_us, ctx.node, query, tenant);
             if let Some(n) = ctx.note {
                 m.set_open_note(id, n);
@@ -361,7 +368,7 @@ impl Recorder {
             let Some(metrics) = &self.metrics else { return };
             // Checkpoint commits are flight-worthy; the registry hands
             // the resolved strings back (rare, off the warm path).
-            let fl = metrics.lock().close_span(
+            let fl = registry(metrics).close_span(
                 span.0 & !SpanId::METRICS_BIT,
                 end_us,
                 note,
@@ -405,9 +412,7 @@ impl Recorder {
             (s.cat, s.name.clone(), s.domain, s.start_us, s.ctx.clone())
         };
         if let Some(metrics) = &self.metrics {
-            metrics
-                .lock()
-                .meter_span(cat, &name, domain, start_us, end_us, &ctx);
+            registry(metrics).meter_span(cat, &name, domain, start_us, end_us, &ctx);
         }
         self.flight_from_span(cat, &name, domain, end_us, &ctx);
     }
@@ -459,9 +464,7 @@ impl Recorder {
             let (sq, st) = self.scope_parts();
             let query = ctx.query.or(sq);
             let tenant = ctx.tenant.as_deref().or(st);
-            metrics
-                .lock()
-                .meter_instant(cat, name, domain, at_us, query, tenant);
+            registry(metrics).meter_instant(cat, name, domain, at_us, query, tenant);
         }
         if let Some(kind) = kind {
             self.flight_stamped(kind, domain, at_us, &ctx, name.to_string());
@@ -527,7 +530,7 @@ impl Recorder {
         }
         if let Some(metrics) = &self.metrics {
             let (q, t) = self.scope_parts();
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.fast_counter_id(counter, q, t);
             m.counter_add(id, delta);
         }
@@ -547,7 +550,7 @@ impl Recorder {
         }
         if let Some(metrics) = &self.metrics {
             let (q, t) = self.scope_parts();
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.fast_counter_id(counter, q, t);
             m.counter_add_at(id, sim_us, delta);
         }
@@ -566,7 +569,7 @@ impl Recorder {
         }
         if let Some(metrics) = &self.metrics {
             let (q, t) = self.scope_parts();
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.scoped_gauge_id(name, q, t);
             match domain {
                 // Sim timestamps are deterministic → windowed history.
@@ -592,7 +595,7 @@ impl Recorder {
         }
         if let Some(metrics) = &self.metrics {
             let (q, t) = self.scope_parts();
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.fast_hist_id(hist, q, t);
             m.hist_observe(id, value);
         }
@@ -615,7 +618,7 @@ impl Recorder {
         }
         if let Some(metrics) = &self.metrics {
             let (q, t) = self.scope_parts();
-            let mut m = metrics.lock();
+            let mut m = registry(metrics);
             let id = m.fast_hist_id(hist, q, t);
             m.hist_observe_at(id, sim_us, value);
         }
@@ -624,7 +627,7 @@ impl Recorder {
     /// Freeze the metrics registry into a snapshot; `None` when no
     /// registry is attached.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.lock().snapshot())
+        self.metrics.as_ref().map(|m| registry(m).snapshot())
     }
 
     /// Dump the flight ring; `None` when no ring is attached.
@@ -780,6 +783,30 @@ mod tests {
         let s = rec.begin(Category::Task, "t", Domain::Sim, 0, SpanCtx::default());
         rec.end(s, 1);
         rec.end(s, 2);
+    }
+
+    /// A span-shape assert firing inside the registry must not wedge the
+    /// handles other threads hold.
+    #[test]
+    fn a_panic_inside_the_registry_leaves_other_handles_working() {
+        let rec = Recorder::off().with_metrics(1_000);
+        rec.add("before", 1);
+        let clone = rec.clone();
+        let died = std::thread::spawn(move || {
+            let s = clone.begin(Category::Task, "t", Domain::Sim, 0, SpanCtx::default());
+            clone.end(s, 1);
+            clone.end(s, 2);
+        })
+        .join();
+        assert!(died.is_err(), "the double close panics");
+        let s = rec.begin(Category::Task, "t", Domain::Sim, 10, SpanCtx::default());
+        rec.end(s, 30);
+        rec.add("after", 1);
+        let snap = rec.metrics_snapshot().unwrap();
+        assert_eq!(snap.counters["before"], 1);
+        assert_eq!(snap.counters["after"], 1);
+        let spans = &snap.hists["span_us{cat=\"task\",clock=\"sim\",name=\"t\"}"];
+        assert_eq!((spans.count, spans.sum), (2, 21));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 use crate::wire::{put_var, Reader};
 use datanet_dfs::SubDatasetId;
 use serde::{DeError, Deserialize, Serialize, Value};
-use serde_json::Parser;
 
 /// Bits per cache-line block: 8 × 64 = one x86/ARM cache line.
 const BLOCK_BITS: u64 = 512;
@@ -228,47 +227,6 @@ impl Deserialize for BloomFilter {
 }
 
 impl BloomFilter {
-    /// Decode a filter straight off the tokenizer: what
-    /// [`Deserialize::from_value`] makes of the same bytes, without the tree
-    /// in between (shard reads decode one filter per block).
-    pub(crate) fn pull(r: &mut Parser<'_>) -> serde_json::Result<Self> {
-        r.begin(b'{', "bloom filter object")?;
-        let (mut bits, mut num_bits, mut num_hashes, mut items, mut blocks) =
-            (None, None, None, None, None);
-        while r.more(b'}')? {
-            // A repeated field decodes like an unknown one: the first wins.
-            match &*r.key()? {
-                "bits" if bits.is_none() => {
-                    let mut words = Vec::new();
-                    r.begin(b'[', "array")?;
-                    while r.more(b']')? {
-                        words.push(r.u64()?);
-                    }
-                    bits = Some(words);
-                }
-                "num_bits" if num_bits.is_none() => num_bits = Some(r.u64()?),
-                "num_hashes" if num_hashes.is_none() => {
-                    num_hashes = Some(u32::from_value(&r.value()?)?);
-                }
-                "items" if items.is_none() => items = Some(usize::from_value(&r.value()?)?),
-                "blocks" if blocks.is_none() => {
-                    blocks = Some(Option::<u64>::from_value(&r.value()?)?);
-                }
-                _ => drop(r.value()?),
-            }
-        }
-        let missing = |name| DeError::msg(format!("bloom filter missing field `{name}`"));
-        let filter = Self {
-            bits: bits.ok_or_else(|| missing("bits"))?,
-            num_bits: num_bits.ok_or_else(|| missing("num_bits"))?,
-            num_hashes: num_hashes.ok_or_else(|| missing("num_hashes"))?,
-            items: items.ok_or_else(|| missing("items"))?,
-            blocks: blocks.flatten().unwrap_or(0),
-        };
-        filter.check_shape().map_err(DeError::msg)?;
-        Ok(filter)
-    }
-
     /// What [`BloomFilter::probe`] relies on, checked by every decoder: a
     /// filter built here has it by construction, one read from bytes this
     /// build did not write may not. At least one bit and one hash, and

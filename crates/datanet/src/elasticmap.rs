@@ -22,7 +22,6 @@ use crate::symbol::FastMap;
 use crate::wire::{put_var, Reader};
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use serde::{DeError, Deserialize, Serialize, Value};
-use serde_json::Parser;
 
 /// How to split a block's sub-datasets between the exact side and the bloom
 /// filter.
@@ -378,57 +377,6 @@ impl Deserialize for ElasticMap {
 }
 
 impl ElasticMap {
-    /// Decode a map straight off the tokenizer: what
-    /// [`Deserialize::from_value`] makes of the same bytes, without the tree
-    /// in between. The exact side is an object keyed by stringified ids, so
-    /// a tree decode allocates one `String` per dominant sub-dataset; here
-    /// each key is parsed where it lies in the input.
-    pub(crate) fn pull(r: &mut Parser<'_>) -> serde_json::Result<Self> {
-        r.begin(b'{', "elastic map object")?;
-        let (mut block, mut exact, mut bloom) = (None, None, None);
-        let (mut bloom_items, mut threshold, mut bloom_min_bytes) = (None, None, None);
-        while r.more(b'}')? {
-            // A repeated field decodes like an unknown one: the first wins.
-            match &*r.key()? {
-                "block" if block.is_none() => block = Some(BlockId::from_value(&r.value()?)?),
-                "exact" if exact.is_none() => {
-                    let mut entries: Vec<(SubDatasetId, u64)> = Vec::new();
-                    r.begin(b'{', "exact size object")?;
-                    while r.more(b'}')? {
-                        let k = r.key()?;
-                        let id = k
-                            .parse::<u64>()
-                            .map_err(|e| DeError::msg(format!("bad sub-dataset key `{k}`: {e}")))?;
-                        entries.push((SubDatasetId(id), r.u64()?));
-                    }
-                    exact = Some(entries);
-                }
-                "bloom" if bloom.is_none() => bloom = Some(BloomFilter::pull(r)?),
-                "bloom_items" if bloom_items.is_none() => {
-                    bloom_items = Some(usize::from_value(&r.value()?)?);
-                }
-                "threshold" if threshold.is_none() => threshold = Some(r.u64()?),
-                "bloom_min_bytes" if bloom_min_bytes.is_none() => {
-                    bloom_min_bytes = Some(Option::<u64>::from_value(&r.value()?)?);
-                }
-                _ => drop(r.value()?),
-            }
-        }
-        let missing = |name| DeError::msg(format!("elastic map missing field `{name}`"));
-        let mut exact = exact.ok_or_else(|| missing("exact"))?;
-        exact.sort_unstable_by_key(|&(id, _)| id);
-        let (exact_ids, exact_sizes) = exact.into_iter().unzip();
-        Ok(Self {
-            block: block.ok_or_else(|| missing("block"))?,
-            exact_ids,
-            exact_sizes,
-            bloom: bloom.ok_or_else(|| missing("bloom"))?,
-            bloom_items: bloom_items.ok_or_else(|| missing("bloom_items"))?,
-            threshold: threshold.ok_or_else(|| missing("threshold"))?,
-            bloom_min_bytes: bloom_min_bytes.flatten(),
-        })
-    }
-
     /// Append the binary form (see [`crate::store`]'s layout table): the
     /// exact side as two columns, ids as ascending deltas then sizes.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {

@@ -137,7 +137,7 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
         let first = |dir: &Path| std::fs::read(dir.join("shard-0000.json")).expect("shard 0");
         assert!(first(json).starts_with(b"[") && !first(binary).starts_with(b"["));
 
-        // decode(encode(x)) = x = pull(to_vec(x)), in canonical JSON.
+        // decode(encode(x)) = x = from_slice(to_vec(x)), in canonical JSON.
         let mut stores = [("binary", binary), ("json", json)]
             .map(|(encoding, dir)| (encoding, MetaStore::open(dir, 1).expect("open")));
         for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
