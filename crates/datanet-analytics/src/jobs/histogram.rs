@@ -40,11 +40,6 @@ impl RecordJob for AggregateHistogram {
     fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
         values.iter().sum()
     }
-
-    /// Counting is associative: partial sums combine losslessly.
-    fn combine(&self, _key: u64, values: &[f64]) -> Option<Vec<f64>> {
-        Some(vec![values.iter().sum()])
-    }
 }
 
 #[cfg(test)]

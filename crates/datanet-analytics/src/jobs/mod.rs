@@ -3,7 +3,7 @@
 //! The common [`RecordJob`] interface is a deliberately small MapReduce:
 //! map emits `(u64 key, f64 value)` pairs per record, reduce folds the
 //! values of one key. This is enough to express all four applications while
-//! staying object-safe for the Rayon executor.
+//! staying object-safe ([`crate::pipeline::AggJob`] boxes one per stage).
 
 mod histogram;
 mod moving_average;
@@ -19,7 +19,7 @@ use datanet_dfs::Record;
 use datanet_mapreduce::JobProfile;
 
 /// A MapReduce application over records.
-pub trait RecordJob: Sync {
+pub trait RecordJob {
     /// Job name (matches the profile name).
     fn name(&self) -> &str;
 
@@ -31,15 +31,6 @@ pub trait RecordJob: Sync {
 
     /// Reduce the values of one key.
     fn reduce(&self, key: u64, values: &[f64]) -> f64;
-
-    /// Optional map-side combiner: compact one key's partition-local values
-    /// before the shuffle. Must preserve the final reduce result
-    /// (`reduce(k, combine(vs) ++ rest) == reduce(k, vs ++ rest)`), which
-    /// holds for associative-commutative reductions like counting but not
-    /// for means — jobs opt in by overriding. Default: no combining.
-    fn combine(&self, _key: u64, _values: &[f64]) -> Option<Vec<f64>> {
-        None
-    }
 }
 
 /// Number of payload words a record of a given size carries (≈ 6 bytes per

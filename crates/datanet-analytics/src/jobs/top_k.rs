@@ -84,11 +84,6 @@ impl RecordJob for TopKSearch {
     fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
         values.iter().sum()
     }
-
-    /// Counting is associative: partial sums combine losslessly.
-    fn combine(&self, _key: u64, values: &[f64]) -> Option<Vec<f64>> {
-        Some(vec![values.iter().sum()])
-    }
 }
 
 /// Streaming collector for the actual top-K records (not just the

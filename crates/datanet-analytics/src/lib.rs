@@ -4,21 +4,17 @@
 //!
 //! * a **cost profile** ([`profiles`]) consumed by the simulated engine in
 //!   `datanet-mapreduce` (used for the Figure 5–7 reproductions), and
-//! * a **real implementation** ([`jobs`], [`executor`]) that maps and
-//!   reduces actual records — one map task per virtual node — so the
-//!   imbalance effects can also be observed as genuine per-partition
-//!   wall-clock skew on the machine running the benchmarks.
+//! * a **real implementation** ([`jobs`]) that maps and reduces actual
+//!   records; [`pipeline`] chains them into checkpointed stages.
 //!
 //! [`session`] (user sessionization) implements a motivating analysis from
 //! the paper's introduction as an additional sub-dataset application.
 
-pub mod executor;
 pub mod jobs;
 pub mod pipeline;
 pub mod profiles;
 pub mod session;
 
-pub use executor::{partitions_from_assignment, LocalExecutor, LocalRunReport};
 pub use jobs::{
     AggregateHistogram, MovingAverage, RecordJob, TopKCollector, TopKSearch, WordCount,
 };

@@ -191,24 +191,8 @@ pub fn check_scenario_instrumented(
     let total = dfs.subdataset_total(target);
     let sep = Separation::Alpha(sc.alpha);
 
-    // ---- scan: parallel and sequential builds agree ------------------
-    let arr = ElasticMapArray::build(&dfs, &sep);
-    let seq = ElasticMapArray::build_sequential(&dfs, &sep);
-    for s in 0..sc.subdatasets {
-        let s = SubDatasetId(s);
-        if arr.view(s) != seq.view(s) {
-            v.push(Violation::new(
-                "scan-determinism",
-                format!(
-                    "parallel and sequential scans disagree on sub-dataset {}",
-                    s.0
-                ),
-            ));
-            break;
-        }
-    }
-
     // ---- Equation 6 on the healthy view ------------------------------
+    let arr = ElasticMapArray::build(&dfs, &sep);
     let view = arr.view(target);
     eq6_oracles(&mut v, "healthy", &view, &truth, &HashSet::new());
 

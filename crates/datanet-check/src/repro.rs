@@ -46,11 +46,15 @@ impl Repro {
     /// Read a repro back.
     ///
     /// # Errors
-    /// File-system errors, or a file that is not a valid repro.
+    /// File-system errors, or a file that is not a valid repro — not JSON
+    /// of this shape, or a scenario [`Scenario::validate`] refuses, so
+    /// [`Repro::replay`] never builds a world from unchecked fields.
     pub fn load(path: &Path) -> io::Result<Self> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let bytes = std::fs::read(path)?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let repro: Self = serde_json::from_slice(&bytes).map_err(|e| invalid(e.to_string()))?;
+        repro.scenario.validate().map_err(invalid)?;
+        Ok(repro)
     }
 
     /// Re-run the embedded scenario under the embedded options.
@@ -105,5 +109,51 @@ mod tests {
         let dump = back.flight_dump().expect("flight dump embedded");
         assert_eq!(dump.events.len(), 1);
         assert!(dump.events[0].detail.contains("greedy-conservation"));
+    }
+
+    /// `Repro::load` is the input boundary: a file whose scenario the
+    /// world builders would panic on is an error naming the field.
+    #[test]
+    fn load_refuses_a_scenario_the_builders_would_panic_on() {
+        use crate::scenario::CrashEvent;
+        type Mutation = fn(&mut Scenario);
+        let table: [(&str, Mutation); 7] = [
+            ("nodes", |s| s.nodes = 0),
+            ("subdatasets", |s| s.subdatasets = 0),
+            ("block_size", |s| s.block_size = 0),
+            ("shard_blocks", |s| s.shard_blocks = 0),
+            ("alpha", |s| s.alpha = f64::NAN),
+            ("alpha", |s| s.alpha = 2.0),
+            ("crashes.node", |s| {
+                s.crashes = vec![CrashEvent {
+                    node: 99,
+                    at_us: 5_000,
+                }]
+            }),
+        ];
+        for (i, (field, mutate)) in table.iter().enumerate() {
+            let mut repro = Repro {
+                original_seed: 7,
+                scenario: Scenario::from_seed(7),
+                options: CheckOptions::default(),
+                violations: Vec::new(),
+                flight: Value::Null,
+            };
+            mutate(&mut repro.scenario);
+            let refused = repro.scenario.validate().expect_err(field);
+            assert!(refused.contains(&format!("`{field}`")), "{refused}");
+            let path = std::env::temp_dir().join(format!(
+                "datanet-check-bad-repro-{}-{i}.json",
+                std::process::id()
+            ));
+            repro.save(&path).unwrap();
+            let err = Repro::load(&path).expect_err(field);
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            // A NaN is saved as `null`, which the JSON reader refuses first.
+            if !repro.scenario.alpha.is_nan() {
+                assert_eq!(err.to_string(), refused);
+            }
+        }
     }
 }

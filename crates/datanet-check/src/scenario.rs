@@ -379,6 +379,88 @@ impl Scenario {
         }
     }
 
+    /// Whether a scenario that did not come out of [`Scenario::from_seed`]
+    /// — one read back from a repro file — describes a world the harness
+    /// can build: everything `from_seed` and the shrinker guarantee by
+    /// construction and the builders below would otherwise assert.
+    ///
+    /// # Errors
+    /// One line naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        fn ensure(ok: bool, field: &str, want: &str) -> Result<(), String> {
+            if ok {
+                return Ok(());
+            }
+            Err(format!("scenario field `{field}` must be {want}"))
+        }
+        let nodes = self.nodes as usize;
+        ensure(self.nodes >= 2, "nodes", "at least 2")?;
+        ensure(self.subdatasets >= 1, "subdatasets", "at least 1")?;
+        ensure(self.records >= 1, "records", "at least 1")?;
+        ensure(self.block_size >= 1, "block_size", "at least 1")?;
+        ensure(self.shard_blocks >= 1, "shard_blocks", "at least 1")?;
+        ensure(
+            (1..=nodes).contains(&self.replication),
+            "replication",
+            "between 1 and `nodes`",
+        )?;
+        ensure(
+            self.target < self.subdatasets,
+            "target",
+            "below `subdatasets`",
+        )?;
+        ensure((0.0..=1.0).contains(&self.alpha), "alpha", "in [0, 1]")?;
+        ensure(
+            (0.0..f64::INFINITY).contains(&self.zipf_exponent),
+            "zipf_exponent",
+            "finite and non-negative",
+        )?;
+        for c in &self.crashes {
+            // Node 0 hosts the namenode and never crashes, so a node survives.
+            ensure(
+                (1..nodes).contains(&c.node),
+                "crashes.node",
+                "a node of the cluster other than 0",
+            )?;
+        }
+        for s in &self.slow {
+            ensure(s.node < nodes, "slow.node", "a node of the cluster")?;
+            ensure(s.from_us < s.until_us, "slow.until_us", "after `from_us`")?;
+            ensure(
+                (1.0..f64::INFINITY).contains(&s.factor),
+                "slow.factor",
+                "finite and at least 1",
+            )?;
+        }
+        for n in &self.nic {
+            ensure(n.node < nodes, "nic.node", "a node of the cluster")?;
+            ensure(
+                n.fraction > 0.0 && n.fraction <= 1.0,
+                "nic.fraction",
+                "in (0, 1]",
+            )?;
+        }
+        // The sub-plans: only what their builders assert.
+        ensure(
+            self.ingest.compact_every >= 1,
+            "ingest.compact_every",
+            "at least 1",
+        )?;
+        ensure(
+            self.shuffle.key_ranges >= 1,
+            "shuffle.key_ranges",
+            "at least 1",
+        )?;
+        ensure(
+            (1.0..f64::INFINITY).contains(&self.shuffle.split_factor),
+            "shuffle.split_factor",
+            "finite and at least 1",
+        )?;
+        ensure(self.serve.tenants >= 1, "serve.tenants", "at least 1")?;
+        ensure(self.serve.quantum_kb >= 1, "serve.quantum_kb", "at least 1")?;
+        ensure(self.serve.workers >= 1, "serve.workers", "at least 1")
+    }
+
     /// The scenario's pipeline spec: `Filter(target)`, then the drawn ops
     /// (sub-dataset ranks and job selectors reduced modulo the live
     /// ranges, so shrinking `subdatasets` keeps the spec well-formed),
@@ -484,39 +566,20 @@ mod tests {
     fn expanded_scenarios_are_well_formed() {
         for seed in 0..200 {
             let sc = Scenario::from_seed(seed);
-            assert!(sc.nodes >= 2);
-            assert!(sc.replication >= 1 && sc.replication <= sc.nodes as usize);
-            assert!(sc.target < sc.subdatasets);
-            assert!(sc.shard_blocks >= 1);
-            for c in &sc.crashes {
-                assert!(c.node != 0 && c.node < sc.nodes as usize);
-            }
+            assert_eq!(sc.validate(), Ok(()));
             let distinct: std::collections::HashSet<usize> =
                 sc.crashes.iter().map(|c| c.node).collect();
             assert_eq!(distinct.len(), sc.crashes.len(), "crash nodes distinct");
-            for s in &sc.slow {
-                assert!(s.node < sc.nodes as usize && s.from_us < s.until_us && s.factor >= 1.0);
-            }
-            for n in &sc.nic {
-                assert!(n.node < sc.nodes as usize && n.fraction > 0.0 && n.fraction <= 1.0);
-            }
-            assert!(sc.ingest.compact_every >= 1);
             assert!(sc.ingest.gap_us > 0);
             if let Some(c) = sc.ingest.crash_commit {
                 assert!(c >= 1);
             }
             assert!(!sc.pipeline.ops.is_empty());
             assert!(sc.shuffle.key_ranges >= 2, "planner needs ≥ 2 key ranges");
-            assert!(
-                sc.shuffle.split_factor >= 1.0 && sc.shuffle.split_factor.is_finite(),
-                "split factor must be a finite value ≥ 1"
-            );
-            assert!(sc.serve.tenants >= 1 && sc.serve.tenants <= 4);
+            assert!(sc.serve.tenants <= 4);
             assert!(sc.serve.queries >= 1);
             assert!(sc.serve.gap_us > 0);
             assert!(sc.serve.queue_cap >= 1);
-            assert!(sc.serve.quantum_kb >= 1);
-            assert!(sc.serve.workers >= 1);
             assert!(sc.serve.max_wait_rounds >= 1);
             assert!(sc.serve.events.len() <= 3);
             assert!(

@@ -242,26 +242,43 @@ mod tests {
         for seed in 0..60 {
             let sc = Scenario::from_seed(seed);
             for c in candidates(&sc) {
-                assert!(c.nodes >= 2);
-                assert!(c.replication >= 1 && c.replication <= c.nodes as usize);
-                assert!(c.target < c.subdatasets);
+                assert_eq!(c.validate(), Ok(()));
                 assert!(c.records >= 8);
-                for e in &c.crashes {
-                    assert!(e.node != 0 && e.node < c.nodes as usize);
-                }
-                for e in &c.slow {
-                    assert!(e.node < c.nodes as usize);
-                }
-                for e in &c.nic {
-                    assert!(e.node < c.nodes as usize);
-                }
                 assert!(c.shuffle.key_ranges >= 2);
-                assert!(c.shuffle.split_factor >= 1.0);
-                assert!(c.serve.tenants >= 1);
                 assert!(c.serve.queries >= 4);
-                assert!(c.serve.workers >= 1);
             }
         }
+    }
+
+    /// The shrinker can never minimise into a file `Repro::load` would
+    /// refuse: every candidate it tries on a failing case validates.
+    #[test]
+    fn every_scenario_a_shrink_visits_validates() {
+        let opts = CheckOptions {
+            credit_skew: 1,
+            ..CheckOptions::default()
+        };
+        let start = Scenario::from_seed(5);
+        let oracles = check_scenario_with(&start, &opts).oracle_names();
+        // `shrink`'s walk, looking at every candidate on the way.
+        let mut cur = start.clone();
+        loop {
+            let cands = candidates(&cur);
+            for c in &cands {
+                assert_eq!(c.validate(), Ok(()), "{c:?}");
+            }
+            let still_fails = |c: &Scenario| {
+                !check_scenario_with(c, &opts)
+                    .oracle_names()
+                    .is_disjoint(&oracles)
+            };
+            match cands.into_iter().find(still_fails) {
+                Some(next) => cur = next,
+                None => break,
+            }
+        }
+        let shrunk = shrink(&start, &opts).expect("planted bug fails");
+        assert_eq!(shrunk.scenario, cur, "the walk above is shrink's own");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! # Determinism contract
 //!
-//! A snapshot must be identical for identical seeds, regardless of how
-//! the rayon workers of the sharded ElasticMap build interleave. The
-//! registry therefore aggregates by clock domain:
+//! A snapshot must be identical for identical seeds, however long the
+//! host took over any step. The registry therefore aggregates by clock
+//! domain:
 //!
 //! * **Sim-clock** events carry deterministic timestamps and durations —
 //!   they feed windowed counters, windowed duration histograms and

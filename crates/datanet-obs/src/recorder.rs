@@ -177,8 +177,8 @@ impl SpanCtx {
 /// [`Recorder::new`] records into a shared buffer behind a mutex;
 /// [`Recorder::off`] is a no-op handle whose every method early-returns —
 /// instrumented code pays nothing when every plane is disabled. Clones
-/// share the same buffers, so the engine, schedulers and rayon scan
-/// workers can all hold one.
+/// share the same buffers, so the engine, schedulers, scan and serving
+/// plane can all hold one.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<TraceData>>>,

@@ -72,7 +72,7 @@ impl World {
     pub fn new(dfs: Dfs, subdatasets: u64, policy: Separation, ingest_seed: u64) -> Self {
         assert!(subdatasets >= 1, "need at least one sub-dataset");
         let nodes = dfs.config().topology.len();
-        let array = ElasticMapArray::build_sequential(&dfs, &policy);
+        let array = ElasticMapArray::build(&dfs, &policy);
         Self {
             dfs,
             array,
@@ -292,7 +292,7 @@ mod tests {
             let b = replay.plan_batch(&subs, false);
             assert_eq!(a, b, "replayed world must plan identically");
             // The array grown by pushed deltas is the from-scratch build.
-            let rebuilt = ElasticMapArray::build_sequential(live.dfs(), live.array().policy());
+            let rebuilt = ElasticMapArray::build(live.dfs(), live.array().policy());
             assert_eq!(
                 serde_json::to_string(live.array()).unwrap(),
                 serde_json::to_string(&rebuilt).unwrap(),

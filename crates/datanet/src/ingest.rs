@@ -12,8 +12,8 @@
 //! * Periodic **compaction** seals pending deltas through the same bucket
 //!   walk the batch build uses ([`ElasticMap`]'s separation policy), builds
 //!   their [`BlockSummary`] sidecars, and pushes them onto the sealed
-//!   [`ElasticMapArray`] in block order (chunks sealed in parallel;
-//!   [`ElasticMapArray::push`] interns). Sealing is where **re-dominance**
+//!   [`ElasticMapArray`] in block order ([`ElasticMapArray::push`]
+//!   interns). Sealing is where **re-dominance**
 //!   happens: a sub-dataset that was exact in the delta but falls below
 //!   the block's dominance threshold is demoted to the bloom tail — it
 //!   crossed the dominant/bloom boundary as the block's contents grew
@@ -35,7 +35,7 @@
 
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{mean_record_buckets, size_table, ElasticMap, Separation, SizeInfo};
-use crate::scan::{ElasticMapArray, SHARD_BLOCKS};
+use crate::scan::ElasticMapArray;
 use crate::store::{
     crc32, encode_blocks, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file,
     summary_file, BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
@@ -43,11 +43,13 @@ use crate::store::{
 use crate::symbol::FastMap;
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
-use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+
+/// Default compaction batch and blocks per persisted shard.
+const SHARD_BLOCKS: usize = 16;
 
 /// Tuning knobs of a streaming [`Ingestor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -362,7 +364,7 @@ impl Ingestor {
     }
 
     /// Fold the contiguous pending prefix into the sealed array: seal each
-    /// delta through the separation policy (in parallel), build its
+    /// delta through the separation policy, build its
     /// summary sidecar, and push the maps in block order. Returns the
     /// number of blocks folded (0 when nothing was contiguous).
     pub fn compact(&mut self) -> usize {
@@ -378,32 +380,14 @@ impl Ingestor {
             SpanCtx::default().note(format!("{run} blocks")),
         );
         let first = self.sealed.len() as u32;
-        let deltas: Vec<DeltaMap> = (first..first + run as u32)
-            .map(|id| self.pending.remove(&id).expect("contiguous run"))
-            .collect();
-        let policy = &self.cfg.policy;
-        let chunks: Vec<&[DeltaMap]> = deltas.chunks(SHARD_BLOCKS).collect();
-        let sealed: Vec<Vec<(ElasticMap, BlockSummary, usize)>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|d| {
-                        let map = d.seal(policy);
-                        let summary = BlockSummary::of(&map);
-                        (map, summary, d.distinct())
-                    })
-                    .collect()
-            })
-            .collect();
         let mut redominated = 0u64;
-        for chunk in sealed {
-            for (map, summary, distinct) in chunk {
-                redominated += (distinct - map.exact_len()) as u64;
-                self.sealed.push(map);
-                self.summaries.push(summary);
-                self.stats.summaries_built += 1;
-            }
+        for id in first..first + run as u32 {
+            let delta = self.pending.remove(&id).expect("contiguous run");
+            let map = delta.seal(&self.cfg.policy);
+            redominated += (delta.distinct() - map.exact_len()) as u64;
+            self.summaries.push(BlockSummary::of(&map));
+            self.sealed.push(map);
+            self.stats.summaries_built += 1;
         }
         self.stats.redominated += redominated;
         self.stats.compactions += 1;

@@ -5,7 +5,7 @@
 //! Analysis on Distributed File Systems* (IPDPS 2016). The pipeline:
 //!
 //! 1. **Scan** ([`scan`]): one linear pass over every DFS block builds, per
-//!    block, the exact per-sub-dataset sizes, in parallel across blocks.
+//!    block, the exact per-sub-dataset sizes, block after block.
 //! 2. **Separate** ([`buckets`]): Fibonacci-width size buckets split the few
 //!    *dominant* sub-datasets from the long tail in O(m) per block — the
 //!    paper's bucket/count-sort trick that avoids an O(m log m) sort.

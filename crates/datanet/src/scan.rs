@@ -2,14 +2,11 @@
 //! (Section III-B: "only a single scan of the raw data is needed for the
 //! meta-data construction").
 //!
-//! Each block's ElasticMap is independent, so the scan parallelises
-//! trivially across blocks: fixed-size chunks of blocks are built by the
-//! workers and then appended in block order through
-//! [`ElasticMapArray::push`], the array's only growth primitive. `push`
-//! interns dominant ids as it goes, so the table is in block-major
-//! first-appearance order whoever produced the maps — the sharded build,
-//! the serial one, a decoded store, or the streaming ingestor — and no
-//! worker count or scheduling order leaks into the output.
+//! The scan is one thread walking the blocks in order: each block's
+//! ElasticMap is built and appended through [`ElasticMapArray::push`], the
+//! array's only growth primitive. `push` interns dominant ids as it goes,
+//! so the table is in block-major first-appearance order whoever produced
+//! the maps — the scan, a decoded store, or the streaming ingestor.
 //!
 //! The read side is just as single: [`ViewFold`] is the one place a
 //! per-block answer turns into the Equation 6 view of a sub-dataset.
@@ -18,14 +15,9 @@ use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
 use crate::store::BlockSummary;
 use crate::symbol::{FastMap, SymbolTable};
-use datanet_dfs::{Block, BlockId, Dfs, SubDatasetId};
+use datanet_dfs::{BlockId, Dfs, SubDatasetId};
 use datanet_obs::{Category, Domain, Recorder, SpanCtx};
-use rayon::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
-
-/// Blocks per build shard. Small enough to load-balance across workers,
-/// large enough to amortise the per-task overhead.
-pub(crate) const SHARD_BLOCKS: usize = 16;
 
 /// What the meta-data knows about one probed sub-dataset so far.
 #[derive(Clone)]
@@ -154,15 +146,14 @@ pub struct ElasticMapArray {
 }
 
 impl ElasticMapArray {
-    /// Build the array with one sharded parallel scan over the DFS blocks.
+    /// Build the array with one scan over the DFS blocks, in block order.
     pub fn build(dfs: &Dfs, policy: &Separation) -> Self {
         Self::build_traced(dfs, policy, &Recorder::off())
     }
 
     /// [`ElasticMapArray::build`] with a [`Recorder`] attached: one
-    /// wall-clock `build` span around the whole sharded scan, one `scan`
-    /// span per block (emitted concurrently from the workers — the
-    /// recorder is `Sync`), and gauges for the resulting meta-data memory
+    /// wall-clock `build` span around the whole scan, one `scan` span per
+    /// block in block order, and gauges for the resulting meta-data memory
     /// footprint and the bloom design false-positive rate. With a disabled
     /// recorder this is exactly [`ElasticMapArray::build`].
     pub fn build_traced(dfs: &Dfs, policy: &Separation, rec: &Recorder) -> Self {
@@ -173,28 +164,19 @@ impl ElasticMapArray {
             rec.wall_us(),
             SpanCtx::default().note(format!("{} blocks", dfs.block_count())),
         );
-        let chunks: Vec<&[Block]> = dfs.blocks().chunks(SHARD_BLOCKS).collect();
-        let shards: Vec<Vec<ElasticMap>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|b| {
-                        let span = rec.begin(
-                            Category::Scan,
-                            "scan",
-                            Domain::Wall,
-                            rec.wall_us(),
-                            SpanCtx::default().block(b.id().index() as u64),
-                        );
-                        let map = ElasticMap::build(b, policy);
-                        rec.end(span, rec.wall_us());
-                        map
-                    })
-                    .collect()
-            })
-            .collect();
-        let out = Self::from_maps(shards.into_iter().flatten().collect(), policy.clone());
+        let maps = dfs.blocks().iter().map(|b| {
+            let span = rec.begin(
+                Category::Scan,
+                "scan",
+                Domain::Wall,
+                rec.wall_us(),
+                SpanCtx::default().block(b.id().index() as u64),
+            );
+            let map = ElasticMap::build(b, policy);
+            rec.end(span, rec.wall_us());
+            map
+        });
+        let out = Self::from_maps(maps.collect(), policy.clone());
         rec.end(build, rec.wall_us());
         rec.add("blocks_scanned", out.len() as u64);
         rec.gauge(
@@ -236,13 +218,6 @@ impl ElasticMapArray {
             out.push(map);
         }
         out
-    }
-
-    /// Strictly sequential build — the serial reference the sharded build
-    /// and every incremental path are tested against.
-    pub fn build_sequential(dfs: &Dfs, policy: &Separation) -> Self {
-        let maps = dfs.blocks().iter().map(|b| ElasticMap::build(b, policy));
-        Self::from_maps(maps.collect(), policy.clone())
     }
 
     /// Append the map of the next block — the array's only way to grow,
@@ -426,34 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_builds_agree() {
-        let dfs = clustered_dfs();
-        let par = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-        let seq = ElasticMapArray::build_sequential(&dfs, &Separation::Alpha(0.3));
-        assert_eq!(par.len(), seq.len());
-        for b in dfs.blocks() {
-            for s in 0..60u64 {
-                assert_eq!(
-                    par.query(b.id(), SubDatasetId(s)),
-                    seq.query(b.id(), SubDatasetId(s))
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_build_is_byte_identical_to_sequential() {
-        let dfs = clustered_dfs();
-        let par = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-        let seq = ElasticMapArray::build_sequential(&dfs, &Separation::Alpha(0.3));
-        assert_eq!(
-            serde_json::to_string(&par).unwrap(),
-            serde_json::to_string(&seq).unwrap()
-        );
-        assert_eq!(par.symbols(), seq.symbols());
-    }
-
-    #[test]
     fn symbol_table_lists_exactly_the_dominant_ids() {
         let dfs = clustered_dfs();
         let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
@@ -585,8 +532,10 @@ mod tests {
         }
         let data = rec.take();
         assert_eq!(data.unclosed_spans(), 0);
-        let scans = data.spans.iter().filter(|s| s.name == "scan").count();
-        assert_eq!(scans, dfs.block_count(), "one scan span per block");
+        let scanned = data.spans.iter().filter(|s| s.name == "scan");
+        let scanned: Vec<Option<u64>> = scanned.map(|s| s.ctx.block).collect();
+        let in_order: Vec<Option<u64>> = (0..dfs.block_count() as u64).map(Some).collect();
+        assert_eq!(scanned, in_order, "one scan span per block, in block order");
         assert_eq!(data.counters["blocks_scanned"], dfs.block_count() as u64);
         assert!(data
             .gauges

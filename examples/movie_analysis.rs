@@ -1,14 +1,13 @@
 //! Movie-log analysis end to end: reproduce the paper's main experiment in
-//! miniature, including a *real* (Rayon) Word Count over the filtered
+//! miniature, including a *real* Word Count over the filtered
 //! sub-dataset.
 //!
 //! Run with: `cargo run --release --example movie_analysis`
 
 use datanet::prelude::*;
-use datanet_analytics::jobs::{RecordJob, WordCount};
 use datanet_analytics::profiles::word_count_profile;
-use datanet_analytics::{partitions_from_assignment, LocalExecutor};
-use datanet_dfs::{Dfs, DfsConfig, Topology};
+use datanet_analytics::AggJob;
+use datanet_dfs::{Dfs, DfsConfig, NodeId, Record, Topology};
 use datanet_mapreduce::{
     AnalysisConfig, DataNetScheduler, Exec, LocalityScheduler, SelectionConfig,
 };
@@ -59,32 +58,28 @@ fn main() {
         with.selection.imbalance()
     );
 
-    // --- Real Rayon execution over the two partitionings.
-    let wc = WordCount;
+    // --- Real execution over the balanced plan's records.
     let balanced = Algorithm1::new(&dfs, &maps.view(hot)).plan_balanced();
-    let parts = partitions_from_assignment(&dfs, hot, &balanced);
-    let run = LocalExecutor.execute(&wc, &parts);
-    let top = {
-        let mut v: Vec<(&u64, &f64)> = run.reduced.iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap().then(a.0.cmp(b.0)));
-        v.into_iter()
-            .take(5)
-            .map(|(k, c)| format!("w{k}×{c:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+    let per_node: Vec<Vec<Record>> = (0..nodes)
+        .map(|n| balanced.tasks_of(NodeId(n)).iter())
+        .map(|blocks| blocks.flat_map(|&b| dfs.block(b).filter(hot).copied()))
+        .map(Iterator::collect)
+        .collect();
+    let records = per_node.concat();
+    let mut counts = AggJob::WordCount.run(&records);
+    counts.sort_by(|a, b| b.value.total_cmp(&a.value).then(a.key.cmp(&b.key)));
+    let top: Vec<String> = (counts.iter().take(5))
+        .map(|kv| format!("w{}×{:.0}", kv.key, kv.value))
+        .collect();
     println!(
-        "real WordCount over {} partitions: {} distinct words, top: {top}",
-        parts.len(),
-        run.reduced.len()
+        "real WordCount over {} records: {} distinct words, top: {}",
+        records.len(),
+        counts.len(),
+        top.join(", ")
     );
-    let max_recs = run.partition_records.iter().max().copied().unwrap_or(0);
-    let min_recs = run.partition_records.iter().min().copied().unwrap_or(0);
     println!(
-        "partition sizes: {min_recs}..{max_recs} records — balanced partitions \
-         keep real workers busy evenly (wall-time skew {:.2}; at this tiny \
-         scale wall times are dominated by thread-pool noise)",
-        run.skew()
+        "records per node under the balanced plan: {}..{}",
+        per_node.iter().map(Vec::len).min().unwrap_or(0),
+        per_node.iter().map(Vec::len).max().unwrap_or(0)
     );
-    assert_eq!(wc.name(), "WordCount");
 }

@@ -35,7 +35,7 @@ fn main() {
         dfs.config().topology.len()
     );
 
-    // 2. One parallel scan builds the per-block ElasticMaps (α = 0.3).
+    // 2. One scan, in block order, builds the per-block ElasticMaps (α = 0.3).
     let maps = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
     println!(
         "meta-data: {} maps, {} bytes total ({}x smaller than the raw data)",

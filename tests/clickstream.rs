@@ -1,12 +1,12 @@
 //! End-to-end sessionization over a click-stream — the paper's first
 //! motivating application, run through the full DataNet pipeline.
 
+use datanet::planner::Assignment;
 use datanet::Algorithm1;
 use datanet::{ElasticMapArray, Separation};
-use datanet_analytics::jobs::MovingAverage;
 use datanet_analytics::session::session_stats;
-use datanet_analytics::{partitions_from_assignment, LocalExecutor};
-use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
+use datanet_analytics::AggJob;
+use datanet_dfs::{Dfs, DfsConfig, NodeId, Record, SubDatasetId, Topology};
 use datanet_workloads::ClickstreamConfig;
 
 fn clickstream_dfs() -> Dfs {
@@ -42,6 +42,15 @@ fn hot_user(dfs: &Dfs) -> SubDatasetId {
         .expect("non-empty")
 }
 
+/// The user's records as the plan hands them out: node by node, each
+/// node's blocks in assignment order.
+fn planned_records(dfs: &Dfs, user: SubDatasetId, plan: &Assignment) -> Vec<Record> {
+    (0..plan.node_count() as u32)
+        .flat_map(|n| plan.tasks_of(NodeId(n)))
+        .flat_map(|&b| dfs.block(b).filter(user).copied())
+        .collect()
+}
+
 #[test]
 fn sessionize_the_hot_user_through_the_pipeline() {
     let dfs = clickstream_dfs();
@@ -51,13 +60,12 @@ fn sessionize_the_hot_user_through_the_pipeline() {
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(user);
     assert!(!view.is_empty(), "hot user invisible to the meta-data");
     let plan = Algorithm1::new(&dfs, &view).plan_balanced();
-    let parts = partitions_from_assignment(&dfs, user, &plan);
-    let mut clicks: Vec<Record> = parts.into_iter().flatten().collect();
+    let mut clicks = planned_records(&dfs, user, &plan);
     clicks.sort_by_key(|r| r.timestamp);
     assert_eq!(
         clicks.iter().map(|r| r.size as u64).sum::<u64>(),
         dfs.subdataset_total(user),
-        "partitions must cover the user exactly"
+        "the plan must cover the user exactly"
     );
 
     // Sessionize with a 30-minute timeout: bursts must be detected.
@@ -81,16 +89,10 @@ fn clickstream_supports_the_analysis_jobs_too() {
     let user = hot_user(&dfs);
     let view = ElasticMapArray::build(&dfs, &Separation::All).view(user);
     let plan = Algorithm1::new(&dfs, &view).plan_balanced();
-    let parts = partitions_from_assignment(&dfs, user, &plan);
-    let run = LocalExecutor.execute(
-        &MovingAverage {
-            window_secs: 86_400,
-        },
-        &parts,
-    );
-    assert!(!run.reduced.is_empty());
-    for &mean in run.reduced.values() {
-        assert!((0.0..10.0).contains(&mean));
+    let means = AggJob::MovingAverage(86_400).run(&planned_records(&dfs, user, &plan));
+    assert!(!means.is_empty());
+    for kv in &means {
+        assert!((0.0..10.0).contains(&kv.value));
     }
 }
 

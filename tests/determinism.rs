@@ -48,25 +48,6 @@ fn datanet_pipeline_is_bitwise_reproducible() {
     assert_eq!(run(), run());
 }
 
-#[test]
-fn parallel_scan_is_deterministic() {
-    // Rayon parallelism must not leak into results: parallel and sequential
-    // builds answer every query identically and occupy the same memory.
-    // (HashMap iteration order is instance-specific, so we compare
-    // semantics, not serialised bytes.)
-    let (dfs, catalog) = movie_dataset(NODES);
-    let par = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
-    let seq = ElasticMapArray::build_sequential(&dfs, &Separation::Alpha(0.3));
-    assert_eq!(par.len(), seq.len());
-    assert_eq!(par.memory_bytes(), seq.memory_bytes());
-    for (movie, _) in catalog.by_size_desc().into_iter().take(200) {
-        for b in dfs.blocks() {
-            assert_eq!(par.query(b.id(), movie), seq.query(b.id(), movie));
-        }
-        assert_eq!(par.view(movie), seq.view(movie));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Recorder on/off transparency: the recorder may watch, but never steer. Every
 // run form returns bit-identical results from the all-defaults `Exec`, from an

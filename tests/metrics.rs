@@ -1,5 +1,5 @@
 //! Integration tests for the always-on metrics plane (the observability
-//! tentpole): snapshot determinism under the rayon-sharded build, the
+//! tentpole): snapshot determinism of the metered build, the
 //! OpenMetrics exposition round-trip, per-query span totals reconciling
 //! with the execution report, and the flight recording embedded in a
 //! shrunk repro file.
@@ -27,11 +27,11 @@ fn canonical_key(family: &str, labels: &[(String, String)]) -> String {
     }
 }
 
-/// The metered rayon-sharded build must produce an identical snapshot on
-/// every run: wall-domain scan spans are count-only precisely so that
-/// worker interleaving cannot leak into the registry.
+/// The metered build must produce an identical snapshot on every run:
+/// wall-domain scan spans are count-only precisely so that wall time
+/// cannot leak into the registry.
 #[test]
-fn metered_snapshot_is_deterministic_under_parallel_build() {
+fn metered_build_snapshot_is_deterministic() {
     let (dfs, _) = movie_dataset(NODES);
     let build_snapshot = || {
         let rec = Recorder::off().with_metrics(WINDOW_US);
@@ -44,7 +44,7 @@ fn metered_snapshot_is_deterministic_under_parallel_build() {
         assert_eq!(
             build_snapshot(),
             first,
-            "metered build snapshot must not depend on worker interleaving"
+            "metered build snapshot must not depend on wall time"
         );
     }
 }

@@ -1,8 +1,6 @@
 //! Equivalence guarantees behind the hot-path performance pass: every
 //! fast path must be *indistinguishable* from the slow path it replaced.
 //!
-//! - the sharded ElasticMap build serialises byte-identically to the
-//!   serial build over many generated datasets;
 //! - `query_batch` / batched views answer bit-identically to N single
 //!   queries, driven by the same seed corpus the simulation-check
 //!   harness gates on (`tests/corpus/seeds.txt`);
@@ -55,19 +53,6 @@ fn corpus_seeds() -> Vec<u64> {
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| l.parse().expect("corpus seed"))
         .collect()
-}
-
-#[test]
-fn sharded_build_is_byte_identical_to_serial_across_20_seeds() {
-    for seed in 0..20u64 {
-        let dfs = dataset(seed);
-        let policy = Separation::Alpha(0.3);
-        let sharded = ElasticMapArray::build(&dfs, &policy);
-        let serial = ElasticMapArray::build_sequential(&dfs, &policy);
-        let a = serde_json::to_string(&sharded).expect("serialise");
-        let b = serde_json::to_string(&serial).expect("serialise");
-        assert_eq!(a, b, "seed {seed}: sharded and serial builds diverge");
-    }
 }
 
 #[test]

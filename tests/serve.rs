@@ -232,7 +232,7 @@ fn world_array_grown_by_commits_equals_a_rebuild_on_corpus_worlds() {
                     node: node % sc.nodes,
                 },
             });
-            let rebuilt = ElasticMapArray::build_sequential(world.dfs(), &policy);
+            let rebuilt = ElasticMapArray::build(world.dfs(), &policy);
             assert_eq!(
                 serde_json::to_string(world.array()).expect("arrays serialise"),
                 serde_json::to_string(&rebuilt).expect("arrays serialise"),

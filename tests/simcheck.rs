@@ -25,12 +25,14 @@ fn fixed_seed_corpus_passes() {
     let seeds = corpus_seeds();
     assert!(seeds.len() >= 48, "corpus should stay substantial");
     for seed in seeds {
-        let (_, out) = datanet_check::check_seed(seed);
+        let (sc, out) = datanet_check::check_seed(seed);
         assert!(
             out.passed(),
             "corpus seed {seed} violated: {:#?}",
             out.violations
         );
+        // ... and one `Repro::load` would take back from a file.
+        assert_eq!(sc.validate(), Ok(()), "corpus seed {seed}");
     }
 }
 
