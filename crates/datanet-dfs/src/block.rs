@@ -8,21 +8,36 @@
 use crate::ids::{BlockId, SubDatasetId};
 use crate::record::Record;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A sealed block file holding records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Not serializable on purpose: `sizes` is derived from `records`, and a
+/// block read from bytes we did not write could carry a table that
+/// disagrees with its payload.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     id: BlockId,
     records: Vec<Record>,
     bytes: u64,
+    /// `(sub-dataset, bytes)` for every sub-dataset present, id ascending:
+    /// the paper's Table I, accumulated by the one pass [`Block::new`]
+    /// makes over the records. Shared, so the ingest path's pending delta
+    /// holds this allocation instead of a copy.
+    sizes: Arc<[(SubDatasetId, u64)]>,
 }
 
 impl Block {
-    /// Build a block from records. `bytes` is derived from record sizes.
+    /// Build a block from records; `bytes` and the per-sub-dataset size
+    /// table are derived here, in one pass over the record sizes.
     pub fn new(id: BlockId, records: Vec<Record>) -> Self {
-        let bytes = records.iter().map(|r| r.size as u64).sum();
-        Self { id, records, bytes }
+        let (bytes, sizes) = size_table(&records);
+        Self {
+            id,
+            records,
+            bytes,
+            sizes: sizes.into(),
+        }
     }
 
     /// The block id.
@@ -51,25 +66,30 @@ impl Block {
     }
 
     /// Bytes in this block belonging to sub-dataset `s` — the paper's
-    /// `|b_i ∩ s_j|`. O(records); the whole point of ElasticMap is to avoid
-    /// calling this at query time, but it is the ground truth that tests and
-    /// the accuracy evaluation (Figure 9) compare against.
+    /// `|b_i ∩ s_j|`: a binary search of [`Block::subdataset_sizes`], 0 for
+    /// an absent id. This is ground truth, the simulator's stand-in for
+    /// reading the data — what the engine executes against and what the
+    /// accuracy evaluation (Figure 9) compares the ElasticMap with — not
+    /// metadata a planner may consult.
     pub fn subdataset_bytes(&self, s: SubDatasetId) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.subdataset == s)
-            .map(|r| r.size as u64)
-            .sum()
+        match self.sizes.binary_search_by_key(&s, |&(id, _)| id) {
+            Ok(i) => self.sizes[i].1,
+            Err(_) => 0,
+        }
     }
 
-    /// Exact per-sub-dataset byte sizes within this block: the ground-truth
-    /// version of Table I. Single scan over the records.
-    pub fn subdataset_sizes(&self) -> HashMap<SubDatasetId, u64> {
-        let mut sizes = HashMap::new();
-        for r in &self.records {
-            *sizes.entry(r.subdataset).or_insert(0u64) += r.size as u64;
-        }
-        sizes
+    /// Exact per-sub-dataset byte sizes within this block, id ascending:
+    /// the ground-truth version of Table I, computed once at write time.
+    /// The ElasticMap build and the ingest delta both start from it.
+    pub fn subdataset_sizes(&self) -> &Arc<[(SubDatasetId, u64)]> {
+        &self.sizes
+    }
+
+    /// Forget the records, keeping `bytes` and the size table — what is
+    /// left is everything a query path may read (see
+    /// [`crate::Dfs::drop_payloads`]).
+    pub(crate) fn drop_records(&mut self) {
+        self.records = Vec::new();
     }
 
     /// Iterator over records of one sub-dataset (the filter step of every
@@ -77,6 +97,34 @@ impl Block {
     pub fn filter(&self, s: SubDatasetId) -> impl Iterator<Item = &Record> {
         self.records.iter().filter(move |r| r.subdataset == s)
     }
+}
+
+/// Total bytes of `records`, and bytes per sub-dataset, id ascending (a
+/// per-sub-dataset size saturates at `u64::MAX`). One pass accumulates
+/// into first-appearance order through a small open-addressed index (at
+/// most half full, linear probing; a slot holds an entry's position + 1),
+/// then only the distinct entries are sorted — sorting every record
+/// instead doubled the cost of a DFS write.
+fn size_table(records: &[Record]) -> (u64, Vec<(SubDatasetId, u64)>) {
+    let mask = (records.len() * 2).next_power_of_two() - 1;
+    let mut slots = vec![0usize; mask + 1];
+    let mut sizes: Vec<(SubDatasetId, u64)> = Vec::new();
+    let mut bytes = 0u64;
+    for r in records {
+        bytes += u64::from(r.size);
+        let mut i = (r.subdataset.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while slots[i] != 0 && sizes[slots[i] - 1].0 != r.subdataset {
+            i = (i + 1) & mask;
+        }
+        if slots[i] == 0 {
+            sizes.push((r.subdataset, 0));
+            slots[i] = sizes.len();
+        }
+        let size = &mut sizes[slots[i] - 1].1;
+        *size = size.saturating_add(u64::from(r.size));
+    }
+    sizes.sort_unstable_by_key(|&(s, _)| s);
+    (bytes, sizes)
 }
 
 /// Lightweight block descriptor (id + size), used where the record payload
@@ -130,11 +178,11 @@ mod tests {
     fn sizes_table_matches_per_subdataset_query() {
         let b = block();
         let sizes = b.subdataset_sizes();
-        assert_eq!(sizes.len(), 2);
-        for (&s, &bytes) in &sizes {
+        assert_eq!(sizes[..], [(SubDatasetId(1), 125), (SubDatasetId(2), 50)]);
+        for &(s, bytes) in sizes.iter() {
             assert_eq!(b.subdataset_bytes(s), bytes);
         }
-        let total: u64 = sizes.values().sum();
+        let total: u64 = sizes.iter().map(|&(_, bytes)| bytes).sum();
         assert_eq!(total, b.bytes());
     }
 

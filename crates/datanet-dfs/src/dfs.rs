@@ -9,11 +9,12 @@ use crate::block::Block;
 use crate::ids::{BlockId, NodeId, SubDatasetId};
 use crate::namenode::NameNode;
 use crate::placement::{PlacementPolicy, RandomPlacement};
-use crate::record::Record;
+use crate::record::{key_range_of, Record};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a DFS instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,12 +54,55 @@ impl DfsConfig {
     }
 }
 
-/// An in-memory DFS instance: sealed blocks plus NameNode metadata.
+/// The write-time range profile at one resolution: every block's bytes
+/// per key range, over all its records, keyed by [`key_range_of`] of the
+/// record timestamp — the proxy the shuffle planner prices ranges with.
+/// Planner metadata, `ranges × 8` bytes per block. A handle is a snapshot:
+/// it keeps describing the blocks that existed when it was taken.
 #[derive(Debug, Clone)]
+pub struct RangeProfile {
+    ranges: usize,
+    /// Block-major: block `b`'s row is `bytes[b * ranges..][..ranges]`.
+    bytes: Arc<Vec<u64>>,
+}
+
+impl RangeProfile {
+    /// Bytes of block `b` per key range.
+    pub fn of(&self, b: BlockId) -> &[u64] {
+        &self.bytes[b.index() * self.ranges..][..self.ranges]
+    }
+
+    fn push(&mut self, block: &Block) {
+        let bytes = Arc::make_mut(&mut self.bytes);
+        let row = bytes.len();
+        bytes.resize(row + self.ranges, 0);
+        for r in block.records() {
+            bytes[row + key_range_of(r.timestamp, self.ranges)] += u64::from(r.size);
+        }
+    }
+}
+
+/// An in-memory DFS instance: sealed blocks plus NameNode metadata.
+#[derive(Debug)]
 pub struct Dfs {
     config: DfsConfig,
     blocks: Vec<Block>,
     namenode: NameNode,
+    /// One profile per `ranges` value asked for so far (a range is
+    /// `splitmix(ts) % ranges`, so one resolution does not fold into
+    /// another): built on first use, extended by every append.
+    range_profiles: Mutex<Vec<RangeProfile>>,
+}
+
+impl Clone for Dfs {
+    fn clone(&self) -> Self {
+        Self {
+            config: self.config.clone(),
+            blocks: self.blocks.clone(),
+            namenode: self.namenode.clone(),
+            range_profiles: Mutex::new(self.profiles().clone()),
+        }
+    }
 }
 
 impl Dfs {
@@ -109,6 +153,7 @@ impl Dfs {
             config,
             blocks,
             namenode,
+            range_profiles: Mutex::default(),
         }
     }
 
@@ -126,6 +171,7 @@ impl Dfs {
             config,
             blocks: Vec::new(),
             namenode,
+            range_profiles: Mutex::default(),
         }
     }
 
@@ -158,7 +204,11 @@ impl Dfs {
         );
         let locations = policy.place(id, &self.config.topology, self.config.replication, &mut rng);
         self.namenode.register(id, locations);
-        self.blocks.push(Block::new(id, records));
+        let block = Block::new(id, records);
+        for profile in self.profiles().iter_mut() {
+            profile.push(&block);
+        }
+        self.blocks.push(block);
         id
     }
 
@@ -193,14 +243,55 @@ impl Dfs {
     }
 
     /// Ground-truth bytes of sub-dataset `s` per block — the Figure 1(a)
-    /// series. O(total records).
+    /// series, and the vector the simulated engine executes against. One
+    /// [`Block::subdataset_bytes`] lookup per block, no record is read:
+    /// O(blocks · log distinct).
     pub fn subdataset_distribution(&self, s: SubDatasetId) -> Vec<u64> {
         self.blocks.iter().map(|b| b.subdataset_bytes(s)).collect()
     }
 
     /// Ground-truth total bytes of sub-dataset `s`.
     pub fn subdataset_total(&self, s: SubDatasetId) -> u64 {
-        self.subdataset_distribution(s).iter().sum()
+        self.blocks.iter().map(|b| b.subdataset_bytes(s)).sum()
+    }
+
+    /// The per-block range profile at `ranges` key ranges. The first call
+    /// for a `ranges` value reads every record once; later calls, and the
+    /// rows of blocks appended since, cost nothing here.
+    ///
+    /// # Panics
+    /// Panics if `ranges == 0`.
+    pub fn range_profile(&self, ranges: usize) -> RangeProfile {
+        assert!(ranges > 0, "need at least one key range");
+        let mut profiles = self.profiles();
+        if let Some(p) = profiles.iter().find(|p| p.ranges == ranges) {
+            return p.clone();
+        }
+        let mut profile = RangeProfile {
+            ranges,
+            bytes: Arc::new(Vec::with_capacity(self.blocks.len() * ranges)),
+        };
+        for block in &self.blocks {
+            profile.push(block);
+        }
+        profiles.push(profile.clone());
+        profile
+    }
+
+    fn profiles(&self) -> std::sync::MutexGuard<'_, Vec<RangeProfile>> {
+        (self.range_profiles.lock()).expect("no holder of the profile lock panics")
+    }
+
+    /// Test hook: forget every block's records, keeping what the write
+    /// path derived from them (bytes, size tables, the range profiles
+    /// already built). Whatever still answers afterwards reads no record —
+    /// the property the query path is tested for. Never call this outside
+    /// tests.
+    #[doc(hidden)]
+    pub fn drop_payloads(&mut self) {
+        for block in &mut self.blocks {
+            block.drop_records();
+        }
     }
 
     /// Nodes holding a replica of `b` (delegates to the NameNode).

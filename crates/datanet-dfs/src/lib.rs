@@ -26,9 +26,9 @@ pub mod record;
 pub mod topology;
 
 pub use block::{Block, BlockMeta};
-pub use dfs::{Dfs, DfsConfig};
+pub use dfs::{Dfs, DfsConfig, RangeProfile};
 pub use ids::{BlockId, NodeId, SubDatasetId};
 pub use namenode::NameNode;
 pub use placement::{PlacementPolicy, RackAwarePlacement, RandomPlacement};
-pub use record::{Payload, Record};
+pub use record::{key_range_of, Payload, Record};
 pub use topology::Topology;

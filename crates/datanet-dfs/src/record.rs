@@ -48,6 +48,20 @@ impl Record {
     }
 }
 
+/// The key range an intermediate key falls into. Both planes use this:
+/// the write path buckets each record's timestamp through it for the
+/// per-block range profile ([`crate::Dfs::range_profile`]), the shuffle
+/// planner prices ranges from that profile, and the data plane routes each
+/// emitted `(key, value)` pair through the same function — so statistic,
+/// plan and execution always agree on range boundaries.
+///
+/// # Panics
+/// Panics if `ranges == 0`.
+pub fn key_range_of(key: u64, ranges: usize) -> usize {
+    assert!(ranges > 0, "need at least one key range");
+    (Payload::mix(key) % ranges as u64) as usize
+}
+
 /// Deterministic content generator for one record.
 ///
 /// All derivations use SplitMix64 steps from the record seed, so the same

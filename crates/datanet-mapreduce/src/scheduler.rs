@@ -11,7 +11,7 @@ use datanet_obs::{Category, Domain, Recorder, SpanCtx};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Demand-driven map-task source.
 pub trait MapScheduler {
@@ -63,10 +63,16 @@ pub trait MapScheduler {
 /// across nodes and hide the very imbalance the paper measures.
 #[derive(Debug, Clone)]
 pub struct LocalityScheduler {
-    /// Unassigned blocks (ordered for determinism).
-    pub(crate) remaining: BTreeSet<BlockId>,
+    /// `unassigned[b]` — block `b` is in scope and not handed out.
+    unassigned: Vec<bool>,
+    /// Number of `true`s in `unassigned`.
+    remaining: usize,
     /// `local[n]` = blocks with a replica on node `n`, in serving order.
-    pub(crate) local: Vec<Vec<BlockId>>,
+    local: Vec<Vec<BlockId>>,
+    /// `served[n]`: every entry of `local[n]` before it is assigned.
+    served: Vec<usize>,
+    /// Every block below this id is assigned.
+    lowest: usize,
 }
 
 impl LocalityScheduler {
@@ -78,44 +84,70 @@ impl LocalityScheduler {
 
     /// Schedule an explicit scope of blocks.
     pub fn with_scope(namenode: &NameNode, scope: impl IntoIterator<Item = BlockId>) -> Self {
-        let remaining: BTreeSet<BlockId> = scope.into_iter().collect();
-        let mut rng = StdRng::seed_from_u64(0x10CA_1125_u64 ^ remaining.len() as u64);
-        let local = (0..namenode.node_count())
+        let mut unassigned = vec![false; namenode.block_count()];
+        let mut remaining = 0;
+        for b in scope {
+            if !unassigned[b.index()] {
+                unassigned[b.index()] = true;
+                remaining += 1;
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x10CA_1125_u64 ^ remaining as u64);
+        let local: Vec<Vec<BlockId>> = (0..namenode.node_count())
             .map(|n| {
                 let mut blocks: Vec<BlockId> = namenode
                     .blocks_on(NodeId(n as u32))
                     .iter()
                     .copied()
-                    .filter(|b| remaining.contains(b))
+                    .filter(|b| unassigned[b.index()])
                     .collect();
                 blocks.shuffle(&mut rng);
                 blocks
             })
             .collect();
-        Self { remaining, local }
+        Self {
+            unassigned,
+            remaining,
+            served: vec![0; local.len()],
+            local,
+            lowest: 0,
+        }
+    }
+
+    /// The next unassigned block in the node's (shuffled) local list. The
+    /// cursor only moves over assigned entries, so a list is walked once
+    /// per [`MapScheduler::node_lost`], not once per request.
+    fn next_local(&mut self, node: NodeId) -> Option<BlockId> {
+        let (list, served) = (&self.local[node.index()], &mut self.served[node.index()]);
+        while let Some(&b) = list.get(*served) {
+            if self.unassigned[b.index()] {
+                return Some(b);
+            }
+            *served += 1;
+        }
+        None
     }
 }
 
 impl MapScheduler for LocalityScheduler {
     fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
-        // Local preference: next unassigned block in the node's (shuffled)
-        // local list.
-        let local_pick = self.local[node.index()]
-            .iter()
-            .copied()
-            .find(|b| self.remaining.contains(b));
-        if let Some(b) = local_pick {
-            self.remaining.remove(&b);
-            return Some((b, true));
-        }
-        // Fall back to any unassigned block (remote read).
-        let b = *self.remaining.iter().next()?;
-        self.remaining.remove(&b);
-        Some((b, false))
+        let (b, local) = match self.next_local(node) {
+            Some(b) => (b, true),
+            None => {
+                // Fall back to the lowest-id unassigned block (remote read).
+                while !*self.unassigned.get(self.lowest)? {
+                    self.lowest += 1;
+                }
+                (BlockId(self.lowest as u32), false)
+            }
+        };
+        self.unassigned[b.index()] = false;
+        self.remaining -= 1;
+        Some((b, local))
     }
 
     fn remaining(&self) -> usize {
-        self.remaining.len()
+        self.remaining
     }
 
     fn name(&self) -> &'static str {
@@ -126,9 +158,17 @@ impl MapScheduler for LocalityScheduler {
         // The dead node stops requesting; drop its local list so the
         // baseline never routes to it again, and put its blocks back in the
         // global pool. Survivors that hold replicas still find them in
-        // their own (unchanged, accurate) local lists.
+        // their own (unchanged, accurate) local lists — from the start:
+        // a requeued block may sit before any cursor.
         self.local[node.index()].clear();
-        self.remaining.extend(requeue.iter().copied());
+        for &b in requeue {
+            if !self.unassigned[b.index()] {
+                self.unassigned[b.index()] = true;
+                self.remaining += 1;
+            }
+        }
+        self.served.fill(0);
+        self.lowest = 0;
     }
 
     fn record_replan(&self, rec: &Recorder, now_us: u64, dead: NodeId, requeued: usize) {
@@ -139,7 +179,7 @@ impl MapScheduler for LocalityScheduler {
             now_us,
             SpanCtx::default().node(dead.index()).note(format!(
                 "locality: requeued {requeued} into pool of {}",
-                self.remaining.len()
+                self.remaining
             )),
         );
     }
@@ -293,10 +333,9 @@ impl MapScheduler for ResilientScheduler {
 /// planner): each node draws from its own planned queue.
 #[derive(Debug, Clone)]
 pub struct PlannedScheduler {
-    /// Per-node planned blocks, consumed front to back.
-    queues: Vec<std::collections::VecDeque<BlockId>>,
-    /// Whether each planned block was local in the plan.
-    locality: Vec<Vec<bool>>,
+    /// Per-node planned blocks, each with whether it is local to that node,
+    /// consumed front to back.
+    queues: Vec<VecDeque<(BlockId, bool)>>,
     remaining: usize,
     /// Replica map, consulted to re-home blocks after a node loss.
     namenode: NameNode,
@@ -307,24 +346,17 @@ pub struct PlannedScheduler {
 impl PlannedScheduler {
     /// Wrap an assignment. `namenode` is used to recompute locality flags.
     pub fn new(assignment: &Assignment, namenode: &NameNode) -> Self {
-        let mut queues = Vec::with_capacity(assignment.node_count());
-        let mut locality = Vec::with_capacity(assignment.node_count());
-        let mut remaining = 0;
-        for n in 0..assignment.node_count() {
-            let blocks = assignment.tasks_of(NodeId(n as u32));
-            remaining += blocks.len();
-            queues.push(blocks.iter().copied().collect());
-            locality.push(
+        let queues: Vec<VecDeque<(BlockId, bool)>> = (0..assignment.node_count() as u32)
+            .map(|n| {
+                let blocks = assignment.tasks_of(NodeId(n)).iter();
                 blocks
-                    .iter()
-                    .map(|&b| namenode.is_local(b, NodeId(n as u32)))
-                    .collect(),
-            );
-        }
+                    .map(|&b| (b, namenode.is_local(b, NodeId(n))))
+                    .collect()
+            })
+            .collect();
         Self {
+            remaining: queues.iter().map(VecDeque::len).sum(),
             queues,
-            locality,
-            remaining,
             namenode: namenode.clone(),
             alive: vec![true; assignment.node_count()],
         }
@@ -333,12 +365,9 @@ impl PlannedScheduler {
 
 impl MapScheduler for PlannedScheduler {
     fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
-        let q = &mut self.queues[node.index()];
-        let b = q.pop_front()?;
-        let l = &mut self.locality[node.index()];
-        let local = l.remove(0);
+        let task = self.queues[node.index()].pop_front()?;
         self.remaining -= 1;
-        Some((b, local))
+        Some(task)
     }
 
     fn remaining(&self) -> usize {
@@ -353,8 +382,9 @@ impl MapScheduler for PlannedScheduler {
         self.alive[node.index()] = false;
         // The dead node's unserved queue and its already-served blocks both
         // need new homes (the plan did not anticipate the crash).
-        let orphans: Vec<BlockId> = self.queues[node.index()].drain(..).collect();
-        self.locality[node.index()].clear();
+        let orphans: Vec<BlockId> = (self.queues[node.index()].drain(..))
+            .map(|(b, _)| b)
+            .collect();
         self.remaining += requeue.len(); // orphans were still counted
         for &b in orphans.iter().chain(requeue) {
             // Greedy repair of the static plan: append to the surviving
@@ -373,8 +403,7 @@ impl MapScheduler for PlannedScheduler {
                         .map(|n| NodeId(n as u32))
                         .expect("at least one survivor")
                 });
-            self.queues[target.index()].push_back(b);
-            self.locality[target.index()].push(survivors.contains(&target));
+            self.queues[target.index()].push_back((b, survivors.contains(&target)));
         }
     }
 
@@ -388,6 +417,66 @@ impl MapScheduler for PlannedScheduler {
                 "planned: greedily re-homed {requeued} onto least-loaded survivors"
             )),
         );
+    }
+}
+
+/// Delay scheduling (Zaharia et al., EuroSys 2010) on top of the locality
+/// baseline: a node with no local unassigned block *waits* for up to
+/// `max_skips` heartbeats before accepting a remote block, trading a little
+/// latency for near-perfect locality. Like plain locality scheduling it is
+/// oblivious to sub-dataset content, so it inherits the paper's imbalance —
+/// included to show that better *locality* does not fix the *distribution*
+/// problem.
+#[derive(Debug, Clone)]
+pub struct DelayScheduler {
+    inner: LocalityScheduler,
+    /// Consecutive skips per node.
+    skips: Vec<u32>,
+    max_skips: u32,
+}
+
+impl DelayScheduler {
+    /// Wrap the full-DFS locality baseline with a skip budget.
+    pub fn new(dfs: &Dfs, max_skips: u32) -> Self {
+        let inner = LocalityScheduler::new(dfs);
+        let nodes = dfs.config().topology.len();
+        Self {
+            inner,
+            skips: vec![0; nodes],
+            max_skips,
+        }
+    }
+}
+
+impl MapScheduler for DelayScheduler {
+    fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
+        if self.inner.remaining == 0 {
+            return None;
+        }
+        if self.inner.next_local(node).is_none() && self.skips[node.index()] < self.max_skips {
+            // Defer: maybe a local block frees up (it cannot here — blocks
+            // are not returned — but real Hadoop defers for new splits and
+            // speculative re-execution; the waiting cost is what we model).
+            self.skips[node.index()] += 1;
+            return None;
+        }
+        self.skips[node.index()] = 0;
+        self.inner.next_task(node)
+    }
+
+    fn remaining(&self) -> usize {
+        self.inner.remaining()
+    }
+
+    fn name(&self) -> &'static str {
+        "delay"
+    }
+
+    fn node_lost(&mut self, node: NodeId, requeue: &[BlockId]) {
+        self.inner.node_lost(node, requeue);
+        // Fresh work just appeared: reset every skip budget so survivors
+        // re-evaluate instead of sitting out their delay.
+        self.skips.fill(0);
     }
 }
 
@@ -667,71 +756,254 @@ mod tests {
         }
         assert_eq!(s.remaining(), 0);
     }
-}
 
-/// Delay scheduling (Zaharia et al., EuroSys 2010) on top of the locality
-/// baseline: a node with no local unassigned block *waits* for up to
-/// `max_skips` heartbeats before accepting a remote block, trading a little
-/// latency for near-perfect locality. Like plain locality scheduling it is
-/// oblivious to sub-dataset content, so it inherits the paper's imbalance —
-/// included to show that better *locality* does not fix the *distribution*
-/// problem.
-#[derive(Debug, Clone)]
-pub struct DelayScheduler {
-    inner: LocalityScheduler,
-    /// Consecutive skips per node.
-    skips: Vec<u32>,
-    max_skips: u32,
-}
+    /// The locality baseline as it was written first, kept as the
+    /// reference the cursor-based [`LocalityScheduler`] is checked
+    /// against: the unassigned set is a `BTreeSet` and every request
+    /// re-walks the node's whole list through it.
+    #[derive(Clone)]
+    struct RescanLocality {
+        remaining: BTreeSet<BlockId>,
+        local: Vec<Vec<BlockId>>,
+    }
 
-impl DelayScheduler {
-    /// Wrap the full-DFS locality baseline with a skip budget.
-    pub fn new(dfs: &Dfs, max_skips: u32) -> Self {
-        let inner = LocalityScheduler::new(dfs);
-        let nodes = dfs.config().topology.len();
-        Self {
-            inner,
-            skips: vec![0; nodes],
-            max_skips,
+    impl RescanLocality {
+        fn with_scope(namenode: &NameNode, scope: impl IntoIterator<Item = BlockId>) -> Self {
+            let remaining: BTreeSet<BlockId> = scope.into_iter().collect();
+            let mut rng = StdRng::seed_from_u64(0x10CA_1125_u64 ^ remaining.len() as u64);
+            let local = (0..namenode.node_count())
+                .map(|n| {
+                    let mut blocks: Vec<BlockId> = namenode
+                        .blocks_on(NodeId(n as u32))
+                        .iter()
+                        .copied()
+                        .filter(|b| remaining.contains(b))
+                        .collect();
+                    blocks.shuffle(&mut rng);
+                    blocks
+                })
+                .collect();
+            Self { remaining, local }
+        }
+
+        fn has_local(&self, node: NodeId) -> bool {
+            self.local[node.index()]
+                .iter()
+                .any(|b| self.remaining.contains(b))
         }
     }
 
-    /// Whether the node still has a local unassigned block.
-    fn has_local(&self, node: NodeId) -> bool {
-        self.inner.local[node.index()]
-            .iter()
-            .any(|b| self.inner.remaining.contains(b))
-    }
-}
-
-impl MapScheduler for DelayScheduler {
-    fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
-        if self.inner.remaining.is_empty() {
-            return None;
+    impl MapScheduler for RescanLocality {
+        fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
+            let local_pick = self.local[node.index()]
+                .iter()
+                .copied()
+                .find(|b| self.remaining.contains(b));
+            if let Some(b) = local_pick {
+                self.remaining.remove(&b);
+                return Some((b, true));
+            }
+            let b = *self.remaining.iter().next()?;
+            self.remaining.remove(&b);
+            Some((b, false))
         }
-        if !self.has_local(node) && self.skips[node.index()] < self.max_skips {
-            // Defer: maybe a local block frees up (it cannot here — blocks
-            // are not returned — but real Hadoop defers for new splits and
-            // speculative re-execution; the waiting cost is what we model).
-            self.skips[node.index()] += 1;
-            return None;
+
+        fn remaining(&self) -> usize {
+            self.remaining.len()
         }
-        self.skips[node.index()] = 0;
-        self.inner.next_task(node)
+
+        fn name(&self) -> &'static str {
+            "locality-rescan"
+        }
+
+        fn node_lost(&mut self, node: NodeId, requeue: &[BlockId]) {
+            self.local[node.index()].clear();
+            self.remaining.extend(requeue.iter().copied());
+        }
     }
 
-    fn remaining(&self) -> usize {
-        self.inner.remaining()
+    /// [`DelayScheduler`] over the reference baseline.
+    struct RescanDelay {
+        inner: RescanLocality,
+        skips: Vec<u32>,
+        max_skips: u32,
     }
 
-    fn name(&self) -> &'static str {
-        "delay"
+    impl MapScheduler for RescanDelay {
+        fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
+            if self.inner.remaining.is_empty() {
+                return None;
+            }
+            if !self.inner.has_local(node) && self.skips[node.index()] < self.max_skips {
+                self.skips[node.index()] += 1;
+                return None;
+            }
+            self.skips[node.index()] = 0;
+            self.inner.next_task(node)
+        }
+
+        fn remaining(&self) -> usize {
+            self.inner.remaining()
+        }
+
+        fn name(&self) -> &'static str {
+            "delay-rescan"
+        }
+
+        fn node_lost(&mut self, node: NodeId, requeue: &[BlockId]) {
+            self.inner.node_lost(node, requeue);
+            self.skips.fill(0);
+        }
     }
 
-    fn node_lost(&mut self, node: NodeId, requeue: &[BlockId]) {
-        self.inner.node_lost(node, requeue);
-        // Fresh work just appeared: reset every skip budget so survivors
-        // re-evaluate instead of sitting out their delay.
-        self.skips.fill(0);
+    /// [`ResilientScheduler`] with the reference baseline as its fallback.
+    struct RescanResilient {
+        alg: Algorithm1,
+        fallback: RescanLocality,
+        view_blocks: BTreeSet<BlockId>,
+    }
+
+    impl MapScheduler for RescanResilient {
+        fn next_task(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
+            self.alg
+                .next_task_for(node)
+                .or_else(|| self.fallback.next_task(node))
+        }
+
+        fn remaining(&self) -> usize {
+            self.alg.remaining() + self.fallback.remaining()
+        }
+
+        fn name(&self) -> &'static str {
+            "resilient-rescan"
+        }
+
+        fn node_lost(&mut self, node: NodeId, requeue: &[BlockId]) {
+            let (planned, unknown): (Vec<BlockId>, Vec<BlockId>) = requeue
+                .iter()
+                .copied()
+                .partition(|b| self.view_blocks.contains(b));
+            self.alg.node_lost(node, &planned);
+            self.fallback.node_lost(node, &unknown);
+        }
+    }
+
+    /// 8 nodes, 3 replicas, 80 blocks: two nodes can die and every block
+    /// still has a holder. Sub-dataset 0 lives in the first 30 blocks only.
+    fn wide_dfs() -> Dfs {
+        let recs = (0..4000u64).map(|i| {
+            let s = if i < 1500 { i % 5 } else { 5 + i % 18 };
+            Record::new(SubDatasetId(s), i, 100, i)
+        });
+        Dfs::write_random(
+            DfsConfig {
+                block_size: 5_000,
+                replication: 3,
+                topology: Topology::single_rack(8),
+                seed: 11,
+            },
+            recs,
+        )
+    }
+
+    /// Drive both schedulers with one seeded random request order, killing
+    /// `losses` nodes along the way (each hands back everything it was
+    /// served, as the engine does), and demand the same answer to every
+    /// request and the same `remaining()` after every step.
+    fn assert_same_decisions(
+        fast: &mut dyn MapScheduler,
+        slow: &mut dyn MapScheduler,
+        nodes: usize,
+        losses: usize,
+        seed: u64,
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut alive: Vec<usize> = (0..nodes).collect();
+        let mut served: Vec<Vec<BlockId>> = vec![Vec::new(); nodes];
+        let total = fast.remaining();
+        let mut kills = (0..losses).map(|k| total * (k + 1) / (losses + 2));
+        let mut next_kill = kills.next();
+        let mut requests = 0usize;
+        let mut granted = 0usize;
+        while fast.remaining() > 0 {
+            requests += 1;
+            assert!(requests < 100 * total + 1_000, "seed {seed}: wedged");
+            if next_kill == Some(granted) {
+                next_kill = kills.next();
+                let dead = alive.remove(rng.gen_range(0..alive.len()));
+                let requeue = std::mem::take(&mut served[dead]);
+                fast.node_lost(NodeId(dead as u32), &requeue);
+                slow.node_lost(NodeId(dead as u32), &requeue);
+                assert_eq!(
+                    fast.remaining(),
+                    slow.remaining(),
+                    "seed {seed}: after a loss"
+                );
+            }
+            let n = alive[rng.gen_range(0..alive.len())];
+            let (a, b) = (
+                fast.next_task(NodeId(n as u32)),
+                slow.next_task(NodeId(n as u32)),
+            );
+            assert_eq!(a, b, "seed {seed}: request {requests} from node {n}");
+            assert_eq!(fast.remaining(), slow.remaining(), "seed {seed}");
+            if let Some((block, _)) = a {
+                served[n].push(block);
+                granted += 1;
+            }
+        }
+        assert_eq!(slow.remaining(), 0);
+        for &n in &alive {
+            assert_eq!(fast.next_task(NodeId(n as u32)), None);
+            assert_eq!(slow.next_task(NodeId(n as u32)), None);
+        }
+    }
+
+    #[test]
+    fn locality_cursors_decide_like_the_btreeset_walk() {
+        let d = wide_dfs();
+        let all = || (0..d.block_count() as u32).map(BlockId);
+        for seed in 0..30u64 {
+            for losses in 0..=2 {
+                let mut fast = LocalityScheduler::new(&d);
+                let mut slow = RescanLocality::with_scope(d.namenode(), all());
+                assert_same_decisions(&mut fast, &mut slow, 8, losses, seed);
+
+                let mut fast = DelayScheduler::new(&d, 1 + seed as u32 % 3);
+                let mut slow = RescanDelay {
+                    inner: RescanLocality::with_scope(d.namenode(), all()),
+                    skips: vec![0; 8],
+                    max_skips: 1 + seed as u32 % 3,
+                };
+                assert_same_decisions(&mut fast, &mut slow, 8, losses, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn resilient_fallback_decides_like_the_btreeset_walk() {
+        let d = wide_dfs();
+        let view = ElasticMapArray::build(&d, &Separation::All).view(SubDatasetId(0));
+        let in_view: BTreeSet<BlockId> = view.blocks().collect();
+        // Every third block outside the view lost its metadata: a sparse
+        // fallback scope, not a prefix.
+        let unknown: Vec<BlockId> = (0..d.block_count() as u32)
+            .map(BlockId)
+            .filter(|b| !in_view.contains(b) && b.0 % 3 != 0)
+            .collect();
+        assert!(unknown.len() > 10);
+        let degraded = datanet::DegradedView::new(view.clone(), unknown.clone(), vec![]);
+        for seed in 0..30u64 {
+            for losses in 0..=2 {
+                let mut fast = ResilientScheduler::new(&d, &degraded);
+                let mut slow = RescanResilient {
+                    alg: Algorithm1::new(&d, &view),
+                    fallback: RescanLocality::with_scope(d.namenode(), unknown.iter().copied()),
+                    view_blocks: in_view.clone(),
+                };
+                assert_same_decisions(&mut fast, &mut slow, 8, losses, seed);
+            }
+        }
     }
 }

@@ -33,7 +33,8 @@
 
 use crate::skewtune::{apportion, fragments_needed, split_even, split_threshold};
 use datanet::SubDatasetView;
-use datanet_dfs::{Block, Dfs, NodeId, SubDatasetId};
+pub use datanet_dfs::key_range_of;
+use datanet_dfs::{Dfs, NodeId, SubDatasetId};
 use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer — the same deterministic scrambler the record
@@ -44,18 +45,6 @@ fn splitmix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// The key range an intermediate key falls into. Both planes use this:
-/// the planner prices ranges from write-time statistics, the data plane
-/// routes each emitted `(key, value)` pair through the same function, so
-/// plan and execution always agree on range boundaries.
-///
-/// # Panics
-/// Panics if `ranges == 0`.
-pub fn key_range_of(key: u64, ranges: usize) -> usize {
-    assert!(ranges > 0, "need at least one key range");
-    (splitmix(key) % ranges as u64) as usize
 }
 
 /// One fragment of a key range: which reducer slot receives it and what
@@ -338,32 +327,23 @@ impl ShufflePlanner {
     }
 }
 
-/// The write-time statistic: a block's bytes per key range, over all its
-/// records (keyed by record timestamp — the proxy the meta-data plane
-/// prices ranges with).
-fn block_range_profile(block: &Block, ranges: usize) -> Vec<u64> {
-    let mut profile = vec![0u64; ranges];
-    for r in block.records() {
-        profile[key_range_of(r.timestamp, ranges)] += u64::from(r.size);
-    }
-    profile
-}
-
 /// Equation 6 per key range, from the ElasticMap view: every block's Eq. 6
 /// weight (`|s∩b|` for τ₁, `δ` for τ₂) is spread over ranges by the
-/// block's write-time range profile and credited to the block's primary
-/// holder. Rows are nodes, columns are key ranges.
+/// block's write-time range profile ([`Dfs::range_profile`], built once per
+/// `ranges` value and extended as blocks are appended) and credited to the
+/// block's primary holder. Rows are nodes, columns are key ranges. Touches
+/// the view's blocks only, and no record.
 pub fn range_matrix_estimate(dfs: &Dfs, view: &SubDatasetView, ranges: usize) -> Vec<Vec<u64>> {
     let nodes = dfs.namenode().node_count();
     let mut matrix = vec![vec![0u64; ranges]; nodes];
-    for block in dfs.blocks() {
-        let weight = view.weight(block.id());
+    let profile = dfs.range_profile(ranges);
+    let bloom = view.bloom().iter().map(|&b| (b, view.delta()));
+    for (b, weight) in view.exact().iter().copied().chain(bloom) {
         if weight == 0 {
             continue;
         }
-        let home = dfs.replicas(block.id())[0].index();
-        let profile = block_range_profile(block, ranges);
-        for (g, bytes) in apportion(weight, &profile).into_iter().enumerate() {
+        let home = dfs.replicas(b)[0].index();
+        for (g, bytes) in apportion(weight, profile.of(b)).into_iter().enumerate() {
             matrix[home][g] += bytes;
         }
     }

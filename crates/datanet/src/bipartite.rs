@@ -13,8 +13,17 @@ use datanet_dfs::{BlockId, NameNode, NodeId};
 /// blocks, weighted by sub-dataset content.
 #[derive(Debug, Clone)]
 pub struct DistributionGraph {
-    /// `adj_node[n]` = blocks adjacent to node `n` (still unassigned).
-    adj_node: Vec<Vec<BlockId>>,
+    /// `local_desc[n]` = blocks adjacent to node `n`, heaviest first (ties
+    /// → lowest id). Removed blocks stay in place and are skipped on read.
+    local_desc: Vec<Vec<BlockId>>,
+    /// `fit_from[n]`: every entry of `local_desc[n]` before it is removed
+    /// or heavier than the headroom node `n` last asked with — see
+    /// [`DistributionGraph::largest_local_fit`].
+    fit_from: Vec<usize>,
+    /// The same adjacency lightest first (ties → lowest id);
+    /// `light_from[n]` skips the removed prefix.
+    local_asc: Vec<Vec<BlockId>>,
+    light_from: Vec<usize>,
     /// `holders[b]` = nodes adjacent to block `b`; `None` once removed or
     /// never in scope.
     holders: Vec<Option<Vec<NodeId>>>,
@@ -38,7 +47,8 @@ impl DistributionGraph {
     /// Build the graph for the blocks in `view` (τ₁ ∪ τ₂), using the
     /// NameNode's replica map for edges and the view's weights.
     pub fn from_view(namenode: &NameNode, view: &SubDatasetView) -> Self {
-        Self::build(namenode, view.blocks().map(|b| (b, view.weight(b))))
+        let bloom = view.bloom().iter().map(|&b| (b, view.delta()));
+        Self::build(namenode, view.exact().iter().copied().chain(bloom))
     }
 
     /// Build the graph over an explicit `(block, weight)` scope. Blocks
@@ -47,26 +57,40 @@ impl DistributionGraph {
         let total_blocks = namenode.block_count();
         let mut holders: Vec<Option<Vec<NodeId>>> = vec![None; total_blocks];
         let mut weight = vec![0u64; total_blocks];
-        let mut adj_node = vec![Vec::new(); namenode.node_count()];
         let mut order_asc = Vec::new();
         let mut remaining = 0;
         for (b, w) in scope {
             assert!(b.index() < total_blocks, "block {b} unknown to NameNode");
             assert!(holders[b.index()].is_none(), "duplicate block {b} in scope");
-            let nodes = namenode.replicas(b).to_vec();
-            for &n in &nodes {
-                adj_node[n.index()].push(b);
-            }
-            holders[b.index()] = Some(nodes);
+            holders[b.index()] = Some(namenode.replicas(b).to_vec());
             weight[b.index()] = w;
             order_asc.push((w, b.0));
             remaining += 1;
         }
         order_asc.sort_unstable();
-        let mut order_desc = order_asc.clone();
-        order_desc.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        // Heaviest first keeps ids ascending inside a run of equal weights,
+        // so it is the runs that reverse, not the entries.
+        let mut order_desc = Vec::with_capacity(order_asc.len());
+        for run in order_asc.chunk_by(|a, b| a.0 == b.0).rev() {
+            order_desc.extend_from_slice(run);
+        }
+        // Dealing each global order out to the holders leaves every node's
+        // list in that order, with no per-node sort.
+        let nodes = namenode.node_count();
+        let deal = |order: &[(u64, u32)]| {
+            let mut local = vec![Vec::new(); nodes];
+            for &(_, b) in order {
+                for n in namenode.replicas(BlockId(b)) {
+                    local[n.index()].push(BlockId(b));
+                }
+            }
+            local
+        };
         Self {
-            adj_node,
+            local_desc: deal(&order_desc),
+            fit_from: vec![0; nodes],
+            local_asc: deal(&order_asc),
+            light_from: vec![0; nodes],
             holders,
             weight,
             order_asc,
@@ -77,14 +101,44 @@ impl DistributionGraph {
         }
     }
 
-    /// Blocks still unassigned that are local to `n` — the paper's `d_i`.
-    /// May contain already-removed blocks lazily; use
-    /// [`DistributionGraph::local_blocks`] for the filtered view.
+    /// Blocks still unassigned that are local to `n` — the paper's `d_i` —
+    /// heaviest first (ties → lowest id).
     pub fn local_blocks(&self, n: NodeId) -> impl Iterator<Item = BlockId> + '_ {
-        self.adj_node[n.index()]
+        self.local_desc[n.index()]
             .iter()
             .copied()
             .filter(|b| self.contains(*b))
+    }
+
+    /// The heaviest block local to `n` that weighs at most `headroom`
+    /// (ties → lowest id), amortized O(1): the first such entry of the
+    /// heaviest-first list, found by a cursor that never steps back. That
+    /// is only right while `headroom` does not grow from one call for `n`
+    /// to the next — a node's headroom shrinks as it is assigned work —
+    /// so whatever may raise it ([`DistributionGraph::remove_node`],
+    /// [`DistributionGraph::reinsert`], after which targets are recomputed)
+    /// rewinds the cursors.
+    pub(crate) fn largest_local_fit(&mut self, n: NodeId, headroom: f64) -> Option<BlockId> {
+        let from = &mut self.fit_from[n.index()];
+        while let Some(&b) = self.local_desc[n.index()].get(*from) {
+            if self.holders[b.index()].is_some() && self.weight[b.index()] as f64 <= headroom {
+                return Some(b);
+            }
+            *from += 1;
+        }
+        None
+    }
+
+    /// The lightest block local to `n` (ties → lowest id), amortized O(1).
+    pub(crate) fn lightest_local(&mut self, n: NodeId) -> Option<BlockId> {
+        let from = &mut self.light_from[n.index()];
+        while let Some(&b) = self.local_asc[n.index()].get(*from) {
+            if self.holders[b.index()].is_some() {
+                return Some(b);
+            }
+            *from += 1;
+        }
+        None
     }
 
     /// Nodes holding block `b`, if it is still in the graph.
@@ -149,7 +203,7 @@ impl DistributionGraph {
 
     /// Number of cluster nodes.
     pub fn node_count(&self) -> usize {
-        self.adj_node.len()
+        self.local_desc.len()
     }
 
     /// Remove block `b` and all of its edges (lines 18–20 of Algorithm 1).
@@ -161,11 +215,10 @@ impl DistributionGraph {
             self.holders[b.index()].take().is_some(),
             "block {b} not in graph"
         );
-        // The weight-order vectors are untouched: the skip-cursors step
-        // over the dead entry the next time they reach it.
+        // The weight-order vectors, global and per node, are untouched:
+        // the skip-cursors step over the dead entry the next time they
+        // reach it.
         self.remaining -= 1;
-        // adj_node lists are cleaned lazily by the `contains` filter; a
-        // periodic compaction keeps them from growing stale.
     }
 
     /// Put a previously removed block back, with an explicit holder set —
@@ -181,23 +234,32 @@ impl DistributionGraph {
             "block {b} is already in the graph"
         );
         assert!(!holders.is_empty(), "a reinserted block needs a holder");
+        let w = self.weight[b.index()];
         // The new holder set is authoritative: stale adjacency entries from
         // the original build would otherwise pass the `contains` filter
-        // again and revive edges to nodes that lost their replica.
-        for (n, adj) in self.adj_node.iter_mut().enumerate() {
-            if holders.iter().any(|h| h.index() == n) {
-                if !adj.contains(&b) {
-                    adj.push(b);
-                }
-            } else {
-                adj.retain(|&x| x != b);
+        // again and revive edges to nodes that lost their replica. A stale
+        // entry of a surviving holder is already where its weight puts it.
+        for n in 0..self.local_desc.len() {
+            let holds = holders.iter().any(|h| h.index() == n);
+            let (desc, asc) = (&mut self.local_desc[n], &mut self.local_asc[n]);
+            if !holds {
+                desc.retain(|&x| x != b);
+                asc.retain(|&x| x != b);
+            } else if !desc.contains(&b) {
+                let key = |x: &BlockId| (self.weight[x.index()], x.0);
+                let at = desc.partition_point(|x| {
+                    let (xw, xid) = key(x);
+                    xw > w || (xw == w && xid < b.0)
+                });
+                desc.insert(at, b);
+                let at = asc.partition_point(|x| key(x) < (w, b.0));
+                asc.insert(at, b);
             }
         }
         self.holders[b.index()] = Some(holders);
-        let w = self.weight[b.index()];
         // Make sure the order vectors cover the block (they always do when
         // it came from the original scope), then rewind the skip-cursors:
-        // the revived entry may sit before either cursor. Reinsertion is a
+        // the revived entry may sit before any of them. Reinsertion is a
         // rare fault-recovery path, so the O(n) re-skip is irrelevant.
         if let Err(pos) = self.order_asc.binary_search(&(w, b.0)) {
             self.order_asc.insert(pos, (w, b.0));
@@ -207,18 +269,26 @@ impl DistributionGraph {
                 .unwrap_err();
             self.order_desc.insert(pos, (w, b.0));
         }
+        self.rewind();
+        self.remaining += 1;
+    }
+
+    fn rewind(&mut self) {
         self.cur_asc = 0;
         self.cur_desc = 0;
-        self.remaining += 1;
+        self.fit_from.fill(0);
+        self.light_from.fill(0);
     }
 
     /// Drop every edge to node `n` (it crashed): blocks whose only holder
     /// was `n` stay in the graph but become remote-only.
     pub fn remove_node(&mut self, n: NodeId) {
-        self.adj_node[n.index()].clear();
+        self.local_desc[n.index()].clear();
+        self.local_asc[n.index()].clear();
         for h in self.holders.iter_mut().flatten() {
             h.retain(|&x| x != n);
         }
+        self.rewind();
     }
 }
 
@@ -316,6 +386,75 @@ mod tests {
             g.holders(BlockId(3)).unwrap().is_empty(),
             "block 3 lived only on node 2"
         );
+    }
+
+    /// The per-node cursors answer like a full walk of the node's list,
+    /// through removals, a node loss and reinsertions, as long as each
+    /// node's headroom only shrinks between rewinds.
+    #[test]
+    fn local_cursors_match_a_full_walk() {
+        // Tiny xorshift: the test needs arbitrary, not good, numbers.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (nodes, blocks) = (5u32, 60u32);
+        let mut nn = NameNode::new(nodes as usize);
+        for b in 0..blocks {
+            let first = next(nodes as u64) as u32;
+            nn.register(
+                BlockId(b),
+                vec![NodeId(first), NodeId((first + 1 + b % 3) % nodes)],
+            );
+        }
+        // Few distinct weights, so ties are the common case.
+        let scope: Vec<(BlockId, u64)> = (0..blocks).map(|b| (BlockId(b), 10 * next(6))).collect();
+        let mut g = DistributionGraph::build(&nn, scope);
+        let mut headroom = vec![70.0f64; nodes as usize];
+        let mut removed: Vec<BlockId> = Vec::new();
+        let mut alive = vec![true; nodes as usize];
+        for step in 0..200 {
+            for n in (0..nodes).map(NodeId) {
+                let walk: Vec<(u64, BlockId)> =
+                    g.local_blocks(n).map(|b| (g.weight(b), b)).collect();
+                let lightest = walk.iter().min().map(|&(_, b)| b);
+                assert_eq!(g.lightest_local(n), lightest, "step {step}, node {n}");
+                let room = headroom[n.index()];
+                let fit = (walk.iter().filter(|&&(w, _)| w as f64 <= room))
+                    .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+                    .map(|&(_, b)| b);
+                assert_eq!(g.largest_local_fit(n, room), fit, "step {step}, node {n}");
+            }
+            match next(10) {
+                0 if alive.iter().filter(|&&a| a).count() > 2 => {
+                    let dead = next(nodes as u64) as usize;
+                    alive[dead] = false;
+                    g.remove_node(NodeId(dead as u32));
+                    headroom.fill(70.0);
+                }
+                1 | 2 if !removed.is_empty() => {
+                    let b = removed.swap_remove(next(removed.len() as u64) as usize);
+                    let survivors = nn.surviving_replicas(b, &alive);
+                    if !survivors.is_empty() {
+                        g.reinsert(b, survivors);
+                        headroom.fill(70.0);
+                    }
+                }
+                _ => {
+                    let k = next(blocks as u64) as usize % g.remaining().max(1);
+                    let pick = g.remaining_blocks().nth(k);
+                    if let Some(b) = pick {
+                        g.remove_block(b);
+                        removed.push(b);
+                    }
+                    let n = next(nodes as u64) as usize;
+                    headroom[n] = (headroom[n] - 7.0).max(0.0);
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,6 +103,31 @@ impl Buckets {
     pub fn lower_bound(&self, i: usize) -> u64 {
         self.bounds[i]
     }
+
+    /// The size threshold that selects approximately the `quota` largest
+    /// sub-datasets, given how many fall in each bucket: walk buckets from
+    /// the top down, accumulating `counts`; return the lower bound of the
+    /// last bucket taken. Everything with size ≥ threshold goes to the hash
+    /// map. O(#buckets).
+    ///
+    /// If `quota == 0` returns `u64::MAX` (nothing dominant); if `quota ≥
+    /// Σ counts` returns 0 (everything dominant). Because buckets are taken
+    /// whole, the actual number selected may exceed `quota` by up to one
+    /// bucket's population — the paper accepts the same slack ("we only need
+    /// to know the statistic value on different buckets").
+    pub(crate) fn dominance_threshold(&self, counts: &[usize], quota: usize) -> u64 {
+        if quota == 0 {
+            return u64::MAX;
+        }
+        let mut taken = 0;
+        for i in (0..counts.len()).rev() {
+            taken += counts[i];
+            if taken >= quota {
+                return self.lower_bound(i);
+            }
+        }
+        0
+    }
 }
 
 /// Streaming bucket statistics for one block: tracks each sub-dataset's
@@ -125,24 +150,6 @@ impl BucketCounter {
         Self {
             buckets,
             sizes: FastMap::default(),
-            counts,
-        }
-    }
-
-    /// Build a counter from fully-accumulated per-sub-dataset sizes in one
-    /// O(distinct) counting pass. Equivalent to [`BucketCounter::record`]
-    /// over the same data, but skips the per-record incremental bucket
-    /// maintenance — callers that only need the *final* threshold (the
-    /// ElasticMap build) accumulate sizes in a tight loop and bucket once
-    /// here, dropping two `bucket_of` walks from every scanned record.
-    pub fn from_sizes(buckets: Buckets, sizes: FastMap<SubDatasetId, u64>) -> Self {
-        let mut counts = vec![0; buckets.len()];
-        for &size in sizes.values() {
-            counts[buckets.bucket_of(size)] += 1;
-        }
-        Self {
-            buckets,
-            sizes,
             counts,
         }
     }
@@ -192,34 +199,9 @@ impl BucketCounter {
     }
 
     /// The size threshold that selects approximately the `quota` largest
-    /// sub-datasets: walk buckets from the top down, accumulating counts;
-    /// return the lower bound of the last bucket taken. Everything with
-    /// size ≥ threshold goes to the hash map. O(#buckets).
-    ///
-    /// If `quota == 0` returns `u64::MAX` (nothing dominant); if `quota ≥
-    /// distinct` returns 0 (everything dominant). Because buckets are taken
-    /// whole, the actual number selected may exceed `quota` by up to one
-    /// bucket's population — the paper accepts the same slack ("we only need
-    /// to know the statistic value on different buckets").
+    /// sub-datasets seen so far (see [`Buckets::dominance_threshold`]).
     pub fn dominance_threshold(&self, quota: usize) -> u64 {
-        if quota == 0 {
-            return u64::MAX;
-        }
-        let mut taken = 0;
-        for i in (0..self.counts.len()).rev() {
-            taken += self.counts[i];
-            if taken >= quota {
-                return self.buckets.lower_bound(i);
-            }
-        }
-        0
-    }
-
-    /// Consume the counter, returning `(sizes, threshold)` for the given
-    /// hash-map quota.
-    pub fn into_separated(self, quota: usize) -> (FastMap<SubDatasetId, u64>, u64) {
-        let threshold = self.dominance_threshold(quota);
-        (self.sizes, threshold)
+        self.buckets.dominance_threshold(&self.counts, quota)
     }
 }
 

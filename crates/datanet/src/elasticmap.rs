@@ -17,8 +17,7 @@
 //! writes the two arrays as they are.
 
 use crate::bloom::BloomFilter;
-use crate::buckets::{BucketCounter, Buckets};
-use crate::symbol::FastMap;
+use crate::buckets::Buckets;
 use crate::wire::{put_var, Reader};
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -82,20 +81,6 @@ pub struct ElasticMap {
 /// "10 bits per sub-dataset" figure.
 pub const BLOOM_EPSILON: f64 = 0.01;
 
-/// Exact bytes per sub-dataset of `block`: one map hit per record, the
-/// table pre-sized for the worst case (every record a distinct
-/// sub-dataset) so accumulation never rehashes. Both the batch build and
-/// the ingest path's write-time delta start from this table.
-pub(crate) fn size_table(block: &Block) -> FastMap<SubDatasetId, u64> {
-    let mut sizes =
-        FastMap::<SubDatasetId, u64>::with_capacity_and_hasher(block.len(), Default::default());
-    for r in block.records() {
-        let e = sizes.entry(r.subdataset).or_insert(0);
-        *e = e.saturating_add(r.size as u64);
-    }
-    sizes
-}
-
 /// The bucket series of a block holding `records` records in `bytes`
 /// bytes: a Fibonacci progression based at the **mean record size**.
 /// Per-sub-dataset sizes are integer multiples of record sizes, so this
@@ -114,10 +99,10 @@ pub(crate) fn mean_record_buckets(bytes: u64, records: usize) -> Buckets {
 impl ElasticMap {
     /// Build the ElasticMap of `block` with the given separation policy.
     ///
-    /// Single scan over the block's records (the bucket counter is O(1) per
-    /// record), then an O(#buckets) threshold walk and one pass over the
-    /// distinct sub-datasets to split them — O(records + distinct·log
-    /// distinct) for the final sort of the (small) dominant set.
+    /// No record is read here: the block's write-time size table
+    /// ([`Block::subdataset_sizes`]) is the one scan. What is left is
+    /// O(distinct) — bucket counts, an O(#buckets) threshold walk and one
+    /// pass that splits the table, whose id order the exact side inherits.
     ///
     /// Buckets follow [`mean_record_buckets`].
     pub fn build(block: &Block, policy: &Separation) -> Self {
@@ -127,51 +112,51 @@ impl ElasticMap {
 
     /// [`ElasticMap::build`] with explicit buckets (for tests/ablations).
     pub fn build_with_buckets(block: &Block, policy: &Separation, buckets: Buckets) -> Self {
-        Self::from_size_table(block.id(), size_table(block), policy, buckets)
+        Self::from_size_table(block.id(), block.subdataset_sizes(), policy, buckets)
     }
 
-    /// Build from an already-accumulated per-sub-dataset size table — the
-    /// entry point the streaming ingestor uses to seal a write-time delta
-    /// map without re-touching the records. Output is independent of the
-    /// table's iteration order (the exact side is sorted, bloom insertion
-    /// is idempotent, and the minimum is order-free), so a sealed delta is
-    /// byte-identical to [`ElasticMap::build`] on the same block.
+    /// Build from a per-sub-dataset size table in ascending id order (a
+    /// block's own, directly or through the handle an ingest delta holds
+    /// on it) — the one build body, so a sealed delta is byte-identical to
+    /// [`ElasticMap::build`] on the same block.
     pub(crate) fn from_size_table(
         block: BlockId,
-        sizes: FastMap<SubDatasetId, u64>,
+        sizes: &[(SubDatasetId, u64)],
         policy: &Separation,
         buckets: Buckets,
     ) -> Self {
-        let counter = BucketCounter::from_sizes(buckets, sizes);
-        let distinct = counter.distinct();
+        debug_assert!(sizes.windows(2).all(|w| w[0].0 < w[1].0), "ids ascend");
         let threshold = match policy {
             Separation::Alpha(alpha) => {
                 assert!(
                     (0.0..=1.0).contains(alpha),
                     "alpha must be in [0,1], got {alpha}"
                 );
-                let quota = (*alpha * distinct as f64).ceil() as usize;
-                counter.dominance_threshold(quota)
+                let mut counts = vec![0; buckets.len()];
+                for &(_, size) in sizes {
+                    counts[buckets.bucket_of(size)] += 1;
+                }
+                let quota = (*alpha * sizes.len() as f64).ceil() as usize;
+                buckets.dominance_threshold(&counts, quota)
             }
             Separation::Threshold { min_bytes } => *min_bytes,
             Separation::All => 0,
             Separation::BloomOnly => u64::MAX,
         };
-        let (sizes, _) = counter.into_separated(0);
-        let bloom_count = sizes.values().filter(|&&s| s < threshold).count();
+        let bloom_count = sizes.iter().filter(|&&(_, s)| s < threshold).count();
         let mut bloom = BloomFilter::with_rate(bloom_count.max(1), BLOOM_EPSILON);
-        let mut exact: Vec<(SubDatasetId, u64)> = Vec::with_capacity(distinct - bloom_count);
+        let mut exact_ids = Vec::with_capacity(sizes.len() - bloom_count);
+        let mut exact_sizes = Vec::with_capacity(sizes.len() - bloom_count);
         let mut bloom_min_bytes: Option<u64> = None;
-        for (id, size) in sizes {
+        for &(id, size) in sizes {
             if size >= threshold {
-                exact.push((id, size));
+                exact_ids.push(id);
+                exact_sizes.push(size);
             } else {
                 bloom.insert(id);
                 bloom_min_bytes = Some(bloom_min_bytes.map_or(size, |m: u64| m.min(size)));
             }
         }
-        exact.sort_unstable_by_key(|&(id, _)| id);
-        let (exact_ids, exact_sizes) = exact.into_iter().unzip();
         Self {
             block,
             exact_ids,

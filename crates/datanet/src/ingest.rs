@@ -6,9 +6,10 @@
 //! "index while uploading" piggybacked on the DFS write pipeline:
 //!
 //! * [`Ingestor::append`] accepts a sealed block as it arrives over the
-//!   simulated clock and accumulates its per-sub-dataset size table into a
-//!   lossless **delta map** (everything exact — a bloom filter cannot be
-//!   un-inserted, so the write path never commits to a separation early).
+//!   simulated clock and keeps a handle on the per-sub-dataset size table
+//!   the DFS write built for it as a lossless **delta map** (everything
+//!   exact — a bloom filter cannot be un-inserted, so the write path never
+//!   commits to a separation early).
 //! * Periodic **compaction** seals pending deltas through the same bucket
 //!   walk the batch build uses ([`ElasticMap`]'s separation policy), builds
 //!   their [`BlockSummary`] sidecars, and pushes them onto the sealed
@@ -34,19 +35,19 @@
 //! blocks, including across out-of-order arrival, crash, and resume.
 
 use crate::distribution::SubDatasetView;
-use crate::elasticmap::{mean_record_buckets, size_table, ElasticMap, Separation, SizeInfo};
+use crate::elasticmap::{mean_record_buckets, ElasticMap, Separation, SizeInfo};
 use crate::scan::ElasticMapArray;
 use crate::store::{
     crc32, encode_blocks, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file,
     summary_file, BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
 };
-use crate::symbol::FastMap;
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Default compaction batch and blocks per persisted shard.
 const SHARD_BLOCKS: usize = 16;
@@ -98,12 +99,13 @@ pub struct IngestStats {
     pub summaries_built: u64,
 }
 
-/// Write-time delta: one block's lossless per-sub-dataset size table,
+/// Write-time delta: one block's lossless per-sub-dataset size table —
+/// the very allocation the block built when it was written, shared —
 /// pending until compaction seals it through the separation policy.
 #[derive(Debug, Clone)]
 struct DeltaMap {
     block: BlockId,
-    sizes: FastMap<SubDatasetId, u64>,
+    sizes: Arc<[(SubDatasetId, u64)]>,
     bytes: u64,
     records: usize,
 }
@@ -112,7 +114,7 @@ impl DeltaMap {
     fn of(block: &Block) -> Self {
         Self {
             block: block.id(),
-            sizes: size_table(block),
+            sizes: Arc::clone(block.subdataset_sizes()),
             bytes: block.bytes(),
             records: block.len(),
         }
@@ -125,9 +127,9 @@ impl DeltaMap {
 
     /// Exact size of `s` in this pending block.
     fn query(&self, s: SubDatasetId) -> SizeInfo {
-        match self.sizes.get(&s) {
-            Some(&sz) => SizeInfo::Exact(sz),
-            None => SizeInfo::Absent,
+        match self.sizes.binary_search_by_key(&s, |&(id, _)| id) {
+            Ok(i) => SizeInfo::Exact(self.sizes[i].1),
+            Err(_) => SizeInfo::Absent,
         }
     }
 
@@ -137,7 +139,7 @@ impl DeltaMap {
     fn seal(&self, policy: &Separation) -> ElasticMap {
         ElasticMap::from_size_table(
             self.block,
-            self.sizes.clone(),
+            &self.sizes,
             policy,
             mean_record_buckets(self.bytes, self.records),
         )

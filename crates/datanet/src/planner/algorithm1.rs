@@ -235,29 +235,6 @@ impl Algorithm1 {
             .map(|(_, b)| b)
     }
 
-    /// Largest candidate whose weight fits the node's remaining headroom
-    /// `W̄ − W_i`, if any.
-    fn pick_largest_fit(
-        &self,
-        node: NodeId,
-        candidates: impl Iterator<Item = BlockId>,
-    ) -> Option<BlockId> {
-        let headroom = (self.targets[node.index()] - self.workloads[node.index()] as f64).max(0.0);
-        candidates
-            .map(|b| (self.graph.weight(b), b))
-            .filter(|&(w, _)| w as f64 <= headroom)
-            .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
-            .map(|(_, b)| b)
-    }
-
-    /// Lightest candidate.
-    fn pick_lightest(&self, candidates: impl Iterator<Item = BlockId>) -> Option<BlockId> {
-        candidates
-            .map(|b| (self.graph.weight(b), b))
-            .min_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, b)| b)
-    }
-
     /// Serve one task request from `node` (lines 7–20). Returns the chosen
     /// block and whether it was node-local, or `None` when all tasks are
     /// assigned.
@@ -284,9 +261,13 @@ impl Algorithm1 {
                 // spent; letting every requester bid on the current global
                 // heaviest guarantees heavies drain while *somebody* still
                 // has headroom instead of stranding to the endgame.
-                let global_heaviest = self.graph.heaviest();
-                let local_fit = self.pick_largest_fit(node, self.graph.local_blocks(node));
-                let global_fit = self.pick_largest_fit(node, global_heaviest.into_iter());
+                // A candidate fits when its weight is within the node's
+                // remaining headroom `W̄ − W_i`.
+                let my_headroom = self.targets[node.index()] - self.workloads[node.index()] as f64;
+                let room = my_headroom.max(0.0);
+                let local_fit = self.graph.largest_local_fit(node, room);
+                let global_fit =
+                    (self.graph.heaviest()).filter(|&g| self.graph.weight(g) as f64 <= room);
                 // Rescue rule: fetch the global heaviest remotely when it
                 // fits this node, beats the local option, and every one of
                 // its replica holders already has less headroom than this
@@ -294,7 +275,6 @@ impl Algorithm1 {
                 // the block than anywhere it lives. Heavies drain while the
                 // cluster still has headroom; locality stays high because a
                 // holder with room keeps priority.
-                let my_headroom = self.targets[node.index()] - self.workloads[node.index()] as f64;
                 let rescue = global_fit.filter(|&g| {
                     let beats_local =
                         local_fit.is_none_or(|l| self.graph.weight(g) > self.graph.weight(l));
@@ -323,7 +303,7 @@ impl Algorithm1 {
                     // Prefer the lightest local block, but fall back to a
                     // non-local one when the local options are much heavier
                     // (Hadoop schedules non-local maps in this situation).
-                    let light_local = self.pick_lightest(self.graph.local_blocks(node));
+                    let light_local = self.graph.lightest_local(node);
                     let light_global = self
                         .graph
                         .lightest()
@@ -347,6 +327,18 @@ impl Algorithm1 {
         Some((block, local))
     }
 
+    /// `W_i / target_i`, the load [`Algorithm1::plan_balanced`] orders
+    /// requests by. Zero targets (empty views) degrade to plain
+    /// least-loaded order.
+    fn relative_load(&self, i: usize) -> f64 {
+        let t = self.targets[i];
+        if t > 0.0 {
+            self.workloads[i] as f64 / t
+        } else {
+            self.workloads[i] as f64
+        }
+    }
+
     /// Run to completion assuming request rate proportional to capability:
     /// the node with the lowest *relative* load (`W_i / target_i`) issues
     /// the next request (ties → lowest id). For homogeneous clusters this
@@ -354,30 +346,23 @@ impl Algorithm1 {
     pub fn plan_balanced(mut self) -> Assignment {
         let m = self.workloads.len();
         let mut assignment = Assignment::new(m);
+        // An assignment moves one node's workload and no target, so only
+        // that node's ratio is ever recomputed.
+        let mut load: Vec<f64> = (0..m).map(|i| self.relative_load(i)).collect();
         while self.graph.remaining() > 0 {
-            let node = NodeId(
-                (0..m)
-                    .min_by(|&a, &b| {
-                        // Zero targets (empty views) degrade to plain
-                        // least-loaded order.
-                        let rel = |i: usize| {
-                            let t = self.targets[i];
-                            if t > 0.0 {
-                                self.workloads[i] as f64 / t
-                            } else {
-                                self.workloads[i] as f64
-                            }
-                        };
-                        rel(a)
-                            .partial_cmp(&rel(b))
-                            .expect("finite ratios")
-                            .then(a.cmp(&b))
-                    })
-                    .expect("at least one node") as u32,
-            );
+            let i = (0..m)
+                .min_by(|&a, &b| {
+                    load[a]
+                        .partial_cmp(&load[b])
+                        .expect("finite ratios")
+                        .then(a.cmp(&b))
+                })
+                .expect("at least one node");
+            let node = NodeId(i as u32);
             let (block, local) = self
                 .next_task_for(node)
                 .expect("remaining() > 0 guarantees a task");
+            load[i] = self.relative_load(i);
             assignment.assign(node, block, self.graph.weight(block), local);
         }
         assignment
@@ -788,6 +773,64 @@ mod tests {
             assignment.assign(node, block, w, local);
         }
         assignment
+    }
+
+    /// [`Algorithm1::plan_balanced`] as it was written first: every
+    /// comparison of the request order divides both nodes' workloads by
+    /// their targets again.
+    fn plan_balanced_dividing(mut alg: Algorithm1) -> Assignment {
+        let m = alg.workloads.len();
+        let mut assignment = Assignment::new(m);
+        while alg.graph.remaining() > 0 {
+            let rel = |i: usize| {
+                let t = alg.targets[i];
+                if t > 0.0 {
+                    alg.workloads[i] as f64 / t
+                } else {
+                    alg.workloads[i] as f64
+                }
+            };
+            let i = (0..m)
+                .min_by(|&a, &b| rel(a).partial_cmp(&rel(b)).unwrap().then(a.cmp(&b)))
+                .unwrap();
+            let (block, local) = alg.next_task_for(NodeId(i as u32)).unwrap();
+            assignment.assign(NodeId(i as u32), block, alg.graph.weight(block), local);
+        }
+        assignment
+    }
+
+    #[test]
+    fn kept_relative_loads_order_requests_like_dividing_per_comparison() {
+        let dfs = clustered_dfs(8);
+        let caps = [1.0, 2.5, 1.0, 0.5, 1.5, 3.0, 0.75, 1.0];
+        let array = ElasticMapArray::build(&dfs, &Separation::Alpha(0.4));
+        let mut views: Vec<SubDatasetView> = (0..21).map(|s| array.view(SubDatasetId(s))).collect();
+        // Zero targets with work to hand out (every weight is δ = 0), and
+        // zero targets with none.
+        let every_block = (0..dfs.block_count() as u32).map(BlockId).collect();
+        views.push(SubDatasetView::new(
+            SubDatasetId(77),
+            vec![],
+            every_block,
+            0,
+        ));
+        views.push(SubDatasetView::new(
+            SubDatasetId(78),
+            vec![],
+            vec![],
+            u64::MAX,
+        ));
+        for v in &views {
+            for policy in [BalancePolicy::PacedGreedy, BalancePolicy::BestFitTerminal] {
+                let alg = Algorithm1::with_capabilities(dfs.namenode(), v, policy, &caps);
+                assert_eq!(
+                    alg.clone().plan_balanced(),
+                    plan_balanced_dividing(alg),
+                    "sub-dataset {} under {policy:?}",
+                    v.id()
+                );
+            }
+        }
     }
 
     /// The naive planner and the indexed planner must make identical picks

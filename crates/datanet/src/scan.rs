@@ -14,7 +14,7 @@
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
 use crate::store::BlockSummary;
-use crate::symbol::{FastMap, SymbolTable};
+use crate::symbol::SymbolTable;
 use datanet_dfs::{BlockId, Dfs, SubDatasetId};
 use datanet_obs::{Category, Domain, Recorder, SpanCtx};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -114,10 +114,10 @@ impl<'a> ViewFold<'a> {
 
     /// Fold one block's lossless size table (a write-time delta the
     /// ingestor has not sealed yet): every answer is exact.
-    pub(crate) fn fold_sizes(&mut self, block: BlockId, sizes: &FastMap<SubDatasetId, u64>) {
+    pub(crate) fn fold_sizes(&mut self, block: BlockId, sizes: &[(SubDatasetId, u64)]) {
         for (tally, id) in self.tallies.iter_mut().zip(self.ids) {
-            if let Some(&size) = sizes.get(id) {
-                tally.exact.push((block, size));
+            if let Ok(i) = sizes.binary_search_by_key(id, |&(s, _)| s) {
+                tally.exact.push((block, sizes[i].1));
             }
         }
     }
@@ -146,7 +146,8 @@ pub struct ElasticMapArray {
 }
 
 impl ElasticMapArray {
-    /// Build the array with one scan over the DFS blocks, in block order.
+    /// Build the array from the DFS blocks' write-time size tables, in
+    /// block order (the single scan of the raw data is the DFS write).
     pub fn build(dfs: &Dfs, policy: &Separation) -> Self {
         Self::build_traced(dfs, policy, &Recorder::off())
     }

@@ -31,7 +31,7 @@ fn clickstream_dfs() -> Dfs {
 fn hot_user(dfs: &Dfs) -> SubDatasetId {
     let mut totals = std::collections::HashMap::new();
     for b in dfs.blocks() {
-        for (s, bytes) in b.subdataset_sizes() {
+        for &(s, bytes) in b.subdataset_sizes().iter() {
             *totals.entry(s).or_insert(0u64) += bytes;
         }
     }

@@ -6,12 +6,24 @@
 //!   harness gates on (`tests/corpus/seeds.txt`);
 //! - the store's binary shard and summary decode yields exactly the maps
 //!   that were encoded, and exactly what the JSON decode of the same maps
-//!   yields, on every shard of that corpus.
+//!   yields, on every shard of that corpus;
+//! - what the DFS derives at write time — each block's size table, the
+//!   per-block range profile — answers exactly like the record scan it
+//!   replaced, and a query path given nothing else gives the same answers.
 
 use datanet::store::BlockSummary;
-use datanet::{ElasticMapArray, MetaStore, Separation};
-use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
+use datanet::{
+    plan_balanced_batch, ElasticMapArray, FordFulkersonPlanner, MetaStore, Separation,
+    SubDatasetView,
+};
+use datanet_analytics::word_count_profile;
+use datanet_check::Scenario;
+use datanet_dfs::{key_range_of, Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit::{write_v3_ingest_store, ReplicaDirs};
+use datanet_mapreduce::{
+    apportion, range_matrix_estimate, run_analysis_shuffled, run_selection, AnalysisConfig,
+    DataNetScheduler, LocalityScheduler, SelectionConfig, ShufflePlanner,
+};
 use std::path::Path;
 
 /// A deterministic dataset whose shape (records, sub-dataset skew, block
@@ -146,5 +158,168 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
                 );
             }
         }
+    }
+}
+
+/// Every `(block, id)` lookup of the write-time size table against the
+/// filter-and-sum over the block's records, for every id present in the
+/// DFS plus absent ones; and the two `Dfs` entry points built on it.
+fn assert_tables_match_scans(dfs: &Dfs, what: &str) {
+    let mut ids: Vec<SubDatasetId> = dfs
+        .blocks()
+        .iter()
+        .flat_map(|b| b.records().iter().map(|r| r.subdataset))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let present = ids.len();
+    ids.extend([u64::MAX, u64::MAX / 3, ids.len() as u64 + 1_000_000].map(SubDatasetId));
+    let mut listed = 0;
+    for block in dfs.blocks() {
+        let table = block.subdataset_sizes();
+        assert!(
+            table.windows(2).all(|w| w[0].0 < w[1].0),
+            "{what}: ids ascend"
+        );
+        listed += table.len();
+        for &s in &ids {
+            let scanned: u64 = block.filter(s).map(|r| u64::from(r.size)).sum();
+            assert_eq!(
+                block.subdataset_bytes(s),
+                scanned,
+                "{what}: {} {s}",
+                block.id()
+            );
+            assert_eq!(table.iter().any(|&(id, _)| id == s), scanned > 0);
+        }
+    }
+    for &s in ids.iter().take(present.min(12)).chain(&ids[present..]) {
+        let scanned: Vec<u64> = dfs
+            .blocks()
+            .iter()
+            .map(|b| b.filter(s).map(|r| u64::from(r.size)).sum())
+            .collect();
+        assert_eq!(dfs.subdataset_distribution(s), scanned, "{what}: {s}");
+        assert_eq!(dfs.subdataset_total(s), scanned.iter().sum::<u64>());
+    }
+    assert!(listed >= dfs.block_count(), "{what}: no block is empty");
+}
+
+/// `range_matrix_estimate` as it was before the profile was kept: every
+/// query re-buckets every record of every block the view weighs.
+fn rebucketed_estimate(dfs: &Dfs, view: &SubDatasetView, ranges: usize) -> Vec<Vec<u64>> {
+    let mut matrix = vec![vec![0u64; ranges]; dfs.namenode().node_count()];
+    for block in dfs.blocks() {
+        let weight = view.weight(block.id());
+        if weight == 0 {
+            continue;
+        }
+        let mut profile = vec![0u64; ranges];
+        for r in block.records() {
+            profile[key_range_of(r.timestamp, ranges)] += u64::from(r.size);
+        }
+        let home = dfs.replicas(block.id())[0].index();
+        for (g, bytes) in apportion(weight, &profile).into_iter().enumerate() {
+            matrix[home][g] += bytes;
+        }
+    }
+    matrix
+}
+
+/// Split a DFS into the one written in a batch from its first half and the
+/// records of the blocks still to be appended to it.
+fn first_half(dfs: &Dfs) -> (Dfs, Vec<Vec<Record>>) {
+    let half = dfs.block_count() / 2;
+    let head = dfs.blocks()[..half]
+        .iter()
+        .flat_map(|b| b.records().to_vec());
+    let tail = dfs.blocks()[half..].iter().map(|b| b.records().to_vec());
+    let short = Dfs::write_random(dfs.config().clone(), head.collect::<Vec<_>>());
+    assert_eq!(short.block_count(), half, "blocks re-seal where they did");
+    (short, tail.collect())
+}
+
+#[test]
+fn write_time_tables_and_range_profiles_match_the_record_scans() {
+    let scenario_worlds = corpus_seeds().into_iter().step_by(4).map(|seed| {
+        (
+            format!("scenario {seed}"),
+            Scenario::from_seed(seed).build_dfs(),
+        )
+    });
+    let random_worlds = (0..6u64).map(|seed| (format!("dataset {seed}"), dataset(seed)));
+    for (what, whole) in scenario_worlds.chain(random_worlds) {
+        assert_tables_match_scans(&whole, &what);
+        let (mut dfs, tail) = first_half(&whole);
+        assert_tables_match_scans(&dfs, &what);
+
+        let policy = Separation::Alpha(0.3);
+        let ids: Vec<SubDatasetId> = (0..5).map(SubDatasetId).collect();
+        let check = |dfs: &Dfs, when: &str| {
+            for view in ElasticMapArray::build(dfs, &policy).views(&ids) {
+                for ranges in [7, 32] {
+                    assert_eq!(
+                        range_matrix_estimate(dfs, &view, ranges),
+                        rebucketed_estimate(dfs, &view, ranges),
+                        "{what}, {when}: sub-dataset {} at {ranges} ranges",
+                        view.id()
+                    );
+                }
+            }
+        };
+        check(&dfs, "before the appends");
+        // Both profiles exist now; the clone shares them and must keep
+        // answering for the shorter DFS while the original grows.
+        let short = dfs.clone();
+        for records in tail {
+            dfs.append_block(records);
+        }
+        assert_tables_match_scans(&dfs, &what);
+        check(&dfs, "after the appends");
+        check(&short, "on the clone taken before them");
+        assert_eq!(dfs.block_count(), whole.block_count());
+        assert!(short.block_count() < dfs.block_count());
+    }
+}
+
+/// ROADMAP item 2's `records_touched_per_op = 0`, as a product test: once
+/// the write path has run (size tables, one range profile), the paper's
+/// core request gives the same answers on a DFS whose payloads are gone.
+#[test]
+fn the_query_path_reads_no_record() {
+    const RANGES: usize = 32;
+    for seed in [1u64, 2, 3] {
+        let dfs = dataset(seed);
+        let array = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
+        dfs.range_profile(RANGES);
+        let mut bare = dfs.clone();
+        bare.drop_payloads();
+        assert!(bare.blocks().iter().all(|b| b.records().is_empty()));
+        assert_eq!(bare.total_bytes(), dfs.total_bytes());
+
+        let ids: Vec<SubDatasetId> = (0..8).map(SubDatasetId).collect();
+        let views = array.views(&ids);
+        let (sel, ana, job) = (
+            SelectionConfig::default(),
+            AnalysisConfig::default(),
+            word_count_profile(),
+        );
+        let request = |dfs: &Dfs| {
+            let plans = plan_balanced_batch(dfs, &array, &ids);
+            let target = &views[0];
+            let optimal = FordFulkersonPlanner::new(dfs, target).plan();
+            let truth = dfs.subdataset_distribution(ids[0]);
+            let with = run_selection(dfs, &truth, &mut DataNetScheduler::new(dfs, target), &sel);
+            let without = run_selection(dfs, &truth, &mut LocalityScheduler::new(dfs), &sel);
+            let matrix = range_matrix_estimate(dfs, target, RANGES);
+            let shuffle = ShufflePlanner::new(1.25).plan(&matrix);
+            let report = run_analysis_shuffled(&matrix, &job, &ana, &shuffle);
+            format!("{plans:?}|{optimal:?}|{truth:?}|{with:?}|{without:?}|{matrix:?}|{shuffle:?}|{report:?}")
+        };
+        assert_eq!(request(&bare), request(&dfs), "seed {seed}");
+        assert!(
+            dfs.subdataset_total(ids[0]) > 0,
+            "seed {seed}: the target exists"
+        );
     }
 }
