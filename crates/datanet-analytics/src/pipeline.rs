@@ -36,7 +36,7 @@ use crate::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet::checkpoint::{self, CheckpointPlan};
-use datanet::{AggregationPlan, ElasticMapArray, MetaStore, RetryPolicy, StoreError};
+use datanet::{AggregationPlan, ElasticMapArray, FastMap, MetaStore, RetryPolicy, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
     key_range_of, range_matrix_truth, AnalysisConfig, DataNetScheduler, Exec, FaultConfig,
@@ -47,6 +47,7 @@ use datanet_obs::{Category, Domain, FlightKind, ObsSummary, Recorder, SpanCtx};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One of the paper's four Table II jobs, usable as an aggregate stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,21 +92,16 @@ impl AggJob {
         }
     }
 
-    /// Deterministic map → reduce over the working set: keys are
-    /// accumulated in sorted order, so the same records always produce the
-    /// same aggregate list, bit for bit.
+    /// Deterministic map → reduce over the working set: values group by
+    /// key in emission order and reduce in ascending key order, so the same
+    /// records always produce the same aggregate list, bit for bit.
     pub fn run(&self, records: &[Record]) -> Vec<KeyValue> {
         let job = self.job();
-        let mut acc: std::collections::BTreeMap<u64, Vec<f64>> = std::collections::BTreeMap::new();
+        let mut groups: FastMap<u64, Vec<f64>> = FastMap::default();
         for r in records {
-            job.map(r, &mut |k, v| acc.entry(k).or_default().push(v));
+            job.map(r, &mut |k, v| groups.entry(k).or_default().push(v));
         }
-        acc.into_iter()
-            .map(|(key, vs)| KeyValue {
-                key,
-                value: job.reduce(key, &vs),
-            })
-            .collect()
+        reduce_in_key_order(job.as_ref(), groups, |vs| vs)
     }
 
     /// Partition this job's map output into per-reducer fragments under a
@@ -140,23 +136,16 @@ impl AggJob {
     /// fragments arrive.
     pub fn merge_fragments(&self, frags: &[ShuffleFragment]) -> Vec<KeyValue> {
         let job = self.job();
-        let mut acc: std::collections::BTreeMap<u64, Vec<(u64, f64)>> =
-            std::collections::BTreeMap::new();
+        let mut groups: FastMap<u64, Vec<(u64, f64)>> = FastMap::default();
         for f in frags {
             for &(k, s, v) in &f.entries {
-                acc.entry(k).or_default().push((s, v));
+                groups.entry(k).or_default().push((s, v));
             }
         }
-        acc.into_iter()
-            .map(|(key, mut vs)| {
-                vs.sort_unstable_by_key(|&(s, _)| s);
-                let values: Vec<f64> = vs.into_iter().map(|(_, v)| v).collect();
-                KeyValue {
-                    key,
-                    value: job.reduce(key, &values),
-                }
-            })
-            .collect()
+        reduce_in_key_order(job.as_ref(), groups, |mut vs| {
+            vs.sort_unstable_by_key(|&(s, _)| s);
+            vs.into_iter().map(|(_, v)| v).collect()
+        })
     }
 
     /// [`AggJob::run`] routed through `plan`'s partitioning — provably the
@@ -165,6 +154,25 @@ impl AggJob {
     pub fn run_routed(&self, records: &[Record], plan: &ShufflePlan) -> Vec<KeyValue> {
         self.merge_fragments(&self.map_fragments(records, plan))
     }
+}
+
+/// The reduce body of [`AggJob::run`] and [`AggJob::merge_fragments`]: pairs
+/// group by hash (a probe each, not a tree walk), so the distinct keys are
+/// ordered here, once; `in_emission_order` restores a group's value order.
+fn reduce_in_key_order<V>(
+    job: &dyn RecordJob,
+    groups: FastMap<u64, Vec<V>>,
+    in_emission_order: impl Fn(Vec<V>) -> Vec<f64>,
+) -> Vec<KeyValue> {
+    let mut groups: Vec<(u64, Vec<V>)> = groups.into_iter().collect();
+    groups.sort_unstable_by_key(|&(key, _)| key);
+    groups
+        .into_iter()
+        .map(|(key, vs)| KeyValue {
+            key,
+            value: job.reduce(key, &in_emission_order(vs)),
+        })
+        .collect()
 }
 
 /// One reducer's slice of a shuffled map output: `(key, emission sequence,
@@ -481,17 +489,20 @@ pub struct PipelineOutput {
     pub records: u64,
     /// Final aggregates.
     pub aggregates: Vec<KeyValue>,
-    /// CRC-32 of the canonical serialized final working state — the
-    /// byte-level identity the resume-equivalence oracle compares.
+    /// CRC-32 of the canonical serialized final working state, which is
+    /// the last stage's [`StageReport::checkpoint_crc`] — the byte-level
+    /// identity the resume-equivalence oracle compares.
     pub digest: u32,
 }
 
 impl PipelineOutput {
-    fn from_state(state: &WorkingState) -> Self {
+    /// `committed_crc` is the last stage's; only a resume that lands past
+    /// the last stage executed none and serialises `state` to know it.
+    fn from_state(state: WorkingState, committed_crc: Option<u32>) -> Self {
         Self {
             records: state.records.len() as u64,
-            aggregates: state.aggregates.clone(),
-            digest: checkpoint::content_crc(&state.payload()),
+            digest: committed_crc.unwrap_or_else(|| checkpoint::content_crc(&state.payload())),
+            aggregates: state.aggregates,
         }
     }
 }
@@ -695,6 +706,8 @@ impl Pipeline {
         let mut stages = Vec::new();
         let mut last_selection: Option<SelectionOutcome> = None;
         let mut last_sub: Option<SubDatasetId> = None;
+        // `state`'s serialised form as the previous stage committed it.
+        let mut committed: Option<Arc<[u8]>> = None;
         for (i, op) in self.spec.seq.iter().enumerate().skip(start) {
             let label = op.label();
             // Per-stage recorder: the stage's ObsSummary must cover exactly
@@ -796,8 +809,14 @@ impl Pipeline {
             }
 
             // Commit the checkpoint (crash-safe write order; bounded
-            // retries with deterministic jitter).
-            let plan = CheckpointPlan::new(&self.spec.name, i as u64, &label, state.payload());
+            // retries with deterministic jitter). A state is serialised once:
+            // an output stage leaves it alone and re-commits those bytes.
+            let payload = match (op, &committed) {
+                (StageOp::Output(_), Some(bytes)) => Arc::clone(bytes),
+                _ => Arc::from(state.payload()),
+            };
+            committed = Some(Arc::clone(&payload));
+            let plan = CheckpointPlan::new(&self.spec.name, i as u64, &label, payload);
             let checkpoint_crc = plan.manifest().payload_crc;
             if let Some(cp) = crash {
                 if cp.stage == i {
@@ -864,11 +883,12 @@ impl Pipeline {
                 obs,
             });
         }
+        let output = PipelineOutput::from_state(state, stages.last().map(|s| s.checkpoint_crc));
         Ok(RunOutcome::Completed(PipelineReport {
             pipeline: self.spec.name.clone(),
             resumed_from,
             stages,
-            output: PipelineOutput::from_state(&state),
+            output,
         }))
     }
 
@@ -900,4 +920,110 @@ fn subdataset_records(dfs: &Dfs, s: SubDatasetId) -> Vec<Record> {
         out.extend(b.filter(s).copied());
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datanet_dfs::NodeId;
+    use datanet_mapreduce::Fragment;
+    use std::collections::BTreeMap;
+
+    /// `AggJob::run` as it was before the hash grouping: the reference the
+    /// grouped body must equal.
+    fn run_by_tree(agg: &AggJob, records: &[Record]) -> Vec<KeyValue> {
+        let job = agg.job();
+        let mut acc: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+        for r in records {
+            job.map(r, &mut |k, v| acc.entry(k).or_default().push(v));
+        }
+        acc.into_iter()
+            .map(|(key, vs)| KeyValue {
+                key,
+                value: job.reduce(key, &vs),
+            })
+            .collect()
+    }
+
+    /// `AggJob::merge_fragments` as it was before the hash grouping.
+    fn merge_by_tree(agg: &AggJob, frags: &[ShuffleFragment]) -> Vec<KeyValue> {
+        let job = agg.job();
+        let mut acc: BTreeMap<u64, Vec<(u64, f64)>> = BTreeMap::new();
+        for f in frags {
+            for &(k, s, v) in &f.entries {
+                acc.entry(k).or_default().push((s, v));
+            }
+        }
+        acc.into_iter()
+            .map(|(key, mut vs)| {
+                vs.sort_unstable_by_key(|&(s, _)| s);
+                let values: Vec<f64> = vs.into_iter().map(|(_, v)| v).collect();
+                KeyValue {
+                    key,
+                    value: job.reduce(key, &values),
+                }
+            })
+            .collect()
+    }
+
+    /// SplitMix64 step: seeds the records and the arrival permutations.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn hash_grouping_equals_the_tree_on_colliding_keys_under_any_arrival_order() {
+        // Timestamps that differ only above bit 40: with a one-second window
+        // the moving average's keys are those timestamps, which a
+        // multiplicative hash sends to buckets agreeing in their low bits —
+        // the grouping's worst case. Several records per key, so the mean's
+        // float sum depends on the emission order being restored exactly.
+        let records: Vec<Record> = (0..600u64)
+            .map(|i| {
+                let key = mix(i % 37) % 23;
+                let size = 30 + (mix(i) % 400) as u32;
+                Record::new(SubDatasetId(1), key << 40, size, mix(i ^ 0xABCD))
+            })
+            .collect();
+        // One key range, split three ways: every pair goes through the
+        // heavy-range fragment pick.
+        let share = |reducer, share| Fragment { reducer, share };
+        let plan = ShufflePlan {
+            reducers: (0..4).map(NodeId).collect(),
+            assignments: vec![vec![share(0, 0.4), share(1, 0.35), share(3, 0.25)]],
+            est_ranges: vec![1],
+        };
+        for agg in [
+            AggJob::MovingAverage(1),
+            AggJob::WordCount,
+            AggJob::Histogram,
+            AggJob::TopK,
+        ] {
+            let expected = run_by_tree(&agg, &records);
+            assert!(!expected.is_empty());
+            assert!(expected.windows(2).all(|w| w[0].key < w[1].key));
+            assert_eq!(agg.run(&records), expected, "{}", agg.label());
+
+            let frags = agg.map_fragments(&records, &plan);
+            assert!(
+                frags.iter().filter(|f| !f.entries.is_empty()).count() == 3,
+                "{}: the hot range must reach all three of its reducers",
+                agg.label()
+            );
+            for seed in 0..20u64 {
+                let mut arrived = frags.clone();
+                arrived.sort_by_key(|f| mix(seed ^ ((f.reducer as u64) << 8)));
+                assert_eq!(merge_by_tree(&agg, &arrived), expected);
+                assert_eq!(
+                    agg.merge_fragments(&arrived),
+                    expected,
+                    "{} arrival permutation {seed}",
+                    agg.label()
+                );
+            }
+        }
+    }
 }

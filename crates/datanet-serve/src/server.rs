@@ -50,6 +50,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Knobs of one serve run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -344,8 +345,7 @@ fn serve_inner(
                     reason: RejectReason::QueueFull,
                 });
                 rejected[t] += 1;
-                rec.scoped(QueryCtx::new(q.id).tenant(tenant_name(q.tenant)))
-                    .add("serve_rejected_total", 1);
+                query_scope(rec, q).add("serve_rejected_total", 1);
             } else {
                 let key = world.epoch_key();
                 let est = *est_memo
@@ -414,8 +414,7 @@ fn serve_inner(
                     });
                     shed[t] += 1;
                     let q = &stream[idx];
-                    rec.scoped(QueryCtx::new(q.id).tenant(tenant_name(q.tenant)))
-                        .add("serve_shed_total", 1);
+                    query_scope(rec, q).add("serve_shed_total", 1);
                 } else {
                     break;
                 }
@@ -429,15 +428,16 @@ fn serve_inner(
             let mut subs: Vec<u64> = batch.iter().map(|b| stream[b.idx].sub.0).collect();
             subs.sort_unstable();
             subs.dedup();
-            let mut plans: FastMap<u64, Assignment> = FastMap::default();
-            let mut hit_subs: FastMap<u64, bool> = FastMap::default();
+            // Each plan with the digest of its wire form, taken once where
+            // the plan is produced (a hit shares the cached pair), and
+            // whether the cache answered.
+            let mut plans: FastMap<u64, (Arc<(Assignment, u64)>, bool)> = FastMap::default();
             let mut missing: Vec<datanet_dfs::SubDatasetId> = Vec::new();
             for &s in &subs {
                 let id = datanet_dfs::SubDatasetId(s);
                 if cfg.cache {
-                    if let Some(plan) = cache.get(id, key) {
-                        plans.insert(s, plan.clone());
-                        hit_subs.insert(s, true);
+                    if let Some(planned) = cache.get(id, key) {
+                        plans.insert(s, (Arc::clone(planned), true));
                         continue;
                     }
                 }
@@ -445,17 +445,18 @@ fn serve_inner(
             }
             if !missing.is_empty() {
                 for (id, plan) in missing.iter().zip(world.plan_batch(&missing, cfg.maxflow)) {
+                    let digest = plan_digest(&plan);
+                    let planned = Arc::new((plan, digest));
                     if cfg.cache {
-                        cache.insert(*id, key, plan.clone());
+                        cache.insert(*id, key, Arc::clone(&planned));
                     }
-                    plans.insert(id.0, plan);
-                    hit_subs.insert(id.0, false);
+                    plans.insert(id.0, (planned, false));
                 }
             }
             for item in batch {
                 let q = &stream[item.idx];
-                let plan = &plans[&q.sub.0];
-                let digest = plan_digest(plan);
+                let (ref planned, cache_hit) = plans[&q.sub.0];
+                let (ref plan, digest) = **planned;
                 let (duration_us, blocks) = *exec_memo.entry(digest).or_insert_with(|| {
                     let truth = world.dfs().subdataset_distribution(q.sub);
                     let makespan = planned_makespan(world.dfs(), &truth, plan, &sel_cfg);
@@ -464,15 +465,14 @@ fn serve_inner(
                 outcomes[item.idx] = Some(Disposition::Completed {
                     sub: q.sub.0,
                     epoch: key,
-                    cache_hit: hit_subs[&q.sub.0],
+                    cache_hit,
                     plan_digest: digest,
                     est_bytes: item.est,
                     assigned_blocks: blocks,
                     round,
                 });
                 admitted[q.tenant as usize] += 1;
-                rec.scoped(QueryCtx::new(q.id).tenant(tenant_name(q.tenant)))
-                    .add("serve_admitted_total", 1);
+                query_scope(rec, q).add("serve_admitted_total", 1);
                 exec.push(ExecItem {
                     idx: item.idx,
                     ready_us: now,
@@ -517,7 +517,7 @@ fn serve_inner(
         makespan_us = makespan_us.max(end);
         let latency = end - q.arrival_us;
         latencies.push(latency);
-        let scoped = rec.scoped(QueryCtx::new(q.id).tenant(tenant_name(q.tenant)));
+        let scoped = query_scope(rec, q);
         let span = scoped.begin(
             Category::Serve,
             "execute",
@@ -589,8 +589,14 @@ pub fn serve_with_planted_staleness(
     serve_inner(world, stream, events, cfg, rec, true)
 }
 
-fn tenant_name(t: u32) -> String {
-    format!("t{t}")
+/// `rec` stamping `q`'s id and tenant on what it records — or `rec` as it
+/// is when every plane is off and nothing would read the scope.
+fn query_scope(rec: &Recorder, q: &QuerySpec) -> Recorder {
+    if rec.is_enabled() || rec.is_metering() || rec.has_flight() {
+        rec.scoped(QueryCtx::new(q.id).tenant(format!("t{}", q.tenant)))
+    } else {
+        rec.clone()
+    }
 }
 
 fn percentile(sorted: &[u64], p: usize) -> u64 {

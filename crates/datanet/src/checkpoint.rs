@@ -22,6 +22,7 @@ use crate::store::{crc32, StoreError};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Checkpoint format version (independent of the MetaStore shard format).
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -68,13 +69,15 @@ pub struct CheckpointManifest {
 pub struct CheckpointPlan {
     seq: u64,
     manifest: CheckpointManifest,
-    writes: Vec<(String, Vec<u8>)>,
+    writes: Vec<(String, Arc<[u8]>)>,
 }
 
 impl CheckpointPlan {
     /// Plan the checkpoint for stage `seq` of `pipeline`, with the stage's
-    /// serialized working state as payload.
-    pub fn new(pipeline: &str, seq: u64, label: &str, payload: Vec<u8>) -> Self {
+    /// serialized working state as payload — shared, so a stage that leaves
+    /// the state alone re-commits the previous stage's bytes without a copy.
+    pub fn new(pipeline: &str, seq: u64, label: &str, payload: impl Into<Arc<[u8]>>) -> Self {
+        let payload = payload.into();
         let manifest = CheckpointManifest {
             pipeline: pipeline.to_string(),
             last_completed_operation: seq,
@@ -82,11 +85,12 @@ impl CheckpointPlan {
             payload_crc: crc32(&payload),
             version: CHECKPOINT_VERSION,
         };
-        let manifest_bytes = serde_json::to_vec_pretty(&manifest)
-            .expect("checkpoint manifest serialization is infallible");
+        let manifest_bytes: Arc<[u8]> = serde_json::to_vec_pretty(&manifest)
+            .expect("checkpoint manifest serialization is infallible")
+            .into();
         let writes = vec![
             (payload_file(seq), payload),
-            (manifest_file(seq), manifest_bytes.clone()),
+            (manifest_file(seq), Arc::clone(&manifest_bytes)),
             (LIVE_MANIFEST.to_string(), manifest_bytes),
         ];
         Self {

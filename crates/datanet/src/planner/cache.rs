@@ -18,6 +18,7 @@ use super::Assignment;
 use crate::symbol::FastMap;
 use datanet_dfs::SubDatasetId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Snapshot of every mutation counter a plan depends on. Two equal keys
 /// guarantee the worlds they were read from are plan-equivalent.
@@ -42,14 +43,16 @@ impl EpochKey {
     }
 }
 
-/// Planner-result cache: `(sub-dataset, epoch) → Assignment`.
+/// Planner-result cache: `(sub-dataset, epoch) → (Assignment, digest)`.
 ///
+/// An entry is the plan with the digest of its wire form, taken once by
+/// whoever planned it, behind one reference count: a hit copies a pointer.
 /// Entries never expire; a stale epoch simply stops being looked up once
 /// the world moves on, and [`PlanCache::retain_epoch`] drops the dead
 /// generations. Hit/miss counters feed the serving metrics plane.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: FastMap<(SubDatasetId, EpochKey), Assignment>,
+    entries: FastMap<(SubDatasetId, EpochKey), Arc<(Assignment, u64)>>,
     hits: u64,
     misses: u64,
     /// Planted-bug hook: when set, lookups ignore the epoch component of
@@ -66,7 +69,7 @@ impl PlanCache {
     }
 
     /// Look up the plan for `id` at `epoch`. Counts a hit or a miss.
-    pub fn get(&mut self, id: SubDatasetId, epoch: EpochKey) -> Option<&Assignment> {
+    pub fn get(&mut self, id: SubDatasetId, epoch: EpochKey) -> Option<&Arc<(Assignment, u64)>> {
         let found = if self.ignore_epochs {
             // Planted bug: match on sub-dataset alone, returning the plan
             // from whichever epoch happened to be cached first.
@@ -91,9 +94,9 @@ impl PlanCache {
         }
     }
 
-    /// Insert the freshly computed plan for `id` at `epoch`.
-    pub fn insert(&mut self, id: SubDatasetId, epoch: EpochKey, plan: Assignment) {
-        self.entries.insert((id, epoch), plan);
+    /// Insert the freshly computed plan for `id` at `epoch`, with its digest.
+    pub fn insert(&mut self, id: SubDatasetId, epoch: EpochKey, planned: Arc<(Assignment, u64)>) {
+        self.entries.insert((id, epoch), planned);
     }
 
     /// Drop every entry not computed at `epoch`. Called when the world
@@ -138,10 +141,10 @@ mod tests {
     use super::*;
     use datanet_dfs::{BlockId, NodeId};
 
-    fn plan(weight: u64) -> Assignment {
+    fn plan(weight: u64) -> Arc<(Assignment, u64)> {
         let mut a = Assignment::new(2);
         a.assign(NodeId(0), BlockId(0), weight, true);
-        a
+        Arc::new((a, weight))
     }
 
     #[test]
@@ -151,7 +154,7 @@ mod tests {
         let e1 = EpochKey::new(2, 0, 0);
         assert!(c.get(SubDatasetId(7), e0).is_none());
         c.insert(SubDatasetId(7), e0, plan(100));
-        assert_eq!(c.get(SubDatasetId(7), e0).unwrap().max_workload(), 100);
+        assert_eq!(c.get(SubDatasetId(7), e0).unwrap().0.max_workload(), 100);
         // Any counter moving invalidates: same sub-dataset, newer epoch.
         assert!(c.get(SubDatasetId(7), e1).is_none());
         assert!(c.get(SubDatasetId(8), e0).is_none());
@@ -198,7 +201,7 @@ mod tests {
         c.plant_staleness();
         // The bug: a lookup at the post-ingest epoch returns the
         // pre-ingest plan.
-        assert_eq!(c.get(SubDatasetId(5), new).unwrap().max_workload(), 42);
+        assert_eq!(c.get(SubDatasetId(5), new).unwrap().0.max_workload(), 42);
         // Unknown sub-datasets still miss.
         assert!(c.get(SubDatasetId(6), new).is_none());
     }

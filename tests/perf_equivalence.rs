@@ -9,14 +9,17 @@
 //!   yields, on every shard of that corpus;
 //! - what the DFS derives at write time — each block's size table, the
 //!   per-block range profile — answers exactly like the record scan it
-//!   replaced, and a query path given nothing else gives the same answers.
+//!   replaced, and a query path given nothing else gives the same answers;
+//! - compact JSON appended straight to the buffer (`Serialize::write_json`)
+//!   is, for every product type whose bytes are checksummed, digested or
+//!   compared, the compact print of the value's tree.
 
 use datanet::store::BlockSummary;
 use datanet::{
-    plan_balanced_batch, ElasticMapArray, FordFulkersonPlanner, MetaStore, Separation,
+    checkpoint, plan_balanced_batch, ElasticMapArray, FordFulkersonPlanner, MetaStore, Separation,
     SubDatasetView,
 };
-use datanet_analytics::word_count_profile;
+use datanet_analytics::{word_count_profile, Pipeline, PipelineEnv, ShuffleParams, WorkingState};
 use datanet_check::Scenario;
 use datanet_dfs::{key_range_of, Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit::{write_v3_ingest_store, ReplicaDirs};
@@ -24,6 +27,11 @@ use datanet_mapreduce::{
     apportion, range_matrix_estimate, run_analysis_shuffled, run_selection, AnalysisConfig,
     DataNetScheduler, LocalityScheduler, SelectionConfig, ShufflePlanner,
 };
+use datanet_obs::Recorder;
+use datanet_serve::{
+    generate_stream, serve, ScriptedEvent, ServeConfig, ServeEvent, StreamConfig, TenantMix, World,
+};
+use serde::Serialize;
 use std::path::Path;
 
 /// A deterministic dataset whose shape (records, sub-dataset skew, block
@@ -322,4 +330,75 @@ fn the_query_path_reads_no_record() {
             "seed {seed}: the target exists"
         );
     }
+}
+
+/// `to_string(x)` appends `x`'s JSON directly; it must be the compact print
+/// of `x`'s tree, or a field type without a `write_json` of its own has
+/// slipped in and every CRC and digest over the type has drifted with it.
+fn assert_written_equals_built<T: Serialize>(x: &T, what: &str) {
+    assert_eq!(
+        serde_json::to_string(x).expect("written"),
+        serde_json::to_string(&x.to_value()).expect("built"),
+        "{what}: written JSON differs from the tree's"
+    );
+}
+
+#[test]
+fn product_types_write_the_json_their_trees_print() {
+    for seed in corpus_seeds().into_iter().take(16) {
+        let sc = Scenario::from_seed(seed);
+        assert_written_equals_built(&sc, &format!("seed {seed}: Scenario"));
+        let dfs = sc.build_dfs();
+        let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha));
+        let ids: Vec<SubDatasetId> = (0..sc.subdatasets).map(SubDatasetId).collect();
+        for (id, plan) in ids.iter().zip(plan_balanced_batch(&dfs, &arr, &ids)) {
+            assert_written_equals_built(&plan, &format!("seed {seed}: Assignment of {id:?}"));
+        }
+
+        let pipe = Pipeline::new(sc.pipeline_spec());
+        for rec in [Recorder::off(), Recorder::new()] {
+            let what = format!("seed {seed}, recorder on: {}", rec.is_enabled());
+            let mut env = PipelineEnv::new(&dfs, &arr);
+            env.faults = sc.has_faults().then(|| sc.fault_config());
+            env.shuffle = Some(ShuffleParams::default());
+            let dirs = ReplicaDirs::new("written-built", 2);
+            let report = pipe.run(&mut env, &dirs.paths(), &rec).expect("run");
+            assert!(report
+                .stages
+                .iter()
+                .all(|s| s.obs.is_some() == rec.is_enabled()));
+            assert_written_equals_built(&report, &format!("{what}: PipelineReport"));
+            for manifest in checkpoint::ledger(&dirs.paths()).expect("ledger") {
+                assert_written_equals_built(&manifest, &format!("{what}: CheckpointManifest"));
+            }
+            let (_, payload) = checkpoint::resume(&dirs.paths())
+                .expect("resume")
+                .expect("the run committed");
+            let state: WorkingState = serde_json::from_slice(&payload).expect("payload decodes");
+            assert_written_equals_built(&state, &format!("{what}: WorkingState"));
+            assert_eq!(
+                serde_json::to_vec(&state).expect("written"),
+                payload,
+                "{what}"
+            );
+        }
+    }
+
+    let world = World::new(dataset(3), 20, Separation::Alpha(0.4), 3);
+    let stream = generate_stream(&StreamConfig {
+        tenants: 3,
+        queries: 40,
+        gap_us: 400,
+        subdatasets: 20,
+        mix: TenantMix::ALL[0],
+        seed: 3,
+    });
+    let commit = ScriptedEvent {
+        at_query: 20,
+        event: ServeEvent::IngestCommit { blocks: 2 },
+    };
+    let cfg = ServeConfig::default();
+    let answers = serve(world, &stream, &[commit], &cfg, &Recorder::off()).answers;
+    assert!(answers.cache_misses > 0, "the stream must get plans served");
+    assert_written_equals_built(&answers, "ServeAnswers");
 }

@@ -7,7 +7,9 @@ use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet_analytics::{
-    join_word_count_pipeline, word_count_pipeline, CrashPoint, MetaPlane, Pipeline, PipelineEnv,
+    histogram_pipeline, join_word_count_pipeline, moving_average_pipeline, top_k_pipeline,
+    word_count_pipeline, CrashPoint, MetaPlane, Pipeline, PipelineEnv, ShuffleParams, StageOp,
+    WorkingState,
 };
 use datanet_bench::{movie_dataset, NODES};
 use datanet_check::Scenario;
@@ -222,6 +224,117 @@ fn resume_edges_fresh_store_and_complete_store() {
     assert_eq!(again.resumed_from, Some(pipe.len() as u64 - 1));
     assert!(again.stages.is_empty(), "nothing left to re-execute");
     assert_eq!(again.output, fresh.output);
+}
+
+/// A working state is serialised once and the bytes are the same: for the
+/// five stock specs under aware, hash and no shuffle routing, every stage's
+/// `checkpoint_crc` is the CRC of the canonical JSON of the state an
+/// independent stage-by-stage replay arrives at — also for the output stage,
+/// which re-commits the aggregate stage's bytes — `output.digest` is the last
+/// of them, and a resume landing after any stage, the last included, reports
+/// the uninterrupted run's output.
+#[test]
+fn each_state_is_serialised_once_and_every_commit_carries_its_crc() {
+    let sc = Scenario::from_seed(5);
+    let dfs = sc.build_dfs();
+    let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha));
+    let a = sc.target_id();
+    let records_of = |s: u64| -> Vec<datanet_dfs::Record> {
+        dfs.blocks()
+            .iter()
+            .flat_map(|blk| blk.filter(SubDatasetId(s)).copied())
+            .collect()
+    };
+    let b = SubDatasetId((sc.target + 1) % sc.subdatasets);
+    let routings = [None, Some(true), Some(false)].map(|aware| {
+        aware.map(|aware| ShuffleParams {
+            aware,
+            ..ShuffleParams::default()
+        })
+    });
+    for spec in [
+        word_count_pipeline(a),
+        histogram_pipeline(a),
+        top_k_pipeline(a),
+        moving_average_pipeline(a, 3_600),
+        join_word_count_pipeline(a, b),
+    ] {
+        let pipe = Pipeline::new(spec);
+        for shuffle in routings {
+            let what = format!("{} with shuffle {shuffle:?}", pipe.spec().name);
+            let mk_env = || {
+                let mut env = PipelineEnv::new(&dfs, &arr);
+                env.shuffle = shuffle;
+                env
+            };
+            let dirs = TmpDirs::new("once", 2);
+            let run = pipe
+                .run(&mut mk_env(), &dirs.paths(), &Recorder::off())
+                .expect("uninterrupted run");
+
+            let mut state = WorkingState::default();
+            for (op, stage) in pipe.spec().seq.iter().zip(&run.stages) {
+                match op {
+                    StageOp::Filter(s) => state.records = records_of(*s),
+                    StageOp::Append(s) => state.records.extend(records_of(*s)),
+                    StageOp::Join(s) => {
+                        let times: Vec<u64> = records_of(*s).iter().map(|r| r.timestamp).collect();
+                        state.records.retain(|r| times.contains(&r.timestamp));
+                    }
+                    StageOp::Aggregate(job) => state.aggregates = job.run(&state.records),
+                    StageOp::Output(_) => {}
+                }
+                if op.subdataset().is_some() {
+                    state.aggregates.clear();
+                }
+                let bytes = serde_json::to_vec(&state).expect("state serialises");
+                assert_eq!(
+                    stage.checkpoint_crc,
+                    checkpoint::content_crc(&bytes),
+                    "{what}: stage {}",
+                    stage.label
+                );
+            }
+            assert_eq!(run.stages.len(), pipe.len());
+            // (Scenario event times are unique, so the join keeps nothing.)
+            let joins = pipe
+                .spec()
+                .seq
+                .iter()
+                .any(|op| matches!(op, StageOp::Join(_)));
+            assert!(joins || !run.output.aggregates.is_empty(), "{what}");
+            assert_eq!(
+                run.output.digest,
+                run.stages.last().expect("stages ran").checkpoint_crc,
+                "{what}"
+            );
+
+            for durable in 0..pipe.len() {
+                let dirs = TmpDirs::new("once-resume", 2);
+                if durable + 1 == pipe.len() {
+                    pipe.run(&mut mk_env(), &dirs.paths(), &Recorder::off())
+                        .expect("complete run");
+                } else {
+                    // No write of the next stage's commit lands.
+                    let crash = CrashPoint {
+                        stage: durable + 1,
+                        write_prefix: 0,
+                    };
+                    pipe.run_interrupted(&mut mk_env(), &dirs.paths(), crash, &Recorder::off())
+                        .expect("interrupted run");
+                }
+                let resumed = pipe
+                    .resume(&mut mk_env(), &dirs.paths(), &Recorder::off())
+                    .expect("resume");
+                assert_eq!(resumed.resumed_from, Some(durable as u64), "{what}");
+                assert_eq!(resumed.stages.len(), pipe.len() - 1 - durable, "{what}");
+                assert_eq!(
+                    resumed.output, run.output,
+                    "{what}: resumed after {durable}"
+                );
+            }
+        }
+    }
 }
 
 /// Planning off a replicated `MetaStore` (`MetaPlane::Store`): a healthy
