@@ -168,19 +168,26 @@ pub fn apportion(total: u64, weights: &[u64]) -> Vec<u64> {
     if wsum == 0 {
         return split_even(total, weights.len());
     }
+    // Every `total·w` fits a `u64` when `total·wsum` does.
+    let fits = total.checked_mul(wsum).is_some();
     let mut out = Vec::with_capacity(weights.len());
-    let mut remainders: Vec<(u128, usize)> = Vec::with_capacity(weights.len());
-    let mut assigned = 0u64;
+    let mut remainders = Vec::with_capacity(weights.len());
     for (i, &w) in weights.iter().enumerate() {
-        let num = total as u128 * w as u128;
-        out.push((num / wsum as u128) as u64);
-        assigned += out[i];
-        remainders.push((num % wsum as u128, i));
+        let (q, r) = if fits {
+            (total * w / wsum, total * w % wsum)
+        } else {
+            let num = total as u128 * w as u128;
+            ((num / wsum as u128) as u64, (num % wsum as u128) as u64)
+        };
+        out.push(q);
+        remainders.push((r, i));
     }
     // Hand the leftover bytes to the largest fractional remainders,
-    // lowest index first on ties, so the split is deterministic.
-    remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(_, i) in remainders.iter().take((total - assigned) as usize) {
+    // lowest index first on ties, so the split is deterministic. The keys
+    // are unique, so selecting the first `left` (< parts) picks what a sort would.
+    let left = (total - out.iter().sum::<u64>()) as usize;
+    remainders.select_nth_unstable_by(left, |a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(_, i) in &remainders[..left] {
         out[i] += 1;
     }
     out
@@ -324,6 +331,80 @@ mod tests {
         // Zero weights get zero bytes; all-zero weights split evenly.
         assert_eq!(parts[4], 0);
         assert_eq!(apportion(10, &[0, 0, 0, 0]).iter().sum::<u64>(), 10);
+    }
+
+    /// [`apportion`] as first written: every product in `u128`, every
+    /// remainder sorted.
+    fn apportion_u128(total: u64, weights: &[u64]) -> Vec<u64> {
+        let wsum: u64 = weights.iter().sum();
+        if wsum == 0 {
+            return split_even(total, weights.len());
+        }
+        let mut out = Vec::new();
+        let mut remainders = Vec::new();
+        for (i, &w) in weights.iter().enumerate() {
+            let num = total as u128 * w as u128;
+            out.push((num / wsum as u128) as u64);
+            remainders.push((num % wsum as u128, i));
+        }
+        remainders.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let left = total - out.iter().sum::<u64>();
+        for &(_, i) in remainders.iter().take(left as usize) {
+            out[i] += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn apportion_matches_a_u128_reference() {
+        // u64::MAX = 255 · 72 340 172 838 076 673, and 2^32 · 2^32 is one
+        // past it: the last product the u64 path takes and the first it
+        // leaves to u128.
+        let q = u64::MAX / 255;
+        let mut cases: Vec<(u64, Vec<u64>)> = vec![
+            (255, vec![q - 2_000, 1_000, 1_000]),
+            (255, vec![q]),
+            (1 << 32, vec![1 << 31, 1 << 30, (1 << 30) - 1, 1]),
+            (u64::MAX, vec![3, 0, 5, 1 << 40]),
+            (1_000, vec![0, 7, 0, 13, 0]),
+            (9, vec![0, 0, 0]),
+            // Every remainder equal: the lowest indices take the leftovers.
+            (10, vec![1, 1, 1]),
+            (7, vec![2, 2, 2, 2]),
+            (0, vec![4, 9]),
+        ];
+        // Tiny xorshift: the test needs arbitrary, not good, numbers.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..2_000 {
+            let total = next() >> (next() % 64);
+            let len = 1 + (next() % 12) as usize;
+            // Below 2^59 each, so twelve weights cannot overflow their sum.
+            let weights = (0..len).map(|_| next() >> (5 + next() % 59)).collect();
+            cases.push((total, weights));
+        }
+        let wide = (cases.iter())
+            .filter(|(t, w)| t.checked_mul(w.iter().sum()).is_none())
+            .count();
+        assert!(
+            wide > 100 && wide < cases.len() - 100,
+            "{wide} of {} wide",
+            cases.len()
+        );
+        for (total, weights) in &cases {
+            let parts = apportion(*total, weights);
+            assert_eq!(
+                parts,
+                apportion_u128(*total, weights),
+                "{total} over {weights:?}"
+            );
+        }
+        assert_eq!(apportion(10, &[1, 1, 1]), vec![4, 3, 3]);
     }
 
     #[test]

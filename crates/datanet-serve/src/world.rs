@@ -12,8 +12,8 @@
 //! served.
 
 use datanet::{
-    plan_balanced_batch, plan_maxflow_batch, Assignment, ElasticMap, ElasticMapArray, EpochKey,
-    Separation,
+    Algorithm1, Assignment, ElasticMap, ElasticMapArray, EpochKey, FordFulkersonPlanner,
+    Separation, SubDatasetView,
 };
 use datanet_cluster::SimCluster;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
@@ -153,31 +153,26 @@ impl World {
         }
     }
 
-    /// Fresh plans for `subs` at the current epoch: the batched planner
-    /// walk ([`plan_balanced_batch`] / [`plan_maxflow_batch`]) followed by
-    /// the deterministic dead-node patch. This **is** the definition of
-    /// "the plan at this epoch" — the serve oracles call it to recompute
-    /// what the cache should have served.
+    /// Fresh plans for `subs` at the current epoch: the views resolved in
+    /// one batched array walk, each planned and then patched for dead nodes.
+    /// This **is** the definition of "the plan at this epoch" — the serve
+    /// oracles call it to recompute what the cache should have served.
     pub fn plan_batch(&self, subs: &[SubDatasetId], maxflow: bool) -> Vec<Assignment> {
-        let plans = if maxflow {
-            plan_maxflow_batch(&self.dfs, &self.array, subs)
-        } else {
-            plan_balanced_batch(&self.dfs, &self.array, subs)
+        let plan = |view| match maxflow {
+            true => FordFulkersonPlanner::new(&self.dfs, view).plan(),
+            false => Algorithm1::new(&self.dfs, view).plan_balanced(),
         };
-        subs.iter()
-            .zip(plans)
-            .map(|(&s, p)| self.patch_dead(s, p))
-            .collect()
+        let views = self.array.views(subs);
+        views.iter().map(|v| self.patch_dead(v, plan(v))).collect()
     }
 
     /// Re-home every task the plan put on a dead node: in block order, each
     /// orphan goes to the currently least-loaded alive node (lowest id on
     /// ties). A no-op while every node is alive.
-    fn patch_dead(&self, sub: SubDatasetId, plan: Assignment) -> Assignment {
+    fn patch_dead(&self, view: &SubDatasetView, plan: Assignment) -> Assignment {
         if self.alive.iter().all(|&a| a) {
             return plan;
         }
-        let view = self.array.view(sub);
         let nn = self.dfs.namenode();
         let n = plan.node_count();
         let mut patched = Assignment::new(n);

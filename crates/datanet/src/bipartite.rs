@@ -9,6 +9,9 @@
 use crate::distribution::SubDatasetView;
 use datanet_dfs::{BlockId, NameNode, NodeId};
 
+/// The `span` length of a block that is not in the graph.
+const ABSENT: u32 = u32::MAX;
+
 /// Mutable bipartite graph between cluster nodes and (not-yet-assigned)
 /// blocks, weighted by sub-dataset content.
 #[derive(Debug, Clone)]
@@ -24,9 +27,10 @@ pub struct DistributionGraph {
     /// `light_from[n]` skips the removed prefix.
     local_asc: Vec<Vec<BlockId>>,
     light_from: Vec<usize>,
-    /// `holders[b]` = nodes adjacent to block `b`; `None` once removed or
-    /// never in scope.
-    holders: Vec<Option<Vec<NodeId>>>,
+    /// Every in-scope block's holders, back to back; `span[b]` is block
+    /// `b`'s `(start, len)` in it, `len == ABSENT` once removed or never in scope.
+    pool: Vec<NodeId>,
+    span: Vec<(u32, u32)>,
     /// `weight[b]` = `|b ∩ s|` as known to the meta-data.
     weight: Vec<u64>,
     /// Scope blocks sorted lightest-first (weight asc, ties → lowest id).
@@ -55,18 +59,24 @@ impl DistributionGraph {
     /// must be distinct.
     pub fn build(namenode: &NameNode, scope: impl IntoIterator<Item = (BlockId, u64)>) -> Self {
         let total_blocks = namenode.block_count();
-        let mut holders: Vec<Option<Vec<NodeId>>> = vec![None; total_blocks];
+        let mut pool = Vec::new();
+        let mut degree = vec![0usize; namenode.node_count()];
+        let mut span = vec![(0, ABSENT); total_blocks];
         let mut weight = vec![0u64; total_blocks];
         let mut order_asc = Vec::new();
-        let mut remaining = 0;
         for (b, w) in scope {
             assert!(b.index() < total_blocks, "block {b} unknown to NameNode");
-            assert!(holders[b.index()].is_none(), "duplicate block {b} in scope");
-            holders[b.index()] = Some(namenode.replicas(b).to_vec());
+            assert!(span[b.index()].1 == ABSENT, "duplicate block {b} in scope");
+            let replicas = namenode.replicas(b);
+            span[b.index()] = (pool.len() as u32, replicas.len() as u32);
+            pool.extend_from_slice(replicas);
+            for n in replicas {
+                degree[n.index()] += 1;
+            }
             weight[b.index()] = w;
             order_asc.push((w, b.0));
-            remaining += 1;
         }
+        let remaining = order_asc.len();
         order_asc.sort_unstable();
         // Heaviest first keeps ids ascending inside a run of equal weights,
         // so it is the runs that reverse, not the entries.
@@ -75,12 +85,11 @@ impl DistributionGraph {
             order_desc.extend_from_slice(run);
         }
         // Dealing each global order out to the holders leaves every node's
-        // list in that order, with no per-node sort.
-        let nodes = namenode.node_count();
+        // list, sized by its degree, in that order, with no per-node sort.
         let deal = |order: &[(u64, u32)]| {
-            let mut local = vec![Vec::new(); nodes];
+            let mut local: Vec<Vec<_>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
             for &(_, b) in order {
-                for n in namenode.replicas(BlockId(b)) {
+                for n in &pool[run(span[b as usize])] {
                     local[n.index()].push(BlockId(b));
                 }
             }
@@ -88,10 +97,11 @@ impl DistributionGraph {
         };
         Self {
             local_desc: deal(&order_desc),
-            fit_from: vec![0; nodes],
+            fit_from: vec![0; degree.len()],
             local_asc: deal(&order_asc),
-            light_from: vec![0; nodes],
-            holders,
+            light_from: vec![0; degree.len()],
+            pool,
+            span,
             weight,
             order_asc,
             cur_asc: 0,
@@ -121,7 +131,7 @@ impl DistributionGraph {
     pub(crate) fn largest_local_fit(&mut self, n: NodeId, headroom: f64) -> Option<BlockId> {
         let from = &mut self.fit_from[n.index()];
         while let Some(&b) = self.local_desc[n.index()].get(*from) {
-            if self.holders[b.index()].is_some() && self.weight[b.index()] as f64 <= headroom {
+            if self.span[b.index()].1 != ABSENT && self.weight[b.index()] as f64 <= headroom {
                 return Some(b);
             }
             *from += 1;
@@ -133,7 +143,7 @@ impl DistributionGraph {
     pub(crate) fn lightest_local(&mut self, n: NodeId) -> Option<BlockId> {
         let from = &mut self.light_from[n.index()];
         while let Some(&b) = self.local_asc[n.index()].get(*from) {
-            if self.holders[b.index()].is_some() {
+            if self.span[b.index()].1 != ABSENT {
                 return Some(b);
             }
             *from += 1;
@@ -143,12 +153,13 @@ impl DistributionGraph {
 
     /// Nodes holding block `b`, if it is still in the graph.
     pub fn holders(&self, b: BlockId) -> Option<&[NodeId]> {
-        self.holders[b.index()].as_deref()
+        let span = self.span[b.index()];
+        (span.1 != ABSENT).then(|| &self.pool[run(span)])
     }
 
     /// Whether block `b` is still unassigned and in scope.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.holders[b.index()].is_some()
+        self.span[b.index()].1 != ABSENT
     }
 
     /// The weight `|b ∩ s|` of a block (0 if out of scope).
@@ -163,10 +174,10 @@ impl DistributionGraph {
 
     /// All blocks still in the graph.
     pub fn remaining_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.holders
+        self.span
             .iter()
             .enumerate()
-            .filter(|(_, h)| h.is_some())
+            .filter(|(_, s)| s.1 != ABSENT)
             .map(|(i, _)| BlockId(i as u32))
     }
 
@@ -181,7 +192,7 @@ impl DistributionGraph {
     /// `&mut` because the skip-cursor advances past removed entries.
     pub fn heaviest(&mut self) -> Option<BlockId> {
         while let Some(&(_, b)) = self.order_desc.get(self.cur_desc) {
-            if self.holders[b as usize].is_some() {
+            if self.span[b as usize].1 != ABSENT {
                 return Some(BlockId(b));
             }
             self.cur_desc += 1;
@@ -193,7 +204,7 @@ impl DistributionGraph {
     /// the overshoot-minimising fallback pick of Algorithm 1.
     pub fn lightest(&mut self) -> Option<BlockId> {
         while let Some(&(_, b)) = self.order_asc.get(self.cur_asc) {
-            if self.holders[b as usize].is_some() {
+            if self.span[b as usize].1 != ABSENT {
                 return Some(BlockId(b));
             }
             self.cur_asc += 1;
@@ -211,13 +222,12 @@ impl DistributionGraph {
     /// # Panics
     /// Panics if `b` was already removed or never in scope.
     pub fn remove_block(&mut self, b: BlockId) {
-        assert!(
-            self.holders[b.index()].take().is_some(),
-            "block {b} not in graph"
-        );
-        // The weight-order vectors, global and per node, are untouched:
-        // the skip-cursors step over the dead entry the next time they
-        // reach it.
+        let len = &mut self.span[b.index()].1;
+        assert!(*len != ABSENT, "block {b} not in graph");
+        *len = ABSENT;
+        // The pool and the weight-order vectors, global and per node, are
+        // untouched: the skip-cursors step over the dead entry the next
+        // time they reach it.
         self.remaining -= 1;
     }
 
@@ -229,10 +239,7 @@ impl DistributionGraph {
     /// # Panics
     /// Panics if `b` is still in the graph or `holders` is empty.
     pub fn reinsert(&mut self, b: BlockId, holders: Vec<NodeId>) {
-        assert!(
-            self.holders[b.index()].is_none(),
-            "block {b} is already in the graph"
-        );
+        assert!(!self.contains(b), "block {b} is already in the graph");
         assert!(!holders.is_empty(), "a reinserted block needs a holder");
         let w = self.weight[b.index()];
         // The new holder set is authoritative: stale adjacency entries from
@@ -256,7 +263,8 @@ impl DistributionGraph {
                 asc.insert(at, b);
             }
         }
-        self.holders[b.index()] = Some(holders);
+        self.span[b.index()] = (self.pool.len() as u32, holders.len() as u32);
+        self.pool.extend_from_slice(&holders);
         // Make sure the order vectors cover the block (they always do when
         // it came from the original scope), then rewind the skip-cursors:
         // the revived entry may sit before any of them. Reinsertion is a
@@ -285,11 +293,20 @@ impl DistributionGraph {
     pub fn remove_node(&mut self, n: NodeId) {
         self.local_desc[n.index()].clear();
         self.local_asc[n.index()].clear();
-        for h in self.holders.iter_mut().flatten() {
-            h.retain(|&x| x != n);
+        for span in self.span.iter_mut().filter(|s| s.1 != ABSENT) {
+            let holders = &mut self.pool[run(*span)];
+            if let Some(p) = holders.iter().position(|&h| h == n) {
+                holders[p..].rotate_left(1);
+                span.1 -= 1;
+            }
         }
         self.rewind();
     }
+}
+
+/// The `pool` range a live `(start, len)` span covers.
+fn run((start, len): (u32, u32)) -> std::ops::Range<usize> {
+    start as usize..(start + len) as usize
 }
 
 #[cfg(test)]
@@ -390,7 +407,9 @@ mod tests {
 
     /// The per-node cursors answer like a full walk of the node's list,
     /// through removals, a node loss and reinsertions, as long as each
-    /// node's headroom only shrinks between rewinds.
+    /// node's headroom only shrinks between rewinds; and the holder pool
+    /// answers like one list per block, `None` once removed or never in
+    /// scope.
     #[test]
     fn local_cursors_match_a_full_walk() {
         // Tiny xorshift: the test needs arbitrary, not good, numbers.
@@ -410,13 +429,28 @@ mod tests {
                 vec![NodeId(first), NodeId((first + 1 + b % 3) % nodes)],
             );
         }
-        // Few distinct weights, so ties are the common case.
-        let scope: Vec<(BlockId, u64)> = (0..blocks).map(|b| (BlockId(b), 10 * next(6))).collect();
+        // Few distinct weights, so ties are the common case; every seventh
+        // block stays out of scope.
+        let scope: Vec<(BlockId, u64)> = (0..blocks)
+            .filter(|b| b % 7 != 3)
+            .map(|b| (BlockId(b), 10 * next(6)))
+            .collect();
+        let mut holders: Vec<Option<Vec<NodeId>>> = vec![None; blocks as usize];
+        for &(b, _) in &scope {
+            holders[b.index()] = Some(nn.replicas(b).to_vec());
+        }
         let mut g = DistributionGraph::build(&nn, scope);
         let mut headroom = vec![70.0f64; nodes as usize];
         let mut removed: Vec<BlockId> = Vec::new();
         let mut alive = vec![true; nodes as usize];
         for step in 0..200 {
+            for b in (0..blocks).map(BlockId) {
+                assert_eq!(
+                    g.holders(b),
+                    holders[b.index()].as_deref(),
+                    "step {step}, {b}"
+                );
+            }
             for n in (0..nodes).map(NodeId) {
                 let walk: Vec<(u64, BlockId)> =
                     g.local_blocks(n).map(|b| (g.weight(b), b)).collect();
@@ -433,12 +467,16 @@ mod tests {
                     let dead = next(nodes as u64) as usize;
                     alive[dead] = false;
                     g.remove_node(NodeId(dead as u32));
+                    for h in holders.iter_mut().flatten() {
+                        h.retain(|n| n.index() != dead);
+                    }
                     headroom.fill(70.0);
                 }
                 1 | 2 if !removed.is_empty() => {
                     let b = removed.swap_remove(next(removed.len() as u64) as usize);
                     let survivors = nn.surviving_replicas(b, &alive);
                     if !survivors.is_empty() {
+                        holders[b.index()] = Some(survivors.clone());
                         g.reinsert(b, survivors);
                         headroom.fill(70.0);
                     }
@@ -448,6 +486,7 @@ mod tests {
                     let pick = g.remaining_blocks().nth(k);
                     if let Some(b) = pick {
                         g.remove_block(b);
+                        holders[b.index()] = None;
                         removed.push(b);
                     }
                     let n = next(nodes as u64) as usize;

@@ -64,11 +64,11 @@ pub use distribution::SubDatasetView;
 pub use elasticmap::{ElasticMap, Separation, SizeInfo};
 pub use ingest::{CommitPlan, IngestConfig, IngestStats, Ingestor};
 pub use memory::MemoryModel;
+pub use planner::plan_balanced_batch;
 pub use planner::{
     plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
     BalancePolicy, EpochKey, FordFulkersonPlanner, PlanCache,
 };
-pub use planner::{plan_balanced_batch, plan_maxflow_batch};
 pub use retry::{RetryBudget, RetryPolicy};
 pub use scan::ElasticMapArray;
 pub use store::{BlockSummary, Manifest, MetaStore, ScrubReport, StoreError};
@@ -83,11 +83,11 @@ pub mod prelude {
     pub use crate::elasticmap::{ElasticMap, Separation, SizeInfo};
     pub use crate::ingest::{CommitPlan, IngestConfig, IngestStats, Ingestor};
     pub use crate::memory::MemoryModel;
+    pub use crate::planner::plan_balanced_batch;
     pub use crate::planner::{
         plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
         BalancePolicy, EpochKey, FordFulkersonPlanner, PlanCache,
     };
-    pub use crate::planner::{plan_balanced_batch, plan_maxflow_batch};
     pub use crate::scan::ElasticMapArray;
     pub use crate::symbol::{FastMap, Sym, SymbolTable};
 }

@@ -21,6 +21,8 @@ use crate::bipartite::DistributionGraph;
 use crate::distribution::SubDatasetView;
 use crate::planner::Assignment;
 use datanet_dfs::{BlockId, Dfs, NameNode, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How a task request is matched to a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -346,23 +348,19 @@ impl Algorithm1 {
     pub fn plan_balanced(mut self) -> Assignment {
         let m = self.workloads.len();
         let mut assignment = Assignment::new(m);
-        // An assignment moves one node's workload and no target, so only
-        // that node's ratio is ever recomputed.
-        let mut load: Vec<f64> = (0..m).map(|i| self.relative_load(i)).collect();
+        // Loads are finite and ≥ 0, where bits order like numbers; only the
+        // served node's load moves, so only the top entry is re-keyed.
+        let mut requests: BinaryHeap<_> = (0..m)
+            .map(|i| Reverse((self.relative_load(i).to_bits(), i)))
+            .collect();
         while self.graph.remaining() > 0 {
-            let i = (0..m)
-                .min_by(|&a, &b| {
-                    load[a]
-                        .partial_cmp(&load[b])
-                        .expect("finite ratios")
-                        .then(a.cmp(&b))
-                })
-                .expect("at least one node");
+            let mut top = requests.peek_mut().expect("one entry per node");
+            let Reverse((_, i)) = *top;
             let node = NodeId(i as u32);
             let (block, local) = self
                 .next_task_for(node)
                 .expect("remaining() > 0 guarantees a task");
-            load[i] = self.relative_load(i);
+            *top = Reverse((self.relative_load(i).to_bits(), i));
             assignment.assign(node, block, self.graph.weight(block), local);
         }
         assignment
@@ -799,6 +797,25 @@ mod tests {
         assignment
     }
 
+    /// [`Algorithm1::plan_balanced`] before the request heap: the kept
+    /// relative loads, scanned in full for their minimum per request.
+    fn plan_balanced_linear(mut alg: Algorithm1) -> Assignment {
+        let m = alg.workloads.len();
+        let mut assignment = Assignment::new(m);
+        let mut load: Vec<f64> = (0..m).map(|i| alg.relative_load(i)).collect();
+        while alg.graph.remaining() > 0 {
+            let i = (0..m)
+                .min_by(|&a, &b| load[a].partial_cmp(&load[b]).unwrap().then(a.cmp(&b)))
+                .unwrap();
+            let (block, local) = alg.next_task_for(NodeId(i as u32)).unwrap();
+            load[i] = alg.relative_load(i);
+            assignment.assign(NodeId(i as u32), block, alg.graph.weight(block), local);
+        }
+        assignment
+    }
+
+    /// The request heap, the linear scan over kept loads and the division
+    /// per comparison all order requests the same way.
     #[test]
     fn kept_relative_loads_order_requests_like_dividing_per_comparison() {
         let dfs = clustered_dfs(8);
@@ -822,13 +839,13 @@ mod tests {
         ));
         for v in &views {
             for policy in [BalancePolicy::PacedGreedy, BalancePolicy::BestFitTerminal] {
-                let alg = Algorithm1::with_capabilities(dfs.namenode(), v, policy, &caps);
-                assert_eq!(
-                    alg.clone().plan_balanced(),
-                    plan_balanced_dividing(alg),
-                    "sub-dataset {} under {policy:?}",
-                    v.id()
-                );
+                for caps in [&caps[..], &[1.0; 8]] {
+                    let alg = Algorithm1::with_capabilities(dfs.namenode(), v, policy, caps);
+                    let heap = alg.clone().plan_balanced();
+                    let why = format!("sub-dataset {} under {policy:?}, caps {caps:?}", v.id());
+                    assert_eq!(heap, plan_balanced_linear(alg.clone()), "{why}");
+                    assert_eq!(heap, plan_balanced_dividing(alg), "{why}");
+                }
             }
         }
     }

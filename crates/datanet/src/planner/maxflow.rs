@@ -14,7 +14,6 @@
 //! Max flow itself is Edmonds–Karp (BFS augmenting paths) — the classic
 //! Ford–Fulkerson realisation from Cormen et al., the paper's citation.
 
-use crate::bipartite::DistributionGraph;
 use crate::distribution::SubDatasetView;
 use crate::planner::Assignment;
 use datanet_dfs::{BlockId, Dfs, NameNode, NodeId};
@@ -125,19 +124,18 @@ impl FordFulkersonPlanner {
         Self::with_namenode(dfs.namenode(), view)
     }
 
-    /// Set up from NameNode metadata directly.
+    /// Set up from NameNode metadata directly, over τ₁ ∪ τ₂ merged in block
+    /// order (a view's two lists are each in block order and disjoint).
     pub fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
-        let graph = DistributionGraph::from_view(namenode, view);
-        let blocks = graph
-            .remaining_blocks()
-            .map(|b| {
-                (
-                    b,
-                    graph.weight(b),
-                    graph.holders(b).expect("in scope").to_vec(),
-                )
-            })
-            .collect();
+        let mut exact = view.exact().iter().copied().peekable();
+        let mut bloom = view.bloom().iter().map(|&b| (b, view.delta())).peekable();
+        let merged = std::iter::from_fn(|| match (exact.peek(), bloom.peek()) {
+            (Some(e), Some(t)) if t.0 < e.0 => bloom.next(),
+            (Some(_), _) => exact.next(),
+            (None, _) => bloom.next(),
+        });
+        let blocks: Vec<_> = (merged.map(|(b, w)| (b, w, namenode.replicas(b).to_vec()))).collect();
+        debug_assert!(blocks.windows(2).all(|p| p[0].0 < p[1].0), "unsorted view");
         Self {
             blocks,
             nodes: namenode.node_count(),
@@ -586,6 +584,57 @@ mod tests {
         // 1..=4 nodes × 0..=6 blocks × replication × weight profiles: the
         // sweep is genuinely exhaustive, not a sample.
         assert!(instances > 20_000, "swept only {instances} instances");
+    }
+
+    /// The merged scope is the one the bipartite graph held — blocks,
+    /// order, weights and holders — for every sub-dataset of seeded worlds
+    /// of several sizes under every separation, plus one id no world has.
+    #[test]
+    fn scope_merges_like_the_graph() {
+        let mut both = 0;
+        for seed in 0..6u64 {
+            for nodes in [1, 2, 3, 5, 8] {
+                // Tiny xorshift: the test needs arbitrary, not good, numbers.
+                let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let recs = (0..400 + 300 * seed).map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // The smaller of two draws: low ids common, high ones rare.
+                    let s = (x % 16).min(x >> 60);
+                    Record::new(SubDatasetId(s), i, 50 + (x >> 40) as u32 % 200, i)
+                });
+                let config = DfsConfig {
+                    block_size: 6_000,
+                    replication: 3.min(nodes as usize),
+                    topology: Topology::single_rack(nodes),
+                    seed,
+                };
+                let dfs = Dfs::write_random(config, recs);
+                let nn = dfs.namenode();
+                let separations = [
+                    Separation::All,
+                    Separation::Alpha(0.3),
+                    Separation::Threshold { min_bytes: 600 },
+                    Separation::BloomOnly,
+                ];
+                for sep in &separations {
+                    let array = ElasticMapArray::build(&dfs, sep);
+                    for s in (0..=16).map(SubDatasetId) {
+                        let view = array.view(s);
+                        both += usize::from(!view.exact().is_empty() && !view.bloom().is_empty());
+                        let g = crate::DistributionGraph::from_view(nn, &view);
+                        let scope: Vec<_> = (g.remaining_blocks())
+                            .map(|b| (b, g.weight(b), g.holders(b).unwrap().to_vec()))
+                            .collect();
+                        let planner = FordFulkersonPlanner::with_namenode(nn, &view);
+                        let why = format!("seed {seed}, {nodes} nodes, {sep:?}, {s}");
+                        assert_eq!(planner.blocks, scope, "{why}");
+                    }
+                }
+            }
+        }
+        assert!(both > 100, "only {both} views merge two non-empty lists");
     }
 
     #[test]

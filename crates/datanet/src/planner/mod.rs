@@ -40,21 +40,6 @@ pub fn plan_balanced_batch(
         .collect()
 }
 
-/// Plan one [`FordFulkersonPlanner`] optimal assignment per sub-dataset,
-/// resolving all views through the batched array walk first (same
-/// amortisation as [`plan_balanced_batch`]).
-pub fn plan_maxflow_batch(
-    dfs: &Dfs,
-    array: &ElasticMapArray,
-    ids: &[SubDatasetId],
-) -> Vec<Assignment> {
-    array
-        .views(ids)
-        .iter()
-        .map(|view| FordFulkersonPlanner::new(dfs, view).plan())
-        .collect()
-}
-
 /// A complete map-task assignment: each block processed by exactly one node.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
