@@ -36,6 +36,7 @@ use crate::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet::checkpoint::{self, CheckpointPlan};
+use datanet::store::crc32;
 use datanet::{AggregationPlan, ElasticMapArray, FastMap, MetaStore, RetryPolicy, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
@@ -501,7 +502,7 @@ impl PipelineOutput {
     fn from_state(state: WorkingState, committed_crc: Option<u32>) -> Self {
         Self {
             records: state.records.len() as u64,
-            digest: committed_crc.unwrap_or_else(|| checkpoint::content_crc(&state.payload())),
+            digest: committed_crc.unwrap_or_else(|| crc32(&state.payload())),
             aggregates: state.aggregates,
         }
     }

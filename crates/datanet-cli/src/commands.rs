@@ -301,22 +301,50 @@ fn cmd_help(_args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn dfs_config(args: &Args) -> Result<DfsConfig, CliError> {
-    let nodes: u32 = args.get_or("nodes", 16)?;
-    let block_kb: u64 = args.get_or("block-kb", 256)?;
-    let seed: u64 = args.get_or("seed", 0xDA7A)?;
+/// A numeric flag that must be at least 1; `default` when absent.
+fn positive<T>(args: &Args, key: &str, default: T) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let value = args.get_or(key, default)?;
+    if value < T::from(1) {
+        return Err(ArgError(format!("--{key} must be positive")).into());
+    }
+    Ok(value)
+}
+
+/// `--alpha`, the fraction of a block's sub-datasets kept exact: a number
+/// in [0, 1], 0.3 when absent.
+fn alpha(args: &Args) -> Result<f64, CliError> {
+    let alpha: f64 = args.get_or("alpha", 0.3)?;
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(ArgError(format!("--alpha must be in [0, 1], got {alpha}")).into());
+    }
+    Ok(alpha)
+}
+
+/// The DFS layout flags `gen` and `serve` share: `--nodes` and
+/// `--block-kb`, each positive, over the command's defaults, and `--seed`.
+fn dfs_config(
+    args: &Args,
+    nodes: u32,
+    block_kb: u64,
+    replication: usize,
+) -> Result<DfsConfig, CliError> {
     Ok(DfsConfig {
-        block_size: block_kb * 1024,
-        replication: 3,
-        topology: Topology::single_rack(nodes),
-        seed,
+        block_size: positive(args, "block-kb", block_kb)? * 1024,
+        replication,
+        topology: Topology::single_rack(positive(args, "nodes", nodes)?),
+        seed: args.get_or("seed", 0xDA7A)?,
     })
 }
 
 fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let kind = args.require_positional(1, "generator")?;
-    let records: usize = args.get_or("records", 100_000)?;
-    let seed: u64 = args.get_or("seed", 0xDA7A)?;
+    let records: usize = positive(args, "records", 100_000)?;
+    let config = dfs_config(args, 16, 256, 3)?;
+    let seed = config.seed;
     let records = match kind {
         "movies" => {
             MoviesConfig {
@@ -343,7 +371,7 @@ fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let ds = DatasetFile {
         generator: kind.to_string(),
-        config: dfs_config(args)?,
+        config,
         records,
     };
     let path = args.require("out")?;
@@ -460,18 +488,11 @@ fn recorder(args: &Args) -> Result<(Recorder, ObsOutputs), CliError> {
         Recorder::off()
     };
     if outputs.metrics.is_some() || outputs.openmetrics.is_some() {
-        let window_ms: u64 = args.get_or("metrics-window-ms", 1_000)?;
-        if window_ms == 0 {
-            return Err(ArgError("--metrics-window-ms must be positive".into()).into());
-        }
+        let window_ms: u64 = positive(args, "metrics-window-ms", 1_000)?;
         rec = rec.with_metrics(window_ms * 1_000);
     }
     if outputs.flight.is_some() {
-        let cap: usize = args.get_or("flight-events", FLIGHT_CAPACITY)?;
-        if cap == 0 {
-            return Err(ArgError("--flight-events must be positive".into()).into());
-        }
-        rec = rec.with_flight(cap);
+        rec = rec.with_flight(positive(args, "flight-events", FLIGHT_CAPACITY)?);
     }
     if let Some(q) = args.get("query-id") {
         let id: u64 = q
@@ -507,8 +528,8 @@ fn write_trace(rec: &Recorder, path: &Path, out: &mut dyn Write) -> Result<(), C
 
 fn cmd_scan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let ds = DatasetFile::load(Path::new(args.require("dataset")?))?;
-    let alpha: f64 = args.get_or("alpha", 0.3)?;
-    let shard_blocks: usize = args.get_or("shard-blocks", 64)?;
+    let alpha = alpha(args)?;
+    let shard_blocks: usize = positive(args, "shard-blocks", 64)?;
     let dfs = ds.to_dfs();
     let (rec, obs) = recorder(args)?;
     let arr = ElasticMapArray::build_traced(&dfs, &Separation::Alpha(alpha), &rec);
@@ -563,13 +584,10 @@ fn cmd_scrub(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// snapshots along the way.
 fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let ds = DatasetFile::load(Path::new(args.require("dataset")?))?;
-    let alpha: f64 = args.get_or("alpha", 0.3)?;
-    let shard_blocks: usize = args.get_or("shard-blocks", 64)?;
-    let compact_every: usize = args.get_or("compact-every", 64)?;
-    let commit_every: usize = args.get_or("commit-every", compact_every.max(1))?;
-    if compact_every == 0 || commit_every == 0 {
-        return Err(ArgError("--compact-every/--commit-every must be positive".into()).into());
-    }
+    let alpha = alpha(args)?;
+    let shard_blocks: usize = positive(args, "shard-blocks", 64)?;
+    let compact_every: usize = positive(args, "compact-every", 64)?;
+    let commit_every: usize = positive(args, "commit-every", compact_every)?;
     let dirs = meta_dirs(args)?;
     let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
     let cfg = IngestConfig {
@@ -804,7 +822,7 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
     let s = SubDatasetId(id);
     let job = job_by_name(args.get("job").unwrap_or("wordcount"))?;
-    let alpha: f64 = args.get_or("alpha", 0.3)?;
+    let alpha = alpha(args)?;
     let dfs = ds.to_dfs();
     let sel = SelectionConfig::default();
     let ana = AnalysisConfig::default();
@@ -889,7 +907,7 @@ fn cmd_pipeline(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .parse()
         .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
     let s = SubDatasetId(id);
-    let alpha: f64 = args.get_or("alpha", 0.3)?;
+    let alpha = alpha(args)?;
     let spec = match args.get("job").unwrap_or("wordcount") {
         "wordcount" => word_count_pipeline(s),
         "movingaverage" => moving_average_pipeline(s, args.get_or("window-secs", 86_400)?),
@@ -1135,10 +1153,6 @@ fn val_str(v: Option<&Value>) -> Option<&str> {
     }
 }
 
-/// `datanet trace TRACE.json` — terminal summary of a Chrome trace written
-/// by `--trace`: span counts and time per category, the busiest nodes on
-/// the simulated clock, counter totals, and the unclosed-span count the CI
-/// smoke job gates on.
 /// `datanet serve` — run the multi-tenant serving plane over a seeded
 /// query stream: bounded admission, deficit-round-robin fair-share
 /// quotas, the epoch-keyed plan cache, and a seeded worker pool on the
@@ -1152,26 +1166,16 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     let seed: u64 = args.get_or("seed", 0xDA7A)?;
-    let subdatasets: u64 = args.get_or("subdatasets", 8)?;
-    if subdatasets == 0 {
-        return Err(ArgError("--subdatasets must be positive".into()).into());
-    }
-    let alpha: f64 = args.get_or("alpha", 0.3)?;
+    let subdatasets: u64 = positive(args, "subdatasets", 8)?;
+    let alpha = alpha(args)?;
     let dfs = match args.get("dataset") {
         Some(p) => DatasetFile::load(Path::new(p))?.to_dfs(),
         None => {
             // Synthetic world from the same knobs `datanet gen` takes, so
             // `datanet serve` works standalone.
-            let records: u64 = args.get_or("records", 2_000)?;
-            let nodes: u32 = args.get_or("nodes", 8)?;
-            let block_kb: u64 = args.get_or("block-kb", 4)?;
+            let records: u64 = positive(args, "records", 2_000)?;
             datanet_dfs::Dfs::write_random(
-                DfsConfig {
-                    block_size: block_kb * 1024,
-                    replication: 2,
-                    topology: Topology::single_rack(nodes),
-                    seed,
-                },
+                dfs_config(args, 8, 4, 2)?,
                 (0..records).map(|i| {
                     datanet_dfs::Record::new(SubDatasetId(i % subdatasets), i, 260, seed ^ i)
                 }),
@@ -1180,24 +1184,14 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     };
     let world = World::new(dfs, subdatasets, Separation::Alpha(alpha), seed);
 
-    let tenants: u32 = args.get_or("tenants", 4)?;
-    let queries: u32 = args.get_or("queries", 64)?;
-    if tenants == 0 || queries == 0 {
-        return Err(ArgError("--tenants and --queries must be positive".into()).into());
-    }
+    let tenants: u32 = positive(args, "tenants", 4)?;
+    let queries: u32 = positive(args, "queries", 64)?;
     // Arrival cadence: `--gap-us` wins; otherwise derived from `--qps`.
     let gap_us: u64 = if args.get("gap-us").is_some() {
-        args.get_or("gap-us", 0)?
+        positive(args, "gap-us", 1)?
     } else {
-        let qps: u64 = args.get_or("qps", 500)?;
-        if qps == 0 {
-            return Err(ArgError("--qps must be positive".into()).into());
-        }
-        (1_000_000 / qps).max(1)
+        (1_000_000 / positive::<u64>(args, "qps", 500)?).max(1)
     };
-    if gap_us == 0 {
-        return Err(ArgError("--gap-us must be positive".into()).into());
-    }
     let mix_s = args.get("mix").unwrap_or("skewed");
     let mix = TenantMix::parse(mix_s).ok_or_else(|| {
         ArgError(format!(
@@ -1218,23 +1212,16 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         "maxflow" => true,
         other => return Err(ArgError(format!("unknown planner `{other}`")).into()),
     };
-    let quantum_kb: u64 = args.get_or("quantum-kb", 64)?;
-    if quantum_kb == 0 {
-        return Err(ArgError("--quantum-kb must be positive".into()).into());
-    }
     let cfg = ServeConfig {
-        workers: args.get_or("workers", 4)?,
+        workers: positive(args, "workers", 4)?,
         queue_cap: args.get_or("queue-cap", 32)?,
-        quantum_bytes: quantum_kb * 1024,
-        round_us: args.get_or("round-us", 2_000)?,
+        quantum_bytes: positive::<u64>(args, "quantum-kb", 64)? * 1024,
+        round_us: positive(args, "round-us", 2_000)?,
         max_wait_rounds: args.get_or("max-wait-rounds", 16)?,
         cache: !args.flag("no-cache"),
         maxflow,
         schedule_seed: args.get_or("schedule-seed", 0)?,
     };
-    if cfg.workers == 0 || cfg.round_us == 0 {
-        return Err(ArgError("--workers and --round-us must be positive".into()).into());
-    }
 
     // Scripted world mutations, anchored to stream positions.
     let mut events: Vec<ScriptedEvent> = Vec::new();
@@ -1339,6 +1326,10 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `datanet trace TRACE.json` — terminal summary of a Chrome trace written
+/// by `--trace`: span counts and time per category, the busiest nodes on
+/// the simulated clock, counter totals, and the unclosed-span count the CI
+/// smoke job gates on.
 fn cmd_trace(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require_positional(1, "TRACE.json")?;
     let bytes = std::fs::read(path)?;
@@ -2277,5 +2268,56 @@ mod tests {
 
         let _ = std::fs::remove_file(&j1);
         let _ = std::fs::remove_file(&j2);
+    }
+
+    /// Regression: each of these reached a library assert and exited 101
+    /// instead of printing a usage error. Every command that declares one
+    /// of the flags is run, on an otherwise valid command line, with each
+    /// out-of-range value.
+    #[test]
+    fn out_of_range_numeric_flags_are_usage_errors() {
+        let ds = tmp("range-ds.json");
+        let meta = tmp("range-meta");
+        let ckpt = tmp("range-ckpt");
+        run(&format!(
+            "gen movies --records 2000 --nodes 4 --block-kb 16 --out {ds}"
+        ))
+        .unwrap();
+        let valid = |name: &str| match name {
+            "gen" => format!("gen movies --records 500 --out {}", tmp("range-gen.json")),
+            "scan" | "ingest" => format!("{name} --dataset {ds} --meta {meta}"),
+            "simulate" => format!("simulate --dataset {ds} --subdataset 0"),
+            "pipeline" => format!("pipeline --dataset {ds} --subdataset 0 --ckpt {ckpt}"),
+            "serve" => "serve --tenants 1 --queries 2 --records 300 --nodes 4".to_string(),
+            other => panic!("give `{other}` a valid command line here"),
+        };
+        let bad = [
+            ("shard-blocks", &["0"][..]),
+            ("nodes", &["0"]),
+            ("block-kb", &["0"]),
+            ("records", &["0"]),
+            ("alpha", &["7", "nan", "-1"]),
+        ];
+        let mut runs = 0;
+        for &(name, _, _, values, _, _) in COMMANDS {
+            for &(flag, wrong) in &bad {
+                if !values.split_whitespace().any(|v| v == flag) {
+                    continue;
+                }
+                for value in wrong {
+                    let line = format!("{} --{flag} {value}", valid(name));
+                    match run(&line) {
+                        Err(CliError::Args(e)) => assert!(e.0.contains(flag), "{line}: {e}"),
+                        other => panic!("{line}: expected a usage error, got {other:?}"),
+                    }
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 23, "a command gained or lost one of the flags");
+        for path in [&meta, &ckpt] {
+            assert!(!Path::new(path).exists(), "{path} was written");
+        }
+        let _ = std::fs::remove_file(&ds);
     }
 }

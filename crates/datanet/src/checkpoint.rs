@@ -1,8 +1,8 @@
 //! Crash-safe pipeline checkpoints, replicated next to the MetaStore.
 //!
 //! The pipeline executor (`datanet-analytics`) persists one checkpoint per
-//! completed stage under the same write-order contract as streaming-ingest
-//! epochs ([`crate::ingest::CommitPlan`]):
+//! completed stage as one [`WritePlan`], the write path streaming-ingest
+//! epochs ([`crate::CommitPlan`]) and store saves share:
 //!
 //! 1. the stage's **payload** (`stage-NNNN.json`, the serialized working
 //!    state, CRC-32 checksummed),
@@ -11,14 +11,11 @@
 //!    `last_completed_operation` + the payload CRC),
 //! 3. the **live manifest** (`pipeline.json`) — written LAST.
 //!
-//! Every file is written to every replica directory before the next file is
-//! started, so a crash after any prefix of the writes leaves the previous
-//! stage fully durable: the live manifest still points at it, and its
-//! payload + immutable manifest are untouched. [`CheckpointPlan::apply_prefix`]
-//! models mid-commit crashes exactly like `CommitPlan::apply_prefix` does
-//! for ingest epochs.
+//! A crash after any prefix of the writes leaves the previous stage fully
+//! durable: the live manifest still points at it, and its payload +
+//! immutable manifest are untouched.
 
-use crate::store::{crc32, StoreError};
+use crate::store::{crc32, nothing_durable, read_manifest, StoreError, WritePlan};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::Path;
@@ -41,12 +38,6 @@ pub fn manifest_file(seq: u64) -> String {
     format!("pipeline-manifest-e{seq:04}.json")
 }
 
-/// CRC-32 of a checkpoint payload (exposed so callers can fingerprint
-/// outputs with the same checksum the manifests carry).
-pub fn content_crc(bytes: &[u8]) -> u32 {
-    crc32(bytes)
-}
-
 /// Durable record of one completed pipeline stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointManifest {
@@ -62,15 +53,9 @@ pub struct CheckpointManifest {
     pub version: u32,
 }
 
-/// An ordered, replicated write plan for one stage checkpoint. Applying a
-/// strict prefix of the writes (a modeled crash) never corrupts the
-/// previous checkpoint; only a full application moves the live manifest.
-#[derive(Debug, Clone)]
-pub struct CheckpointPlan {
-    seq: u64,
-    manifest: CheckpointManifest,
-    writes: Vec<(String, Arc<[u8]>)>,
-}
+/// One stage checkpoint: the payload, then the immutable per-stage
+/// manifest, then the live `pipeline.json`.
+pub type CheckpointPlan = WritePlan<CheckpointManifest, Arc<[u8]>>;
 
 impl CheckpointPlan {
     /// Plan the checkpoint for stage `seq` of `pipeline`, with the stage's
@@ -85,59 +70,13 @@ impl CheckpointPlan {
             payload_crc: crc32(&payload),
             version: CHECKPOINT_VERSION,
         };
-        let manifest_bytes: Arc<[u8]> = serde_json::to_vec_pretty(&manifest)
-            .expect("checkpoint manifest serialization is infallible")
-            .into();
-        let writes = vec![
-            (payload_file(seq), payload),
-            (manifest_file(seq), Arc::clone(&manifest_bytes)),
-            (LIVE_MANIFEST.to_string(), manifest_bytes),
-        ];
-        Self {
-            seq,
-            manifest,
-            writes,
-        }
+        let data = vec![(payload_file(seq), payload)];
+        WritePlan::of(manifest, data, Some(manifest_file(seq)), LIVE_MANIFEST)
     }
 
     /// Stage index this plan commits.
     pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The manifest that becomes live once the plan is fully applied.
-    pub fn manifest(&self) -> &CheckpointManifest {
-        &self.manifest
-    }
-
-    /// Number of ordered file writes in the plan (mirrors
-    /// [`crate::ingest::CommitPlan::writes`]).
-    pub fn writes(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Apply the full plan to every replica directory.
-    pub fn apply(&self, dirs: &[&Path]) -> Result<(), StoreError> {
-        self.apply_prefix(dirs, self.writes.len())
-    }
-
-    /// Apply only the first `n` writes — the crash-injection hook. Each file
-    /// lands on *every* replica before the next file is started, mirroring
-    /// the ingest contract.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the plan's write count.
-    pub fn apply_prefix(&self, dirs: &[&Path], n: usize) -> Result<(), StoreError> {
-        assert!(n <= self.writes.len(), "prefix exceeds plan");
-        for dir in dirs {
-            fs::create_dir_all(dir)?;
-        }
-        for (name, bytes) in &self.writes[..n] {
-            for dir in dirs {
-                fs::write(dir.join(name), bytes)?;
-            }
-        }
-        Ok(())
+        self.manifest().last_completed_operation
     }
 }
 
@@ -146,19 +85,26 @@ impl CheckpointPlan {
 /// committed (no replica has a live manifest) — the pipeline starts fresh,
 /// exactly like [`crate::ingest::Ingestor::resume`] on a store that crashed
 /// before its first commit.
+///
+/// # Errors
+/// [`StoreError::FutureVersion`] as soon as a replica's live manifest is
+/// newer than this build; otherwise `Corrupt` when no replica yields a
+/// manifest whose payload verifies.
 pub fn resume(dirs: &[&Path]) -> Result<Option<(CheckpointManifest, Vec<u8>)>, StoreError> {
-    if dirs.iter().all(|d| !d.join(LIVE_MANIFEST).exists()) {
+    if nothing_durable(dirs, LIVE_MANIFEST) {
         return Ok(None);
     }
     let mut last = String::from("no replica tried");
     for dir in dirs {
-        let manifest = match read_manifest(&dir.join(LIVE_MANIFEST)) {
-            Ok(m) => m,
-            Err(e) => {
-                last = format!("{}: {e}", dir.join(LIVE_MANIFEST).display());
-                continue;
-            }
-        };
+        let manifest: CheckpointManifest =
+            match read_manifest(&dir.join(LIVE_MANIFEST), CHECKPOINT_VERSION) {
+                Ok(m) => m,
+                Err(e @ StoreError::FutureVersion { .. }) => return Err(e),
+                Err(e) => {
+                    last = format!("{}: {e}", dir.join(LIVE_MANIFEST).display());
+                    continue;
+                }
+            };
         let payload = payload_file(manifest.last_completed_operation);
         for pdir in dirs {
             match fs::read(pdir.join(&payload)) {
@@ -202,27 +148,11 @@ pub fn ledger(dirs: &[&Path]) -> Result<Vec<CheckpointManifest>, StoreError> {
             if !name.starts_with("pipeline-manifest-e") || !name.ends_with(".json") {
                 continue;
             }
-            let m = read_manifest(&entry.path())?;
+            let m: CheckpointManifest = read_manifest(&entry.path(), CHECKPOINT_VERSION)?;
             found.entry(m.last_completed_operation).or_insert(m);
         }
     }
     Ok(found.into_values().collect())
-}
-
-fn read_manifest(path: &Path) -> Result<CheckpointManifest, StoreError> {
-    let bytes = fs::read(path)?;
-    let m: CheckpointManifest =
-        serde_json::from_slice(&bytes).map_err(|e| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            detail: e.to_string(),
-        })?;
-    if m.version > CHECKPOINT_VERSION {
-        return Err(StoreError::FutureVersion {
-            found: m.version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -337,6 +267,8 @@ mod tests {
         }
     }
 
+    /// A newer manifest is `FutureVersion`, never `Corrupt` — also when its
+    /// fields are ones this build cannot decode, and in the ledger too.
     #[test]
     fn future_version_is_rejected() {
         let dirs = tmpdirs("future", 1);
@@ -348,11 +280,25 @@ mod tests {
             payload_crc: 0,
             version: CHECKPOINT_VERSION + 1,
         };
-        fs::write(dirs[0].join(LIVE_MANIFEST), serde_json::to_vec(&m).unwrap()).unwrap();
-        assert!(matches!(
-            resume(&r),
-            Err(StoreError::Corrupt { .. }) | Err(StoreError::FutureVersion { .. })
-        ));
+        let future = format!(
+            r#"{{"version": {}, "pipeline": {{"id": 7}}, "stages": []}}"#,
+            CHECKPOINT_VERSION + 1
+        );
+        for bytes in [serde_json::to_vec(&m).unwrap(), future.into_bytes()] {
+            fs::write(dirs[0].join(LIVE_MANIFEST), &bytes).unwrap();
+            fs::write(dirs[0].join(manifest_file(0)), &bytes).unwrap();
+            let want = CHECKPOINT_VERSION + 1;
+            match resume(&r) {
+                Err(StoreError::FutureVersion { found, supported }) => {
+                    assert_eq!((found, supported), (want, CHECKPOINT_VERSION))
+                }
+                other => panic!("expected FutureVersion, got {other:?}"),
+            }
+            assert!(matches!(
+                ledger(&r),
+                Err(StoreError::FutureVersion { found, .. }) if found == want
+            ));
+        }
         let _ = fs::remove_dir_all(&dirs[0]);
     }
 }

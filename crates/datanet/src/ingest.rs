@@ -38,14 +38,14 @@ use crate::distribution::SubDatasetView;
 use crate::elasticmap::{mean_record_buckets, ElasticMap, Separation, SizeInfo};
 use crate::scan::ElasticMapArray;
 use crate::store::{
-    crc32, encode_blocks, epoch_file, epoch_manifest_file, epoch_summary_file, shard_file,
-    summary_file, BlockSummary, Manifest, MetaStore, StoreError, FORMAT_VERSION,
+    epoch_file, epoch_manifest_file, epoch_summary_file, nothing_durable, push_shard, shard_file,
+    summary_file, BlockSummary, Manifest, MetaStore, StoreError, WritePlan, FORMAT_VERSION,
+    LIVE_MANIFEST,
 };
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -146,64 +146,15 @@ impl DeltaMap {
     }
 }
 
-/// One durable commit, expressed as an ordered write plan.
-///
-/// The order is the crash-safety contract: data files first, the immutable
-/// per-epoch manifest second-to-last, and the live `manifest.json` **last**.
-/// Applying any strict prefix of the plan (a simulated crash mid-commit)
-/// leaves the store opening at the previous epoch with all of its files
-/// intact — the new epoch simply never happened.
-#[derive(Debug, Clone)]
-pub struct CommitPlan {
-    epoch: u64,
-    manifest: Manifest,
-    writes: Vec<(String, Vec<u8>)>,
-}
+/// One durable ingest epoch: the new shard files and the tail, then
+/// `manifest-eNNNN.json`, then the live `manifest.json`. A crash after any
+/// strict prefix leaves the store opening at the previous epoch.
+pub type CommitPlan = WritePlan<Manifest>;
 
 impl CommitPlan {
     /// The epoch this plan commits.
     pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The manifest the plan installs.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// Number of ordered file writes in the plan.
-    pub fn writes(&self) -> usize {
-        self.writes.len()
-    }
-
-    /// Apply the full plan to every replica directory.
-    ///
-    /// # Errors
-    /// Filesystem failures.
-    pub fn apply(&self, dirs: &[&Path]) -> Result<(), StoreError> {
-        self.apply_prefix(dirs, self.writes.len())
-    }
-
-    /// Apply only the first `n` writes — the crash-injection hook. Each
-    /// write lands on every replica before the next begins, mirroring a
-    /// pipeline that replicates file-by-file.
-    ///
-    /// # Errors
-    /// Filesystem failures.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the plan length.
-    pub fn apply_prefix(&self, dirs: &[&Path], n: usize) -> Result<(), StoreError> {
-        assert!(n <= self.writes.len(), "prefix longer than the plan");
-        for dir in dirs {
-            fs::create_dir_all(dir)?;
-        }
-        for (file, bytes) in &self.writes[..n] {
-            for dir in dirs {
-                fs::write(dir.join(file), bytes)?;
-            }
-        }
-        Ok(())
+        self.manifest().epoch
     }
 }
 
@@ -265,7 +216,7 @@ impl Ingestor {
     /// Whatever [`MetaStore::open_replicated`] or the shard/summary reads
     /// surface.
     pub fn resume(mut cfg: IngestConfig, dirs: &[&Path]) -> Result<Self, StoreError> {
-        if dirs.iter().all(|d| !d.join("manifest.json").exists()) {
+        if nothing_durable(dirs, LIVE_MANIFEST) {
             return Ok(Self::new(cfg));
         }
         let mut store = MetaStore::open_replicated(dirs, 2)?;
@@ -461,25 +412,20 @@ impl Ingestor {
         let durable_full = self.durable_shard_crc.len();
         let mut shard_crc = self.durable_shard_crc.clone();
         let mut summary_crc = self.durable_summary_crc.clone();
-        let mut writes: Vec<(String, Vec<u8>)> = Vec::new();
-        let encode = |span: std::ops::Range<usize>| {
-            let maps = encode_blocks(&self.sealed.maps()[span.clone()], ElasticMap::encode);
-            let summaries = encode_blocks(&self.summaries[span], BlockSummary::encode);
-            (maps, summaries)
-        };
+        let mut writes = Vec::new();
+        let (maps, summaries) = (self.sealed.maps(), &self.summaries);
         for i in durable_full..full {
-            let (m, s) = encode(i * sb..(i + 1) * sb);
-            shard_crc.push(crc32(&m));
-            summary_crc.push(crc32(&s));
-            writes.push((shard_file(i), m));
-            writes.push((summary_file(i), s));
+            let span = i * sb..(i + 1) * sb;
+            let names = [shard_file(i), summary_file(i)];
+            let (m, s) = push_shard(&mut writes, names, &maps[span.clone()], &summaries[span]);
+            shard_crc.push(m);
+            summary_crc.push(s);
         }
         let (tail_crc, tail_summary_crc) = if !blocks.is_multiple_of(sb) {
-            let (m, s) = encode(full * sb..blocks);
-            let crcs = (Some(crc32(&m)), Some(crc32(&s)));
-            writes.push((epoch_file(epoch), m));
-            writes.push((epoch_summary_file(epoch), s));
-            crcs
+            let span = full * sb..blocks;
+            let names = [epoch_file(epoch), epoch_summary_file(epoch)];
+            let (m, s) = push_shard(&mut writes, names, &maps[span.clone()], &summaries[span]);
+            (Some(m), Some(s))
         } else {
             (None, None)
         };
@@ -494,22 +440,17 @@ impl Ingestor {
             tail_crc,
             tail_summary_crc,
         };
-        let bytes = serde_json::to_vec_pretty(&manifest).expect("manifest serialises");
-        writes.push((epoch_manifest_file(epoch), bytes.clone()));
-        writes.push(("manifest.json".to_string(), bytes));
-        Some(CommitPlan {
-            epoch,
-            manifest,
-            writes,
-        })
+        let immutable = Some(epoch_manifest_file(epoch));
+        Some(WritePlan::of(manifest, writes, immutable, LIVE_MANIFEST))
     }
 
     /// Adopt a fully-applied plan as the new durable state.
     pub fn mark_durable(&mut self, plan: &CommitPlan) {
-        self.durable_epoch = plan.epoch;
-        self.durable_blocks = plan.manifest.blocks;
-        self.durable_shard_crc = plan.manifest.shard_crc.clone();
-        self.durable_summary_crc = plan.manifest.summary_crc.clone();
+        let manifest = plan.manifest();
+        self.durable_epoch = manifest.epoch;
+        self.durable_blocks = manifest.blocks;
+        self.durable_shard_crc = manifest.shard_crc.clone();
+        self.durable_summary_crc = manifest.summary_crc.clone();
         self.stats.epochs_committed += 1;
         self.rec.add("ingest_epochs", 1);
         self.rec.flight(
@@ -519,7 +460,7 @@ impl Ingestor {
             None,
             format!(
                 "ingest epoch {} durable at {} blocks",
-                plan.epoch, plan.manifest.blocks
+                manifest.epoch, manifest.blocks
             ),
         );
     }
@@ -537,7 +478,7 @@ impl Ingestor {
             Some(plan) => {
                 plan.apply(dirs)?;
                 self.mark_durable(&plan);
-                Ok(plan.epoch)
+                Ok(plan.epoch())
             }
         }
     }
@@ -547,6 +488,7 @@ impl Ingestor {
 mod tests {
     use super::*;
     use datanet_dfs::{Dfs, DfsConfig, Record, Topology};
+    use std::fs;
     use std::path::PathBuf;
 
     fn tmpdirs(tag: &str, k: usize) -> Vec<PathBuf> {

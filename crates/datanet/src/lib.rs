@@ -10,7 +10,7 @@
 //!    *dominant* sub-datasets from the long tail in O(m) per block — the
 //!    paper's bucket/count-sort trick that avoids an O(m log m) sort.
 //! 3. **Store** ([`elasticmap`]): an [`ElasticMap`] keeps dominant sizes
-//!    exactly in a hash map and the tail's mere existence in a
+//!    exactly in sorted arrays and the tail's mere existence in a
 //!    [`bloom::BloomFilter`]; the memory trade-off follows Equation 5
 //!    ([`memory`]).
 //! 4. **Query** ([`distribution`]): a [`SubDatasetView`] collects, for one
@@ -71,7 +71,7 @@ pub use planner::{
 };
 pub use retry::{RetryBudget, RetryPolicy};
 pub use scan::ElasticMapArray;
-pub use store::{BlockSummary, Manifest, MetaStore, ScrubReport, StoreError};
+pub use store::{BlockSummary, Manifest, MetaStore, ScrubReport, StoreError, WritePlan};
 pub use symbol::{FastMap, FxBuildHasher, FxHasher64, Sym, SymbolTable};
 
 /// Common imports for downstream users.

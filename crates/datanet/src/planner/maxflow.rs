@@ -2,17 +2,19 @@
 //! execution environment, we can actually compute an optimized task
 //! assignment through the Ford-Fulkerson method").
 //!
-//! Construction: `source → block b` with capacity `w(b)`; `b → node n` with
-//! capacity `w(b)` for every replica holder `n`; `node → sink` with capacity
-//! `T`. If the max flow saturates every source edge, a per-node cap of `T`
-//! is feasible *fractionally*. Binary search over `T` finds the smallest
-//! feasible cap; each block is then rounded to the replica node that
-//! received the largest share of its flow. The fractional optimum is a
-//! lower bound on any integral schedule, so the rounded makespan is provably
-//! within one block weight of optimal.
+//! The plan itself runs no flow: [`FordFulkersonPlanner::plan`] assigns
+//! blocks heaviest first, each to its least-loaded replica holder (LPT),
+//! then repairs with a move/swap local search; instances of at most eight
+//! blocks are solved exactly by exhaustive search.
 //!
-//! Max flow itself is Edmonds–Karp (BFS augmenting paths) — the classic
-//! Ford–Fulkerson realisation from Cormen et al., the paper's citation.
+//! The flow network scores it: `source → block b` with capacity `w(b)`;
+//! `b → node n` with capacity `w(b)` for every replica holder `n`;
+//! `node → sink` with capacity `T`. If the max flow saturates every source
+//! edge, a per-node cap of `T` is feasible *fractionally*, and
+//! [`FordFulkersonPlanner::fractional_optimum`] binary-searches the
+//! smallest such `T*` — a lower bound on any integral schedule. Max flow is
+//! Edmonds–Karp (BFS augmenting paths), the classic Ford–Fulkerson
+//! realisation from Cormen et al., the paper's citation.
 
 use crate::distribution::SubDatasetView;
 use crate::planner::Assignment;
@@ -277,12 +279,9 @@ impl FordFulkersonPlanner {
         assignment
     }
 
-    /// Plan: solve the fractional optimum, round each block to the replica
-    /// node that received its largest flow share, then run a move/swap
-    /// local search to repair the rounding error (the fractional optimum is
-    /// a lower bound; refinement typically lands within a few percent of
-    /// it). Instances of at most [`Self::EXACT_BLOCKS`] blocks are solved
-    /// exactly by exhaustive search instead.
+    /// Plan: LPT over replica holders, then a move/swap local search off
+    /// the most-loaded node. Instances of at most [`Self::EXACT_BLOCKS`]
+    /// blocks are solved exactly by exhaustive search instead.
     pub fn plan(&self) -> Assignment {
         if self.blocks.is_empty() {
             return Assignment::new(self.nodes);

@@ -83,6 +83,7 @@ use crate::bloom::BloomFilter;
 use crate::degrade::{DegradedView, MetaHealth, ShardSource};
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
+use crate::retry::RetryPolicy;
 use crate::scan::{ElasticMapArray, ViewFold};
 use crate::wire::{put_var, Reader};
 use datanet_dfs::{BlockId, SubDatasetId};
@@ -246,11 +247,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-// The retry/backoff policy moved to `datanet::retry` (it is shared with the
-// engine's re-execution budget and the pipeline checkpoint writer); this
-// re-export keeps the historical `datanet::store::RetryPolicy` path working.
-pub use crate::retry::RetryPolicy;
-
 /// Manifest describing a sharded meta-data directory.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Manifest {
@@ -279,10 +275,10 @@ pub struct Manifest {
     pub tail_summary_crc: Option<u32>,
 }
 
-// Hand-written so that (a) a v1 manifest without checksum fields still
-// loads (they default to empty), and (b) a future-versioned manifest is
-// rejected with a clear message instead of a field-shape decode error.
-// The vendored serde derive has no `#[serde(default)]`, hence manual.
+// Hand-written so that a v1 manifest without checksum fields still loads
+// (they default to empty); the vendored serde derive has no
+// `#[serde(default)]`. A future version is refused before this runs, by
+// `read_manifest`.
 impl Deserialize for Manifest {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         if !matches!(v, Value::Object(_)) {
@@ -293,11 +289,6 @@ impl Deserialize for Manifest {
                 .ok_or_else(|| DeError::msg(format!("manifest missing field `{name}`")))
         };
         let version = u32::from_value(field("version")?)?;
-        if version > FORMAT_VERSION {
-            return Err(DeError::msg(format!(
-                "manifest version {version} is newer than supported ({FORMAT_VERSION})"
-            )));
-        }
         let crc_list = |name: &str| -> Result<Vec<u32>, DeError> {
             match v.get(name) {
                 None | Some(Value::Null) => Ok(Vec::new()),
@@ -514,13 +505,29 @@ const MAGIC: [u8; 4] = *b"\x89DN4";
 
 /// Encode a shard-resident payload — the one writer of `shard-`,
 /// `summary-` and `epoch-` files: the magic, the entry count, the entries.
-pub(crate) fn encode_blocks<T>(entries: &[T], entry: fn(&T, &mut Vec<u8>)) -> Vec<u8> {
+fn encode_blocks<T>(entries: &[T], entry: fn(&T, &mut Vec<u8>)) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     put_var(&mut out, entries.len() as u64);
     for e in entries {
         entry(e, &mut out);
     }
     out
+}
+
+/// Encode one shard's maps and summaries as the files `names`, queue both
+/// writes and return their CRCs — what a save and an ingest epoch write
+/// per shard.
+pub(crate) fn push_shard(
+    writes: &mut Vec<(String, Vec<u8>)>,
+    names: [String; 2],
+    maps: &[ElasticMap],
+    summaries: &[BlockSummary],
+) -> (u32, u32) {
+    let maps = encode_blocks(maps, ElasticMap::encode);
+    let summaries = encode_blocks(summaries, BlockSummary::encode);
+    let crcs = (crc32(&maps), crc32(&summaries));
+    writes.extend(names.into_iter().zip([maps, summaries]));
+    crcs
 }
 
 /// Decode what [`encode_blocks`] wrote after the magic.
@@ -622,6 +629,114 @@ pub(crate) fn epoch_manifest_file(e: u64) -> String {
     format!("manifest-e{e:04}.json")
 }
 
+/// The live manifest: the commit point of every save and ingest epoch.
+pub(crate) const LIVE_MANIFEST: &str = "manifest.json";
+
+/// One crash-safe, replicated write — a store save, an ingest epoch
+/// ([`crate::CommitPlan`]) or a pipeline checkpoint
+/// ([`crate::CheckpointPlan`]). The order is the contract: the data files,
+/// then the immutable manifest copy if there is one, then the live manifest
+/// **last**. Each file lands on every replica before the next is started,
+/// so applying any strict prefix (a modelled crash) leaves every replica's
+/// live manifest describing the previous commit, whose files no plan
+/// rewrites. The manifest is serialised once for both of its copies; `B`
+/// is how the data files hold their bytes (owned, or a payload the caller
+/// shares, so nothing is copied into the plan).
+#[derive(Debug, Clone)]
+pub struct WritePlan<M, B = Vec<u8>> {
+    manifest: M,
+    data: Vec<(String, B)>,
+    /// The immutable copy's name, if any, then the live manifest's.
+    manifest_files: Vec<String>,
+    manifest_bytes: Vec<u8>,
+}
+
+impl<M: Serialize, B: AsRef<[u8]>> WritePlan<M, B> {
+    /// Plan `data` in order, then `manifest` under `immutable` (if any) and
+    /// under `live`.
+    pub(crate) fn of(
+        manifest: M,
+        data: Vec<(String, B)>,
+        immutable: Option<String>,
+        live: &str,
+    ) -> Self {
+        let manifest_bytes = serde_json::to_vec_pretty(&manifest).expect("manifests serialise");
+        Self {
+            manifest,
+            data,
+            manifest_files: immutable.into_iter().chain([live.to_string()]).collect(),
+            manifest_bytes,
+        }
+    }
+
+    /// The manifest that is live once the plan is fully applied.
+    pub fn manifest(&self) -> &M {
+        &self.manifest
+    }
+
+    /// Number of ordered file writes in the plan.
+    pub fn writes(&self) -> usize {
+        self.data.len() + self.manifest_files.len()
+    }
+
+    /// Apply the full plan to every replica directory.
+    ///
+    /// # Errors
+    /// Filesystem failures.
+    pub fn apply(&self, dirs: &[&Path]) -> Result<(), StoreError> {
+        self.apply_prefix(dirs, self.writes())
+    }
+
+    /// Apply only the first `n` writes — the crash-injection hook.
+    ///
+    /// # Errors
+    /// Filesystem failures.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the plan length.
+    pub fn apply_prefix(&self, dirs: &[&Path], n: usize) -> Result<(), StoreError> {
+        assert!(n <= self.writes(), "prefix longer than the plan");
+        for dir in dirs {
+            fs::create_dir_all(dir)?;
+        }
+        let data = self.data.iter().map(|(file, bytes)| (file, bytes.as_ref()));
+        let manifests = (self.manifest_files.iter()).map(|file| (file, &self.manifest_bytes[..]));
+        for (file, bytes) in data.chain(manifests).take(n) {
+            for dir in dirs {
+                fs::write(dir.join(file), bytes)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The one manifest reader: parse `path`, refuse a `version` newer than
+/// `supported` as [`StoreError::FutureVersion`] before any other field is
+/// decoded (a future manifest may hold fields this build cannot parse),
+/// then decode.
+pub(crate) fn read_manifest<M: Deserialize>(path: &Path, supported: u32) -> Result<M, StoreError> {
+    let bytes = fs::read(path)?;
+    let corrupt = |detail: String| StoreError::Corrupt {
+        path: path.to_path_buf(),
+        detail,
+    };
+    let value = serde_json::parse_value(&bytes).map_err(|e| corrupt(e.to_string()))?;
+    if let Some(v) = value.get("version") {
+        let found = u32::from_value(v).map_err(|e| corrupt(e.to_string()))?;
+        if found > supported {
+            return Err(StoreError::FutureVersion { found, supported });
+        }
+    }
+    M::from_value(&value).map_err(|e| corrupt(e.to_string()))
+}
+
+/// Whether no replica holds the live manifest `live`: nothing was ever
+/// committed (a crash before the first commit is this too), so a resume
+/// starts fresh instead of failing.
+pub(crate) fn nothing_durable(dirs: &[&Path], live: &str) -> bool {
+    dirs.iter().all(|d| !d.join(live).exists())
+}
+
 impl MetaStore {
     /// Persist an [`ElasticMapArray`] into `dir` (created if needed) as
     /// `manifest.json` plus `shard-NNNN.json` / `summary-NNNN.json` files of
@@ -642,15 +757,14 @@ impl MetaStore {
     }
 
     /// Persist an [`ElasticMapArray`] into every directory of `dirs` — k-way
-    /// replication across simulated datanodes. Shards and summaries are
-    /// serialised once; every replica gets byte-identical files, so the
-    /// manifest's CRCs hold for all of them. Each replica's manifest is
-    /// written last (the write order `CommitPlan` and `CheckpointPlan`
-    /// keep), so a save that fails part way leaves that replica without one
-    /// rather than with a manifest describing files that never landed.
+    /// replication across simulated datanodes — as one [`WritePlan`]: each
+    /// shard and its summary, then `manifest.json`. Every replica gets
+    /// byte-identical files, so the manifest's CRCs hold for all of them,
+    /// and a save that fails part way leaves no replica with a manifest
+    /// describing files that never landed.
     ///
     /// # Errors
-    /// I/O or serialisation failures.
+    /// I/O failures.
     ///
     /// # Panics
     /// Panics if `shard_blocks == 0` or `dirs` is empty.
@@ -661,18 +775,15 @@ impl MetaStore {
     ) -> Result<(), StoreError> {
         assert!(shard_blocks > 0, "shards must hold at least one block");
         assert!(!dirs.is_empty(), "need at least one replica directory");
-        let mut shard_bytes = Vec::new();
-        let mut summary_bytes = Vec::new();
+        let mut writes = Vec::new();
         let mut shard_crc = Vec::new();
         let mut summary_crc = Vec::new();
-        for chunk in array.maps().chunks(shard_blocks) {
-            let bytes = encode_blocks(chunk, ElasticMap::encode);
-            shard_crc.push(crc32(&bytes));
-            shard_bytes.push(bytes);
+        for (i, chunk) in array.maps().chunks(shard_blocks).enumerate() {
             let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
-            let bytes = encode_blocks(&summaries, BlockSummary::encode);
-            summary_crc.push(crc32(&bytes));
-            summary_bytes.push(bytes);
+            let names = [shard_file(i), summary_file(i)];
+            let (m, s) = push_shard(&mut writes, names, chunk, &summaries);
+            shard_crc.push(m);
+            summary_crc.push(s);
         }
         let manifest = Manifest {
             blocks: array.len(),
@@ -685,18 +796,7 @@ impl MetaStore {
             tail_crc: None,
             tail_summary_crc: None,
         };
-        let manifest_bytes = serde_json::to_vec_pretty(&manifest).map_err(io::Error::from)?;
-        for dir in dirs {
-            fs::create_dir_all(dir)?;
-            for (i, bytes) in shard_bytes.iter().enumerate() {
-                fs::write(dir.join(shard_file(i)), bytes)?;
-            }
-            for (i, bytes) in summary_bytes.iter().enumerate() {
-                fs::write(dir.join(summary_file(i)), bytes)?;
-            }
-            fs::write(dir.join("manifest.json"), &manifest_bytes)?;
-        }
-        Ok(())
+        WritePlan::of(manifest, writes, None, LIVE_MANIFEST).apply(dirs)
     }
 
     /// Open a persisted single-replica store with a cache of `cache_shards`
@@ -720,7 +820,7 @@ impl MetaStore {
     /// # Panics
     /// Panics if `dirs` is empty.
     pub fn open_replicated(dirs: &[&Path], cache_shards: usize) -> Result<Self, StoreError> {
-        Self::open_replicated_named(dirs, "manifest.json", cache_shards)
+        Self::open_replicated_named(dirs, LIVE_MANIFEST, cache_shards)
     }
 
     /// Open a replicated store **as of ingest epoch `epoch`** via its
@@ -749,7 +849,7 @@ impl MetaStore {
         let mut last_err: Option<StoreError> = None;
         let mut manifest: Option<Manifest> = None;
         for dir in dirs {
-            match Self::read_manifest_named(dir, manifest_name) {
+            match read_manifest(&dir.join(manifest_name), FORMAT_VERSION) {
                 Ok(m) => {
                     manifest = Some(m);
                     break;
@@ -771,34 +871,6 @@ impl MetaStore {
             quarantined: BTreeSet::new(),
             health: MetaHealth::default(),
             rec: Recorder::off(),
-        })
-    }
-
-    /// Decode one replica's manifest, distinguishing future versions from
-    /// corruption *before* the full decode (a future manifest may have
-    /// fields this build cannot even parse).
-    fn read_manifest_named(dir: &Path, name: &str) -> Result<Manifest, StoreError> {
-        let path = dir.join(name);
-        let bytes = fs::read(&path)?;
-        let value = serde_json::parse_value(&bytes).map_err(|e| StoreError::Corrupt {
-            path: path.clone(),
-            detail: e.to_string(),
-        })?;
-        if let Some(v) = value.get("version") {
-            let found = u32::from_value(v).map_err(|e| StoreError::Corrupt {
-                path: path.clone(),
-                detail: e.to_string(),
-            })?;
-            if found > FORMAT_VERSION {
-                return Err(StoreError::FutureVersion {
-                    found,
-                    supported: FORMAT_VERSION,
-                });
-            }
-        }
-        Manifest::from_value(&value).map_err(|e| StoreError::Corrupt {
-            path,
-            detail: e.to_string(),
         })
     }
 
@@ -1177,7 +1249,7 @@ impl MetaStore {
             serde_json::to_vec_pretty(&self.manifest).expect("manifest serialises");
         let manifest_name = self.manifest_name.clone();
         for dir in self.dirs.clone() {
-            if Self::read_manifest_named(&dir, &manifest_name).is_err()
+            if read_manifest::<Manifest>(&dir.join(&manifest_name), FORMAT_VERSION).is_err()
                 && fs::create_dir_all(&dir).is_ok()
             {
                 let _ = fs::write(dir.join(&manifest_name), &manifest_bytes);

@@ -290,7 +290,7 @@ fn each_state_is_serialised_once_and_every_commit_carries_its_crc() {
                 let bytes = serde_json::to_vec(&state).expect("state serialises");
                 assert_eq!(
                     stage.checkpoint_crc,
-                    checkpoint::content_crc(&bytes),
+                    datanet::store::crc32(&bytes),
                     "{what}: stage {}",
                     stage.label
                 );
