@@ -470,14 +470,14 @@ fn table2(f: &Fixtures) {
     ]);
     for &alpha in &[0.51, 0.40, 0.31, 0.25, 0.21] {
         let arr = ElasticMapArray::build(dfs, &Separation::Alpha(alpha));
-        let achieved: f64 =
-            arr.maps().iter().map(|m| m.achieved_alpha()).sum::<f64>() / arr.len() as f64;
+        let maps = arr.to_maps();
+        let achieved: f64 = maps.iter().map(|m| m.achieved_alpha()).sum::<f64>() / arr.len() as f64;
         let chi = arr.accuracy(dfs);
         let measured = arr.representation_ratio(dfs);
         // Equation 5 model at paper scale: 64 MB block; sub-dataset count
         // per block scaled up by the same 256× as the data volume.
         let mean_distinct: f64 =
-            arr.maps().iter().map(|m| m.distinct() as f64).sum::<f64>() / arr.len() as f64;
+            maps.iter().map(|m| m.distinct() as f64).sum::<f64>() / arr.len() as f64;
         let model_ratio =
             model.representation_ratio(64 * 1024 * 1024, (mean_distinct * 256.0) as usize, alpha);
         t.row([

@@ -37,11 +37,56 @@ const BLOCK_WORDS: u64 = BLOCK_BITS / 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
+    shape: BloomShape,
+    items: usize,
+}
+
+/// Where a filter's probes land: everything a membership test needs except
+/// the words themselves. A filter whose words sit in a shared pool (the
+/// [`crate::ElasticMapArray`]'s) keeps its shape beside its span and probes
+/// through the same body as a [`BloomFilter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BloomShape {
     num_bits: u64,
     num_hashes: u32,
-    items: usize,
-    /// Number of 512-bit blocks; 0 means the legacy flat layout.
-    blocks: u64,
+    /// Number of 512-bit cache lines; 0 means the legacy flat layout.
+    lines: u64,
+}
+
+impl BloomShape {
+    /// The word/mask of probe `i` for the id hashed to `(h1, h2)`.
+    /// Blocked: `h1` selects the cache line (a mask when the line count is
+    /// a power of two — the same line as the division, without it), the
+    /// in-line offset double-hashes off `h1`'s high bits with the odd
+    /// stride `h2` (odd ⇒ coprime with 512 ⇒ all `k ≤ 512` probes
+    /// distinct). Flat: the classic Kirsch–Mitzenmacher probe modulo the
+    /// whole array.
+    #[inline]
+    fn probe(self, (h1, h2): (u64, u64), i: u64) -> (usize, u64) {
+        let step = i.wrapping_mul(h2);
+        let bit = if self.lines == 0 {
+            h1.wrapping_add(step) % self.num_bits
+        } else {
+            let line = if self.lines.is_power_of_two() {
+                h1 & (self.lines - 1)
+            } else {
+                h1 % self.lines
+            };
+            line * BLOCK_BITS + ((h1 >> 32).wrapping_add(step) & (BLOCK_BITS - 1))
+        };
+        ((bit / 64) as usize, 1 << (bit % 64))
+    }
+
+    /// Whether the id hashed to `hash` ([`BloomFilter::hash_pair`]) *may*
+    /// be in the filter of this shape over `words` — the one membership
+    /// test.
+    #[inline]
+    pub(crate) fn contains(self, words: &[u64], hash: (u64, u64)) -> bool {
+        (0..u64::from(self.num_hashes)).all(|i| {
+            let (word, mask) = self.probe(hash, i);
+            words[word] & mask != 0
+        })
+    }
 }
 
 impl BloomFilter {
@@ -59,13 +104,15 @@ impl BloomFilter {
         let ln2 = std::f64::consts::LN_2;
         let bits = (-n * epsilon.ln() / (ln2 * ln2)).ceil().max(8.0) as u64;
         let k = ((bits as f64 / n) * ln2).round().clamp(1.0, 30.0) as u32;
-        let blocks = bits.div_ceil(BLOCK_BITS);
+        let lines = bits.div_ceil(BLOCK_BITS);
         Self {
-            bits: vec![0; (blocks * BLOCK_WORDS) as usize],
-            num_bits: blocks * BLOCK_BITS,
-            num_hashes: k,
+            bits: vec![0; (lines * BLOCK_WORDS) as usize],
+            shape: BloomShape {
+                num_bits: lines * BLOCK_BITS,
+                num_hashes: k,
+                lines,
+            },
             items: 0,
-            blocks,
         }
     }
 
@@ -80,17 +127,20 @@ impl BloomFilter {
         let words = num_bits.div_ceil(64) as usize;
         Self {
             bits: vec![0; words],
-            num_bits,
-            num_hashes,
+            shape: BloomShape {
+                num_bits,
+                num_hashes,
+                lines: 0,
+            },
             items: 0,
-            blocks: 0,
         }
     }
 
     /// Two independent 64-bit hashes of the id (SplitMix64 finalizers with
-    /// distinct stream constants), combined by double hashing.
+    /// distinct stream constants), combined by double hashing. A caller
+    /// probing one id against many filters hashes it once.
     #[inline]
-    fn hash_pair(id: SubDatasetId) -> (u64, u64) {
+    pub(crate) fn hash_pair(id: SubDatasetId) -> (u64, u64) {
         #[inline]
         fn mix(mut z: u64) -> u64 {
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -102,27 +152,27 @@ impl BloomFilter {
         (h1, h2)
     }
 
-    /// The word/mask of probe `i` for the id hashed to `(h1, h2)`.
-    /// Blocked: `h1` selects the cache-line block, the in-block offset
-    /// double-hashes off `h1`'s high bits with the odd stride `h2` (odd ⇒
-    /// coprime with 512 ⇒ all `k ≤ 512` probes distinct). Flat: the classic
-    /// Kirsch–Mitzenmacher probe modulo the whole array.
-    #[inline]
-    fn probe(&self, h1: u64, h2: u64, i: u64) -> (usize, u64) {
-        let bit = if self.blocks == 0 {
-            h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits
-        } else {
-            let base = (h1 % self.blocks) * BLOCK_BITS;
-            base + ((h1 >> 32).wrapping_add(i.wrapping_mul(h2)) & (BLOCK_BITS - 1))
-        };
-        ((bit / 64) as usize, 1 << (bit % 64))
+    /// A filter from the parts of one that [`BloomFilter::words`] and
+    /// [`BloomFilter::shape`] took apart.
+    pub(crate) fn from_parts(bits: Vec<u64>, shape: BloomShape, items: usize) -> Self {
+        Self { bits, shape, items }
+    }
+
+    /// The bit array's words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// Where the filter's probes land.
+    pub(crate) fn shape(&self) -> BloomShape {
+        self.shape
     }
 
     /// Insert an id.
     pub fn insert(&mut self, id: SubDatasetId) {
-        let (h1, h2) = Self::hash_pair(id);
-        for i in 0..self.num_hashes as u64 {
-            let (word, mask) = self.probe(h1, h2, i);
+        let hash = Self::hash_pair(id);
+        for i in 0..u64::from(self.shape.num_hashes) {
+            let (word, mask) = self.shape.probe(hash, i);
             self.bits[word] |= mask;
         }
         self.items += 1;
@@ -131,11 +181,7 @@ impl BloomFilter {
     /// Whether the id *may* be present. False positives possible, false
     /// negatives impossible.
     pub fn contains(&self, id: SubDatasetId) -> bool {
-        let (h1, h2) = Self::hash_pair(id);
-        (0..self.num_hashes as u64).all(|i| {
-            let (word, mask) = self.probe(h1, h2, i);
-            self.bits[word] & mask != 0
-        })
+        self.shape.contains(&self.bits, Self::hash_pair(id))
     }
 
     /// Number of insert calls so far (an upper bound on distinct items).
@@ -145,17 +191,17 @@ impl BloomFilter {
 
     /// Size of the bit array.
     pub fn num_bits(&self) -> u64 {
-        self.num_bits
+        self.shape.num_bits
     }
 
     /// Number of hash probes per operation.
     pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
+        self.shape.num_hashes
     }
 
     /// Number of 512-bit cache-line blocks; 0 for the legacy flat layout.
     pub fn layout_blocks(&self) -> u64 {
-        self.blocks
+        self.shape.lines
     }
 
     /// Memory footprint of the bit array in bytes (what Equation 5 accounts
@@ -169,16 +215,16 @@ impl BloomFilter {
     /// it is the leading-order term, the whole-block round-up covering the
     /// per-block load variance).
     pub fn expected_fpr(&self) -> f64 {
-        let k = self.num_hashes as f64;
+        let k = self.shape.num_hashes as f64;
         let n = self.items as f64;
-        let m = self.num_bits as f64;
+        let m = self.shape.num_bits as f64;
         (1.0 - (-k * n / m).exp()).powf(k)
     }
 
     /// Fraction of set bits (diagnostic; ~50% at design capacity).
     pub fn fill_ratio(&self) -> f64 {
         let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.num_bits as f64
+        set as f64 / self.shape.num_bits as f64
     }
 }
 
@@ -188,15 +234,24 @@ impl BloomFilter {
 // vendored serde derive has no `#[serde(default)]`.)
 impl Serialize for BloomFilter {
     fn to_value(&self) -> Value {
+        self.shape.filter_value(&self.bits, self.items)
+    }
+}
+
+impl BloomShape {
+    /// The serialized form of the filter of this shape over `words` after
+    /// `items` inserts: a [`BloomFilter`]'s, or one whose words sit in the
+    /// array's pool.
+    pub(crate) fn filter_value(self, words: &[u64], items: usize) -> Value {
         Value::Object(vec![
-            ("bits".to_string(), self.bits.to_value()),
+            ("bits".to_string(), words.to_value()),
             ("num_bits".to_string(), Value::U64(self.num_bits)),
             (
                 "num_hashes".to_string(),
                 Value::U64(u64::from(self.num_hashes)),
             ),
-            ("items".to_string(), Value::U64(self.items as u64)),
-            ("blocks".to_string(), Value::U64(self.blocks)),
+            ("items".to_string(), Value::U64(items as u64)),
+            ("blocks".to_string(), Value::U64(self.lines)),
         ])
     }
 }
@@ -210,16 +265,18 @@ impl Deserialize for BloomFilter {
             v.get(name)
                 .ok_or_else(|| DeError::msg(format!("bloom filter missing field `{name}`")))
         };
-        let blocks = match v.get("blocks") {
+        let lines = match v.get("blocks") {
             None | Some(Value::Null) => 0,
             Some(b) => u64::from_value(b)?,
         };
         let filter = Self {
             bits: Vec::<u64>::from_value(field("bits")?)?,
-            num_bits: u64::from_value(field("num_bits")?)?,
-            num_hashes: u32::from_value(field("num_hashes")?)?,
+            shape: BloomShape {
+                num_bits: u64::from_value(field("num_bits")?)?,
+                num_hashes: u32::from_value(field("num_hashes")?)?,
+                lines,
+            },
             items: usize::from_value(field("items")?)?,
-            blocks,
         };
         filter.check_shape().map_err(DeError::msg)?;
         Ok(filter)
@@ -227,34 +284,38 @@ impl Deserialize for BloomFilter {
 }
 
 impl BloomFilter {
-    /// What [`BloomFilter::probe`] relies on, checked by every decoder: a
+    /// What [`BloomShape::probe`] relies on, checked by every decoder: a
     /// filter built here has it by construction, one read from bytes this
     /// build did not write may not. At least one bit and one hash, and
     /// every probe index inside `bits` — flat probes reach `num_bits`,
-    /// blocked ones `blocks` whole cache lines.
+    /// blocked ones `lines` whole cache lines.
     fn check_shape(&self) -> Result<(), String> {
+        let BloomShape {
+            num_bits,
+            num_hashes,
+            lines,
+        } = self.shape;
         let words = self.bits.len() as u64;
-        let in_range = if self.blocks == 0 {
-            words.saturating_mul(64) >= self.num_bits
+        let in_range = if lines == 0 {
+            words.saturating_mul(64) >= num_bits
         } else {
-            words >= self.blocks.saturating_mul(BLOCK_WORDS)
-                && self.blocks.checked_mul(BLOCK_BITS) == Some(self.num_bits)
+            words >= lines.saturating_mul(BLOCK_WORDS)
+                && lines.checked_mul(BLOCK_BITS) == Some(num_bits)
         };
-        if self.num_bits >= 1 && self.num_hashes >= 1 && in_range {
+        if num_bits >= 1 && num_hashes >= 1 && in_range {
             return Ok(());
         }
         Err(format!(
-            "bloom filter shape cannot be probed: {words} words for {} bits, {} hashes, {} blocks",
-            self.num_bits, self.num_hashes, self.blocks
+            "bloom filter shape cannot be probed: {words} words for {num_bits} bits, {num_hashes} hashes, {lines} blocks"
         ))
     }
 
     /// Append the binary form (see [`crate::store`]'s layout table).
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_var(out, self.num_bits);
-        put_var(out, u64::from(self.num_hashes));
+        put_var(out, self.shape.num_bits);
+        put_var(out, u64::from(self.shape.num_hashes));
         put_var(out, self.items as u64);
-        put_var(out, self.blocks);
+        put_var(out, self.shape.lines);
         put_var(out, self.bits.len() as u64);
         for w in &self.bits {
             out.extend_from_slice(&w.to_le_bytes());
@@ -263,16 +324,18 @@ impl BloomFilter {
 
     /// Decode what [`BloomFilter::encode`] wrote.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
-        let (num_bits, num_hashes, items, blocks) = (r.var()?, r.var()?, r.var()?, r.var()?);
+        let (num_bits, num_hashes, items, lines) = (r.var()?, r.var()?, r.var()?, r.var()?);
         let words = r.count(8)?;
         let filter = Self {
             bits: (r.take(words * 8)?.chunks_exact(8))
                 .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of eight")))
                 .collect(),
-            num_bits,
-            num_hashes,
+            shape: BloomShape {
+                num_bits,
+                num_hashes,
+                lines,
+            },
             items,
-            blocks,
         };
         filter.check_shape()?;
         Ok(filter)

@@ -9,12 +9,17 @@
 //! The exact side is stored as **sorted parallel arrays** (ids + sizes)
 //! rather than a hash map: a block's dominant set is small (tens of
 //! entries), so a branch-light binary search beats hashing every probe,
-//! stays cache-resident, iterates in deterministic order (which makes the
-//! sharded array build byte-identical to the serial one), and spends zero
-//! bytes on empty hash buckets. In JSON the exact side keeps its PR 2
-//! object shape (`{"id": size, …}`), so stores written before this layout
-//! load unchanged; the store's binary shard payload (format version 4)
-//! writes the two arrays as they are.
+//! stays cache-resident, iterates in deterministic order (so every holder
+//! sees a block's entries, and interns their ids, in the same order), and
+//! spends zero bytes on empty hash buckets. In JSON the exact side keeps
+//! its PR 2 object shape (`{"id": size, …}`), so stores written before this
+//! layout load unchanged; the store's binary shard payload (format version
+//! 4) writes the two arrays as they are.
+//!
+//! An `ElasticMap` is the unit a block's metadata is built, sealed, encoded
+//! and decoded in. The in-memory array of all blocks
+//! ([`crate::ElasticMapArray`]) does not keep them: `push` copies each map
+//! into the array's column pools.
 
 use crate::bloom::BloomFilter;
 use crate::buckets::Buckets;
@@ -61,7 +66,7 @@ pub enum SizeInfo {
 #[derive(Debug, Clone)]
 pub struct ElasticMap {
     block: BlockId,
-    /// Dominant sub-dataset ids, sorted ascending.
+    /// Dominant sub-dataset ids, strictly ascending.
     exact_ids: Vec<SubDatasetId>,
     /// `exact_sizes[i]` is the exact byte size of `exact_ids[i]`.
     exact_sizes: Vec<u64>,
@@ -94,6 +99,12 @@ pub(crate) fn mean_record_buckets(bytes: u64, records: usize) -> Buckets {
         (bytes / records as u64).max(1)
     };
     Buckets::fibonacci(base, 9)
+}
+
+/// A block's `δ` bound: the smallest size that went to the bloom side, if
+/// known, else the build threshold (every bloom entry is below it).
+pub(crate) fn delta_bound(bloom_min_bytes: Option<u64>, threshold: u64) -> u64 {
+    bloom_min_bytes.unwrap_or(if threshold == u64::MAX { 0 } else { threshold })
 }
 
 impl ElasticMap {
@@ -163,6 +174,29 @@ impl ElasticMap {
             exact_sizes,
             bloom,
             bloom_items: bloom_count,
+            threshold,
+            bloom_min_bytes,
+        }
+    }
+
+    /// A map from the parts of one that the accessors took apart (the
+    /// ElasticMap array's copy back out of its pools).
+    pub(crate) fn from_parts(
+        block: BlockId,
+        exact: (Vec<SubDatasetId>, Vec<u64>),
+        bloom: BloomFilter,
+        bloom_items: usize,
+        threshold: u64,
+        bloom_min_bytes: Option<u64>,
+    ) -> Self {
+        let (exact_ids, exact_sizes) = exact;
+        debug_assert!(exact_ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        Self {
+            block,
+            exact_ids,
+            exact_sizes,
+            bloom,
+            bloom_items,
             threshold,
             bloom_min_bytes,
         }
@@ -275,15 +309,14 @@ impl ElasticMap {
         self.threshold
     }
 
-    /// Per-block `δ` bound: the smallest size that went to the bloom side,
-    /// if known, else the build threshold (every bloom entry is below it).
-    pub fn bloom_delta_hint(&self) -> u64 {
+    /// Smallest size relegated to the bloom filter, if any was.
+    pub(crate) fn bloom_min_bytes(&self) -> Option<u64> {
         self.bloom_min_bytes
-            .unwrap_or(if self.threshold == u64::MAX {
-                0
-            } else {
-                self.threshold
-            })
+    }
+
+    /// Per-block `δ` bound ([`delta_bound`]).
+    pub fn bloom_delta_hint(&self) -> u64 {
+        delta_bound(self.bloom_min_bytes, self.threshold)
     }
 
     /// Measured memory footprint in bytes: exact entries at their
@@ -302,26 +335,39 @@ impl ElasticMap {
 // same path as new ones, and new shards stay byte-stable across builds.
 impl Serialize for ElasticMap {
     fn to_value(&self) -> Value {
-        let mut exact: Vec<(String, Value)> = self
-            .exact_entries()
-            .map(|(id, s)| (id.0.to_string(), Value::U64(s)))
-            .collect();
-        exact.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(vec![
-            ("block".to_string(), self.block.to_value()),
-            ("exact".to_string(), Value::Object(exact)),
-            ("bloom".to_string(), self.bloom.to_value()),
-            (
-                "bloom_items".to_string(),
-                Value::U64(self.bloom_items as u64),
-            ),
-            ("threshold".to_string(), Value::U64(self.threshold)),
-            (
-                "bloom_min_bytes".to_string(),
-                self.bloom_min_bytes.to_value(),
-            ),
-        ])
+        map_value(
+            self.block,
+            self.exact_entries(),
+            self.bloom.to_value(),
+            self.bloom_items,
+            self.threshold,
+            self.bloom_min_bytes,
+        )
     }
+}
+
+/// The serialized form of one block's map from its parts: an
+/// [`ElasticMap`]'s, or one held in the array's pools.
+pub(crate) fn map_value(
+    block: BlockId,
+    exact: impl Iterator<Item = (SubDatasetId, u64)>,
+    bloom: Value,
+    bloom_items: usize,
+    threshold: u64,
+    bloom_min_bytes: Option<u64>,
+) -> Value {
+    let mut exact: Vec<(String, Value)> = exact
+        .map(|(id, s)| (id.0.to_string(), Value::U64(s)))
+        .collect();
+    exact.sort_by(|a, b| a.0.cmp(&b.0));
+    Value::Object(vec![
+        ("block".to_string(), block.to_value()),
+        ("exact".to_string(), Value::Object(exact)),
+        ("bloom".to_string(), bloom),
+        ("bloom_items".to_string(), Value::U64(bloom_items as u64)),
+        ("threshold".to_string(), Value::U64(threshold)),
+        ("bloom_min_bytes".to_string(), bloom_min_bytes.to_value()),
+    ])
 }
 
 impl Deserialize for ElasticMap {
@@ -346,6 +392,14 @@ impl Deserialize for ElasticMap {
             other => return Err(DeError::expected("exact size object", other)),
         };
         exact.sort_unstable_by_key(|&(id, _)| id);
+        // Two keys can name one id ("7" and "07"). Lookups, like the binary
+        // decoder, need the ids to strictly ascend.
+        if let Some(w) = exact.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(DeError::msg(format!(
+                "exact id {} listed twice",
+                w[0].0.raw()
+            )));
+        }
         let (exact_ids, exact_sizes) = exact.into_iter().unzip();
         Ok(Self {
             block: BlockId::from_value(field("block")?)?,
@@ -583,6 +637,21 @@ mod tests {
         }
         // Deterministic bytes: re-serializing the decoded map is identical.
         assert_eq!(json, serde_json::to_string(&m2).unwrap());
+    }
+
+    #[test]
+    fn json_decode_rejects_an_exact_id_listed_twice() {
+        let map = |exact: &str| {
+            format!(
+                "{{\"block\":0,\"exact\":{{{exact}}},\"bloom\":{{\"bits\":[0],\"num_bits\":64,\
+                 \"num_hashes\":1,\"items\":0}},\"bloom_items\":0,\"threshold\":5,\"bloom_min_bytes\":null}}"
+            )
+        };
+        let once: ElasticMap = serde_json::from_str(&map(r#""7":1000,"9":5"#)).unwrap();
+        assert_eq!(once.exact_len(), 2);
+        let twice = serde_json::from_str::<ElasticMap>(&map(r#""7":1000,"07":5"#));
+        let err = twice.expect_err("one id, two entries").to_string();
+        assert!(err.contains("exact id 7 listed twice"), "{err}");
     }
 
     #[test]

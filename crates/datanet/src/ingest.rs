@@ -413,18 +413,20 @@ impl Ingestor {
         let mut shard_crc = self.durable_shard_crc.clone();
         let mut summary_crc = self.durable_summary_crc.clone();
         let mut writes = Vec::new();
-        let (maps, summaries) = (self.sealed.maps(), &self.summaries);
+        let (sealed, summaries) = (&self.sealed, &self.summaries);
         for i in durable_full..full {
             let span = i * sb..(i + 1) * sb;
             let names = [shard_file(i), summary_file(i)];
-            let (m, s) = push_shard(&mut writes, names, &maps[span.clone()], &summaries[span]);
+            let maps = sealed.maps_in(span.clone());
+            let (m, s) = push_shard(&mut writes, names, &maps, &summaries[span]);
             shard_crc.push(m);
             summary_crc.push(s);
         }
         let (tail_crc, tail_summary_crc) = if !blocks.is_multiple_of(sb) {
             let span = full * sb..blocks;
             let names = [epoch_file(epoch), epoch_summary_file(epoch)];
-            let (m, s) = push_shard(&mut writes, names, &maps[span.clone()], &summaries[span]);
+            let maps = sealed.maps_in(span.clone());
+            let (m, s) = push_shard(&mut writes, names, &maps, &summaries[span]);
             (Some(m), Some(s))
         } else {
             (None, None)

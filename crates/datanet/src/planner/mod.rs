@@ -24,8 +24,9 @@ use serde::{Deserialize, Serialize};
 /// Plan one [`Algorithm1`] balanced assignment per sub-dataset.
 ///
 /// Resolves all the views in one batched array walk
-/// ([`ElasticMapArray::views`] — the per-block exact sides are merge-joined
-/// instead of probed once per id), then runs the greedy planner per view.
+/// ([`ElasticMapArray::views`] — each id's exact blocks come off its chain
+/// of exact entries, and only the other blocks probe a Bloom filter), then
+/// runs the greedy planner per view.
 /// Output is element-wise identical to calling
 /// `Algorithm1::new(dfs, &array.view(id)).plan_balanced()` per id.
 pub fn plan_balanced_batch(

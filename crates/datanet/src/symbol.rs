@@ -85,9 +85,10 @@ pub struct Sym(pub u32);
 /// Bidirectional intern table: sparse [`SubDatasetId`] ⇄ dense [`Sym`].
 ///
 /// Symbols are assigned in **first-appearance order**, so two builds that
-/// present the same ids in the same order produce identical tables — the
-/// property the sharded ElasticMap build relies on for byte-identical
-/// output (chunk results are merged in block order).
+/// present the same ids in the same order produce identical tables. The
+/// ElasticMap array interns only in `push`, in block order, so its table is
+/// the same whether the maps came from a scan, a decoded store or an
+/// ingest seal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymbolTable {
     /// `ids[sym.0]` — symbol to id.

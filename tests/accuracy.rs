@@ -74,7 +74,7 @@ fn equation5_model_brackets_measured_memory() {
     // Our hash-map entries serialise at 12 B = 96 bits, ε = 1%.
     let model = MemoryModel::new(0.01, 96.0, 1.0);
     let modeled: f64 = arr
-        .maps()
+        .to_maps()
         .iter()
         .map(|m| model.cost_bytes(m.distinct(), m.achieved_alpha()))
         .sum();

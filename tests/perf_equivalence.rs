@@ -83,7 +83,7 @@ fn batched_views_match_single_views_across_the_simcheck_corpus() {
         let dfs = dataset(seed);
         let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
         // Present ids (dense low range), absent ids, duplicates, and an
-        // unsorted order: everything the batched merge-join must handle.
+        // unsorted order: everything the batched chain walk must handle.
         let mut ids: Vec<SubDatasetId> = (0..24).map(SubDatasetId).collect();
         ids.push(SubDatasetId(u64::MAX - seed));
         ids.push(SubDatasetId(3));
@@ -101,7 +101,8 @@ fn batched_views_match_single_views_across_the_simcheck_corpus() {
 
 #[test]
 fn per_block_query_batch_matches_single_queries_across_the_corpus() {
-    // One level below views: the raw membership/size primitive.
+    // One level below views: the raw membership/size primitive, on the
+    // array's pools and on the block's own map.
     for &seed in corpus_seeds().iter().take(20) {
         let dfs = dataset(seed);
         let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
@@ -110,6 +111,11 @@ fn per_block_query_batch_matches_single_queries_across_the_corpus() {
         for b in 0..arr.len() {
             let b = datanet_dfs::BlockId(b as u32);
             let batch = arr.query_batch(b, &ids);
+            assert_eq!(
+                batch,
+                arr.map(b).query_batch(&ids),
+                "seed {seed}: block {b}"
+            );
             for (s, got) in ids.iter().zip(&batch) {
                 assert_eq!(
                     *got,
@@ -138,14 +144,15 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
         let dirs = ReplicaDirs::new("binary-json", 2);
         let (binary, json) = (dirs.paths()[0], dirs.paths()[1]);
         MetaStore::save(&arr, binary, shard_blocks).expect("save");
-        write_v3_ingest_store(&[json], arr.maps(), &policy, shard_blocks);
+        let maps = arr.to_maps();
+        write_v3_ingest_store(&[json], &maps, &policy, shard_blocks);
         let first = |dir: &Path| std::fs::read(dir.join("shard-0000.json")).expect("shard 0");
         assert!(first(json).starts_with(b"[") && !first(binary).starts_with(b"["));
 
         // decode(encode(x)) = x = from_slice(to_vec(x)), in canonical JSON.
         let mut stores = [("binary", binary), ("json", json)]
             .map(|(encoding, dir)| (encoding, MetaStore::open(dir, 1).expect("open")));
-        for (i, chunk) in arr.maps().chunks(shard_blocks).enumerate() {
+        for (i, chunk) in maps.chunks(shard_blocks).enumerate() {
             let summaries: Vec<BlockSummary> = chunk.iter().map(BlockSummary::of).collect();
             let want = (
                 text(serde_json::to_string(&chunk)),

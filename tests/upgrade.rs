@@ -53,12 +53,13 @@ fn v3_ingest_store_resumed_by_this_build_mixes_encodings_and_answers_at_every_ep
     assert!(cut > SHARD_BLOCKS && cut + SHARD_BLOCKS < dfs.block_count());
     let dirs = ReplicaDirs::new("upgrade", 2);
     let refs = dirs.paths();
-    write_v3_ingest_store(&refs, &batch.maps()[..cut], &policy(), SHARD_BLOCKS);
+    let maps = batch.to_maps();
+    write_v3_ingest_store(&refs, &maps[..cut], &policy(), SHARD_BLOCKS);
     let before = files_of(refs[0]);
     assert!(before.contains_key("epoch-0001.json") && before.contains_key("shard-0000.json"));
 
     let ids: Vec<SubDatasetId> = (0..45).chain([900, u64::MAX]).map(SubDatasetId).collect();
-    let at_epoch_1 = ElasticMapArray::from_maps(batch.maps()[..cut].to_vec(), policy()).views(&ids);
+    let at_epoch_1 = ElasticMapArray::from_maps(maps[..cut].to_vec(), policy()).views(&ids);
     let mut old = MetaStore::open_replicated(&refs, 2).expect("v3 store opens");
     assert_eq!(old.manifest().version, 3);
     assert_eq!(old.views(&ids).expect("v3 views"), at_epoch_1);
