@@ -92,10 +92,17 @@ impl Block {
         self.records = Vec::new();
     }
 
-    /// Iterator over records of one sub-dataset (the filter step of every
-    /// sub-dataset analysis job).
+    /// Iterator over records of one sub-dataset in write order (the filter
+    /// step of every sub-dataset analysis job). Reads no record of a block
+    /// whose size table lacks `s` (a listed id has non-zero bytes, as every
+    /// record has at least one: [`Record::new`]).
     pub fn filter(&self, s: SubDatasetId) -> impl Iterator<Item = &Record> {
-        self.records.iter().filter(move |r| r.subdataset == s)
+        let held: &[Record] = if self.subdataset_bytes(s) > 0 {
+            &self.records
+        } else {
+            &[]
+        };
+        held.iter().filter(move |r| r.subdataset == s)
     }
 }
 

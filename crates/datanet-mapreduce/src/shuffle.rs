@@ -353,13 +353,14 @@ pub fn range_matrix_estimate(dfs: &Dfs, view: &SubDatasetView, ranges: usize) ->
 /// Ground-truth per-(node, key-range) bytes of sub-dataset `s`: every
 /// record credited to its block's primary holder and its timestamp's key
 /// range. What the simulation engine executes against (the estimate
-/// matrix is what the planner sees).
+/// matrix is what the planner sees). Reads through `Block::filter`: only
+/// the blocks whose size table lists `s`.
 pub fn range_matrix_truth(dfs: &Dfs, s: SubDatasetId, ranges: usize) -> Vec<Vec<u64>> {
     let nodes = dfs.namenode().node_count();
     let mut matrix = vec![vec![0u64; ranges]; nodes];
     for block in dfs.blocks() {
         let home = dfs.replicas(block.id())[0].index();
-        for r in block.records().iter().filter(|r| r.subdataset == s) {
+        for r in block.filter(s) {
             matrix[home][key_range_of(r.timestamp, ranges)] += u64::from(r.size);
         }
     }

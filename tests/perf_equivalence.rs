@@ -21,11 +21,11 @@ use datanet::{
 };
 use datanet_analytics::{word_count_profile, Pipeline, PipelineEnv, ShuffleParams, WorkingState};
 use datanet_check::Scenario;
-use datanet_dfs::{key_range_of, Dfs, DfsConfig, Record, SubDatasetId, Topology};
+use datanet_dfs::{key_range_of, Block, Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit::{write_v3_ingest_store, ReplicaDirs};
 use datanet_mapreduce::{
-    apportion, range_matrix_estimate, run_analysis_shuffled, run_selection, AnalysisConfig,
-    DataNetScheduler, LocalityScheduler, SelectionConfig, ShufflePlanner,
+    apportion, range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, run_selection,
+    AnalysisConfig, DataNetScheduler, LocalityScheduler, SelectionConfig, ShufflePlanner,
 };
 use datanet_obs::Recorder;
 use datanet_serve::{
@@ -176,9 +176,29 @@ fn store_shard_decode_matches_the_tree_decode_across_the_corpus() {
     }
 }
 
+/// The records of `s` in `block`, read without its size table.
+fn scan(block: &Block, s: SubDatasetId) -> impl Iterator<Item = &Record> {
+    block.records().iter().filter(move |r| r.subdataset == s)
+}
+
+/// `range_matrix_truth` as it was before it read through `Block::filter`:
+/// every record of every block.
+fn all_records_truth(dfs: &Dfs, s: SubDatasetId, ranges: usize) -> Vec<Vec<u64>> {
+    let mut matrix = vec![vec![0u64; ranges]; dfs.namenode().node_count()];
+    for block in dfs.blocks() {
+        let home = dfs.replicas(block.id())[0].index();
+        for r in scan(block, s) {
+            matrix[home][key_range_of(r.timestamp, ranges)] += u64::from(r.size);
+        }
+    }
+    matrix
+}
+
 /// Every `(block, id)` lookup of the write-time size table against the
 /// filter-and-sum over the block's records, for every id present in the
-/// DFS plus absent ones; and the two `Dfs` entry points built on it.
+/// DFS plus absent ones; the two `Dfs` entry points built on it; and the
+/// two record scans that skip the blocks it does not list (`Block::filter`
+/// and `range_matrix_truth`) against the scans that read every record.
 fn assert_tables_match_scans(dfs: &Dfs, what: &str) {
     let mut ids: Vec<SubDatasetId> = dfs
         .blocks()
@@ -198,7 +218,7 @@ fn assert_tables_match_scans(dfs: &Dfs, what: &str) {
         );
         listed += table.len();
         for &s in &ids {
-            let scanned: u64 = block.filter(s).map(|r| u64::from(r.size)).sum();
+            let scanned: u64 = scan(block, s).map(|r| u64::from(r.size)).sum();
             assert_eq!(
                 block.subdataset_bytes(s),
                 scanned,
@@ -206,16 +226,30 @@ fn assert_tables_match_scans(dfs: &Dfs, what: &str) {
                 block.id()
             );
             assert_eq!(table.iter().any(|&(id, _)| id == s), scanned > 0);
+            assert!(
+                block.filter(s).eq(scan(block, s)),
+                "{what}: {} filters {s} differently",
+                block.id()
+            );
         }
     }
     for &s in ids.iter().take(present.min(12)).chain(&ids[present..]) {
         let scanned: Vec<u64> = dfs
             .blocks()
             .iter()
-            .map(|b| b.filter(s).map(|r| u64::from(r.size)).sum())
+            .map(|b| scan(b, s).map(|r| u64::from(r.size)).sum())
             .collect();
         assert_eq!(dfs.subdataset_distribution(s), scanned, "{what}: {s}");
         assert_eq!(dfs.subdataset_total(s), scanned.iter().sum::<u64>());
+    }
+    for &s in &ids {
+        for ranges in [7, 32] {
+            assert_eq!(
+                range_matrix_truth(dfs, s, ranges),
+                all_records_truth(dfs, s, ranges),
+                "{what}: sub-dataset {s} at {ranges} ranges"
+            );
+        }
     }
     assert!(listed >= dfs.block_count(), "{what}: no block is empty");
 }
@@ -292,6 +326,7 @@ fn write_time_tables_and_range_profiles_match_the_record_scans() {
         assert_tables_match_scans(&dfs, &what);
         check(&dfs, "after the appends");
         check(&short, "on the clone taken before them");
+        assert_tables_match_scans(&short, &what);
         assert_eq!(dfs.block_count(), whole.block_count());
         assert!(short.block_count() < dfs.block_count());
     }
