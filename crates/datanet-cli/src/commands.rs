@@ -1822,6 +1822,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&meta);
     }
 
+    /// Regression: a dataset file with no nodes, a zero block size or
+    /// replication hit a library assert (exit 101), and a zero-byte record
+    /// was accepted. Each is now an I/O error before any work.
+    #[test]
+    fn scan_rejects_a_dataset_file_no_dfs_can_be_built_from() {
+        let ds = tmp("bad-ds.json");
+        let meta = tmp("bad-meta");
+        run(&format!(
+            "gen movies --records 500 --nodes 8 --block-kb 4 --out {ds}"
+        ))
+        .unwrap();
+        let good = std::fs::read_to_string(&ds).unwrap();
+        let first_size = &good[good.find(r#""size":"#).unwrap()..];
+        let first_size = &first_size[..first_size.find(',').unwrap()];
+        for (from, to) in [
+            (r#""nodes":8"#, r#""nodes":0"#),
+            (r#""block_size":4096"#, r#""block_size":0"#),
+            (r#""replication":3"#, r#""replication":0"#),
+            (first_size, r#""size":0"#),
+        ] {
+            assert!(good.contains(from), "{from}");
+            std::fs::write(&ds, good.replacen(from, to, 1)).unwrap();
+            let err = run(&format!("scan --dataset {ds} --meta {meta}")).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+                "{to}: {err}"
+            );
+            assert!(err.to_string().starts_with("io error: "), "{err}");
+            assert!(!Path::new(&meta).exists(), "{to}: scan wrote a store");
+        }
+        let _ = std::fs::remove_file(&ds);
+    }
+
     #[test]
     fn replicated_scan_scrub_heals_corruption() {
         let ds = tmp("repl-ds.json");

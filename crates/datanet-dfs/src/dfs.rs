@@ -1,14 +1,14 @@
 //! The distributed file system facade: write path and queries.
 //!
-//! [`Dfs::write_dataset`] streams records into fixed-size blocks in arrival
-//! order, seals each full block, and asks the placement policy for replica
-//! locations — the full HDFS write pipeline at the granularity the paper
-//! cares about.
+//! [`Dfs::write_random`] streams records into fixed-size blocks in arrival
+//! order, seals each full block, and places its replicas on random distinct
+//! nodes — the full HDFS write pipeline at the granularity the paper cares
+//! about. [`Dfs::append_block`] seals one pre-chunked block the same way.
 
 use crate::block::Block;
 use crate::ids::{BlockId, NodeId, SubDatasetId};
 use crate::namenode::NameNode;
-use crate::placement::{PlacementPolicy, RandomPlacement};
+use crate::placement::place_random;
 use crate::record::{key_range_of, Record};
 use crate::topology::Topology;
 use rand::rngs::StdRng;
@@ -107,16 +107,14 @@ impl Clone for Dfs {
 
 impl Dfs {
     /// Write a dataset: chunk `records` (in stream order) into blocks of
-    /// `config.block_size` bytes and place replicas with `policy`.
+    /// `config.block_size` bytes and place each block's replicas on random
+    /// distinct nodes (the paper's model), drawn from one stream seeded by
+    /// `config.seed`.
     ///
     /// A record never straddles blocks (HDFS records are line-oriented; the
     /// paper's block boundaries fall between records). A block is sealed
     /// when adding the next record would exceed capacity.
-    pub fn write_dataset<P: PlacementPolicy>(
-        config: DfsConfig,
-        records: impl IntoIterator<Item = Record>,
-        policy: &P,
-    ) -> Self {
+    pub fn write_random(config: DfsConfig, records: impl IntoIterator<Item = Record>) -> Self {
         assert!(config.block_size > 0, "block size must be positive");
         assert!(config.replication > 0, "replication must be positive");
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -134,7 +132,7 @@ impl Dfs {
             }
             let id = BlockId(blocks.len() as u32);
             let block = Block::new(id, std::mem::take(records));
-            let locations = policy.place(id, &config.topology, config.replication, rng);
+            let locations = place_random(&config.topology, config.replication, rng);
             nn.register(id, locations);
             blocks.push(block);
         };
@@ -157,11 +155,6 @@ impl Dfs {
         }
     }
 
-    /// Convenience write with [`RandomPlacement`] (the paper's model).
-    pub fn write_random(config: DfsConfig, records: impl IntoIterator<Item = Record>) -> Self {
-        Self::write_dataset(config, records, &RandomPlacement)
-    }
-
     /// An empty DFS ready for streaming appends via [`Dfs::append_block`].
     pub fn empty(config: DfsConfig) -> Self {
         assert!(config.block_size > 0, "block size must be positive");
@@ -175,15 +168,10 @@ impl Dfs {
         }
     }
 
-    /// Append one pre-chunked block of records with [`RandomPlacement`].
-    /// See [`Dfs::append_block_with`].
-    pub fn append_block(&mut self, records: Vec<Record>) -> BlockId {
-        self.append_block_with(records, &RandomPlacement)
-    }
-
     /// Append one pre-chunked block: seal `records` as the next block, place
-    /// its replicas, and register it with the NameNode (a copy-on-write
-    /// update — handles cloned earlier keep seeing the shorter snapshot).
+    /// its replicas on random distinct nodes, and register it with the
+    /// NameNode (a copy-on-write update — handles cloned earlier keep seeing
+    /// the shorter snapshot).
     ///
     /// Placement randomness is drawn from a per-block stream derived from
     /// `config.seed` and the block id, so a block's replica locations do not
@@ -192,17 +180,13 @@ impl Dfs {
     ///
     /// # Panics
     /// Panics if `records` is empty (HDFS never seals an empty block).
-    pub fn append_block_with<P: PlacementPolicy>(
-        &mut self,
-        records: Vec<Record>,
-        policy: &P,
-    ) -> BlockId {
+    pub fn append_block(&mut self, records: Vec<Record>) -> BlockId {
         assert!(!records.is_empty(), "cannot append an empty block");
         let id = BlockId(self.blocks.len() as u32);
         let mut rng = StdRng::seed_from_u64(
             self.config.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id.0 as u64 + 1),
         );
-        let locations = policy.place(id, &self.config.topology, self.config.replication, &mut rng);
+        let locations = place_random(&self.config.topology, self.config.replication, &mut rng);
         self.namenode.register(id, locations);
         let block = Block::new(id, records);
         for profile in self.profiles().iter_mut() {

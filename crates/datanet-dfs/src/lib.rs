@@ -6,8 +6,8 @@
 //! * datasets are split into fixed-size **blocks** ([`block`]) in arrival
 //!   order, so temporal content clustering maps directly onto block
 //!   clustering;
-//! * each block is **replicated** (3-way by default) and **placed** on data
-//!   nodes by a content-oblivious policy ([`placement`]);
+//! * each block is **replicated** (3-way by default) and **placed** on
+//!   random data nodes, blind to its content;
 //! * the **NameNode** ([`namenode`]) records only `block → nodes` metadata —
 //!   it knows nothing about which sub-datasets live inside a block, which is
 //!   exactly the information gap ElasticMap fills.
@@ -21,7 +21,7 @@ pub mod block;
 pub mod dfs;
 pub mod ids;
 pub mod namenode;
-pub mod placement;
+mod placement;
 pub mod record;
 pub mod topology;
 
@@ -29,6 +29,5 @@ pub use block::{Block, BlockMeta};
 pub use dfs::{Dfs, DfsConfig, RangeProfile};
 pub use ids::{BlockId, NodeId, SubDatasetId};
 pub use namenode::NameNode;
-pub use placement::{PlacementPolicy, RackAwarePlacement, RandomPlacement};
 pub use record::{key_range_of, Payload, Record};
 pub use topology::Topology;

@@ -1,101 +1,24 @@
-//! Replica placement policies.
+//! Replica placement.
 //!
 //! HDFS places block replicas without looking at block *content* — the root
-//! cause of the paper's problem. Two standard policies are provided:
-//!
-//! * [`RandomPlacement`] — replicas on distinct nodes chosen uniformly at
-//!   random (the model used in the paper's analysis, Section II-B).
-//! * [`RackAwarePlacement`] — the classic HDFS default: first replica on a
-//!   "writer" node, second and third together on a different rack.
+//! cause of the paper's problem. The DFS places every block's replicas on
+//! distinct nodes chosen uniformly at random, the model of the paper's
+//! analysis (Section II-B).
 
-use crate::ids::{BlockId, NodeId};
+use crate::ids::NodeId;
 use crate::topology::Topology;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// Chooses the nodes that store each block's replicas.
-pub trait PlacementPolicy {
-    /// Pick `replication` distinct nodes for `block`.
-    ///
-    /// Implementations must return `min(replication, topology.len())`
-    /// distinct nodes.
-    fn place<R: Rng + ?Sized>(
-        &self,
-        block: BlockId,
-        topology: &Topology,
-        replication: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId>;
-}
-
-/// Uniformly random distinct nodes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPlacement;
-
-impl PlacementPolicy for RandomPlacement {
-    fn place<R: Rng + ?Sized>(
-        &self,
-        _block: BlockId,
-        topology: &Topology,
-        replication: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let nodes: Vec<NodeId> = topology.nodes().collect();
-        let take = replication.min(topology.len());
-        nodes.choose_multiple(rng, take).copied().collect()
-    }
-}
-
-/// HDFS-default-style placement: replica 1 on a random node; replicas 2 and
-/// 3 on a common different rack (when one exists); further replicas random.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RackAwarePlacement;
-
-impl PlacementPolicy for RackAwarePlacement {
-    fn place<R: Rng + ?Sized>(
-        &self,
-        _block: BlockId,
-        topology: &Topology,
-        replication: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        let replication = replication.min(topology.len());
-        if replication == 0 {
-            return Vec::new();
-        }
-        let all: Vec<NodeId> = topology.nodes().collect();
-        let first = *all.choose(rng).expect("topology is non-empty");
-        let mut chosen = vec![first];
-
-        // Candidate pool for the off-rack pair.
-        let off_rack: Vec<NodeId> = all
-            .iter()
-            .copied()
-            .filter(|&n| !topology.same_rack(n, first))
-            .collect();
-        let mut pool = if off_rack.is_empty() {
-            all.clone()
-        } else {
-            off_rack
-        };
-        pool.retain(|n| !chosen.contains(n));
-        pool.shuffle(rng);
-        for n in pool {
-            if chosen.len() >= replication.min(3) {
-                break;
-            }
-            chosen.push(n);
-        }
-        // Any remaining replicas: uniformly among unused nodes.
-        let mut rest: Vec<NodeId> = all.into_iter().filter(|n| !chosen.contains(n)).collect();
-        rest.shuffle(rng);
-        chosen.extend(
-            rest.into_iter()
-                .take(replication - chosen.len().min(replication)),
-        );
-        chosen.truncate(replication);
-        chosen
-    }
+/// `min(replication, topology.len())` distinct nodes, uniformly at random.
+pub(crate) fn place_random<R: Rng + ?Sized>(
+    topology: &Topology,
+    replication: usize,
+    rng: &mut R,
+) -> Vec<NodeId> {
+    let nodes: Vec<NodeId> = topology.nodes().collect();
+    let take = replication.min(topology.len());
+    nodes.choose_multiple(rng, take).copied().collect()
 }
 
 #[cfg(test)]
@@ -113,8 +36,8 @@ mod tests {
     fn random_placement_distinct_and_sized() {
         let t = Topology::single_rack(32);
         let mut rng = StdRng::seed_from_u64(1);
-        for b in 0..100 {
-            let p = RandomPlacement.place(BlockId(b), &t, 3, &mut rng);
+        for _ in 0..100 {
+            let p = place_random(&t, 3, &mut rng);
             assert_eq!(p.len(), 3);
             assert!(distinct(&p));
             assert!(p.iter().all(|n| n.0 < 32));
@@ -125,7 +48,7 @@ mod tests {
     fn random_placement_clamps_to_cluster_size() {
         let t = Topology::single_rack(2);
         let mut rng = StdRng::seed_from_u64(1);
-        let p = RandomPlacement.place(BlockId(0), &t, 3, &mut rng);
+        let p = place_random(&t, 3, &mut rng);
         assert_eq!(p.len(), 2);
         assert!(distinct(&p));
     }
@@ -135,8 +58,8 @@ mod tests {
         let t = Topology::single_rack(8);
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = HashSet::new();
-        for b in 0..200 {
-            for n in RandomPlacement.place(BlockId(b), &t, 3, &mut rng) {
+        for _ in 0..200 {
+            for n in place_random(&t, 3, &mut rng) {
                 seen.insert(n);
             }
         }
@@ -144,43 +67,12 @@ mod tests {
     }
 
     #[test]
-    fn rack_aware_puts_second_replica_off_rack() {
-        let t = Topology::new(16, 4);
-        let mut rng = StdRng::seed_from_u64(2);
-        for b in 0..100 {
-            let p = RackAwarePlacement.place(BlockId(b), &t, 3, &mut rng);
-            assert_eq!(p.len(), 3);
-            assert!(distinct(&p));
-            assert!(
-                !t.same_rack(p[0], p[1]),
-                "replica 2 must be off the writer's rack"
-            );
-            assert!(
-                !t.same_rack(p[0], p[2]),
-                "replica 3 must be off the writer's rack"
-            );
-        }
-    }
-
-    #[test]
-    fn rack_aware_degrades_on_single_rack() {
-        let t = Topology::single_rack(8);
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = RackAwarePlacement.place(BlockId(0), &t, 3, &mut rng);
-        assert_eq!(p.len(), 3);
-        assert!(distinct(&p));
-    }
-
-    #[test]
     fn placement_is_deterministic_under_seed() {
-        let t = Topology::new(32, 8);
+        let t = Topology::single_rack(32);
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        for blk in 0..20 {
-            assert_eq!(
-                RandomPlacement.place(BlockId(blk), &t, 3, &mut a),
-                RandomPlacement.place(BlockId(blk), &t, 3, &mut b)
-            );
+        for _ in 0..20 {
+            assert_eq!(place_random(&t, 3, &mut a), place_random(&t, 3, &mut b));
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Cluster topology: nodes grouped into racks.
+//! Cluster topology: the data-node fleet.
 //!
-//! The paper's Marmot testbed connects all 128 nodes to one switch; HDFS
-//! placement is nonetheless rack-aware in general, so the topology keeps a
-//! rack notion (with a single-rack default matching Marmot).
+//! The paper's Marmot testbed connects all 128 nodes to one switch, so a
+//! topology is just its node count: every node reads every other node's
+//! disk at the same NIC rate.
 
 use crate::ids::NodeId;
 use serde::{Deserialize, Serialize};
@@ -11,23 +11,16 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     nodes: u32,
-    rack_size: u32,
 }
 
 impl Topology {
-    /// `nodes` data nodes in racks of `rack_size` (last rack may be short).
+    /// `nodes` data nodes behind one switch (Marmot).
     ///
     /// # Panics
-    /// Panics if either argument is zero.
-    pub fn new(nodes: u32, rack_size: u32) -> Self {
-        assert!(nodes > 0, "topology needs at least one node");
-        assert!(rack_size > 0, "rack size must be positive");
-        Self { nodes, rack_size }
-    }
-
-    /// All nodes on one rack (Marmot: everything behind a single switch).
+    /// Panics if `nodes` is zero.
     pub fn single_rack(nodes: u32) -> Self {
-        Self::new(nodes, nodes)
+        assert!(nodes > 0, "topology needs at least one node");
+        Self { nodes }
     }
 
     /// Number of data nodes.
@@ -35,30 +28,15 @@ impl Topology {
         self.nodes as usize
     }
 
-    /// Always false (≥ 1 node by construction).
+    /// Whether the fleet has no node: never for [`Topology::single_rack`],
+    /// but a deserialised topology is whatever its bytes say.
     pub fn is_empty(&self) -> bool {
-        false
+        self.nodes == 0
     }
 
     /// Iterate over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes).map(NodeId)
-    }
-
-    /// The rack a node lives on.
-    pub fn rack_of(&self, n: NodeId) -> u32 {
-        assert!(n.0 < self.nodes, "node {n} not in topology");
-        n.0 / self.rack_size
-    }
-
-    /// Number of racks.
-    pub fn racks(&self) -> u32 {
-        self.nodes.div_ceil(self.rack_size)
-    }
-
-    /// Whether two nodes share a rack.
-    pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.rack_of(a) == self.rack_of(b)
     }
 }
 
@@ -67,35 +45,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rack_assignment() {
-        let t = Topology::new(10, 4);
-        assert_eq!(t.racks(), 3);
-        assert_eq!(t.rack_of(NodeId(0)), 0);
-        assert_eq!(t.rack_of(NodeId(3)), 0);
-        assert_eq!(t.rack_of(NodeId(4)), 1);
-        assert_eq!(t.rack_of(NodeId(9)), 2);
-        assert!(t.same_rack(NodeId(4), NodeId(7)));
-        assert!(!t.same_rack(NodeId(3), NodeId(4)));
-    }
-
-    #[test]
     fn single_rack_groups_everyone() {
         let t = Topology::single_rack(128);
-        assert_eq!(t.racks(), 1);
-        assert!(t.same_rack(NodeId(0), NodeId(127)));
         assert_eq!(t.len(), 128);
         assert_eq!(t.nodes().count(), 128);
     }
 
     #[test]
     #[should_panic]
-    fn rack_of_unknown_node_panics() {
-        Topology::new(4, 2).rack_of(NodeId(4));
-    }
-
-    #[test]
-    #[should_panic]
     fn zero_nodes_rejected() {
-        Topology::new(0, 1);
+        Topology::single_rack(0);
     }
 }

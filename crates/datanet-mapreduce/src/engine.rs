@@ -56,10 +56,6 @@ pub struct SelectionConfig {
     /// records are parsed, sorted and spilled to the local partition
     /// (Hadoop's map-side sort/spill), so hot blocks cost real extra time.
     pub filtered_cost_factor: f64,
-    /// Bandwidth for reads that must cross racks. Marmot hangs every node
-    /// off one switch, so the default equals the NIC rate; an oversubscribed
-    /// spine (e.g. 4:1) is modelled by setting this lower.
-    pub cross_rack_bps: u64,
     /// Concurrent map slots per node. Marmot's nodes are dual-core, so the
     /// Hadoop default of one slot per core gives 2; the per-slot disk and
     /// CPU rates in [`NodeSpec`] are per-slot shares.
@@ -74,7 +70,6 @@ impl Default for SelectionConfig {
             spec: NodeSpec::marmot(),
             scan_factor: 1.0,
             filtered_cost_factor: 1.0,
-            cross_rack_bps: NodeSpec::marmot().nic_bps,
             slots_per_node: 1,
             task_overhead: DEFAULT_TASK_OVERHEAD,
         }
@@ -218,13 +213,11 @@ pub fn run_analysis_shuffled(
 }
 
 /// Cost of one selection map task: disk read of the whole block, a NIC hop
-/// for non-local reads (degraded by `nic_fraction` under fault injection,
-/// at the cross-rack rate when no replica shares the reader's rack), scan
-/// CPU over the block, and the sort/spill of the filtered bytes.
+/// for non-local reads (degraded by `nic_fraction` under fault injection),
+/// scan CPU over the block, and the sort/spill of the filtered bytes.
 fn map_task_duration(
     dfs: &Dfs,
     block: BlockId,
-    node: NodeId,
     local: bool,
     filtered: u64,
     cfg: &SelectionConfig,
@@ -233,14 +226,7 @@ fn map_task_duration(
     let block_bytes = dfs.block(block).bytes();
     let mut dur = cfg.task_overhead + SimTime::for_bytes(block_bytes, cfg.spec.disk_bps);
     if !local {
-        let topo = &dfs.config().topology;
-        let rack_local = dfs.replicas(block).iter().any(|&h| topo.same_rack(h, node));
-        let rate = if rack_local {
-            cfg.spec.nic_bps
-        } else {
-            cfg.cross_rack_bps
-        };
-        let rate = ((rate as f64) * nic_fraction).max(1.0) as u64;
+        let rate = ((cfg.spec.nic_bps as f64) * nic_fraction).max(1.0) as u64;
         dur += SimTime::for_bytes(block_bytes, rate);
     }
     dur += SimTime::for_bytes(
@@ -282,7 +268,7 @@ pub fn planned_makespan(
         let mut end = SimTime::ZERO;
         for &b in plan.tasks_of(node) {
             let local = dfs.namenode().is_local(b, node);
-            end += map_task_duration(dfs, b, node, local, truth[b.index()], cfg, 1.0);
+            end += map_task_duration(dfs, b, local, truth[b.index()], cfg, 1.0);
         }
         makespan = makespan.max(end);
     }
@@ -587,7 +573,6 @@ impl<'a> Exec<'a> {
                     let dur = map_task_duration(
                         dfs,
                         block,
-                        node,
                         local,
                         truth[block.index()],
                         cfg,
@@ -1316,45 +1301,6 @@ mod tests {
         assert!(
             (0.4..0.75).contains(&ratio),
             "2 slots should roughly halve the phase, got ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn cross_rack_penalty_slows_remote_heavy_schedules() {
-        // Two racks, rack-aware placement, an oversubscribed spine: a
-        // schedule with remote reads pays more when the spine is 8x slower.
-        use datanet_dfs::RackAwarePlacement;
-        let recs = (0..4000u64).map(|i| Record::new(SubDatasetId(i % 9), i, 500, i));
-        let dfs = Dfs::write_dataset(
-            DfsConfig {
-                block_size: 50_000,
-                replication: 2,
-                topology: Topology::new(8, 4),
-                seed: 77,
-            },
-            recs,
-            &RackAwarePlacement,
-        );
-        let s = SubDatasetId(0);
-        let truth = dfs.subdataset_distribution(s);
-        let view = datanet::ElasticMapArray::build(&dfs, &datanet::Separation::All).view(s);
-        let run = |cross_rack_bps: u64| {
-            let mut sched = DataNetScheduler::new(&dfs, &view);
-            let cfg = SelectionConfig {
-                cross_rack_bps,
-                ..Default::default()
-            };
-            run_selection(&dfs, &truth, &mut sched, &cfg)
-        };
-        let flat = run(NodeSpec::marmot().nic_bps);
-        let oversubscribed = run(NodeSpec::marmot().nic_bps / 8);
-        assert!(
-            flat.locality_fraction() < 1.0,
-            "test needs at least one remote read to be meaningful"
-        );
-        assert!(
-            oversubscribed.end >= flat.end,
-            "slower spine cannot make the phase faster"
         );
     }
 

@@ -204,12 +204,6 @@ impl BloomFilter {
         self.shape.lines
     }
 
-    /// Memory footprint of the bit array in bytes (what Equation 5 accounts
-    /// as `−ln ε / ln² 2` bits per element).
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
-
     /// Expected false-positive rate at the current fill:
     /// `(1 − e^{−kn/m})^k` (the flat-layout formula; for the blocked layout
     /// it is the leading-order term, the whole-block round-up covering the
@@ -410,7 +404,7 @@ mod tests {
         let f = BloomFilter::with_rate(10_000, 0.01);
         assert!(f.layout_blocks() > 0);
         assert_eq!(f.num_bits(), f.layout_blocks() * 512);
-        assert_eq!(f.memory_bytes() as u64, f.layout_blocks() * 64);
+        assert_eq!(f.words().len() as u64, f.layout_blocks() * 8);
         // Explicit-parameter filters keep the flat layout.
         assert_eq!(BloomFilter::with_params(64, 3).layout_blocks(), 0);
     }

@@ -3,20 +3,19 @@
 //!
 //! Sorting the `m` sub-datasets of a block by size to pick the dominant
 //! ones would cost O(m log m). The paper's observation: because of content
-//! clustering, only the *bucket counts* matter — distribute sub-datasets
-//! into size intervals during the scan (O(1) per record), then walk buckets
-//! from the largest interval down until the hash-map budget is filled. The
-//! intervals follow a Fibonacci progression so that "larger data sizes have
-//! sparser intervals":
+//! clustering, only the *bucket counts* matter — count how many
+//! sub-datasets fall in each size interval, then walk buckets from the
+//! largest interval down until the hash-map budget is filled. The counts
+//! come from the block's write-time size table, one `bucket_of` per
+//! distinct sub-dataset ([`crate::ElasticMap::build`]). The intervals
+//! follow a Fibonacci progression so that "larger data sizes have sparser
+//! intervals":
 //!
 //! ```text
 //! (0,1kb) [1,2) [2,3) [3,5) [5,8) [8,13) [13,21) [21,34) [34kb, ∞)
 //! ```
 
-use crate::symbol::FastMap;
-use datanet_dfs::SubDatasetId;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 
 /// A monotone series of bucket lower bounds (bytes). Bucket `i` covers
 /// `[bounds[i], bounds[i+1])`; the last bucket is unbounded above.
@@ -57,14 +56,6 @@ impl Buckets {
             b = next;
         }
         Self { bounds }
-    }
-
-    /// Buckets scaled for a given block size: the paper's 1 kB base is for
-    /// 64 MB blocks; smaller experimental blocks scale the base down
-    /// proportionally (min 1 byte) so separation behaviour is preserved.
-    pub fn for_block_size(block_size: u64) -> Self {
-        let base = (block_size / (64 * 1024)).max(1);
-        Self::fibonacci(base, 9)
     }
 
     /// Explicit bounds. `bounds` must start at 0 and increase strictly.
@@ -130,81 +121,6 @@ impl Buckets {
     }
 }
 
-/// Streaming bucket statistics for one block: tracks each sub-dataset's
-/// running size and the per-bucket membership counts, maintained
-/// incrementally as records are scanned (the "adjust the sub-dataset's
-/// bucket accordingly" step of Section III-B).
-#[derive(Debug, Clone)]
-pub struct BucketCounter {
-    buckets: Buckets,
-    /// Fast-hashed: this map takes one hit per scanned record, the single
-    /// hottest line of the metadata build.
-    sizes: FastMap<SubDatasetId, u64>,
-    counts: Vec<usize>,
-}
-
-impl BucketCounter {
-    /// Create a counter over the given bucket series.
-    pub fn new(buckets: Buckets) -> Self {
-        let counts = vec![0; buckets.len()];
-        Self {
-            buckets,
-            sizes: FastMap::default(),
-            counts,
-        }
-    }
-
-    /// Account `bytes` of one record belonging to `id` — O(1) amortised.
-    /// Sizes saturate at `u64::MAX` rather than overflow. First insertion
-    /// is detected by map vacancy, not by the old size being 0, so repeated
-    /// zero-byte records cannot double-count a sub-dataset.
-    pub fn record(&mut self, id: SubDatasetId, bytes: u64) {
-        match self.sizes.entry(id) {
-            Entry::Vacant(e) => {
-                e.insert(bytes);
-                self.counts[self.buckets.bucket_of(bytes)] += 1;
-            }
-            Entry::Occupied(mut e) => {
-                let old = *e.get();
-                let new = old.saturating_add(bytes);
-                *e.get_mut() = new;
-                let old_bucket = self.buckets.bucket_of(old);
-                let new_bucket = self.buckets.bucket_of(new);
-                if old_bucket != new_bucket {
-                    self.counts[old_bucket] -= 1;
-                    self.counts[new_bucket] += 1;
-                }
-            }
-        }
-    }
-
-    /// Number of distinct sub-datasets seen.
-    pub fn distinct(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Sub-dataset count currently in bucket `i`.
-    pub fn count(&self, i: usize) -> usize {
-        self.counts[i]
-    }
-
-    /// The accumulated exact sizes.
-    pub fn sizes(&self) -> &FastMap<SubDatasetId, u64> {
-        &self.sizes
-    }
-
-    /// The bucket series.
-    pub fn buckets(&self) -> &Buckets {
-        &self.buckets
-    }
-
-    /// The size threshold that selects approximately the `quota` largest
-    /// sub-datasets seen so far (see [`Buckets::dominance_threshold`]).
-    pub fn dominance_threshold(&self, quota: usize) -> u64 {
-        self.buckets.dominance_threshold(&self.counts, quota)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,54 +155,42 @@ mod tests {
         assert_eq!(b.bucket_of(u64::MAX), 3);
     }
 
-    #[test]
-    fn counter_tracks_moves_between_buckets() {
-        let mut c = BucketCounter::new(Buckets::explicit(vec![0, 10, 100]));
-        let s = SubDatasetId(1);
-        c.record(s, 5); // bucket 0
-        assert_eq!(c.count(0), 1);
-        c.record(s, 6); // total 11 → bucket 1
-        assert_eq!(c.count(0), 0);
-        assert_eq!(c.count(1), 1);
-        c.record(s, 90); // total 101 → bucket 2
-        assert_eq!(c.count(1), 0);
-        assert_eq!(c.count(2), 1);
-        assert_eq!(c.distinct(), 1);
+    /// Per-bucket counts of a size table's sizes, as
+    /// `ElasticMap::from_size_table` feeds them to the threshold walk.
+    fn counts(b: &Buckets, sizes: &[u64]) -> Vec<usize> {
+        let mut counts = vec![0; b.len()];
+        for &size in sizes {
+            counts[b.bucket_of(size)] += 1;
+        }
+        counts
     }
 
     #[test]
     fn threshold_selects_top_buckets() {
-        let mut c = BucketCounter::new(Buckets::explicit(vec![0, 10, 100, 1000]));
+        let b = Buckets::explicit(vec![0, 10, 100, 1000]);
         // 3 small (size 5), 2 medium (50), 1 large (5000).
-        for i in 0..3 {
-            c.record(SubDatasetId(i), 5);
-        }
-        for i in 3..5 {
-            c.record(SubDatasetId(i), 50);
-        }
-        c.record(SubDatasetId(5), 5000);
-        assert_eq!(c.dominance_threshold(1), 1000); // just the large one
-                                                    // Quota 2: bucket [100,1000) is empty, so the walk continues into
-                                                    // [10,100) which holds both mediums — threshold drops to 10.
-        assert_eq!(c.dominance_threshold(2), 10);
-        assert_eq!(c.dominance_threshold(3), 10); // bucket taken whole
-        assert_eq!(c.dominance_threshold(6), 0); // everyone
-        assert_eq!(c.dominance_threshold(0), u64::MAX);
+        let c = counts(&b, &[5, 5, 5, 50, 50, 5000]);
+        assert_eq!(c, [3, 2, 0, 1]);
+        assert_eq!(b.dominance_threshold(&c, 1), 1000); // just the large one
+                                                        // Quota 2: bucket [100,1000) is empty, so the walk continues into
+                                                        // [10,100) which holds both mediums — threshold drops to 10.
+        assert_eq!(b.dominance_threshold(&c, 2), 10);
+        assert_eq!(b.dominance_threshold(&c, 3), 10); // bucket taken whole
+        assert_eq!(b.dominance_threshold(&c, 6), 0); // everyone
+        assert_eq!(b.dominance_threshold(&c, 0), u64::MAX);
     }
 
     #[test]
     fn threshold_consistent_with_sort_based_selection() {
         // The bucket walk must select a superset of the top-`quota`
         // sub-datasets chosen by a full sort.
-        let mut c = BucketCounter::new(Buckets::fibonacci(8, 9));
+        let b = Buckets::fibonacci(8, 9);
         let sizes: Vec<u64> = (1..=50u64).map(|i| i * i * 3 % 977 + 1).collect();
-        for (i, &s) in sizes.iter().enumerate() {
-            c.record(SubDatasetId(i as u64), s);
-        }
+        let c = counts(&b, &sizes);
         let mut sorted = sizes.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         for quota in [1usize, 5, 10, 25, 50] {
-            let thr = c.dominance_threshold(quota);
+            let thr = b.dominance_threshold(&c, quota);
             let selected = sizes.iter().filter(|&&s| s >= thr).count();
             assert!(
                 selected >= quota.min(sizes.len()),
@@ -300,13 +204,23 @@ mod tests {
     }
 
     #[test]
-    fn for_block_size_scales_base() {
-        let b64mb = Buckets::for_block_size(64 * 1024 * 1024);
-        assert_eq!(b64mb.lower_bound(1), 1024);
-        let b1mb = Buckets::for_block_size(1024 * 1024);
-        assert_eq!(b1mb.lower_bound(1), 16);
-        let tiny = Buckets::for_block_size(300);
-        assert_eq!(tiny.lower_bound(1), 1);
+    fn bucket_threshold_selects_a_superset_of_top_quota() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for case in 0..24 {
+            let mut rng = StdRng::seed_from_u64(0x5000 + case);
+            let len = rng.gen_range(1..300);
+            let sizes: Vec<u64> = (0..len).map(|_| rng.gen_range(1u64..200_000)).collect();
+            let quota_frac = rng.gen_range(0.0f64..1.0);
+            let b = Buckets::paper();
+            let quota = (quota_frac * sizes.len() as f64).ceil() as usize;
+            let threshold = b.dominance_threshold(&counts(&b, &sizes), quota);
+            let selected = sizes.iter().filter(|&&s| s >= threshold).count();
+            assert!(
+                selected >= quota.min(sizes.len()),
+                "case {case}: quota {quota} but only {selected} selected at threshold {threshold}"
+            );
+        }
     }
 
     #[test]
@@ -324,37 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_byte_subdatasets_count_once() {
-        // Regression: first insertion used to be detected by `old == 0`, so
-        // a second zero-byte record for the same id inflated bucket 0.
-        let mut c = BucketCounter::new(Buckets::fibonacci(1024, 9));
-        for _ in 0..5 {
-            c.record(SubDatasetId(1), 0);
-            c.record(SubDatasetId(2), 0);
-        }
-        assert_eq!(c.distinct(), 2);
-        assert_eq!(c.count(0), 2, "zero-byte ids double-counted");
-        assert_eq!(c.sizes()[&SubDatasetId(1)], 0);
-        // A later real record moves it out of bucket 0 exactly once.
-        c.record(SubDatasetId(1), 2048);
-        assert_eq!(c.count(0), 1);
-        assert_eq!(c.count(2), 1);
-        assert_eq!(c.dominance_threshold(1), 2 * 1024);
-        assert_eq!(c.dominance_threshold(2), 0);
-    }
-
-    #[test]
     fn near_u64_max_sizes_bucket_deterministically() {
         // Sizes at the top of the u64 range must neither panic nor wrap.
-        let mut c = BucketCounter::new(Buckets::fibonacci(1024, 9));
-        c.record(SubDatasetId(0), u64::MAX - 5);
-        c.record(SubDatasetId(0), 10); // would overflow; saturates
-        c.record(SubDatasetId(1), u64::MAX);
-        assert_eq!(c.sizes()[&SubDatasetId(0)], u64::MAX);
-        assert_eq!(c.distinct(), 2);
-        let top = c.buckets().len() - 1;
-        assert_eq!(c.count(top), 2);
-        assert_eq!(c.dominance_threshold(2), 55 * 1024);
+        let b = Buckets::fibonacci(1024, 9);
+        let c = counts(&b, &[u64::MAX - 5, u64::MAX]);
+        let top = b.len() - 1;
+        assert_eq!(c[top], 2);
+        assert_eq!(b.dominance_threshold(&c, 2), 55 * 1024);
     }
 
     #[test]

@@ -118,11 +118,6 @@ impl ElasticMap {
     /// Buckets follow [`mean_record_buckets`].
     pub fn build(block: &Block, policy: &Separation) -> Self {
         let buckets = mean_record_buckets(block.bytes(), block.len());
-        Self::build_with_buckets(block, policy, buckets)
-    }
-
-    /// [`ElasticMap::build`] with explicit buckets (for tests/ablations).
-    pub fn build_with_buckets(block: &Block, policy: &Separation, buckets: Buckets) -> Self {
         Self::from_size_table(block.id(), block.subdataset_sizes(), policy, buckets)
     }
 
@@ -227,45 +222,6 @@ impl ElasticMap {
         }
     }
 
-    /// Batched [`ElasticMap::query`]: one answer per input id, in input
-    /// order, bit-identical to N single queries. When the input is sorted
-    /// ascending, the exact side is resolved by a single merge-join over
-    /// the sorted id array instead of one binary search per id — the
-    /// amortization the array- and planner-level batch APIs rely on.
-    pub fn query_batch(&self, ids: &[SubDatasetId]) -> Vec<SizeInfo> {
-        let sorted = ids.windows(2).all(|w| w[0] <= w[1]);
-        if !sorted {
-            return ids.iter().map(|&id| self.query(id)).collect();
-        }
-        let mut out = Vec::with_capacity(ids.len());
-        self.query_sorted(ids, |_, info| out.push(info));
-        out
-    }
-
-    /// Answer every id of an **ascending** probe list, handing
-    /// `(position, answer)` to `visit` — no allocation. The exact side is
-    /// resolved by one merge-join over the two sorted id lists.
-    pub(crate) fn query_sorted(
-        &self,
-        sorted: &[SubDatasetId],
-        mut visit: impl FnMut(usize, SizeInfo),
-    ) {
-        let mut i = 0; // cursor into exact_ids
-        for (k, &id) in sorted.iter().enumerate() {
-            while i < self.exact_ids.len() && self.exact_ids[i] < id {
-                i += 1;
-            }
-            let info = if self.exact_ids.get(i) == Some(&id) {
-                SizeInfo::Exact(self.exact_sizes[i])
-            } else if self.bloom.contains(id) {
-                SizeInfo::Approximate
-            } else {
-                SizeInfo::Absent
-            };
-            visit(k, info);
-        }
-    }
-
     /// Exact entries (dominant sub-datasets) in ascending id order — the
     /// Table I content.
     pub fn exact_entries(&self) -> impl Iterator<Item = (SubDatasetId, u64)> + '_ {
@@ -317,14 +273,6 @@ impl ElasticMap {
     /// Per-block `δ` bound ([`delta_bound`]).
     pub fn bloom_delta_hint(&self) -> u64 {
         delta_bound(self.bloom_min_bytes, self.threshold)
-    }
-
-    /// Measured memory footprint in bytes: exact entries at their
-    /// serialized width plus the bloom bit array. Mirrors Equation 5 with
-    /// `k` = 96 bits/record (64-bit id + 32-bit size + overhead amortised
-    /// by the load factor, see [`crate::memory::MemoryModel`]).
-    pub fn memory_bytes(&self) -> usize {
-        self.exact_ids.len() * 12 + self.bloom.memory_bytes()
     }
 }
 
@@ -583,36 +531,21 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_single_queries_any_order() {
-        let b = graded_block();
-        let m = ElasticMap::build(&b, &Separation::Alpha(0.4));
-        // Sorted (merge-join path), unsorted (fallback path), duplicates.
-        let sorted: Vec<SubDatasetId> = (0..30u64).map(SubDatasetId).collect();
-        let unsorted: Vec<SubDatasetId> = [9u64, 2, 150, 2, 0, 7]
-            .iter()
-            .map(|&i| SubDatasetId(i))
-            .collect();
-        for ids in [&sorted[..], &unsorted[..]] {
-            let batch = m.query_batch(ids);
-            assert_eq!(batch.len(), ids.len());
-            for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(batch[i], m.query(id), "id {id}");
-            }
-        }
-        assert!(m.query_batch(&[]).is_empty());
-    }
-
-    #[test]
     fn memory_shrinks_as_alpha_drops() {
         // A block with many distinct sub-datasets shows the elastic
         // trade-off clearly.
         let recs: Vec<Record> = (0..2000u64)
             .map(|i| Record::new(SubDatasetId(i % 500), i, ((i % 500) * 7 + 40) as u32, i))
             .collect();
-        let b = Block::new(BlockId(1), recs);
-        let full = ElasticMap::build(&b, &Separation::All).memory_bytes();
-        let half = ElasticMap::build(&b, &Separation::Alpha(0.5)).memory_bytes();
-        let none = ElasticMap::build(&b, &Separation::BloomOnly).memory_bytes();
+        let b = Block::new(BlockId(0), recs);
+        // Equation 5's figure, as the array that holds the map reports it.
+        let memory = |policy: Separation| {
+            let map = ElasticMap::build(&b, &policy);
+            crate::ElasticMapArray::from_maps(vec![map], policy).memory_bytes()
+        };
+        let full = memory(Separation::All);
+        let half = memory(Separation::Alpha(0.5));
+        let none = memory(Separation::BloomOnly);
         assert!(full > half, "full {full} vs half {half}");
         assert!(half > none, "half {half} vs none {none}");
     }

@@ -57,7 +57,7 @@ mod wire;
 
 pub use bipartite::DistributionGraph;
 pub use bloom::BloomFilter;
-pub use buckets::{BucketCounter, Buckets};
+pub use buckets::Buckets;
 pub use checkpoint::{CheckpointManifest, CheckpointPlan};
 pub use degrade::{DegradedView, MetaHealth, Rung, RungCounts, ShardSource};
 pub use distribution::SubDatasetView;

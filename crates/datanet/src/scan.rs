@@ -14,7 +14,9 @@
 //! chain instead of every block's exact side.
 //!
 //! The read side is just as single: [`ViewFold`] is the one place a
-//! per-block answer turns into the Equation 6 view of a sub-dataset.
+//! per-block answer turns into the Equation 6 view of a sub-dataset. It
+//! walks the array's chains, and asks any other run of maps (a decoded
+//! store shard) one [`ElasticMap::query`] per probe per map.
 
 use crate::bloom::{BloomFilter, BloomShape};
 use crate::distribution::SubDatasetView;
@@ -61,19 +63,12 @@ impl Tally {
 /// through this fold, so τ₁/τ₂/δ are derived in exactly one place.
 pub(crate) struct ViewFold<'a> {
     ids: &'a [SubDatasetId],
-    /// The probe ids ascending, so each map answers them in one forward
-    /// pass ([`ElasticMap::query_sorted`]).
-    sorted: Vec<SubDatasetId>,
-    /// `sorted[k]` is `ids[order[k]]`.
-    order: Vec<usize>,
     /// One tally per input position.
     tallies: Vec<Tally>,
 }
 
 impl<'a> ViewFold<'a> {
     pub(crate) fn new(ids: &'a [SubDatasetId]) -> Self {
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        order.sort_by_key(|&i| ids[i]);
         let empty = Tally {
             exact: Vec::new(),
             bloom: Vec::new(),
@@ -81,8 +76,6 @@ impl<'a> ViewFold<'a> {
         };
         Self {
             ids,
-            sorted: order.iter().map(|&i| ids[i]).collect(),
-            order,
             tallies: vec![empty; ids.len()],
         }
     }
@@ -114,25 +107,12 @@ impl<'a> ViewFold<'a> {
     }
 
     /// Fold a run of consecutive blocks' full maps (one decoded shard, or
-    /// a whole array's [`ElasticMapArray::to_maps`] as the reference). It
-    /// takes the run, not one map, so the one-probe/batch choice sits
-    /// outside the per-block loop: made per map it cost the single-id view
-    /// 5–14 % (in-process A/B over 1 025 blocks, cache hot and cold).
+    /// a whole array's [`ElasticMapArray::to_maps`] as the reference): per
+    /// map, one [`ElasticMap::query`] per probe.
     pub(crate) fn fold_maps(&mut self, maps: &[ElasticMap]) {
-        match self.sorted[..] {
-            // One probe: a binary search beats walking the exact side.
-            [id] => {
-                let tally = &mut self.tallies[0];
-                for map in maps {
-                    tally.put(map, map.query(id));
-                }
-            }
-            _ => {
-                for map in maps {
-                    map.query_sorted(&self.sorted, |k, info| {
-                        self.tallies[self.order[k]].put(map, info)
-                    });
-                }
+        for map in maps {
+            for (tally, &id) in self.tallies.iter_mut().zip(self.ids) {
+                tally.put(map, map.query(id));
             }
         }
     }
@@ -447,12 +427,6 @@ impl ElasticMapArray {
         } else {
             SizeInfo::Absent
         }
-    }
-
-    /// Batched [`ElasticMapArray::query`] against one block: one answer per
-    /// input id, in input order.
-    pub fn query_batch(&self, b: BlockId, ids: &[SubDatasetId]) -> Vec<SizeInfo> {
-        ids.iter().map(|&id| self.query(b, id)).collect()
     }
 
     /// Every block folded for `ids`, not yet finished — so a holder with

@@ -1446,8 +1446,9 @@ mod tests {
     /// Touch a decoded map's filter the way a query would: a decoder that
     /// let an unprobeable shape through panics here.
     fn probe_map(m: &ElasticMap) {
-        let probes: Vec<SubDatasetId> = (0..8).map(SubDatasetId).collect();
-        m.query_batch(&probes);
+        (0..8).for_each(|id| {
+            m.query(SubDatasetId(id));
+        });
     }
 
     /// [`probe_map`] for a summary's two filters.

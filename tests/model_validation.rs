@@ -25,7 +25,7 @@ fn gamma_dfs(seed: u64) -> Dfs {
             Record::new(SubDatasetId(0), i, bytes, i)
         })
         .collect();
-    Dfs::write_dataset(
+    Dfs::write_random(
         DfsConfig {
             block_size: 1, // every record seals its own block
             replication: 3,
@@ -33,7 +33,6 @@ fn gamma_dfs(seed: u64) -> Dfs {
             seed,
         },
         records,
-        &datanet_dfs::RandomPlacement,
     )
 }
 
@@ -102,7 +101,7 @@ fn imbalance_grows_with_cluster_size_in_simulation_too() {
                 Record::new(SubDatasetId(0), i, bytes, i)
             })
             .collect();
-        let dfs = Dfs::write_dataset(
+        let dfs = Dfs::write_random(
             DfsConfig {
                 block_size: 1,
                 replication: 3,
@@ -110,7 +109,6 @@ fn imbalance_grows_with_cluster_size_in_simulation_too() {
                 seed: 7,
             },
             records,
-            &datanet_dfs::RandomPlacement,
         );
         let truth = dfs.subdataset_distribution(SubDatasetId(0));
         let mut sched = LocalityScheduler::new(&dfs);

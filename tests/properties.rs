@@ -5,7 +5,7 @@
 
 use datanet::planner::BalancePolicy;
 use datanet::{
-    plan_aggregation, uniform_baseline_traffic, Algorithm1, BloomFilter, Buckets, ElasticMap,
+    plan_aggregation, uniform_baseline_traffic, Algorithm1, BloomFilter, ElasticMap,
     ElasticMapArray, FordFulkersonPlanner, IngestConfig, Ingestor, MetaStore, Separation,
     ShardSource, SizeInfo, SubDatasetView,
 };
@@ -48,7 +48,7 @@ fn gen_dfs(rng: &mut StdRng) -> Dfs {
             )
         })
         .collect();
-    Dfs::write_dataset(
+    Dfs::write_random(
         DfsConfig {
             block_size: 2_000,
             replication,
@@ -56,7 +56,6 @@ fn gen_dfs(rng: &mut StdRng) -> Dfs {
             seed,
         },
         records,
-        &datanet_dfs::RandomPlacement,
     )
 }
 
@@ -121,27 +120,6 @@ fn elasticmap_achieves_requested_alpha() {
             map.distinct(),
             block.subdataset_sizes().len(),
             "case {case}"
-        );
-    }
-}
-
-#[test]
-fn bucket_threshold_selects_a_superset_of_top_quota() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x5000 + case);
-        let len = rng.gen_range(1..300);
-        let sizes: Vec<u64> = (0..len).map(|_| rng.gen_range(1u64..200_000)).collect();
-        let quota_frac = rng.gen_range(0.0f64..1.0);
-        let mut counter = datanet::BucketCounter::new(Buckets::paper());
-        for (i, &s) in sizes.iter().enumerate() {
-            counter.record(SubDatasetId(i as u64), s);
-        }
-        let quota = (quota_frac * sizes.len() as f64).ceil() as usize;
-        let threshold = counter.dominance_threshold(quota);
-        let selected = sizes.iter().filter(|&&s| s >= threshold).count();
-        assert!(
-            selected >= quota.min(sizes.len()),
-            "case {case}: quota {quota} but only {selected} selected at threshold {threshold}"
         );
     }
 }
@@ -415,7 +393,7 @@ fn degraded_bloom_estimates_respect_equation6_envelope() {
                 )
             })
             .collect();
-        let dfs = Dfs::write_dataset(
+        let dfs = Dfs::write_random(
             DfsConfig {
                 block_size: 2_000,
                 replication: 2,
@@ -423,7 +401,6 @@ fn degraded_bloom_estimates_respect_equation6_envelope() {
                 seed: rng.gen::<u64>(),
             },
             records,
-            &datanet_dfs::RandomPlacement,
         );
         let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
         let dir = std::env::temp_dir().join(format!("datanet-rung2-{}-{case}", std::process::id()));
