@@ -156,11 +156,13 @@ gate -- shuffle`) gates the reduction ratio in CI.
 stream on the simulated clock: a bounded admission queue with typed
 rejections and load shedding, per-tenant fair-share quotas (deficit round
 robin over Equation 6 byte estimates, `--quantum-kb` per round), and a
-planner-result cache keyed on `(sub-dataset, cluster epoch)` that
-invalidates itself on ingest commits (`--ingest-at`) and node loss
-(`--lose-node I@N` fails node I before query N). The canonical answers
-section is independent of `--workers` by construction — only the printed
-latency/throughput section moves. `--json` writes the full report.
+planner-result cache keyed on
+`(sub-dataset, EpochKey{namenode, ingest, cluster})` that invalidates
+itself on ingest commits (`--ingest-at`, `--ingest-blocks` blocks each)
+and node loss (`--lose-node I@N` fails node I, one of the world's nodes,
+before query N). The canonical answers section is independent of
+`--workers` by construction — only the printed latency/throughput
+section moves. `--json` writes the full report.
 
 `datanet ingest` streams the dataset's blocks through the incremental
 ingestor instead of a batch scan: per-block summaries at write time,
@@ -1225,17 +1227,15 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     // Scripted world mutations, anchored to stream positions.
     let mut events: Vec<ScriptedEvent> = Vec::new();
+    let blocks: u32 = positive(args, "ingest-blocks", 2)?;
     if let Some(list) = args.get("ingest-at") {
-        let blocks: u32 = args.get_or("ingest-blocks", 2)?;
         for part in list.split(',').filter(|s| !s.is_empty()) {
             let at: u32 = part
                 .parse()
                 .map_err(|e| ArgError(format!("--ingest-at: {e}")))?;
             events.push(ScriptedEvent {
                 at_query: at,
-                event: ServeEvent::IngestCommit {
-                    blocks: blocks.max(1),
-                },
+                event: ServeEvent::IngestCommit { blocks },
             });
         }
     }
@@ -1243,15 +1243,21 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let (node, at) = spec
             .split_once('@')
             .ok_or_else(|| ArgError(format!("--lose-node wants NODE@QUERY, got `{spec}`")))?;
+        let node: u32 = node
+            .parse()
+            .map_err(|e| ArgError(format!("--lose-node index: {e}")))?;
+        let nodes = world.alive().len();
+        if node as usize >= nodes {
+            return Err(ArgError(format!(
+                "--lose-node index {node} is out of range for {nodes} node(s)"
+            ))
+            .into());
+        }
         events.push(ScriptedEvent {
             at_query: at
                 .parse()
                 .map_err(|e| ArgError(format!("--lose-node position: {e}")))?,
-            event: ServeEvent::NodeLoss {
-                node: node
-                    .parse()
-                    .map_err(|e| ArgError(format!("--lose-node index: {e}")))?,
-            },
+            event: ServeEvent::NodeLoss { node },
         });
     }
     events.sort_by_key(|e| e.at_query);
@@ -2294,6 +2300,8 @@ mod tests {
             "serve --quantum-kb 0",
             "serve --lose-node 2",
             "serve --planner bogus",
+            "serve --ingest-at 3 --ingest-blocks 0",
+            "serve --nodes 4 --lose-node 4@3",
         ] {
             let err = run(bad).unwrap_err();
             assert!(matches!(err, CliError::Args(_)), "{bad}: {err}");

@@ -249,26 +249,23 @@ fn map_task_duration(
 /// this, which keeps per-query cost a pure function of the plan: worker
 /// interleaving can reorder queries but never change what one costs.
 ///
-/// # Panics
-/// Panics if `truth` does not cover every block of `dfs`.
+/// A task's filtered bytes of sub-dataset `s` come from its block's size
+/// table (`Block::subdataset_bytes`), so a price reads only the blocks the
+/// plan assigns.
 pub fn planned_makespan(
     dfs: &Dfs,
-    truth: &[u64],
+    s: SubDatasetId,
     plan: &Assignment,
     cfg: &SelectionConfig,
 ) -> SimTime {
-    assert_eq!(
-        truth.len(),
-        dfs.block_count(),
-        "ground-truth vector must cover every block"
-    );
     let mut makespan = SimTime::ZERO;
     for n in 0..plan.node_count() {
         let node = NodeId(n as u32);
         let mut end = SimTime::ZERO;
         for &b in plan.tasks_of(node) {
             let local = dfs.namenode().is_local(b, node);
-            end += map_task_duration(dfs, b, local, truth[b.index()], cfg, 1.0);
+            let filtered = dfs.block(b).subdataset_bytes(s);
+            end += map_task_duration(dfs, b, local, filtered, cfg, 1.0);
         }
         makespan = makespan.max(end);
     }
@@ -1027,13 +1024,13 @@ mod tests {
         let mut sched = PlannedScheduler::new(&plan, dfs.namenode());
         let out = run_selection(&dfs, &truth, &mut sched, &cfg);
         assert_eq!(
-            planned_makespan(&dfs, &truth, &plan, &cfg),
+            planned_makespan(&dfs, s, &plan, &cfg),
             out.end,
             "closed form must reproduce the event-driven makespan exactly"
         );
         // An empty plan costs nothing.
         let empty = Assignment::new(8);
-        assert_eq!(planned_makespan(&dfs, &truth, &empty, &cfg), SimTime::ZERO);
+        assert_eq!(planned_makespan(&dfs, s, &empty, &cfg), SimTime::ZERO);
     }
 
     #[test]

@@ -43,7 +43,8 @@
 
 use crate::stream::QuerySpec;
 use crate::world::{plan_digest, ScriptedEvent, World};
-use datanet::{Assignment, EpochKey, FastMap, PlanCache};
+use datanet::{Assignment, EpochKey, FastMap, PlanCache, SubDatasetView};
+use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{planned_makespan, SelectionConfig};
 use datanet_obs::{Category, Domain, QueryCtx, Recorder, SpanCtx};
 use rand::rngs::StdRng;
@@ -252,6 +253,35 @@ struct ExecItem {
     duration_us: u64,
 }
 
+/// The part of an [`EpochKey`] a view and an alive-blind plan depend on:
+/// `(NameNode epoch, ingest epoch)`. A node loss moves neither.
+type DataEpoch = (u64, u64);
+
+fn data_epoch(key: EpochKey) -> DataEpoch {
+    (key.namenode, key.ingest)
+}
+
+/// One sub-dataset resolved at one data epoch.
+struct Resolved {
+    view: SubDatasetView,
+    /// The view's Equation-6 estimate (≥ 1), charged against quotas.
+    est: u64,
+    /// The view's alive-blind plan ([`World::plan_view`]), kept only with
+    /// the cache on and re-patched at each cluster epoch.
+    blind: Option<Assignment>,
+}
+
+impl Resolved {
+    fn new(view: SubDatasetView) -> Self {
+        let est = view.estimated_total().max(1);
+        Self {
+            view,
+            est,
+            blind: None,
+        }
+    }
+}
+
 /// Run the serving plane over `stream` against `world`, applying the
 /// scripted `events` at their anchored stream positions. Consumes the
 /// world (it mutates under events); clone the initial world first if you
@@ -314,12 +344,14 @@ fn serve_inner(
     if plant_staleness {
         cache.plant_staleness();
     }
-    // Equation-6 estimates and per-plan execution prices are memoised
-    // independently of the plan cache: they are deterministic functions of
-    // (sub-dataset, epoch) and of the plan bytes respectively, so
-    // recomputing them would only add noise to the cache-on/off
-    // comparison.
-    let mut est_memo: FastMap<(u64, EpochKey), u64> = FastMap::default();
+    // Each sub-dataset is resolved once per data epoch: its view (and so
+    // its Equation-6 estimate) and its alive-blind plan do not change on a
+    // node loss. The arrival estimate or the round's batched walk over plan
+    // misses fills an entry. With the cache on the entry also keeps the
+    // alive-blind plan, so a miss only re-runs `patch_dead`; with it off
+    // every admitted batch walks the planner. Execution prices are
+    // memoised by plan digest: a price is a function of the plan bytes.
+    let mut resolved: FastMap<(u64, DataEpoch), Resolved> = FastMap::default();
     let mut exec_memo: FastMap<u64, (u64, usize)> = FastMap::default();
 
     let mut next_arrival = 0usize;
@@ -347,10 +379,10 @@ fn serve_inner(
                 rejected[t] += 1;
                 query_scope(rec, q).add("serve_rejected_total", 1);
             } else {
-                let key = world.epoch_key();
-                let est = *est_memo
-                    .entry((q.sub.0, key))
-                    .or_insert_with(|| world.array().view(q.sub).estimated_total().max(1));
+                let data = data_epoch(world.epoch_key());
+                let est = (resolved.entry((q.sub.0, data)))
+                    .or_insert_with(|| Resolved::new(world.array().view(q.sub)))
+                    .est;
                 max_est[t] = max_est[t].max(est);
                 if queues[t].is_empty() {
                     busy_periods[t] += 1;
@@ -421,10 +453,11 @@ fn serve_inner(
             }
         }
 
-        // 4. Plan the admitted batch through the cache, one batched
-        // planner walk for all the misses.
+        // 4. Plan the admitted batch through the cache. Misses not yet
+        // resolved at this data epoch share one batched view walk.
         if !batch.is_empty() {
             let key = world.epoch_key();
+            let data = data_epoch(key);
             let mut subs: Vec<u64> = batch.iter().map(|b| stream[b.idx].sub.0).collect();
             subs.sort_unstable();
             subs.dedup();
@@ -432,9 +465,9 @@ fn serve_inner(
             // the plan is produced (a hit shares the cached pair), and
             // whether the cache answered.
             let mut plans: FastMap<u64, (Arc<(Assignment, u64)>, bool)> = FastMap::default();
-            let mut missing: Vec<datanet_dfs::SubDatasetId> = Vec::new();
+            let mut missing: Vec<SubDatasetId> = Vec::new();
             for &s in &subs {
-                let id = datanet_dfs::SubDatasetId(s);
+                let id = SubDatasetId(s);
                 if cfg.cache {
                     if let Some(planned) = cache.get(id, key) {
                         plans.insert(s, (Arc::clone(planned), true));
@@ -443,23 +476,38 @@ fn serve_inner(
                 }
                 missing.push(id);
             }
-            if !missing.is_empty() {
-                for (id, plan) in missing.iter().zip(world.plan_batch(&missing, cfg.maxflow)) {
-                    let digest = plan_digest(&plan);
-                    let planned = Arc::new((plan, digest));
-                    if cfg.cache {
-                        cache.insert(*id, key, Arc::clone(&planned));
-                    }
-                    plans.insert(id.0, (planned, false));
+            let unresolved: Vec<SubDatasetId> = (missing.iter())
+                .filter(|id| !resolved.contains_key(&(id.0, data)))
+                .copied()
+                .collect();
+            if !unresolved.is_empty() {
+                for (id, view) in unresolved.iter().zip(world.array().views(&unresolved)) {
+                    resolved.insert((id.0, data), Resolved::new(view));
                 }
+            }
+            for id in missing {
+                let Resolved { view, blind, .. } = resolved
+                    .get_mut(&(id.0, data))
+                    .expect("every miss was resolved above");
+                let plan = if cfg.cache {
+                    let blind = blind.get_or_insert_with(|| world.plan_view(view, cfg.maxflow));
+                    world.patch_dead(view, blind.clone())
+                } else {
+                    world.patch_dead(view, world.plan_view(view, cfg.maxflow))
+                };
+                let digest = plan_digest(&plan);
+                let planned = Arc::new((plan, digest));
+                if cfg.cache {
+                    cache.insert(id, key, Arc::clone(&planned));
+                }
+                plans.insert(id.0, (planned, false));
             }
             for item in batch {
                 let q = &stream[item.idx];
                 let (ref planned, cache_hit) = plans[&q.sub.0];
                 let (ref plan, digest) = **planned;
                 let (duration_us, blocks) = *exec_memo.entry(digest).or_insert_with(|| {
-                    let truth = world.dfs().subdataset_distribution(q.sub);
-                    let makespan = planned_makespan(world.dfs(), &truth, plan, &sel_cfg);
+                    let makespan = planned_makespan(world.dfs(), q.sub, plan, &sel_cfg);
                     (makespan.as_micros().max(1), plan.assigned_blocks())
                 });
                 outcomes[item.idx] = Some(Disposition::Completed {
@@ -766,6 +814,38 @@ mod tests {
                 "a coherent cache changes where plans come from, never what they are"
             );
         }
+    }
+
+    #[test]
+    fn a_node_loss_repatches_without_running_the_planner() {
+        use crate::world::PLANNER_RUNS;
+        let stream = small_stream(TenantMix::Uniform, 29);
+        let loss = [ScriptedEvent {
+            at_query: 20,
+            event: ServeEvent::NodeLoss { node: 2 },
+        }];
+        // Planner runs and cache misses of one run.
+        let runs = |events: &[ScriptedEvent], cache: bool| {
+            let before = PLANNER_RUNS.with(|r| r.get());
+            let cfg = ServeConfig {
+                cache,
+                ..ServeConfig::default()
+            };
+            let report = serve(small_world(29), &stream, events, &cfg, &Recorder::off());
+            let runs = PLANNER_RUNS.with(|r| r.get()) - before;
+            (runs, report.answers.cache_misses)
+        };
+        let (on_steady, misses_steady) = runs(&[], true);
+        let (on_loss, misses_loss) = runs(&loss, true);
+        assert!(
+            misses_loss > misses_steady,
+            "the loss must force plan misses to be meaningful"
+        );
+        assert_eq!(on_loss, on_steady, "a node loss re-patches, never re-plans");
+        let (off_steady, _) = runs(&[], false);
+        let (off_loss, _) = runs(&loss, false);
+        assert_eq!(off_loss, off_steady, "cache off plans every admitted batch");
+        assert!(off_steady > on_steady);
     }
 
     #[test]

@@ -154,22 +154,34 @@ impl World {
     }
 
     /// Fresh plans for `subs` at the current epoch: the views resolved in
-    /// one batched array walk, each planned and then patched for dead nodes.
-    /// This **is** the definition of "the plan at this epoch" — the serve
-    /// oracles call it to recompute what the cache should have served.
+    /// one batched array walk, each planned ([`World::plan_view`]) and then
+    /// patched for dead nodes ([`World::patch_dead`]). This **is** the
+    /// definition of "the plan at this epoch" — the serve oracles call it to
+    /// recompute what the cache should have served, and the server builds
+    /// every plan it serves from the same two pieces.
     pub fn plan_batch(&self, subs: &[SubDatasetId], maxflow: bool) -> Vec<Assignment> {
-        let plan = |view| match maxflow {
+        let views = self.array.views(subs);
+        (views.iter())
+            .map(|v| self.patch_dead(v, self.plan_view(v, maxflow)))
+            .collect()
+    }
+
+    /// The alive-blind plan of one resolved view. It reads the block
+    /// locations and the view, never the liveness mask, so it changes only
+    /// with the data epoch (NameNode and ingest epochs), not on a node loss.
+    pub(crate) fn plan_view(&self, view: &SubDatasetView, maxflow: bool) -> Assignment {
+        #[cfg(test)]
+        PLANNER_RUNS.with(|runs| runs.set(runs.get() + 1));
+        match maxflow {
             true => FordFulkersonPlanner::new(&self.dfs, view).plan(),
             false => Algorithm1::new(&self.dfs, view).plan_balanced(),
-        };
-        let views = self.array.views(subs);
-        views.iter().map(|v| self.patch_dead(v, plan(v))).collect()
+        }
     }
 
     /// Re-home every task the plan put on a dead node: in block order, each
     /// orphan goes to the currently least-loaded alive node (lowest id on
     /// ties). A no-op while every node is alive.
-    fn patch_dead(&self, view: &SubDatasetView, plan: Assignment) -> Assignment {
+    pub(crate) fn patch_dead(&self, view: &SubDatasetView, plan: Assignment) -> Assignment {
         if self.alive.iter().all(|&a| a) {
             return plan;
         }
@@ -207,6 +219,13 @@ pub fn plan_digest(plan: &Assignment) -> u64 {
     let mut h = datanet::FxHasher64::default();
     h.write(json.as_bytes());
     h.finish()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`World::plan_view`] calls on this thread: what the server tests pin
+    /// planner work with.
+    pub(crate) static PLANNER_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -47,9 +47,8 @@ impl EpochKey {
 ///
 /// An entry is the plan with the digest of its wire form, taken once by
 /// whoever planned it, behind one reference count: a hit copies a pointer.
-/// Entries never expire; a stale epoch simply stops being looked up once
-/// the world moves on, and [`PlanCache::retain_epoch`] drops the dead
-/// generations. Hit/miss counters feed the serving metrics plane.
+/// Entries never expire: a stale epoch simply stops being looked up once
+/// the world moves on. Hit/miss counters feed the serving metrics plane.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
     entries: FastMap<(SubDatasetId, EpochKey), Arc<(Assignment, u64)>>,
@@ -97,22 +96,6 @@ impl PlanCache {
     /// Insert the freshly computed plan for `id` at `epoch`, with its digest.
     pub fn insert(&mut self, id: SubDatasetId, epoch: EpochKey, planned: Arc<(Assignment, u64)>) {
         self.entries.insert((id, epoch), planned);
-    }
-
-    /// Drop every entry not computed at `epoch`. Called when the world
-    /// moves on so dead generations stop holding memory.
-    pub fn retain_epoch(&mut self, epoch: EpochKey) {
-        self.entries.retain(|(_, e), _| *e == epoch);
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Lookups answered from cache.
@@ -175,21 +158,6 @@ mod tests {
         ] {
             assert!(c.get(SubDatasetId(0), moved).is_none());
         }
-    }
-
-    #[test]
-    fn retain_epoch_drops_dead_generations() {
-        let mut c = PlanCache::new();
-        let old = EpochKey::new(1, 0, 0);
-        let new = EpochKey::new(2, 0, 0);
-        c.insert(SubDatasetId(0), old, plan(1));
-        c.insert(SubDatasetId(1), old, plan(2));
-        c.insert(SubDatasetId(0), new, plan(3));
-        assert_eq!(c.len(), 3);
-        c.retain_epoch(new);
-        assert_eq!(c.len(), 1);
-        assert!(c.get(SubDatasetId(0), new).is_some());
-        assert!(c.get(SubDatasetId(1), old).is_none());
     }
 
     #[test]

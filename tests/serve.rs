@@ -8,12 +8,12 @@
 //!    schedule seed, for ≥ 20 stream seeds × all three tenant mixes. The
 //!    decision plane never consults the execution plane, so concurrency
 //!    can move *when* work runs but never what it produces.
-//! 2. **Cache-invalidation crash sweep** — an ingest commit or a node
-//!    loss injected at *every* stream position (the same prefix
+//! 2. **Cache-invalidation crash sweep** — one or two ingest commits and
+//!    node losses injected at *every* stream position (the same prefix
 //!    enumeration the durable-store sweeps use, via
-//!    [`testkit::write_prefixes`]) never yields a stale cached plan:
-//!    every completed query's served digest equals a fresh plan's digest
-//!    at the epoch the outcome claims.
+//!    [`testkit::write_prefixes`]) never yield a stale cached plan, with
+//!    either planner: every completed query's served digest equals a
+//!    fresh plan's digest at the epoch the outcome claims.
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_check::{Scenario, ServeEventPlan};
@@ -97,83 +97,101 @@ fn concurrent_answers_equal_sequential_over_seeds_and_mixes() {
 }
 
 /// Property 2: the epoch-keyed cache never serves a stale plan, wherever
-/// a world mutation lands in the stream. For each event kind, inject it
-/// before every stream position (and after the last arrival), then check
-/// every completed outcome's digest against a fresh plan computed on a
-/// replayed world at the claimed epoch.
+/// world mutations land in the stream. For each script of one or two
+/// events (an ingest commit, a node loss, each order of the two, and the
+/// loss of a second node after a first), inject the events before every
+/// ordered pair of stream positions (and after the last arrival), with
+/// both planners, then check every completed outcome's digest against a
+/// fresh plan computed on a replayed world at the claimed epoch.
 #[test]
 fn cache_invalidation_sweep_never_serves_a_stale_plan() {
     let queries = 12u32;
     let seed = 23u64;
     let stream = build_stream(TenantMix::Uniform, seed, queries);
-    let cfg = ServeConfig::default();
-    let kinds = [
-        ServeEvent::IngestCommit { blocks: 2 },
-        ServeEvent::NodeLoss { node: 1 },
+    let ingest = ServeEvent::IngestCommit { blocks: 2 };
+    let loss = |node| ServeEvent::NodeLoss { node };
+    let scripts: [&[ServeEvent]; 5] = [
+        &[ingest],
+        &[loss(1)],
+        &[ingest, loss(1)],
+        &[loss(1), ingest],
+        &[loss(1), loss(2)],
     ];
-    for event in kinds {
-        let mut saw_pre_epoch = false;
-        let mut saw_post_epoch = false;
-        // Same crash-point enumeration as the durable-store sweeps:
-        // nothing before the event, each proper prefix, everything.
-        for at in testkit::write_prefixes(queries as usize) {
-            let events = [ScriptedEvent {
-                at_query: at as u32,
-                event,
-            }];
-            let report = serve(build_world(seed), &stream, &events, &cfg, &Recorder::off());
-
-            // Replay the event prefix to rebuild each reachable world.
+    // Same crash-point enumeration as the durable-store sweeps: nothing
+    // before an event, each proper prefix, everything; a later event
+    // never fires before an earlier one.
+    let placements = |events: usize| -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = vec![Vec::new()];
+        for _ in 0..events {
+            out = (out.iter())
+                .flat_map(|prefix| {
+                    let from = prefix.last().map_or(0, |&p| p as usize);
+                    (testkit::write_prefixes(queries as usize).skip(from)).map(move |at| {
+                        let mut next = prefix.clone();
+                        next.push(at as u32);
+                        next
+                    })
+                })
+                .collect();
+        }
+        out
+    };
+    for maxflow in [false, true] {
+        let cfg = ServeConfig {
+            maxflow,
+            ..ServeConfig::default()
+        };
+        for script in scripts {
+            // Replay each event prefix to rebuild every reachable world.
             let mut worlds = vec![build_world(seed)];
-            let mut post = build_world(seed);
-            post.apply(&event);
-            worlds.push(post);
-
-            for o in &report.answers.outcomes {
-                let Disposition::Completed {
-                    sub,
-                    epoch,
-                    plan_digest: served,
-                    ..
-                } = o.disposition
-                else {
-                    continue;
-                };
-                let w = worlds
-                    .iter()
-                    .find(|w| w.epoch_key() == epoch)
-                    .unwrap_or_else(|| {
-                        panic!("event at {at}: query {} claims unreachable epoch", o.id)
-                    });
-                let fresh = plan_digest(&w.plan_batch(&[SubDatasetId(sub)], cfg.maxflow)[0]);
-                assert_eq!(
-                    served, fresh,
-                    "event at {at}: query {} (sub-dataset {sub}) was served a \
-                     stale cached plan",
-                    o.id
-                );
-                if epoch == worlds[0].epoch_key() {
-                    saw_pre_epoch = true;
-                } else {
-                    saw_post_epoch = true;
-                }
+            for event in script {
+                let mut next = worlds.last().expect("the initial world").clone();
+                next.apply(event);
+                worlds.push(next);
             }
+            let mut seen = vec![false; worlds.len()];
+            for at in placements(script.len()) {
+                let events: Vec<ScriptedEvent> = (at.iter().zip(script))
+                    .map(|(&at_query, &event)| ScriptedEvent { at_query, event })
+                    .collect();
+                let report = serve(build_world(seed), &stream, &events, &cfg, &Recorder::off());
+                for o in &report.answers.outcomes {
+                    let Disposition::Completed {
+                        sub,
+                        epoch,
+                        plan_digest: served,
+                        ..
+                    } = o.disposition
+                    else {
+                        continue;
+                    };
+                    let w =
+                        (worlds.iter().position(|w| w.epoch_key() == epoch)).unwrap_or_else(|| {
+                            panic!("events at {at:?}: query {} claims unreachable epoch", o.id)
+                        });
+                    let fresh =
+                        plan_digest(&worlds[w].plan_batch(&[SubDatasetId(sub)], maxflow)[0]);
+                    assert_eq!(
+                        served, fresh,
+                        "{script:?} at {at:?}, maxflow {maxflow}: query {} (sub-dataset \
+                         {sub}) was served a stale cached plan",
+                        o.id
+                    );
+                    seen[w] = true;
+                }
+                assert!(
+                    (report.answers.outcomes.iter())
+                        .any(|o| matches!(o.disposition, Disposition::Completed { .. })),
+                    "events at {at:?}: the sweep must complete queries to be meaningful"
+                );
+            }
+            // The sweep completed queries at every epoch the script
+            // reaches — otherwise the property above is vacuous there.
             assert!(
-                report
-                    .answers
-                    .outcomes
-                    .iter()
-                    .any(|o| matches!(o.disposition, Disposition::Completed { .. })),
-                "event at {at}: the sweep must complete queries to be meaningful"
+                seen.iter().all(|&s| s),
+                "{script:?}, maxflow {maxflow}: sweep observed only epochs {seen:?}"
             );
         }
-        // The sweep crossed the mutation in both directions: some
-        // completions before it, some after — otherwise the property
-        // above is vacuous.
-        assert!(
-            saw_pre_epoch && saw_post_epoch,
-            "sweep never observed both epochs for {event:?}"
-        );
     }
 }
 
