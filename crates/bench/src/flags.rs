@@ -84,33 +84,27 @@ mod tests {
         Flags::parse(
             line.split_whitespace().map(String::from),
             &["quick"],
-            &["json", "baseline"],
+            &["json", "trace"],
         )
     }
 
     #[test]
     fn declared_flags_round_trip_in_any_order() {
-        let f = parse("serve --baseline base.json --quick --json out.json").unwrap();
-        assert_eq!(f.positional(), ["serve"]);
+        let f = parse("fig5 --trace t.json --quick --json out.json").unwrap();
+        assert_eq!(f.positional(), ["fig5"]);
         assert!(f.switch("quick"));
         assert_eq!(f.path_flag("json"), Some(Path::new("out.json")));
-        assert_eq!(f.path_flag("baseline"), Some(Path::new("base.json")));
-        let f = parse("serve").unwrap();
+        assert_eq!(f.path_flag("trace"), Some(Path::new("t.json")));
+        let f = parse("fig5").unwrap();
         assert!(!f.switch("quick"));
         assert_eq!(f.path_flag("json"), None);
     }
 
     #[test]
     fn typos_and_missing_values_are_errors() {
-        assert!(parse("shuffle --basline b.json")
-            .unwrap_err()
-            .contains("--basline"));
-        assert!(parse("shuffle --quik").unwrap_err().contains("--quik"));
-        assert!(parse("shuffle --baseline")
-            .unwrap_err()
-            .contains("--baseline"));
-        assert!(parse("shuffle --baseline --quick")
-            .unwrap_err()
-            .contains("--baseline"));
+        assert!(parse("--jsn out.json").unwrap_err().contains("--jsn"));
+        assert!(parse("--quik").unwrap_err().contains("--quik"));
+        assert!(parse("--json").unwrap_err().contains("--json"));
+        assert!(parse("--json --quick").unwrap_err().contains("--json"));
     }
 }

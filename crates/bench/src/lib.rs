@@ -2,7 +2,7 @@
 //! datasets (scaled versions of the paper's setups) and the fixtures,
 //! table printer and flag parser of its three binaries — `repro` (every
 //! paper table/figure and extension study, one section each), `gate` (the
-//! within-run bench gates) and `faults` (the fault-injection sweeps).
+//! recorder-overhead gate) and `faults` (the fault-injection sweeps).
 //!
 //! ## Scaling
 //!
@@ -16,17 +16,11 @@
 //! meant to be.
 
 pub mod flags;
-pub mod ingest;
 pub mod obs;
-pub mod serve;
 pub mod setup;
-pub mod shuffle;
 pub mod table;
 
 pub use flags::{usage_error, Flags};
-pub use ingest::{run_ingest_bench, IngestBenchReport};
 pub use obs::{run_obs_bench, ObsBenchReport};
-pub use serve::{run_serve_bench, ServeBenchReport};
 pub use setup::{github_dataset, movie_dataset, Fixtures, MOVIE_BLOCKS, NODES};
-pub use shuffle::{run_shuffle_bench, ShuffleBenchReport};
 pub use table::Table;

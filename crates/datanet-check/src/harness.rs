@@ -1432,8 +1432,10 @@ fn ingest_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, sep: &Separa
 ///   the oracle the planted `stale_serve_cache` bug must trip.
 /// * `serve-interleaving` — a second run with a different worker count
 ///   and schedule seed must produce a byte-identical canonical answers
-///   section, and a cache-off run must agree after normalisation (a
-///   coherent cache changes where plans come from, never what they are).
+///   section, and a cache-off run on the same workers and schedule seed
+///   must agree after normalisation and have an identical timing section
+///   (a coherent cache changes where plans come from, never what they are
+///   or when they run).
 fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: &CheckOptions) {
     let sp = &sc.serve;
     let stream = generate_stream(&StreamConfig {
@@ -1633,6 +1635,15 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
         v.push(Violation::new(
             "serve-interleaving",
             "cache-on and cache-off runs disagree after normalisation".to_string(),
+        ));
+    }
+    if uncached.timing != report.timing {
+        v.push(Violation::new(
+            "serve-interleaving",
+            format!(
+                "the plan cache moved the simulated timing: cache on {:?}, cache off {:?}",
+                report.timing, uncached.timing
+            ),
         ));
     }
 }

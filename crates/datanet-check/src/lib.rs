@@ -41,8 +41,8 @@
 //!   plan is byte-identical to a fresh plan at the epoch it claims —
 //!   rebuilt by replaying the scripted event prefix
 //!   (`serve-cache-coherence`) — and the canonical answers are identical
-//!   across worker counts, schedule seeds and cache on/off
-//!   (`serve-interleaving`).
+//!   across worker counts, schedule seeds and cache on/off, and the
+//!   simulated timing across cache on/off (`serve-interleaving`).
 //!
 //! On a violation, [`shrink`] reduces the failing scenario to a minimal
 //! repro (fewer records, nodes, fault events, less corruption) that still

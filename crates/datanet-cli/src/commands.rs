@@ -149,8 +149,6 @@ across reducers (merged back deterministically, so answers never change).
 `--shuffle hash` selects the classic skew- and locality-blind
 `hash(key) % reducers` baseline. Both print an aware-vs-hash comparison:
 network bytes, locality fraction, reduce imbalance and makespan.
-The `shuffle` bench gate (`cargo run --release -p datanet-bench --bin
-gate -- shuffle`) gates the reduction ratio in CI.
 
 `datanet serve` runs the multi-tenant serving plane over a seeded query
 stream on the simulated clock: a bounded admission queue with typed

@@ -173,9 +173,8 @@ impl JobReport {
 }
 
 /// A shuffle-planned analysis run: the [`JobReport`] plus the byte-level
-/// routing accounting the shuffle oracles and the `shuffle` bench gate
-/// read. Kept separate from [`JobReport`] so existing serialized reports
-/// stay byte-identical.
+/// routing accounting the shuffle oracles and tests read. Kept separate
+/// from [`JobReport`] so existing serialized reports stay byte-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShuffleOutcome {
     /// The standard job report (its `shuffle_bytes` equals

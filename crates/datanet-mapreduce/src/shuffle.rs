@@ -28,8 +28,8 @@
 //!
 //! The hash baseline ([`ShufflePlan::hash`]) is the classic
 //! `hash(key) % reducers` partitioner: correct, skew-blind, and
-//! locality-blind — exactly what the `datanet-bench` `gate shuffle` bench
-//! measures the planner against.
+//! locality-blind — the plan `tests/shuffle.rs` and the `pipeline_shuffle`
+//! benchmark workload measure the planner against.
 
 use crate::skewtune::{apportion, fragments_needed, split_even, split_threshold};
 use datanet::SubDatasetView;

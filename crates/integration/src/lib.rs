@@ -2,6 +2,268 @@
 //! `/examples`. This crate wires them into the workspace build and hosts
 //! the shared scaffolding they all lean on.
 
+pub mod shuffle {
+    //! The synthetic clustered shuffle workload `tests/shuffle.rs` pins
+    //! the aware planner's byte reduction on: [`KEY_RANGES`] key ranges
+    //! over [`NODES`] nodes, range `g`'s bytes concentrated
+    //! [`HOME_FRACTION`] on its home node `g % NODES` (the write locality a
+    //! real DFS produces), per-range totals from a Zipf law at exponent
+    //! `s`. Both plans replay the identical matrix through
+    //! [`run_analysis_shuffled`], so every number is simulated.
+
+    use datanet_analytics::word_count_profile;
+    use datanet_dfs::NodeId;
+    use datanet_mapreduce::{
+        run_analysis_shuffled, AnalysisConfig, ShuffleOutcome, ShufflePlan, ShufflePlanner,
+    };
+
+    /// Reducer/mapper nodes.
+    pub const NODES: usize = 8;
+    /// Key ranges the intermediate key space is hashed into.
+    pub const KEY_RANGES: usize = 64;
+    /// Heavy-key split threshold of the aware planner, in fair shares.
+    pub const SPLIT_FACTOR: f64 = 1.25;
+    /// Fraction of a range's bytes sitting on its home node.
+    pub const HOME_FRACTION: f64 = 0.8;
+
+    /// The clustered per-(node, key-range) matrix at Zipf exponent `s`:
+    /// [`HOME_FRACTION`] of range `g` on node `g % NODES`, the rest spread
+    /// evenly over the others (remainder bytes to the home node, so each
+    /// column holds exactly its range's share of `total`).
+    pub fn clustered_matrix(s: f64, total: u64) -> Vec<Vec<u64>> {
+        let w: Vec<f64> = (1..=KEY_RANGES)
+            .map(|rank| (rank as f64).powf(-s))
+            .collect();
+        let sum: f64 = w.iter().sum();
+        let mut matrix = vec![vec![0u64; KEY_RANGES]; NODES];
+        for g in 0..KEY_RANGES {
+            let bytes = (total as f64 * w[g] / sum).round() as u64;
+            let home = g % NODES;
+            let each = ((1.0 - HOME_FRACTION) * bytes as f64) as u64 / (NODES - 1) as u64;
+            for (n, row) in matrix.iter_mut().enumerate() {
+                row[g] = if n == home {
+                    bytes - each * (NODES - 1) as u64
+                } else {
+                    each
+                };
+            }
+        }
+        matrix
+    }
+
+    /// Word count's shuffle over one clustered matrix under both plans.
+    #[derive(Debug, PartialEq)]
+    pub struct ZipfPoint {
+        /// The aware plan's run.
+        pub aware: ShuffleOutcome,
+        /// Hash partitioning's run.
+        pub hash: ShuffleOutcome,
+        /// Key ranges the aware plan split across several reducers.
+        pub split_ranges: usize,
+    }
+
+    impl ZipfPoint {
+        /// Hash over aware network bytes.
+        pub fn bytes_reduction(&self) -> f64 {
+            self.hash.network_bytes as f64 / self.aware.network_bytes.max(1) as f64
+        }
+    }
+
+    /// Run both plans over [`clustered_matrix`]`(s, total)`.
+    pub fn zipf_point(s: f64, total: u64) -> ZipfPoint {
+        let matrix = clustered_matrix(s, total);
+        let aware_plan = ShufflePlanner::new(SPLIT_FACTOR).plan(&matrix);
+        let hash_plan = ShufflePlan::hash(KEY_RANGES, (0..NODES as u32).map(NodeId).collect());
+        let (job, cfg) = (word_count_profile(), AnalysisConfig::default());
+        ZipfPoint {
+            aware: run_analysis_shuffled(&matrix, &job, &cfg, &aware_plan),
+            hash: run_analysis_shuffled(&matrix, &job, &cfg, &hash_plan),
+            split_ranges: (aware_plan.assignments.iter())
+                .filter(|frags| frags.len() > 1)
+                .count(),
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// 32 MB of intermediate bytes: enough that rounding is invisible
+        /// in every ratio.
+        const TOTAL: u64 = 32 << 20;
+
+        #[test]
+        fn matrix_partitions_the_total_exactly() {
+            for s in [0.0, 0.8, 1.2] {
+                let m = clustered_matrix(s, 1 << 20);
+                for g in 0..KEY_RANGES {
+                    let col: u64 = m.iter().map(|row| row[g]).sum();
+                    let home = m[g % NODES][g];
+                    assert!(
+                        home as f64 >= HOME_FRACTION * col as f64,
+                        "s={s} range {g}: home holds {home} of {col}"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn sweep_is_deterministic_and_passes_its_own_gate() {
+            for s in [0.0, 0.8, 1.2] {
+                assert_eq!(zipf_point(s, TOTAL), zipf_point(s, TOTAL), "s={s} diverged");
+            }
+            let skew = zipf_point(1.2, TOTAL).bytes_reduction();
+            assert!(skew >= 2.0, "reduction {skew:.2}x under the 2x floor");
+            let uniform = zipf_point(0.0, TOTAL);
+            assert!(uniform.aware.report.makespan_secs <= uniform.hash.report.makespan_secs);
+        }
+
+        #[test]
+        fn skewed_point_clears_the_floor_and_splits_heavy_ranges() {
+            let skew = zipf_point(1.2, TOTAL);
+            assert!(
+                skew.bytes_reduction() >= 2.0,
+                "reduction {:.2}x under the floor",
+                skew.bytes_reduction()
+            );
+            assert!(skew.split_ranges > 0, "no heavy range split at s=1.2");
+            let uniform = zipf_point(0.0, TOTAL);
+            assert!(uniform.aware.report.makespan_secs <= uniform.hash.report.makespan_secs);
+            assert!(
+                uniform.aware.reduce_imbalance() <= uniform.hash.reduce_imbalance() + 1e-9,
+                "aware {:.3} vs hash {:.3}",
+                uniform.aware.reduce_imbalance(),
+                uniform.hash.reduce_imbalance()
+            );
+        }
+    }
+}
+
+pub mod serve {
+    //! The multi-tenant load world `tests/serve.rs` pins the plan cache on:
+    //! records striped round-robin over [`SUBDATASETS`] sub-datasets on 10
+    //! nodes, and a skewed query stream served by 4 workers with a quantum
+    //! generous enough that every arrival admits promptly.
+
+    use datanet::Separation;
+    use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
+    use datanet_obs::Recorder;
+    use datanet_serve::{
+        generate_stream, serve, Disposition, ServeConfig, ServeReport, StreamConfig, TenantMix,
+        World,
+    };
+
+    /// Sub-datasets in the world.
+    pub const SUBDATASETS: u64 = 8;
+    /// Tenant counts the plan cache is exercised at.
+    pub const TENANT_POINTS: [u32; 3] = [1, 8, 64];
+    const SEED: u64 = 0xBE4C;
+
+    /// `records` records of 280 bytes, written through the DFS placement
+    /// policy.
+    pub fn world(records: u64) -> World {
+        let dfs = Dfs::write_random(
+            DfsConfig {
+                block_size: 2_000,
+                replication: 2,
+                topology: Topology::single_rack(10),
+                seed: SEED,
+            },
+            (0..records).map(|i| Record::new(SubDatasetId(i % SUBDATASETS), i, 280, SEED ^ i)),
+        );
+        World::new(dfs, SUBDATASETS, Separation::Alpha(0.3), SEED)
+    }
+
+    /// Serve a `queries`-query skewed stream from `tenants` tenants over a
+    /// copy of `world`, with the plan cache on or off.
+    pub fn run(world: &World, tenants: u32, queries: u32, cache: bool) -> ServeReport {
+        let stream = generate_stream(&StreamConfig {
+            tenants,
+            queries,
+            gap_us: 300,
+            subdatasets: SUBDATASETS,
+            mix: TenantMix::Skewed,
+            seed: SEED,
+        });
+        let cfg = ServeConfig {
+            workers: 4,
+            queue_cap: 64,
+            quantum_bytes: 512 * 1024,
+            cache,
+            ..ServeConfig::default()
+        };
+        serve(world.clone(), &stream, &[], &cfg, &Recorder::off())
+    }
+
+    /// `(completed, rejected, shed, p50 µs, p99 µs, cache misses)`.
+    pub type Outcome = (u32, u32, u32, u64, u64, u64);
+
+    /// What the tenants saw of a run, plus its plan-cache misses.
+    pub fn outcome(report: &ServeReport) -> Outcome {
+        let a = &report.answers;
+        let completed = (a.outcomes.iter())
+            .filter(|o| matches!(o.disposition, Disposition::Completed { .. }))
+            .count() as u32;
+        (
+            completed,
+            a.tenants.iter().map(|t| t.rejected).sum(),
+            a.tenants.iter().map(|t| t.shed).sum(),
+            report.timing.p50_latency_us,
+            report.timing.p99_latency_us,
+            a.cache_misses,
+        )
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        const RECORDS: u64 = 2_000;
+        const QUERIES: u32 = 240;
+
+        #[test]
+        fn sweep_covers_every_point_and_caches_pay_off() {
+            let w = world(RECORDS);
+            for tenants in TENANT_POINTS {
+                let (on, off) = (
+                    run(&w, tenants, QUERIES, true),
+                    run(&w, tenants, QUERIES, false),
+                );
+                assert!(outcome(&on).0 > 0, "{tenants} tenants completed nothing");
+                assert!(
+                    on.answers.cache_hits > 0,
+                    "{tenants} tenants never hit the cache"
+                );
+                // Cache off means the cache is never consulted at all.
+                assert_eq!((off.answers.cache_hits, off.answers.cache_misses), (0, 0));
+                // A coherent cache never changes the simulated outcome.
+                assert_eq!(on.answers.normalized(), off.answers.normalized());
+                assert_eq!(on.timing, off.timing);
+                // The cache-on run plans each sub-dataset once.
+                assert!(
+                    on.answers.cache_misses <= SUBDATASETS,
+                    "{tenants} tenants: {} misses over {SUBDATASETS} sub-datasets",
+                    on.answers.cache_misses
+                );
+            }
+        }
+
+        #[test]
+        fn simulated_fields_are_deterministic_across_runs() {
+            let w = world(RECORDS);
+            for tenants in TENANT_POINTS {
+                for cache in [true, false] {
+                    assert_eq!(
+                        run(&w, tenants, QUERIES, cache),
+                        run(&w, tenants, QUERIES, cache),
+                        "{tenants} tenants, cache {cache}: two runs diverged"
+                    );
+                }
+            }
+        }
+    }
+}
+
 pub mod testkit {
     //! Shared scaffolding for the durable-store tests.
     //!

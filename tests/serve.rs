@@ -14,6 +14,10 @@
 //!    [`testkit::write_prefixes`]) never yield a stale cached plan, with
 //!    either planner: every completed query's served digest equals a
 //!    fresh plan's digest at the epoch the outcome claims.
+//!
+//! A last test pins what the plan cache does under multi-tenant load on
+//! a larger world: one miss per sub-dataset and a served outcome that
+//! cache off reproduces exactly.
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_check::{Scenario, ServeEventPlan};
@@ -263,4 +267,50 @@ fn world_array_grown_by_commits_equals_a_rebuild_on_corpus_worlds() {
         covered > 0,
         "no corpus seed scripts 2 commits and a node loss"
     );
+}
+
+/// The plan cache under multi-tenant load, on the
+/// [`datanet_integration::serve`] world at 8 000 records (8 sub-datasets,
+/// 10 nodes) and a 720-query skewed stream at 1, 8 and 64 tenants. Cache
+/// off, it is never consulted; cache on, it plans each sub-dataset at most
+/// once and changes nothing the tenants see. The cache-on outcome
+/// `(completed, rejected, shed, p50 µs, p99 µs, misses)` is pinned: every
+/// field is simulated, so any drift is a behaviour change of the planner
+/// or the serving plane.
+#[test]
+fn plan_cache_plans_each_subdataset_once_and_pins_the_served_outcome() {
+    use datanet_integration::serve::{self as load, Outcome};
+    const PINNED: [(u32, Outcome); 3] = [
+        (1, (234, 292, 194, 18_027_297, 34_818_875, 8)),
+        (8, (682, 0, 38, 51_825_823, 101_858_461, 8)),
+        (64, (720, 0, 0, 54_248_642, 107_287_546, 8)),
+    ];
+    let world = load::world(8_000);
+    for (tenants, pinned) in PINNED {
+        let (on, off) = (
+            load::run(&world, tenants, 720, true),
+            load::run(&world, tenants, 720, false),
+        );
+        assert_eq!(
+            (off.answers.cache_hits, off.answers.cache_misses),
+            (0, 0),
+            "{tenants} tenants: a disabled cache was consulted"
+        );
+        assert!(
+            on.answers.cache_hits > 0 && on.answers.cache_misses <= load::SUBDATASETS,
+            "{tenants} tenants: {} hits, {} misses over {} sub-datasets",
+            on.answers.cache_hits,
+            on.answers.cache_misses,
+            load::SUBDATASETS
+        );
+        assert!(
+            on.answers.normalized() == off.answers.normalized() && on.timing == off.timing,
+            "{tenants} tenants: the cache changed what was served or when"
+        );
+        assert_eq!(
+            load::outcome(&on),
+            pinned,
+            "{tenants} tenants: served outcome drifted"
+        );
+    }
 }

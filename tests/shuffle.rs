@@ -11,6 +11,11 @@
 //!   to identical reducer output under shuffled arrival permutations
 //!   (the `tests/ingest.rs` arrival-permutation pattern), across ≥ 20
 //!   seeds and all four aggregate jobs.
+//!
+//! Two more tests put numbers on the win: the aware plan beats hash on
+//! network bytes on most scenario worlds, and on a synthetic clustered
+//! Zipf matrix it holds a pinned byte reduction without costing the
+//! uniform case anything.
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::{AggJob, Pipeline, PipelineEnv, ShuffleParams};
@@ -179,7 +184,7 @@ fn split_merge_is_arrival_order_insensitive() {
 
 /// The aware planner actually moves bytes off the network relative to
 /// hash partitioning on a clustered world — the paper's Section V claim
-/// at integration scope (the bench gates the exact ratio).
+/// at integration scope (the clustered Zipf test below pins the ratio).
 #[test]
 fn aware_plan_cuts_network_bytes_on_clustered_data() {
     use datanet_analytics::word_count_profile;
@@ -211,5 +216,44 @@ fn aware_plan_cuts_network_bytes_on_clustered_data() {
     assert!(
         wins * 4 >= eligible * 3,
         "aware plan beat hash on network bytes in only {wins}/{eligible} worlds"
+    );
+}
+
+/// The paper's Section V claim on the clustered Zipf matrix of
+/// [`datanet_integration::shuffle`] (8 nodes × 64 key ranges, 256 MB,
+/// split factor 1.25): under heavy skew the aware plan sends at most half
+/// the hash plan's network bytes, splits a heavy range, and holds the
+/// reduction measured when this check was written to ±20 %; with no skew
+/// it costs neither makespan nor reduce balance. Every number is
+/// simulated, so the check is deterministic.
+#[test]
+fn aware_plan_holds_its_byte_reduction_on_a_clustered_zipf_matrix() {
+    use datanet_integration::shuffle::zipf_point;
+    /// hash / aware network bytes at s = 1.2.
+    const MEASURED_REDUCTION: f64 = 2.3136;
+    const TOTAL: u64 = 256 << 20;
+
+    let skew = zipf_point(1.2, TOTAL);
+    let reduction = skew.bytes_reduction();
+    assert!(reduction >= 2.0, "reduction {reduction:.3}x under 2x");
+    assert!(
+        (reduction / MEASURED_REDUCTION - 1.0).abs() <= 0.2,
+        "reduction {reduction:.4}x drifted more than 20% from {MEASURED_REDUCTION}x"
+    );
+    assert!(skew.split_ranges > 0, "no heavy range split at s = 1.2");
+
+    let uniform = zipf_point(0.0, TOTAL);
+    let (aware, hash) = (&uniform.aware, &uniform.hash);
+    assert!(
+        aware.report.makespan_secs <= hash.report.makespan_secs,
+        "uniform matrix: aware makespan {} > hash {}",
+        aware.report.makespan_secs,
+        hash.report.makespan_secs
+    );
+    assert!(
+        aware.reduce_imbalance() <= hash.reduce_imbalance(),
+        "uniform matrix: aware reduce imbalance {:.3} > hash {:.3}",
+        aware.reduce_imbalance(),
+        hash.reduce_imbalance()
     );
 }
