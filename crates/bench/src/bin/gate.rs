@@ -7,9 +7,10 @@
 //! Measures the untraced workload against itself with the always-on
 //! metrics plane and with the full trace recorder (see `obs.rs` for the
 //! methodology) and exits non-zero when either exceeds its constant cap —
-//! metrics ≤ 2 %, trace ≤ 5 % — on every one of three attempts. `--json`
-//! writes the last measurement. The command line is checked *before*
-//! anything is measured, so a typo fails in milliseconds.
+//! metrics ≤ 90 ns and trace ≤ 225 ns per recorded span — on every one of
+//! three attempts. `--json` writes the last measurement. The command line
+//! is checked *before* anything is measured, so a typo fails in
+//! milliseconds.
 
 use datanet_bench::{run_obs_bench, usage_error, Flags};
 use std::fs;
@@ -17,10 +18,9 @@ use std::process::ExitCode;
 
 const USAGE: &str = "gate [--quick] [--json OUT]";
 
-/// The caps are absolute fractions of a workload of about a millisecond,
-/// and noise on a shared host can only inflate such a measurement, never
-/// hide real overhead: a genuine regression fails every attempt, a noise
-/// spike rarely survives one.
+/// The workload is about a millisecond, and noise on a shared host can
+/// only inflate its measured overhead, never hide real overhead: a genuine
+/// regression fails every attempt, a noise spike rarely survives one.
 const ATTEMPTS: usize = 3;
 
 fn main() -> ExitCode {

@@ -1,5 +1,6 @@
 //! The paper record: every table and figure of Section V plus the
-//! extension studies, one section each, in paper order.
+//! extension studies, one section each, in paper order, and the fault
+//! sweeps last.
 //!
 //! ```text
 //! repro [SECTION...]
@@ -13,6 +14,7 @@
 //! compare are each built once per run.
 
 use datanet::planner::BalancePolicy;
+use datanet::store::MetaStore;
 use datanet::{
     plan_aggregation, AggregationPlan, Algorithm1, ElasticMap, ElasticMapArray,
     FordFulkersonPlanner, MemoryModel, Separation,
@@ -21,22 +23,27 @@ use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet_bench::{github_dataset, usage_error, Fixtures, Flags, Table, NODES};
-use datanet_cluster::NodeSpec;
+use datanet_cluster::{DetectorConfig, FaultPlan, NodeSpec, SimTime};
 use datanet_mapreduce::{
     capability_of, rebalance, run_analysis, run_selection, speculative_map_phase,
     speculative_map_phase_with_slowdowns, total_secs, AnalysisConfig, DataNetScheduler,
-    DelayScheduler, Exec, LocalityScheduler, PlannedScheduler, SelectionConfig, SelectionOutcome,
-    SpeculationConfig,
+    DelayScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler, PlannedScheduler,
+    SelectionConfig, SelectionOutcome, SpeculationConfig,
 };
 use datanet_stats::{GammaDist, ImbalanceModel};
 use datanet_workloads::EventType;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::PathBuf;
 
 /// `(name, what it reproduces, body)`.
 type Section = (&'static str, &'static str, fn(&Fixtures));
 
-/// Paper order, extension studies last. EXPERIMENTS.md indexes exactly
-/// these names.
-const SECTIONS: [Section; 17] = [
+/// Paper order, extension studies after the paper's own, the fault sweeps
+/// last. EXPERIMENTS.md indexes exactly these names.
+const SECTIONS: [Section; 18] = [
     ("fig1", "Figure 1: the motivating imbalance", fig1),
     ("fig2", "Figure 2: the Gamma tail-probability model", fig2),
     (
@@ -81,6 +88,11 @@ const SECTIONS: [Section; 17] = [
         "io_savings",
         "extension: I/O saved by block skipping",
         io_savings,
+    ),
+    (
+        "faults",
+        "extension: node crashes and shard corruption",
+        faults,
     ),
 ];
 
@@ -1032,5 +1044,230 @@ fn io_savings(f: &Fixtures) {
         "\nthe oblivious scheduler must scan all {total_blocks} blocks for every\n\
          query; ElasticMap restricts the scan to blocks that (may) hold the\n\
          target — bloom false positives cost at most a handful of extra reads."
+    );
+}
+
+/// Max/avg bytes over the nodes that survived the selection.
+fn survivor_imbalance(out: &SelectionOutcome) -> f64 {
+    let survivors: Vec<f64> = out
+        .per_node_bytes
+        .iter()
+        .enumerate()
+        .filter(|(n, _)| !out.faults.crashed_nodes.contains(n))
+        .map(|(_, &b)| b as f64)
+        .collect();
+    let mean = survivors.iter().sum::<f64>() / survivors.len() as f64;
+    if mean == 0.0 {
+        return 1.0;
+    }
+    survivors.iter().cloned().fold(0.0, f64::max) / mean
+}
+
+/// Damage `count` shards of a freshly saved 2-replica store. Fate cycles
+/// deterministically: primary-copy corruption (repairable), all-replica
+/// full-copy loss (rung 2) and full loss including summaries (rung 3).
+fn damage_shards(dirs: &[PathBuf], shards: usize, count: usize, rng: &mut StdRng) {
+    let mut chosen = BTreeSet::new();
+    while chosen.len() < count.min(shards) {
+        chosen.insert(rng.gen_range(0..shards));
+    }
+    for (k, &i) in chosen.iter().enumerate() {
+        let shard = format!("shard-{i:04}.json");
+        match k % 3 {
+            // Repairable: primary copy only, replica stays healthy.
+            0 => fs::write(dirs[0].join(&shard), b"bitrot").expect("temp dir writable"),
+            // Rung 2: every full copy gone, summaries intact.
+            1 => {
+                for d in dirs {
+                    let _ = fs::remove_file(d.join(&shard));
+                }
+            }
+            // Rung 3: nothing left of this shard anywhere.
+            _ => {
+                for d in dirs {
+                    let _ = fs::remove_file(d.join(&shard));
+                    let _ = fs::remove_file(d.join(format!("summary-{i:04}.json")));
+                }
+            }
+        }
+    }
+}
+
+/// Fault injection — how gracefully each scheduler degrades as nodes crash
+/// mid-selection, and how the metadata plane degrades as ElasticMap shards
+/// are corrupted or lost. Every row averages five seeds.
+///
+/// **Crash sweep.** Random fault plans (node 0 always survives) strike the
+/// selection phase under the locality baseline, DataNet with oracle crash
+/// notification, and DataNet with the EWMA failure detector. Per rate:
+/// bytes recovered (< 100 % only when every replica of some block died or
+/// the retry budget ran out), survivor imbalance, phase end, recovery time
+/// (first crash → completion), mean crash → suspicion latency (detector
+/// rows only), re-executed tasks and wasted re-read bytes.
+///
+/// **Corruption sweep.** A fraction of the shards of a freshly persisted
+/// 2-replica store is damaged: some lose only their primary copy (scrub
+/// repairs them), some every full copy but keep summaries (rung 2), some
+/// everything (rung 3, quarantined). Selection then runs through
+/// `Exec::selection_resilient`; the rows give the degradation-ladder rung
+/// mix, the Equation 6 estimate error and the bytes recovered.
+fn faults(f: &Fixtures) {
+    const RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+    const SEEDS: u64 = 5;
+    const SHARD_BLOCKS: usize = 4;
+    let (dfs, hot, truth, array, view) = (f.dfs(), f.hot(), f.truth(), f.array(), f.view());
+    let total = dfs.subdataset_total(hot) as f64;
+    let sel = SelectionConfig::default();
+    let mean = |sums: &mut [f64]| sums.iter_mut().for_each(|s| *s /= SEEDS as f64);
+
+    // Fault horizon: crashes land inside the healthy phase.
+    let horizon = SimTime::from_micros(f.without().end.as_micros().max(1));
+
+    println!("== Fault sweep: crash rate vs recovery ({NODES} nodes, {SEEDS} seeds/rate) ==");
+    let mut t = Table::new([
+        "crash rate",
+        "sched",
+        "recovered",
+        "survivor max/avg",
+        "phase (s)",
+        "recovery (s)",
+        "detect (s)",
+        "re-exec tasks",
+        "wasted MB",
+    ]);
+    for rate in RATES {
+        for (name, detect) in [
+            ("locality", false),
+            ("datanet", false),
+            ("datanet-det", true),
+        ] {
+            // recovered, survivor max/avg, phase, recovery, re-exec, wasted MB
+            let mut sums = [0.0; 6];
+            let (mut detect_secs, mut detections) = (0.0, 0usize);
+            for seed in 0..SEEDS {
+                let plan = FaultPlan::random(NODES as usize, 0xFA01 + seed, rate, horizon);
+                let faults = if detect {
+                    FaultConfig::with_detection(plan, DetectorConfig::default())
+                } else {
+                    FaultConfig::new(plan)
+                };
+                let mut sched: Box<dyn MapScheduler> = if name == "locality" {
+                    Box::new(LocalityScheduler::new(dfs))
+                } else {
+                    Box::new(DataNetScheduler::new(dfs, view))
+                };
+                let out =
+                    Exec::default()
+                        .faults(&faults)
+                        .selection(dfs, truth, sched.as_mut(), &sel);
+                let row = [
+                    out.per_node_bytes.iter().sum::<u64>() as f64 / total,
+                    survivor_imbalance(&out),
+                    out.end.as_secs_f64(),
+                    out.faults.recovery_secs,
+                    out.faults.reexecuted_tasks as f64,
+                    out.faults.wasted_bytes_read as f64 / (1024.0 * 1024.0),
+                ];
+                sums.iter_mut().zip(row).for_each(|(s, v)| *s += v);
+                detect_secs += out.faults.detection_latency_secs.iter().sum::<f64>();
+                detections += out.faults.detection_latency_secs.len();
+            }
+            mean(&mut sums);
+            if detections > 0 {
+                detect_secs /= detections as f64;
+            }
+            let [recovered, imbalance, phase, recovery, reexecuted, wasted_mb] = sums;
+            t.row([
+                format!("{rate:.2}"),
+                name.to_string(),
+                format!("{:.1}%", recovered * 100.0),
+                format!("{imbalance:.3}"),
+                format!("{phase:.2}"),
+                format!("{recovery:.2}"),
+                format!("{detect_secs:.3}"),
+                format!("{reexecuted:.1}"),
+                format!("{wasted_mb:.1}"),
+            ]);
+        }
+    }
+    t.print();
+
+    println!("\n== Metadata corruption sweep: shard damage vs degradation ladder ==");
+    let mut t = Table::new([
+        "corrupt rate",
+        "shards",
+        "repaired",
+        "quarantined",
+        "rung1 blocks",
+        "rung2 blocks",
+        "rung3 blocks",
+        "est err",
+        "recovered",
+        "phase (s)",
+    ]);
+    for rate in RATES {
+        // repaired, quarantined, rung 1/2/3 blocks, est err, recovered, phase
+        let mut sums = [0.0; 8];
+        let mut shards = 0;
+        for seed in 0..SEEDS {
+            let dirs: Vec<PathBuf> = (0..2)
+                .map(|r| {
+                    let d = std::env::temp_dir().join(format!(
+                        "datanet-faults-{}-{rate}-{seed}-r{r}",
+                        std::process::id()
+                    ));
+                    let _ = fs::remove_dir_all(&d);
+                    d
+                })
+                .collect();
+            let replicas = [dirs[0].as_path(), dirs[1].as_path()];
+            MetaStore::save_replicated(array, &replicas, SHARD_BLOCKS).expect("store saves");
+            let mut store = MetaStore::open_replicated(&replicas, 8).expect("store opens");
+            shards = store.manifest().shard_count();
+            let mut rng = StdRng::seed_from_u64(0xC0FF + seed);
+            let damaged = (rate * shards as f64).ceil() as usize;
+            damage_shards(&dirs, shards, damaged, &mut rng);
+
+            let scrubbed = store.scrub();
+            let out = Exec::default().selection_resilient(dfs, hot, &mut store, &sel);
+            let row = [
+                scrubbed.repaired as f64,
+                scrubbed.quarantined.len() as f64,
+                out.meta.rungs.exact as f64,
+                out.meta.rungs.bloom as f64,
+                out.meta.rungs.fallback as f64,
+                out.meta.est_error,
+                out.per_node_bytes.iter().sum::<u64>() as f64 / total,
+                out.end.as_secs_f64(),
+            ];
+            sums.iter_mut().zip(row).for_each(|(s, v)| *s += v);
+            for d in &dirs {
+                let _ = fs::remove_dir_all(d);
+            }
+        }
+        mean(&mut sums);
+        let [repaired, quarantined, exact, bloom, fallback, est_error, recovered, phase] = sums;
+        t.row([
+            format!("{rate:.2}"),
+            shards.to_string(),
+            format!("{repaired:.1}"),
+            format!("{quarantined:.1}"),
+            format!("{exact:.1}"),
+            format!("{bloom:.1}"),
+            format!("{fallback:.1}"),
+            format!("{est_error:.4}"),
+            format!("{:.1}%", recovered * 100.0),
+            format!("{phase:.2}"),
+        ]);
+    }
+    t.print();
+    println!(
+        "\nDataNet re-plans lost work by ElasticMap weight: its survivor imbalance stays\n\
+         near the fault-free optimum while the locality baseline degrades with luck of\n\
+         the surviving replicas. The detector rows pay a crash→suspicion latency but\n\
+         match the oracle's recovery guarantees. Under shard damage the ladder steps\n\
+         down — repairable copies are scrubbed back to rung 1, summary-only shards\n\
+         answer on rung 2 and quarantined shards fall back to a rung-3 locality scan —\n\
+         and every byte is still credited exactly once."
     );
 }

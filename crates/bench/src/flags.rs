@@ -1,6 +1,6 @@
-//! The one command-line parser of the bench binaries (`repro`, `gate`,
-//! `faults`). Each binary declares the switches and path flags it takes;
-//! anything else is an error, so a typo cannot silently turn a gate off.
+//! The one command-line parser of the bench binaries (`repro`, `gate`).
+//! Each binary declares the switches and path flags it takes; anything
+//! else is an error, so a typo cannot silently turn a gate off.
 
 use std::path::{Path, PathBuf};
 
@@ -84,17 +84,16 @@ mod tests {
         Flags::parse(
             line.split_whitespace().map(String::from),
             &["quick"],
-            &["json", "trace"],
+            &["json"],
         )
     }
 
     #[test]
     fn declared_flags_round_trip_in_any_order() {
-        let f = parse("fig5 --trace t.json --quick --json out.json").unwrap();
+        let f = parse("--json out.json fig5 --quick").unwrap();
         assert_eq!(f.positional(), ["fig5"]);
         assert!(f.switch("quick"));
         assert_eq!(f.path_flag("json"), Some(Path::new("out.json")));
-        assert_eq!(f.path_flag("trace"), Some(Path::new("t.json")));
         let f = parse("fig5").unwrap();
         assert!(!f.switch("quick"));
         assert_eq!(f.path_flag("json"), None);

@@ -1,8 +1,8 @@
 //! Shared scaffolding for the reproduction harness: canonical experiment
 //! datasets (scaled versions of the paper's setups) and the fixtures,
-//! table printer and flag parser of its three binaries — `repro` (every
-//! paper table/figure and extension study, one section each), `gate` (the
-//! recorder-overhead gate) and `faults` (the fault-injection sweeps).
+//! table printer and flag parser of its two binaries — `repro` (every
+//! paper table/figure and extension study, the fault sweeps last, one
+//! section each) and `gate` (the recorder-overhead gate).
 //!
 //! ## Scaling
 //!

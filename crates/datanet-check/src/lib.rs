@@ -51,7 +51,7 @@
 //!
 //! Everything is deterministic: same seed → same scenario → same verdict,
 //! bit for bit. The fixed-seed corpus under `tests/corpus/` plus a fresh
-//! batch run in CI (`sim-check` job).
+//! batch run in CI (`build-and-test` job).
 
 pub mod harness;
 pub mod repro;

@@ -409,6 +409,11 @@ impl Recorder {
             if let Some(n) = note {
                 s.ctx.note = Some(n.to_string());
             }
+            // A trace-only close is done: no registry meters the span and
+            // no flight ring reads this close, so nothing needs a copy.
+            if self.metrics.is_none() && (self.flight.is_none() || s.cat != Category::Checkpoint) {
+                return;
+            }
             (s.cat, s.name.clone(), s.domain, s.start_us, s.ctx.clone())
         };
         if let Some(metrics) = &self.metrics {

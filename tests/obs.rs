@@ -118,6 +118,7 @@ fn detector_chain_latencies_match_fault_stats() {
             "trace says {trace_secs}s, FaultStats says {stat_secs}s"
         );
         assert!(trace_secs > 0.0, "EWMA detection is not instantaneous");
+        assert!(chain.replanned_us.is_some(), "no re-plan: {chain:?}");
     }
 }
 
