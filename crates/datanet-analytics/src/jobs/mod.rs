@@ -12,7 +12,7 @@ mod word_count;
 
 pub use histogram::AggregateHistogram;
 pub use moving_average::MovingAverage;
-pub use top_k::{TopKCollector, TopKSearch};
+pub use top_k::TopKSearch;
 pub use word_count::WordCount;
 
 use datanet_dfs::Record;

@@ -112,58 +112,6 @@ impl RecordJob for TopKSearch {
     }
 }
 
-/// Streaming collector for the actual top-K records (not just the
-/// histogram the MapReduce path produces): keeps the K highest-similarity
-/// `(similarity, record seed)` pairs seen so far in a min-heap.
-#[derive(Debug, Clone)]
-pub struct TopKCollector {
-    k: usize,
-    /// Min-heap over (quantised similarity, seed): the root is the weakest
-    /// member, evicted when something better arrives.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-}
-
-impl TopKCollector {
-    /// Collector for the best `k` records.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "top-k needs k >= 1");
-        Self {
-            k,
-            heap: std::collections::BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    /// Offer one record's similarity (quantised to keep ordering total).
-    pub fn offer(&mut self, similarity: f64, seed: u64) {
-        debug_assert!((0.0..=1.0).contains(&similarity));
-        let quantised = (similarity * 1e9) as u64;
-        self.heap.push(std::cmp::Reverse((quantised, seed)));
-        if self.heap.len() > self.k {
-            self.heap.pop();
-        }
-    }
-
-    /// Merge another collector (for per-partition parallel collection).
-    pub fn merge(&mut self, other: TopKCollector) {
-        for std::cmp::Reverse((q, seed)) in other.heap {
-            self.heap.push(std::cmp::Reverse((q, seed)));
-            if self.heap.len() > self.k {
-                self.heap.pop();
-            }
-        }
-    }
-
-    /// The collected records, best first, as `(similarity, seed)`.
-    pub fn into_sorted(self) -> Vec<(f64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.heap.into_iter().map(|r| r.0).collect();
-        v.sort_unstable_by(|a, b| b.cmp(a));
-        v.into_iter().map(|(q, s)| (q as f64 / 1e9, s)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,58 +247,6 @@ mod tests {
             });
         }
         assert_eq!(n, 20);
-    }
-
-    #[test]
-    fn collector_keeps_the_best_k() {
-        let mut c = TopKCollector::new(3);
-        for (i, sim) in [0.1, 0.9, 0.5, 0.95, 0.2, 0.7].iter().enumerate() {
-            c.offer(*sim, i as u64);
-        }
-        let top = c.into_sorted();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].1, 3); // 0.95
-        assert_eq!(top[1].1, 1); // 0.9
-        assert_eq!(top[2].1, 5); // 0.7
-        assert!(top[0].0 > top[1].0 && top[1].0 > top[2].0);
-    }
-
-    #[test]
-    fn collector_merge_equals_single_stream() {
-        let sims: Vec<f64> = (0..40).map(|i| (i as f64 * 0.37) % 1.0).collect();
-        let mut whole = TopKCollector::new(5);
-        for (i, &s) in sims.iter().enumerate() {
-            whole.offer(s, i as u64);
-        }
-        let mut a = TopKCollector::new(5);
-        let mut b = TopKCollector::new(5);
-        for (i, &s) in sims.iter().enumerate() {
-            if i % 2 == 0 {
-                a.offer(s, i as u64);
-            } else {
-                b.offer(s, i as u64);
-            }
-        }
-        a.merge(b);
-        assert_eq!(a.into_sorted(), whole.into_sorted());
-    }
-
-    #[test]
-    fn collector_with_the_real_job() {
-        let job = TopKSearch::default();
-        let mut c = TopKCollector::new(4);
-        for r in &records(30) {
-            c.offer(job.record_similarity(r), r.seed);
-        }
-        let top = c.into_sorted();
-        assert_eq!(top.len(), 4);
-        assert!(top.windows(2).all(|w| w[0].0 >= w[1].0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_k_rejected() {
-        TopKCollector::new(0);
     }
 
     #[test]

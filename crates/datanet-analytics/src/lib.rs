@@ -15,9 +15,7 @@ pub mod pipeline;
 pub mod profiles;
 pub mod session;
 
-pub use jobs::{
-    AggregateHistogram, MovingAverage, RecordJob, TopKCollector, TopKSearch, WordCount,
-};
+pub use jobs::{AggregateHistogram, MovingAverage, RecordJob, TopKSearch, WordCount};
 pub use pipeline::{
     histogram_pipeline, join_word_count_pipeline, moving_average_pipeline, top_k_pipeline,
     word_count_pipeline, AggJob, CrashPoint, InterruptedRun, KeyValue, MetaPlane, Pipeline,

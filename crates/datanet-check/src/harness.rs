@@ -321,10 +321,10 @@ pub fn check_scenario_instrumented(
     pipeline_oracles(&mut v, sc, &dfs, &view);
 
     // ---- checkpointed pipeline executor: crash + resume ≡ run --------
-    pipeline_exec_oracles(&mut v, sc, &dfs, &arr);
+    let plain = pipeline_exec_oracles(&mut v, sc, &dfs, &arr);
 
     // ---- distribution-aware shuffle: skew, conservation, merge -------
-    shuffle_oracles(&mut v, sc, &dfs, &view, &arr, opts);
+    shuffle_oracles(&mut v, sc, &dfs, &view, &arr, plain, opts);
 
     // ---- streaming ingest: incremental ≡ rebuild at every prefix -----
     ingest_oracles(&mut v, sc, &dfs, &sep);
@@ -771,16 +771,15 @@ fn pipeline_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, view: &Sub
     }
 }
 
-/// Checkpointed pipeline executor oracles (DESIGN.md §15): the scenario's
-/// drawn multi-stage pipeline runs end-to-end with every stage
-/// checkpointed; per-stage record accounting matches each op's contract;
-/// the durable checkpoint ledger is exactly the stage sequence with the
-/// CRCs the run reported; and a scripted mid-checkpoint crash followed by
-/// [`Pipeline::resume`] reproduces the uninterrupted run's data product
-/// and ledger bit for bit.
-fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: &ElasticMapArray) {
-    let pipe = Pipeline::new(sc.pipeline_spec());
-    let mut env = PipelineEnv {
+/// The environment the scenario's pipeline runs in, over the in-memory
+/// array, with the scenario's faults and retry seed.
+fn pipeline_env<'a>(
+    sc: &Scenario,
+    dfs: &'a Dfs,
+    arr: &'a ElasticMapArray,
+    shuffle: Option<ShuffleParams>,
+) -> PipelineEnv<'a> {
+    PipelineEnv {
         dfs,
         meta: MetaPlane::Array(arr),
         faults: sc.has_faults().then(|| sc.fault_config()),
@@ -788,8 +787,28 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
         analysis: AnalysisConfig::default(),
         retry: RetryPolicy::default(),
         retry_seed: sc.seed,
-        shuffle: None,
-    };
+        shuffle,
+    }
+}
+
+/// Checkpointed pipeline executor oracles (DESIGN.md §15): the scenario's
+/// drawn multi-stage pipeline runs end-to-end with every stage
+/// checkpointed; per-stage record accounting matches each op's contract;
+/// the durable checkpoint ledger is exactly the stage sequence with the
+/// CRCs the run reported; and a scripted mid-checkpoint crash followed by
+/// [`Pipeline::resume`] reproduces the uninterrupted run's data product
+/// and ledger bit for bit.
+///
+/// Returns the uninterrupted run's data fingerprint, or its error, for
+/// [`shuffle_oracles`] to compare the shuffle-routed run against.
+fn pipeline_exec_oracles(
+    v: &mut Vec<Violation>,
+    sc: &Scenario,
+    dfs: &Dfs,
+    arr: &ElasticMapArray,
+) -> Result<String, String> {
+    let pipe = Pipeline::new(sc.pipeline_spec());
+    let mut env = pipeline_env(sc, dfs, arr, None);
     let dirs_a = ReplicaDirs::new(2);
     let report = match pipe.run(&mut env, &dirs_a.paths(), &Recorder::off()) {
         Ok(r) => r,
@@ -798,9 +817,10 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
                 "pipeline-run",
                 format!("uninterrupted run failed: {e}"),
             ));
-            return;
+            return Err(e.to_string());
         }
     };
+    let fingerprint = report.data_fingerprint();
 
     // Record accounting per stage: filter replaces, append unions, join
     // only narrows, aggregate/output never touch the record set.
@@ -837,7 +857,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
                 "pipeline-checkpoint-monotonicity",
                 format!("ledger unreadable after a clean run: {e}"),
             ));
-            return;
+            return Ok(fingerprint);
         }
     };
     if ledger_a.len() != pipe.len()
@@ -874,7 +894,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
 
     // Scripted mid-checkpoint crash, then resume: the tentpole property.
     let Some(raw) = sc.pipeline.crash_stage else {
-        return;
+        return Ok(fingerprint);
     };
     let crash = CrashPoint {
         stage: (raw % pipe.len() as u64) as usize,
@@ -888,7 +908,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
                 "pipeline-run",
                 format!("interrupted run failed before its crash point: {e}"),
             ));
-            return;
+            return Ok(fingerprint);
         }
     };
     let rec = Recorder::new();
@@ -902,7 +922,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
                     int.applied_writes, int.plan_writes, int.crash_stage
                 ),
             ));
-            return;
+            return Ok(fingerprint);
         }
     };
     let data = rec.take();
@@ -936,7 +956,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
             ),
         ));
     }
-    if resumed.data_fingerprint() != report.data_fingerprint() {
+    if resumed.data_fingerprint() != fingerprint {
         v.push(Violation::new(
             "pipeline-resume-equivalence",
             format!(
@@ -957,6 +977,7 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
             format!("resumed ledger unreadable: {e}"),
         )),
     }
+    Ok(fingerprint)
 }
 
 /// Distribution-aware shuffle oracles (DESIGN.md §17).
@@ -975,7 +996,8 @@ fn pipeline_exec_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, arr: 
 ///   to the unrouted job for any plan and any fragment arrival order:
 ///   `run_routed` under a seeded permutation of the fragments equals
 ///   `AggJob::run`, and a full pipeline run with shuffle routing enabled
-///   reproduces the unrouted pipeline's `data_fingerprint` bit for bit.
+///   reproduces `plain`, the unrouted pipeline's `data_fingerprint` that
+///   [`pipeline_exec_oracles`] returned, bit for bit.
 ///
 /// The shuffled run is also checked under the `recorder-transparency`/
 /// `unclosed-spans` oracles.
@@ -985,6 +1007,7 @@ fn shuffle_oracles(
     dfs: &Dfs,
     view: &SubDatasetView,
     arr: &ElasticMapArray,
+    plain: Result<String, String>,
     opts: &CheckOptions,
 ) {
     let target = sc.target_id();
@@ -1127,28 +1150,20 @@ fn shuffle_oracles(
 
     // Pipeline surface: turning shuffle routing on must not change the
     // data product of the scenario's own pipeline.
-    let run_pipe = |shuffle: Option<ShuffleParams>| {
-        let pipe = Pipeline::new(sc.pipeline_spec());
-        let mut env = PipelineEnv {
-            dfs,
-            meta: MetaPlane::Array(arr),
-            faults: sc.has_faults().then(|| sc.fault_config()),
-            selection: SelectionConfig::default(),
-            analysis: AnalysisConfig::default(),
-            retry: RetryPolicy::default(),
-            retry_seed: sc.seed,
-            shuffle,
-        };
-        let dirs = ReplicaDirs::new(2);
-        pipe.run(&mut env, &dirs.paths(), &Recorder::off())
-            .map(|r| r.data_fingerprint())
-    };
-    let routed = run_pipe(Some(ShuffleParams {
+    let shuffle = ShuffleParams {
         key_ranges: ranges,
         split_factor: sf,
         aware: true,
-    }));
-    let plain = run_pipe(None);
+    };
+    let dirs = ReplicaDirs::new(2);
+    let routed = Pipeline::new(sc.pipeline_spec())
+        .run(
+            &mut pipeline_env(sc, dfs, arr, Some(shuffle)),
+            &dirs.paths(),
+            &Recorder::off(),
+        )
+        .map(|r| r.data_fingerprint())
+        .map_err(|e| e.to_string());
     match (routed, plain) {
         (Ok(a), Ok(b)) if a == b => {}
         (Ok(_), Ok(_)) => v.push(Violation::new(

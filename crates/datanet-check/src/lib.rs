@@ -44,7 +44,7 @@
 //!   across worker counts, schedule seeds and cache on/off, and the
 //!   simulated timing across cache on/off (`serve-interleaving`).
 //!
-//! On a violation, [`shrink`] reduces the failing scenario to a minimal
+//! On a violation, [`shrink()`] reduces the failing scenario to a minimal
 //! repro (fewer records, nodes, fault events, less corruption) that still
 //! trips the same oracle, and [`Repro`] serialises it to a self-contained
 //! JSON file that `datanet check --repro FILE` replays.

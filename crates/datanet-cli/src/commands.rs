@@ -1940,6 +1940,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&meta);
     }
 
+    /// `--metrics OUT.jsonl` writes the line-per-series export: a `meta`
+    /// line first, then one JSON object per series — the same series the
+    /// snapshot document of an identical run holds.
+    #[test]
+    fn metrics_jsonl_lists_the_snapshot_series() {
+        use datanet_obs::MetricsSnapshot;
+        use std::collections::BTreeSet;
+        let ds = tmp("jsonl-ds.json");
+        // The extension picks the format, so it must end the path.
+        let jsonl = format!("{}.jsonl", tmp("metrics"));
+        let json = format!("{}.json", tmp("metrics"));
+        run(&format!(
+            "gen movies --records 5000 --nodes 4 --block-kb 64 --out {ds}"
+        ))
+        .unwrap();
+        for path in [&jsonl, &json] {
+            let s = run(&format!(
+                "simulate --dataset {ds} --subdataset 0 --metrics {path}"
+            ))
+            .unwrap();
+            assert!(s.contains("wrote metrics snapshot"), "{s}");
+        }
+
+        let text = std::fs::read_to_string(&jsonl).unwrap();
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| serde_json::parse_value(l.as_bytes()).unwrap())
+            .collect();
+        let str_at = |v: &Value, k: &str| match v.get(k) {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("{k}: {other:?}"),
+        };
+        assert_eq!(str_at(&lines[0], "type"), "meta");
+        let from_lines: BTreeSet<(String, String)> = lines[1..]
+            .iter()
+            .map(|l| (str_at(l, "type"), str_at(l, "series")))
+            .collect();
+        assert_eq!(from_lines.len(), lines.len() - 1, "a series listed twice");
+
+        let snap: MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let mut from_snap = BTreeSet::new();
+        for (kind, keys) in [
+            ("counter", snap.counters.keys().collect::<Vec<_>>()),
+            ("histogram", snap.hists.keys().collect()),
+            ("gauge", snap.gauges.keys().collect()),
+        ] {
+            from_snap.extend(keys.into_iter().map(|k| (kind.to_string(), k.clone())));
+        }
+        assert!(!from_snap.is_empty());
+        assert_eq!(from_lines, from_snap);
+
+        for path in [&ds, &jsonl, &json] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
     #[test]
     fn trace_command_rejects_garbage() {
         let bogus = tmp("bogus.json");

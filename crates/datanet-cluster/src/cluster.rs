@@ -111,16 +111,6 @@ impl SimCluster {
         self.epoch
     }
 
-    /// Whether node `i` is still alive.
-    pub fn is_up(&self, i: usize) -> bool {
-        self.up[i]
-    }
-
-    /// Number of alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.up.iter().filter(|&&u| u).count()
-    }
-
     /// Transfer `bytes` from node `src` to node `dst`, ready at `ready`.
     /// Returns `(start, end)`. Local "transfers" (src == dst) are free —
     /// the engine models local disk I/O separately.
@@ -254,14 +244,11 @@ mod tests {
     #[test]
     fn down_nodes_are_tracked_and_reset_revives() {
         let mut c = tiny();
-        assert_eq!(c.alive_count(), 3);
+        assert_eq!(c.up, [true; 3]);
         c.set_down(1);
-        assert!(!c.is_up(1));
-        assert!(c.is_up(0));
-        assert_eq!(c.alive_count(), 2);
+        assert_eq!(c.up, [true, false, true]);
         c.reset();
-        assert!(c.is_up(1));
-        assert_eq!(c.alive_count(), 3);
+        assert_eq!(c.up, [true; 3]);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
     }
 
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -107,14 +102,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(9), ());
         q.push(SimTime::from_secs(4), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
         q.pop();
         assert_eq!(q.len(), 1);
     }

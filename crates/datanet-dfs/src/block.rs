@@ -7,7 +7,6 @@
 
 use crate::ids::{BlockId, SubDatasetId};
 use crate::record::Record;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A sealed block file holding records.
@@ -134,28 +133,6 @@ fn size_table(records: &[Record]) -> (u64, Vec<(SubDatasetId, u64)>) {
     (bytes, sizes)
 }
 
-/// Lightweight block descriptor (id + size), used where the record payload
-/// is not needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockMeta {
-    /// The block id.
-    pub id: BlockId,
-    /// Total payload bytes.
-    pub bytes: u64,
-    /// Number of records.
-    pub records: usize,
-}
-
-impl From<&Block> for BlockMeta {
-    fn from(b: &Block) -> Self {
-        Self {
-            id: b.id(),
-            bytes: b.bytes(),
-            records: b.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +184,5 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.bytes(), 0);
         assert!(b.subdataset_sizes().is_empty());
-    }
-
-    #[test]
-    fn meta_from_block() {
-        let m = BlockMeta::from(&block());
-        assert_eq!(m.id, BlockId(0));
-        assert_eq!(m.bytes, 175);
-        assert_eq!(m.records, 3);
     }
 }

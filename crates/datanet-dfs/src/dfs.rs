@@ -42,16 +42,6 @@ impl DfsConfig {
             seed: 0xDA7A_0001,
         }
     }
-
-    /// Scaled-down variant for laptop-scale experiments: `block_size` is
-    /// divided by `factor`, keeping the same number of blocks per dataset
-    /// when generators scale record volume by the same factor.
-    pub fn paper_scaled(nodes: u32, factor: u64) -> Self {
-        assert!(factor > 0, "scale factor must be positive");
-        let mut c = Self::paper(nodes);
-        c.block_size = (c.block_size / factor).max(1);
-        c
-    }
 }
 
 /// The write-time range profile at one resolution: every block's bytes
@@ -380,8 +370,6 @@ mod tests {
         assert_eq!(c.block_size, 64 * 1024 * 1024);
         assert_eq!(c.replication, 3);
         assert_eq!(c.topology.len(), 128);
-        let s = DfsConfig::paper_scaled(32, 64);
-        assert_eq!(s.block_size, 1024 * 1024);
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod placement;
 pub mod record;
 pub mod topology;
 
-pub use block::{Block, BlockMeta};
+pub use block::Block;
 pub use dfs::{Dfs, DfsConfig, RangeProfile};
 pub use ids::{BlockId, NodeId, SubDatasetId};
 pub use namenode::NameNode;

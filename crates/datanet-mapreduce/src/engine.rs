@@ -56,10 +56,6 @@ pub struct SelectionConfig {
     /// records are parsed, sorted and spilled to the local partition
     /// (Hadoop's map-side sort/spill), so hot blocks cost real extra time.
     pub filtered_cost_factor: f64,
-    /// Concurrent map slots per node. Marmot's nodes are dual-core, so the
-    /// Hadoop default of one slot per core gives 2; the per-slot disk and
-    /// CPU rates in [`NodeSpec`] are per-slot shares.
-    pub slots_per_node: u32,
     /// Fixed per-map-task overhead (startup + commit).
     pub task_overhead: SimTime,
 }
@@ -70,7 +66,6 @@ impl Default for SelectionConfig {
             spec: NodeSpec::marmot(),
             scan_factor: 1.0,
             filtered_cost_factor: 1.0,
-            slots_per_node: 1,
             task_overhead: DEFAULT_TASK_OVERHEAD,
         }
     }
@@ -240,11 +235,10 @@ fn map_task_duration(
     dur
 }
 
-/// Closed-form makespan of executing an already-planned assignment with one
-/// map slot per node: each node runs its planned blocks back to back at the
-/// engine's exact per-task cost, so the result equals
-/// [`run_selection`] driven by a `PlannedScheduler` with
-/// `slots_per_node = 1` — without paying for the event queue. The serving
+/// Closed-form makespan of executing an already-planned assignment: each
+/// node runs its planned blocks back to back in its one map slot at the
+/// engine's exact per-task cost, so the result equals [`run_selection`]
+/// driven by a `PlannedScheduler` — without paying for the event queue. The serving
 /// plane (`datanet-serve`) prices every admitted query's execution with
 /// this, which keeps per-query cost a pure function of the plan: worker
 /// interleaving can reorder queries but never change what one costs.
@@ -381,7 +375,6 @@ impl<'a> Exec<'a> {
             "ground-truth vector must cover every block"
         );
         cfg.spec.validate();
-        assert!(cfg.slots_per_node > 0, "need at least one slot per node");
         let m = dfs.config().topology.len();
         let plan = self.faults.map(|f| &f.plan);
         let detection = self.faults.and_then(|f| f.detection);
@@ -432,12 +425,10 @@ impl<'a> Exec<'a> {
         for (t, node) in notifications {
             events.push(t, SlotEvent::Crash(NodeId(node as u32)));
         }
-        // All slots free at t=0 (slots_per_node tokens per node). FIFO
-        // tie-break keeps node order deterministic.
-        for _ in 0..cfg.slots_per_node {
-            for n in 0..m {
-                events.push(SimTime::ZERO, SlotEvent::Free(NodeId(n as u32)));
-            }
+        // Every node's one map slot is free at t=0. FIFO tie-break keeps
+        // node order deterministic.
+        for n in 0..m {
+            events.push(SimTime::ZERO, SlotEvent::Free(NodeId(n as u32)));
         }
 
         while let Some((now, event)) = events.pop() {
@@ -1272,32 +1263,6 @@ mod tests {
             &AnalysisConfig::default(),
             &plan,
             None,
-        );
-    }
-
-    #[test]
-    fn two_slots_roughly_halve_the_selection_phase() {
-        let dfs = clustered_dfs(8);
-        let truth = dfs.subdataset_distribution(SubDatasetId(0));
-        let run = |slots: u32| {
-            let mut sched = LocalityScheduler::new(&dfs);
-            let cfg = SelectionConfig {
-                slots_per_node: slots,
-                ..Default::default()
-            };
-            run_selection(&dfs, &truth, &mut sched, &cfg)
-        };
-        let one = run(1);
-        let two = run(2);
-        // Same data is filtered either way.
-        assert_eq!(
-            one.per_node_bytes.iter().sum::<u64>(),
-            two.per_node_bytes.iter().sum::<u64>()
-        );
-        let ratio = two.end.as_secs_f64() / one.end.as_secs_f64();
-        assert!(
-            (0.4..0.75).contains(&ratio),
-            "2 slots should roughly halve the phase, got ratio {ratio}"
         );
     }
 

@@ -52,11 +52,6 @@ impl FaultStats {
     pub fn any(&self) -> bool {
         !self.crashed_nodes.is_empty()
     }
-
-    /// Blocks that could not be (re)processed, for any reason.
-    pub fn lost_block_count(&self) -> usize {
-        self.unrecoverable_blocks.len() + self.abandoned_blocks.len()
-    }
 }
 
 /// Result of the selection (filter) phase.
@@ -159,11 +154,6 @@ impl JobReport {
     /// min/avg/max of shuffle times — Figure 7.
     pub fn shuffle_summary(&self) -> Summary {
         Summary::of(&self.shuffle_secs)
-    }
-
-    /// min/avg/max of reduce times.
-    pub fn reduce_summary(&self) -> Summary {
-        Summary::of(&self.reduce_secs)
     }
 
     /// min/avg/max of per-node CPU utilisation.
@@ -369,7 +359,6 @@ mod tests {
     fn fault_stats_default_is_fault_free() {
         let f = FaultStats::default();
         assert!(!f.any());
-        assert_eq!(f.lost_block_count(), 0);
         assert_eq!(f.recovery_secs, 0.0);
         let with = FaultStats {
             crashed_nodes: vec![3],
@@ -378,6 +367,5 @@ mod tests {
             ..FaultStats::default()
         };
         assert!(with.any());
-        assert_eq!(with.lost_block_count(), 3);
     }
 }

@@ -123,11 +123,6 @@ impl FlightRing {
         self.events.is_empty()
     }
 
-    /// Total events ever pushed (held + evicted).
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
     /// The held events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
         self.events.iter()
@@ -200,12 +195,12 @@ mod tests {
             ring.push(ev(&format!("e{i}")));
         }
         assert_eq!(ring.len(), 4);
-        assert_eq!(ring.total_recorded(), 10);
         let seqs: Vec<u64> = ring.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
         let details: Vec<&str> = ring.events().map(|e| e.detail.as_str()).collect();
         assert_eq!(details, vec!["e6", "e7", "e8", "e9"]);
         let dump = ring.dump();
+        assert_eq!(dump.recorded, 10);
         assert_eq!(dump.dropped, 6);
         assert_eq!(dump.events.len(), 4);
     }

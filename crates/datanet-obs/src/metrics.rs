@@ -1159,23 +1159,6 @@ impl HistSummary {
     }
 }
 
-/// Quantile bound from sparse `(lower_bound, count)` buckets — used when
-/// recomputing percentiles of a diffed histogram.
-fn quantile_from_sparse(sparse: &[(u64, u64)], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-    let mut seen = 0;
-    for &(bound, count) in sparse {
-        seen += count;
-        if seen >= target {
-            return bound;
-        }
-    }
-    sparse.last().map_or(0, |&(b, _)| b)
-}
-
 /// Immutable, canonical (sorted-key) view of the registry at one moment.
 ///
 /// Two snapshots of deterministic runs with the same seed compare equal
@@ -1196,119 +1179,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Per-window gauge values (sim clock only).
     pub win_gauges: BTreeMap<String, Vec<(u64, f64)>>,
-}
-
-impl MetricsSnapshot {
-    /// What changed since `earlier`: counter increases, windows and
-    /// histogram samples not present then. Gauges keep their latest
-    /// value. `earlier` must be a snapshot of the *same* registry taken
-    /// earlier; series that shrank are treated as new (registries never
-    /// shrink in practice).
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .filter_map(|(k, &v)| {
-                let delta = v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0));
-                (delta > 0).then(|| (k.clone(), delta))
-            })
-            .collect();
-        let windowed = self
-            .windowed
-            .iter()
-            .filter_map(|(k, ws)| {
-                let old: BTreeMap<u64, u64> = earlier
-                    .windowed
-                    .get(k)
-                    .map(|v| v.iter().copied().collect())
-                    .unwrap_or_default();
-                let fresh: Vec<(u64, u64)> = ws
-                    .iter()
-                    .filter_map(|&(w, v)| {
-                        let delta = v.saturating_sub(old.get(&w).copied().unwrap_or(0));
-                        (delta > 0).then_some((w, delta))
-                    })
-                    .collect();
-                (!fresh.is_empty()).then(|| (k.clone(), fresh))
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .filter_map(|(k, h)| {
-                let old = earlier.hists.get(k);
-                let old_count = old.map_or(0, |o| o.count);
-                if h.count <= old_count {
-                    return None;
-                }
-                let old_sparse: BTreeMap<u64, u64> = old
-                    .map(|o| o.sparse.iter().copied().collect())
-                    .unwrap_or_default();
-                let sparse: Vec<(u64, u64)> = h
-                    .sparse
-                    .iter()
-                    .filter_map(|&(b, c)| {
-                        let delta = c.saturating_sub(old_sparse.get(&b).copied().unwrap_or(0));
-                        (delta > 0).then_some((b, delta))
-                    })
-                    .collect();
-                let count = h.count - old_count;
-                Some((
-                    k.clone(),
-                    HistSummary {
-                        count,
-                        sum: h.sum.saturating_sub(old.map_or(0, |o| o.sum)),
-                        p50: quantile_from_sparse(&sparse, count, 0.50),
-                        p95: quantile_from_sparse(&sparse, count, 0.95),
-                        p99: quantile_from_sparse(&sparse, count, 0.99),
-                        sparse,
-                    },
-                ))
-            })
-            .collect();
-        MetricsSnapshot {
-            window_us: self.window_us,
-            counters,
-            windowed,
-            hists,
-            win_hists: self
-                .win_hists
-                .iter()
-                .filter_map(|(k, ws)| {
-                    let old: BTreeMap<u64, u64> = earlier
-                        .win_hists
-                        .get(k)
-                        .map(|v| v.iter().map(|(w, h)| (*w, h.count)).collect())
-                        .unwrap_or_default();
-                    let fresh: Vec<(u64, HistSummary)> = ws
-                        .iter()
-                        .filter(|(w, h)| old.get(w).copied().unwrap_or(0) < h.count)
-                        .cloned()
-                        .collect();
-                    (!fresh.is_empty()).then(|| (k.clone(), fresh))
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            win_gauges: self.win_gauges.clone(),
-        }
-    }
-
-    /// Per-window rate (events per simulated second) of a windowed
-    /// counter series.
-    pub fn rate(&self, key: &str) -> Vec<(u64, f64)> {
-        let secs = self.window_us as f64 / 1e6;
-        self.windowed
-            .get(key)
-            .map(|ws| ws.iter().map(|&(w, v)| (w, v as f64 / secs)).collect())
-            .unwrap_or_default()
-    }
-
-    /// All series keys whose base name matches `name`.
-    pub fn series_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a String> {
-        self.counters
-            .keys()
-            .filter(move |k| split_series(k).0 == name)
-    }
 }
 
 /// One structured alert from the EWMA anomaly flagger.
@@ -1400,7 +1270,6 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.counters["tasks"], 7);
         assert_eq!(snap.windowed["tasks"], vec![(0, 3), (1_000, 4)]);
-        assert_eq!(snap.rate("tasks"), vec![(0, 3_000.0), (1_000, 4_000.0)]);
     }
 
     #[test]
@@ -1430,30 +1299,6 @@ mod tests {
         assert!(h.p99 >= 1_000, "p99 {} should reach the outlier", h.p99);
         assert_eq!(snap.win_hists["lat"][0].0, 0);
         assert_eq!(snap.win_hists["lat"][0].1.count, 5);
-    }
-
-    #[test]
-    fn diff_isolates_new_activity() {
-        let mut m = MetricsData::new(1_000);
-        m.add_at("tasks", 100, 5);
-        m.observe_at("lat", 100, 10);
-        let before = m.snapshot();
-        m.add_at("tasks", 1_500, 3);
-        m.observe_at("lat", 1_500, 640);
-        let after = m.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.counters["tasks"], 3);
-        assert_eq!(d.windowed["tasks"], vec![(1_000, 3)]);
-        assert_eq!(d.hists["lat"].count, 1);
-        assert!(
-            d.hists["lat"].p50 >= 100,
-            "diffed p50 sees only the new sample"
-        );
-        // No change ⇒ empty diff.
-        let d2 = after.diff(&after);
-        assert!(d2.counters.is_empty());
-        assert!(d2.windowed.is_empty());
-        assert!(d2.hists.is_empty());
     }
 
     #[test]

@@ -271,11 +271,6 @@ impl Recorder {
         self.flight.is_some()
     }
 
-    /// The attached query scope, if any.
-    pub fn query_ctx(&self) -> Option<&QueryCtx> {
-        self.query.as_deref()
-    }
-
     /// Wall-clock microseconds since this recorder was created — the
     /// timestamp to pass for [`Domain::Wall`] events.
     pub fn wall_us(&self) -> u64 {

@@ -58,11 +58,6 @@ impl CrashChain {
     pub fn detection_secs(&self) -> Option<f64> {
         self.suspected_us.map(|s| (s - self.crash_us) as f64 / 1e6)
     }
-
-    /// Crash → re-plan latency in simulated seconds.
-    pub fn replan_secs(&self) -> Option<f64> {
-        self.replanned_us.map(|r| (r - self.crash_us) as f64 / 1e6)
-    }
 }
 
 /// Condensed per-run observability summary, attached to reports as
@@ -256,7 +251,6 @@ mod tests {
         assert_eq!(chains[0].suspected_us, Some(1500));
         assert_eq!(chains[0].replanned_us, Some(1600));
         assert!((chains[0].detection_secs().unwrap() - 0.0005).abs() < 1e-12);
-        assert!((chains[0].replan_secs().unwrap() - 0.0006).abs() < 1e-12);
         assert_eq!(chains[1].node, 7);
         assert_eq!(chains[1].suspected_us, None);
         assert_eq!(chains[1].replanned_us, None);

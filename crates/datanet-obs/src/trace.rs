@@ -1,4 +1,4 @@
-//! Recorded event storage and the Chrome-trace / JSONL exporters.
+//! Recorded event storage and the Chrome-trace exporter.
 
 use crate::hist::FibHistogram;
 use crate::recorder::{Category, Domain, SpanCtx};
@@ -287,75 +287,6 @@ impl TraceData {
         ]);
         serde_json::to_string(&doc).expect("chrome trace serialization is infallible")
     }
-
-    /// Serialize to a JSONL event log: one JSON object per line, spans
-    /// then instants then gauges, followed by one `counters` line and one
-    /// line per histogram.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let mut push = |v: &Value| {
-            out.push_str(&serde_json::to_string(v).expect("jsonl serialization is infallible"));
-            out.push('\n');
-        };
-        for s in &self.spans {
-            let mut entries = vec![
-                ("type", Value::Str("span".into())),
-                ("cat", Value::Str(s.cat.as_str().into())),
-                ("name", Value::Str(s.name.clone())),
-                ("clock", Value::Str(s.domain.as_str().into())),
-                ("start_us", Value::U64(s.start_us)),
-            ];
-            match s.end_us {
-                Some(e) => entries.push(("end_us", Value::U64(e))),
-                None => entries.push(("end_us", Value::Null)),
-            }
-            entries.push(("args", args_value(&s.ctx)));
-            push(&obj(entries));
-        }
-        for i in &self.instants {
-            push(&obj(vec![
-                ("type", Value::Str("instant".into())),
-                ("cat", Value::Str(i.cat.as_str().into())),
-                ("name", Value::Str(i.name.clone())),
-                ("clock", Value::Str(i.domain.as_str().into())),
-                ("at_us", Value::U64(i.at_us)),
-                ("args", args_value(&i.ctx)),
-            ]));
-        }
-        for g in &self.gauges {
-            push(&obj(vec![
-                ("type", Value::Str("gauge".into())),
-                ("name", Value::Str(g.name.clone())),
-                ("clock", Value::Str(g.domain.as_str().into())),
-                ("at_us", Value::U64(g.at_us)),
-                ("value", Value::F64(g.value)),
-            ]));
-        }
-        if !self.counters.is_empty() {
-            push(&obj(vec![
-                ("type", Value::Str("counters".into())),
-                ("values", self.counters.to_value()),
-            ]));
-        }
-        for (name, h) in &self.hists {
-            push(&obj(vec![
-                ("type", Value::Str("histogram".into())),
-                ("name", Value::Str(name.clone())),
-                ("total", Value::U64(h.total())),
-                ("mean", Value::F64(h.mean())),
-                (
-                    "sparse",
-                    Value::Array(
-                        h.sparse()
-                            .into_iter()
-                            .map(|(b, c)| Value::Array(vec![Value::U64(b), Value::U64(c)]))
-                            .collect(),
-                    ),
-                ),
-            ]));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -447,18 +378,6 @@ mod tests {
             v.get("otherData").unwrap().get("unclosed_spans"),
             Some(&Value::U64(1))
         );
-    }
-
-    #[test]
-    fn jsonl_lines_each_parse() {
-        let t = sample_trace();
-        let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        // 2 spans + 1 instant + 1 gauge + 1 counters + 1 histogram.
-        assert_eq!(lines.len(), 6);
-        for line in lines {
-            serde_json::parse_value(line.as_bytes()).unwrap();
-        }
     }
 
     #[test]

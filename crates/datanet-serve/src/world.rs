@@ -154,8 +154,8 @@ impl World {
     }
 
     /// Fresh plans for `subs` at the current epoch: the views resolved in
-    /// one batched array walk, each planned ([`World::plan_view`]) and then
-    /// patched for dead nodes ([`World::patch_dead`]). This **is** the
+    /// one batched array walk, each planned (`World::plan_view`) and then
+    /// patched for dead nodes (`World::patch_dead`). This **is** the
     /// definition of "the plan at this epoch" — the serve oracles call it to
     /// recompute what the cache should have served, and the server builds
     /// every plan it serves from the same two pieces.

@@ -128,15 +128,6 @@ impl Summary {
             Some(self.max / self.min)
         }
     }
-
-    /// Coefficient of variation (std dev / mean); `None` for zero mean.
-    pub fn cv(&self) -> Option<f64> {
-        if self.count == 0 || self.mean == 0.0 {
-            None
-        } else {
-            Some(self.std_dev() / self.mean)
-        }
-    }
 }
 
 /// Gini coefficient of a non-negative sample — 0 for perfect equality,
@@ -205,7 +196,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert!(s.spread_ratio().is_none());
-        assert!(s.cv().is_none());
     }
 
     #[test]

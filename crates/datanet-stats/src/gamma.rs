@@ -53,14 +53,6 @@ impl GammaDist {
         self.shape * self.scale * self.scale
     }
 
-    /// Distribution of the sum of `n` iid copies of this variable:
-    /// `Γ(nk, θ)`. This is exactly the paper's step from per-block `X` to
-    /// per-node `Z` when a node processes `n` blocks.
-    pub fn sum_of(&self, n: usize) -> Self {
-        assert!(n > 0, "sum over zero variables is degenerate");
-        Self::new(self.shape * n as f64, self.scale)
-    }
-
     /// Probability density function (Equation 2 of the paper).
     pub fn pdf(&self, x: f64) -> f64 {
         if x < 0.0 {
@@ -88,20 +80,10 @@ impl GammaDist {
         reg_lower_gamma(self.shape, x / self.scale)
     }
 
-    /// Survival function `P(X > x)` (Equation 4).
-    pub fn sf(&self, x: f64) -> f64 {
-        1.0 - self.cdf(x)
-    }
-
     /// Draw one sample using Marsaglia–Tsang (2000). For `k < 1` the usual
     /// boosting identity `Γ(k) = Γ(k+1) · U^{1/k}` is applied.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         self.scale * sample_standard(self.shape, rng)
-    }
-
-    /// Draw `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
     }
 }
 
@@ -158,21 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn sum_adds_shape() {
-        let g = GammaDist::new(1.2, 7.0);
-        let s = g.sum_of(16);
-        assert!((s.shape() - 19.2).abs() < 1e-12);
-        assert!((s.scale() - 7.0).abs() < 1e-12);
-        assert!((s.mean() - 16.0 * g.mean()).abs() < 1e-9);
-    }
-
-    #[test]
     fn cdf_limits() {
         let g = GammaDist::new(1.2, 7.0);
         assert_eq!(g.cdf(-1.0), 0.0);
         assert_eq!(g.cdf(0.0), 0.0);
         assert!(g.cdf(1e6) > 1.0 - 1e-12);
-        assert!((g.cdf(5.0) + g.sf(5.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -207,7 +179,7 @@ mod tests {
         let g = GammaDist::new(1.2, 7.0);
         let mut rng = StdRng::seed_from_u64(42);
         let n = 200_000;
-        let samples = g.sample_n(&mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| g.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(
@@ -229,7 +201,7 @@ mod tests {
         let g = GammaDist::new(0.4, 1.0);
         let mut rng = StdRng::seed_from_u64(7);
         let n = 100_000;
-        let mean = g.sample_n(&mut rng, n).iter().sum::<f64>() / n as f64;
+        let mean = (0..n).map(|_| g.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 0.4).abs() < 0.02, "sample mean {mean} vs 0.4");
     }
 
@@ -240,7 +212,7 @@ mod tests {
         let g = GammaDist::new(1.2, 7.0);
         let mut rng = StdRng::seed_from_u64(11);
         let n = 100_000;
-        let mut samples = g.sample_n(&mut rng, n);
+        let mut samples: Vec<f64> = (0..n).map(|_| g.sample(&mut rng)).collect();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for &q in &[2.0, 5.0, 10.0, 20.0, 40.0] {
             let emp = samples.partition_point(|&s| s <= q) as f64 / n as f64;

@@ -18,7 +18,6 @@ use rand::Rng;
 pub struct Zipf {
     /// Cumulative probabilities, `cdf[r-1] = P(rank ≤ r)`.
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -47,32 +46,7 @@ impl Zipf {
         }
         // Guard against rounding: the last entry must be exactly 1.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Self { cdf, exponent: s }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false (n ≥ 1 by construction); provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// Probability mass of rank `r` (1-based).
-    pub fn pmf(&self, r: usize) -> f64 {
-        assert!((1..=self.len()).contains(&r), "rank {r} out of range");
-        if r == 1 {
-            self.cdf[0]
-        } else {
-            self.cdf[r - 1] - self.cdf[r - 2]
-        }
+        Self { cdf }
     }
 
     /// Draw a rank in `1..=n`.
@@ -90,10 +64,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Probability mass of rank `r` (1-based), read off the sampler's table.
+    fn mass(z: &Zipf, r: usize) -> f64 {
+        if r == 1 {
+            z.cdf[0]
+        } else {
+            z.cdf[r - 1] - z.cdf[r - 2]
+        }
+    }
+
     #[test]
     fn pmf_sums_to_one() {
         let z = Zipf::new(100, 1.1);
-        let total: f64 = (1..=100).map(|r| z.pmf(r)).sum();
+        let total: f64 = (1..=100).map(|r| mass(&z, r)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -101,7 +84,7 @@ mod tests {
     fn pmf_is_decreasing() {
         let z = Zipf::new(50, 0.8);
         for r in 1..50 {
-            assert!(z.pmf(r) >= z.pmf(r + 1));
+            assert!(mass(&z, r) >= mass(&z, r + 1));
         }
     }
 
@@ -109,7 +92,7 @@ mod tests {
     fn uniform_when_exponent_zero() {
         let z = Zipf::new(10, 0.0);
         for r in 1..=10 {
-            assert!((z.pmf(r) - 0.1).abs() < 1e-12);
+            assert!((mass(&z, r) - 0.1).abs() < 1e-12);
         }
     }
 
@@ -125,9 +108,9 @@ mod tests {
         }
         // Rank 1 should be sampled far more than rank 100.
         assert!(counts[0] > 10 * counts[99].max(1));
-        // Empirical frequency of rank 1 close to pmf(1).
+        // Empirical frequency of rank 1 close to its mass.
         let emp = counts[0] as f64 / 100_000.0;
-        assert!((emp - z.pmf(1)).abs() < 0.01, "{emp} vs {}", z.pmf(1));
+        assert!((emp - mass(&z, 1)).abs() < 0.01, "{emp} vs {}", mass(&z, 1));
     }
 
     #[test]

@@ -158,7 +158,10 @@ mod tests {
         // A 30-minute gap splits sessions; within-session think time ~45 s,
         // so reconstructed sessions should outnumber 1 and each should hold
         // a handful of clicks.
-        let sessions = crate::clickstream_sessions_for_test(&user_clicks, 1800);
+        let gaps = user_clicks.windows(2);
+        let sessions = 1 + gaps
+            .filter(|w| w[1].timestamp - w[0].timestamp > 1800)
+            .count();
         assert!(sessions > 3, "got {sessions} sessions");
         let clicks_per_session = user_clicks.len() as f64 / sessions as f64;
         assert!(

@@ -24,17 +24,3 @@ pub use clickstream::ClickstreamConfig;
 pub use github::{EventType, GithubConfig};
 pub use movies::{MovieCatalog, MoviesConfig};
 pub use worldcup::WorldCupConfig;
-
-/// Session counter used by clickstream tests (kept here to avoid a cyclic
-/// dev-dependency on `datanet-analytics`, which owns the real
-/// sessionization).
-#[doc(hidden)]
-pub fn clickstream_sessions_for_test(records: &[datanet_dfs::Record], gap_secs: u64) -> usize {
-    if records.is_empty() {
-        return 0;
-    }
-    1 + records
-        .windows(2)
-        .filter(|w| w[1].timestamp - w[0].timestamp > gap_secs)
-        .count()
-}

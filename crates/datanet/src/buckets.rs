@@ -58,20 +58,6 @@ impl Buckets {
         Self { bounds }
     }
 
-    /// Explicit bounds. `bounds` must start at 0 and increase strictly.
-    ///
-    /// # Panics
-    /// Panics on empty, non-zero-leading or non-increasing bounds.
-    pub fn explicit(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "bounds must be non-empty");
-        assert_eq!(bounds[0], 0, "first bound must be 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must increase strictly"
-        );
-        Self { bounds }
-    }
-
     /// Number of buckets (including the unbounded top one).
     pub fn len(&self) -> usize {
         self.bounds.len()
@@ -144,7 +130,9 @@ mod tests {
 
     #[test]
     fn bucket_of_boundaries() {
-        let b = Buckets::explicit(vec![0, 10, 20, 50]);
+        let b = Buckets {
+            bounds: vec![0, 10, 20, 50],
+        };
         assert_eq!(b.bucket_of(0), 0);
         assert_eq!(b.bucket_of(9), 0);
         assert_eq!(b.bucket_of(10), 1);
@@ -167,7 +155,9 @@ mod tests {
 
     #[test]
     fn threshold_selects_top_buckets() {
-        let b = Buckets::explicit(vec![0, 10, 100, 1000]);
+        let b = Buckets {
+            bounds: vec![0, 10, 100, 1000],
+        };
         // 3 small (size 5), 2 medium (50), 1 large (5000).
         let c = counts(&b, &[5, 5, 5, 50, 50, 5000]);
         assert_eq!(c, [3, 2, 0, 1]);
@@ -259,17 +249,5 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.bucket_of(u64::MAX - 1), 0);
         assert_eq!(b.bucket_of(u64::MAX), 1);
-    }
-
-    #[test]
-    #[should_panic]
-    fn explicit_rejects_nonzero_start() {
-        Buckets::explicit(vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn explicit_rejects_decreasing() {
-        Buckets::explicit(vec![0, 5, 5]);
     }
 }

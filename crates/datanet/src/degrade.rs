@@ -188,26 +188,6 @@ impl MetaHealth {
             || self.failovers > 0
             || self.rungs.any_degraded()
     }
-
-    /// Fold another accounting (e.g. a store's counters) into this one.
-    /// Rung counts and estimator error are taken from `other` when it has
-    /// any (the store knows reads; the engine knows scheduling).
-    pub fn absorb(&mut self, other: &MetaHealth) {
-        self.shards_scrubbed += other.shards_scrubbed;
-        self.shards_repaired += other.shards_repaired;
-        self.shards_quarantined += other.shards_quarantined;
-        self.summaries_repaired += other.summaries_repaired;
-        self.checksum_failures += other.checksum_failures;
-        self.io_failures += other.io_failures;
-        self.retries += other.retries;
-        self.failovers += other.failovers;
-        if other.rungs.total() > 0 {
-            self.rungs = other.rungs;
-        }
-        if other.est_error != 0.0 {
-            self.est_error = other.est_error;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,30 +229,6 @@ mod tests {
         assert_eq!((c.exact, c.bloom, c.fallback), (2, 2, 2));
         assert_eq!(c.total(), 6);
         assert!(c.any_degraded());
-    }
-
-    #[test]
-    fn health_accounting_absorbs() {
-        let mut a = MetaHealth::default();
-        assert!(!a.any());
-        let b = MetaHealth {
-            shards_repaired: 2,
-            failovers: 1,
-            rungs: RungCounts {
-                exact: 3,
-                bloom: 1,
-                fallback: 0,
-            },
-            ..MetaHealth::default()
-        };
-        a.absorb(&b);
-        assert!(a.any());
-        assert_eq!(a.shards_repaired, 2);
-        assert_eq!(a.rungs.bloom, 1);
-        // Absorbing an empty accounting changes nothing.
-        let before = a.clone();
-        a.absorb(&MetaHealth::default());
-        assert_eq!(a, before);
     }
 
     #[test]

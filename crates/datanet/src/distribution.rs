@@ -121,33 +121,6 @@ impl SubDatasetView {
         let est = self.estimated_total() as f64;
         Some(1.0 - (est - actual as f64).abs() / actual as f64)
     }
-
-    /// Blocks that can be *skipped* entirely for this sub-dataset — the I/O
-    /// saving the paper notes ("we don't need to process blocks that don't
-    /// contain our target data"). Given the total block count, returns how
-    /// many blocks the view excludes.
-    pub fn skippable_blocks(&self, total_blocks: usize) -> usize {
-        total_blocks - self.block_count()
-    }
-
-    /// Measured bloom false-positive rate of this view against ground truth
-    /// (`truth[b] = |s ∩ b|` for every block): the fraction of blocks that
-    /// do **not** contain the sub-dataset yet appear in the view's τ₂ list.
-    /// Every truth-0 block was a bloom probe, so this is the empirical
-    /// counterpart of the design rate
-    /// ([`crate::elasticmap::BLOOM_EPSILON`]). `None` when no block is a
-    /// true negative (nothing to measure).
-    ///
-    /// # Panics
-    /// Panics if a τ₂ block index is outside `truth`.
-    pub fn measured_bloom_fpr(&self, truth: &[u64]) -> Option<f64> {
-        let negatives = truth.iter().filter(|&&t| t == 0).count();
-        if negatives == 0 {
-            return None;
-        }
-        let false_positives = self.bloom.iter().filter(|b| truth[b.index()] == 0).count();
-        Some(false_positives as f64 / negatives as f64)
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +172,6 @@ mod tests {
         assert_eq!(v.block_count(), 5);
         assert_eq!(v.blocks().count(), 5);
         assert!(!v.is_empty());
-        assert_eq!(v.skippable_blocks(10), 5);
     }
 
     #[test]
@@ -208,6 +180,5 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.estimated_total(), 0);
         assert_eq!(v.delta(), 0);
-        assert_eq!(v.skippable_blocks(4), 4);
     }
 }

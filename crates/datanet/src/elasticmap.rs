@@ -115,7 +115,7 @@ impl ElasticMap {
     /// O(distinct) — bucket counts, an O(#buckets) threshold walk and one
     /// pass that splits the table, whose id order the exact side inherits.
     ///
-    /// Buckets follow [`mean_record_buckets`].
+    /// Buckets follow `mean_record_buckets`.
     pub fn build(block: &Block, policy: &Separation) -> Self {
         let buckets = mean_record_buckets(block.bytes(), block.len());
         Self::from_size_table(block.id(), block.subdataset_sizes(), policy, buckets)
@@ -270,7 +270,7 @@ impl ElasticMap {
         self.bloom_min_bytes
     }
 
-    /// Per-block `δ` bound ([`delta_bound`]).
+    /// Per-block `δ` bound (`delta_bound`).
     pub fn bloom_delta_hint(&self) -> u64 {
         delta_bound(self.bloom_min_bytes, self.threshold)
     }

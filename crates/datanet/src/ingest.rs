@@ -66,7 +66,7 @@ pub struct IngestConfig {
 
 impl IngestConfig {
     /// Defaults mirroring the batch path: α = 0.3 separation, compaction
-    /// every [`SHARD_BLOCKS`] arrivals, one shard per compaction batch.
+    /// every `SHARD_BLOCKS` arrivals, one shard per compaction batch.
     pub fn new(policy: Separation) -> Self {
         Self {
             policy,

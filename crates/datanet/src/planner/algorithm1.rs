@@ -198,11 +198,6 @@ impl Algorithm1 {
         self.targets.iter().sum::<f64>() / self.targets.len() as f64
     }
 
-    /// Node `i`'s workload target.
-    pub fn target_of(&self, node: NodeId) -> f64 {
-        self.targets[node.index()]
-    }
-
     /// Current `W_i` values.
     pub fn workloads(&self) -> &[u64] {
         &self.workloads
@@ -562,9 +557,9 @@ mod tests {
             crate::planner::BalancePolicy::PacedGreedy,
             &caps,
         );
-        let sum: f64 = (0..8).map(|i| alg.target_of(NodeId(i))).sum();
+        let sum: f64 = alg.targets.iter().sum();
         assert!((sum - view.estimated_total() as f64).abs() < 1e-6);
-        assert!(alg.target_of(NodeId(1)) > alg.target_of(NodeId(3)));
+        assert!(alg.targets[1] > alg.targets[3]);
     }
 
     #[test]
@@ -596,7 +591,7 @@ mod tests {
         assert!(!alg.is_alive(NodeId(2)));
         assert_eq!(alg.remaining(), before_remaining + 4);
         assert_eq!(alg.workloads()[2], 0, "dead node's credit is forgotten");
-        assert!((alg.target_of(NodeId(2))).abs() < 1e-12);
+        assert!(alg.targets[2].abs() < 1e-12);
         // Survivors drain everything, including the requeued blocks.
         let mut assigned = std::collections::HashSet::new();
         let mut i = 0u32;

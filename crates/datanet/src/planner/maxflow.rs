@@ -45,8 +45,8 @@ impl MaxFlow {
     }
 
     /// Add a directed edge `from → to` with capacity `cap` (plus the zero
-    /// capacity reverse edge). Returns `(from, index)` for flow queries.
-    pub(crate) fn add_edge(&mut self, from: usize, to: usize, cap: u64) -> (usize, usize) {
+    /// capacity reverse edge).
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize, cap: u64) {
         assert!(from != to, "self-loops are not allowed");
         let fwd = self.graph[from].len();
         let rev = self.graph[to].len();
@@ -56,13 +56,6 @@ impl MaxFlow {
             cap: 0,
             rev: fwd,
         });
-        (from, fwd)
-    }
-
-    /// Flow pushed through the edge handle (equals the reverse residual).
-    pub(crate) fn flow(&self, handle: (usize, usize)) -> u64 {
-        let e = &self.graph[handle.0][handle.1];
-        self.graph[e.to][e.rev].cap
     }
 
     /// Run Edmonds–Karp from `s` to `t`; returns the max-flow value.
@@ -145,15 +138,8 @@ impl FordFulkersonPlanner {
     }
 
     /// Whether a per-node workload cap `t` is fractionally feasible with
-    /// all-local routing.
+    /// all-local routing: the flow network saturates every block's edge.
     fn feasible(&self, t: u64) -> bool {
-        self.flow_for_cap(t).is_some()
-    }
-
-    /// Build and run the flow network for cap `t`. Returns per-block flow
-    /// shares `(block, weight, Vec<(node, flow)>)` if the cap is feasible.
-    #[allow(clippy::type_complexity)]
-    fn flow_for_cap(&self, t: u64) -> Option<Vec<(BlockId, u64, Vec<(NodeId, u64)>)>> {
         // Vertex layout: 0 = source, 1..=B = blocks, B+1..=B+N = nodes,
         // B+N+1 = sink.
         let b_count = self.blocks.len();
@@ -161,36 +147,17 @@ impl FordFulkersonPlanner {
         let sink = b_count + self.nodes + 1;
         let mut mf = MaxFlow::new(sink + 1);
         let mut demand = 0u64;
-        let mut block_edges: Vec<Vec<((usize, usize), NodeId)>> = Vec::with_capacity(b_count);
         for (i, (_, w, holders)) in self.blocks.iter().enumerate() {
             mf.add_edge(source, 1 + i, *w);
             demand += w;
-            let mut edges = Vec::with_capacity(holders.len());
             for &n in holders {
-                let h = mf.add_edge(1 + i, 1 + b_count + n.index(), *w);
-                edges.push((h, n));
+                mf.add_edge(1 + i, 1 + b_count + n.index(), *w);
             }
-            block_edges.push(edges);
         }
         for n in 0..self.nodes {
             mf.add_edge(1 + b_count + n, sink, t);
         }
-        if mf.run(source, sink) < demand {
-            return None;
-        }
-        Some(
-            self.blocks
-                .iter()
-                .enumerate()
-                .map(|(i, (b, w, _))| {
-                    let shares = block_edges[i]
-                        .iter()
-                        .map(|&(h, n)| (n, mf.flow(h)))
-                        .collect();
-                    (*b, *w, shares)
-                })
-                .collect(),
-        )
+        mf.run(source, sink) >= demand
     }
 
     /// The fractional optimum cap `T*` (a lower bound for any integral
@@ -280,7 +247,7 @@ impl FordFulkersonPlanner {
     }
 
     /// Plan: LPT over replica holders, then a move/swap local search off
-    /// the most-loaded node. Instances of at most [`Self::EXACT_BLOCKS`]
+    /// the most-loaded node. Instances of at most `EXACT_BLOCKS` (eight)
     /// blocks are solved exactly by exhaustive search instead.
     pub fn plan(&self) -> Assignment {
         if self.blocks.is_empty() {
@@ -423,16 +390,6 @@ mod tests {
         mf.add_edge(0, 1, 10);
         mf.add_edge(2, 3, 10);
         assert_eq!(mf.run(0, 3), 0);
-    }
-
-    #[test]
-    fn maxflow_tracks_edge_flow() {
-        let mut mf = MaxFlow::new(3);
-        let e01 = mf.add_edge(0, 1, 5);
-        let e12 = mf.add_edge(1, 2, 3);
-        assert_eq!(mf.run(0, 2), 3);
-        assert_eq!(mf.flow(e01), 3);
-        assert_eq!(mf.flow(e12), 3);
     }
 
     fn clustered_dfs(nodes: u32) -> Dfs {

@@ -95,16 +95,6 @@ impl Assignment {
         self.total
     }
 
-    /// The node that will process `block`, if any.
-    pub fn node_of(&self, block: BlockId) -> Option<NodeId> {
-        for (n, blocks) in self.tasks.iter().enumerate() {
-            if blocks.contains(&block) {
-                return Some(NodeId(n as u32));
-            }
-        }
-        None
-    }
-
     /// Fraction of assignments that were data-local.
     pub fn locality_fraction(&self) -> f64 {
         if self.total == 0 {
@@ -130,11 +120,6 @@ impl Assignment {
     pub fn max_workload(&self) -> u64 {
         *self.workloads.iter().max().unwrap_or(&0)
     }
-
-    /// Smallest per-node workload.
-    pub fn min_workload(&self) -> u64 {
-        *self.workloads.iter().min().unwrap_or(&0)
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +135,7 @@ mod tests {
         assert_eq!(a.assigned_blocks(), 3);
         assert_eq!(a.workloads(), &[150, 150]);
         assert_eq!(a.tasks_of(NodeId(0)), &[BlockId(0), BlockId(1)]);
-        assert_eq!(a.node_of(BlockId(2)), Some(NodeId(1)));
-        assert_eq!(a.node_of(BlockId(9)), None);
+        assert_eq!(a.tasks_of(NodeId(1)), &[BlockId(2)]);
         assert!((a.locality_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((a.imbalance() - 1.0).abs() < 1e-12);
     }
@@ -164,7 +148,6 @@ mod tests {
         // mean 200, max 300 → 1.5
         assert!((a.imbalance() - 1.5).abs() < 1e-12);
         assert_eq!(a.max_workload(), 300);
-        assert_eq!(a.min_workload(), 100);
     }
 
     #[test]

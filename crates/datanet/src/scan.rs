@@ -13,7 +13,7 @@
 //! in the next block where it is exact, so a view walks each probed id's
 //! chain instead of every block's exact side.
 //!
-//! The read side is just as single: [`ViewFold`] is the one place a
+//! The read side is just as single: `ViewFold` is the one place a
 //! per-block answer turns into the Equation 6 view of a sub-dataset. It
 //! walks the array's chains, and asks any other run of maps (a decoded
 //! store shard) one [`ElasticMap::query`] per probe per map.
@@ -554,7 +554,6 @@ impl Deserialize for ElasticMapArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::Sym;
     use datanet_dfs::{DfsConfig, Record, Topology};
 
     /// 12 blocks; sub-dataset 7 is heavily clustered in the first blocks.
@@ -776,7 +775,7 @@ mod tests {
     fn a_broken_chain_link_changes_the_views() {
         let arr = ElasticMapArray::build(&seeded_dfs(3), &Separation::Alpha(0.3));
         let linked = (arr.exact_next.iter()).position(|&n| n != NONE).unwrap();
-        let id = arr.symbols.resolve(Sym(arr.exact_syms[linked]));
+        let id = arr.symbols.ids()[arr.exact_syms[linked] as usize];
         let mut broken = arr.clone();
         broken.exact_next[linked] = NONE;
         let ids = [id];
@@ -873,21 +872,23 @@ mod tests {
         // A low α pushes most sub-datasets into the bloom tail, so truth-0
         // blocks really are bloom probes.
         let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.21));
-        let mut false_positives = 0.0;
-        let mut negatives = 0.0;
+        let mut false_positives = 0;
+        let mut negatives = 0;
         // Present ids (10..50) measure FPR over the blocks that miss them;
-        // absent ids (1000..1100) are all-negative probes.
+        // absent ids (1000..1100) are all-negative probes. Every truth-0
+        // block was a bloom probe, and one listed in τ₂ is a false positive.
         for s in (10..50u64).chain(1000..1100) {
             let truth = dfs.subdataset_distribution(SubDatasetId(s));
             let view = arr.view(SubDatasetId(s));
-            let n = truth.iter().filter(|&&t| t == 0).count() as f64;
-            if let Some(fpr) = view.measured_bloom_fpr(&truth) {
-                false_positives += fpr * n;
-                negatives += n;
-            }
+            negatives += truth.iter().filter(|&&t| t == 0).count();
+            false_positives += view
+                .bloom()
+                .iter()
+                .filter(|b| truth[b.index()] == 0)
+                .count();
         }
-        assert!(negatives > 500.0, "need a real probe population");
-        let measured = false_positives / negatives;
+        assert!(negatives > 500, "need a real probe population");
+        let measured = false_positives as f64 / negatives as f64;
         assert!(
             measured <= 2.0 * BLOOM_EPSILON,
             "measured bloom FPR {measured} exceeds twice the design rate {BLOOM_EPSILON}"

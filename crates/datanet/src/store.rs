@@ -885,12 +885,6 @@ impl MetaStore {
         &self.dirs
     }
 
-    /// Override the read retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        assert!(retry.attempts_per_replica >= 1, "need at least one attempt");
-        self.retry = retry;
-    }
-
     /// Attach an observability recorder: subsequent shard reads emit
     /// wall-clock `shard-load`/`summary-load` spans and cache counters, and
     /// scrub passes emit `scrub` spans. Pass [`Recorder::off`] to detach.
@@ -2278,11 +2272,11 @@ mod tests {
         MetaStore::save_replicated(&arr, &refs, 5).unwrap();
         fs::write(dirs[0].join(shard_file(0)), b"garbage").unwrap();
         let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
-        store.set_retry_policy(RetryPolicy {
+        store.retry = RetryPolicy {
             attempts_per_replica: 2,
             backoff_base_micros: 2_000_000,
             ..RetryPolicy::default()
-        });
+        };
         let started = std::time::Instant::now();
         store.shard(0).unwrap();
         assert!(started.elapsed() < std::time::Duration::from_millis(500));

@@ -132,14 +132,6 @@ impl SymbolTable {
         self.index.get(&id).copied()
     }
 
-    /// The id behind a symbol.
-    ///
-    /// # Panics
-    /// Panics if `sym` was minted by a different table.
-    pub fn resolve(&self, sym: Sym) -> SubDatasetId {
-        self.ids[sym.0 as usize]
-    }
-
     /// All interned ids in symbol order.
     pub fn ids(&self) -> &[SubDatasetId] {
         &self.ids
@@ -184,7 +176,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!((a.0, b.0), (0, 1), "symbols are dense, first-appearance");
         assert_eq!(t.len(), 2);
-        assert_eq!(t.resolve(a), SubDatasetId(1_000_000));
+        assert_eq!(t.ids()[a.0 as usize], SubDatasetId(1_000_000));
         assert_eq!(t.lookup(SubDatasetId(7)), Some(b));
         assert_eq!(t.lookup(SubDatasetId(8)), None);
     }
