@@ -44,17 +44,15 @@ impl SimTime {
     }
 
     /// Duration needed to move `bytes` at `bytes_per_sec` (rounded up to a
-    /// whole microsecond so work never takes zero time).
+    /// whole microsecond so work never takes zero time), saturating at
+    /// `u64::MAX` µs.
     ///
     /// # Panics
     /// Panics if `bytes_per_sec == 0`.
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> Self {
         assert!(bytes_per_sec > 0, "rate must be positive");
-        if bytes == 0 {
-            return Self::ZERO;
-        }
-        let us = (bytes as u128 * 1_000_000).div_ceil(bytes_per_sec as u128);
-        Self(us as u64)
+        let us = (u128::from(bytes) * 1_000_000).div_ceil(u128::from(bytes_per_sec));
+        Self(u64::try_from(us).unwrap_or(u64::MAX))
     }
 
     /// As microseconds.
@@ -136,6 +134,38 @@ mod tests {
         // Rounds up: 1 byte at 1 GB/s is 1 µs, not 0.
         assert_eq!(SimTime::for_bytes(1, 1_000_000_000).as_micros(), 1);
         assert_eq!(SimTime::for_bytes(0, 100), SimTime::ZERO);
+    }
+
+    /// Exact on both sides of `bytes·10⁶ = 2⁶⁴`, and a duration past
+    /// `u64::MAX` µs saturates instead of wrapping.
+    #[test]
+    fn bytes_at_rate_saturates_past_u64() {
+        let edge = u64::MAX / 1_000_000;
+        assert_eq!(SimTime::for_bytes(edge, 1).as_micros(), edge * 1_000_000);
+        assert_eq!(
+            SimTime::for_bytes(edge + 1, 1_000_000).as_micros(),
+            edge + 1
+        );
+        assert_eq!(
+            SimTime::for_bytes(edge + 1, 3_000_000).as_micros(),
+            edge / 3 + 1
+        );
+        assert_eq!(
+            SimTime::for_bytes(u64::MAX, 1_000_000).as_micros(),
+            u64::MAX
+        );
+        assert_eq!(
+            SimTime::for_bytes(u64::MAX, 2_000_000).as_micros(),
+            u64::MAX / 2 + 1
+        );
+        assert_eq!(
+            SimTime::for_bytes(u64::MAX, u64::MAX).as_micros(),
+            1_000_000
+        );
+        // 1 B/s: `bytes·10⁶` µs, which no `u64` holds past `edge`.
+        assert_eq!(SimTime::for_bytes(edge + 1, 1).as_micros(), u64::MAX);
+        assert_eq!(SimTime::for_bytes(u64::MAX, 1).as_micros(), u64::MAX);
+        assert_eq!(SimTime::for_bytes(u64::MAX, 999_999).as_micros(), u64::MAX);
     }
 
     #[test]

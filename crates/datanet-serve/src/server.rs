@@ -266,9 +266,25 @@ struct Resolved {
     view: SubDatasetView,
     /// The view's Equation-6 estimate (≥ 1), charged against quotas.
     est: u64,
-    /// The view's alive-blind plan ([`World::plan_view`]), kept only with
-    /// the cache on and re-patched at each cluster epoch.
-    blind: Option<Assignment>,
+    /// The view's alive-blind plan (`World::plan_view`), kept only with
+    /// the cache on and re-patched at each cluster epoch after a node loss.
+    blind: Option<Blind>,
+}
+
+/// An alive-blind plan, digested only once a miss with every node alive
+/// serves it as it is; from then on it is the pair the cache shares.
+enum Blind {
+    Plan(Assignment),
+    Served(Arc<(Assignment, u64)>),
+}
+
+impl Blind {
+    fn plan(&self) -> &Assignment {
+        match self {
+            Blind::Plan(plan) => plan,
+            Blind::Served(served) => &served.0,
+        }
+    }
 }
 
 impl Resolved {
@@ -348,8 +364,9 @@ fn serve_inner(
     // its Equation-6 estimate) and its alive-blind plan do not change on a
     // node loss. The arrival estimate or the round's batched walk over plan
     // misses fills an entry. With the cache on the entry also keeps the
-    // alive-blind plan, so a miss only re-runs `patch_dead`; with it off
-    // every admitted batch walks the planner. Execution prices are
+    // alive-blind plan, so a miss shares its digested pair while every
+    // node is alive and only re-runs `patch_dead` after a node loss; with
+    // it off every admitted batch walks the planner. Execution prices are
     // memoised by plan digest: a price is a function of the plan bytes.
     let mut resolved: FastMap<(u64, DataEpoch), Resolved> = FastMap::default();
     let mut exec_memo: FastMap<u64, (u64, usize)> = FastMap::default();
@@ -485,18 +502,36 @@ fn serve_inner(
                     resolved.insert((id.0, data), Resolved::new(view));
                 }
             }
+            // A plan is digested where it is served: a patched plan each
+            // time, the alive-blind plan the first time a miss with every
+            // node alive serves it as it is.
+            let digested = |plan: Assignment| {
+                let digest = plan_digest(&plan);
+                Arc::new((plan, digest))
+            };
             for id in missing {
                 let Resolved { view, blind, .. } = resolved
                     .get_mut(&(id.0, data))
                     .expect("every miss was resolved above");
-                let plan = if cfg.cache {
-                    let blind = blind.get_or_insert_with(|| world.plan_view(view, cfg.maxflow));
-                    world.patch_dead(view, blind.clone())
+                let planned = if cfg.cache {
+                    let kept = (blind.take())
+                        .unwrap_or_else(|| Blind::Plan(world.plan_view(view, cfg.maxflow)));
+                    let (planned, kept) = match (world.patch_dead(view, kept.plan()), kept) {
+                        (Some(patched), kept) => (digested(patched), kept),
+                        (None, Blind::Served(served)) => {
+                            (Arc::clone(&served), Blind::Served(served))
+                        }
+                        (None, Blind::Plan(plan)) => {
+                            let served = digested(plan);
+                            (Arc::clone(&served), Blind::Served(served))
+                        }
+                    };
+                    *blind = Some(kept);
+                    planned
                 } else {
-                    world.patch_dead(view, world.plan_view(view, cfg.maxflow))
+                    let plan = world.plan_view(view, cfg.maxflow);
+                    digested(world.patch_dead(view, &plan).unwrap_or(plan))
                 };
-                let digest = plan_digest(&plan);
-                let planned = Arc::new((plan, digest));
                 if cfg.cache {
                     cache.insert(id, key, Arc::clone(&planned));
                 }

@@ -162,7 +162,10 @@ impl World {
     pub fn plan_batch(&self, subs: &[SubDatasetId], maxflow: bool) -> Vec<Assignment> {
         let views = self.array.views(subs);
         (views.iter())
-            .map(|v| self.patch_dead(v, self.plan_view(v, maxflow)))
+            .map(|v| {
+                let plan = self.plan_view(v, maxflow);
+                self.patch_dead(v, &plan).unwrap_or(plan)
+            })
             .collect()
     }
 
@@ -178,12 +181,18 @@ impl World {
         }
     }
 
-    /// Re-home every task the plan put on a dead node: in block order, each
-    /// orphan goes to the currently least-loaded alive node (lowest id on
-    /// ties). A no-op while every node is alive.
-    pub(crate) fn patch_dead(&self, view: &SubDatasetView, plan: Assignment) -> Assignment {
+    /// `plan` with every task it put on a dead node re-homed, or `None`
+    /// while every node is alive and `plan` stands as it is. Survivors keep
+    /// their tasks in order; then the dead nodes are taken by id, and each
+    /// one's tasks in assignment order, each orphan going to the currently
+    /// least-loaded alive node (lowest id on ties).
+    pub(crate) fn patch_dead(
+        &self,
+        view: &SubDatasetView,
+        plan: &Assignment,
+    ) -> Option<Assignment> {
         if self.alive.iter().all(|&a| a) {
-            return plan;
+            return None;
         }
         let nn = self.dfs.namenode();
         let n = plan.node_count();
@@ -207,7 +216,7 @@ impl World {
             let node = NodeId(target as u32);
             patched.assign(node, b, view.weight(b), nn.is_local(b, node));
         }
-        patched
+        Some(patched)
     }
 }
 
@@ -215,7 +224,10 @@ impl World {
 /// a digest iff their byte-level wire representations match — the unit of
 /// the cache-coherence oracle's "byte-identical" claim.
 pub fn plan_digest(plan: &Assignment) -> u64 {
-    let json = serde_json::to_string(plan).expect("plans always serialise");
+    // The compact print `serde_json::to_string` makes, into a buffer sized
+    // for the whole of it, so it is allocated once instead of regrown.
+    let mut json = String::with_capacity(64 + 12 * plan.assigned_blocks() + 24 * plan.node_count());
+    plan.write_json(&mut json);
     let mut h = datanet::FxHasher64::default();
     h.write(json.as_bytes());
     h.finish()

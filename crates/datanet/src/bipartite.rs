@@ -5,44 +5,52 @@
 //! sub-dataset bytes the ElasticMap attributes to that block. Algorithm 1
 //! consumes the graph destructively: assigning a block removes all of its
 //! edges.
+//!
+//! The graph costs its view, not the DFS: every array it keeps is indexed
+//! by *slot* — a block's position among the scope's blocks in id order —
+//! so nothing it allocates or walks grows with the NameNode's block count.
+//! The [`BlockId`] methods find a block's slot by binary search.
 
 use crate::distribution::SubDatasetView;
 use datanet_dfs::{BlockId, NameNode, NodeId};
 
-/// The `span` length of a block that is not in the graph.
+/// The `span` length of a slot that is no longer in the graph.
 const ABSENT: u32 = u32::MAX;
 
 /// Mutable bipartite graph between cluster nodes and (not-yet-assigned)
 /// blocks, weighted by sub-dataset content.
 #[derive(Debug, Clone)]
 pub struct DistributionGraph {
-    /// `local_desc[n]` = blocks adjacent to node `n`, heaviest first (ties
-    /// → lowest id). Removed blocks stay in place and are skipped on read.
-    local_desc: Vec<Vec<BlockId>>,
-    /// `fit_from[n]`: every entry of `local_desc[n]` before it is removed
-    /// or heavier than the headroom node `n` last asked with — see
-    /// [`DistributionGraph::largest_local_fit`].
-    fit_from: Vec<usize>,
-    /// The same adjacency lightest first (ties → lowest id);
-    /// `light_from[n]` skips the removed prefix.
-    local_asc: Vec<Vec<BlockId>>,
-    light_from: Vec<usize>,
-    /// Every in-scope block's holders, back to back; `span[b]` is block
-    /// `b`'s `(start, len)` in it, `len == ABSENT` once removed or never in scope.
+    /// `scope[slot]` = the block in that slot and its weight `|b ∩ s|` as
+    /// known to the meta-data; block ids ascending.
+    scope: Vec<(BlockId, u64)>,
+    /// Every slot's holders, back to back; `span[slot]` is its
+    /// `(start, len)` in it, `len == ABSENT` once removed.
     pool: Vec<NodeId>,
     span: Vec<(u32, u32)>,
-    /// `weight[b]` = `|b ∩ s|` as known to the meta-data.
-    weight: Vec<u64>,
-    /// Scope blocks sorted lightest-first (weight asc, ties → lowest id).
-    /// Removed blocks stay in place; `cur_asc` skips past them lazily, so
-    /// [`DistributionGraph::lightest`] is amortized O(1) over a plan where
-    /// a full `remaining_blocks()` scan was O(total blocks) per request.
-    order_asc: Vec<(u64, u32)>,
+    /// Slots lightest first (weight asc, ties → lowest id). Removed slots
+    /// stay in place; `cur_asc` skips past them lazily, so
+    /// `DistributionGraph::lightest` is amortized O(1) where a full scan of
+    /// the remaining blocks was O(scope) per request.
+    order_asc: Vec<u32>,
     cur_asc: usize,
-    /// The same blocks sorted heaviest-first (weight desc, ties → lowest
-    /// id), consumed by `cur_desc` for [`DistributionGraph::heaviest`].
-    order_desc: Vec<(u64, u32)>,
+    /// The same slots heaviest first (weight desc, ties → lowest id),
+    /// consumed by `cur_desc` for `DistributionGraph::heaviest`.
+    order_desc: Vec<u32>,
     cur_desc: usize,
+    /// Node `n`'s adjacency is `local_desc[bounds[n]..bounds[n + 1]]`,
+    /// heaviest first, and the same range of `local_asc`, lightest first
+    /// (ties → lowest id in both). Removed slots stay in place and are
+    /// skipped on read.
+    bounds: Vec<u32>,
+    local_desc: Vec<u32>,
+    local_asc: Vec<u32>,
+    /// `fit_from[n]`: every entry of node `n`'s heaviest-first range before
+    /// this position is removed or heavier than the headroom `n` last asked
+    /// with — see `DistributionGraph::largest_local_fit`.
+    fit_from: Vec<u32>,
+    /// `light_from[n]` skips the removed prefix of `n`'s lightest-first range.
+    light_from: Vec<u32>,
     /// Blocks still in the graph.
     remaining: usize,
 }
@@ -51,120 +59,197 @@ impl DistributionGraph {
     /// Build the graph for the blocks in `view` (τ₁ ∪ τ₂), using the
     /// NameNode's replica map for edges and the view's weights.
     pub fn from_view(namenode: &NameNode, view: &SubDatasetView) -> Self {
-        let bloom = view.bloom().iter().map(|&b| (b, view.delta()));
-        Self::build(namenode, view.exact().iter().copied().chain(bloom))
+        // Merged in block order, the scope is one `build` need not sort.
+        let mut scope = Vec::with_capacity(view.block_count());
+        scope.extend(view.scope());
+        Self::build(namenode, scope)
     }
 
     /// Build the graph over an explicit `(block, weight)` scope. Blocks
     /// must be distinct.
     pub fn build(namenode: &NameNode, scope: impl IntoIterator<Item = (BlockId, u64)>) -> Self {
-        let total_blocks = namenode.block_count();
-        let mut pool = Vec::new();
-        let mut degree = vec![0usize; namenode.node_count()];
-        let mut span = vec![(0, ABSENT); total_blocks];
-        let mut weight = vec![0u64; total_blocks];
-        let mut order_asc = Vec::new();
-        for (b, w) in scope {
-            assert!(b.index() < total_blocks, "block {b} unknown to NameNode");
-            assert!(span[b.index()].1 == ABSENT, "duplicate block {b} in scope");
-            let replicas = namenode.replicas(b);
-            span[b.index()] = (pool.len() as u32, replicas.len() as u32);
-            pool.extend_from_slice(replicas);
-            for n in replicas {
-                degree[n.index()] += 1;
-            }
-            weight[b.index()] = w;
-            order_asc.push((w, b.0));
+        let mut scope: Vec<(BlockId, u64)> = scope.into_iter().collect();
+        if !scope.is_sorted_by_key(|e| e.0) {
+            scope.sort_unstable_by_key(|e| e.0);
         }
-        let remaining = order_asc.len();
-        order_asc.sort_unstable();
+        for pair in scope.windows(2) {
+            assert!(
+                pair[0].0 != pair[1].0,
+                "duplicate block {} in scope",
+                pair[0].0
+            );
+        }
+        if let Some(&(last, _)) = scope.last() {
+            assert!(
+                last.index() < namenode.block_count(),
+                "block {last} unknown to NameNode"
+            );
+        }
+        let holders = scope.iter().map(|e| namenode.replicas(e.0).len()).sum();
+        let mut pool = Vec::with_capacity(holders);
+        let mut span = Vec::with_capacity(scope.len());
+        for &(b, _) in &scope {
+            let replicas = namenode.replicas(b);
+            span.push((pool.len() as u32, replicas.len() as u32));
+            pool.extend_from_slice(replicas);
+        }
+        // One sort, on a packed `weight << 32 | slot` key. Slots are in id
+        // order, so a tie on weight falls to the lower id.
+        let mut keys: Vec<u128> = (scope.iter().enumerate())
+            .map(|(slot, e)| (u128::from(e.1) << 32) | slot as u128)
+            .collect();
+        keys.sort_unstable();
+        let order_asc: Vec<u32> = keys.into_iter().map(|k| k as u32).collect();
         // Heaviest first keeps ids ascending inside a run of equal weights,
         // so it is the runs that reverse, not the entries.
         let mut order_desc = Vec::with_capacity(order_asc.len());
-        for run in order_asc.chunk_by(|a, b| a.0 == b.0).rev() {
+        let same_weight = |a: &u32, b: &u32| scope[*a as usize].1 == scope[*b as usize].1;
+        for run in order_asc.chunk_by(same_weight).rev() {
             order_desc.extend_from_slice(run);
         }
-        // Dealing each global order out to the holders leaves every node's
-        // list, sized by its degree, in that order, with no per-node sort.
-        let deal = |order: &[(u64, u32)]| {
-            let mut local: Vec<Vec<_>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-            for &(_, b) in order {
-                for n in &pool[run(span[b as usize])] {
-                    local[n.index()].push(BlockId(b));
-                }
-            }
-            local
-        };
-        Self {
-            local_desc: deal(&order_desc),
-            fit_from: vec![0; degree.len()],
-            local_asc: deal(&order_asc),
-            light_from: vec![0; degree.len()],
+        let nodes = namenode.node_count();
+        let mut graph = Self {
+            remaining: scope.len(),
+            scope,
             pool,
             span,
-            weight,
             order_asc,
             cur_asc: 0,
             order_desc,
             cur_desc: 0,
-            remaining,
+            bounds: vec![0; nodes + 1],
+            local_desc: Vec::new(),
+            local_asc: Vec::new(),
+            fit_from: vec![0; nodes],
+            light_from: vec![0; nodes],
+        };
+        graph.deal();
+        graph
+    }
+
+    /// Deal the two global orders out to the live slots' holders, which
+    /// leaves every node's ranges, sized by its degree, in those orders
+    /// with no per-node sort; then rewind every cursor.
+    fn deal(&mut self) {
+        let nodes = self.fit_from.len();
+        self.bounds.fill(0);
+        for &span in self.span.iter().filter(|s| s.1 != ABSENT) {
+            for n in &self.pool[run(span)] {
+                self.bounds[n.index() + 1] += 1;
+            }
         }
+        for n in 0..nodes {
+            self.bounds[n + 1] += self.bounds[n];
+        }
+        let edges = self.bounds[nodes] as usize;
+        for (order, local, next) in [
+            (&self.order_desc, &mut self.local_desc, &mut self.fit_from),
+            (&self.order_asc, &mut self.local_asc, &mut self.light_from),
+        ] {
+            local.clear();
+            local.resize(edges, 0);
+            next.copy_from_slice(&self.bounds[..nodes]);
+            for &slot in order {
+                let span = self.span[slot as usize];
+                if span.1 == ABSENT {
+                    continue;
+                }
+                for n in &self.pool[run(span)] {
+                    local[next[n.index()] as usize] = slot;
+                    next[n.index()] += 1;
+                }
+            }
+        }
+        self.rewind();
     }
 
     /// Blocks still unassigned that are local to `n` — the paper's `d_i` —
     /// heaviest first (ties → lowest id).
     pub fn local_blocks(&self, n: NodeId) -> impl Iterator<Item = BlockId> + '_ {
-        self.local_desc[n.index()]
-            .iter()
-            .copied()
-            .filter(|b| self.contains(*b))
+        self.local_slots(n).map(|slot| self.block(slot))
     }
 
-    /// The heaviest block local to `n` that weighs at most `headroom`
-    /// (ties → lowest id), amortized O(1): the first such entry of the
-    /// heaviest-first list, found by a cursor that never steps back. That
+    /// The live slots local to `n`, heaviest first (ties → lowest id).
+    pub(crate) fn local_slots(&self, n: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let range = self.bounds[n.index()] as usize..self.bounds[n.index() + 1] as usize;
+        (self.local_desc[range].iter())
+            .map(|&slot| slot as usize)
+            .filter(|&slot| self.is_live(slot))
+    }
+
+    /// The heaviest slot local to `n` that weighs at most `headroom` (ties
+    /// → lowest id), amortized O(1): the first such entry of the
+    /// heaviest-first range, found by a cursor that never steps back. That
     /// is only right while `headroom` does not grow from one call for `n`
     /// to the next — a node's headroom shrinks as it is assigned work —
     /// so whatever may raise it ([`DistributionGraph::remove_node`],
     /// [`DistributionGraph::reinsert`], after which targets are recomputed)
     /// rewinds the cursors.
-    pub(crate) fn largest_local_fit(&mut self, n: NodeId, headroom: f64) -> Option<BlockId> {
+    pub(crate) fn largest_local_fit(&mut self, n: NodeId, headroom: f64) -> Option<usize> {
+        let end = self.bounds[n.index() + 1];
         let from = &mut self.fit_from[n.index()];
-        while let Some(&b) = self.local_desc[n.index()].get(*from) {
-            if self.span[b.index()].1 != ABSENT && self.weight[b.index()] as f64 <= headroom {
-                return Some(b);
+        while *from < end {
+            let slot = self.local_desc[*from as usize] as usize;
+            if self.span[slot].1 != ABSENT && self.scope[slot].1 as f64 <= headroom {
+                return Some(slot);
             }
             *from += 1;
         }
         None
     }
 
-    /// The lightest block local to `n` (ties → lowest id), amortized O(1).
-    pub(crate) fn lightest_local(&mut self, n: NodeId) -> Option<BlockId> {
+    /// The lightest slot local to `n` (ties → lowest id), amortized O(1).
+    pub(crate) fn lightest_local(&mut self, n: NodeId) -> Option<usize> {
+        let end = self.bounds[n.index() + 1];
         let from = &mut self.light_from[n.index()];
-        while let Some(&b) = self.local_asc[n.index()].get(*from) {
-            if self.span[b.index()].1 != ABSENT {
-                return Some(b);
+        while *from < end {
+            let slot = self.local_asc[*from as usize] as usize;
+            if self.span[slot].1 != ABSENT {
+                return Some(slot);
             }
             *from += 1;
         }
         None
+    }
+
+    /// The slot of block `b`, if `b` was in scope.
+    fn slot_of(&self, b: BlockId) -> Option<usize> {
+        self.scope.binary_search_by_key(&b, |e| e.0).ok()
+    }
+
+    fn is_live(&self, slot: usize) -> bool {
+        self.span[slot].1 != ABSENT
+    }
+
+    /// The block in `slot`.
+    pub(crate) fn block(&self, slot: usize) -> BlockId {
+        self.scope[slot].0
+    }
+
+    /// The weight of the block in `slot`, kept after it is removed.
+    pub(crate) fn slot_weight(&self, slot: usize) -> u64 {
+        self.scope[slot].1
+    }
+
+    /// Nodes holding the block in a live `slot`.
+    pub(crate) fn slot_holders(&self, slot: usize) -> &[NodeId] {
+        &self.pool[run(self.span[slot])]
     }
 
     /// Nodes holding block `b`, if it is still in the graph.
     pub fn holders(&self, b: BlockId) -> Option<&[NodeId]> {
-        let span = self.span[b.index()];
-        (span.1 != ABSENT).then(|| &self.pool[run(span)])
+        let slot = self.slot_of(b).filter(|&slot| self.is_live(slot))?;
+        Some(self.slot_holders(slot))
     }
 
     /// Whether block `b` is still unassigned and in scope.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.span[b.index()].1 != ABSENT
+        self.slot_of(b).is_some_and(|slot| self.is_live(slot))
     }
 
     /// The weight `|b ∩ s|` of a block (0 if out of scope).
     pub fn weight(&self, b: BlockId) -> u64 {
-        self.weight[b.index()]
+        self.slot_of(b).map_or(0, |slot| self.scope[slot].1)
     }
 
     /// Number of blocks still in the graph.
@@ -172,40 +257,41 @@ impl DistributionGraph {
         self.remaining
     }
 
-    /// All blocks still in the graph.
+    /// The live slots, in block order.
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.scope.len()).filter(|&slot| self.is_live(slot))
+    }
+
+    /// All blocks still in the graph, in block order.
     pub fn remaining_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.span
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.1 != ABSENT)
-            .map(|(i, _)| BlockId(i as u32))
+        self.live_slots().map(|slot| self.block(slot))
     }
 
     /// Total weight still unassigned.
     pub fn remaining_weight(&self) -> u64 {
-        self.remaining_blocks().map(|b| self.weight(b)).sum()
+        self.live_slots().map(|slot| self.scope[slot].1).sum()
     }
 
-    /// The heaviest remaining block (ties → lowest id), amortized O(1) —
+    /// The heaviest remaining slot (ties → lowest id), amortized O(1) —
     /// the per-request "global heaviest" candidate of Algorithm 1's paced
     /// policy, which would otherwise rescan every block per assignment.
     /// `&mut` because the skip-cursor advances past removed entries.
-    pub fn heaviest(&mut self) -> Option<BlockId> {
-        while let Some(&(_, b)) = self.order_desc.get(self.cur_desc) {
-            if self.span[b as usize].1 != ABSENT {
-                return Some(BlockId(b));
+    pub(crate) fn heaviest(&mut self) -> Option<usize> {
+        while let Some(&slot) = self.order_desc.get(self.cur_desc) {
+            if self.is_live(slot as usize) {
+                return Some(slot as usize);
             }
             self.cur_desc += 1;
         }
         None
     }
 
-    /// The lightest remaining block (ties → lowest id), amortized O(1) —
+    /// The lightest remaining slot (ties → lowest id), amortized O(1) —
     /// the overshoot-minimising fallback pick of Algorithm 1.
-    pub fn lightest(&mut self) -> Option<BlockId> {
-        while let Some(&(_, b)) = self.order_asc.get(self.cur_asc) {
-            if self.span[b as usize].1 != ABSENT {
-                return Some(BlockId(b));
+    pub(crate) fn lightest(&mut self) -> Option<usize> {
+        while let Some(&slot) = self.order_asc.get(self.cur_asc) {
+            if self.is_live(slot as usize) {
+                return Some(slot as usize);
             }
             self.cur_asc += 1;
         }
@@ -214,7 +300,7 @@ impl DistributionGraph {
 
     /// Number of cluster nodes.
     pub fn node_count(&self) -> usize {
-        self.local_desc.len()
+        self.fit_from.len()
     }
 
     /// Remove block `b` and all of its edges (lines 18–20 of Algorithm 1).
@@ -222,12 +308,18 @@ impl DistributionGraph {
     /// # Panics
     /// Panics if `b` was already removed or never in scope.
     pub fn remove_block(&mut self, b: BlockId) {
-        let len = &mut self.span[b.index()].1;
-        assert!(*len != ABSENT, "block {b} not in graph");
-        *len = ABSENT;
-        // The pool and the weight-order vectors, global and per node, are
-        // untouched: the skip-cursors step over the dead entry the next
-        // time they reach it.
+        let slot = self.slot_of(b).filter(|&slot| self.is_live(slot));
+        assert!(slot.is_some(), "block {b} not in graph");
+        if let Some(slot) = slot {
+            self.remove_slot(slot);
+        }
+    }
+
+    /// Remove the block in a live `slot`. The pool and the order arrays,
+    /// global and per node, are untouched: the skip-cursors step over the
+    /// dead entry the next time they reach it.
+    pub(crate) fn remove_slot(&mut self, slot: usize) {
+        self.span[slot].1 = ABSENT;
         self.remaining -= 1;
     }
 
@@ -237,62 +329,38 @@ impl DistributionGraph {
     /// original scope.
     ///
     /// # Panics
-    /// Panics if `b` is still in the graph or `holders` is empty.
+    /// Panics if `b` is still in the graph or was never in scope, or
+    /// `holders` is empty.
     pub fn reinsert(&mut self, b: BlockId, holders: Vec<NodeId>) {
-        assert!(!self.contains(b), "block {b} is already in the graph");
+        let slot = self.slot_of(b);
+        assert!(slot.is_some(), "block {b} was never in scope");
+        assert!(
+            !slot.is_some_and(|slot| self.is_live(slot)),
+            "block {b} is already in the graph"
+        );
         assert!(!holders.is_empty(), "a reinserted block needs a holder");
-        let w = self.weight[b.index()];
-        // The new holder set is authoritative: stale adjacency entries from
-        // the original build would otherwise pass the `contains` filter
-        // again and revive edges to nodes that lost their replica. A stale
-        // entry of a surviving holder is already where its weight puts it.
-        for n in 0..self.local_desc.len() {
-            let holds = holders.iter().any(|h| h.index() == n);
-            let (desc, asc) = (&mut self.local_desc[n], &mut self.local_asc[n]);
-            if !holds {
-                desc.retain(|&x| x != b);
-                asc.retain(|&x| x != b);
-            } else if !desc.contains(&b) {
-                let key = |x: &BlockId| (self.weight[x.index()], x.0);
-                let at = desc.partition_point(|x| {
-                    let (xw, xid) = key(x);
-                    xw > w || (xw == w && xid < b.0)
-                });
-                desc.insert(at, b);
-                let at = asc.partition_point(|x| key(x) < (w, b.0));
-                asc.insert(at, b);
-            }
-        }
-        self.span[b.index()] = (self.pool.len() as u32, holders.len() as u32);
+        let Some(slot) = slot else { return };
+        self.span[slot] = (self.pool.len() as u32, holders.len() as u32);
         self.pool.extend_from_slice(&holders);
-        // Make sure the order vectors cover the block (they always do when
-        // it came from the original scope), then rewind the skip-cursors:
-        // the revived entry may sit before any of them. Reinsertion is a
-        // rare fault-recovery path, so the O(n) re-skip is irrelevant.
-        if let Err(pos) = self.order_asc.binary_search(&(w, b.0)) {
-            self.order_asc.insert(pos, (w, b.0));
-            let pos = self
-                .order_desc
-                .binary_search_by(|e| e.0.cmp(&w).reverse().then(e.1.cmp(&b.0)))
-                .unwrap_err();
-            self.order_desc.insert(pos, (w, b.0));
-        }
-        self.rewind();
         self.remaining += 1;
+        // The new holder set is authoritative, so the per-node ranges are
+        // dealt again; the revived entry may also sit before any cursor.
+        // Reinsertion is a rare fault-recovery path, so the O(scope) re-deal
+        // is irrelevant.
+        self.deal();
     }
 
     fn rewind(&mut self) {
         self.cur_asc = 0;
         self.cur_desc = 0;
-        self.fit_from.fill(0);
-        self.light_from.fill(0);
+        let nodes = self.fit_from.len();
+        self.fit_from.copy_from_slice(&self.bounds[..nodes]);
+        self.light_from.copy_from_slice(&self.bounds[..nodes]);
     }
 
     /// Drop every edge to node `n` (it crashed): blocks whose only holder
     /// was `n` stay in the graph but become remote-only.
     pub fn remove_node(&mut self, n: NodeId) {
-        self.local_desc[n.index()].clear();
-        self.local_asc[n.index()].clear();
         for span in self.span.iter_mut().filter(|s| s.1 != ABSENT) {
             let holders = &mut self.pool[run(*span)];
             if let Some(p) = holders.iter().position(|&h| h == n) {
@@ -300,7 +368,7 @@ impl DistributionGraph {
                 span.1 -= 1;
             }
         }
-        self.rewind();
+        self.deal();
     }
 }
 
@@ -455,12 +523,14 @@ mod tests {
                 let walk: Vec<(u64, BlockId)> =
                     g.local_blocks(n).map(|b| (g.weight(b), b)).collect();
                 let lightest = walk.iter().min().map(|&(_, b)| b);
-                assert_eq!(g.lightest_local(n), lightest, "step {step}, node {n}");
+                let light = g.lightest_local(n).map(|slot| g.block(slot));
+                assert_eq!(light, lightest, "step {step}, node {n}");
                 let room = headroom[n.index()];
                 let fit = (walk.iter().filter(|&&(w, _)| w as f64 <= room))
                     .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
                     .map(|&(_, b)| b);
-                assert_eq!(g.largest_local_fit(n, room), fit, "step {step}, node {n}");
+                let largest = g.largest_local_fit(n, room).map(|slot| g.block(slot));
+                assert_eq!(largest, fit, "step {step}, node {n}");
             }
             match next(10) {
                 0 if alive.iter().filter(|&&a| a).count() > 2 => {
@@ -494,6 +564,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// No vector of the graph is sized by the NameNode: three blocks of a
+    /// hundred thousand build a graph whose every array is bounded by the
+    /// scope and the node count, and a node loss and a reinsertion keep it
+    /// so.
+    #[test]
+    fn the_graph_costs_its_view() {
+        let nodes = 4;
+        let mut nn = NameNode::new(nodes);
+        for b in 0..100_000u32 {
+            let first = b % nodes as u32;
+            nn.register(
+                BlockId(b),
+                vec![NodeId(first), NodeId((first + 1) % nodes as u32)],
+            );
+        }
+        let scope = [(BlockId(99_999), 7), (BlockId(5), 3), (BlockId(50_000), 3)];
+        let mut g = DistributionGraph::build(&nn, scope);
+        let bound = scope.len() * nodes + nodes + 1;
+        let longest = |g: &DistributionGraph| {
+            [
+                g.scope.len(),
+                g.pool.len(),
+                g.span.len(),
+                g.order_asc.len(),
+                g.order_desc.len(),
+                g.bounds.len(),
+                g.local_desc.len(),
+                g.local_asc.len(),
+                g.fit_from.len(),
+                g.light_from.len(),
+            ]
+            .into_iter()
+            .max()
+        };
+        assert!(longest(&g) <= Some(bound), "{:?} > {bound}", longest(&g));
+        assert_eq!(
+            g.remaining_blocks().collect::<Vec<_>>(),
+            [BlockId(5), BlockId(50_000), BlockId(99_999)]
+        );
+        assert_eq!(g.weight(BlockId(50_000)), 3);
+        assert_eq!(g.weight(BlockId(6)), 0, "out of scope");
+        assert_eq!(g.heaviest().map(|s| g.block(s)), Some(BlockId(99_999)));
+        assert_eq!(g.lightest().map(|s| g.block(s)), Some(BlockId(5)));
+        g.remove_block(BlockId(5));
+        g.remove_node(NodeId(1));
+        g.reinsert(BlockId(5), vec![NodeId(0)]);
+        assert!(longest(&g) <= Some(bound), "{:?} > {bound}", longest(&g));
+        assert_eq!(g.remaining_weight(), 13);
+    }
+
+    /// Weights past 32 bits still order by weight, ties to the lower id.
+    #[test]
+    fn wide_weights_order_by_weight_then_id() {
+        let heavy = u64::from(u32::MAX) + 1;
+        let scope = [
+            (BlockId(0), heavy),
+            (BlockId(1), 50),
+            (BlockId(2), u64::MAX),
+            (BlockId(3), heavy),
+        ];
+        let drain = |pick: fn(&mut DistributionGraph) -> Option<usize>| {
+            let mut g = DistributionGraph::build(&namenode(), scope);
+            let mut order = Vec::new();
+            while let Some(slot) = pick(&mut g) {
+                order.push(g.block(slot).0);
+                g.remove_slot(slot);
+            }
+            order
+        };
+        assert_eq!(drain(DistributionGraph::heaviest), [2, 0, 3, 1]);
+        assert_eq!(drain(DistributionGraph::lightest), [1, 0, 3, 2]);
     }
 
     #[test]

@@ -81,6 +81,19 @@ impl SubDatasetView {
             .chain(self.bloom.iter().copied())
     }
 
+    /// τ₁ ∪ τ₂ merged into block order, each block with its weight (the
+    /// exact size, or δ) — the scope a planner plans over. The two lists
+    /// are each in block order and disjoint.
+    pub(crate) fn scope(&self) -> impl Iterator<Item = (BlockId, u64)> + '_ {
+        let mut exact = self.exact.iter().copied().peekable();
+        let mut bloom = self.bloom.iter().map(|&b| (b, self.delta)).peekable();
+        std::iter::from_fn(move || match (exact.peek(), bloom.peek()) {
+            (Some(e), Some(t)) if t.0 < e.0 => bloom.next(),
+            (Some(_), _) => exact.next(),
+            (None, _) => bloom.next(),
+        })
+    }
+
     /// Number of blocks in the view.
     pub fn block_count(&self) -> usize {
         self.exact.len() + self.bloom.len()

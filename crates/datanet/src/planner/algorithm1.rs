@@ -213,41 +213,48 @@ impl Algorithm1 {
         self.policy
     }
 
-    /// The paper's literal best-fit pick among `candidates`. Ties break
-    /// toward the lowest block id for determinism.
+    /// The paper's literal best-fit pick among the `candidates` slots.
+    /// Ties break toward the lowest block id (slots are in id order) for
+    /// determinism.
     fn pick_best_fit(
         &self,
         node: NodeId,
-        candidates: impl Iterator<Item = BlockId>,
-    ) -> Option<BlockId> {
+        candidates: impl Iterator<Item = usize>,
+    ) -> Option<usize> {
         let wi = self.workloads[node.index()] as f64;
         let target = self.targets[node.index()];
         candidates
-            .map(|b| ((wi + self.graph.weight(b) as f64 - target).abs(), b))
+            .map(|s| ((wi + self.graph.slot_weight(s) as f64 - target).abs(), s))
             .min_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .expect("gaps are finite")
                     .then(a.1.cmp(&b.1))
             })
-            .map(|(_, b)| b)
+            .map(|(_, s)| s)
     }
 
     /// Serve one task request from `node` (lines 7–20). Returns the chosen
     /// block and whether it was node-local, or `None` when all tasks are
     /// assigned.
     pub fn next_task_for(&mut self, node: NodeId) -> Option<(BlockId, bool)> {
+        let (slot, local) = self.next_slot_for(node)?;
+        Some((self.graph.block(slot), local))
+    }
+
+    /// [`Algorithm1::next_task_for`] on graph slots.
+    fn next_slot_for(&mut self, node: NodeId) -> Option<(usize, bool)> {
         if self.graph.remaining() == 0 {
             return None;
         }
-        let (block, local) = match self.policy {
+        let (slot, local) = match self.policy {
             BalancePolicy::BestFitTerminal => {
-                match self.pick_best_fit(node, self.graph.local_blocks(node)) {
-                    Some(b) => (b, true),
+                match self.pick_best_fit(node, self.graph.local_slots(node)) {
+                    Some(s) => (s, true),
                     None => {
-                        let b = self
-                            .pick_best_fit(node, self.graph.remaining_blocks())
+                        let s = self
+                            .pick_best_fit(node, self.graph.live_slots())
                             .expect("remaining() > 0 guarantees a candidate");
-                        (b, false)
+                        (s, false)
                     }
                 }
             }
@@ -260,11 +267,12 @@ impl Algorithm1 {
                 // has headroom instead of stranding to the endgame.
                 // A candidate fits when its weight is within the node's
                 // remaining headroom `W̄ − W_i`.
+                let graph = &mut self.graph;
                 let my_headroom = self.targets[node.index()] - self.workloads[node.index()] as f64;
                 let room = my_headroom.max(0.0);
-                let local_fit = self.graph.largest_local_fit(node, room);
+                let local_fit = graph.largest_local_fit(node, room);
                 let global_fit =
-                    (self.graph.heaviest()).filter(|&g| self.graph.weight(g) as f64 <= room);
+                    (graph.heaviest()).filter(|&g| graph.slot_weight(g) as f64 <= room);
                 // Rescue rule: fetch the global heaviest remotely when it
                 // fits this node, beats the local option, and every one of
                 // its replica holders already has less headroom than this
@@ -274,41 +282,29 @@ impl Algorithm1 {
                 // holder with room keeps priority.
                 let rescue = global_fit.filter(|&g| {
                     let beats_local =
-                        local_fit.is_none_or(|l| self.graph.weight(g) > self.graph.weight(l));
+                        local_fit.is_none_or(|l| graph.slot_weight(g) > graph.slot_weight(l));
                     beats_local
-                        && self
-                            .graph
-                            .holders(g)
-                            .expect("candidate is in the graph")
-                            .iter()
-                            .all(|h| {
-                                *h != node
-                                    && self.targets[h.index()] - (self.workloads[h.index()] as f64)
-                                        < my_headroom
-                            })
+                        && graph.slot_holders(g).iter().all(|h| {
+                            *h != node
+                                && self.targets[h.index()] - (self.workloads[h.index()] as f64)
+                                    < my_headroom
+                        })
                 });
-                let pick = rescue.or(local_fit).or(global_fit);
-                if let Some(b) = pick {
-                    let local = self
-                        .graph
-                        .holders(b)
-                        .expect("candidate is in the graph")
-                        .contains(&node);
-                    (b, local)
+                if let Some(s) = rescue.or(local_fit).or(global_fit) {
+                    (s, graph.slot_holders(s).contains(&node))
                 } else {
                     // Nothing local fits the headroom: minimise overshoot.
                     // Prefer the lightest local block, but fall back to a
                     // non-local one when the local options are much heavier
                     // (Hadoop schedules non-local maps in this situation).
-                    let light_local = self.graph.lightest_local(node);
-                    let light_global = self
-                        .graph
+                    let light_local = graph.lightest_local(node);
+                    let light_global = graph
                         .lightest()
                         .expect("remaining() > 0 guarantees a candidate");
                     match light_local {
                         Some(l)
-                            if self.graph.weight(l)
-                                <= self.graph.weight(light_global).saturating_mul(4) =>
+                            if graph.slot_weight(l)
+                                <= graph.slot_weight(light_global).saturating_mul(4) =>
                         {
                             (l, true)
                         }
@@ -317,11 +313,11 @@ impl Algorithm1 {
                 }
             }
         };
-        let credit = self.graph.weight(block) + self.credit_skew;
+        let credit = self.graph.slot_weight(slot) + self.credit_skew;
         self.workloads[node.index()] += credit;
         self.assigned_total += credit;
-        self.graph.remove_block(block);
-        Some((block, local))
+        self.graph.remove_slot(slot);
+        Some((slot, local))
     }
 
     /// `W_i / target_i`, the load [`Algorithm1::plan_balanced`] orders
@@ -336,13 +332,23 @@ impl Algorithm1 {
         }
     }
 
+    /// Record one served request for [`Assignment::from_picks`].
+    fn pick(&self, node: NodeId, slot: usize, local: bool) -> (NodeId, BlockId, u64, bool) {
+        (
+            node,
+            self.graph.block(slot),
+            self.graph.slot_weight(slot),
+            local,
+        )
+    }
+
     /// Run to completion assuming request rate proportional to capability:
     /// the node with the lowest *relative* load (`W_i / target_i`) issues
     /// the next request (ties → lowest id). For homogeneous clusters this
     /// is exactly least-loaded-first.
     pub fn plan_balanced(mut self) -> Assignment {
         let m = self.workloads.len();
-        let mut assignment = Assignment::new(m);
+        let mut picks = Vec::with_capacity(self.graph.remaining());
         // Loads are finite and ≥ 0, where bits order like numbers; only the
         // served node's load moves, so only the top entry is re-keyed.
         let mut requests: BinaryHeap<_> = (0..m)
@@ -352,13 +358,13 @@ impl Algorithm1 {
             let mut top = requests.peek_mut().expect("one entry per node");
             let Reverse((_, i)) = *top;
             let node = NodeId(i as u32);
-            let (block, local) = self
-                .next_task_for(node)
+            let (slot, local) = self
+                .next_slot_for(node)
                 .expect("remaining() > 0 guarantees a task");
             *top = Reverse((self.relative_load(i).to_bits(), i));
-            assignment.assign(node, block, self.graph.weight(block), local);
+            picks.push(self.pick(node, slot, local));
         }
-        assignment
+        Assignment::from_picks(m, &picks)
     }
 
     /// Run to completion with strict round-robin requests (node 0, 1, …,
@@ -366,16 +372,16 @@ impl Algorithm1 {
     /// isolates the weight-aware argmin from request-order effects.
     pub fn plan_round_robin(mut self) -> Assignment {
         let m = self.workloads.len();
-        let mut assignment = Assignment::new(m);
+        let mut picks = Vec::with_capacity(self.graph.remaining());
         let mut i = 0usize;
         while self.graph.remaining() > 0 {
             let node = NodeId((i % m) as u32);
-            if let Some((block, local)) = self.next_task_for(node) {
-                assignment.assign(node, block, self.graph.weight(block), local);
+            if let Some((slot, local)) = self.next_slot_for(node) {
+                picks.push(self.pick(node, slot, local));
             }
             i += 1;
         }
-        assignment
+        Assignment::from_picks(m, &picks)
     }
 }
 

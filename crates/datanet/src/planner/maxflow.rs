@@ -120,16 +120,11 @@ impl FordFulkersonPlanner {
     }
 
     /// Set up from NameNode metadata directly, over τ₁ ∪ τ₂ merged in block
-    /// order (a view's two lists are each in block order and disjoint).
+    /// order.
     pub fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
-        let mut exact = view.exact().iter().copied().peekable();
-        let mut bloom = view.bloom().iter().map(|&b| (b, view.delta())).peekable();
-        let merged = std::iter::from_fn(|| match (exact.peek(), bloom.peek()) {
-            (Some(e), Some(t)) if t.0 < e.0 => bloom.next(),
-            (Some(_), _) => exact.next(),
-            (None, _) => bloom.next(),
-        });
-        let blocks: Vec<_> = (merged.map(|(b, w)| (b, w, namenode.replicas(b).to_vec()))).collect();
+        let blocks: Vec<_> = (view.scope())
+            .map(|(b, w)| (b, w, namenode.replicas(b).to_vec()))
+            .collect();
         debug_assert!(blocks.windows(2).all(|p| p[0].0 < p[1].0), "unsorted view");
         Self {
             blocks,

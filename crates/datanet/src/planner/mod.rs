@@ -64,6 +64,26 @@ impl Assignment {
         }
     }
 
+    /// An assignment of `picks` — `(node, block, weight, local)` in
+    /// assignment order — with each node's task list allocated once, at its
+    /// final length.
+    pub(crate) fn from_picks(nodes: usize, picks: &[(NodeId, BlockId, u64, bool)]) -> Self {
+        let mut counts = vec![0usize; nodes];
+        for pick in picks {
+            counts[pick.0.index()] += 1;
+        }
+        let mut assignment = Self {
+            tasks: counts.into_iter().map(Vec::with_capacity).collect(),
+            workloads: vec![0; nodes],
+            local_hits: 0,
+            total: 0,
+        };
+        for &(node, block, weight, local) in picks {
+            assignment.assign(node, block, weight, local);
+        }
+        assignment
+    }
+
     /// Record that `node` will process `block` carrying `weight` bytes of
     /// the target sub-dataset; `local` marks data-local assignments.
     pub fn assign(&mut self, node: NodeId, block: BlockId, weight: u64, local: bool) {
