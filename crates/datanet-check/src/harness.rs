@@ -18,14 +18,14 @@ use datanet_analytics::{
 };
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
 use datanet_mapreduce::{
-    apportion, planned_load_bound, range_matrix_estimate, range_matrix_truth, AnalysisConfig,
-    DataNetScheduler, DelayScheduler, Exec, LocalityScheduler, MapScheduler, PlannedScheduler,
-    SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
+    apportion, planned_load_bound, planned_makespan, range_matrix_estimate, range_matrix_truth,
+    AnalysisConfig, DataNetScheduler, DelayScheduler, Exec, LocalityScheduler, MapScheduler,
+    PlannedScheduler, SelectionConfig, SelectionOutcome, ShufflePlan, ShufflePlanner,
 };
 use datanet_obs::{Recorder, TraceData};
 use datanet_serve::{
-    generate_stream, plan_digest, serve, serve_with_planted_staleness, Disposition, ScriptedEvent,
-    ServeConfig, ServeEvent, StreamConfig, TenantMix, World,
+    generate_stream, plan_digest, serve, serve_with_planted_staleness, Disposition, EpochKey,
+    ScriptedEvent, ServeConfig, ServeEvent, StreamConfig, TenantMix, World,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -99,8 +99,9 @@ pub struct CheckOptions {
     /// `ShufflePlanner::plant_reducer_overload`). `true` must trip the
     /// `reduce-skew` oracle.
     pub overload_reducer: bool,
-    /// Make the serving plane's plan cache ignore epoch keys (see
-    /// `PlanCache::plant_staleness`). `true` must trip the
+    /// Make the serving plane's plan cache ignore epochs and serve each
+    /// sub-dataset's first served plan (see
+    /// `datanet_serve::serve_with_planted_staleness`). `true` must trip the
     /// `serve-cache-coherence` oracle on any scenario whose serve axis
     /// crosses a world mutation.
     pub stale_serve_cache: bool,
@@ -1445,6 +1446,10 @@ fn ingest_oracles(v: &mut Vec<Violation>, sc: &Scenario, dfs: &Dfs, sep: &Separa
 ///   this is exact) and recompute the plan from scratch: the served
 ///   plan's digest must match the fresh plan's, byte for byte. This is
 ///   the oracle the planted `stale_serve_cache` bug must trip.
+/// * `serve-price` — with every served plan coherent, the workers' busy
+///   time sums to exactly the fresh plans' `planned_makespan` (µs, ≥ 1
+///   each) over the completed queries, each priced for its own
+///   sub-dataset.
 /// * `serve-interleaving` — a second run with a different worker count
 ///   and schedule seed must produce a byte-identical canonical answers
 ///   section, and a cache-off run on the same workers and schedule seed
@@ -1573,8 +1578,12 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
         w.apply(&ev.event);
         worlds.push(w);
     }
-    let mut fresh: std::collections::HashMap<(u64, datanet::EpochKey), Option<u64>> =
+    // `(digest, price µs)` of the fresh plan per `(sub-dataset, epoch)`.
+    let mut fresh: std::collections::HashMap<(u64, EpochKey), Option<(u64, u64)>> =
         std::collections::HashMap::new();
+    let sel = SelectionConfig::default();
+    let mut priced = 0u64;
+    let violations_before = v.len();
     for o in &answers.outcomes {
         let Disposition::Completed {
             sub,
@@ -1586,10 +1595,10 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
             continue;
         };
         let want = *fresh.entry((sub, epoch)).or_insert_with(|| {
-            worlds
-                .iter()
-                .find(|w| w.epoch_key() == epoch)
-                .map(|w| plan_digest(&w.plan_batch(&[SubDatasetId(sub)], cfg.maxflow)[0]))
+            let w = worlds.iter().find(|w| w.epoch_key() == epoch)?;
+            let plan = w.plan_batch(&[SubDatasetId(sub)], cfg.maxflow).remove(0);
+            let price = planned_makespan(w.dfs(), SubDatasetId(sub), &plan, &sel);
+            Some((plan_digest(&plan), price.as_micros().max(1)))
         });
         match want {
             None => v.push(Violation::new(
@@ -1600,7 +1609,7 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
                     o.id
                 ),
             )),
-            Some(want) if want != served => v.push(Violation::new(
+            Some((want, _)) if want != served => v.push(Violation::new(
                 "serve-cache-coherence",
                 format!(
                     "query {} (sub-dataset {sub}) served plan digest \
@@ -1609,8 +1618,19 @@ fn serve_oracles(v: &mut Vec<Violation>, sc: &Scenario, sep: &Separation, opts: 
                     o.id
                 ),
             )),
-            Some(_) => {}
+            Some((_, price)) => priced += price,
         }
+    }
+
+    // Price: with every served plan coherent, the workers were busy for
+    // exactly the sum of the served plans' prices, each for its own
+    // sub-dataset.
+    let busy: u64 = report.timing.worker_busy_us.iter().sum();
+    if v.len() == violations_before && busy != priced {
+        v.push(Violation::new(
+            "serve-price",
+            format!("workers busy {busy} us, served plans cost {priced} us"),
+        ));
     }
 
     // Interleaving determinism: the canonical answers must not see the

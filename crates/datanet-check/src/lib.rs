@@ -40,9 +40,11 @@
 //!   balances exactly (`serve-fairness`), every completed query's served
 //!   plan is byte-identical to a fresh plan at the epoch it claims —
 //!   rebuilt by replaying the scripted event prefix
-//!   (`serve-cache-coherence`) — and the canonical answers are identical
-//!   across worker counts, schedule seeds and cache on/off, and the
-//!   simulated timing across cache on/off (`serve-interleaving`).
+//!   (`serve-cache-coherence`), the workers are busy for exactly the
+//!   served plans' prices, each for its own sub-dataset (`serve-price`) —
+//!   and the canonical answers are identical across worker counts,
+//!   schedule seeds and cache on/off, and the simulated timing across
+//!   cache on/off (`serve-interleaving`).
 //!
 //! On a violation, [`shrink()`] reduces the failing scenario to a minimal
 //! repro (fewer records, nodes, fault events, less corruption) that still

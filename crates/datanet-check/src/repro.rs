@@ -115,9 +115,9 @@ mod tests {
     /// world builders would panic on is an error naming the field.
     #[test]
     fn load_refuses_a_scenario_the_builders_would_panic_on() {
-        use crate::scenario::CrashEvent;
+        use crate::scenario::{CrashEvent, ServeEventPlan};
         type Mutation = fn(&mut Scenario);
-        let table: [(&str, Mutation); 7] = [
+        let table: [(&str, Mutation); 8] = [
             ("nodes", |s| s.nodes = 0),
             ("subdatasets", |s| s.subdatasets = 0),
             ("block_size", |s| s.block_size = 0),
@@ -129,6 +129,18 @@ mod tests {
                     node: 99,
                     at_us: 5_000,
                 }]
+            }),
+            ("serve.events", |s| {
+                s.serve.events = vec![
+                    ServeEventPlan::NodeLoss {
+                        at_query: 5,
+                        node: 1,
+                    },
+                    ServeEventPlan::Ingest {
+                        at_query: 2,
+                        blocks: 1,
+                    },
+                ]
             }),
         ];
         for (i, (field, mutate)) in table.iter().enumerate() {

@@ -133,6 +133,14 @@ pub enum ServeEventPlan {
     NodeLoss { at_query: u32, node: u32 },
 }
 
+impl ServeEventPlan {
+    /// The stream position the event fires before.
+    pub(crate) fn at_query(&self) -> u32 {
+        let (Self::Ingest { at_query, .. } | Self::NodeLoss { at_query, .. }) = *self;
+        at_query
+    }
+}
+
 /// Multi-tenant serving axis (PR 10): the query-stream shape, the
 /// admission/quota knobs of the `datanet-serve` frontend, and the
 /// scripted world mutations the epoch-keyed plan cache must track.
@@ -337,10 +345,7 @@ impl Scenario {
                     node: rng.gen(),
                 });
             }
-            events.sort_by_key(|e| match *e {
-                ServeEventPlan::Ingest { at_query, .. } => at_query,
-                ServeEventPlan::NodeLoss { at_query, .. } => at_query,
-            });
+            events.sort_by_key(ServeEventPlan::at_query);
             ServePlan {
                 tenants: rng.gen_range(1u32..=4),
                 queries,
@@ -458,7 +463,13 @@ impl Scenario {
         )?;
         ensure(self.serve.tenants >= 1, "serve.tenants", "at least 1")?;
         ensure(self.serve.quantum_kb >= 1, "serve.quantum_kb", "at least 1")?;
-        ensure(self.serve.workers >= 1, "serve.workers", "at least 1")
+        ensure(self.serve.workers >= 1, "serve.workers", "at least 1")?;
+        // `serve` fires events in list order, and asserts the order.
+        ensure(
+            (self.serve.events.windows(2)).all(|w| w[0].at_query() <= w[1].at_query()),
+            "serve.events",
+            "sorted by `at_query`",
+        )
     }
 
     /// The scenario's pipeline spec: `Filter(target)`, then the drawn ops
@@ -582,16 +593,6 @@ mod tests {
             assert!(sc.serve.queue_cap >= 1);
             assert!(sc.serve.max_wait_rounds >= 1);
             assert!(sc.serve.events.len() <= 3);
-            assert!(
-                sc.serve.events.windows(2).all(|w| {
-                    let at = |e: &ServeEventPlan| match *e {
-                        ServeEventPlan::Ingest { at_query, .. } => at_query,
-                        ServeEventPlan::NodeLoss { at_query, .. } => at_query,
-                    };
-                    at(&w[0]) <= at(&w[1])
-                }),
-                "serve events stay sorted by anchor"
-            );
             let spec = sc.pipeline_spec();
             assert!(matches!(spec.seq[0], StageOp::Filter(_)));
             assert!(spec.seq.len() == sc.pipeline.ops.len() + 2);

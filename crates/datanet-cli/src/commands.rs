@@ -154,8 +154,8 @@ network bytes, locality fraction, reduce imbalance and makespan.
 stream on the simulated clock: a bounded admission queue with typed
 rejections and load shedding, per-tenant fair-share quotas (deficit round
 robin over Equation 6 byte estimates, `--quantum-kb` per round), and a
-planner-result cache keyed on
-`(sub-dataset, EpochKey{namenode, ingest, cluster})` that invalidates
+plan cache with one entry per sub-dataset and data epoch, each plan
+reused only at the cluster epoch it was served at, so it invalidates
 itself on ingest commits (`--ingest-at`, `--ingest-blocks` blocks each)
 and node loss (`--lose-node I@N` fails node I, one of the world's nodes,
 before query N). The canonical answers section is independent of
@@ -1155,7 +1155,7 @@ fn val_str(v: Option<&Value>) -> Option<&str> {
 
 /// `datanet serve` — run the multi-tenant serving plane over a seeded
 /// query stream: bounded admission, deficit-round-robin fair-share
-/// quotas, the epoch-keyed plan cache, and a seeded worker pool on the
+/// quotas, the plan cache, and a seeded worker pool on the
 /// simulated clock. The printed answers section is a pure function of
 /// the stream and the scripted events; only the timing line moves with
 /// `--workers`.

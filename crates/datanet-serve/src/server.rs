@@ -1,5 +1,5 @@
 //! The serving plane: admission control, deficit-round-robin fair-share
-//! quotas, the epoch-keyed plan cache, and a seeded worker pool.
+//! quotas, the plan cache, and a seeded worker pool.
 //!
 //! # Decision plane vs execution plane
 //!
@@ -42,8 +42,8 @@
 //!   bound on admitted-bytes shares.
 
 use crate::stream::QuerySpec;
-use crate::world::{plan_digest, ScriptedEvent, World};
-use datanet::{Assignment, EpochKey, FastMap, PlanCache, SubDatasetView};
+use crate::world::{plan_digest, EpochKey, ScriptedEvent, World};
+use datanet::{Assignment, FastMap, SubDatasetView};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{planned_makespan, SelectionConfig};
 use datanet_obs::{Category, Domain, QueryCtx, Recorder, SpanCtx};
@@ -145,7 +145,7 @@ pub struct QueryOutcome {
 }
 
 /// Per-tenant fair-share accounting (the fairness oracle's inputs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TenantStats {
     /// Tenant index.
     pub tenant: u32,
@@ -253,47 +253,48 @@ struct ExecItem {
     duration_us: u64,
 }
 
-/// The part of an [`EpochKey`] a view and an alive-blind plan depend on:
-/// `(NameNode epoch, ingest epoch)`. A node loss moves neither.
-type DataEpoch = (u64, u64);
-
-fn data_epoch(key: EpochKey) -> DataEpoch {
-    (key.namenode, key.ingest)
+/// A plan as it is served: the digest of its wire form and its execution
+/// price (`planned_makespan` for the sub-dataset it was made for, µs, ≥ 1),
+/// both taken once, where the plan is made.
+struct Served {
+    plan: Assignment,
+    digest: u64,
+    duration_us: u64,
 }
 
-/// One sub-dataset resolved at one data epoch.
-struct Resolved {
-    view: SubDatasetView,
-    /// The view's Equation-6 estimate (≥ 1), charged against quotas.
-    est: u64,
-    /// The view's alive-blind plan (`World::plan_view`), kept only with
-    /// the cache on and re-patched at each cluster epoch after a node loss.
-    blind: Option<Blind>,
-}
-
-/// An alive-blind plan, digested only once a miss with every node alive
-/// serves it as it is; from then on it is the pair the cache shares.
-enum Blind {
-    Plan(Assignment),
-    Served(Arc<(Assignment, u64)>),
-}
-
-impl Blind {
-    fn plan(&self) -> &Assignment {
-        match self {
-            Blind::Plan(plan) => plan,
-            Blind::Served(served) => &served.0,
-        }
+impl Served {
+    fn new(world: &World, sub: SubDatasetId, plan: Assignment, sel: &SelectionConfig) -> Arc<Self> {
+        let digest = plan_digest(&plan);
+        let duration_us = planned_makespan(world.dfs(), sub, &plan, sel).as_micros();
+        Arc::new(Self {
+            plan,
+            digest,
+            duration_us: duration_us.max(1),
+        })
     }
 }
 
-impl Resolved {
+/// One sub-dataset at one data epoch (NameNode epoch, ingest epoch): the
+/// key a view depends on. A node loss moves neither.
+struct Entry {
+    view: SubDatasetView,
+    /// The view's Equation-6 estimate (≥ 1), charged against quotas.
+    est: u64,
+    /// The alive-blind plan (`World::plan_view`), made by the first miss
+    /// and re-patched by every miss after a node loss.
+    blind: Option<Arc<Served>>,
+    /// The plan last served, with the cluster epoch it was served at.
+    served: Option<(u64, Arc<Served>)>,
+}
+
+impl Entry {
     fn new(view: SubDatasetView) -> Self {
         let est = view.estimated_total().max(1);
         Self {
             view,
             est,
             blind: None,
+            served: None,
         }
     }
 }
@@ -304,8 +305,8 @@ impl Resolved {
 /// need to replay prefixes afterwards.
 ///
 /// # Panics
-/// Panics on a zero quantum, zero workers, a zero round length, or an
-/// unsorted stream.
+/// Panics on a zero quantum, zero workers, a zero round length, a stream
+/// not sorted by arrival, or events not sorted by `at_query`.
 pub fn serve(
     world: World,
     stream: &[QuerySpec],
@@ -333,6 +334,10 @@ fn serve_inner(
             .all(|w| w[0].arrival_us <= w[1].arrival_us),
         "stream must be sorted by arrival"
     );
+    assert!(
+        events.windows(2).all(|w| w[0].at_query <= w[1].at_query),
+        "events must be sorted by at_query"
+    );
     let tenants = stream
         .iter()
         .map(|q| q.tenant)
@@ -345,31 +350,21 @@ fn serve_inner(
     let mut outcomes: Vec<Option<Disposition>> = vec![None; stream.len()];
     let mut exec: Vec<ExecItem> = Vec::new();
 
+    let mut stats: Vec<TenantStats> = (0..tenants)
+        .map(|t| TenantStats {
+            tenant: t as u32,
+            ..TenantStats::default()
+        })
+        .collect();
     let mut deficit = vec![0u64; tenants];
-    let mut granted = vec![0u64; tenants];
-    let mut served = vec![0u64; tenants];
-    let mut forfeited = vec![0u64; tenants];
-    let mut max_est = vec![0u64; tenants];
-    let mut rounds_backlogged = vec![0u64; tenants];
-    let mut busy_periods = vec![0u32; tenants];
-    let mut admitted = vec![0u32; tenants];
-    let mut rejected = vec![0u32; tenants];
-    let mut shed = vec![0u32; tenants];
 
-    let mut cache = PlanCache::new();
-    if plant_staleness {
-        cache.plant_staleness();
-    }
-    // Each sub-dataset is resolved once per data epoch: its view (and so
-    // its Equation-6 estimate) and its alive-blind plan do not change on a
-    // node loss. The arrival estimate or the round's batched walk over plan
-    // misses fills an entry. With the cache on the entry also keeps the
-    // alive-blind plan, so a miss shares its digested pair while every
-    // node is alive and only re-runs `patch_dead` after a node loss; with
-    // it off every admitted batch walks the planner. Execution prices are
-    // memoised by plan digest: a price is a function of the plan bytes.
-    let mut resolved: FastMap<(u64, DataEpoch), Resolved> = FastMap::default();
-    let mut exec_memo: FastMap<u64, (u64, usize)> = FastMap::default();
+    // The plan cache: one entry per sub-dataset and data epoch, filled by
+    // the arrival estimate or by a round's batched view walk. A lookup hits
+    // when the entry has served a plan at the current cluster epoch; epochs
+    // only move forward, so an entry never serves a plan from another epoch.
+    let mut table: FastMap<(u64, u64, u64), Entry> = FastMap::default();
+    let slot = |sub: u64, key: EpochKey| (sub, key.namenode, key.ingest);
+    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
 
     let mut next_arrival = 0usize;
     let mut next_event = 0usize;
@@ -388,23 +383,23 @@ fn serve_inner(
                 next_event += 1;
             }
             let q = &stream[next_arrival];
-            let t = q.tenant as usize;
+            let ts = &mut stats[q.tenant as usize];
             if queued_total >= cfg.queue_cap {
                 outcomes[next_arrival] = Some(Disposition::Rejected {
                     reason: RejectReason::QueueFull,
                 });
-                rejected[t] += 1;
+                ts.rejected += 1;
                 query_scope(rec, q).add("serve_rejected_total", 1);
             } else {
-                let data = data_epoch(world.epoch_key());
-                let est = (resolved.entry((q.sub.0, data)))
-                    .or_insert_with(|| Resolved::new(world.array().view(q.sub)))
+                let est = (table.entry(slot(q.sub.0, world.epoch_key())))
+                    .or_insert_with(|| Entry::new(world.array().view(q.sub)))
                     .est;
-                max_est[t] = max_est[t].max(est);
-                if queues[t].is_empty() {
-                    busy_periods[t] += 1;
+                ts.max_est_bytes = ts.max_est_bytes.max(est);
+                let queue = &mut queues[q.tenant as usize];
+                if queue.is_empty() {
+                    ts.busy_periods += 1;
                 }
-                queues[t].push_back(Queued {
+                queue.push_back(Queued {
                     idx: next_arrival,
                     est,
                     entered_round: round,
@@ -426,22 +421,22 @@ fn serve_inner(
         // 2. Deficit round robin: grant each backlogged tenant a quantum,
         // admit from its queue head while the head fits the deficit.
         let mut batch: Vec<Queued> = Vec::new();
-        for t in 0..tenants {
+        for (t, ts) in stats.iter_mut().enumerate() {
             if queues[t].is_empty() {
                 // Backlog drained: whatever deficit is left is unused
                 // grant — forfeit it. A tenant with nothing queued holds
                 // no claim on future rounds.
-                forfeited[t] += deficit[t];
+                ts.forfeited_bytes += deficit[t];
                 deficit[t] = 0;
                 continue;
             }
-            rounds_backlogged[t] += 1;
+            ts.rounds_backlogged += 1;
             deficit[t] += cfg.quantum_bytes;
-            granted[t] += cfg.quantum_bytes;
+            ts.granted_bytes += cfg.quantum_bytes;
             while let Some(head) = queues[t].front() {
                 if head.est <= deficit[t] {
                     deficit[t] -= head.est;
-                    served[t] += head.est;
+                    ts.served_bytes += head.est;
                     batch.push(queues[t].pop_front().unwrap());
                     queued_total -= 1;
                 } else {
@@ -451,115 +446,99 @@ fn serve_inner(
         }
 
         // 3. Load shedding: queue heads that have waited out their budget.
-        for t in 0..tenants {
-            while let Some(head) = queues[t].front() {
+        for (queue, ts) in queues.iter_mut().zip(&mut stats) {
+            while let Some(head) = queue.front() {
                 if round >= head.entered_round + cfg.max_wait_rounds as u64 {
                     let waited = round - head.entered_round;
                     let idx = head.idx;
-                    queues[t].pop_front();
+                    queue.pop_front();
                     queued_total -= 1;
                     outcomes[idx] = Some(Disposition::Shed {
                         waited_rounds: waited,
                     });
-                    shed[t] += 1;
-                    let q = &stream[idx];
-                    query_scope(rec, q).add("serve_shed_total", 1);
+                    ts.shed += 1;
+                    query_scope(rec, &stream[idx]).add("serve_shed_total", 1);
                 } else {
                     break;
                 }
             }
         }
 
-        // 4. Plan the admitted batch through the cache. Misses not yet
-        // resolved at this data epoch share one batched view walk.
+        // 4. Plan the admitted batch through the cache. Sub-datasets not
+        // yet resolved at this data epoch share one batched view walk.
         if !batch.is_empty() {
             let key = world.epoch_key();
-            let data = data_epoch(key);
             let mut subs: Vec<u64> = batch.iter().map(|b| stream[b.idx].sub.0).collect();
             subs.sort_unstable();
             subs.dedup();
-            // Each plan with the digest of its wire form, taken once where
-            // the plan is produced (a hit shares the cached pair), and
-            // whether the cache answered.
-            let mut plans: FastMap<u64, (Arc<(Assignment, u64)>, bool)> = FastMap::default();
-            let mut missing: Vec<SubDatasetId> = Vec::new();
-            for &s in &subs {
-                let id = SubDatasetId(s);
-                if cfg.cache {
-                    if let Some(planned) = cache.get(id, key) {
-                        plans.insert(s, (Arc::clone(planned), true));
-                        continue;
-                    }
-                }
-                missing.push(id);
-            }
-            let unresolved: Vec<SubDatasetId> = (missing.iter())
-                .filter(|id| !resolved.contains_key(&(id.0, data)))
-                .copied()
+            let unresolved: Vec<SubDatasetId> = (subs.iter())
+                .filter(|&&s| !table.contains_key(&slot(s, key)))
+                .map(|&s| SubDatasetId(s))
                 .collect();
             if !unresolved.is_empty() {
                 for (id, view) in unresolved.iter().zip(world.array().views(&unresolved)) {
-                    resolved.insert((id.0, data), Resolved::new(view));
+                    table.insert(slot(id.0, key), Entry::new(view));
                 }
             }
-            // A plan is digested where it is served: a patched plan each
-            // time, the alive-blind plan the first time a miss with every
-            // node alive serves it as it is.
-            let digested = |plan: Assignment| {
-                let digest = plan_digest(&plan);
-                Arc::new((plan, digest))
-            };
-            for id in missing {
-                let Resolved { view, blind, .. } = resolved
-                    .get_mut(&(id.0, data))
-                    .expect("every miss was resolved above");
-                let planned = if cfg.cache {
-                    let kept = (blind.take())
-                        .unwrap_or_else(|| Blind::Plan(world.plan_view(view, cfg.maxflow)));
-                    let (planned, kept) = match (world.patch_dead(view, kept.plan()), kept) {
-                        (Some(patched), kept) => (digested(patched), kept),
-                        (None, Blind::Served(served)) => {
-                            (Arc::clone(&served), Blind::Served(served))
-                        }
-                        (None, Blind::Plan(plan)) => {
-                            let served = digested(plan);
-                            (Arc::clone(&served), Blind::Served(served))
-                        }
-                    };
-                    *blind = Some(kept);
-                    planned
+            // Each sub-dataset's served plan, and whether the cache
+            // answered: a hit copies a pointer.
+            let mut plans: FastMap<u64, (Arc<Served>, bool)> = FastMap::default();
+            for &s in &subs {
+                let hit = if !cfg.cache {
+                    None
+                } else if plant_staleness {
+                    // Planted bug: any epoch matches, so the sub-dataset's
+                    // first served plan is served forever.
+                    (table.iter())
+                        .filter(|((sub, ..), _)| *sub == s)
+                        .find_map(|(_, e)| e.served.as_ref())
+                        .map(|(_, p)| Arc::clone(p))
                 } else {
-                    let plan = world.plan_view(view, cfg.maxflow);
-                    digested(world.patch_dead(view, &plan).unwrap_or(plan))
+                    (table[&slot(s, key)].served.as_ref())
+                        .filter(|(cluster, _)| *cluster == key.cluster)
+                        .map(|(_, p)| Arc::clone(p))
                 };
-                if cfg.cache {
-                    cache.insert(id, key, Arc::clone(&planned));
+                if let Some(planned) = hit {
+                    cache_hits += 1;
+                    plans.insert(s, (planned, true));
+                    continue;
                 }
-                plans.insert(id.0, (planned, false));
+                cache_misses += u64::from(cfg.cache);
+                let id = SubDatasetId(s);
+                let e = table.get_mut(&slot(s, key)).expect("resolved above");
+                if !cfg.cache {
+                    // Cache off: every admitted batch walks the planner.
+                    e.blind = None;
+                }
+                let blind = e.blind.get_or_insert_with(|| {
+                    Served::new(&world, id, world.plan_view(&e.view, cfg.maxflow), &sel_cfg)
+                });
+                // A node loss patches the alive-blind plan; it never re-plans.
+                let planned = match world.patch_dead(&e.view, &blind.plan) {
+                    Some(patched) => Served::new(&world, id, patched, &sel_cfg),
+                    None => Arc::clone(blind),
+                };
+                e.served = Some((key.cluster, Arc::clone(&planned)));
+                plans.insert(s, (planned, false));
             }
             for item in batch {
                 let q = &stream[item.idx];
                 let (ref planned, cache_hit) = plans[&q.sub.0];
-                let (ref plan, digest) = **planned;
-                let (duration_us, blocks) = *exec_memo.entry(digest).or_insert_with(|| {
-                    let makespan = planned_makespan(world.dfs(), q.sub, plan, &sel_cfg);
-                    (makespan.as_micros().max(1), plan.assigned_blocks())
-                });
                 outcomes[item.idx] = Some(Disposition::Completed {
                     sub: q.sub.0,
                     epoch: key,
                     cache_hit,
-                    plan_digest: digest,
+                    plan_digest: planned.digest,
                     est_bytes: item.est,
-                    assigned_blocks: blocks,
+                    assigned_blocks: planned.plan.assigned_blocks(),
                     round,
                 });
-                admitted[q.tenant as usize] += 1;
+                stats[q.tenant as usize].admitted += 1;
                 query_scope(rec, q).add("serve_admitted_total", 1);
                 exec.push(ExecItem {
                     idx: item.idx,
                     ready_us: now,
-                    duration_us,
+                    duration_us: planned.duration_us,
                 });
             }
         }
@@ -569,13 +548,12 @@ fn serve_inner(
     // Final settlement: the run ends with every queue empty, so residual
     // deficits are unused grant — forfeit them. After this,
     // `served + forfeited == granted` holds exactly for every tenant.
-    for t in 0..tenants {
-        forfeited[t] += deficit[t];
-        deficit[t] = 0;
+    for (ts, d) in stats.iter_mut().zip(deficit) {
+        ts.forfeited_bytes += d;
     }
 
-    rec.add("serve_cache_hits_total", cache.hits());
-    rec.add("serve_cache_misses_total", cache.misses());
+    rec.add("serve_cache_hits_total", cache_hits);
+    rec.add("serve_cache_misses_total", cache_misses);
 
     // 5. Execution plane: drain admitted queries in admission order over
     // the worker pool. Ties on the earliest-free worker break by the
@@ -638,29 +616,17 @@ fn serve_inner(
                 disposition: d.expect("every query gets exactly one disposition"),
             })
             .collect(),
-        tenants: (0..tenants)
-            .map(|t| TenantStats {
-                tenant: t as u32,
-                granted_bytes: granted[t],
-                served_bytes: served[t],
-                forfeited_bytes: forfeited[t],
-                max_est_bytes: max_est[t],
-                rounds_backlogged: rounds_backlogged[t],
-                busy_periods: busy_periods[t],
-                admitted: admitted[t],
-                rejected: rejected[t],
-                shed: shed[t],
-            })
-            .collect(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
+        tenants: stats,
+        cache_hits,
+        cache_misses,
         quantum_bytes: cfg.quantum_bytes,
     };
     ServeReport { answers, timing }
 }
 
-/// `serve` with the cache-staleness fault planted in the plan cache (the
-/// sim-check harness's self-test). Never call outside tests.
+/// `serve` with the cache-staleness fault planted in the plan cache: every
+/// lookup ignores the epochs and serves the sub-dataset's first served
+/// plan (the sim-check harness's self-test). Never call outside tests.
 #[doc(hidden)]
 pub fn serve_with_planted_staleness(
     world: World,
@@ -695,7 +661,7 @@ mod tests {
     use crate::stream::{generate_stream, StreamConfig, TenantMix};
     use crate::world::ServeEvent;
     use datanet::Separation;
-    use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
+    use datanet_dfs::{Dfs, DfsConfig, NodeId, Record, SubDatasetId, Topology};
 
     fn small_world(seed: u64) -> World {
         let records: Vec<Record> = (0..120)
@@ -955,6 +921,183 @@ mod tests {
         assert!(
             diverged,
             "the planted fault must observably serve a stale plan"
+        );
+    }
+
+    /// `n` queries from one tenant, one per round, on the given sub-datasets.
+    fn one_per_round(subs: &[u64]) -> Vec<QuerySpec> {
+        (subs.iter().enumerate())
+            .map(|(i, &s)| QuerySpec {
+                id: i as u64,
+                tenant: 0,
+                sub: SubDatasetId(s),
+                arrival_us: i as u64 * ServeConfig::default().round_us,
+            })
+            .collect()
+    }
+
+    /// `(cache_hit, epoch, plan_digest)` of every completed query.
+    fn served(report: &ServeReport) -> Vec<(bool, EpochKey, u64)> {
+        (report.answers.outcomes.iter())
+            .map(|o| match o.disposition {
+                Disposition::Completed {
+                    cache_hit,
+                    epoch,
+                    plan_digest,
+                    ..
+                } => (cache_hit, epoch, plan_digest),
+                ref other => panic!("query {} was not served: {other:?}", o.id),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_ingest_commit_or_a_node_loss_alone_turns_the_next_lookup_into_a_miss() {
+        let stream = one_per_round(&[0, 0, 1, 0, 0]);
+        for event in [
+            ServeEvent::IngestCommit { blocks: 1 },
+            ServeEvent::NodeLoss { node: 1 },
+        ] {
+            let events = [ScriptedEvent { at_query: 3, event }];
+            let report = serve(
+                small_world(23),
+                &stream,
+                &events,
+                &ServeConfig::default(),
+                &Recorder::off(),
+            );
+            let got = served(&report);
+            let hits: Vec<bool> = got.iter().map(|g| g.0).collect();
+            // Another sub-dataset at the same epoch misses too.
+            assert_eq!(hits, [false, true, false, false, true], "{event:?}");
+            assert_eq!(
+                (report.answers.cache_hits, report.answers.cache_misses),
+                (2, 3)
+            );
+            let (before, after) = (got[1].1, got[3].1);
+            let data_moved = (before.namenode, before.ingest) != (after.namenode, after.ingest);
+            let cluster_moved = before.cluster != after.cluster;
+            match event {
+                ServeEvent::IngestCommit { .. } => assert!(data_moved && !cluster_moved),
+                ServeEvent::NodeLoss { .. } => assert!(!data_moved && cluster_moved),
+            }
+        }
+    }
+
+    #[test]
+    fn planted_staleness_serves_the_first_plan_across_an_ingest_commit_and_a_node_loss() {
+        let ingest = ServeEvent::IngestCommit { blocks: 2 };
+        // Lose a node the post-commit plan uses, so the loss moves the plan.
+        let mut committed = small_world(31);
+        committed.apply(&ingest);
+        let plan = committed.plan_batch(&[SubDatasetId(0)], false).remove(0);
+        let node = (0..4u32)
+            .find(|&n| !plan.tasks_of(NodeId(n)).is_empty())
+            .expect("the plan uses a node");
+        let events = [
+            ScriptedEvent {
+                at_query: 2,
+                event: ingest,
+            },
+            ScriptedEvent {
+                at_query: 4,
+                event: ServeEvent::NodeLoss { node },
+            },
+        ];
+        let stream = one_per_round(&[0; 6]);
+        let cfg = ServeConfig::default();
+        let clean = served(&serve(
+            small_world(31),
+            &stream,
+            &events,
+            &cfg,
+            &Recorder::off(),
+        ));
+        let digests: Vec<u64> = clean.iter().map(|c| c.2).collect();
+        assert_ne!(digests[2], digests[0], "the commit moves the plan");
+        assert_ne!(digests[4], digests[2], "the loss moves the plan");
+        let buggy = served(&serve_with_planted_staleness(
+            small_world(31),
+            &stream,
+            &events,
+            &cfg,
+            &Recorder::off(),
+        ));
+        for (i, (b, c)) in buggy.iter().zip(&clean).enumerate() {
+            assert_eq!(b.1, c.1, "query {i} is served at the same epoch");
+            assert_eq!((b.0, b.2), (i > 0, digests[0]), "query {i}");
+        }
+    }
+
+    #[test]
+    fn two_subdatasets_with_one_plan_each_pay_their_own_price() {
+        // Every block: sub-dataset 0 dominates, 1 and 2 are one record
+        // each, so under a small α both sit in the Bloom filter of the same
+        // blocks — one view, one plan — while their true bytes differ.
+        let records = (0..16u64).flat_map(|b| {
+            [(0, 1_550), (1, 50), (2, 400)]
+                .map(|(s, size)| Record::new(SubDatasetId(s), b * 3 + s, size, b ^ s))
+        });
+        let dfs = Dfs::write_random(
+            DfsConfig {
+                block_size: 2_000,
+                replication: 2,
+                topology: Topology::single_rack(4),
+                seed: 5,
+            },
+            records,
+        );
+        let world = World::new(dfs, 3, Separation::Alpha(0.1), 5);
+        let subs = [SubDatasetId(1), SubDatasetId(2)];
+        let plans = world.plan_batch(&subs, false);
+        assert_eq!(plans[0], plans[1], "one view, one plan");
+        let prices: Vec<u64> = (subs.iter().zip(&plans))
+            .map(|(&s, p)| {
+                let makespan = planned_makespan(world.dfs(), s, p, &SelectionConfig::default());
+                makespan.as_micros().max(1)
+            })
+            .collect();
+        assert_ne!(prices[0], prices[1], "two prices");
+        let cfg = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        for order in [[1, 2], [2, 1]] {
+            let report = serve(
+                world.clone(),
+                &one_per_round(&order),
+                &[],
+                &cfg,
+                &Recorder::off(),
+            );
+            assert_eq!(served(&report).len(), 2);
+            assert_eq!(
+                report.timing.worker_busy_us,
+                [prices[0] + prices[1]],
+                "each query executes for its own sub-dataset's price"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "events must be sorted by at_query")]
+    fn unsorted_events_are_refused() {
+        let events = [
+            ScriptedEvent {
+                at_query: 5,
+                event: ServeEvent::NodeLoss { node: 1 },
+            },
+            ScriptedEvent {
+                at_query: 2,
+                event: ServeEvent::IngestCommit { blocks: 1 },
+            },
+        ];
+        serve(
+            small_world(3),
+            &one_per_round(&[0; 8]),
+            &events,
+            &ServeConfig::default(),
+            &Recorder::off(),
         );
     }
 

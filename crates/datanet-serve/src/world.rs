@@ -12,8 +12,8 @@
 //! served.
 
 use datanet::{
-    Algorithm1, Assignment, ElasticMap, ElasticMapArray, EpochKey, FordFulkersonPlanner,
-    Separation, SubDatasetView,
+    Algorithm1, Assignment, ElasticMap, ElasticMapArray, FordFulkersonPlanner, Separation,
+    SubDatasetView,
 };
 use datanet_cluster::SimCluster;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
@@ -51,8 +51,20 @@ pub struct ScriptedEvent {
     pub event: ServeEvent,
 }
 
+/// Snapshot of every mutation counter a plan depends on. Two equal keys
+/// guarantee the worlds they were read from are plan-equivalent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct EpochKey {
+    /// `NameNode::epoch()` — bumped per block registration.
+    pub namenode: u64,
+    /// Ingest epoch — bumped per committed ingest batch.
+    pub ingest: u64,
+    /// `SimCluster::epoch()` — bumped per node-liveness change.
+    pub cluster: u64,
+}
+
 /// The serving plane's view of the cluster: DFS + metadata array +
-/// liveness, with the three mutation counters a [`EpochKey`] snapshots.
+/// liveness, with the three mutation counters an [`EpochKey`] snapshots.
 #[derive(Debug, Clone)]
 pub struct World {
     dfs: Dfs,
@@ -107,11 +119,11 @@ impl World {
     /// Snapshot of every mutation counter a plan depends on. Equal keys ⇒
     /// plan-equivalent worlds.
     pub fn epoch_key(&self) -> EpochKey {
-        EpochKey::new(
-            self.dfs.namenode().epoch(),
-            self.ingest_epoch,
-            self.cluster.epoch(),
-        )
+        EpochKey {
+            namenode: self.dfs.namenode().epoch(),
+            ingest: self.ingest_epoch,
+            cluster: self.cluster.epoch(),
+        }
     }
 
     /// Apply one scripted event. Deterministic: the post state is a pure

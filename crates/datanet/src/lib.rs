@@ -67,7 +67,7 @@ pub use memory::MemoryModel;
 pub use planner::plan_balanced_batch;
 pub use planner::{
     plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
-    BalancePolicy, EpochKey, FordFulkersonPlanner, PlanCache,
+    BalancePolicy, FordFulkersonPlanner,
 };
 pub use retry::{RetryBudget, RetryPolicy};
 pub use scan::ElasticMapArray;
@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::planner::plan_balanced_batch;
     pub use crate::planner::{
         plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
-        BalancePolicy, EpochKey, FordFulkersonPlanner, PlanCache,
+        BalancePolicy, FordFulkersonPlanner,
     };
     pub use crate::scan::ElasticMapArray;
     pub use crate::symbol::{FastMap, Sym, SymbolTable};

@@ -9,12 +9,10 @@
 
 mod aggregation;
 mod algorithm1;
-mod cache;
 mod maxflow;
 
 pub use aggregation::{plan_aggregation, uniform_baseline_traffic, AggregationPlan};
 pub use algorithm1::{Algorithm1, BalancePolicy};
-pub use cache::{EpochKey, PlanCache};
 pub use maxflow::FordFulkersonPlanner;
 
 use crate::scan::ElasticMapArray;

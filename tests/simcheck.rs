@@ -144,8 +144,9 @@ fn planted_reducer_overload_is_caught_and_shrunk() {
 }
 
 /// Acceptance self-test for the serving axis: a planted cache-staleness
-/// bug that makes the plan cache ignore epoch keys (behind the test-only
-/// `PlanCache::plant_staleness` hook) must be caught by the
+/// bug that makes the plan cache ignore epochs and serve each
+/// sub-dataset's first served plan (behind the test-only
+/// `serve_with_planted_staleness` hook) must be caught by the
 /// `serve-cache-coherence` oracle — a query completed after a scripted
 /// ingest commit or node loss gets handed the pre-mutation plan, whose
 /// digest no longer matches a fresh plan at the epoch the outcome claims
