@@ -125,7 +125,7 @@ pub fn run_obs_bench(quick: bool) -> ObsBenchReport {
     // short reps beat few long ones here: a rep hit by a neighbour burst
     // contributes one outlier fraction the median discards, where a long
     // rep would smear the burst into every sample.
-    let reps = if quick { 20 } else { 120 };
+    let reps = if quick { 60 } else { 120 };
     let mut off_s = Vec::with_capacity(reps);
     let mut met_s = Vec::with_capacity(reps);
     let mut on_s = Vec::with_capacity(reps);

@@ -37,8 +37,8 @@ impl RecordJob for AggregateHistogram {
         }
     }
 
-    fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
-        values.iter().sum()
+    fn reduce(&self, _key: u64, sum: f64, _count: u64) -> f64 {
+        sum
     }
 }
 

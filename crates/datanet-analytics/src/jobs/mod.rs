@@ -1,8 +1,8 @@
 //! Real record-level implementations of the four analysis jobs.
 //!
 //! The common [`RecordJob`] interface is a deliberately small MapReduce:
-//! map emits `(u64 key, f64 value)` pairs per record, reduce folds the
-//! values of one key. This is enough to express all four applications while
+//! map emits `(u64 key, f64 value)` pairs per record, reduce finishes one
+//! key from the sum and the count of its values. This is enough to express all four applications while
 //! staying object-safe ([`crate::pipeline::AggJob`] boxes one per stage).
 
 mod histogram;
@@ -29,8 +29,11 @@ pub trait RecordJob {
     /// Map one record, emitting intermediate pairs.
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64));
 
-    /// Reduce the values of one key.
-    fn reduce(&self, key: u64, values: &[f64]) -> f64;
+    /// Reduce one key from its values' `sum`, added in emission order
+    /// starting from `-0.0` (as `Iterator::sum` adds), and their `count`.
+    /// Each of the four jobs is a sum or a mean, so a key's values fold as
+    /// they arrive and no key keeps a list of them.
+    fn reduce(&self, key: u64, sum: f64, count: u64) -> f64;
 }
 
 /// Number of payload words a record of a given size carries (≈ 6 bytes per

@@ -37,11 +37,11 @@ impl RecordJob for MovingAverage {
     }
 
     /// Mean rating of the window.
-    fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
-        if values.is_empty() {
+    fn reduce(&self, _key: u64, sum: f64, count: u64) -> f64 {
+        if count == 0 {
             return 0.0;
         }
-        values.iter().sum::<f64>() / values.len() as f64
+        sum / count as f64
     }
 }
 
@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn reduce_is_mean() {
         let job = MovingAverage::default();
-        assert_eq!(job.reduce(0, &[2.0, 4.0, 6.0]), 4.0);
-        assert_eq!(job.reduce(0, &[]), 0.0);
+        assert_eq!(job.reduce(0, 12.0, 3), 4.0);
+        assert_eq!(job.reduce(0, -0.0, 0), 0.0);
     }
 }

@@ -107,8 +107,8 @@ impl RecordJob for TopKSearch {
         emit(bucket, 1.0);
     }
 
-    fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
-        values.iter().sum()
+    fn reduce(&self, _key: u64, sum: f64, _count: u64) -> f64 {
+        sum
     }
 }
 

@@ -27,8 +27,8 @@ impl RecordJob for WordCount {
         }
     }
 
-    fn reduce(&self, _key: u64, values: &[f64]) -> f64 {
-        values.iter().sum()
+    fn reduce(&self, _key: u64, sum: f64, _count: u64) -> f64 {
+        sum
     }
 }
 
@@ -58,8 +58,8 @@ mod tests {
 
     #[test]
     fn reduce_sums() {
-        assert_eq!(WordCount.reduce(0, &[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(WordCount.reduce(0, &[]), 0.0);
+        assert_eq!(WordCount.reduce(0, 6.0, 3), 6.0);
+        assert_eq!(WordCount.reduce(0, -0.0, 0), 0.0);
     }
 
     #[test]

@@ -35,8 +35,7 @@ use crate::jobs::{AggregateHistogram, MovingAverage, RecordJob, TopKSearch, Word
 use crate::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
-use datanet::checkpoint::{self, CheckpointPlan};
-use datanet::store::crc32;
+use datanet::checkpoint::{self, CheckpointPlan, Payload};
 use datanet::{AggregationPlan, ElasticMapArray, FastMap, MetaStore, RetryPolicy, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
@@ -48,7 +47,6 @@ use datanet_obs::{Category, Domain, FlightKind, ObsSummary, Recorder, SpanCtx};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::Arc;
 
 /// One of the paper's four Table II jobs, usable as an aggregate stage.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,11 +96,15 @@ impl AggJob {
     /// records always produce the same aggregate list, bit for bit.
     pub fn run(&self, records: &[Record]) -> Vec<KeyValue> {
         let job = self.job();
-        let mut groups: FastMap<u64, Vec<f64>> = FastMap::default();
+        let mut groups = Groups::default();
+        let mut seq = 0u64;
         for r in records {
-            job.map(r, &mut |k, v| groups.entry(k).or_default().push(v));
+            job.map(r, &mut |k, v| {
+                groups.add(k, seq, v);
+                seq += 1;
+            });
         }
-        reduce_in_key_order(job.as_ref(), groups, |vs| vs)
+        groups.reduce(job.as_ref())
     }
 
     /// Partition this job's map output into per-reducer fragments under a
@@ -112,41 +114,46 @@ impl AggJob {
     /// One fragment per reducer slot, empty slots included.
     pub fn map_fragments(&self, records: &[Record], plan: &ShufflePlan) -> Vec<ShuffleFragment> {
         let job = self.job();
-        let ranges = plan.key_ranges();
         let mut frags: Vec<ShuffleFragment> = (0..plan.reducers.len())
             .map(|reducer| ShuffleFragment {
                 reducer,
                 entries: Vec::new(),
             })
             .collect();
+        let mut routes = RouteMemo::default();
         let mut seq = 0u64;
+        // One record's pairs at a time, so the routing loop below keeps its
+        // state in registers rather than behind the map callback.
+        let mut pairs: Vec<(u64, f64)> = Vec::new();
         for r in records {
-            job.map(r, &mut |k, v| {
-                let slot = plan.fragment_slot(key_range_of(k, ranges), seq);
+            pairs.clear();
+            job.map(r, &mut |k, v| pairs.push((k, v)));
+            for &(k, v) in &pairs {
+                let slot = match routes.route(k, seq, plan) {
+                    Route::Slot(slot) => slot,
+                    Route::Split(range) => plan.fragment_slot(range, seq),
+                };
                 frags[slot].entries.push((k, seq, v));
                 seq += 1;
-            });
+            }
         }
         frags
     }
 
     /// Deterministic merge of shuffled fragments: values regroup by key and
-    /// re-sort by emission sequence number before reducing, so the output
-    /// is byte-identical to [`AggJob::run`] regardless of how the key space
-    /// was partitioned, how heavy keys were split, or in which order the
-    /// fragments arrive.
+    /// reduce in emission order, so the output is byte-identical to
+    /// [`AggJob::run`] regardless of how the key space was partitioned, how
+    /// heavy keys were split, or in which order the fragments arrive.
     pub fn merge_fragments(&self, frags: &[ShuffleFragment]) -> Vec<KeyValue> {
         let job = self.job();
-        let mut groups: FastMap<u64, Vec<(u64, f64)>> = FastMap::default();
+        let mut groups = Groups::default();
         for f in frags {
             for &(k, s, v) in &f.entries {
-                groups.entry(k).or_default().push((s, v));
+                groups.add(k, s, v);
             }
         }
-        reduce_in_key_order(job.as_ref(), groups, |mut vs| {
-            vs.sort_unstable_by_key(|&(s, _)| s);
-            vs.into_iter().map(|(_, v)| v).collect()
-        })
+        groups.restore_order(frags);
+        groups.reduce(job.as_ref())
     }
 
     /// [`AggJob::run`] routed through `plan`'s partitioning — provably the
@@ -157,23 +164,217 @@ impl AggJob {
     }
 }
 
-/// The reduce body of [`AggJob::run`] and [`AggJob::merge_fragments`]: pairs
-/// group by hash (a probe each, not a tree walk), so the distinct keys are
-/// ordered here, once; `in_emission_order` restores a group's value order.
-fn reduce_in_key_order<V>(
-    job: &dyn RecordJob,
-    groups: FastMap<u64, Vec<V>>,
-    in_emission_order: impl Fn(Vec<V>) -> Vec<f64>,
-) -> Vec<KeyValue> {
-    let mut groups: Vec<(u64, Vec<V>)> = groups.into_iter().collect();
-    groups.sort_unstable_by_key(|&(key, _)| key);
-    groups
-        .into_iter()
-        .map(|(key, vs)| KeyValue {
-            key,
-            value: job.reduce(key, &in_emission_order(vs)),
-        })
-        .collect()
+/// Where [`AggJob::map_fragments`] sends a key's pairs.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Every pair to one slot: the key's range is not split.
+    Slot(usize),
+    /// Each pair by [`ShufflePlan::fragment_slot`] over this split range.
+    Split(usize),
+}
+
+impl Route {
+    fn of(key: u64, plan: &ShufflePlan) -> Self {
+        let range = key_range_of(key, plan.key_ranges());
+        match plan.assignments[range][..] {
+            [whole] => Route::Slot(whole.reducer),
+            _ => Route::Split(range),
+        }
+    }
+}
+
+/// Each key's [`Route`] under one plan, resolved at the key's first pair
+/// rather than at every pair, for keys below [`DIRECT_KEYS`]. A first sight
+/// costs several times what a repeat saves (it is a branch the CPU cannot
+/// predict), so while more than one pair in eight (past the first 64 keys)
+/// has been a first sight, the keys rarely repeat and each pair resolves
+/// its own route instead.
+#[derive(Default)]
+struct RouteMemo {
+    /// `direct[key]`: the key's route, once seen.
+    direct: Vec<Option<Route>>,
+    first_sights: u64,
+}
+
+impl RouteMemo {
+    /// The route of `key`, emitted as pair `seq`.
+    #[inline]
+    fn route(&mut self, key: u64, seq: u64, plan: &ShufflePlan) -> Route {
+        if key >= DIRECT_KEYS || self.first_sights > seq / 8 + 64 {
+            return Route::of(key, plan);
+        }
+        match self.direct.get(key as usize) {
+            Some(&Some(route)) => route,
+            _ => self.first_sight(key, plan),
+        }
+    }
+
+    #[inline(never)]
+    fn first_sight(&mut self, key: u64, plan: &ShufflePlan) -> Route {
+        self.first_sights += 1;
+        let k = key as usize;
+        if k >= self.direct.len() {
+            self.direct.resize((k + 1).next_power_of_two(), None);
+        }
+        *self.direct[k].insert(Route::of(key, plan))
+    }
+}
+
+/// Keys below this find their entry in a table indexed by the key itself,
+/// grown to the largest one seen, instead of through a hash: every key the
+/// four jobs emit on the generated logs (a word, a histogram class, a
+/// similarity bucket, a day) lies below it.
+const DIRECT_KEYS: u64 = 1 << 14;
+
+/// Dense indices for the distinct keys of one map output, in first-seen
+/// order: by position for a key below [`DIRECT_KEYS`], through a hash map
+/// above.
+#[derive(Default)]
+struct KeyIndex {
+    /// `direct[key]` is the key's index plus one; zero while unseen.
+    direct: Vec<u32>,
+    /// The same for keys of at least `DIRECT_KEYS`.
+    hashed: FastMap<u64, u32>,
+    /// The key of each index.
+    keys: Vec<u64>,
+}
+
+impl KeyIndex {
+    /// `key`'s index, and whether this is its first sight.
+    #[inline]
+    fn index(&mut self, key: u64) -> (usize, bool) {
+        match self.direct.get(key as usize) {
+            Some(&slot) if slot != 0 => (slot as usize - 1, false),
+            _ => self.index_slow(key),
+        }
+    }
+
+    /// [`KeyIndex::index`] of a key not in the direct table: a new key, or
+    /// one of at least `DIRECT_KEYS`.
+    #[inline(never)]
+    fn index_slow(&mut self, key: u64) -> (usize, bool) {
+        let next = self.keys.len();
+        let slot = if key < DIRECT_KEYS {
+            let k = key as usize;
+            if k >= self.direct.len() {
+                self.direct.resize((k + 1).next_power_of_two(), 0);
+            }
+            &mut self.direct[k]
+        } else {
+            self.hashed.entry(key).or_insert(0)
+        };
+        if *slot == 0 {
+            *slot = u32::try_from(next + 1).expect("fewer than 2^32 distinct keys");
+            self.keys.push(key);
+            (next, true)
+        } else {
+            (*slot as usize - 1, false)
+        }
+    }
+
+    /// Every index, in ascending order of its key: the direct table is
+    /// already in key order and every hashed key lies above it, so only
+    /// the hashed keys are sorted.
+    fn in_key_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (self.direct.iter())
+            .filter(|&&slot| slot != 0)
+            .map(|&slot| slot as usize - 1)
+            .collect();
+        let mut hashed: Vec<(u64, u32)> = self.hashed.iter().map(|(&k, &slot)| (k, slot)).collect();
+        hashed.sort_unstable();
+        order.extend(hashed.into_iter().map(|(_, slot)| slot as usize - 1));
+        order
+    }
+}
+
+/// The grouping body of [`AggJob::run`] and [`AggJob::merge_fragments`].
+/// A key reduces from the sum and count of its values
+/// ([`RecordJob::reduce`]), so each pair folds into its key's running sum
+/// as it arrives: one index lookup per pair and no list per key.
+#[derive(Default)]
+struct Groups {
+    keys: KeyIndex,
+    groups: Vec<Group>,
+}
+
+/// One key's running reduce state.
+struct Group {
+    /// Values added in arrival order, from `-0.0`.
+    sum: f64,
+    count: u64,
+    /// Sequence number of the latest pair added.
+    last: u64,
+    /// A pair arrived after one emitted later: the key's range was split
+    /// across fragments that arrived interleaved.
+    disordered: bool,
+    /// Every value is an integer of magnitude at most 2³¹: with at most
+    /// 2²² of them every partial sum is exact, in any order.
+    small_ints: bool,
+}
+
+impl Group {
+    /// Does `sum` depend on an order the pairs did not arrive in?
+    fn needs_replay(&self) -> bool {
+        self.disordered && !(self.small_ints && self.count <= 1 << 22)
+    }
+}
+
+impl Groups {
+    fn add(&mut self, key: u64, seq: u64, v: f64) {
+        let (g, new) = self.keys.index(key);
+        if new {
+            self.groups.push(Group {
+                sum: -0.0,
+                count: 0,
+                last: seq,
+                disordered: false,
+                small_ints: true,
+            });
+        }
+        let group = &mut self.groups[g];
+        group.sum += v;
+        group.count += 1;
+        group.disordered |= seq < group.last;
+        group.last = seq;
+        group.small_ints &= f64::from(v as i32) == v;
+    }
+
+    /// Re-add, in sequence order, the sum of every key whose pairs arrived
+    /// out of order and whose sum depends on it. Only those keys' pairs are
+    /// gathered and sorted; `frags` are the fragments the pairs came from.
+    fn restore_order(&mut self, frags: &[ShuffleFragment]) {
+        if !self.groups.iter().any(Group::needs_replay) {
+            return;
+        }
+        let mut pairs: Vec<(usize, u64, f64)> = Vec::new();
+        for f in frags {
+            for &(k, s, v) in &f.entries {
+                let (g, _) = self.keys.index(k);
+                if self.groups[g].needs_replay() {
+                    pairs.push((g, s, v));
+                }
+            }
+        }
+        pairs.sort_unstable_by_key(|&(g, s, _)| (g, s));
+        for &(g, _, _) in &pairs {
+            self.groups[g].sum = -0.0;
+        }
+        for (g, _, v) in pairs {
+            self.groups[g].sum += v;
+        }
+    }
+
+    fn reduce(self, job: &dyn RecordJob) -> Vec<KeyValue> {
+        (self.keys.in_key_order().into_iter())
+            .map(|g| {
+                let (key, group) = (self.keys.keys[g], &self.groups[g]);
+                KeyValue {
+                    key,
+                    value: job.reduce(key, group.sum, group.count),
+                }
+            })
+            .collect()
+    }
 }
 
 /// One reducer's slice of a shuffled map output: `(key, emission sequence,
@@ -317,8 +518,10 @@ pub struct WorkingState {
 }
 
 impl WorkingState {
-    fn payload(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("working state serialization is infallible")
+    fn payload(&self) -> Payload {
+        serde_json::to_vec(self)
+            .expect("working state serialization is infallible")
+            .into()
     }
 }
 
@@ -502,7 +705,7 @@ impl PipelineOutput {
     fn from_state(state: WorkingState, committed_crc: Option<u32>) -> Self {
         Self {
             records: state.records.len() as u64,
-            digest: committed_crc.unwrap_or_else(|| crc32(&state.payload())),
+            digest: committed_crc.unwrap_or_else(|| state.payload().crc()),
             aggregates: state.aggregates,
         }
     }
@@ -707,8 +910,8 @@ impl Pipeline {
         let mut stages = Vec::new();
         let mut last_selection: Option<SelectionOutcome> = None;
         let mut last_sub: Option<SubDatasetId> = None;
-        // `state`'s serialised form as the previous stage committed it.
-        let mut committed: Option<Arc<[u8]>> = None;
+        // `state`'s serialised form and CRC as the previous stage committed them.
+        let mut committed: Option<Payload> = None;
         for (i, op) in self.spec.seq.iter().enumerate().skip(start) {
             let label = op.label();
             // Per-stage recorder: the stage's ObsSummary must cover exactly
@@ -810,13 +1013,14 @@ impl Pipeline {
             }
 
             // Commit the checkpoint (crash-safe write order; bounded
-            // retries with deterministic jitter). A state is serialised once:
-            // an output stage leaves it alone and re-commits those bytes.
+            // retries with deterministic jitter). A state is serialised and
+            // checksummed once: an output stage leaves it alone and re-commits
+            // those bytes under that CRC.
             let payload = match (op, &committed) {
-                (StageOp::Output(_), Some(bytes)) => Arc::clone(bytes),
-                _ => Arc::from(state.payload()),
+                (StageOp::Output(_), Some(payload)) => payload.clone(),
+                _ => state.payload(),
             };
-            committed = Some(Arc::clone(&payload));
+            committed = Some(payload.clone());
             let plan = CheckpointPlan::new(&self.spec.name, i as u64, &label, payload);
             let checkpoint_crc = plan.manifest().payload_crc;
             if let Some(cp) = crash {
@@ -941,7 +1145,7 @@ mod tests {
         acc.into_iter()
             .map(|(key, vs)| KeyValue {
                 key,
-                value: job.reduce(key, &vs),
+                value: job.reduce(key, vs.iter().sum(), vs.len() as u64),
             })
             .collect()
     }
@@ -961,7 +1165,7 @@ mod tests {
                 let values: Vec<f64> = vs.into_iter().map(|(_, v)| v).collect();
                 KeyValue {
                     key,
-                    value: job.reduce(key, &values),
+                    value: job.reduce(key, values.iter().sum(), values.len() as u64),
                 }
             })
             .collect()
@@ -973,6 +1177,83 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Four reducers over `ranges` key ranges; every odd range is split
+    /// across three of them.
+    fn split_plan(ranges: usize) -> ShufflePlan {
+        let share = |reducer: usize, share| Fragment {
+            reducer: reducer % 4,
+            share,
+        };
+        ShufflePlan {
+            reducers: (0..4).map(NodeId).collect(),
+            assignments: (0..ranges)
+                .map(|g| match g % 2 {
+                    0 => vec![share(g, 1.0)],
+                    _ => vec![share(g, 0.5), share(g + 1, 0.3), share(g + 2, 0.2)],
+                })
+                .collect(),
+            est_ranges: vec![1; ranges],
+        }
+    }
+
+    /// The two regimes a reducer sees: many light keys (a vocabulary's word
+    /// counts; one moving-average window per record, the timestamps
+    /// reaching past the direct key table into the hashed keys) and a few
+    /// heavy ones (histogram classes, similarity buckets, hour windows).
+    /// Under a plan that splits half the ranges, `merge_fragments` in any
+    /// arrival order, `run` and the `BTreeMap` reference agree bit for bit.
+    #[test]
+    fn merge_equals_run_equals_the_tree_for_many_light_and_few_heavy_keys() {
+        let light: Vec<Record> = (0..4_000u64)
+            .map(|i| {
+                let size = 60 + (mix(i) % 200) as u32;
+                Record::new(SubDatasetId(1), i * 37, size, mix(i ^ 0x55))
+            })
+            .collect();
+        let heavy: Vec<Record> = (0..3_000u64)
+            .map(|i| {
+                let size = 300 + (mix(i) % 300) as u32;
+                Record::new(SubDatasetId(1), mix(i) % 12 * 3_600, size, mix(i ^ 0xAA))
+            })
+            .collect();
+        let plan = split_plan(32);
+        let regimes = [
+            (&light, vec![AggJob::WordCount, AggJob::MovingAverage(1)]),
+            (
+                &heavy,
+                vec![
+                    AggJob::Histogram,
+                    AggJob::TopK,
+                    AggJob::MovingAverage(3_600),
+                ],
+            ),
+        ];
+        for (records, jobs) in regimes {
+            for agg in jobs {
+                let expected = run_by_tree(&agg, records);
+                let what = format!("{} over {} keys", agg.label(), expected.len());
+                if std::ptr::eq(records, &light) {
+                    assert!(expected.len() >= 4_000, "{what}");
+                } else {
+                    assert!((2..=16).contains(&expected.len()), "{what}");
+                }
+                assert_eq!(agg.run(records), expected, "{what}");
+                let frags = agg.map_fragments(records, &plan);
+                assert_eq!(frags.iter().filter(|f| !f.entries.is_empty()).count(), 4);
+                for seed in 0..8u64 {
+                    let mut arrived = frags.clone();
+                    arrived.sort_by_key(|f| mix(seed ^ ((f.reducer as u64) << 8)));
+                    assert_eq!(merge_by_tree(&agg, &arrived), expected, "{what}");
+                    assert_eq!(
+                        agg.merge_fragments(&arrived),
+                        expected,
+                        "{what}, arrival permutation {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

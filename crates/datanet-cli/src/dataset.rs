@@ -31,13 +31,22 @@ impl DatasetFile {
     ///
     /// # Errors
     /// I/O or deserialisation failures, and [`io::ErrorKind::InvalidData`]
-    /// for a file no DFS can be rebuilt from: no nodes, a zero block size
-    /// or replication, or a zero-byte record.
+    /// for a file no DFS can be rebuilt from: no nodes, more nodes than the
+    /// file has bytes (rebuilding allocates per node, so what a file costs
+    /// stays in proportion to its length), a zero block size or
+    /// replication, or a zero-byte record.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let ds: Self = serde_json::from_slice(&std::fs::read(path)?)?;
+        let bytes = std::fs::read(path)?;
+        let ds: Self = serde_json::from_slice(&bytes)?;
         let c = &ds.config;
         let problem = if c.topology.is_empty() {
             "the topology has no nodes".to_string()
+        } else if c.topology.len() > bytes.len() {
+            format!(
+                "the topology's {} nodes outnumber the file's {} bytes",
+                c.topology.len(),
+                bytes.len()
+            )
         } else if c.block_size == 0 {
             "block_size is 0".to_string()
         } else if c.replication == 0 {
@@ -116,6 +125,15 @@ mod tests {
     fn zero_nodes_are_invalid_data() {
         let err = load_damaged("nodes", r#""nodes":4"#, r#""nodes":0"#);
         assert!(err.ends_with("the topology has no nodes"), "{err}");
+    }
+
+    #[test]
+    fn more_nodes_than_bytes_are_invalid_data() {
+        let err = load_damaged("many-nodes", r#""nodes":4"#, r#""nodes":4294967295"#);
+        assert!(
+            err.contains("the topology's 4294967295 nodes outnumber the file's"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -404,15 +404,20 @@ impl<'a> Exec<'a> {
         let mut first_crash: Option<SimTime> = None;
 
         let mut events: EventQueue<SlotEvent> = EventQueue::new();
-        let mut plan_line = format!(
-            "selection plan: {} tasks over {m} nodes",
-            scheduler.remaining()
-        );
         if let Some(plan) = plan {
             assert_eq!(plan.nodes(), m, "fault plan sized for another cluster");
-            plan_line = format!("faulty {plan_line}, {} planned crashes", plan.crash_count());
         }
-        rec.flight(FlightKind::Plan, Domain::Sim, 0, None, plan_line);
+        // The plan line is only built when a flight ring will keep it.
+        if rec.has_flight() {
+            let mut plan_line = format!(
+                "selection plan: {} tasks over {m} nodes",
+                scheduler.remaining()
+            );
+            if let Some(plan) = plan {
+                plan_line = format!("faulty {plan_line}, {} planned crashes", plan.crash_count());
+            }
+            rec.flight(FlightKind::Plan, Domain::Sim, 0, None, plan_line);
+        }
         // Under detection, the engine learns of a crash at the *suspicion*
         // instant; under the oracle model, at the crash instant itself.
         let notifications = match (plan, detection) {

@@ -53,21 +53,51 @@ pub struct CheckpointManifest {
     pub version: u32,
 }
 
+/// A stage's serialized working state and its CRC-32, made together: a
+/// stage that leaves the state alone re-commits the previous stage's
+/// payload, bytes and checksum both, without a copy or a second pass.
+#[derive(Debug, Clone)]
+pub struct Payload {
+    bytes: Arc<Vec<u8>>,
+    crc: u32,
+}
+
+impl Payload {
+    /// CRC-32 of the bytes.
+    pub fn crc(&self) -> u32 {
+        self.crc
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self {
+            crc: crc32(&bytes),
+            bytes: Arc::new(bytes),
+        }
+    }
+}
+
+impl AsRef<[u8]> for Payload {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// One stage checkpoint: the payload, then the immutable per-stage
 /// manifest, then the live `pipeline.json`.
-pub type CheckpointPlan = WritePlan<CheckpointManifest, Arc<[u8]>>;
+pub type CheckpointPlan = WritePlan<CheckpointManifest, Payload>;
 
 impl CheckpointPlan {
     /// Plan the checkpoint for stage `seq` of `pipeline`, with the stage's
-    /// serialized working state as payload — shared, so a stage that leaves
-    /// the state alone re-commits the previous stage's bytes without a copy.
-    pub fn new(pipeline: &str, seq: u64, label: &str, payload: impl Into<Arc<[u8]>>) -> Self {
+    /// serialized working state as payload.
+    pub fn new(pipeline: &str, seq: u64, label: &str, payload: impl Into<Payload>) -> Self {
         let payload = payload.into();
         let manifest = CheckpointManifest {
             pipeline: pipeline.to_string(),
             last_completed_operation: seq,
             label: label.to_string(),
-            payload_crc: crc32(&payload),
+            payload_crc: payload.crc,
             version: CHECKPOINT_VERSION,
         };
         let data = vec![(payload_file(seq), payload)];

@@ -190,11 +190,11 @@ impl From<StoreError> for io::Error {
     }
 }
 
-/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC
-/// state after byte `b` followed by `k` zero bytes, so eight input bytes
-/// fold into the state with eight independent lookups.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
+/// Slice-by-16 lookup tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes, so sixteen input bytes
+/// fold into the state with sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -211,7 +211,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -224,22 +224,27 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the Ethernet/zip one), table-driven,
-/// eight bytes per step.
+/// sixteen bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let word = |i: usize| u32::from_le_bytes([c[i], c[i + 1], c[i + 2], c[i + 3]]);
+        // Byte `j` of word `w` is the chunk's byte `4w + j`, with
+        // `15 - 4w - j` bytes after it: table `k - j` below.
+        let mut next = 0;
+        for (w, x) in [crc ^ word(0), word(4), word(8), word(12)]
+            .into_iter()
+            .enumerate()
+        {
+            let k = 15 - 4 * w;
+            next ^= t[k][(x & 0xFF) as usize]
+                ^ t[k - 1][(x >> 8 & 0xFF) as usize]
+                ^ t[k - 2][(x >> 16 & 0xFF) as usize]
+                ^ t[k - 3][(x >> 24) as usize];
+        }
+        crc = next;
     }
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
@@ -1404,7 +1409,7 @@ mod tests {
                 (x >> 32) as u8
             })
             .collect();
-        for start in 0..8 {
+        for start in 0..16 {
             for len in 0..=64 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");

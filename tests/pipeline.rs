@@ -230,7 +230,8 @@ fn resume_edges_fresh_store_and_complete_store() {
 /// five stock specs under aware, hash and no shuffle routing, every stage's
 /// `checkpoint_crc` is the CRC of the canonical JSON of the state an
 /// independent stage-by-stage replay arrives at — also for the output stage,
-/// which re-commits the aggregate stage's bytes — `output.digest` is the last
+/// which re-commits the aggregate stage's bytes — every replica holds exactly
+/// those bytes under a manifest carrying their CRC, `output.digest` is the last
 /// of them, and a resume landing after any stage, the last included, reports
 /// the uninterrupted run's output.
 #[test]
@@ -294,6 +295,24 @@ fn each_state_is_serialised_once_and_every_commit_carries_its_crc() {
                     "{what}: stage {}",
                     stage.label
                 );
+                // What each replica holds: those bytes, under a manifest
+                // whose CRC is the file's.
+                for dir in dirs.paths() {
+                    let where_ = format!("{what}: stage {} in {}", stage.label, dir.display());
+                    let file = std::fs::read(dir.join(checkpoint::payload_file(stage.index)))
+                        .expect("stage file");
+                    assert!(file == bytes, "{where_}: stage file differs");
+                    let manifest: checkpoint::CheckpointManifest = serde_json::from_slice(
+                        &std::fs::read(dir.join(checkpoint::manifest_file(stage.index)))
+                            .expect("stage manifest"),
+                    )
+                    .expect("manifest decodes");
+                    assert_eq!(
+                        manifest.payload_crc,
+                        datanet::store::crc32(&file),
+                        "{where_}"
+                    );
+                }
             }
             assert_eq!(run.stages.len(), pipe.len());
             // (Scenario event times are unique, so the join keeps nothing.)
