@@ -1,8 +1,9 @@
-//! Shared scaffolding for the reproduction harness: canonical experiment
-//! datasets (scaled versions of the paper's setups) and the fixtures,
-//! table printer and flag parser of its two binaries — `repro` (every
-//! paper table/figure and extension study, the fault sweeps last, one
-//! section each) and `gate` (the recorder-overhead gate).
+//! The reproduction harness behind `datanet repro` and `datanet gate`:
+//! the paper record ([`SECTIONS`], every paper table/figure and extension
+//! study, the fault sweeps last, one section each), the recorder-overhead
+//! [`gate`], and the canonical experiment datasets (scaled versions of the
+//! paper's setups), fixtures and table printer they share. Both write to
+//! the writer the caller hands them.
 //!
 //! ## Scaling
 //!
@@ -15,12 +16,12 @@
 //! absolute seconds are not comparable to the paper's testbed and are not
 //! meant to be.
 
-pub mod flags;
 pub mod obs;
+pub mod repro;
 pub mod setup;
 pub mod table;
 
-pub use flags::{usage_error, Flags};
-pub use obs::{run_obs_bench, ObsBenchReport};
+pub use obs::gate;
+pub use repro::{check_sections, repro, SECTIONS};
 pub use setup::{github_dataset, movie_dataset, Fixtures, MOVIE_BLOCKS, NODES};
 pub use table::Table;

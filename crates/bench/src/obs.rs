@@ -1,5 +1,5 @@
-//! The recorder-overhead benchmark behind the `gate` binary: the
-//! observability plane must be close to free, or nobody leaves it on.
+//! The recorder-overhead gate behind `datanet gate`: the observability
+//! plane must be close to free, or nobody leaves it on.
 //!
 //! ## Methodology (DESIGN.md §16)
 //!
@@ -18,7 +18,8 @@
 //! [`METRICS_NS_PER_SPAN_CAP`] per span (it is meant to be always on) and
 //! the full trace at most [`TRACE_NS_PER_SPAN_CAP`]. The caps are a cost
 //! per span, not a fraction of the workload, so a faster product does not
-//! tighten them.
+//! tighten them. [`gate`] fails only when all [`ATTEMPTS`] measurements
+//! break a cap.
 
 use crate::setup::{Fixtures, NODES};
 use crate::table::Table;
@@ -27,6 +28,9 @@ use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
 use datanet_mapreduce::{AnalysisConfig, DataNetScheduler, Exec, FaultConfig, SelectionConfig};
 use datanet_obs::{QueryCtx, Recorder};
 use serde::Serialize;
+use std::fs;
+use std::io::{self, Write};
+use std::path::Path;
 use std::time::Instant;
 
 /// The always-on plane's budget per span: the 2 % of a 2.9296 ms
@@ -34,6 +38,11 @@ use std::time::Instant;
 pub const METRICS_NS_PER_SPAN_CAP: f64 = 90.0;
 /// The opt-in full trace's budget per span: 5 % of the same workload.
 pub const TRACE_NS_PER_SPAN_CAP: f64 = 225.0;
+
+/// The workload is about a millisecond, and noise on a shared host can
+/// only inflate its measured overhead, never hide real overhead: a genuine
+/// regression fails every attempt, a noise spike rarely survives one.
+pub const ATTEMPTS: usize = 3;
 
 /// One `gate` measurement.
 #[derive(Debug, Clone, Serialize)]
@@ -88,9 +97,39 @@ fn block_min_overhead_secs(mode: &[f64], off: &[f64]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Run the recorder-overhead benchmark. `quick` shrinks the repetition
-/// count for CI; the estimator keeps the same meaning.
-pub fn run_obs_bench(quick: bool) -> ObsBenchReport {
+/// The recorder-overhead gate: measure up to [`ATTEMPTS`] times, writing
+/// each measurement's report to `out` (and, with `json`, the report to
+/// that file), and stop at the first one within both caps. `quick`
+/// shrinks the repetition count for CI; the estimator keeps the same
+/// meaning.
+///
+/// Returns whether an attempt passed.
+///
+/// # Errors
+/// Writing to `out` or to `json` failed.
+pub fn gate(quick: bool, json: Option<&Path>, out: &mut dyn Write) -> io::Result<bool> {
+    for attempt in 1..=ATTEMPTS {
+        let report = run_obs_bench(quick);
+        write!(out, "{}", report.render())?;
+        if let Some(path) = json {
+            fs::write(path, serde_json::to_vec_pretty(&report)?)?;
+            writeln!(out, "wrote JSON report to {}", path.display())?;
+        }
+        let violations = report.violations();
+        if violations.is_empty() {
+            writeln!(out, "obs gate: PASS")?;
+            return Ok(true);
+        }
+        writeln!(out, "obs gate: FAIL (attempt {attempt}/{ATTEMPTS})")?;
+        for v in &violations {
+            writeln!(out, "  - {v}")?;
+        }
+    }
+    Ok(false)
+}
+
+/// One measurement of the recorder-overhead benchmark.
+fn run_obs_bench(quick: bool) -> ObsBenchReport {
     let f = Fixtures::default();
     let (dfs, hot, truth) = (f.dfs(), f.hot(), f.truth());
     let sel = SelectionConfig::default();

@@ -2,17 +2,15 @@
 //! extension studies, one section each, in paper order, and the fault
 //! sweeps last.
 //!
-//! ```text
-//! repro [SECTION...]
-//! ```
-//!
-//! With no argument every section of [`SECTIONS`] runs under a
-//! `######## name ########` header — that output is `repro_output.txt`,
-//! byte for byte (`crates/bench/tests/repro.rs`). Naming sections prints
-//! exactly those slices of it. The sections share one [`Fixtures`] value,
-//! so the movie dataset, its meta-data and the two selections the figures
-//! compare are each built once per run.
+//! [`repro`] with no section named writes every section of [`SECTIONS`]
+//! under a `######## name ########` header; that output, which `datanet
+//! repro` prints, is `repro_output.txt`, byte for byte
+//! (`crates/bench/tests/repro.rs`). Naming sections writes exactly those
+//! slices of it. The sections share one [`Fixtures`] value, so the movie
+//! dataset, its meta-data and the two selections the figures compare are
+//! each built once per run.
 
+use crate::{github_dataset, Fixtures, Table, NODES};
 use datanet::planner::BalancePolicy;
 use datanet::store::MetaStore;
 use datanet::{
@@ -22,7 +20,6 @@ use datanet::{
 use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
-use datanet_bench::{github_dataset, usage_error, Fixtures, Flags, Table, NODES};
 use datanet_cluster::{DetectorConfig, FaultPlan, NodeSpec, SimTime};
 use datanet_mapreduce::{
     capability_of, rebalance, run_analysis, run_selection, speculative_map_phase,
@@ -36,14 +33,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::fs;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// `(name, what it reproduces, body)`.
-type Section = (&'static str, &'static str, fn(&Fixtures));
+pub type Section = (
+    &'static str,
+    &'static str,
+    fn(&Fixtures, &mut dyn Write) -> io::Result<()>,
+);
 
 /// Paper order, extension studies after the paper's own, the fault sweeps
 /// last. EXPERIMENTS.md indexes exactly these names.
-const SECTIONS: [Section; 18] = [
+pub const SECTIONS: [Section; 18] = [
     ("fig1", "Figure 1: the motivating imbalance", fig1),
     ("fig2", "Figure 2: the Gamma tail-probability model", fig2),
     (
@@ -96,39 +98,55 @@ const SECTIONS: [Section; 18] = [
     ),
 ];
 
-fn main() {
-    let mut usage = String::from("repro [SECTION...]\nsections:");
+/// Check that every name in `wanted` is a section of [`SECTIONS`].
+///
+/// # Errors
+/// The first name that is not one, followed by every section's name and
+/// what it reproduces.
+pub fn check_sections(wanted: &[&str]) -> Result<(), String> {
+    let Some(unknown) = (wanted.iter()).find(|w| !SECTIONS.iter().any(|(name, ..)| name == *w))
+    else {
+        return Ok(());
+    };
+    let mut problem = format!("no section `{unknown}`; the sections are:");
     for (name, what, _) in SECTIONS {
-        usage.push_str(&format!("\n  {name:<14}{what}"));
+        problem.push_str(&format!("\n  {name:<14}{what}"));
     }
-    let flags = Flags::from_env(&usage, &[], &[]);
-    let wanted = flags.positional();
-    if let Some(unknown) = wanted
-        .iter()
-        .find(|w| !SECTIONS.iter().any(|(name, ..)| name == *w))
-    {
-        usage_error(&usage, &format!("no section `{unknown}`"));
-    }
+    Err(problem)
+}
+
+/// Write the sections named in `wanted` (every section when it is empty)
+/// in [`SECTIONS`] order, each under its header. A name that is no
+/// section selects nothing; [`check_sections`] rejects it.
+///
+/// # Errors
+/// Only what writing to `out` returns.
+pub fn repro(wanted: &[&str], out: &mut dyn Write) -> io::Result<()> {
     let fixtures = Fixtures::default();
     for (name, _, section) in SECTIONS {
-        if wanted.is_empty() || wanted.iter().any(|w| w == name) {
-            println!("\n######## {name} ########\n");
-            section(&fixtures);
+        if wanted.is_empty() || wanted.contains(&name) {
+            writeln!(out, "\n######## {name} ########\n")?;
+            section(&fixtures, out)?;
         }
     }
+    Ok(())
 }
 
 /// A `block`/`kB` series table of the first `shown` blocks.
-fn print_block_series(dist: &[u64], shown: usize) {
+fn print_block_series(dist: &[u64], shown: usize, out: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(["block", "kB"]);
     for (i, b) in dist.iter().take(shown).enumerate() {
         t.row([i.to_string(), format!("{:.1}", *b as f64 / 1024.0)]);
     }
-    t.print();
+    write!(out, "{}", t.render())
 }
 
 /// A per-node `without DataNet`/`with DataNet` workload table in kB.
-fn print_node_workloads(without: &SelectionOutcome, with: &SelectionOutcome) {
+fn print_node_workloads(
+    without: &SelectionOutcome,
+    with: &SelectionOutcome,
+    out: &mut dyn Write,
+) -> io::Result<()> {
     let mut t = Table::new(["node", "without DataNet", "with DataNet"]);
     for n in 0..NODES as usize {
         t.row([
@@ -137,7 +155,7 @@ fn print_node_workloads(without: &SelectionOutcome, with: &SelectionOutcome) {
             format!("{:.1}", with.per_node_bytes[n] as f64 / 1024.0),
         ]);
     }
-    t.print();
+    write!(out, "{}", t.render())
 }
 
 /// Figure 1 — the motivating observation.
@@ -147,39 +165,50 @@ fn print_node_workloads(without: &SelectionOutcome, with: &SelectionOutcome) {
 ///     blocks.
 /// (b) Filtered-workload distribution over a 32-node cluster under
 ///     Hadoop's default block-locality scheduling: heavily imbalanced.
-fn fig1(f: &Fixtures) {
+fn fig1(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (hot, dist) = (f.hot(), f.truth());
 
-    println!("== Figure 1(a): sub-dataset distribution over HDFS blocks ==");
-    println!("(movie {hot}, bytes per block, first 128 blocks)");
-    print_block_series(dist, 128);
+    writeln!(
+        out,
+        "== Figure 1(a): sub-dataset distribution over HDFS blocks =="
+    )?;
+    writeln!(out, "(movie {hot}, bytes per block, first 128 blocks)")?;
+    print_block_series(dist, 128, out)?;
     let total: u64 = dist.iter().sum();
     let mut sorted = dist.to_vec();
     sorted.sort_unstable_by(|a, b| b.cmp(a));
     let top30: u64 = sorted.iter().take(30).sum();
-    println!(
+    writeln!(
+        out,
         "top-30 blocks hold {:.1}% of the sub-dataset ({} blocks total)\n",
         100.0 * top30 as f64 / total as f64,
         dist.len()
-    );
+    )?;
 
-    println!("== Figure 1(b): workload distribution over cluster nodes ==");
-    println!("(bytes of movie {hot} filtered onto each of {NODES} nodes, locality scheduling)");
-    let out = f.without();
+    writeln!(
+        out,
+        "== Figure 1(b): workload distribution over cluster nodes =="
+    )?;
+    writeln!(
+        out,
+        "(bytes of movie {hot} filtered onto each of {NODES} nodes, locality scheduling)"
+    )?;
+    let without = f.without();
     let mut t = Table::new(["node", "kB"]);
-    for (n, b) in out.per_node_bytes.iter().enumerate() {
+    for (n, b) in without.per_node_bytes.iter().enumerate() {
         t.row([n.to_string(), format!("{:.1}", *b as f64 / 1024.0)]);
     }
-    t.print();
-    let s = out.workload_summary();
-    println!(
+    write!(out, "{}", t.render())?;
+    let s = without.workload_summary();
+    writeln!(
+        out,
         "min {:.1} kB  avg {:.1} kB  max {:.1} kB  (max/min = {:.1}x, max/avg = {:.2}x)",
         s.min() / 1024.0,
         s.mean() / 1024.0,
         s.max() / 1024.0,
         s.spread_ratio().unwrap_or(f64::INFINITY),
-        out.imbalance()
-    );
+        without.imbalance()
+    )
 }
 
 /// Figure 2 — the probability model of workload imbalance (Section II-B).
@@ -189,11 +218,14 @@ fn fig1(f: &Fixtures) {
 /// Right: the Γ(k=1.2, θ=7) per-block density.
 ///
 /// Also prints the expected node counts at m = 128 that the paper quotes.
-fn fig2(_: &Fixtures) {
+fn fig2(_: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let model = ImbalanceModel::paper_example();
 
-    println!("== Figure 2 (left): tail probabilities vs cluster size ==");
-    println!("(Z ~ Γ(nk/m, θ), k=1.2, θ=7, n=512)");
+    writeln!(
+        out,
+        "== Figure 2 (left): tail probabilities vs cluster size =="
+    )?;
+    writeln!(out, "(Z ~ Γ(nk/m, θ), k=1.2, θ=7, n=512)")?;
     let sizes = [2, 4, 8, 16, 32, 64, 96, 128, 192, 256, 384, 512];
     let mut t = Table::new(["nodes", "P(Z<E/3)", "P(Z<E/2)", "P(Z>2E)", "P(Z>3E)"]);
     for row in model.series(sizes) {
@@ -205,39 +237,41 @@ fn fig2(_: &Fixtures) {
             format!("{:.4}", row.p_above_thrice),
         ]);
     }
-    t.print();
+    write!(out, "{}", t.render())?;
 
-    println!("\n== Figure 2 (right): Γ(1.2, 7) density ==");
+    writeln!(out, "\n== Figure 2 (right): Γ(1.2, 7) density ==")?;
     let g = GammaDist::new(1.2, 7.0);
     let mut t = Table::new(["x", "pdf"]);
     for i in 0..=30 {
         let x = i as f64;
         t.row([format!("{x:.0}"), format!("{:.4}", g.pdf(x))]);
     }
-    t.print();
+    write!(out, "{}", t.render())?;
 
-    println!("\n== Expected node counts at m = 128 ==");
-    println!(
+    writeln!(out, "\n== Expected node counts at m = 128 ==")?;
+    writeln!(
+        out,
         "below E/3: {:.1} nodes   below E/2: {:.1} nodes   above 2E: {:.1} nodes   above 3E: {:.2} nodes",
         model.expected_nodes_below(128, 1.0 / 3.0),
         model.expected_nodes_below(128, 0.5),
         model.expected_nodes_above(128, 2.0),
         model.expected_nodes_above(128, 3.0),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(paper quotes 3.9 / 1.5 / 4.0; our E/3 and 2E values match 3.9 and 4.0 —\n\
          see EXPERIMENTS.md for the label discrepancy in the paper's text)"
-    );
+    )
 }
 
 /// Table I — "The size information of movies within a block file": the
 /// per-sub-dataset sizes an ElasticMap records for one block, largest
 /// first.
-fn table1(f: &Fixtures) {
+fn table1(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let block = f.dfs().block(datanet_dfs::BlockId(0));
     let map = ElasticMap::build(block, &Separation::All);
 
-    println!("== Table I: movie sizes within block b0 ==");
+    writeln!(out, "== Table I: movie sizes within block b0 ==")?;
     let mut entries: Vec<_> = map.exact_entries().collect();
     entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut t = Table::new(["movie id", "bytes", "# reviews (approx)"]);
@@ -248,12 +282,13 @@ fn table1(f: &Fixtures) {
             format!("{}", bytes / 600),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "... {} distinct movies in this one {} kB block",
         map.distinct(),
         block.bytes() / 1024
-    );
+    )
 }
 
 /// Figure 5 — the headline comparison on the 32-node cluster.
@@ -263,10 +298,13 @@ fn table1(f: &Fixtures) {
 ///     Histogram 40.6%, TopKSearch 42%).
 /// (b) Size of the target sub-dataset over HDFS blocks.
 /// (c) Filtered workload over the 32 nodes, with and without DataNet.
-fn fig5(f: &Fixtures) {
+fn fig5(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (without, with) = (f.without(), f.with());
 
-    println!("== Figure 5(a): overall execution time (s) of the four jobs ==");
+    writeln!(
+        out,
+        "== Figure 5(a): overall execution time (s) of the four jobs =="
+    )?;
     let ana = AnalysisConfig::default();
     let jobs = [
         moving_average_profile(),
@@ -297,23 +335,31 @@ fn fig5(f: &Fixtures) {
             ),
         ]);
     }
-    t.print();
-    println!("(paper: 20% / 39.1% / 40.6% / 42%)\n");
+    write!(out, "{}", t.render())?;
+    writeln!(out, "(paper: 20% / 39.1% / 40.6% / 42%)\n")?;
 
-    println!("== Figure 5(b): size of data over HDFS blocks (kB, first 64 blocks) ==");
-    print_block_series(f.truth(), 64);
+    writeln!(
+        out,
+        "== Figure 5(b): size of data over HDFS blocks (kB, first 64 blocks) =="
+    )?;
+    print_block_series(f.truth(), 64, out)?;
 
-    println!("\n== Figure 5(c): workload after selection (kB per node) ==");
-    print_node_workloads(without, with);
-    println!(
+    writeln!(
+        out,
+        "\n== Figure 5(c): workload after selection (kB per node) =="
+    )?;
+    print_node_workloads(without, with, out)?;
+    writeln!(
+        out,
         "imbalance (max/avg): without = {:.2}, with = {:.2}",
         without.imbalance(),
         with.imbalance()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "blocks scanned: without = {} (all), with = {} (ElasticMap skips empty blocks)",
         without.total_tasks, with.total_tasks
-    );
+    )
 }
 
 /// Figure 6 — map execution times on the filtered sub-dataset.
@@ -324,11 +370,11 @@ fn fig5(f: &Fixtures) {
 /// (c) Word Count min/avg/max map time — a larger min–max gap than Moving
 ///     Average because "with greater computational requirements, the issue
 ///     of imbalance becomes more serious".
-fn fig6(f: &Fixtures) {
+fn fig6(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (without, with) = (f.without(), f.with());
     let ana = AnalysisConfig::default();
 
-    println!("== Figure 6(a): Top-K Search map time per node (s) ==");
+    writeln!(out, "== Figure 6(a): Top-K Search map time per node (s) ==")?;
     let tw = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
     let td = run_analysis(&with.per_node_bytes, &top_k_profile(), &ana);
     let mut t = Table::new(["node", "without DataNet", "with DataNet"]);
@@ -339,15 +385,16 @@ fn fig6(f: &Fixtures) {
             format!("{:.3}", td.map_secs[n]),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "slowest/fastest map without DataNet: {:.3}s / {:.3}s ({:.1}x)",
         tw.map_summary().max(),
         tw.map_summary().min(),
         tw.map_summary().max() / tw.map_summary().min()
-    );
+    )?;
 
-    println!("\n== Figure 6(b)(c): min/avg/max map time (s) ==");
+    writeln!(out, "\n== Figure 6(b)(c): min/avg/max map time (s) ==")?;
     let mut t = Table::new(["job", "variant", "min", "avg", "max", "max-min gap"]);
     for profile in [moving_average_profile(), word_count_profile()] {
         for (name, filtered) in [
@@ -366,11 +413,12 @@ fn fig6(f: &Fixtures) {
             ]);
         }
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "(the WordCount gap exceeds the MovingAverage gap — heavier compute\n\
          amplifies the same byte imbalance, as in the paper)"
-    );
+    )
 }
 
 /// Figure 7 — shuffle-phase execution times.
@@ -379,11 +427,14 @@ fn fig6(f: &Fixtures) {
 /// all map tasks have been executed." With imbalanced maps, reducers sit
 /// waiting for the straggler, so shuffle tasks take 4–5× longer without
 /// DataNet.
-fn fig7(f: &Fixtures) {
+fn fig7(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (without, with) = (f.without(), f.with());
     let ana = AnalysisConfig::default();
 
-    println!("== Figure 7: shuffle execution time (s), min/avg/max ==");
+    writeln!(
+        out,
+        "== Figure 7: shuffle execution time (s), min/avg/max =="
+    )?;
     let mut t = Table::new(["job", "variant", "min", "avg", "max"]);
     let mut ratios = Vec::new();
     for profile in [word_count_profile(), top_k_profile()] {
@@ -404,10 +455,14 @@ fn fig7(f: &Fixtures) {
             jw.shuffle_summary().max() / jd.shuffle_summary().max().max(1e-9),
         ));
     }
-    t.print();
+    write!(out, "{}", t.render())?;
     for (job, r) in ratios {
-        println!("{job}: shuffle max without/with = {r:.1}x (paper: 4-5x)");
+        writeln!(
+            out,
+            "{job}: shuffle max without/with = {r:.1}x (paper: 4-5x)"
+        )?;
     }
+    Ok(())
 }
 
 /// Figure 8 — the GitHub event-log experiment (Section V-A-4).
@@ -419,18 +474,22 @@ fn fig7(f: &Fixtures) {
 /// Plus the paper's headline numbers for this dataset: the longest Top-K
 /// map time drops from 125 s to 107 s (a much smaller win than on the movie
 /// data, because the distribution is less skewed).
-fn fig8(_: &Fixtures) {
+fn fig8(_: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let dfs = github_dataset(NODES);
     let issue = EventType::Issue.id();
     let truth = dfs.subdataset_distribution(issue);
 
-    println!("== Figure 8(a): IssueEvent bytes over the first 128 blocks (kB) ==");
-    print_block_series(&truth, 128);
+    writeln!(
+        out,
+        "== Figure 8(a): IssueEvent bytes over the first 128 blocks (kB) =="
+    )?;
+    print_block_series(&truth, 128, out)?;
     let nonzero = truth.iter().filter(|&&b| b > 0).count();
-    println!(
+    writeln!(
+        out,
         "present in {nonzero}/{} blocks (no content clustering, but imbalanced)\n",
         truth.len()
-    );
+    )?;
 
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(issue);
     let sel = SelectionConfig::default();
@@ -439,23 +498,25 @@ fn fig8(_: &Fixtures) {
     let mut dn = DataNetScheduler::new(&dfs, &view);
     let with = run_selection(&dfs, &truth, &mut dn, &sel);
 
-    println!("== Figure 8(b): IssueEvent workload per node (kB) ==");
-    print_node_workloads(&without, &with);
+    writeln!(out, "== Figure 8(b): IssueEvent workload per node (kB) ==")?;
+    print_node_workloads(&without, &with, out)?;
 
     let ana = AnalysisConfig::default();
     let tw = run_analysis(&without.per_node_bytes, &top_k_profile(), &ana);
     let td = run_analysis(&with.per_node_bytes, &top_k_profile(), &ana);
-    println!(
+    writeln!(
+        out,
         "\nTop-K Search longest map: without = {:.3}s, with = {:.3}s ({:.1}% better)",
         tw.map_summary().max(),
         td.map_summary().max(),
         100.0 * (1.0 - td.map_summary().max() / tw.map_summary().max())
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "(paper: 125s -> 107s, i.e. 14.4% — \"the overall improvement is much\n\
          less than that of the movie dataset\" because IssueEvent is far less\n\
          clustered; imbalance comes only from mix drift)"
-    );
+    )
 }
 
 /// Table II — efficiency of the ElasticMap: the α ↔ accuracy ↔
@@ -468,11 +529,11 @@ fn fig8(_: &Fixtures) {
 /// records than our scaled 256 kB blocks), so we print both the measured
 /// scaled ratio and the Equation 5 model evaluated at the paper's block
 /// size.
-fn table2(f: &Fixtures) {
+fn table2(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let dfs = f.dfs();
     let model = MemoryModel::default();
 
-    println!("== Table II: efficiency of ElasticMap ==");
+    writeln!(out, "== Table II: efficiency of ElasticMap ==")?;
     let mut t = Table::new([
         "alpha(req)",
         "alpha(achieved)",
@@ -500,11 +561,12 @@ fn table2(f: &Fixtures) {
             format!("{model_ratio:.0}"),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\ntrends to compare with the paper: accuracy falls and the\n\
          representation ratio rises as alpha decreases."
-    );
+    )
 }
 
 /// Figure 9 — per-sub-dataset accuracy of the ElasticMap estimate.
@@ -515,12 +577,18 @@ fn table2(f: &Fixtures) {
 /// analogue live mostly in bloom filters and deviate more — yet "as these
 /// sub-datasets have little data, there will be a lower probability for
 /// them to cause imbalanced computing".
-fn fig9(f: &Fixtures) {
+fn fig9(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (dfs, arr) = (f.dfs(), f.array());
     let ranked = f.catalog().by_size_desc();
 
-    println!("== Figure 9: estimate vs actual per movie, ordered by size ==");
-    println!("(top 30 movies, then every 50th rank into the long tail)");
+    writeln!(
+        out,
+        "== Figure 9: estimate vs actual per movie, ordered by size =="
+    )?;
+    writeln!(
+        out,
+        "(top 30 movies, then every 50th rank into the long tail)"
+    )?;
     let mut t = Table::new(["rank", "movie", "actual kB", "estimated kB", "accuracy"]);
     let mut large_accs = Vec::new();
     let mut small_accs = Vec::new();
@@ -546,15 +614,19 @@ fn fig9(f: &Fixtures) {
             small_accs.push(acc);
         }
     }
-    t.print();
+    write!(out, "{}", t.render())?;
 
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
+    writeln!(
+        out,
         "\nmean accuracy: movies >= 128 kB (paper's 32 MB analogue): {:.1}%  |  smaller movies: {:.1}%",
         mean(&large_accs) * 100.0,
         mean(&small_accs) * 100.0
-    );
-    println!("(the paper's trend: accuracy degrades below the size threshold)");
+    )?;
+    writeln!(
+        out,
+        "(the paper's trend: accuracy degrades below the size threshold)"
+    )
 }
 
 /// Figure 10 — degree of balanced computing vs α.
@@ -565,18 +637,21 @@ fn fig9(f: &Fixtures) {
 /// sub-datasets recorded in the hash map, DataNet is able to achieve a
 /// satisfactory workload balance … changing the percentage from 15 to 100
 /// will have little effect".
-fn fig10(f: &Fixtures) {
+fn fig10(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (dfs, hot, truth) = (f.dfs(), f.hot(), f.truth());
     let sel = SelectionConfig::default();
 
-    println!("== Figure 10: workload balance vs alpha (normalised by max) ==");
+    writeln!(
+        out,
+        "== Figure 10: workload balance vs alpha (normalised by max) =="
+    )?;
     let mut t = Table::new(["alpha", "max", "min", "avg", "std dev"]);
     for pct in (10..=100).step_by(5) {
         let alpha = pct as f64 / 100.0;
         let view = ElasticMapArray::build(dfs, &Separation::Alpha(alpha)).view(hot);
         let mut dn = DataNetScheduler::new(dfs, &view);
-        let out = run_selection(dfs, truth, &mut dn, &sel);
-        let s = out.workload_summary();
+        let selected = run_selection(dfs, truth, &mut dn, &sel);
+        let s = selected.workload_summary();
         let norm = s.max();
         t.row([
             format!("{pct}%"),
@@ -586,11 +661,12 @@ fn fig10(f: &Fixtures) {
             format!("{:.3}", s.std_dev() / norm),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "(compare the paper: max ~0.9, min ~0.7, flat from alpha = 15% upward;\n\
          normalisation here is by each row's max)"
-    );
+    )
 }
 
 /// Section V-A-4 — the dynamic-migration (SkewTune-like) alternative.
@@ -602,21 +678,25 @@ fn fig10(f: &Fixtures) {
 /// Rebalances the locality scheduler's skewed partitions by migration,
 /// reports the migrated fraction and time, and compares the end-to-end
 /// path against DataNet's proactive balancing.
-fn migration(f: &Fixtures) {
+fn migration(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (without, with) = (f.without(), f.with());
     let ana = AnalysisConfig::default();
 
     let mig = rebalance(&without.per_node_bytes, &NodeSpec::marmot());
-    println!("== Dynamic migration after an imbalanced selection ==");
-    println!(
+    writeln!(out, "== Dynamic migration after an imbalanced selection ==")?;
+    writeln!(
+        out,
         "migrated bytes: {} of {} ({:.1}%), touching {} of {NODES} nodes",
         mig.moved_bytes,
         without.per_node_bytes.iter().sum::<u64>(),
         mig.fraction * 100.0,
         mig.nodes_touched,
-    );
-    println!("migration wall time: {:.3}s", mig.migration_secs);
-    println!("(paper: \"more than 30%\" of the data migrates, touching almost every node)\n");
+    )?;
+    writeln!(out, "migration wall time: {:.3}s", mig.migration_secs)?;
+    writeln!(
+        out,
+        "(paper: \"more than 30%\" of the data migrates, touching almost every node)\n"
+    )?;
 
     // End-to-end WordCount comparison across the three strategies.
     let job = word_count_profile();
@@ -660,11 +740,12 @@ fn migration(f: &Fixtures) {
             format!("{:.3}", sel_s + extra + job_s),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\nDataNet foresees the imbalance and avoids both the migration traffic\n\
          and the runtime monitoring the reactive approach needs."
-    );
+    )
 }
 
 /// Ablation: where does DataNet's balance come from, and what does each
@@ -676,7 +757,7 @@ fn migration(f: &Fixtures) {
 /// * Algorithm 1 with the paper's α = 0.3 ElasticMap;
 /// * Algorithm 1 with bloom-only meta-data (α = 0);
 /// * the Ford–Fulkerson optimal plan with perfect meta-data.
-fn ablation(f: &Fixtures) {
+fn ablation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (dfs, hot, truth) = (f.dfs(), f.hot(), f.truth());
     let cfg = SelectionConfig::default();
 
@@ -732,7 +813,7 @@ fn ablation(f: &Fixtures) {
     let o = run_selection(dfs, truth, &mut ff, &cfg);
     report("ford-fulkerson", "exact (All)", &o);
 
-    t.print();
+    write!(out, "{}", t.render())
 }
 
 /// Aggregation-traffic extension (the future work of Section IV-B, built):
@@ -743,7 +824,7 @@ fn ablation(f: &Fixtures) {
 /// * Hadoop default — one reducer per node, uniform hash shares;
 /// * placement only — R reducers on the data-richest nodes, uniform shares;
 /// * placement + weighted shares (bounded reduce-side skew).
-fn aggregation(f: &Fixtures) {
+fn aggregation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     // Use the *imbalanced* locality selection: aggregation planning pays
     // off exactly when intermediate data is concentrated on a few nodes
     // (after DataNet's balanced selection there is little to win — both
@@ -762,7 +843,10 @@ fn aggregation(f: &Fixtures) {
     let placed = plan_aggregation(&outputs, reducers, 1.0);
     let weighted = plan_aggregation(&outputs, reducers, 2.0);
 
-    println!("== Aggregation planning: shuffle traffic and job time ==");
+    writeln!(
+        out,
+        "== Aggregation planning: shuffle traffic and job time =="
+    )?;
     let mut t = Table::new([
         "strategy",
         "reducers",
@@ -784,11 +868,12 @@ fn aggregation(f: &Fixtures) {
             format!("{:.4}", rep.makespan_secs),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\nreduce-side skew accepted by the weighted plan: {:.2}x uniform",
         weighted.reduce_imbalance()
-    );
+    )
 }
 
 /// Heterogeneous clusters — Section IV-B's "according to the computing
@@ -800,7 +885,7 @@ fn aggregation(f: &Fixtures) {
 /// * Hadoop locality (content- and capability-oblivious);
 /// * DataNet with uniform targets (balances bytes — wrong goal here);
 /// * DataNet with capability-proportional targets (balances *time*).
-fn hetero(f: &Fixtures) {
+fn hetero(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (dfs, truth, view) = (f.dfs(), f.truth(), f.view());
     let job = top_k_profile();
 
@@ -824,18 +909,21 @@ fn hetero(f: &Fixtures) {
     // 2. DataNet, uniform byte targets.
     let uniform_plan = Algorithm1::new(dfs, view).plan_balanced();
     let mut s2 = PlannedScheduler::new(&uniform_plan, dfs.namenode());
-    let out = run_selection(dfs, truth, &mut s2, &sel);
-    rows.push(("datanet (uniform targets)", out.per_node_bytes));
+    let selected = run_selection(dfs, truth, &mut s2, &sel);
+    rows.push(("datanet (uniform targets)", selected.per_node_bytes));
 
     // 3. DataNet, capability-proportional targets.
     let cap_plan =
         Algorithm1::with_capabilities(dfs.namenode(), view, BalancePolicy::PacedGreedy, &caps)
             .plan_balanced();
     let mut s3 = PlannedScheduler::new(&cap_plan, dfs.namenode());
-    let out = run_selection(dfs, truth, &mut s3, &sel);
-    rows.push(("datanet (capability targets)", out.per_node_bytes));
+    let selected = run_selection(dfs, truth, &mut s3, &sel);
+    rows.push(("datanet (capability targets)", selected.per_node_bytes));
 
-    println!("== Heterogeneous cluster (16 fast + 16 stock nodes), Top-K Search ==");
+    writeln!(
+        out,
+        "== Heterogeneous cluster (16 fast + 16 stock nodes), Top-K Search =="
+    )?;
     let mut t = Table::new([
         "schedule",
         "byte imbalance",
@@ -857,11 +945,12 @@ fn hetero(f: &Fixtures) {
             format!("{:.4}", rep.makespan_secs),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\ncapability targets deliberately *unbalance bytes* (fast nodes get more)\n\
          so that completion times equalise — the makespan win over uniform targets."
-    );
+    )
 }
 
 /// Speculative execution vs data skew — why Hadoop's built-in straggler
@@ -872,13 +961,16 @@ fn hetero(f: &Fixtures) {
 ///   cannot beat the originals — improvement ≈ 0, work duplicated;
 /// * **slow node** (what speculation was designed for): a degraded node's
 ///   balanced partition is rescued.
-fn speculation(f: &Fixtures) {
+fn speculation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let selection = f.without();
     let job = top_k_profile();
     let cfg = SpeculationConfig::default();
     let spec = NodeSpec::marmot();
 
-    println!("== Speculative execution vs the two kinds of straggler ==");
+    writeln!(
+        out,
+        "== Speculative execution vs the two kinds of straggler =="
+    )?;
     let mut t = Table::new([
         "scenario",
         "backups",
@@ -910,14 +1002,15 @@ fn speculation(f: &Fixtures) {
         format!("{:.4}", slow.makespan_secs),
         format!("{:.1}%", slow.improvement() * 100.0),
     ]);
-    t.print();
+    write!(out, "{}", t.render())?;
 
-    println!(
+    writeln!(
+        out,
         "\nspeculation rescues machine-level stragglers but not content-clustering\n\
          skew: a backup of the same oversized partition, launched later and fed\n\
          over the network, cannot beat the original. DataNet prevents the skew\n\
          instead of racing it."
-    );
+    )
 }
 
 /// Meta-data amortization — Section V-A-4's closing argument: "DataNet will
@@ -927,7 +1020,7 @@ fn speculation(f: &Fixtures) {
 ///
 /// Analyses the top-K movies back to back and accounts the one-off scan
 /// cost against the per-job migration cost it replaces.
-fn amortization(f: &Fixtures) {
+fn amortization(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let dfs = f.dfs();
     let jobs = 6usize;
     let job = word_count_profile();
@@ -977,20 +1070,26 @@ fn amortization(f: &Fixtures) {
             format!("{mig_secs:.3}"),
         ]);
     }
-    println!("== One scan vs per-job migration, {jobs} sub-dataset analyses ==");
-    t.print();
-    println!(
+    writeln!(
+        out,
+        "== One scan vs per-job migration, {jobs} sub-dataset analyses =="
+    )?;
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\ntotals: DataNet = {scan_cost_secs:.3}s scan + jobs = {datanet_total:.3}s;  \
          migration path = {migration_total:.3}s"
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "the single scan amortises across every subsequent analysis, while the\n\
          reactive path pays selection + migration for each one."
-    );
+    )?;
     assert!(
         datanet_total < migration_total,
         "amortization should win over {jobs} jobs"
     );
+    Ok(())
 }
 
 /// I/O savings from block skipping — Section V-B-1: "with the knowledge of
@@ -1000,13 +1099,13 @@ fn amortization(f: &Fixtures) {
 ///
 /// The saving grows as the target sub-dataset shrinks: a blockbuster touches
 /// every block, a niche movie only a handful.
-fn io_savings(f: &Fixtures) {
+fn io_savings(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let (dfs, maps) = (f.dfs(), f.array());
     let ranked = f.catalog().by_size_desc();
     let sel = SelectionConfig::default();
     let total_blocks = dfs.block_count();
 
-    println!("== I/O savings from ElasticMap block skipping ==");
+    writeln!(out, "== I/O savings from ElasticMap block skipping ==")?;
     let mut t = Table::new([
         "movie rank",
         "movie size kB",
@@ -1039,12 +1138,13 @@ fn io_savings(f: &Fixtures) {
             ),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\nthe oblivious scheduler must scan all {total_blocks} blocks for every\n\
          query; ElasticMap restricts the scan to blocks that (may) hold the\n\
          target — bloom false positives cost at most a handful of extra reads."
-    );
+    )
 }
 
 /// Max/avg bytes over the nodes that survived the selection.
@@ -1111,7 +1211,7 @@ fn damage_shards(dirs: &[PathBuf], shards: usize, count: usize, rng: &mut StdRng
 /// everything (rung 3, quarantined). Selection then runs through
 /// `Exec::selection_resilient`; the rows give the degradation-ladder rung
 /// mix, the Equation 6 estimate error and the bytes recovered.
-fn faults(f: &Fixtures) {
+fn faults(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     const RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
     const SEEDS: u64 = 5;
     const SHARD_BLOCKS: usize = 4;
@@ -1123,7 +1223,10 @@ fn faults(f: &Fixtures) {
     // Fault horizon: crashes land inside the healthy phase.
     let horizon = SimTime::from_micros(f.without().end.as_micros().max(1));
 
-    println!("== Fault sweep: crash rate vs recovery ({NODES} nodes, {SEEDS} seeds/rate) ==");
+    writeln!(
+        out,
+        "== Fault sweep: crash rate vs recovery ({NODES} nodes, {SEEDS} seeds/rate) =="
+    )?;
     let mut t = Table::new([
         "crash rate",
         "sched",
@@ -1156,21 +1259,21 @@ fn faults(f: &Fixtures) {
                 } else {
                     Box::new(DataNetScheduler::new(dfs, view))
                 };
-                let out =
+                let selected =
                     Exec::default()
                         .faults(&faults)
                         .selection(dfs, truth, sched.as_mut(), &sel);
                 let row = [
-                    out.per_node_bytes.iter().sum::<u64>() as f64 / total,
-                    survivor_imbalance(&out),
-                    out.end.as_secs_f64(),
-                    out.faults.recovery_secs,
-                    out.faults.reexecuted_tasks as f64,
-                    out.faults.wasted_bytes_read as f64 / (1024.0 * 1024.0),
+                    selected.per_node_bytes.iter().sum::<u64>() as f64 / total,
+                    survivor_imbalance(&selected),
+                    selected.end.as_secs_f64(),
+                    selected.faults.recovery_secs,
+                    selected.faults.reexecuted_tasks as f64,
+                    selected.faults.wasted_bytes_read as f64 / (1024.0 * 1024.0),
                 ];
                 sums.iter_mut().zip(row).for_each(|(s, v)| *s += v);
-                detect_secs += out.faults.detection_latency_secs.iter().sum::<f64>();
-                detections += out.faults.detection_latency_secs.len();
+                detect_secs += selected.faults.detection_latency_secs.iter().sum::<f64>();
+                detections += selected.faults.detection_latency_secs.len();
             }
             mean(&mut sums);
             if detections > 0 {
@@ -1190,9 +1293,12 @@ fn faults(f: &Fixtures) {
             ]);
         }
     }
-    t.print();
+    write!(out, "{}", t.render())?;
 
-    println!("\n== Metadata corruption sweep: shard damage vs degradation ladder ==");
+    writeln!(
+        out,
+        "\n== Metadata corruption sweep: shard damage vs degradation ladder =="
+    )?;
     let mut t = Table::new([
         "corrupt rate",
         "shards",
@@ -1229,16 +1335,16 @@ fn faults(f: &Fixtures) {
             damage_shards(&dirs, shards, damaged, &mut rng);
 
             let scrubbed = store.scrub();
-            let out = Exec::default().selection_resilient(dfs, hot, &mut store, &sel);
+            let selected = Exec::default().selection_resilient(dfs, hot, &mut store, &sel);
             let row = [
                 scrubbed.repaired as f64,
                 scrubbed.quarantined.len() as f64,
-                out.meta.rungs.exact as f64,
-                out.meta.rungs.bloom as f64,
-                out.meta.rungs.fallback as f64,
-                out.meta.est_error,
-                out.per_node_bytes.iter().sum::<u64>() as f64 / total,
-                out.end.as_secs_f64(),
+                selected.meta.rungs.exact as f64,
+                selected.meta.rungs.bloom as f64,
+                selected.meta.rungs.fallback as f64,
+                selected.meta.est_error,
+                selected.per_node_bytes.iter().sum::<u64>() as f64 / total,
+                selected.end.as_secs_f64(),
             ];
             sums.iter_mut().zip(row).for_each(|(s, v)| *s += v);
             for d in &dirs {
@@ -1260,8 +1366,9 @@ fn faults(f: &Fixtures) {
             format!("{phase:.2}"),
         ]);
     }
-    t.print();
-    println!(
+    write!(out, "{}", t.render())?;
+    writeln!(
+        out,
         "\nDataNet re-plans lost work by ElasticMap weight: its survivor imbalance stays\n\
          near the fault-free optimum while the locality baseline degrades with luck of\n\
          the surviving replicas. The detector rows pay a crash→suspicion latency but\n\
@@ -1269,5 +1376,5 @@ fn faults(f: &Fixtures) {
          down — repairable copies are scrubbed back to rung 1, summary-only shards\n\
          answer on rung 2 and quarantined shards fall back to a rung-3 locality scan —\n\
          and every byte is still credited exactly once."
-    );
+    )
 }

@@ -1,4 +1,4 @@
-//! Minimal aligned-table printer for the reproduction binaries.
+//! Minimal aligned-table printer for `datanet repro`, `gate` and the CLI.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -65,11 +65,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

@@ -1,24 +1,21 @@
-//! The record is the output: `repro_output.txt` is what `repro` prints,
-//! byte for byte, and EXPERIMENTS.md indexes exactly the sections it runs.
+//! The record is the output: `repro_output.txt` is what `datanet repro`
+//! prints, byte for byte, and EXPERIMENTS.md indexes exactly the sections
+//! it runs.
 
-use std::process::{Command, Output};
+use datanet_bench::{check_sections, repro, SECTIONS};
 use std::sync::OnceLock;
 
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("repro launches")
+/// What [`repro`] writes for `wanted`.
+fn run(wanted: &[&str]) -> String {
+    let mut out = Vec::new();
+    repro(wanted, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("utf8 output")
 }
 
-/// Stdout of one full `repro` run, shared by the tests below.
+/// One full record, shared by the tests below.
 fn full_output() -> &'static str {
     static OUT: OnceLock<String> = OnceLock::new();
-    OUT.get_or_init(|| {
-        let out = repro(&[]);
-        assert!(out.status.success(), "repro failed: {out:?}");
-        String::from_utf8(out.stdout).expect("utf8 output")
-    })
+    OUT.get_or_init(|| run(&[]))
 }
 
 fn committed(file: &str) -> String {
@@ -48,7 +45,7 @@ fn committed_record_is_the_output_byte_for_byte() {
     assert!(
         full_output() == committed("repro_output.txt"),
         "repro_output.txt is stale; regenerate it with \
-         `cargo run --release -p datanet-bench --bin repro > repro_output.txt` \
+         `cargo run --release -q --bin datanet-cli -- repro > repro_output.txt` \
          and update the numbers EXPERIMENTS.md quotes from it"
     );
 }
@@ -88,22 +85,23 @@ fn sections_are_exactly_the_experiments_index() {
 fn named_sections_print_exactly_their_slices() {
     let all = sections(full_output());
     let slice = |name: &str| all.iter().find(|(n, _)| *n == name).expect("section").1;
-    let out = repro(&["fig5", "fig7"]);
-    assert!(out.status.success(), "{out:?}");
     let expected = format!("{}{}", slice("fig5"), slice("fig7"));
-    assert!(String::from_utf8(out.stdout).unwrap() == expected);
+    assert!(run(&["fig5", "fig7"]) == expected);
 }
 
+/// `datanet repro` runs this check before any section, so a bad word
+/// exits 2 with nothing on stdout (the CLI's tests pin that half).
 #[test]
 fn unknown_sections_and_flags_fail_naming_the_valid_sections() {
+    assert_eq!(check_sections(&["fig2", "faults"]), Ok(()));
     for bad in ["nosuch", "--quick"] {
-        let out = repro(&["fig2", bad]);
-        assert_eq!(out.status.code(), Some(2), "repro fig2 {bad}: {out:?}");
-        assert!(out.stdout.is_empty(), "repro fig2 {bad} printed a section");
-        let err = String::from_utf8(out.stderr).unwrap();
-        assert!(err.contains(bad), "{err}");
-        for (name, _) in sections(full_output()) {
-            assert!(err.contains(name), "`{name}` missing from: {err}");
+        let err = check_sections(&["fig2", bad]).unwrap_err();
+        assert!(err.contains(&format!("`{bad}`")), "{err}");
+        for (name, what, _) in SECTIONS {
+            assert!(
+                err.contains(name) && err.contains(what),
+                "`{name}` missing from: {err}"
+            );
         }
     }
 }

@@ -14,7 +14,7 @@ use datanet_analytics::{
     histogram_pipeline, join_word_count_pipeline, moving_average_pipeline, top_k_pipeline,
     word_count_pipeline, Pipeline, PipelineEnv, ShuffleParams,
 };
-use datanet_bench::Table;
+use datanet_bench::{Table, SECTIONS};
 use datanet_dfs::{DfsConfig, NodeId, SubDatasetId, Topology};
 use datanet_mapreduce::{
     range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, AnalysisConfig,
@@ -107,6 +107,10 @@ USAGE:
   datanet check [--seeds N] [--seed-start N] [--corpus FILE] [--shrink]
               [--repro-dir DIR] [--trace OUT.json]
   datanet check --repro FILE
+  datanet repro [fig1] [fig2] [table1] [fig5] [fig6] [fig7] [fig8] [table2] [fig9]
+              [fig10] [migration] [ablation] [aggregation] [hetero] [speculation]
+              [amortization] [io_savings] [faults]
+  datanet gate [--quick] [--json OUT]
   datanet help
 
 `--trace OUT.json` records the run on the observability plane and writes a
@@ -132,6 +136,11 @@ corruption) checked against every invariant oracle. `--corpus FILE` adds
 fixed seeds (one per line, `#` comments); `--shrink` minimises failures
 and writes self-contained repro files into `--repro-dir` (default `.`);
 `--repro FILE` replays such a file.
+
+`datanet repro` prints the paper record: every section (`repro_output.txt`
+byte for byte) or the named ones. `datanet gate` fails when three attempts
+in a row find the metrics or trace plane over its cap (90, 225 ns per
+span); `--quick` runs 60 paired reps, not 120; `--json` writes the report.
 
 `datanet pipeline` runs one of the analysis jobs as a checkpointed
 multi-stage pipeline: every completed stage commits a checksummed,
@@ -271,6 +280,8 @@ const COMMANDS: &[Command] = &[
         "shrink",
         true,
     ),
+    ("repro", cmd_repro, SECTIONS.len(), "", "", false),
+    ("gate", cmd_gate, 0, "json", "quick", false),
     ("help", cmd_help, 0, "", "", false),
 ];
 
@@ -294,6 +305,16 @@ pub fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError
         .into());
     }
     run(&args, out)
+}
+
+/// What the binary prints to stderr for `e` before it exits with status 2.
+/// Usage only helps with usage mistakes; invariant violations from
+/// `datanet check` would scroll their repro pointers off the screen.
+pub fn error_text(e: &CliError) -> String {
+    match e {
+        CliError::Args(_) => format!("datanet: {e}\n{USAGE}"),
+        _ => format!("datanet: {e}\n"),
+    }
 }
 
 fn cmd_help(_args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -387,25 +408,29 @@ fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--meta` accepts a comma-separated replica list; the first directory is
-/// the primary, shards are replicated across all of them.
-fn meta_dirs(args: &Args) -> Result<Vec<std::path::PathBuf>, CliError> {
-    let dirs: Vec<std::path::PathBuf> = args
-        .require("meta")?
-        .split(',')
+/// A replica-list flag (`--meta`, `--ckpt`): comma-separated directories,
+/// the first the primary, every shard or checkpoint replicated across all
+/// of them.
+fn replicas<'a>(args: &'a Args, key: &str) -> Result<Vec<&'a Path>, CliError> {
+    let dirs: Vec<&Path> = (args.require(key)?.split(','))
         .filter(|s| !s.is_empty())
-        .map(std::path::PathBuf::from)
+        .map(Path::new)
         .collect();
     if dirs.is_empty() {
-        return Err(ArgError("--meta needs at least one directory".into()).into());
+        return Err(ArgError(format!("--{key} needs at least one directory")).into());
     }
     Ok(dirs)
 }
 
+/// A sub-dataset id flag (`--subdataset`, `--with`).
+fn subdataset(args: &Args, key: &str) -> Result<SubDatasetId, CliError> {
+    let id = (args.require(key)?.parse()).map_err(|e| ArgError(format!("--{key}: {e}")))?;
+    Ok(SubDatasetId(id))
+}
+
 fn open_store(args: &Args, cache_shards: usize) -> Result<MetaStore, CliError> {
-    let dirs = meta_dirs(args)?;
-    let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
-    Ok(MetaStore::open_replicated(&refs, cache_shards)?)
+    let dirs = replicas(args, "meta")?;
+    Ok(MetaStore::open_replicated(&dirs, cache_shards)?)
 }
 
 /// Where the observability planes requested on the command line should be
@@ -533,10 +558,9 @@ fn cmd_scan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let dfs = ds.to_dfs();
     let (rec, obs) = recorder(args)?;
     let arr = ElasticMapArray::build_traced(&dfs, &Separation::Alpha(alpha), &rec);
-    let dirs = meta_dirs(args)?;
-    let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
-    MetaStore::save_replicated(&arr, &refs, shard_blocks)?;
-    let store = MetaStore::open_replicated(&refs, 1)?;
+    let dirs = replicas(args, "meta")?;
+    MetaStore::save_replicated(&arr, &dirs, shard_blocks)?;
+    let store = MetaStore::open_replicated(&dirs, 1)?;
     writeln!(
         out,
         "scanned {} blocks at alpha={alpha}: {} bytes of meta-data on disk \
@@ -588,8 +612,7 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let shard_blocks: usize = positive(args, "shard-blocks", 64)?;
     let compact_every: usize = positive(args, "compact-every", 64)?;
     let commit_every: usize = positive(args, "commit-every", compact_every)?;
-    let dirs = meta_dirs(args)?;
-    let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
+    let dirs = replicas(args, "meta")?;
     let cfg = IngestConfig {
         policy: Separation::Alpha(alpha),
         compact_every,
@@ -598,7 +621,7 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let (rec, obs) = recorder(args)?;
     let dfs = ds.to_dfs();
     let mut ing = if args.flag("resume") {
-        Ingestor::resume(cfg, &refs)?
+        Ingestor::resume(cfg, &dirs)?
     } else {
         Ingestor::new(cfg)
     };
@@ -607,10 +630,10 @@ fn cmd_ingest(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     for (k, b) in dfs.blocks().iter().enumerate().skip(start) {
         ing.append(b, k as u64 * 1_000);
         if (k + 1) % commit_every == 0 {
-            ing.commit(&refs)?;
+            ing.commit(&dirs)?;
         }
     }
-    let epoch = ing.commit(&refs)?;
+    let epoch = ing.commit(&dirs)?;
     let st = ing.stats();
     writeln!(
         out,
@@ -641,18 +664,12 @@ fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         None => open_store(args, 4)?,
         Some(e) => {
             let epoch: u64 = e.parse().map_err(|e| ArgError(format!("--epoch: {e}")))?;
-            let dirs = meta_dirs(args)?;
-            let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
-            MetaStore::open_replicated_at_epoch(&refs, epoch, 4)?
+            MetaStore::open_replicated_at_epoch(&replicas(args, "meta")?, epoch, 4)?
         }
     };
     let (rec, obs) = recorder(args)?;
     store.set_recorder(rec.clone());
-    let id: u64 = args
-        .require("subdataset")?
-        .parse()
-        .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
-    let s = SubDatasetId(id);
+    let s = subdataset(args, "subdataset")?;
     let view = store.view(s)?;
     let dfs = ds.to_dfs();
     let label = match args.get("epoch") {
@@ -679,11 +696,7 @@ fn cmd_plan(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut store = open_store(args, 4)?;
     let (rec, obs) = recorder(args)?;
     store.set_recorder(rec.clone());
-    let id: u64 = args
-        .require("subdataset")?
-        .parse()
-        .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
-    let view = store.view(SubDatasetId(id))?;
+    let view = store.view(subdataset(args, "subdataset")?)?;
     let dfs = ds.to_dfs();
     let planner = args.get("planner").unwrap_or("alg1");
     let plan = match planner {
@@ -816,11 +829,7 @@ fn print_shuffle_comparison(
 
 fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let ds = DatasetFile::load(Path::new(args.require("dataset")?))?;
-    let id: u64 = args
-        .require("subdataset")?
-        .parse()
-        .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
-    let s = SubDatasetId(id);
+    let s = subdataset(args, "subdataset")?;
     let job = job_by_name(args.get("job").unwrap_or("wordcount"))?;
     let alpha = alpha(args)?;
     let dfs = ds.to_dfs();
@@ -880,21 +889,6 @@ fn cmd_simulate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--ckpt` replica list for pipeline checkpoints (same comma syntax as
-/// `--meta`).
-fn ckpt_dirs(args: &Args) -> Result<Vec<PathBuf>, CliError> {
-    let dirs: Vec<PathBuf> = args
-        .require("ckpt")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-        .collect();
-    if dirs.is_empty() {
-        return Err(ArgError("--ckpt needs at least one directory".into()).into());
-    }
-    Ok(dirs)
-}
-
 /// `datanet pipeline` — run an analysis job as a checkpointed multi-stage
 /// pipeline: each completed stage commits a durable, checksummed
 /// checkpoint into the `--ckpt` replicas under the crash-safe write order;
@@ -902,28 +896,17 @@ fn ckpt_dirs(args: &Args) -> Result<Vec<PathBuf>, CliError> {
 /// remainder.
 fn cmd_pipeline(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let ds = DatasetFile::load(Path::new(args.require("dataset")?))?;
-    let id: u64 = args
-        .require("subdataset")?
-        .parse()
-        .map_err(|e| ArgError(format!("--subdataset: {e}")))?;
-    let s = SubDatasetId(id);
+    let s = subdataset(args, "subdataset")?;
     let alpha = alpha(args)?;
     let spec = match args.get("job").unwrap_or("wordcount") {
         "wordcount" => word_count_pipeline(s),
         "movingaverage" => moving_average_pipeline(s, args.get_or("window-secs", 86_400)?),
         "histogram" => histogram_pipeline(s),
         "topk" => top_k_pipeline(s),
-        "join" => {
-            let with: u64 = args
-                .require("with")?
-                .parse()
-                .map_err(|e| ArgError(format!("--with: {e}")))?;
-            join_word_count_pipeline(s, SubDatasetId(with))
-        }
+        "join" => join_word_count_pipeline(s, subdataset(args, "with")?),
         other => return Err(ArgError(format!("unknown job `{other}`")).into()),
     };
-    let dirs = ckpt_dirs(args)?;
-    let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
+    let dirs = replicas(args, "ckpt")?;
     let dfs = ds.to_dfs();
     let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(alpha));
     let mut env = PipelineEnv::new(&dfs, &arr);
@@ -931,9 +914,9 @@ fn cmd_pipeline(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let (rec, obs) = recorder(args)?;
     let pipe = Pipeline::new(spec);
     let report = if args.flag("resume") {
-        pipe.resume(&mut env, &refs, &rec)?
+        pipe.resume(&mut env, &dirs, &rec)?
     } else {
-        pipe.run(&mut env, &refs, &rec)?
+        pipe.run(&mut env, &dirs, &rec)?
     };
     match report.resumed_from {
         Some(k) => writeln!(
@@ -1135,6 +1118,27 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         seeds.len()
     )?;
     Ok(())
+}
+
+/// `datanet repro` — the paper record: every section of
+/// [`SECTIONS`], or the named ones, checked before any runs.
+fn cmd_repro(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let wanted: Vec<&str> = (1..args.positional_len())
+        .filter_map(|i| args.positional(i))
+        .collect();
+    datanet_bench::check_sections(&wanted).map_err(ArgError)?;
+    datanet_bench::repro(&wanted, out)?;
+    Ok(())
+}
+
+/// `datanet gate` — the recorder-overhead gate ([`datanet_bench::gate`]).
+fn cmd_gate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    if datanet_bench::gate(args.flag("quick"), args.get("json").map(Path::new), out)? {
+        return Ok(());
+    }
+    Err(CliError::Check(
+        "obs gate: every attempt broke a cap".into(),
+    ))
 }
 
 fn val_u64(v: Option<&Value>) -> u64 {
@@ -1783,9 +1787,66 @@ mod tests {
             .collect();
         assert_eq!(table.len(), COMMANDS.len(), "a command is listed twice");
         assert_eq!(usage, table);
+        // `repro`'s positionals are its sections, each named in the synopsis.
+        let repro = synopsis.split("datanet repro").nth(1).unwrap();
+        let named: Vec<&str> = (repro.split("datanet ").next().unwrap().split_whitespace())
+            .map(|word| word.trim_matches(['[', ']']))
+            .collect();
+        let sections: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
+        assert_eq!(named, sections);
         // The shared set is spelled out once, in the paragraph under it.
         for flag in OBS_FLAGS.split_whitespace() {
             assert!(USAGE.contains(&format!("`--{flag}")), "--{flag}");
+        }
+    }
+
+    /// `datanet repro` prints what the paper-record library writes, and a
+    /// word that is no section fails (exit 2) before any section runs,
+    /// naming every section on stderr.
+    #[test]
+    fn repro_prints_the_record_and_rejects_unknown_sections_and_flags() {
+        let mut fig2 = Vec::new();
+        datanet_bench::repro(&["fig2"], &mut fig2).unwrap();
+        assert!(run("repro fig2").unwrap().as_bytes() == fig2);
+        for bad in ["nosuch", "--quick"] {
+            let mut out = Vec::new();
+            let line = ["repro", "fig2", bad].map(String::from).to_vec();
+            let err = dispatch(line, &mut out).unwrap_err();
+            assert!(matches!(err, CliError::Args(_)), "{err}");
+            assert!(out.is_empty(), "repro fig2 {bad} printed a section");
+            let stderr = error_text(&err);
+            assert!(stderr.contains(bad), "{stderr}");
+            for (name, ..) in SECTIONS {
+                assert!(stderr.contains(name), "`{name}` missing from: {stderr}");
+            }
+        }
+    }
+
+    /// A gate command line that is not fully understood fails before
+    /// anything is measured, so this test takes no time.
+    #[test]
+    fn gate_rejects_bad_command_lines_before_measuring() {
+        let cases = [
+            // One typo must not turn the gate off...
+            ("gate --quick --jsn out.json", "unknown flag --jsn"),
+            // ...nor a path flag that lost its value...
+            ("gate --quick --json", "--json needs a value"),
+            // ...nor a word the gate does not take.
+            ("gate obs --quick", "takes 0 positional argument(s), got 1"),
+        ];
+        for (line, problem) in cases {
+            let mut out = Vec::new();
+            let err = dispatch(
+                line.split_whitespace().map(String::from).collect(),
+                &mut out,
+            );
+            let err = err.unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(e) if e.0.contains(problem)),
+                "{line}: {err}"
+            );
+            assert!(out.is_empty(), "{line} measured before failing");
+            assert!(error_text(&err).contains("USAGE:"), "{line}");
         }
     }
 

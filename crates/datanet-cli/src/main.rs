@@ -6,6 +6,8 @@
 //! datanet query --dataset ds.json --meta meta/ --subdataset 0
 //! datanet plan --dataset ds.json --meta meta/ --subdataset 0
 //! datanet simulate --dataset ds.json --subdataset 0 --job topk
+//! datanet repro fig5 fig7
+//! datanet gate --quick
 //! ```
 
 mod args;
@@ -16,12 +18,7 @@ fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     let mut stdout = std::io::stdout();
     if let Err(e) = commands::dispatch(tokens, &mut stdout) {
-        eprintln!("datanet: {e}");
-        // Usage only helps with usage mistakes; invariant violations from
-        // `datanet check` would scroll their repro pointers off the screen.
-        if matches!(e, commands::CliError::Args(_)) {
-            eprint!("{}", commands::USAGE);
-        }
+        eprint!("{}", commands::error_text(&e));
         std::process::exit(2);
     }
 }

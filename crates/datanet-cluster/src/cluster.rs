@@ -13,14 +13,6 @@ use crate::time::SimTime;
 pub struct SimCluster {
     nodes: Vec<SimNode>,
     specs: Vec<NodeSpec>,
-    /// `up[i]` — whether node `i` is still alive (fault injection marks
-    /// crashed nodes down; a down node must not source or sink work).
-    up: Vec<bool>,
-    /// Membership epoch: bumped exactly once per liveness change
-    /// ([`SimCluster::set_down`], and [`SimCluster::reset`] when it revives
-    /// anything). Plan caches key on this — a plan computed at epoch `e`
-    /// may route work to nodes that died at epoch `e + 1`.
-    epoch: u64,
 }
 
 impl SimCluster {
@@ -47,8 +39,6 @@ impl SimCluster {
         Self {
             nodes: specs.iter().map(|&s| SimNode::new(s)).collect(),
             specs: specs.to_vec(),
-            up: vec![true; specs.len()],
-            epoch: 0,
         }
     }
 
@@ -94,29 +84,9 @@ impl SimCluster {
         &self.nodes[i]
     }
 
-    /// Mark node `i` as crashed. Its timelines stop accepting work through
-    /// [`SimCluster::transfer`]; the engine must stop routing tasks to it.
-    /// Bumps the membership [epoch](SimCluster::epoch) if the node was up.
-    pub fn set_down(&mut self, i: usize) {
-        if self.up[i] {
-            self.up[i] = false;
-            self.epoch += 1;
-        }
-    }
-
-    /// The membership epoch: how many liveness changes this cluster has
-    /// seen. Any plan computed at an older epoch may reference nodes that
-    /// have since died and must be revalidated before execution.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Transfer `bytes` from node `src` to node `dst`, ready at `ready`.
     /// Returns `(start, end)`. Local "transfers" (src == dst) are free —
     /// the engine models local disk I/O separately.
-    ///
-    /// # Panics
-    /// Panics if either endpoint has been marked down.
     pub fn transfer(
         &mut self,
         src: usize,
@@ -124,10 +94,6 @@ impl SimCluster {
         ready: SimTime,
         bytes: u64,
     ) -> (SimTime, SimTime) {
-        assert!(
-            self.up[src] && self.up[dst],
-            "transfer touches a crashed node ({src} -> {dst})"
-        );
         if src == dst || bytes == 0 {
             return (ready, ready);
         }
@@ -154,16 +120,11 @@ impl SimCluster {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Reset every node to idle and alive. Reviving dead nodes is itself a
-    /// membership change, so the epoch bumps once if anything was down.
+    /// Reset every node to idle.
     pub fn reset(&mut self) {
         for n in &mut self.nodes {
             n.reset();
         }
-        if self.up.iter().any(|&u| !u) {
-            self.epoch += 1;
-        }
-        self.up.fill(true);
     }
 }
 
@@ -239,43 +200,6 @@ mod tests {
         assert_eq!(c.quiescent_at(), SimTime::from_secs(5));
         c.reset();
         assert_eq!(c.quiescent_at(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn down_nodes_are_tracked_and_reset_revives() {
-        let mut c = tiny();
-        assert_eq!(c.up, [true; 3]);
-        c.set_down(1);
-        assert_eq!(c.up, [true, false, true]);
-        c.reset();
-        assert_eq!(c.up, [true; 3]);
-    }
-
-    #[test]
-    fn membership_epoch_bumps_once_per_liveness_change() {
-        let mut c = tiny();
-        assert_eq!(c.epoch(), 0);
-        c.set_down(1);
-        assert_eq!(c.epoch(), 1);
-        // Re-killing a dead node is not a membership change.
-        c.set_down(1);
-        assert_eq!(c.epoch(), 1);
-        c.set_down(0);
-        assert_eq!(c.epoch(), 2);
-        // Reset revives two dead nodes: one membership change.
-        c.reset();
-        assert_eq!(c.epoch(), 3);
-        // Reset with nothing down changes nothing.
-        c.reset();
-        assert_eq!(c.epoch(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn transfer_to_crashed_node_panics() {
-        let mut c = tiny();
-        c.set_down(2);
-        c.transfer(0, 2, SimTime::ZERO, 100);
     }
 
     #[test]

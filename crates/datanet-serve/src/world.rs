@@ -15,7 +15,6 @@ use datanet::{
     Algorithm1, Assignment, ElasticMap, ElasticMapArray, FordFulkersonPlanner, Separation,
     SubDatasetView,
 };
-use datanet_cluster::SimCluster;
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
 use serde::{Deserialize, Serialize};
 use std::hash::Hasher;
@@ -59,7 +58,7 @@ pub struct EpochKey {
     pub namenode: u64,
     /// Ingest epoch — bumped per committed ingest batch.
     pub ingest: u64,
-    /// `SimCluster::epoch()` — bumped per node-liveness change.
+    /// Cluster membership epoch — bumped per node-liveness change.
     pub cluster: u64,
 }
 
@@ -70,7 +69,8 @@ pub struct World {
     dfs: Dfs,
     array: ElasticMapArray,
     alive: Vec<bool>,
-    cluster: SimCluster,
+    /// How many nodes `alive` has dropped: the cluster membership epoch.
+    cluster_epoch: u64,
     /// Sub-dataset id space (ingest round-robins new records over it).
     subdatasets: u64,
     /// Seed for synthetic ingest-commit record content.
@@ -89,7 +89,7 @@ impl World {
             dfs,
             array,
             alive: vec![true; nodes],
-            cluster: SimCluster::marmot(nodes),
+            cluster_epoch: 0,
             subdatasets,
             ingest_seed,
             ingest_epoch: 0,
@@ -122,7 +122,7 @@ impl World {
         EpochKey {
             namenode: self.dfs.namenode().epoch(),
             ingest: self.ingest_epoch,
-            cluster: self.cluster.epoch(),
+            cluster: self.cluster_epoch,
         }
     }
 
@@ -159,7 +159,7 @@ impl World {
                 let survivors = self.alive.iter().filter(|&&a| a).count();
                 if n < self.alive.len() && self.alive[n] && survivors > 1 {
                     self.alive[n] = false;
-                    self.cluster.set_down(n);
+                    self.cluster_epoch += 1;
                 }
             }
         }
