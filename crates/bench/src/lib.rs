@@ -22,6 +22,6 @@ pub mod setup;
 pub mod table;
 
 pub use obs::gate;
-pub use repro::{check_sections, repro, SECTIONS};
+pub use repro::{repro, SECTIONS};
 pub use setup::{github_dataset, movie_dataset, Fixtures, MOVIE_BLOCKS, NODES};
 pub use table::Table;

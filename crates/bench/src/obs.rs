@@ -98,12 +98,9 @@ fn block_min_overhead_secs(mode: &[f64], off: &[f64]) -> f64 {
 }
 
 /// The recorder-overhead gate: measure up to [`ATTEMPTS`] times, writing
-/// each measurement's report to `out` (and, with `json`, the report to
-/// that file), and stop at the first one within both caps. `quick`
-/// shrinks the repetition count for CI; the estimator keeps the same
-/// meaning.
-///
-/// Returns whether an attempt passed.
+/// each report to `out` (and, with `json`, to that file), and return
+/// whether one was within both caps. `quick` shrinks the repetition count
+/// for CI; the estimator keeps the same meaning.
 ///
 /// # Errors
 /// Writing to `out` or to `json` failed.

@@ -98,30 +98,22 @@ pub const SECTIONS: [Section; 18] = [
     ),
 ];
 
-/// Check that every name in `wanted` is a section of [`SECTIONS`].
-///
-/// # Errors
-/// The first name that is not one, followed by every section's name and
-/// what it reproduces.
-pub fn check_sections(wanted: &[&str]) -> Result<(), String> {
-    let Some(unknown) = (wanted.iter()).find(|w| !SECTIONS.iter().any(|(name, ..)| name == *w))
-    else {
-        return Ok(());
-    };
-    let mut problem = format!("no section `{unknown}`; the sections are:");
-    for (name, what, _) in SECTIONS {
-        problem.push_str(&format!("\n  {name:<14}{what}"));
-    }
-    Err(problem)
-}
-
 /// Write the sections named in `wanted` (every section when it is empty)
-/// in [`SECTIONS`] order, each under its header. A name that is no
-/// section selects nothing; [`check_sections`] rejects it.
+/// in [`SECTIONS`] order, each under its header.
 ///
 /// # Errors
-/// Only what writing to `out` returns.
+/// An [`io::ErrorKind::InvalidInput`] error, before anything is written,
+/// when a name in `wanted` is no section: it names that word, then every
+/// section and what it reproduces. Otherwise only what writing to `out`
+/// returns.
 pub fn repro(wanted: &[&str], out: &mut dyn Write) -> io::Result<()> {
+    if let Some(unknown) = (wanted.iter()).find(|w| !SECTIONS.iter().any(|(name, ..)| name == *w)) {
+        let mut problem = format!("no section `{unknown}`; the sections are:");
+        for (name, what, _) in SECTIONS {
+            problem.push_str(&format!("\n  {name:<14}{what}"));
+        }
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, problem));
+    }
     let fixtures = Fixtures::default();
     for (name, _, section) in SECTIONS {
         if wanted.is_empty() || wanted.contains(&name) {

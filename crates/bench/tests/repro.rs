@@ -2,7 +2,8 @@
 //! prints, byte for byte, and EXPERIMENTS.md indexes exactly the sections
 //! it runs.
 
-use datanet_bench::{check_sections, repro, SECTIONS};
+use datanet_bench::{repro, SECTIONS};
+use std::io::ErrorKind;
 use std::sync::OnceLock;
 
 /// What [`repro`] writes for `wanted`.
@@ -89,13 +90,16 @@ fn named_sections_print_exactly_their_slices() {
     assert!(run(&["fig5", "fig7"]) == expected);
 }
 
-/// `datanet repro` runs this check before any section, so a bad word
-/// exits 2 with nothing on stdout (the CLI's tests pin that half).
+/// A word that is no section, flag-shaped or not, fails before any
+/// section is written, naming every section and what it reproduces.
 #[test]
 fn unknown_sections_and_flags_fail_naming_the_valid_sections() {
-    assert_eq!(check_sections(&["fig2", "faults"]), Ok(()));
     for bad in ["nosuch", "--quick"] {
-        let err = check_sections(&["fig2", bad]).unwrap_err();
+        let mut out = Vec::new();
+        let err = repro(&["fig2", bad], &mut out).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(out.is_empty(), "repro fig2 {bad} wrote a section");
+        let err = err.to_string();
         assert!(err.contains(&format!("`{bad}`")), "{err}");
         for (name, what, _) in SECTIONS {
             assert!(
