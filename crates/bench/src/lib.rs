@@ -23,5 +23,5 @@ pub mod table;
 
 pub use obs::gate;
 pub use repro::{repro, SECTIONS};
-pub use setup::{github_dataset, movie_dataset, Fixtures, MOVIE_BLOCKS, NODES};
+pub use setup::{github_dataset, movie_dataset, Fixtures, NODES};
 pub use table::Table;

@@ -15,10 +15,10 @@
 //! divided by the spans one run records.
 //!
 //! The gate: the metrics plane may cost at most
-//! [`METRICS_NS_PER_SPAN_CAP`] per span (it is meant to be always on) and
-//! the full trace at most [`TRACE_NS_PER_SPAN_CAP`]. The caps are a cost
+//! `METRICS_NS_PER_SPAN_CAP` per span (it is meant to be always on) and
+//! the full trace at most `TRACE_NS_PER_SPAN_CAP`. The caps are a cost
 //! per span, not a fraction of the workload, so a faster product does not
-//! tighten them. [`gate`] fails only when all [`ATTEMPTS`] measurements
+//! tighten them. [`gate`] fails only when all `ATTEMPTS` measurements
 //! break a cap.
 
 use crate::setup::{Fixtures, NODES};
@@ -35,18 +35,18 @@ use std::time::Instant;
 
 /// The always-on plane's budget per span: the 2 % of a 2.9296 ms
 /// untraced workload over 650 spans it was first granted.
-pub const METRICS_NS_PER_SPAN_CAP: f64 = 90.0;
+pub(crate) const METRICS_NS_PER_SPAN_CAP: f64 = 90.0;
 /// The opt-in full trace's budget per span: 5 % of the same workload.
-pub const TRACE_NS_PER_SPAN_CAP: f64 = 225.0;
+pub(crate) const TRACE_NS_PER_SPAN_CAP: f64 = 225.0;
 
 /// The workload is about a millisecond, and noise on a shared host can
 /// only inflate its measured overhead, never hide real overhead: a genuine
 /// regression fails every attempt, a noise spike rarely survives one.
-pub const ATTEMPTS: usize = 3;
+pub(crate) const ATTEMPTS: usize = 3;
 
 /// One `gate` measurement.
 #[derive(Debug, Clone, Serialize)]
-pub struct ObsBenchReport {
+pub(crate) struct ObsBenchReport {
     /// Paired repetitions measured.
     pub reps: usize,
     /// Spans one traced run records.
@@ -97,7 +97,7 @@ fn block_min_overhead_secs(mode: &[f64], off: &[f64]) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The recorder-overhead gate: measure up to [`ATTEMPTS`] times, writing
+/// The recorder-overhead gate: measure up to `ATTEMPTS` times, writing
 /// each report to `out` (and, with `json`, to that file), and return
 /// whether one was within both caps. `quick` shrinks the repetition count
 /// for CI; the estimator keeps the same meaning.
@@ -217,7 +217,7 @@ fn run_obs_bench(quick: bool) -> ObsBenchReport {
 
 impl ObsBenchReport {
     /// The human-readable summary table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut s = format!(
             "== Observability-plane overhead ({} paired reps, block medians) ==\n",
             self.reps
@@ -248,7 +248,7 @@ impl ObsBenchReport {
 
     /// The obs gate: hard caps on both planes. Returns every violated
     /// check, empty = pass.
-    pub fn violations(&self) -> Vec<String> {
+    pub(crate) fn violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.metrics_ns_per_span > METRICS_NS_PER_SPAN_CAP {
             violations.push(format!(

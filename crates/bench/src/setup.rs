@@ -14,7 +14,7 @@ pub const NODES: u32 = 32;
 
 /// Target block count of the movie dataset ("The total number of block
 /// files is 256").
-pub const MOVIE_BLOCKS: usize = 256;
+pub(crate) const MOVIE_BLOCKS: usize = 256;
 
 /// Scaled block size: 256 kB (paper: 64 MB; scale factor 256).
 pub const BLOCK_SIZE: u64 = 256 * 1024;

@@ -82,6 +82,97 @@ fn sections_are_exactly_the_experiments_index() {
     );
 }
 
+/// `(type, derived serde traits)` for every `#[derive(..)]` under
+/// `crates/*/src` that names `Serialize` or `Deserialize`, with the
+/// traits written as DESIGN.md marks them: `""` for both, `"S"` or `"D"`.
+fn serde_derives() -> Vec<(String, &'static str)> {
+    fn walk(dir: &std::path::Path, files: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                walk(&path, files);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    let crates = format!("{}/..", env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(crates).expect("crates dir") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    let mut derives = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("utf8 source");
+        for (at, _) in text.match_indices("#[derive(") {
+            let rest = &text[at + "#[derive(".len()..];
+            let end = rest.find(")]").expect("closed derive");
+            let traits: Vec<&str> = rest[..end].split(',').map(str::trim).collect();
+            let (s, d) = (
+                traits.contains(&"Serialize"),
+                traits.contains(&"Deserialize"),
+            );
+            let mark = match (s, d) {
+                (false, false) => continue,
+                (true, true) => "",
+                (true, false) => "S",
+                (false, true) => "D",
+            };
+            // The item is the first `struct`/`enum` after the attribute.
+            let mut words = rest[end..].split_whitespace();
+            words.find(|&w| w == "struct" || w == "enum");
+            let name = words.next().expect("derive on an item");
+            let name: String = name
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            derives.push((name, mark));
+        }
+    }
+    derives.sort();
+    derives
+}
+
+/// A type gains or loses a serde derive only together with its row in
+/// DESIGN.md §6's wire-type table, the list of formats that cross a wire.
+#[test]
+fn serde_derives_are_exactly_the_design_wire_types() {
+    let design = committed("DESIGN.md");
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("6. "))
+        .expect("DESIGN.md §6");
+    let mut listed: Vec<(String, &str)> = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| ")) {
+        let types = row.trim_end_matches('|').rsplit('|').next().unwrap_or("");
+        for item in types
+            .split(", ")
+            .map(str::trim)
+            .filter(|i| i.starts_with('`'))
+        {
+            let name = item.split('`').nth(1).expect("backticked type");
+            let mark = if item.ends_with("(S)") {
+                "S"
+            } else if item.ends_with("(D)") {
+                "D"
+            } else {
+                ""
+            };
+            listed.push((name.to_string(), mark));
+        }
+    }
+    listed.sort();
+    assert!(listed.len() > 50, "only {} wire types parsed", listed.len());
+    assert_eq!(
+        serde_derives(),
+        listed,
+        "serde derives under crates/*/src vs DESIGN.md §6's wire types"
+    );
+}
+
 #[test]
 fn named_sections_print_exactly_their_slices() {
     let all = sections(full_output());

@@ -3,33 +3,23 @@
 //! MapReduce framework."
 
 use crate::jobs::{word_count_of, RecordJob};
-use crate::profiles::histogram_profile;
 use datanet_dfs::Record;
-use datanet_mapreduce::JobProfile;
 
 /// Histogram of word frequencies aggregated into logarithmic rank classes
 /// (Hadoop's `AggregateWordHistogram` plug-in aggregates per-word counts
 /// into a fixed histogram).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AggregateHistogram;
+pub(crate) struct AggregateHistogram;
 
 impl AggregateHistogram {
     /// Histogram class of a word index: ⌊log₂(index + 1)⌋, 14 classes for
     /// the 8192-word vocabulary.
-    pub fn class_of(word: u32) -> u64 {
+    pub(crate) fn class_of(word: u32) -> u64 {
         (64 - (word as u64 + 1).leading_zeros() - 1) as u64
     }
 }
 
 impl RecordJob for AggregateHistogram {
-    fn name(&self) -> &str {
-        "Histogram"
-    }
-
-    fn profile(&self) -> JobProfile {
-        histogram_profile()
-    }
-
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64)) {
         let n = word_count_of(record);
         for w in record.payload().word_indices(n) {

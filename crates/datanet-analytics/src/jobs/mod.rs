@@ -1,6 +1,6 @@
 //! Real record-level implementations of the four analysis jobs.
 //!
-//! The common [`RecordJob`] interface is a deliberately small MapReduce:
+//! The common `RecordJob` interface is a deliberately small MapReduce:
 //! map emits `(u64 key, f64 value)` pairs per record, reduce finishes one
 //! key from the sum and the count of its values. This is enough to express all four applications while
 //! staying object-safe ([`crate::pipeline::AggJob`] boxes one per stage).
@@ -10,22 +10,15 @@ mod moving_average;
 mod top_k;
 mod word_count;
 
-pub use histogram::AggregateHistogram;
+pub(crate) use histogram::AggregateHistogram;
 pub use moving_average::MovingAverage;
 pub use top_k::TopKSearch;
 pub use word_count::WordCount;
 
 use datanet_dfs::Record;
-use datanet_mapreduce::JobProfile;
 
 /// A MapReduce application over records.
-pub trait RecordJob {
-    /// Job name (matches the profile name).
-    fn name(&self) -> &str;
-
-    /// The cost profile used by the simulated engine.
-    fn profile(&self) -> JobProfile;
-
+pub(crate) trait RecordJob {
     /// Map one record, emitting intermediate pairs.
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64));
 

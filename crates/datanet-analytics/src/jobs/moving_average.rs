@@ -3,9 +3,7 @@
 //! fluctuations to highlight longer-term cycles."
 
 use crate::jobs::RecordJob;
-use crate::profiles::moving_average_profile;
 use datanet_dfs::Record;
-use datanet_mapreduce::JobProfile;
 
 /// Windowed average of review ratings over time.
 #[derive(Debug, Clone, Copy)]
@@ -23,14 +21,6 @@ impl Default for MovingAverage {
 }
 
 impl RecordJob for MovingAverage {
-    fn name(&self) -> &str {
-        "MovingAverage"
-    }
-
-    fn profile(&self) -> JobProfile {
-        moving_average_profile()
-    }
-
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64)) {
         let window = record.timestamp / self.window_secs.max(1);
         emit(window, record.payload().rating());

@@ -3,13 +3,11 @@
 //! comparison between sequences."
 
 use crate::jobs::RecordJob;
-use crate::profiles::top_k_profile;
 use datanet_dfs::Record;
-use datanet_mapreduce::JobProfile;
 
 /// Finds the records whose token sequences are most similar to a query
 /// sequence. Similarity is normalised longest-common-subsequence length;
-/// the engine prices the job through [`top_k_profile`].
+/// the engine prices the job through [`crate::profiles::top_k_profile`].
 #[derive(Debug, Clone)]
 pub struct TopKSearch {
     /// The query sequence.
@@ -37,7 +35,7 @@ impl TopKSearch {
     /// Normalised LCS similarity in `[0, 1]` between two sequences. The
     /// LCS length is computed bit-parallel, O(|a|·⌈|b|/64⌉); simulated
     /// time does not depend on it, the engine prices the job through
-    /// [`top_k_profile`].
+    /// [`crate::profiles::top_k_profile`].
     pub fn similarity(a: &[u32], b: &[u32]) -> f64 {
         if a.is_empty() || b.is_empty() {
             return 0.0;
@@ -46,7 +44,7 @@ impl TopKSearch {
     }
 
     /// Similarity of one record to the query.
-    pub fn record_similarity(&self, record: &Record) -> f64 {
+    pub(crate) fn record_similarity(&self, record: &Record) -> f64 {
         let seq = record.payload().sequence(self.seq_len, self.alphabet);
         Self::similarity(&seq, &self.query)
     }
@@ -91,14 +89,6 @@ fn lcs_len(a: &[u32], b: &[u32]) -> u32 {
 }
 
 impl RecordJob for TopKSearch {
-    fn name(&self) -> &str {
-        "TopKSearch"
-    }
-
-    fn profile(&self) -> JobProfile {
-        top_k_profile()
-    }
-
     /// Emits `(quantised similarity, 1)`: the reduce side then reads off
     /// the highest non-empty buckets to recover the top-K set.
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64)) {

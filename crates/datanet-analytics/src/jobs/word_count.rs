@@ -3,23 +3,13 @@
 //! applications."
 
 use crate::jobs::{word_count_of, RecordJob};
-use crate::profiles::word_count_profile;
 use datanet_dfs::Record;
-use datanet_mapreduce::JobProfile;
 
 /// Counts occurrences of each vocabulary word across the sub-dataset.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WordCount;
 
 impl RecordJob for WordCount {
-    fn name(&self) -> &str {
-        "WordCount"
-    }
-
-    fn profile(&self) -> JobProfile {
-        word_count_profile()
-    }
-
     fn map(&self, record: &Record, emit: &mut dyn FnMut(u64, f64)) {
         let n = word_count_of(record);
         for w in record.payload().word_indices(n) {

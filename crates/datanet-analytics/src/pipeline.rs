@@ -49,7 +49,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// One of the paper's four Table II jobs, usable as an aggregate stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggJob {
     /// Word count over record payloads.
     WordCount,
@@ -390,7 +390,7 @@ pub struct ShuffleFragment {
 }
 
 /// One typed pipeline stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StageOp {
     /// Replace the working set with one sub-dataset's records.
     Filter(u64),
@@ -427,7 +427,7 @@ impl StageOp {
 }
 
 /// An ordered stage sequence with a name.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSpec {
     /// Pipeline name (stamped into every checkpoint manifest; resume
     /// refuses a store written by a differently-named pipeline).
@@ -585,7 +585,7 @@ pub struct PipelineEnv<'a> {
 
 /// How aggregate stages shuffle when the distribution-aware partitioner is
 /// enabled ([`PipelineEnv::shuffle`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShuffleParams {
     /// Key ranges the intermediate key space is hashed into.
     pub key_ranges: usize,

@@ -7,10 +7,9 @@
 //! than the timeout. Sub-dataset = one user's click stream.
 
 use datanet_dfs::Record;
-use serde::{Deserialize, Serialize};
 
 /// One reconstructed session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Session {
     /// First event timestamp.
     pub start: u64,
@@ -37,7 +36,7 @@ impl Session {
 ///
 /// # Panics
 /// Panics if records are unsorted or mix sub-datasets (debug builds).
-pub fn sessionize(records: &[Record], timeout_secs: u64) -> Vec<Session> {
+pub(crate) fn sessionize(records: &[Record], timeout_secs: u64) -> Vec<Session> {
     assert!(timeout_secs > 0, "session timeout must be positive");
     if records.is_empty() {
         return Vec::new();
@@ -83,7 +82,7 @@ pub fn sessionize(records: &[Record], timeout_secs: u64) -> Vec<Session> {
 }
 
 /// Summary statistics over a user's sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionStats {
     /// Number of sessions.
     pub count: usize,

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// scheduling quality alone. Calibrated: worst observed residual over
 /// seeds 0..600 and 1900..2100 is 0.8630 (seed 418; see
 /// `calibrate_makespan_tolerances`).
-pub const MAKESPAN_TOL_FF_VS_GREEDY: f64 = 1.05;
+pub(crate) const MAKESPAN_TOL_FF_VS_GREEDY: f64 = 1.05;
 
 /// Makespan-order tolerance: greedy may exceed the locality baseline by
 /// this factor. The baseline scans *every* block, so it almost always
@@ -55,12 +55,12 @@ pub const MAKESPAN_TOL_FF_VS_GREEDY: f64 = 1.05;
 /// sub-dataset covers nearly all blocks and remote balancing reads cost
 /// greedy more than the baseline's extra scans. Calibrated: worst
 /// observed ratio over seeds 0..600 and 1900..2100 is 0.8554.
-pub const MAKESPAN_TOL_GREEDY_VS_LOCALITY: f64 = 1.05;
+pub(crate) const MAKESPAN_TOL_GREEDY_VS_LOCALITY: f64 = 1.05;
 
 /// Additive slack for the makespan-order oracles, in units of
 /// `SelectionConfig::task_overhead` (absorbs ±1-task granularity on
 /// tiny worlds where a single 6 ms overhead dominates the makespan).
-pub const MAKESPAN_SLACK_TASKS: f64 = 8.0;
+pub(crate) const MAKESPAN_SLACK_TASKS: f64 = 8.0;
 
 /// One violated invariant.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -521,7 +521,7 @@ impl Scenario {
     }
 
     /// The scripted [`FaultPlan`] for this world.
-    pub fn fault_plan(&self) -> FaultPlan {
+    pub(crate) fn fault_plan(&self) -> FaultPlan {
         let mut plan = FaultPlan::none(self.nodes as usize);
         for c in &self.crashes {
             plan = plan.crash(c.node, SimTime::from_micros(c.at_us));

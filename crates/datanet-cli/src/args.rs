@@ -7,14 +7,14 @@ use std::fmt;
 
 /// Parsed arguments: positionals in order plus `--key value` options.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positional: Vec<String>,
     options: HashMap<String, String>,
 }
 
 /// A parse or lookup failure, rendered for the user.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -33,7 +33,7 @@ impl Args {
     /// # Errors
     /// An undeclared `--flag` (a typo fails loudly instead of being silently
     /// ignored), or a value flag followed by another `--flag` or nothing.
-    pub fn parse(
+    pub(crate) fn parse(
         tokens: impl IntoIterator<Item = String>,
         values: &str,
         switches: &str,
@@ -67,7 +67,7 @@ impl Args {
     }
 
     /// Positional argument `i`, if present.
-    pub fn positional(&self, i: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, i: usize) -> Option<&str> {
         self.positional.get(i).map(String::as_str)
     }
 
@@ -75,13 +75,13 @@ impl Args {
     ///
     /// # Errors
     /// Missing positional.
-    pub fn require_positional(&self, i: usize, name: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require_positional(&self, i: usize, name: &str) -> Result<&str, ArgError> {
         self.positional(i)
             .ok_or_else(|| ArgError(format!("missing <{name}> argument")))
     }
 
     /// Optional string flag.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
@@ -89,13 +89,13 @@ impl Args {
     ///
     /// # Errors
     /// Missing flag.
-    pub fn require(&self, key: &str) -> Result<&str, ArgError> {
+    pub(crate) fn require(&self, key: &str) -> Result<&str, ArgError> {
         self.get(key)
             .ok_or_else(|| ArgError(format!("missing required --{key} <value>")))
     }
 
     /// Whether the switch `--key` was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
 
@@ -103,7 +103,7 @@ impl Args {
     ///
     /// # Errors
     /// Unparsable value.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError>
+    pub(crate) fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError>
     where
         T::Err: fmt::Display,
     {
@@ -116,7 +116,7 @@ impl Args {
     }
 
     /// Number of positional arguments.
-    pub fn positional_len(&self) -> usize {
+    pub(crate) fn positional_len(&self) -> usize {
         self.positional.len()
     }
 }

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 /// Top-level error: argument problems, I/O, or failed invariant checks.
 #[derive(Debug)]
-pub enum CliError {
+pub(crate) enum CliError {
     /// Bad usage.
     Args(ArgError),
     /// Filesystem/serialisation problems.
@@ -71,7 +71,7 @@ impl From<StoreError> for CliError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 datanet — sub-dataset distribution-aware analysis (DataNet, IPDPS'16)
 
 USAGE:
@@ -290,7 +290,7 @@ const COMMANDS: &[Command] = &[
 ///
 /// # Errors
 /// Usage or I/O failures; the caller prints them and exits non-zero.
-pub fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
+pub(crate) fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError> {
     let name = tokens.first().map_or("help", String::as_str).to_string();
     let &(_, run, positionals, values, switches, obs) = (COMMANDS.iter())
         .find(|row| row.0 == name)
@@ -310,7 +310,7 @@ pub fn dispatch(tokens: Vec<String>, out: &mut dyn Write) -> Result<(), CliError
 /// What the binary prints to stderr for `e` before it exits with status 2.
 /// Usage only helps with usage mistakes; invariant violations from
 /// `datanet check` would scroll their repro pointers off the screen.
-pub fn error_text(e: &CliError) -> String {
+pub(crate) fn error_text(e: &CliError) -> String {
     match e {
         CliError::Args(_) => format!("datanet: {e}\n{USAGE}"),
         _ => format!("datanet: {e}\n"),

@@ -9,7 +9,7 @@ use std::path::Path;
 
 /// A generated dataset, self-contained and reproducible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetFile {
+pub(crate) struct DatasetFile {
     /// The generator that produced it (for provenance).
     pub generator: String,
     /// DFS layout parameters.
@@ -23,7 +23,7 @@ impl DatasetFile {
     ///
     /// # Errors
     /// I/O or serialisation failures.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, serde_json::to_vec(self)?)
     }
 
@@ -35,7 +35,7 @@ impl DatasetFile {
     /// file has bytes (rebuilding allocates per node, so what a file costs
     /// stays in proportion to its length), a zero block size or
     /// replication, or a zero-byte record.
-    pub fn load(path: &Path) -> io::Result<Self> {
+    pub(crate) fn load(path: &Path) -> io::Result<Self> {
         let bytes = std::fs::read(path)?;
         let ds: Self = serde_json::from_slice(&bytes)?;
         let c = &ds.config;
@@ -63,7 +63,7 @@ impl DatasetFile {
     }
 
     /// Rebuild the DFS (deterministic under the stored config).
-    pub fn to_dfs(&self) -> Dfs {
+    pub(crate) fn to_dfs(&self) -> Dfs {
         Dfs::write_random(self.config.clone(), self.records.iter().copied())
     }
 }

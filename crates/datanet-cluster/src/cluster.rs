@@ -60,18 +60,14 @@ impl SimCluster {
     /// The spec shared by every node.
     ///
     /// # Panics
-    /// Panics on a heterogeneous cluster — use [`SimCluster::spec_of`].
+    /// Panics on a heterogeneous cluster — ask each [`SimCluster::node`]
+    /// for its [`SimNode::spec`].
     pub fn spec(&self) -> &NodeSpec {
         assert!(
             self.specs.iter().all(|s| s == &self.specs[0]),
             "heterogeneous cluster has no single spec"
         );
         &self.specs[0]
-    }
-
-    /// Node `i`'s spec.
-    pub fn spec_of(&self, i: usize) -> &NodeSpec {
-        &self.specs[i]
     }
 
     /// Mutable access to one node.
@@ -109,15 +105,6 @@ impl SimCluster {
         let (_, end_in) = self.nodes[dst].nic_in().reserve(start, duration);
         debug_assert_eq!(end_out, end_in);
         (start, end_out)
-    }
-
-    /// When the whole cluster is quiescent.
-    pub fn quiescent_at(&self) -> SimTime {
-        self.nodes
-            .iter()
-            .map(|n| n.quiescent_at())
-            .max()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Reset every node to idle.
@@ -197,9 +184,10 @@ mod tests {
     fn quiescence_tracks_all_nodes() {
         let mut c = tiny();
         c.node_mut(2).read_disk(SimTime::ZERO, 500);
-        assert_eq!(c.quiescent_at(), SimTime::from_secs(5));
+        let busy = |c: &SimCluster| (c.nodes.iter()).map(|n| n.disk().busy_until()).max();
+        assert_eq!(busy(&c), Some(SimTime::from_secs(5)));
         c.reset();
-        assert_eq!(c.quiescent_at(), SimTime::ZERO);
+        assert_eq!(busy(&c), Some(SimTime::ZERO));
     }
 
     #[test]
@@ -223,7 +211,7 @@ mod tests {
         let mut c = SimCluster::heterogeneous(&[fast, slow]);
         let (_, end) = c.transfer(0, 1, SimTime::ZERO, 100);
         assert_eq!(end, SimTime::from_secs(2), "bounded by the 50 B/s NIC");
-        assert_eq!(c.spec_of(0).nic_bps, 200);
+        assert_eq!(c.specs[0].nic_bps, 200);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and a worker silent for several expected gaps becomes *suspected* and is
 //! treated as dead. This module models that:
 //!
-//! * [`FailureDetector`] — per-node online detector: an EWMA of heartbeat
+//! * `FailureDetector` — per-node online detector: an EWMA of heartbeat
 //!   inter-arrival times (the adaptive part of Chen et al.'s and the
 //!   φ-accrual family of detectors, reduced to a deterministic threshold)
 //!   with suspicion at `last + multiplier · EWMA`.
@@ -64,7 +64,7 @@ impl DetectorConfig {
 /// suspect. Suspicion is *unstable* by design — a late heartbeat clears it,
 /// exactly like a worker rejoining after a GC pause.
 #[derive(Debug, Clone)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     cfg: DetectorConfig,
     last: Option<SimTime>,
     /// EWMA of inter-arrival gaps, microseconds. 0 until the first gap.
@@ -78,7 +78,7 @@ impl FailureDetector {
     /// # Panics
     /// Panics on an invalid config (non-positive heartbeat, multiplier < 1,
     /// α outside (0, 1]).
-    pub fn new(cfg: DetectorConfig) -> Self {
+    pub(crate) fn new(cfg: DetectorConfig) -> Self {
         cfg.validate();
         Self {
             cfg,
@@ -93,7 +93,7 @@ impl FailureDetector {
     /// # Panics
     /// Panics if heartbeats arrive out of order — event delivery in the
     /// simulator is totally ordered, so that is always a harness bug.
-    pub fn heartbeat(&mut self, at: SimTime) {
+    pub(crate) fn heartbeat(&mut self, at: SimTime) {
         if let Some(last) = self.last {
             assert!(at >= last, "heartbeats must arrive in time order");
             let gap = (at - last).as_micros() as f64;
@@ -109,7 +109,7 @@ impl FailureDetector {
 
     /// Current expected inter-arrival gap: the EWMA once at least one gap
     /// was observed, the nominal heartbeat interval before that.
-    pub fn expected_gap(&self) -> SimTime {
+    pub(crate) fn expected_gap(&self) -> SimTime {
         if self.gaps == 0 {
             self.cfg.heartbeat
         } else {
@@ -120,21 +120,10 @@ impl FailureDetector {
     /// Instant at which continued silence turns into suspicion:
     /// `last + multiplier · expected_gap` (from time zero when no heartbeat
     /// was ever seen).
-    pub fn suspicion_deadline(&self) -> SimTime {
+    pub(crate) fn suspicion_deadline(&self) -> SimTime {
         let horizon =
             SimTime::from_secs_f64(self.cfg.multiplier * self.expected_gap().as_secs_f64());
         self.last.unwrap_or(SimTime::ZERO) + horizon
-    }
-
-    /// Whether the node is suspected dead at `now`.
-    pub fn suspects(&self, now: SimTime) -> bool {
-        now >= self.suspicion_deadline()
-    }
-
-    /// The smoothed inter-arrival estimate, microseconds (0 until the first
-    /// observed gap).
-    pub fn ewma_micros(&self) -> f64 {
-        self.ewma_micros
     }
 }
 
@@ -154,7 +143,7 @@ impl FailureDetector {
 /// schedule is the same whatever `rec` is.
 ///
 /// # Panics
-/// Panics on an invalid `cfg` (see [`FailureDetector::new`]).
+/// Panics on an invalid `cfg` (see `FailureDetector::new`).
 pub fn suspicion_schedule(
     plan: &FaultPlan,
     cfg: DetectorConfig,
@@ -199,6 +188,11 @@ pub fn suspicion_schedule(
 mod tests {
     use super::*;
 
+    /// Whether the node is suspected dead at `now`.
+    fn suspects(det: &FailureDetector, now: SimTime) -> bool {
+        now >= det.suspicion_deadline()
+    }
+
     fn cfg() -> DetectorConfig {
         DetectorConfig::default()
     }
@@ -210,18 +204,18 @@ mod tests {
             det.heartbeat(SimTime::from_millis(100 * i));
         }
         let last = SimTime::from_millis(1900);
-        assert!(!det.suspects(last + SimTime::from_millis(100)));
-        assert!(!det.suspects(last + SimTime::from_millis(299)));
+        assert!(!suspects(&det, last + SimTime::from_millis(100)));
+        assert!(!suspects(&det, last + SimTime::from_millis(299)));
         // Three expected gaps of silence → suspect.
-        assert!(det.suspects(last + SimTime::from_millis(300)));
+        assert!(suspects(&det, last + SimTime::from_millis(300)));
         assert_eq!(det.expected_gap(), SimTime::from_millis(100));
     }
 
     #[test]
     fn no_heartbeat_node_is_suspected_from_nominal_interval() {
         let det = FailureDetector::new(cfg());
-        assert!(!det.suspects(SimTime::from_millis(299)));
-        assert!(det.suspects(SimTime::from_millis(300)));
+        assert!(!suspects(&det, SimTime::from_millis(299)));
+        assert!(suspects(&det, SimTime::from_millis(300)));
     }
 
     #[test]
@@ -247,11 +241,11 @@ mod tests {
         det.heartbeat(SimTime::ZERO);
         det.heartbeat(SimTime::from_millis(100));
         let silent = SimTime::from_millis(100) + SimTime::from_millis(350);
-        assert!(det.suspects(silent), "long silence suspected");
+        assert!(suspects(&det, silent), "long silence suspected");
         // The worker was only paused: its next heartbeat rehabilitates it
         // (and the EWMA remembers the scare as a longer expected gap).
         det.heartbeat(silent);
-        assert!(!det.suspects(silent + SimTime::from_millis(100)));
+        assert!(!suspects(&det, silent + SimTime::from_millis(100)));
         assert!(det.expected_gap() > SimTime::from_millis(100));
     }
 

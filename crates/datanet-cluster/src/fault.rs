@@ -12,11 +12,10 @@
 //! event queue carries its crash events; nothing here mutates during a run.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A transient slowdown window on one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SlowWindow {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SlowWindow {
     /// Window start (inclusive).
     pub from: SimTime,
     /// Window end (exclusive).
@@ -26,7 +25,7 @@ pub struct SlowWindow {
 }
 
 /// A scripted set of failures for one simulated run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// `crash[n]` = the instant node `n` dies (fail-stop), if ever.
     crash: Vec<Option<SimTime>>,

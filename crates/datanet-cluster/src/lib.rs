@@ -7,7 +7,7 @@
 //!   drift, total order, exact determinism.
 //! * [`event::EventQueue`] — a time-ordered queue with a
 //!   deterministic FIFO tie-break.
-//! * [`resource::Timeline`] — a serially-reusable resource (disk
+//! * [`Timeline`] — a serially-reusable resource (disk
 //!   head, NIC, core set): reserving work returns exact start/end times.
 //! * [`node::SimNode`] / [`cluster::SimCluster`] — a
 //!   node bundles disk/CPU/NIC timelines; the cluster adds a
@@ -23,13 +23,13 @@ pub mod detector;
 pub mod event;
 pub mod fault;
 pub mod node;
-pub mod resource;
+mod resource;
 pub mod time;
 
 pub use cluster::SimCluster;
-pub use detector::{suspicion_schedule, DetectorConfig, FailureDetector};
+pub use detector::{suspicion_schedule, DetectorConfig};
 pub use event::EventQueue;
-pub use fault::{FaultPlan, SlowWindow};
+pub use fault::FaultPlan;
 pub use node::{NodeSpec, SimNode};
 pub use resource::Timeline;
 pub use time::SimTime;

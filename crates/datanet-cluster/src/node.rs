@@ -7,10 +7,9 @@
 
 use crate::resource::Timeline;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Static node performance parameters (bytes per second).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSpec {
     /// Sequential disk bandwidth.
     pub disk_bps: u64,
@@ -111,22 +110,13 @@ impl SimNode {
     }
 
     /// Outbound NIC timeline (used by the cluster's transfer model).
-    pub fn nic_out(&mut self) -> &mut Timeline {
+    pub(crate) fn nic_out(&mut self) -> &mut Timeline {
         &mut self.nic_out
     }
 
     /// Inbound NIC timeline.
-    pub fn nic_in(&mut self) -> &mut Timeline {
+    pub(crate) fn nic_in(&mut self) -> &mut Timeline {
         &mut self.nic_in
-    }
-
-    /// When every resource on the node is idle again.
-    pub fn quiescent_at(&self) -> SimTime {
-        self.disk
-            .busy_until()
-            .max(self.cpu.busy_until())
-            .max(self.nic_out.busy_until())
-            .max(self.nic_in.busy_until())
     }
 
     /// Disk timeline (read-only view for stats).
@@ -151,6 +141,15 @@ impl SimNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// When every resource on the node is idle again.
+    fn quiescent_at(n: &SimNode) -> SimTime {
+        [&n.disk, &n.cpu, &n.nic_out, &n.nic_in]
+            .map(|t| t.busy_until())
+            .into_iter()
+            .max()
+            .unwrap()
+    }
 
     #[test]
     fn disk_read_time_matches_rate() {
@@ -207,7 +206,7 @@ mod tests {
         let (s2, e2) = n.read_disk(SimTime::ZERO, 100);
         assert_eq!(s2, SimTime::from_secs(1));
         assert_eq!(e2, SimTime::from_secs(2));
-        assert_eq!(n.quiescent_at(), SimTime::from_secs(2));
+        assert_eq!(quiescent_at(&n), SimTime::from_secs(2));
     }
 
     #[test]
@@ -222,7 +221,7 @@ mod tests {
         let mut n = SimNode::new(NodeSpec::marmot());
         n.read_disk(SimTime::ZERO, 1_000_000);
         n.reset();
-        assert_eq!(n.quiescent_at(), SimTime::ZERO);
+        assert_eq!(quiescent_at(&n), SimTime::ZERO);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! at `max(ready, busy_until)` and occupies the resource for its duration.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One serial resource.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Timeline {
     busy_until: SimTime,
     /// Total time the resource has actually worked (for utilisation stats).
@@ -24,7 +23,7 @@ impl Timeline {
 
     /// Reserve the resource for `duration`, no earlier than `ready`.
     /// Returns `(start, end)`.
-    pub fn reserve(&mut self, ready: SimTime, duration: SimTime) -> (SimTime, SimTime) {
+    pub(crate) fn reserve(&mut self, ready: SimTime, duration: SimTime) -> (SimTime, SimTime) {
         let start = ready.max(self.busy_until);
         let end = start + duration;
         self.busy_until = end;
@@ -33,13 +32,8 @@ impl Timeline {
     }
 
     /// When the resource next becomes free.
-    pub fn busy_until(&self) -> SimTime {
+    pub(crate) fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total busy time accumulated.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy_time
     }
 
     /// Utilisation in `[0, 1]` up to `horizon`.
@@ -78,7 +72,7 @@ mod tests {
         // Ready at 10, resource free since 1 → starts at 10.
         let (s, e) = t.reserve(SimTime::from_secs(10), SimTime::from_secs(1));
         assert_eq!((s, e), (SimTime::from_secs(10), SimTime::from_secs(11)));
-        assert_eq!(t.busy_time(), SimTime::from_secs(2));
+        assert_eq!(t.busy_time, SimTime::from_secs(2));
     }
 
     #[test]
@@ -96,7 +90,7 @@ mod tests {
         t.reserve(SimTime::ZERO, SimTime::from_secs(5));
         t.reset();
         assert_eq!(t.busy_until(), SimTime::ZERO);
-        assert_eq!(t.busy_time(), SimTime::ZERO);
+        assert_eq!(t.busy_time, SimTime::ZERO);
     }
 
     #[test]

@@ -272,12 +272,6 @@ impl Dfs {
     pub fn replicas(&self, b: BlockId) -> &[NodeId] {
         self.namenode.replicas(b)
     }
-
-    /// Blocks with no surviving replica under `alive` (delegates to the
-    /// NameNode).
-    pub fn lost_blocks(&self, alive: &[bool]) -> Vec<BlockId> {
-        self.namenode.lost_blocks(alive)
-    }
 }
 
 #[cfg(test)]

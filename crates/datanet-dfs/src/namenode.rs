@@ -125,19 +125,6 @@ impl NameNode {
             .filter(|n| alive.get(n.index()).copied().unwrap_or(false))
             .collect()
     }
-
-    /// Blocks that have lost *every* replica under `alive` — data the
-    /// cluster can no longer serve. HDFS reports these as "missing blocks";
-    /// the fault-tolerant engine refuses to silently drop them.
-    pub fn lost_blocks(&self, alive: &[bool]) -> Vec<BlockId> {
-        self.iter()
-            .filter(|(_, locs)| {
-                locs.iter()
-                    .all(|n| !alive.get(n.index()).copied().unwrap_or(false))
-            })
-            .map(|(b, _)| b)
-            .collect()
-    }
 }
 
 // Hand-written serde keeping the same wire shape the derived impl used when
@@ -192,6 +179,14 @@ impl Deserialize for NameNode {
 mod tests {
     use super::*;
 
+    /// Blocks with no surviving replica under `alive`: HDFS's "missing
+    /// blocks".
+    fn lost(nn: &NameNode, alive: &[bool]) -> Vec<BlockId> {
+        (nn.iter().map(|(b, _)| b))
+            .filter(|&b| nn.surviving_replicas(b, alive).is_empty())
+            .collect()
+    }
+
     fn sample() -> NameNode {
         let mut nn = NameNode::new(4);
         nn.register(BlockId(0), vec![NodeId(0), NodeId(1), NodeId(2)]);
@@ -233,7 +228,7 @@ mod tests {
         assert_eq!(nn.surviving_replicas(BlockId(1), &alive), vec![NodeId(2)]);
         // Block 2 lives on nodes 0 and 3; only 0 survives.
         assert_eq!(nn.surviving_replicas(BlockId(2), &alive), vec![NodeId(0)]);
-        assert!(nn.lost_blocks(&alive).is_empty());
+        assert!(lost(&nn, &alive).is_empty());
     }
 
     #[test]
@@ -241,10 +236,10 @@ mod tests {
         let nn = sample();
         // Kill nodes 0 and 3: block 2 (replicas on 0, 3) loses everything.
         let alive = [false, true, true, false];
-        assert_eq!(nn.lost_blocks(&alive), vec![BlockId(2)]);
+        assert_eq!(lost(&nn, &alive), vec![BlockId(2)]);
         assert!(nn.surviving_replicas(BlockId(2), &alive).is_empty());
         // Nothing survives an all-dead cluster.
-        assert_eq!(nn.lost_blocks(&[false; 4]).len(), 3);
+        assert_eq!(lost(&nn, &[false; 4]).len(), 3);
     }
 
     #[test]
@@ -293,7 +288,7 @@ mod tests {
         // Reads never move the counter.
         let _ = nn.block_count();
         let _ = nn.replicas(BlockId(0));
-        let _ = nn.lost_blocks(&[true; 4]);
+        let _ = nn.surviving_replicas(BlockId(0), &[true; 4]);
         assert_eq!(nn.epoch(), last);
     }
 

@@ -7,10 +7,8 @@
 //! (light), Word Count combines words (medium), Top-K compares sequences
 //! (heavy).
 
-use serde::{Deserialize, Serialize};
-
 /// Static cost model of one MapReduce job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Human-readable job name.
     pub name: String,

@@ -22,7 +22,7 @@
 //!    clock base — through one [`engine::Exec`] value; the free functions
 //!    above are its all-defaults form, and [`engine::Exec::pipeline`] runs
 //!    the two phases back to back on one clock.
-//! 3. **SkewTune-like baseline** ([`skewtune`]): the runtime-migration
+//! 3. **SkewTune-like baseline** (`skewtune`): the runtime-migration
 //!    alternative the paper discusses (Section V-A-4) — rebalance the
 //!    filtered partitions after selection and account the network cost.
 
@@ -31,7 +31,7 @@ pub mod job;
 pub mod report;
 pub mod scheduler;
 pub mod shuffle;
-pub mod skewtune;
+mod skewtune;
 pub mod speculation;
 
 pub use engine::{
@@ -50,9 +50,7 @@ pub use shuffle::{
     key_range_of, planned_load_bound, range_matrix_estimate, range_matrix_truth, Fragment,
     ShufflePlan, ShufflePlanner,
 };
-pub use skewtune::{
-    apportion, fragments_needed, rebalance, split_even, split_threshold, MigrationOutcome,
-};
+pub use skewtune::{apportion, rebalance, split_threshold, MigrationOutcome};
 pub use speculation::{
     speculative_map_phase, speculative_map_phase_with_slowdowns, SpeculationConfig,
     SpeculativeMapOutcome,

@@ -165,7 +165,7 @@ impl JobReport {
 /// A shuffle-planned analysis run: the [`JobReport`] plus the byte-level
 /// routing accounting the shuffle oracles and tests read. Kept separate
 /// from [`JobReport`] so existing serialized reports stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShuffleOutcome {
     /// The standard job report (its `shuffle_bytes` equals
     /// [`ShuffleOutcome::network_bytes`]).

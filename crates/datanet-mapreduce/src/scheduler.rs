@@ -83,7 +83,10 @@ impl LocalityScheduler {
     }
 
     /// Schedule an explicit scope of blocks.
-    pub fn with_scope(namenode: &NameNode, scope: impl IntoIterator<Item = BlockId>) -> Self {
+    pub(crate) fn with_scope(
+        namenode: &NameNode,
+        scope: impl IntoIterator<Item = BlockId>,
+    ) -> Self {
         let mut unassigned = vec![false; namenode.block_count()];
         let mut remaining = 0;
         for b in scope {

@@ -20,9 +20,9 @@
 //!    its writer node never crosses the network at all.
 //! 3. **Heavy-key splitting.** A range heavier than
 //!    [`crate::skewtune::split_threshold`] fragments across reducers
-//!    ([`crate::skewtune::fragments_needed`]) instead of serialising one
+//!    (`crate::skewtune::fragments_needed`) instead of serialising one
 //!    reducer — the proactive version of the SkewTune migration this
-//!    crate's [`crate::skewtune`] module models after the fact. The split
+//!    crate's `crate::skewtune` module models after the fact. The split
 //!    is merged back deterministically by the data plane (sequence-number
 //!    sort), so answers are byte-identical to an unsplit run.
 //!
@@ -35,7 +35,6 @@ use crate::skewtune::{apportion, fragments_needed, split_even, split_threshold};
 use datanet::SubDatasetView;
 pub use datanet_dfs::key_range_of;
 use datanet_dfs::{Dfs, NodeId, SubDatasetId};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer — the same deterministic scrambler the record
 /// payloads use, applied here to spread keys over ranges and the hash
@@ -49,7 +48,7 @@ fn splitmix(mut x: u64) -> u64 {
 
 /// One fragment of a key range: which reducer slot receives it and what
 /// fraction of the range's bytes it carries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fragment {
     /// Index into [`ShufflePlan::reducers`].
     pub reducer: usize,
@@ -61,7 +60,7 @@ pub struct Fragment {
 /// A reduce-side partitioning: which node runs each reducer slot and how
 /// every key range maps onto those slots — possibly split across several
 /// when the range is heavier than the split threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShufflePlan {
     /// Node hosting each reducer slot.
     pub reducers: Vec<NodeId>,

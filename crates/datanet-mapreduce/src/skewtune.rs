@@ -16,10 +16,9 @@
 //! splits that keep the conservation oracles byte-exact.
 
 use datanet_cluster::{NodeSpec, SimCluster, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Result of rebalancing skewed partitions by migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationOutcome {
     /// Bytes moved between nodes.
     pub moved_bytes: u64,
@@ -131,7 +130,7 @@ pub fn split_threshold(total: u64, reducers: usize, split_factor: f64) -> u64 {
 ///
 /// # Panics
 /// Panics if `threshold == 0`.
-pub fn fragments_needed(bytes: u64, threshold: u64) -> usize {
+pub(crate) fn fragments_needed(bytes: u64, threshold: u64) -> usize {
     assert!(threshold > 0, "split threshold must be positive");
     if bytes == 0 {
         1
@@ -146,7 +145,7 @@ pub fn fragments_needed(bytes: u64, threshold: u64) -> usize {
 ///
 /// # Panics
 /// Panics if `parts == 0`.
-pub fn split_even(bytes: u64, parts: usize) -> Vec<u64> {
+pub(crate) fn split_even(bytes: u64, parts: usize) -> Vec<u64> {
     assert!(parts > 0, "need at least one fragment");
     let q = bytes / parts as u64;
     let r = (bytes % parts as u64) as usize;
@@ -156,7 +155,7 @@ pub fn split_even(bytes: u64, parts: usize) -> Vec<u64> {
 /// Exact largest-remainder apportionment of `total` over integer
 /// `weights`: each part is within one byte of its real-valued proportional
 /// share and the parts sum to `total` exactly (all-zero weights fall back
-/// to [`split_even`]). This is the integer arithmetic that keeps the
+/// to `split_even`). This is the integer arithmetic that keeps the
 /// engine's shuffle byte-conservation exact instead of drifting by one
 /// byte per rounded share.
 ///

@@ -11,7 +11,6 @@
 
 use crate::job::JobProfile;
 use datanet_cluster::{NodeSpec, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Speculation policy parameters (Hadoop-like defaults).
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +35,7 @@ impl Default for SpeculationConfig {
 }
 
 /// Outcome of a speculative map phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeculativeMapOutcome {
     /// Effective per-node map completion seconds (min of original/backup).
     pub map_end_secs: Vec<f64>,

@@ -40,12 +40,6 @@ impl QueryCtx {
         self.tenant = Some(tenant.into());
         self
     }
-
-    /// Link to the parent query's span.
-    pub fn parent_span(mut self, span: u64) -> Self {
-        self.parent_span = Some(span);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -54,10 +48,10 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let q = QueryCtx::new(7).tenant("acme").parent_span(3);
+        let q = QueryCtx::new(7).tenant("acme");
         assert_eq!(q.query_id, 7);
         assert_eq!(q.tenant.as_deref(), Some("acme"));
-        assert_eq!(q.parent_span, Some(3));
+        assert_eq!(q.parent_span, None);
     }
 
     #[test]

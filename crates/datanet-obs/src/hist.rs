@@ -72,7 +72,7 @@ impl FibHistogram {
 
     /// Microsecond-latency histogram: base 1 µs, covering the full `u64`
     /// range (~93 buckets).
-    pub fn micros() -> Self {
+    pub(crate) fn micros() -> Self {
         Self::new(1)
     }
 
@@ -145,7 +145,7 @@ impl FibHistogram {
 
     /// Smallest bucket lower bound `q` of the quantile: the bound below
     /// which at least `q` (0..=1) of the samples fall. Returns 0 when empty.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_bound(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }

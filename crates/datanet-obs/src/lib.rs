@@ -59,10 +59,7 @@ pub use context::QueryCtx;
 pub use export::{parse_openmetrics, to_jsonl, to_openmetrics, OmFamily, OmKind, OmSample};
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 pub use hist::FibHistogram;
-pub use metrics::{
-    detect_anomalies, series, split_series, Alert, HistSummary, MetricsSnapshot,
-    ANOMALY_EWMA_ALPHA, ANOMALY_THRESHOLD,
-};
+pub use metrics::{detect_anomalies, series, split_series, Alert, HistSummary, MetricsSnapshot};
 pub use recorder::{Category, Domain, Recorder, SpanCtx, SpanId};
 pub use summary::{CrashChain, NodeClass, NodeUtil, ObsSummary};
 pub use trace::{GaugeSample, InstantEvent, Span, TraceData};

@@ -427,7 +427,7 @@ pub(crate) struct MetricsData {
 }
 
 impl MetricsData {
-    pub fn new(window_us: u64) -> Self {
+    pub(crate) fn new(window_us: u64) -> Self {
         assert!(window_us > 0, "metrics window must be positive");
         Self {
             window_us,
@@ -875,7 +875,7 @@ impl MetricsData {
 
     /// Add to a cumulative counter *and* its sim-window bucket.
     #[cfg(test)]
-    pub fn add_at(&mut self, key: &str, sim_us: u64, delta: u64) {
+    pub(crate) fn add_at(&mut self, key: &str, sim_us: u64, delta: u64) {
         let id = self.counter_id(key);
         self.counter_add_at(id, sim_us, delta);
     }
@@ -889,14 +889,14 @@ impl MetricsData {
 
     /// Set a last-wins gauge.
     #[cfg(test)]
-    pub fn gauge_set(&mut self, key: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, key: &str, value: f64) {
         let id = self.gauge_id(key);
         self.gauge_write(id, value);
     }
 
     /// Set a gauge and its sim-window bucket (last write per window wins).
     #[cfg(test)]
-    pub fn gauge_at(&mut self, key: &str, sim_us: u64, value: f64) {
+    pub(crate) fn gauge_at(&mut self, key: &str, sim_us: u64, value: f64) {
         let id = self.gauge_id(key);
         self.gauge_write_at(id, sim_us, value);
     }
@@ -1002,7 +1002,7 @@ impl MetricsData {
     /// Meter a closed span. Sim spans contribute windowed counts and
     /// duration histograms; wall spans contribute counts only (their
     /// durations are host noise — see the module docs).
-    pub fn meter_span(
+    pub(crate) fn meter_span(
         &mut self,
         cat: Category,
         name: &str,
@@ -1062,7 +1062,7 @@ impl MetricsData {
     }
 
     /// Freeze the registry into an immutable, serialisable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = BTreeMap::new();
         let mut windowed = BTreeMap::new();
         for (i, key) in self.counter_keys.iter().enumerate() {
@@ -1182,7 +1182,7 @@ pub struct MetricsSnapshot {
 }
 
 /// One structured alert from the EWMA anomaly flagger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// The windowed series that spiked.
     pub series: String,
@@ -1199,12 +1199,12 @@ pub struct Alert {
 /// EWMA smoothing factor for the anomaly flagger. Matches the failure
 /// detector's heartbeat EWMA order of magnitude: recent windows dominate
 /// but one spike does not own the estimate.
-pub const ANOMALY_EWMA_ALPHA: f64 = 0.3;
+pub(crate) const ANOMALY_EWMA_ALPHA: f64 = 0.3;
 
 /// Alert threshold: a window is anomalous when it exceeds the EWMA of the
 /// preceding windows by this factor. Mirrors the Gamma straggler model's
 /// cut (busy > 2·E(Z) ⇒ straggler, see [`crate::NodeClass`]).
-pub const ANOMALY_THRESHOLD: f64 = 2.0;
+pub(crate) const ANOMALY_THRESHOLD: f64 = 2.0;
 
 /// Scan every windowed counter series for windows that spike above the
 /// running EWMA of the windows before them. Windows with no samples count

@@ -536,26 +536,6 @@ impl Recorder {
         }
     }
 
-    /// [`Recorder::add`] with a simulated-clock timestamp: the metrics
-    /// plane additionally buckets the delta into `sim_us`'s window.
-    pub fn add_at(&self, counter: &str, sim_us: u64, delta: u64) {
-        if let Some(inner) = &self.inner {
-            let mut data = inner.lock().unwrap();
-            match data.counters.get_mut(counter) {
-                Some(v) => *v += delta,
-                None => {
-                    data.counters.insert(counter.to_string(), delta);
-                }
-            }
-        }
-        if let Some(metrics) = &self.metrics {
-            let (q, t) = self.scope_parts();
-            let mut m = registry(metrics);
-            let id = m.fast_counter_id(counter, q, t);
-            m.counter_add_at(id, sim_us, delta);
-        }
-    }
-
     /// Record a gauge sample (last value wins in the summary; every sample
     /// is kept for the Chrome counter track).
     pub fn gauge(&self, name: &str, domain: Domain, at_us: u64, value: f64) {
@@ -882,12 +862,10 @@ mod tests {
     }
 
     #[test]
-    fn add_at_and_observe_at_window_by_sim_time() {
+    fn observe_at_windows_by_sim_time() {
         let rec = Recorder::off().with_metrics(1_000);
-        rec.add_at("retries", 1_500, 2);
         rec.observe_at("lat", 1_500, 77);
         let snap = rec.metrics_snapshot().unwrap();
-        assert_eq!(snap.windowed["retries"], vec![(1_000, 2)]);
         assert_eq!(snap.win_hists["lat"][0].0, 1_000);
     }
 }

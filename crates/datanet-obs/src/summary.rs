@@ -93,7 +93,7 @@ impl TraceData {
     /// time. `expected_busy_us = None` uses the empirical mean over
     /// participating nodes (the natural estimator of the Gamma model's
     /// `E(Z) = nkθ/m`).
-    pub fn classify_nodes(&self, expected_busy_us: Option<f64>) -> (f64, Vec<NodeUtil>) {
+    pub(crate) fn classify_nodes(&self, expected_busy_us: Option<f64>) -> (f64, Vec<NodeUtil>) {
         let busy = self.node_busy_us();
         if busy.is_empty() {
             return (expected_busy_us.unwrap_or(0.0), Vec::new());

@@ -163,7 +163,7 @@ impl TraceData {
     }
 
     /// Last recorded value of every gauge.
-    pub fn gauge_finals(&self) -> BTreeMap<String, f64> {
+    pub(crate) fn gauge_finals(&self) -> BTreeMap<String, f64> {
         let mut finals = BTreeMap::new();
         for g in &self.gauges {
             finals.insert(g.name.clone(), g.value);

@@ -49,12 +49,12 @@ use datanet_mapreduce::{planned_makespan, SelectionConfig};
 use datanet_obs::{Category, Domain, QueryCtx, Recorder, SpanCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Knobs of one serve run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Execution workers (≥ 1). Affects timing only, never answers.
     pub workers: u32,
@@ -94,7 +94,7 @@ impl Default for ServeConfig {
 }
 
 /// Why an arrival was turned away at the door.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RejectReason {
     /// The bounded admission queue was full.
     QueueFull,
@@ -102,7 +102,7 @@ pub enum RejectReason {
 
 /// What finally happened to one query. Exactly one disposition per stream
 /// query — the conservation oracle's unit of account.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Disposition {
     /// Admitted, planned and executed.
     Completed {
@@ -134,7 +134,7 @@ pub enum Disposition {
 }
 
 /// One query's final record in the canonical answers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryOutcome {
     /// Stream query id.
     pub id: u64,
@@ -145,7 +145,7 @@ pub struct QueryOutcome {
 }
 
 /// Per-tenant fair-share accounting (the fairness oracle's inputs).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TenantStats {
     /// Tenant index.
     pub tenant: u32,
@@ -174,7 +174,7 @@ pub struct TenantStats {
 
 /// The canonical section of a serve report: everything the decision plane
 /// determined. Byte-identical across worker counts and schedule seeds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeAnswers {
     /// One outcome per stream query, in stream order.
     pub outcomes: Vec<QueryOutcome>,
@@ -214,7 +214,7 @@ impl ServeAnswers {
 
 /// The timing section: everything the execution plane (worker count,
 /// schedule seed) can influence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeTiming {
     /// Worker-pool size of the run.
     pub workers: u32,
@@ -233,7 +233,7 @@ pub struct ServeTiming {
 }
 
 /// A full serve run's result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Decision-plane section (canonical).
     pub answers: ServeAnswers,

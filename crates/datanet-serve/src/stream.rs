@@ -8,11 +8,10 @@
 use datanet_dfs::SubDatasetId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How tenant identities and sub-dataset choices are distributed across
 /// the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantMix {
     /// Every tenant equally likely; sub-datasets uniform.
     Uniform,
@@ -55,7 +54,7 @@ impl TenantMix {
 
 /// One query in the stream: tenant `tenant` asks for sub-dataset `sub` at
 /// simulated instant `arrival_us`. Ids are dense stream positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuerySpec {
     /// Dense query id (= position in the stream).
     pub id: u64,
@@ -68,7 +67,7 @@ pub struct QuerySpec {
 }
 
 /// Shape of a generated stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Number of tenants (≥ 1).
     pub tenants: u32,

@@ -16,11 +16,11 @@ use datanet::{
     SubDatasetView,
 };
 use datanet_dfs::{BlockId, Dfs, NodeId, Record, SubDatasetId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hash::Hasher;
 
 /// A scripted world mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeEvent {
     /// An ingest batch commits: `blocks` new blocks (records round-robined
     /// over every sub-dataset, so *every* sub-dataset's plan changes) are
@@ -42,7 +42,7 @@ pub enum ServeEvent {
 /// A [`ServeEvent`] anchored to a stream position: it applies immediately
 /// before the arrival with stream index `at_query` is admitted (positions
 /// past the end of the stream apply after the last arrival).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScriptedEvent {
     /// Stream position the event fires before.
     pub at_query: u32,
@@ -52,7 +52,7 @@ pub struct ScriptedEvent {
 
 /// Snapshot of every mutation counter a plan depends on. Two equal keys
 /// guarantee the worlds they were read from are plan-equivalent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct EpochKey {
     /// `NameNode::epoch()` — bumped per block registration.
     pub namenode: u64,

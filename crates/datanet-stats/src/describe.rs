@@ -1,11 +1,9 @@
 //! Descriptive statistics used throughout the experiment harness
 //! (min/avg/max bars in Figures 6, 7 and 10, std-dev in Figure 10).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample, computed in one pass with Welford's
 /// algorithm (numerically stable for the large byte counts we feed it).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     count: usize,
     mean: f64,
@@ -87,7 +85,7 @@ impl Summary {
     }
 
     /// Population variance; 0 for fewer than two observations.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {

@@ -15,10 +15,9 @@
 //! `E/3`, ≈4.0 above `2E`.
 
 use crate::gamma::GammaDist;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Section II-B model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImbalanceModel {
     /// Per-block Gamma shape `k`.
     pub shape: f64,
@@ -29,7 +28,7 @@ pub struct ImbalanceModel {
 }
 
 /// One row of the Figure 2 series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImbalanceRow {
     /// Cluster size `m`.
     pub nodes: usize,
@@ -76,7 +75,7 @@ impl ImbalanceModel {
     /// Distribution of one node's workload on an `m`-node cluster:
     /// `Z ~ Γ(nk/m, θ)` (Equation 2). Requires `m ≤ n` so each node gets at
     /// least one block's worth of shape.
-    pub fn node_workload(&self, m: usize) -> GammaDist {
+    pub(crate) fn node_workload(&self, m: usize) -> GammaDist {
         assert!(m > 0, "cluster must have at least one node");
         assert!(
             m <= self.blocks,
@@ -100,7 +99,7 @@ impl ImbalanceModel {
     }
 
     /// `P(Z > frac·E(Z))` on an `m`-node cluster (Equation 4).
-    pub fn p_above(&self, m: usize, frac: f64) -> f64 {
+    pub(crate) fn p_above(&self, m: usize, frac: f64) -> f64 {
         1.0 - self.p_below(m, frac)
     }
 

@@ -5,9 +5,9 @@
 //! per-node workload `Z ~ Γ(nk/m, θ)` when each of `m` nodes processes `n/m`
 //! random blocks. This crate provides, from scratch:
 //!
-//! * Gamma-family special functions ([`special`]): `ln Γ` and the
+//! * Gamma-family special functions (`special`): `ln Γ` and the
 //!   regularized lower incomplete gamma function `P(a, x)`.
-//! * The [`gamma::GammaDist`] distribution (pdf, cdf, moments, sampling via
+//! * The [`GammaDist`] distribution (pdf, cdf, moments, sampling via
 //!   Marsaglia–Tsang).
 //! * A [`zipf::Zipf`] sampler used by the workload generators for sub-dataset
 //!   popularity.
@@ -16,9 +16,9 @@
 //!   regenerates Figure 2 of the paper.
 
 pub mod describe;
-pub mod gamma;
+mod gamma;
 pub mod imbalance;
-pub mod special;
+mod special;
 pub mod zipf;
 
 pub use describe::{gini, percentile, Summary};

@@ -26,7 +26,7 @@ const LANCZOS: [f64; 9] = [
 ///
 /// # Panics
 /// Panics if `x <= 0` (the reproduction never needs the reflected branch).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     if x < 0.5 {
         // Reflection formula keeps the Lanczos series in its accurate range.
@@ -44,7 +44,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 
 /// Regularized lower incomplete gamma `P(a, x) = γ(a, x) / Γ(a)` for
 /// `a > 0, x >= 0`. `P` is the CDF of `Γ(a, 1)`.
-pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
+pub(crate) fn reg_lower_gamma(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "reg_lower_gamma requires a > 0, got {a}");
     assert!(x >= 0.0, "reg_lower_gamma requires x >= 0, got {x}");
     if x == 0.0 {

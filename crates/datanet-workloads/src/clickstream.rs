@@ -14,10 +14,9 @@ use datanet_dfs::{Record, SubDatasetId};
 use datanet_stats::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the click-stream generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClickstreamConfig {
     /// Number of users (sub-datasets).
     pub users: usize,

@@ -11,10 +11,9 @@
 use datanet_dfs::{Record, SubDatasetId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The GitHub Archive event taxonomy (22 types, matching "more than 20").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventType {
     /// Commit pushes — by far the most frequent event.
     Push,
@@ -96,7 +95,7 @@ impl EventType {
 
     /// Relative frequency weight (calibrated to published GitHub Archive
     /// statistics: pushes ≈ half of all events, a long tail of rare types).
-    pub fn frequency_weight(self) -> f64 {
+    pub(crate) fn frequency_weight(self) -> f64 {
         match self {
             EventType::Push => 50.0,
             EventType::Create => 10.0,
@@ -125,7 +124,7 @@ impl EventType {
 
     /// Mean payload bytes per event (push events carry commit lists and are
     /// much bigger than watch events).
-    pub fn mean_bytes(self) -> u32 {
+    pub(crate) fn mean_bytes(self) -> u32 {
         match self {
             EventType::Push => 2048,
             EventType::PullRequest => 1536,
@@ -151,7 +150,7 @@ impl EventType {
 }
 
 /// Configuration of the event-log generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GithubConfig {
     /// Number of events.
     pub records: usize,

@@ -15,7 +15,7 @@
 //! timestamp order — the property that turns temporal locality into HDFS
 //! block clustering.
 
-pub mod clickstream;
+mod clickstream;
 pub mod github;
 pub mod movies;
 pub mod worldcup;

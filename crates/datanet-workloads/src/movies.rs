@@ -14,10 +14,9 @@ use datanet_dfs::{Record, SubDatasetId};
 use datanet_stats::{GammaDist, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the movie-log generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoviesConfig {
     /// Number of distinct movies (sub-datasets).
     pub movies: usize,
@@ -79,7 +78,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 }
 
 /// Per-movie ground-truth metadata produced alongside the records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovieCatalog {
     /// `release_day[m]` = release day of movie `m`.
     pub release_day: Vec<u32>,

@@ -10,10 +10,9 @@ use datanet_dfs::{Record, SubDatasetId};
 use datanet_stats::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the access-log generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldCupConfig {
     /// Number of distinct objects (pages/images) — the sub-datasets.
     pub objects: usize,

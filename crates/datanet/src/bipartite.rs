@@ -20,7 +20,7 @@ const ABSENT: u32 = u32::MAX;
 /// Mutable bipartite graph between cluster nodes and (not-yet-assigned)
 /// blocks, weighted by sub-dataset content.
 #[derive(Debug, Clone)]
-pub struct DistributionGraph {
+pub(crate) struct DistributionGraph {
     /// `scope[slot]` = the block in that slot and its weight `|b ∩ s|` as
     /// known to the meta-data; block ids ascending.
     scope: Vec<(BlockId, u64)>,
@@ -58,7 +58,7 @@ pub struct DistributionGraph {
 impl DistributionGraph {
     /// Build the graph for the blocks in `view` (τ₁ ∪ τ₂), using the
     /// NameNode's replica map for edges and the view's weights.
-    pub fn from_view(namenode: &NameNode, view: &SubDatasetView) -> Self {
+    pub(crate) fn from_view(namenode: &NameNode, view: &SubDatasetView) -> Self {
         // Merged in block order, the scope is one `build` need not sort.
         let mut scope = Vec::with_capacity(view.block_count());
         scope.extend(view.scope());
@@ -67,7 +67,10 @@ impl DistributionGraph {
 
     /// Build the graph over an explicit `(block, weight)` scope. Blocks
     /// must be distinct.
-    pub fn build(namenode: &NameNode, scope: impl IntoIterator<Item = (BlockId, u64)>) -> Self {
+    pub(crate) fn build(
+        namenode: &NameNode,
+        scope: impl IntoIterator<Item = (BlockId, u64)>,
+    ) -> Self {
         let mut scope: Vec<(BlockId, u64)> = scope.into_iter().collect();
         if !scope.is_sorted_by_key(|e| e.0) {
             scope.sort_unstable_by_key(|e| e.0);
@@ -163,12 +166,6 @@ impl DistributionGraph {
         self.rewind();
     }
 
-    /// Blocks still unassigned that are local to `n` — the paper's `d_i` —
-    /// heaviest first (ties → lowest id).
-    pub fn local_blocks(&self, n: NodeId) -> impl Iterator<Item = BlockId> + '_ {
-        self.local_slots(n).map(|slot| self.block(slot))
-    }
-
     /// The live slots local to `n`, heaviest first (ties → lowest id).
     pub(crate) fn local_slots(&self, n: NodeId) -> impl Iterator<Item = usize> + '_ {
         let range = self.bounds[n.index()] as usize..self.bounds[n.index() + 1] as usize;
@@ -236,24 +233,8 @@ impl DistributionGraph {
         &self.pool[run(self.span[slot])]
     }
 
-    /// Nodes holding block `b`, if it is still in the graph.
-    pub fn holders(&self, b: BlockId) -> Option<&[NodeId]> {
-        let slot = self.slot_of(b).filter(|&slot| self.is_live(slot))?;
-        Some(self.slot_holders(slot))
-    }
-
-    /// Whether block `b` is still unassigned and in scope.
-    pub fn contains(&self, b: BlockId) -> bool {
-        self.slot_of(b).is_some_and(|slot| self.is_live(slot))
-    }
-
-    /// The weight `|b ∩ s|` of a block (0 if out of scope).
-    pub fn weight(&self, b: BlockId) -> u64 {
-        self.slot_of(b).map_or(0, |slot| self.scope[slot].1)
-    }
-
     /// Number of blocks still in the graph.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.remaining
     }
 
@@ -262,13 +243,8 @@ impl DistributionGraph {
         (0..self.scope.len()).filter(|&slot| self.is_live(slot))
     }
 
-    /// All blocks still in the graph, in block order.
-    pub fn remaining_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.live_slots().map(|slot| self.block(slot))
-    }
-
     /// Total weight still unassigned.
-    pub fn remaining_weight(&self) -> u64 {
+    pub(crate) fn remaining_weight(&self) -> u64 {
         self.live_slots().map(|slot| self.scope[slot].1).sum()
     }
 
@@ -298,24 +274,8 @@ impl DistributionGraph {
         None
     }
 
-    /// Number of cluster nodes.
-    pub fn node_count(&self) -> usize {
-        self.fit_from.len()
-    }
-
-    /// Remove block `b` and all of its edges (lines 18–20 of Algorithm 1).
-    ///
-    /// # Panics
-    /// Panics if `b` was already removed or never in scope.
-    pub fn remove_block(&mut self, b: BlockId) {
-        let slot = self.slot_of(b).filter(|&slot| self.is_live(slot));
-        assert!(slot.is_some(), "block {b} not in graph");
-        if let Some(slot) = slot {
-            self.remove_slot(slot);
-        }
-    }
-
-    /// Remove the block in a live `slot`. The pool and the order arrays,
+    /// Remove the block in a live `slot` and all of its edges (lines 18–20
+    /// of Algorithm 1). The pool and the order arrays,
     /// global and per node, are untouched: the skip-cursors step over the
     /// dead entry the next time they reach it.
     pub(crate) fn remove_slot(&mut self, slot: usize) {
@@ -331,7 +291,7 @@ impl DistributionGraph {
     /// # Panics
     /// Panics if `b` is still in the graph or was never in scope, or
     /// `holders` is empty.
-    pub fn reinsert(&mut self, b: BlockId, holders: Vec<NodeId>) {
+    pub(crate) fn reinsert(&mut self, b: BlockId, holders: Vec<NodeId>) {
         let slot = self.slot_of(b);
         assert!(slot.is_some(), "block {b} was never in scope");
         assert!(
@@ -360,7 +320,7 @@ impl DistributionGraph {
 
     /// Drop every edge to node `n` (it crashed): blocks whose only holder
     /// was `n` stay in the graph but become remote-only.
-    pub fn remove_node(&mut self, n: NodeId) {
+    pub(crate) fn remove_node(&mut self, n: NodeId) {
         for span in self.span.iter_mut().filter(|s| s.1 != ABSENT) {
             let holders = &mut self.pool[run(*span)];
             if let Some(p) = holders.iter().position(|&h| h == n) {
@@ -391,6 +351,36 @@ mod tests {
         nn
     }
 
+    // What the planner reads through slots, asked by block id.
+    fn live(g: &DistributionGraph, b: BlockId) -> Option<usize> {
+        g.slot_of(b).filter(|&slot| g.is_live(slot))
+    }
+
+    fn contains(g: &DistributionGraph, b: BlockId) -> bool {
+        live(g, b).is_some()
+    }
+
+    fn holders_of(g: &DistributionGraph, b: BlockId) -> Option<&[NodeId]> {
+        live(g, b).map(|slot| g.slot_holders(slot))
+    }
+
+    fn weight(g: &DistributionGraph, b: BlockId) -> u64 {
+        g.slot_of(b).map_or(0, |slot| g.slot_weight(slot))
+    }
+
+    fn local_blocks(g: &DistributionGraph, n: NodeId) -> impl Iterator<Item = BlockId> + '_ {
+        g.local_slots(n).map(|slot| g.block(slot))
+    }
+
+    fn remaining_blocks(g: &DistributionGraph) -> impl Iterator<Item = BlockId> + '_ {
+        g.live_slots().map(|slot| g.block(slot))
+    }
+
+    fn remove_block(g: &mut DistributionGraph, b: BlockId) {
+        let slot = live(g, b).expect("block in graph");
+        g.remove_slot(slot);
+    }
+
     fn graph() -> DistributionGraph {
         DistributionGraph::build(
             &namenode(),
@@ -401,32 +391,32 @@ mod tests {
     #[test]
     fn scope_controls_membership() {
         let g = graph();
-        assert!(g.contains(BlockId(0)));
-        assert!(!g.contains(BlockId(2))); // not in scope
+        assert!(contains(&g, BlockId(0)));
+        assert!(!contains(&g, BlockId(2))); // not in scope
         assert_eq!(g.remaining(), 3);
         assert_eq!(g.remaining_weight(), 160);
-        assert_eq!(g.weight(BlockId(2)), 0);
+        assert_eq!(weight(&g, BlockId(2)), 0);
     }
 
     #[test]
     fn adjacency_mirrors_replicas() {
         let g = graph();
-        let d0: Vec<_> = g.local_blocks(NodeId(0)).collect();
+        let d0: Vec<_> = local_blocks(&g, NodeId(0)).collect();
         assert_eq!(d0, vec![BlockId(0)]);
-        let d2: Vec<_> = g.local_blocks(NodeId(2)).collect();
+        let d2: Vec<_> = local_blocks(&g, NodeId(2)).collect();
         assert_eq!(d2, vec![BlockId(1), BlockId(3)]);
-        assert_eq!(g.holders(BlockId(1)).unwrap(), &[NodeId(1), NodeId(2)]);
+        assert_eq!(holders_of(&g, BlockId(1)).unwrap(), &[NodeId(1), NodeId(2)]);
     }
 
     #[test]
     fn removal_deletes_all_edges() {
         let mut g = graph();
-        g.remove_block(BlockId(1));
-        assert!(!g.contains(BlockId(1)));
+        remove_block(&mut g, BlockId(1));
+        assert!(!contains(&g, BlockId(1)));
         assert_eq!(g.remaining(), 2);
-        assert!(g.local_blocks(NodeId(1)).all(|b| b != BlockId(1)));
-        assert!(g.local_blocks(NodeId(2)).all(|b| b != BlockId(1)));
-        assert!(g.holders(BlockId(1)).is_none());
+        assert!(local_blocks(&g, NodeId(1)).all(|b| b != BlockId(1)));
+        assert!(local_blocks(&g, NodeId(2)).all(|b| b != BlockId(1)));
+        assert!(holders_of(&g, BlockId(1)).is_none());
     }
 
     #[test]
@@ -439,25 +429,29 @@ mod tests {
             u64::MAX,
         );
         let g = DistributionGraph::from_view(&nn, &view);
-        assert_eq!(g.weight(BlockId(0)), 777);
-        assert_eq!(g.weight(BlockId(3)), 777); // δ = min exact = 777
-        assert!(!g.contains(BlockId(1)));
+        assert_eq!(weight(&g, BlockId(0)), 777);
+        assert_eq!(weight(&g, BlockId(3)), 777); // δ = min exact = 777
+        assert!(!contains(&g, BlockId(1)));
     }
 
     #[test]
     fn reinsert_restores_block_with_surviving_holders() {
         let mut g = graph();
-        g.remove_block(BlockId(0));
-        assert!(!g.contains(BlockId(0)));
+        remove_block(&mut g, BlockId(0));
+        assert!(!contains(&g, BlockId(0)));
         // Back with only node 1 surviving.
         g.reinsert(BlockId(0), vec![NodeId(1)]);
-        assert!(g.contains(BlockId(0)));
+        assert!(contains(&g, BlockId(0)));
         assert_eq!(g.remaining(), 3);
-        assert_eq!(g.weight(BlockId(0)), 100, "weight survives the round trip");
-        assert_eq!(g.holders(BlockId(0)).unwrap(), &[NodeId(1)]);
+        assert_eq!(
+            weight(&g, BlockId(0)),
+            100,
+            "weight survives the round trip"
+        );
+        assert_eq!(holders_of(&g, BlockId(0)).unwrap(), &[NodeId(1)]);
         // Node 1 sees it locally; node 0 no longer does.
-        assert!(g.local_blocks(NodeId(1)).any(|b| b == BlockId(0)));
-        assert!(g.local_blocks(NodeId(0)).all(|b| b != BlockId(0)));
+        assert!(local_blocks(&g, NodeId(1)).any(|b| b == BlockId(0)));
+        assert!(local_blocks(&g, NodeId(0)).all(|b| b != BlockId(0)));
     }
 
     #[test]
@@ -465,10 +459,10 @@ mod tests {
         let mut g = graph();
         g.remove_node(NodeId(2));
         assert_eq!(g.remaining(), 3, "blocks are not lost with the node");
-        assert_eq!(g.local_blocks(NodeId(2)).count(), 0);
-        assert_eq!(g.holders(BlockId(1)).unwrap(), &[NodeId(1)]);
+        assert_eq!(local_blocks(&g, NodeId(2)).count(), 0);
+        assert_eq!(holders_of(&g, BlockId(1)).unwrap(), &[NodeId(1)]);
         assert!(
-            g.holders(BlockId(3)).unwrap().is_empty(),
+            holders_of(&g, BlockId(3)).unwrap().is_empty(),
             "block 3 lived only on node 2"
         );
     }
@@ -514,14 +508,14 @@ mod tests {
         for step in 0..200 {
             for b in (0..blocks).map(BlockId) {
                 assert_eq!(
-                    g.holders(b),
+                    holders_of(&g, b),
                     holders[b.index()].as_deref(),
                     "step {step}, {b}"
                 );
             }
             for n in (0..nodes).map(NodeId) {
                 let walk: Vec<(u64, BlockId)> =
-                    g.local_blocks(n).map(|b| (g.weight(b), b)).collect();
+                    local_blocks(&g, n).map(|b| (weight(&g, b), b)).collect();
                 let lightest = walk.iter().min().map(|&(_, b)| b);
                 let light = g.lightest_local(n).map(|slot| g.block(slot));
                 assert_eq!(light, lightest, "step {step}, node {n}");
@@ -553,9 +547,9 @@ mod tests {
                 }
                 _ => {
                     let k = next(blocks as u64) as usize % g.remaining().max(1);
-                    let pick = g.remaining_blocks().nth(k);
+                    let pick = remaining_blocks(&g).nth(k);
                     if let Some(b) = pick {
-                        g.remove_block(b);
+                        remove_block(&mut g, b);
                         holders[b.index()] = None;
                         removed.push(b);
                     }
@@ -602,14 +596,14 @@ mod tests {
         };
         assert!(longest(&g) <= Some(bound), "{:?} > {bound}", longest(&g));
         assert_eq!(
-            g.remaining_blocks().collect::<Vec<_>>(),
+            remaining_blocks(&g).collect::<Vec<_>>(),
             [BlockId(5), BlockId(50_000), BlockId(99_999)]
         );
-        assert_eq!(g.weight(BlockId(50_000)), 3);
-        assert_eq!(g.weight(BlockId(6)), 0, "out of scope");
+        assert_eq!(weight(&g, BlockId(50_000)), 3);
+        assert_eq!(weight(&g, BlockId(6)), 0, "out of scope");
         assert_eq!(g.heaviest().map(|s| g.block(s)), Some(BlockId(99_999)));
         assert_eq!(g.lightest().map(|s| g.block(s)), Some(BlockId(5)));
-        g.remove_block(BlockId(5));
+        remove_block(&mut g, BlockId(5));
         g.remove_node(NodeId(1));
         g.reinsert(BlockId(5), vec![NodeId(0)]);
         assert!(longest(&g) <= Some(bound), "{:?} > {bound}", longest(&g));
@@ -644,14 +638,6 @@ mod tests {
     fn reinsert_of_live_block_panics() {
         let mut g = graph();
         g.reinsert(BlockId(0), vec![NodeId(1)]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn double_removal_panics() {
-        let mut g = graph();
-        g.remove_block(BlockId(0));
-        g.remove_block(BlockId(0));
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! ElasticMap) over-provisions enough to absorb the blocking penalty and
 //! keep the measured FPR at the design rate.
 //!
-//! Filters deserialized from pre-blocking stores (and filters built with
-//! explicit [`BloomFilter::with_params`]) keep the original flat layout —
-//! probes modulo the whole bit array — so their membership answers are
-//! bit-for-bit what they were when written.
+//! Filters deserialized from pre-blocking stores keep the original flat
+//! layout — probes modulo the whole bit array — so their membership
+//! answers are bit-for-bit what they were when written.
 
 use crate::wire::{put_var, Reader};
 use datanet_dfs::SubDatasetId;
@@ -116,26 +115,6 @@ impl BloomFilter {
         }
     }
 
-    /// Build a **flat** filter with explicit bit count and hash count (the
-    /// pre-blocking layout; kept for tests and ablations).
-    ///
-    /// # Panics
-    /// Panics if `num_bits == 0` or `num_hashes == 0`.
-    pub fn with_params(num_bits: u64, num_hashes: u32) -> Self {
-        assert!(num_bits > 0, "bloom filter needs at least one bit");
-        assert!(num_hashes > 0, "bloom filter needs at least one hash");
-        let words = num_bits.div_ceil(64) as usize;
-        Self {
-            bits: vec![0; words],
-            shape: BloomShape {
-                num_bits,
-                num_hashes,
-                lines: 0,
-            },
-            items: 0,
-        }
-    }
-
     /// Two independent 64-bit hashes of the id (SplitMix64 finalizers with
     /// distinct stream constants), combined by double hashing. A caller
     /// probing one id against many filters hashes it once.
@@ -187,21 +166,6 @@ impl BloomFilter {
     /// Number of insert calls so far (an upper bound on distinct items).
     pub fn items(&self) -> usize {
         self.items
-    }
-
-    /// Size of the bit array.
-    pub fn num_bits(&self) -> u64 {
-        self.shape.num_bits
-    }
-
-    /// Number of hash probes per operation.
-    pub fn num_hashes(&self) -> u32 {
-        self.shape.num_hashes
-    }
-
-    /// Number of 512-bit cache-line blocks; 0 for the legacy flat layout.
-    pub fn layout_blocks(&self) -> u64 {
-        self.shape.lines
     }
 }
 
@@ -323,6 +287,17 @@ impl BloomFilter {
 mod tests {
     use super::*;
 
+    /// A flat-layout filter of `num_bits` bits and `num_hashes` probes, as
+    /// a store written before the blocked layout holds one.
+    fn flat(num_bits: u64, num_hashes: u32) -> BloomFilter {
+        let shape = BloomShape {
+            num_bits,
+            num_hashes,
+            lines: 0,
+        };
+        BloomFilter::from_parts(vec![0; num_bits.div_ceil(64) as usize], shape, 0)
+    }
+
     #[test]
     fn no_false_negatives() {
         let mut f = BloomFilter::with_rate(1000, 0.01);
@@ -369,7 +344,7 @@ mod tests {
         // sub-dataset (vs 85 in a hash map) — that corresponds to ε ≈ 1%.
         // The whole-block round-up stays inside the same budget.
         let f = BloomFilter::with_rate(10_000, 0.01);
-        let bits_per_item = f.num_bits() as f64 / 10_000.0;
+        let bits_per_item = f.shape.num_bits as f64 / 10_000.0;
         assert!(
             (9.0..11.0).contains(&bits_per_item),
             "got {bits_per_item} bits/item"
@@ -379,11 +354,11 @@ mod tests {
     #[test]
     fn rate_sized_filters_are_cache_line_blocked() {
         let f = BloomFilter::with_rate(10_000, 0.01);
-        assert!(f.layout_blocks() > 0);
-        assert_eq!(f.num_bits(), f.layout_blocks() * 512);
-        assert_eq!(f.words().len() as u64, f.layout_blocks() * 8);
+        assert!(f.shape.lines > 0);
+        assert_eq!(f.shape.num_bits, f.shape.lines * 512);
+        assert_eq!(f.words().len() as u64, f.shape.lines * 8);
         // Explicit-parameter filters keep the flat layout.
-        assert_eq!(BloomFilter::with_params(64, 3).layout_blocks(), 0);
+        assert_eq!(flat(64, 3).shape.lines, 0);
     }
 
     #[test]
@@ -394,13 +369,13 @@ mod tests {
             f.insert(SubDatasetId(i));
         }
         let set: u64 = f.words().iter().map(|w| w.count_ones() as u64).sum();
-        let r = set as f64 / f.num_bits() as f64;
+        let r = set as f64 / f.shape.num_bits as f64;
         assert!((0.4..0.6).contains(&r), "fill ratio {r} not near 0.5");
     }
 
     #[test]
     fn tiny_filter_still_works() {
-        let mut f = BloomFilter::with_params(8, 1);
+        let mut f = flat(8, 1);
         f.insert(SubDatasetId(1));
         assert!(f.contains(SubDatasetId(1)));
     }
@@ -420,7 +395,7 @@ mod tests {
     fn pre_blocking_serialization_decodes_as_flat_layout() {
         // A filter written before the `blocks` field existed: must load and
         // answer with the original flat probe sequence.
-        let mut flat = BloomFilter::with_params(1024, 5);
+        let mut flat = flat(1024, 5);
         for i in 0..64u64 {
             flat.insert(SubDatasetId(i * 3));
         }
@@ -429,7 +404,7 @@ mod tests {
             serde_json::to_string(&flat.bits).unwrap()
         );
         let g: BloomFilter = serde_json::from_str(&legacy_json).unwrap();
-        assert_eq!(g.layout_blocks(), 0);
+        assert_eq!(g.shape.lines, 0);
         for i in 0..200u64 {
             assert_eq!(g.contains(SubDatasetId(i)), flat.contains(SubDatasetId(i)));
         }
@@ -439,11 +414,5 @@ mod tests {
     #[should_panic]
     fn rejects_bad_rate() {
         BloomFilter::with_rate(10, 1.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_zero_bits() {
-        BloomFilter::with_params(0, 3);
     }
 }

@@ -15,24 +15,15 @@
 //! (0,1kb) [1,2) [2,3) [3,5) [5,8) [8,13) [13,21) [21,34) [34kb, ∞)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone series of bucket lower bounds (bytes). Bucket `i` covers
 /// `[bounds[i], bounds[i+1])`; the last bucket is unbounded above.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Buckets {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Buckets {
     /// `bounds[0]` is always 0.
     bounds: Vec<u64>,
 }
 
 impl Buckets {
-    /// The paper's instance: Fibonacci multiples of 1 kB up to 34 kB
-    /// (suited to 64 MB blocks: at most 64M/32k = 2048 sub-datasets can sit
-    /// in the top bucket).
-    pub fn paper() -> Self {
-        Self::fibonacci(1024, 9)
-    }
-
     /// Fibonacci progression scaled by `base` bytes: bounds
     /// `0, base, 2·base, 3·base, 5·base, 8·base, …` with `count` finite
     /// buckets plus the unbounded top bucket. A `base` large enough that a
@@ -41,7 +32,7 @@ impl Buckets {
     ///
     /// # Panics
     /// Panics if `base == 0` or `count == 0`.
-    pub fn fibonacci(base: u64, count: usize) -> Self {
+    pub(crate) fn fibonacci(base: u64, count: usize) -> Self {
         assert!(base > 0, "bucket base must be positive");
         assert!(count > 0, "need at least one bucket");
         let mut bounds = vec![0u64];
@@ -59,25 +50,20 @@ impl Buckets {
     }
 
     /// Number of buckets (including the unbounded top one).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bounds.len()
-    }
-
-    /// Always false.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Index of the bucket containing `size`. O(log #buckets); with tens of
     /// buckets this is a handful of comparisons.
-    pub fn bucket_of(&self, size: u64) -> usize {
+    pub(crate) fn bucket_of(&self, size: u64) -> usize {
         // partition_point gives the count of bounds <= size; sizes equal to
         // a bound belong to the bucket starting at that bound.
         self.bounds.partition_point(|&b| b <= size) - 1
     }
 
     /// Lower bound of bucket `i` in bytes.
-    pub fn lower_bound(&self, i: usize) -> u64 {
+    pub(crate) fn lower_bound(&self, i: usize) -> u64 {
         self.bounds[i]
     }
 
@@ -111,9 +97,16 @@ impl Buckets {
 mod tests {
     use super::*;
 
+    /// The paper's instance: Fibonacci multiples of 1 kB up to 34 kB
+    /// (suited to 64 MB blocks: at most 64M/32k = 2048 sub-datasets can sit
+    /// in the top bucket).
+    fn paper() -> Buckets {
+        Buckets::fibonacci(1024, 9)
+    }
+
     #[test]
     fn paper_bucket_bounds() {
-        let b = Buckets::paper();
+        let b = paper();
         let kb = 1024;
         assert_eq!(b.len(), 10);
         assert_eq!(b.lower_bound(0), 0);
@@ -202,7 +195,7 @@ mod tests {
             let len = rng.gen_range(1..300);
             let sizes: Vec<u64> = (0..len).map(|_| rng.gen_range(1u64..200_000)).collect();
             let quota_frac = rng.gen_range(0.0f64..1.0);
-            let b = Buckets::paper();
+            let b = paper();
             let quota = (quota_frac * sizes.len() as f64).ceil() as usize;
             let threshold = b.dominance_threshold(&counts(&b, &sizes), quota);
             let selected = sizes.iter().filter(|&&s| s >= threshold).count();

@@ -22,10 +22,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Checkpoint format version (independent of the MetaStore shard format).
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// Name of the live manifest — the commit point of every checkpoint.
-pub const LIVE_MANIFEST: &str = "pipeline.json";
+pub(crate) const LIVE_MANIFEST: &str = "pipeline.json";
 
 /// Payload file of stage `seq` (the serialized working state after it ran).
 pub fn payload_file(seq: u64) -> String {

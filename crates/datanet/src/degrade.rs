@@ -25,7 +25,7 @@ use datanet_dfs::BlockId;
 use serde::{Deserialize, Serialize};
 
 /// Which rung of the degradation ladder served a block's metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// Rung 1: exact hash-map size (τ₁).
     Exact,
@@ -37,7 +37,7 @@ pub enum Rung {
 }
 
 /// Where each shard's metadata came from when assembling a degraded view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSource {
     /// The full shard was readable (possibly after replica failover).
     Full,

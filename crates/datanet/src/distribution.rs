@@ -10,11 +10,10 @@
 //! Total size estimate (Equation 6): `Z = Σ_{b∈τ₁} |s∩b| + δ·|τ₂|`.
 
 use datanet_dfs::{BlockId, Dfs, SubDatasetId};
-use serde::{Deserialize, Serialize};
 
 /// The distribution of one sub-dataset over the block space, as known to
 /// DataNet's meta-data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubDatasetView {
     id: SubDatasetId,
     /// τ₁: `(block, exact bytes)`, block order.

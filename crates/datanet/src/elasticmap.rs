@@ -84,7 +84,7 @@ pub struct ElasticMap {
 
 /// False-positive rate used for bloom sizing; 1% reproduces the paper's
 /// "10 bits per sub-dataset" figure.
-pub const BLOOM_EPSILON: f64 = 0.01;
+pub(crate) const BLOOM_EPSILON: f64 = 0.01;
 
 /// The bucket series of a block holding `records` records in `bytes`
 /// bytes: a Fibonacci progression based at the **mean record size**.
@@ -204,7 +204,7 @@ impl ElasticMap {
 
     /// The exact size of a dominant sub-dataset, if it is one.
     #[inline]
-    pub fn exact_size(&self, id: SubDatasetId) -> Option<u64> {
+    pub(crate) fn exact_size(&self, id: SubDatasetId) -> Option<u64> {
         self.exact_ids
             .binary_search(&id)
             .ok()
@@ -232,12 +232,12 @@ impl ElasticMap {
     }
 
     /// Number of exact entries.
-    pub fn exact_len(&self) -> usize {
+    pub(crate) fn exact_len(&self) -> usize {
         self.exact_ids.len()
     }
 
     /// Number of bloom-filter entries.
-    pub fn bloom_len(&self) -> usize {
+    pub(crate) fn bloom_len(&self) -> usize {
         self.bloom_items
     }
 
@@ -271,7 +271,7 @@ impl ElasticMap {
     }
 
     /// Per-block `δ` bound (`delta_bound`).
-    pub fn bloom_delta_hint(&self) -> u64 {
+    pub(crate) fn bloom_delta_hint(&self) -> u64 {
         delta_bound(self.bloom_min_bytes, self.threshold)
     }
 }

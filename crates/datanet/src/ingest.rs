@@ -44,7 +44,6 @@ use crate::store::{
 };
 use datanet_dfs::{Block, BlockId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -77,7 +76,7 @@ impl IngestConfig {
 }
 
 /// Running totals of one ingest session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Blocks accepted by [`Ingestor::append`].
     pub appended_blocks: u64,
@@ -253,11 +252,6 @@ impl Ingestor {
     /// Session statistics.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
-    }
-
-    /// Last durable epoch (0 before the first commit).
-    pub fn durable_epoch(&self) -> u64 {
-        self.durable_epoch
     }
 
     /// Blocks known to this ingestor: sealed base plus pending deltas.
@@ -676,7 +670,7 @@ mod tests {
         let mut resumed = Ingestor::resume(cfg(), &refs).unwrap();
         assert_eq!(resumed.stats().resumed_blocks, half as u64);
         assert_eq!(resumed.stats().summaries_built, 0, "no re-summarizing");
-        assert_eq!(resumed.durable_epoch(), 1);
+        assert_eq!(resumed.durable_epoch, 1);
         assert_eq!(resumed.blocks(), half);
         for b in &dfs.blocks()[half..] {
             resumed.append(b, 0);
@@ -713,7 +707,7 @@ mod tests {
             plan.apply_prefix(&refs, n).unwrap();
             let resumed = Ingestor::resume(cfg(), &refs).unwrap();
             assert_eq!(resumed.blocks(), 0, "prefix {n}: nothing was durable");
-            assert_eq!(resumed.durable_epoch(), 0);
+            assert_eq!(resumed.durable_epoch, 0);
             assert_eq!(resumed.stats().resumed_blocks, 0);
         }
 

@@ -6,17 +6,17 @@
 //!
 //! 1. **Scan** ([`scan`]): one linear pass over every DFS block builds, per
 //!    block, the exact per-sub-dataset sizes, block after block.
-//! 2. **Separate** ([`buckets`]): Fibonacci-width size buckets split the few
+//! 2. **Separate** (`buckets`): Fibonacci-width size buckets split the few
 //!    *dominant* sub-datasets from the long tail in O(m) per block — the
 //!    paper's bucket/count-sort trick that avoids an O(m log m) sort.
-//! 3. **Store** ([`elasticmap`]): an [`ElasticMap`] keeps dominant sizes
+//! 3. **Store** (`elasticmap`): an [`ElasticMap`] keeps dominant sizes
 //!    exactly in sorted arrays and the tail's mere existence in a
 //!    [`bloom::BloomFilter`]; the memory trade-off follows Equation 5
 //!    ([`memory`]).
 //! 4. **Query** ([`distribution`]): a [`SubDatasetView`] collects, for one
 //!    sub-dataset, the exact-size blocks (τ₁), the bloom-only blocks (τ₂)
 //!    and the Equation 6 size estimate `Z = Σ|s∩b| + δ·|τ₂|`.
-//! 5. **Plan** ([`bipartite`], [`planner`]): the bipartite node×block graph
+//! 5. **Plan** (`bipartite`, [`planner`]): the bipartite node×block graph
 //!    plus Algorithm 1 (greedy workload balancing) or the Ford–Fulkerson
 //!    optimal planner turn the view into a balanced task assignment.
 //!
@@ -35,17 +35,17 @@
 //! let maps = ElasticMapArray::build(&dfs, &Separation::All);
 //! let view = maps.view(SubDatasetId(0));
 //! assert_eq!(view.estimated_total(), dfs.subdataset_total(SubDatasetId(0)));
-//! let assignment = Algorithm1::new(&dfs, &view).plan_round_robin();
+//! let assignment = Algorithm1::new(&dfs, &view).plan_balanced();
 //! assert_eq!(assignment.assigned_blocks(), view.block_count());
 //! ```
 
-pub mod bipartite;
+mod bipartite;
 pub mod bloom;
-pub mod buckets;
+mod buckets;
 pub mod checkpoint;
 pub mod degrade;
 pub mod distribution;
-pub mod elasticmap;
+mod elasticmap;
 pub mod ingest;
 pub mod memory;
 pub mod planner;
@@ -55,9 +55,7 @@ pub mod store;
 pub mod symbol;
 mod wire;
 
-pub use bipartite::DistributionGraph;
 pub use bloom::BloomFilter;
-pub use buckets::Buckets;
 pub use checkpoint::{CheckpointManifest, CheckpointPlan};
 pub use degrade::{DegradedView, MetaHealth, Rung, RungCounts, ShardSource};
 pub use distribution::SubDatasetView;
@@ -72,13 +70,11 @@ pub use planner::{
 pub use retry::{RetryBudget, RetryPolicy};
 pub use scan::ElasticMapArray;
 pub use store::{BlockSummary, Manifest, MetaStore, ScrubReport, StoreError, WritePlan};
-pub use symbol::{FastMap, FxBuildHasher, FxHasher64, Sym, SymbolTable};
+pub use symbol::{FastMap, FxHasher64, Sym, SymbolTable};
 
 /// Common imports for downstream users.
 pub mod prelude {
-    pub use crate::bipartite::DistributionGraph;
     pub use crate::bloom::BloomFilter;
-    pub use crate::buckets::Buckets;
     pub use crate::distribution::SubDatasetView;
     pub use crate::elasticmap::{ElasticMap, Separation, SizeInfo};
     pub use crate::ingest::{CommitPlan, IngestConfig, IngestStats, Ingestor};

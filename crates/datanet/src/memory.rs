@@ -8,10 +8,8 @@
 //! stored in the hash map, `ε` the bloom false-positive rate, `k` the bit
 //! width of one hash-map record and `δ` the hash-map load factor.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Equation 5 model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Bloom false-positive rate `ε`.
     pub epsilon: f64,
@@ -58,13 +56,13 @@ impl MemoryModel {
     }
 
     /// Bits per bloom-filter element: `−ln ε / ln² 2` (≈ 9.6 at ε = 1%).
-    pub fn bloom_bits_per_item(&self) -> f64 {
+    pub(crate) fn bloom_bits_per_item(&self) -> f64 {
         let ln2 = std::f64::consts::LN_2;
         -self.epsilon.ln() / (ln2 * ln2)
     }
 
     /// Bits per hash-map element: `k / δ`.
-    pub fn map_bits_per_item(&self) -> f64 {
+    pub(crate) fn map_bits_per_item(&self) -> f64 {
         self.record_bits / self.load_factor
     }
 

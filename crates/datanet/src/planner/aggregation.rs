@@ -19,10 +19,9 @@
 //! factor so reduce workload stays acceptable.
 
 use datanet_dfs::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A reducer placement with weighted partition shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregationPlan {
     /// Chosen reducer nodes (distinct).
     pub reducers: Vec<NodeId>,

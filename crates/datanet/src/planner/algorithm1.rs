@@ -14,8 +14,7 @@
 //! [`Algorithm1::next_task_for`] exposes the per-request decision so a live
 //! scheduler (the MapReduce engine) can drive it from simulated worker
 //! requests; [`Algorithm1::plan_balanced`] runs it to completion assuming
-//! homogeneous workers (the least-loaded node requests next), and
-//! [`Algorithm1::plan_round_robin`] assumes strict request rotation.
+//! homogeneous workers (the least-loaded node requests next).
 
 use crate::bipartite::DistributionGraph;
 use crate::distribution::SubDatasetView;
@@ -85,7 +84,7 @@ impl Algorithm1 {
     }
 
     /// Set up from NameNode metadata directly.
-    pub fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
+    pub(crate) fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
         Self::with_policy(namenode, view, BalancePolicy::default())
     }
 
@@ -366,23 +365,6 @@ impl Algorithm1 {
         }
         Assignment::from_picks(m, &picks)
     }
-
-    /// Run to completion with strict round-robin requests (node 0, 1, …,
-    /// m−1, 0, …). Every node receives the same task *count*, so this
-    /// isolates the weight-aware argmin from request-order effects.
-    pub fn plan_round_robin(mut self) -> Assignment {
-        let m = self.workloads.len();
-        let mut picks = Vec::with_capacity(self.graph.remaining());
-        let mut i = 0usize;
-        while self.graph.remaining() > 0 {
-            let node = NodeId((i % m) as u32);
-            if let Some((slot, local)) = self.next_slot_for(node) {
-                picks.push(self.pick(node, slot, local));
-            }
-            i += 1;
-        }
-        Assignment::from_picks(m, &picks)
-    }
 }
 
 #[cfg(test)]
@@ -619,17 +601,6 @@ mod tests {
         assert_eq!(total, view.estimated_total(), "no bytes lost or doubled");
     }
 
-    #[test]
-    fn round_robin_assigns_equal_task_counts() {
-        let dfs = clustered_dfs(8);
-        let view = view_for(&dfs, SubDatasetId(0));
-        let a = Algorithm1::new(&dfs, &view).plan_round_robin();
-        let counts: Vec<usize> = (0..8).map(|n| a.tasks_of(NodeId(n)).len()).collect();
-        let max = counts.iter().max().unwrap();
-        let min = counts.iter().min().unwrap();
-        assert!(max - min <= 1, "counts {counts:?}");
-    }
-
     /// The naive reference the indexed [`DistributionGraph`] is checked
     /// against: `heaviest`/`lightest` answered by a full scan over every
     /// block the NameNode knows, per task request.
@@ -792,8 +763,9 @@ mod tests {
             let i = (0..m)
                 .min_by(|&a, &b| rel(a).partial_cmp(&rel(b)).unwrap().then(a.cmp(&b)))
                 .unwrap();
-            let (block, local) = alg.next_task_for(NodeId(i as u32)).unwrap();
-            assignment.assign(NodeId(i as u32), block, alg.graph.weight(block), local);
+            let (slot, local) = alg.next_slot_for(NodeId(i as u32)).unwrap();
+            let (block, weight) = (alg.graph.block(slot), alg.graph.slot_weight(slot));
+            assignment.assign(NodeId(i as u32), block, weight, local);
         }
         assignment
     }
@@ -808,9 +780,10 @@ mod tests {
             let i = (0..m)
                 .min_by(|&a, &b| load[a].partial_cmp(&load[b]).unwrap().then(a.cmp(&b)))
                 .unwrap();
-            let (block, local) = alg.next_task_for(NodeId(i as u32)).unwrap();
+            let (slot, local) = alg.next_slot_for(NodeId(i as u32)).unwrap();
             load[i] = alg.relative_load(i);
-            assignment.assign(NodeId(i as u32), block, alg.graph.weight(block), local);
+            let (block, weight) = (alg.graph.block(slot), alg.graph.slot_weight(slot));
+            assignment.assign(NodeId(i as u32), block, weight, local);
         }
         assignment
     }

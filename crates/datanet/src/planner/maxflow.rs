@@ -121,7 +121,7 @@ impl FordFulkersonPlanner {
 
     /// Set up from NameNode metadata directly, over τ₁ ∪ τ₂ merged in block
     /// order.
-    pub fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
+    pub(crate) fn with_namenode(namenode: &NameNode, view: &SubDatasetView) -> Self {
         let blocks: Vec<_> = (view.scope())
             .map(|(b, w)| (b, w, namenode.replicas(b).to_vec()))
             .collect();
@@ -574,9 +574,9 @@ mod tests {
                     for s in (0..=16).map(SubDatasetId) {
                         let view = array.view(s);
                         both += usize::from(!view.exact().is_empty() && !view.bloom().is_empty());
-                        let g = crate::DistributionGraph::from_view(nn, &view);
-                        let scope: Vec<_> = (g.remaining_blocks())
-                            .map(|b| (b, g.weight(b), g.holders(b).unwrap().to_vec()))
+                        let g = crate::bipartite::DistributionGraph::from_view(nn, &view);
+                        let scope: Vec<_> = (g.live_slots())
+                            .map(|s| (g.block(s), g.slot_weight(s), g.slot_holders(s).to_vec()))
                             .collect();
                         let planner = FordFulkersonPlanner::with_namenode(nn, &view);
                         let why = format!("seed {seed}, {nodes} nodes, {sep:?}, {s}");

@@ -17,7 +17,7 @@ pub use maxflow::FordFulkersonPlanner;
 
 use crate::scan::ElasticMapArray;
 use datanet_dfs::{BlockId, Dfs, NodeId, SubDatasetId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Plan one [`Algorithm1`] balanced assignment per sub-dataset.
 ///
@@ -40,7 +40,7 @@ pub fn plan_balanced_batch(
 }
 
 /// A complete map-task assignment: each block processed by exactly one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Assignment {
     /// `tasks[n]` = blocks assigned to node `n`, in assignment order.
     tasks: Vec<Vec<BlockId>>,

@@ -1118,12 +1118,6 @@ impl MetaStore {
         out
     }
 
-    /// Indices of the shards currently decoded in the cache, least recently
-    /// used first (the front is the next eviction victim).
-    pub fn cached_shards(&self) -> Vec<usize> {
-        self.cache.iter().map(|(i, _)| *i).collect()
-    }
-
     /// Query one `(block, sub-dataset)` cell from disk.
     ///
     /// # Errors
@@ -1348,6 +1342,12 @@ mod tests {
     use super::*;
     use crate::degrade::Rung;
     use datanet_dfs::{Block, BlockId, Dfs, DfsConfig, Record, Topology};
+
+    /// Indices of the shards decoded in the cache, least recently used
+    /// first (the front is the next eviction victim).
+    fn cached(store: &MetaStore) -> Vec<usize> {
+        store.cache.iter().map(|(i, _)| *i).collect()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("datanet-store-{tag}-{}", std::process::id()));
@@ -1913,19 +1913,19 @@ mod tests {
 
         store.shard(0).unwrap();
         store.shard(1).unwrap();
-        assert_eq!(store.cached_shards(), vec![0, 1]);
+        assert_eq!(cached(&store), vec![0, 1]);
         // A hit moves the shard to the back (most recently used).
         store.shard(0).unwrap();
-        assert_eq!(store.cached_shards(), vec![1, 0]);
+        assert_eq!(cached(&store), vec![1, 0]);
         // A miss at capacity evicts the front — shard 1, not the re-used 0.
         store.shard(2).unwrap();
-        assert_eq!(store.cached_shards(), vec![0, 2]);
+        assert_eq!(cached(&store), vec![0, 2]);
 
         // cache_shards = 0 keeps exactly one transient slot.
         let mut transient = MetaStore::open(&dir, 0).unwrap();
         transient.shard(0).unwrap();
         transient.shard(1).unwrap();
-        assert_eq!(transient.cached_shards(), vec![1]);
+        assert_eq!(cached(&transient), vec![1]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1947,7 +1947,7 @@ mod tests {
                 store.shard(i).unwrap();
                 store.shard(0).unwrap();
                 assert!(
-                    store.cached_shards().contains(&0),
+                    cached(&store).contains(&0),
                     "pass {pass}: hot shard evicted under pressure from shard {i}"
                 );
             }

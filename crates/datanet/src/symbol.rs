@@ -71,7 +71,7 @@ impl Hasher for FxHasher64 {
 }
 
 /// `BuildHasher` for [`FxHasher64`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher64>;
 
 /// A `HashMap` keyed by the fast integer hash — the hot-path replacement
 /// for `std::collections::HashMap`'s SipHash default.

@@ -6,7 +6,7 @@ pub mod shuffle {
     //! The synthetic clustered shuffle workload `tests/shuffle.rs` pins
     //! the aware planner's byte reduction on: [`KEY_RANGES`] key ranges
     //! over [`NODES`] nodes, range `g`'s bytes concentrated
-    //! [`HOME_FRACTION`] on its home node `g % NODES` (the write locality a
+    //! `HOME_FRACTION` on its home node `g % NODES` (the write locality a
     //! real DFS produces), per-range totals from a Zipf law at exponent
     //! `s`. Both plans replay the identical matrix through
     //! [`run_analysis_shuffled`], so every number is simulated.
@@ -24,13 +24,13 @@ pub mod shuffle {
     /// Heavy-key split threshold of the aware planner, in fair shares.
     pub const SPLIT_FACTOR: f64 = 1.25;
     /// Fraction of a range's bytes sitting on its home node.
-    pub const HOME_FRACTION: f64 = 0.8;
+    pub(crate) const HOME_FRACTION: f64 = 0.8;
 
     /// The clustered per-(node, key-range) matrix at Zipf exponent `s`:
     /// [`HOME_FRACTION`] of range `g` on node `g % NODES`, the rest spread
     /// evenly over the others (remainder bytes to the home node, so each
     /// column holds exactly its range's share of `total`).
-    pub fn clustered_matrix(s: f64, total: u64) -> Vec<Vec<u64>> {
+    pub(crate) fn clustered_matrix(s: f64, total: u64) -> Vec<Vec<u64>> {
         let w: Vec<f64> = (1..=KEY_RANGES)
             .map(|rank| (rank as f64).powf(-s))
             .collect();
@@ -69,7 +69,7 @@ pub mod shuffle {
         }
     }
 
-    /// Run both plans over [`clustered_matrix`]`(s, total)`.
+    /// Run both plans over `clustered_matrix(s, total)`.
     pub fn zipf_point(s: f64, total: u64) -> ZipfPoint {
         let matrix = clustered_matrix(s, total);
         let aware_plan = ShufflePlanner::new(SPLIT_FACTOR).plan(&matrix);
@@ -155,8 +155,6 @@ pub mod serve {
 
     /// Sub-datasets in the world.
     pub const SUBDATASETS: u64 = 8;
-    /// Tenant counts the plan cache is exercised at.
-    pub const TENANT_POINTS: [u32; 3] = [1, 8, 64];
     const SEED: u64 = 0xBE4C;
 
     /// `records` records of 280 bytes, written through the DFS placement
@@ -220,6 +218,8 @@ pub mod serve {
 
         const RECORDS: u64 = 2_000;
         const QUERIES: u32 = 240;
+        /// Tenant counts the plan cache is exercised at.
+        const TENANT_POINTS: [u32; 3] = [1, 8, 64];
 
         #[test]
         fn sweep_covers_every_point_and_caches_pay_off() {
