@@ -24,7 +24,7 @@
 use crate::setup::{Fixtures, NODES};
 use crate::table::Table;
 use datanet::{AggregationPlan, ElasticMapArray, Separation};
-use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
+use datanet_cluster::{FaultPlan, SimTime};
 use datanet_mapreduce::{AnalysisConfig, DataNetScheduler, Exec, FaultConfig, SelectionConfig};
 use datanet_obs::{QueryCtx, Recorder};
 use serde::Serialize;
@@ -55,7 +55,7 @@ pub(crate) struct ObsBenchReport {
     pub series: usize,
     /// Median untraced wall time of the workload, seconds.
     pub recorder_off_secs: f64,
-    /// Metrics plane only (`Recorder::off().with_metrics(...)`, scoped).
+    /// Metrics plane only (`Recorder::off().with_metrics()`, scoped).
     pub metrics_on_secs: f64,
     /// Full trace recorder.
     pub recorder_on_secs: f64,
@@ -142,7 +142,7 @@ fn run_obs_bench(quick: bool) -> ObsBenchReport {
     let workload = |rec: &Recorder| {
         let array = ElasticMapArray::build_traced(dfs, &Separation::Alpha(0.3), rec);
         let view = array.view(hot);
-        let faults = FaultConfig::with_detection(plan.clone(), DetectorConfig::default());
+        let faults = FaultConfig::with_detection(plan.clone());
         let mut sched = DataNetScheduler::new(dfs, &view);
         let exec = Exec::default().rec(rec);
         let out = exec.faults(&faults).selection(dfs, truth, &mut sched, &sel);
@@ -175,7 +175,7 @@ fn run_obs_bench(quick: bool) -> ObsBenchReport {
     // canonical keys, paid once per process) lands in the first reps and
     // is absorbed by the block medians like any other cold-cache effect.
     let met = Recorder::off()
-        .with_metrics(1_000_000)
+        .with_metrics()
         .scoped(QueryCtx::new(1).tenant("bench"));
     // Warm-up rep to fill caches, then interleave the modes so drift
     // hits all three equally.

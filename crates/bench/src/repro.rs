@@ -20,12 +20,11 @@ use datanet::{
 use datanet_analytics::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
-use datanet_cluster::{DetectorConfig, FaultPlan, NodeSpec, SimTime};
+use datanet_cluster::{FaultPlan, NodeSpec, SimTime};
 use datanet_mapreduce::{
-    capability_of, rebalance, run_analysis, run_selection, speculative_map_phase,
-    speculative_map_phase_with_slowdowns, total_secs, AnalysisConfig, DataNetScheduler,
-    DelayScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler, PlannedScheduler,
-    SelectionConfig, SelectionOutcome, SpeculationConfig,
+    capability_of, rebalance, run_analysis, run_selection, speculative_map_phase, total_secs,
+    AnalysisConfig, DataNetScheduler, DelayScheduler, Exec, FaultConfig, LocalityScheduler,
+    MapScheduler, PlannedScheduler, SelectionConfig, SelectionOutcome,
 };
 use datanet_stats::{GammaDist, ImbalanceModel};
 use datanet_workloads::EventType;
@@ -956,7 +955,6 @@ fn hetero(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
 fn speculation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let selection = f.without();
     let job = top_k_profile();
-    let cfg = SpeculationConfig::default();
     let spec = NodeSpec::marmot();
 
     writeln!(
@@ -972,7 +970,8 @@ fn speculation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     ]);
 
     // Data-skew stragglers: the locality selection's imbalanced partitions.
-    let skew = speculative_map_phase(&selection.per_node_bytes, &job, &spec, &cfg);
+    let healthy = vec![1.0; selection.per_node_bytes.len()];
+    let skew = speculative_map_phase(&selection.per_node_bytes, &job, &spec, &healthy);
     t.row([
         "data skew (clustering)".to_string(),
         skew.backups.to_string(),
@@ -986,7 +985,7 @@ fn speculation(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
     let balanced = vec![total / NODES as u64; NODES as usize];
     let mut slowdowns = vec![1.0; NODES as usize];
     slowdowns[7] = 4.0;
-    let slow = speculative_map_phase_with_slowdowns(&balanced, &job, &spec, &cfg, &slowdowns);
+    let slow = speculative_map_phase(&balanced, &job, &spec, &slowdowns);
     t.row([
         "slow node (4x degraded)".to_string(),
         slow.backups.to_string(),
@@ -1242,7 +1241,7 @@ fn faults(f: &Fixtures, out: &mut dyn Write) -> io::Result<()> {
             for seed in 0..SEEDS {
                 let plan = FaultPlan::random(NODES as usize, 0xFA01 + seed, rate, horizon);
                 let faults = if detect {
-                    FaultConfig::with_detection(plan, DetectorConfig::default())
+                    FaultConfig::with_detection(plan)
                 } else {
                     FaultConfig::new(plan)
                 };

@@ -36,7 +36,8 @@ use crate::profiles::{
     histogram_profile, moving_average_profile, top_k_profile, word_count_profile,
 };
 use datanet::checkpoint::{self, CheckpointPlan, Payload};
-use datanet::{AggregationPlan, ElasticMapArray, FastMap, MetaStore, RetryPolicy, StoreError};
+use datanet::retry::{backoff_jittered, ATTEMPTS_PER_REPLICA};
+use datanet::{AggregationPlan, ElasticMapArray, FastMap, MetaStore, StoreError};
 use datanet_dfs::{Dfs, Record, SubDatasetId};
 use datanet_mapreduce::{
     key_range_of, range_matrix_truth, AnalysisConfig, DataNetScheduler, Exec, FaultConfig,
@@ -570,10 +571,8 @@ pub struct PipelineEnv<'a> {
     pub selection: SelectionConfig,
     /// Analysis-phase cost model.
     pub analysis: AnalysisConfig,
-    /// Bounded-retry policy for checkpoint commits (shared with the
-    /// MetaStore failover reads and the engine budget — `datanet::retry`).
-    pub retry: RetryPolicy,
-    /// Seed for the deterministic backoff jitter of checkpoint retries.
+    /// Seed for the deterministic backoff jitter of checkpoint retries
+    /// (`datanet::retry`).
     pub retry_seed: u64,
     /// `Some` prices every healthy aggregate stage through the
     /// distribution-aware shuffle partitioner (or its hash baseline) and
@@ -609,7 +608,7 @@ impl Default for ShuffleParams {
 
 impl<'a> PipelineEnv<'a> {
     /// Defaults: healthy metadata from `arr`, no faults, default cost
-    /// models and retry policy.
+    /// models.
     pub fn new(dfs: &'a Dfs, arr: &'a ElasticMapArray) -> Self {
         Self {
             dfs,
@@ -617,7 +616,6 @@ impl<'a> PipelineEnv<'a> {
             faults: None,
             selection: SelectionConfig::default(),
             analysis: AnalysisConfig::default(),
-            retry: RetryPolicy::default(),
             retry_seed: 0,
             shuffle: None,
         }
@@ -1045,7 +1043,7 @@ impl Pipeline {
             loop {
                 match plan.apply(dirs) {
                     Ok(()) => break,
-                    Err(_) if checkpoint_retries + 1 < env.retry.attempts_per_replica => {
+                    Err(_) if checkpoint_retries + 1 < ATTEMPTS_PER_REPLICA => {
                         checkpoint_retries += 1;
                         rec.flight(
                             FlightKind::Retry,
@@ -1054,10 +1052,10 @@ impl Pipeline {
                             None,
                             format!("checkpoint commit retry {checkpoint_retries} for stage {i} ({label})"),
                         );
-                        std::thread::sleep(
-                            env.retry
-                                .backoff_jittered(checkpoint_retries, env.retry_seed ^ i as u64),
-                        );
+                        std::thread::sleep(backoff_jittered(
+                            checkpoint_retries,
+                            env.retry_seed ^ i as u64,
+                        ));
                     }
                     Err(e) => {
                         rec.end_with_note(span, rec.wall_us(), "failed");

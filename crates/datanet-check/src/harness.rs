@@ -9,8 +9,8 @@
 use crate::scenario::{Corruption, Scenario, ServeEventPlan};
 use datanet::planner::{Algorithm1, Assignment, FordFulkersonPlanner};
 use datanet::{
-    checkpoint, ElasticMapArray, IngestConfig, Ingestor, MetaStore, RetryPolicy, Separation,
-    SizeInfo, SubDatasetView,
+    checkpoint, ElasticMapArray, IngestConfig, Ingestor, MetaStore, Separation, SizeInfo,
+    SubDatasetView,
 };
 use datanet_analytics::{
     word_count_profile, AggJob, CrashPoint, MetaPlane, Pipeline, PipelineEnv, ShuffleParams,
@@ -786,7 +786,6 @@ fn pipeline_env<'a>(
         faults: sc.has_faults().then(|| sc.fault_config()),
         selection: SelectionConfig::default(),
         analysis: AnalysisConfig::default(),
-        retry: RetryPolicy::default(),
         retry_seed: sc.seed,
         shuffle,
     }

@@ -11,7 +11,7 @@
 //! times) derives deterministically from the expanded fields.
 
 use datanet_analytics::{AggJob, PipelineSpec, StageOp};
-use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
+use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_mapreduce::FaultConfig;
 use datanet_stats::Zipf;
@@ -542,13 +542,11 @@ impl Scenario {
 
     /// The engine-facing [`FaultConfig`] (oracle or detector-driven).
     pub fn fault_config(&self) -> FaultConfig {
-        let mut cfg = if self.detection {
-            FaultConfig::with_detection(self.fault_plan(), DetectorConfig::default())
-        } else {
-            FaultConfig::new(self.fault_plan())
-        };
-        cfg.max_retries = self.max_retries;
-        cfg
+        FaultConfig {
+            max_retries: self.max_retries,
+            detection: self.detection,
+            ..FaultConfig::new(self.fault_plan())
+        }
     }
 
     /// Whether any fault is scripted at all.

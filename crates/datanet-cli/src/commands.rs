@@ -95,7 +95,7 @@ USAGE:
               [--window-secs N] [--alpha F] [--resume] [--json OUT.json]
               [--shuffle off|aware|hash] [--key-ranges N] [--split-factor F]
               [--trace OUT.json]
-  datanet serve [--dataset FILE] [--tenants N] [--queries N] [--qps N | --gap-us N]
+  datanet serve [--dataset FILE] [--tenants N] [--queries N] [--gap-us N]
               [--mix uniform|skewed|adversarial] [--workers N] [--queue-cap N]
               [--quantum-kb N] [--max-wait-rounds N] [--no-cache]
               [--planner alg1|maxflow] [--ingest-at N[,N...]] [--lose-node I@N]
@@ -118,13 +118,12 @@ Chrome trace_event file, loadable at https://ui.perfetto.dev. `datanet
 trace` prints a terminal summary of such a file.
 
 Every command that takes `--trace` also takes the always-on metrics plane
-flags: `--metrics OUT.json` freezes the windowed metrics registry into a
-snapshot (`.jsonl` for the line-per-series export), `--openmetrics
-OUT.txt` writes the Prometheus/OpenMetrics exposition of the same
-snapshot, `--metrics-window-ms N` sets the aggregation window (default
-1000), `--flight OUT.json` dumps the bounded flight recorder (last
-`--flight-events` significant events, default 256), and `--query-id N`
-[`--tenant NAME`] stamps a causal query id on every recorded event.
+flags: `--metrics OUT.json` freezes the windowed metrics registry (one
+window per simulated second) into a snapshot, `--openmetrics OUT.txt`
+writes the Prometheus/OpenMetrics exposition of the same snapshot,
+`--flight OUT.json` dumps the bounded flight recorder (the last 256
+significant events), and `--query-id N` [`--tenant NAME`] stamps a causal
+query id on every recorded event.
 `datanet top SNAPSHOT.json` renders a terminal dashboard from a metrics
 snapshot: per-node utilisation, per-query latency percentiles,
 retry/failover pressure, and EWMA anomaly alerts (add `--flight` for the
@@ -182,8 +181,7 @@ epoch-N snapshot instead of the live manifest.
 
 /// The observability flags every recording command shares (read by
 /// [`recorder`]); each takes a value.
-const OBS_FLAGS: &str =
-    "trace metrics openmetrics metrics-window-ms flight flight-events query-id tenant";
+const OBS_FLAGS: &str = "trace metrics openmetrics flight query-id tenant";
 
 type Handler = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
 
@@ -264,7 +262,7 @@ const COMMANDS: &[Command] = &[
         "serve",
         cmd_serve,
         0,
-        "dataset tenants queries qps gap-us mix workers queue-cap quantum-kb max-wait-rounds \
+        "dataset tenants queries gap-us mix workers queue-cap quantum-kb max-wait-rounds \
          planner ingest-at lose-node round-us schedule-seed ingest-blocks alpha subdatasets \
          records nodes block-kb seed json",
         "no-cache",
@@ -451,14 +449,8 @@ impl ObsOutputs {
         if self.metrics.is_some() || self.openmetrics.is_some() {
             let snap = rec.metrics_snapshot().expect("metrics plane attached");
             if let Some(path) = &self.metrics {
-                // `.jsonl` gets the line-per-series export; anything else
-                // the snapshot document `datanet top` reads.
-                let body = if path.extension().is_some_and(|e| e == "jsonl") {
-                    datanet_obs::to_jsonl(&snap)
-                } else {
-                    serde_json::to_string_pretty(&snap)
-                        .map_err(|e| ArgError(format!("cannot serialise snapshot: {e}")))?
-                };
+                let body = serde_json::to_string_pretty(&snap)
+                    .map_err(|e| ArgError(format!("cannot serialise snapshot: {e}")))?;
                 std::fs::write(path, body)?;
                 writeln!(
                     out,
@@ -489,14 +481,10 @@ impl ObsOutputs {
     }
 }
 
-/// Default flight-ring capacity for `--flight` without `--flight-events`.
-const FLIGHT_CAPACITY: usize = 256;
-
 /// Assemble the observability recorder from the shared flags:
-/// `--trace OUT.json` (unbounded Chrome trace), `--metrics OUT.json[l]`
-/// plus `--openmetrics OUT.txt` (windowed aggregates,
-/// `--metrics-window-ms` wide), `--flight OUT.json` (last
-/// `--flight-events` significant events), and `--query-id N` /
+/// `--trace OUT.json` (unbounded Chrome trace), `--metrics OUT.json`
+/// plus `--openmetrics OUT.txt` (windowed aggregates), `--flight
+/// OUT.json` (the newest significant events), and `--query-id N` /
 /// `--tenant NAME` (stamp a causal query scope on every event recorded).
 /// With none of them the recorder is off and every instrumented call is a
 /// no-op.
@@ -513,11 +501,10 @@ fn recorder(args: &Args) -> Result<(Recorder, ObsOutputs), CliError> {
         Recorder::off()
     };
     if outputs.metrics.is_some() || outputs.openmetrics.is_some() {
-        let window_ms: u64 = positive(args, "metrics-window-ms", 1_000)?;
-        rec = rec.with_metrics(window_ms * 1_000);
+        rec = rec.with_metrics();
     }
     if outputs.flight.is_some() {
-        rec = rec.with_flight(positive(args, "flight-events", FLIGHT_CAPACITY)?);
+        rec = rec.with_flight();
     }
     if let Some(q) = args.get("query-id") {
         let id: u64 = q
@@ -1079,7 +1066,7 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // One instrumented re-run of the *shrunk* scenario, so
                 // the repro carries the flight recording of the minimal
                 // failing world (not the original large one).
-                let frec = Recorder::off().with_flight(FLIGHT_CAPACITY);
+                let frec = Recorder::off().with_flight();
                 check_scenario_instrumented(&min.scenario, &CheckOptions::default(), &frec);
                 let flight = frec
                     .flight_dump()
@@ -1189,12 +1176,8 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let tenants: u32 = positive(args, "tenants", 4)?;
     let queries: u32 = positive(args, "queries", 64)?;
-    // Arrival cadence: `--gap-us` wins; otherwise derived from `--qps`.
-    let gap_us: u64 = if args.get("gap-us").is_some() {
-        positive(args, "gap-us", 1)?
-    } else {
-        (1_000_000 / positive::<u64>(args, "qps", 500)?).max(1)
-    };
+    // Arrival cadence: one query every `--gap-us` simulated µs.
+    let gap_us: u64 = positive(args, "gap-us", 2_000)?;
     let mix_s = args.get("mix").unwrap_or("skewed");
     let mix = TenantMix::parse(mix_s).ok_or_else(|| {
         ArgError(format!(
@@ -1740,6 +1723,25 @@ mod tests {
         assert!(err.to_string().contains("--shard-blocks"), "{err}");
         let err = run("scan --dataset d.json --meta --alpha 0.3").unwrap_err();
         assert!(err.to_string().contains("--meta needs a value"), "{err}");
+        // Retired flags are unknown, not silently ignored: each fails
+        // before the command writes anything.
+        for line in [
+            "serve --qps 1000",
+            "scan --dataset d.json --meta m --metrics m.json --metrics-window-ms 5",
+            "check --flight f.json --flight-events 9",
+        ] {
+            let mut out = Vec::new();
+            let err = dispatch(
+                line.split_whitespace().map(String::from).collect(),
+                &mut out,
+            );
+            let err = err.unwrap_err();
+            assert!(
+                matches!(&err, CliError::Args(e) if e.0.contains("unknown flag")),
+                "{line}: {err}"
+            );
+            assert!(out.is_empty(), "{line} wrote before failing");
+        }
     }
 
     /// The synopsis block of `USAGE` and `COMMANDS` declare the same
@@ -2000,63 +2002,6 @@ mod tests {
         let _ = std::fs::remove_file(&ds);
         let _ = std::fs::remove_file(&trace);
         let _ = std::fs::remove_dir_all(&meta);
-    }
-
-    /// `--metrics OUT.jsonl` writes the line-per-series export: a `meta`
-    /// line first, then one JSON object per series — the same series the
-    /// snapshot document of an identical run holds.
-    #[test]
-    fn metrics_jsonl_lists_the_snapshot_series() {
-        use datanet_obs::MetricsSnapshot;
-        use std::collections::BTreeSet;
-        let ds = tmp("jsonl-ds.json");
-        // The extension picks the format, so it must end the path.
-        let jsonl = format!("{}.jsonl", tmp("metrics"));
-        let json = format!("{}.json", tmp("metrics"));
-        run(&format!(
-            "gen movies --records 5000 --nodes 4 --block-kb 64 --out {ds}"
-        ))
-        .unwrap();
-        for path in [&jsonl, &json] {
-            let s = run(&format!(
-                "simulate --dataset {ds} --subdataset 0 --metrics {path}"
-            ))
-            .unwrap();
-            assert!(s.contains("wrote metrics snapshot"), "{s}");
-        }
-
-        let text = std::fs::read_to_string(&jsonl).unwrap();
-        let lines: Vec<Value> = text
-            .lines()
-            .map(|l| serde_json::parse_value(l.as_bytes()).unwrap())
-            .collect();
-        let str_at = |v: &Value, k: &str| match v.get(k) {
-            Some(Value::Str(s)) => s.clone(),
-            other => panic!("{k}: {other:?}"),
-        };
-        assert_eq!(str_at(&lines[0], "type"), "meta");
-        let from_lines: BTreeSet<(String, String)> = lines[1..]
-            .iter()
-            .map(|l| (str_at(l, "type"), str_at(l, "series")))
-            .collect();
-        assert_eq!(from_lines.len(), lines.len() - 1, "a series listed twice");
-
-        let snap: MetricsSnapshot =
-            serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
-        let mut from_snap = BTreeSet::new();
-        for (kind, keys) in [
-            ("counter", snap.counters.keys().collect::<Vec<_>>()),
-            ("histogram", snap.hists.keys().collect()),
-            ("gauge", snap.gauges.keys().collect()),
-        ] {
-            from_snap.extend(keys.into_iter().map(|k| (kind.to_string(), k.clone())));
-        }
-        assert!(!from_snap.is_empty());
-        assert_eq!(from_lines, from_snap);
-
-        for path in [&ds, &jsonl, &json] {
-            let _ = std::fs::remove_file(path);
-        }
     }
 
     #[test]
@@ -2413,7 +2358,7 @@ mod tests {
 
         for bad in [
             "serve --mix sideways",
-            "serve --qps 0",
+            "serve --gap-us 0",
             "serve --quantum-kb 0",
             "serve --lose-node 2",
             "serve --planner bogus",

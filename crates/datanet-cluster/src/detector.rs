@@ -17,55 +17,26 @@
 //!   loop handles a crash at these times instead of the oracle crash
 //!   instants, so every recovery action pays a realistic detection latency.
 //!
-//! Everything is integer-time deterministic: same plan + config → same
-//! schedule, bit for bit.
+//! Everything is integer-time deterministic: same plan → same schedule,
+//! bit for bit.
 
 use crate::fault::FaultPlan;
 use crate::time::SimTime;
 use datanet_obs::{Category, Domain, Recorder, SpanCtx};
 
-/// Failure-detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Nominal heartbeat interval workers aim for.
-    pub heartbeat: SimTime,
-    /// Silence tolerated before suspicion, in units of the expected gap.
-    pub multiplier: f64,
-    /// EWMA smoothing factor for inter-arrival times (0 < α ≤ 1); higher
-    /// adapts faster but is jumpier.
-    pub alpha: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            heartbeat: SimTime::from_millis(100),
-            multiplier: 3.0,
-            alpha: 0.2,
-        }
-    }
-}
-
-impl DetectorConfig {
-    fn validate(&self) {
-        assert!(self.heartbeat > SimTime::ZERO, "heartbeat must be positive");
-        assert!(
-            self.multiplier >= 1.0 && self.multiplier.is_finite(),
-            "multiplier must be >= 1"
-        );
-        assert!(
-            self.alpha > 0.0 && self.alpha <= 1.0,
-            "alpha must be in (0, 1]"
-        );
-    }
-}
+/// Nominal heartbeat interval workers aim for.
+const HEARTBEAT: SimTime = SimTime::from_millis(100);
+/// Silence tolerated before suspicion, in units of the expected gap.
+const MULTIPLIER: f64 = 3.0;
+/// EWMA smoothing factor for inter-arrival times: higher adapts faster but
+/// is jumpier.
+const ALPHA: f64 = 0.2;
 
 /// Online per-node failure detector: feed it heartbeats, ask it who is
 /// suspect. Suspicion is *unstable* by design — a late heartbeat clears it,
 /// exactly like a worker rejoining after a GC pause.
 #[derive(Debug, Clone)]
 pub(crate) struct FailureDetector {
-    cfg: DetectorConfig,
     last: Option<SimTime>,
     /// EWMA of inter-arrival gaps, microseconds. 0 until the first gap.
     ewma_micros: f64,
@@ -74,14 +45,8 @@ pub(crate) struct FailureDetector {
 
 impl FailureDetector {
     /// A detector that has seen no heartbeats yet.
-    ///
-    /// # Panics
-    /// Panics on an invalid config (non-positive heartbeat, multiplier < 1,
-    /// α outside (0, 1]).
-    pub(crate) fn new(cfg: DetectorConfig) -> Self {
-        cfg.validate();
+    pub(crate) fn new() -> Self {
         Self {
-            cfg,
             last: None,
             ewma_micros: 0.0,
             gaps: 0,
@@ -100,7 +65,7 @@ impl FailureDetector {
             self.ewma_micros = if self.gaps == 0 {
                 gap
             } else {
-                self.cfg.alpha * gap + (1.0 - self.cfg.alpha) * self.ewma_micros
+                ALPHA * gap + (1.0 - ALPHA) * self.ewma_micros
             };
             self.gaps += 1;
         }
@@ -111,7 +76,7 @@ impl FailureDetector {
     /// was observed, the nominal heartbeat interval before that.
     pub(crate) fn expected_gap(&self) -> SimTime {
         if self.gaps == 0 {
-            self.cfg.heartbeat
+            HEARTBEAT
         } else {
             SimTime::from_micros((self.ewma_micros.round() as u64).max(1))
         }
@@ -121,8 +86,7 @@ impl FailureDetector {
     /// `last + multiplier · expected_gap` (from time zero when no heartbeat
     /// was ever seen).
     pub(crate) fn suspicion_deadline(&self) -> SimTime {
-        let horizon =
-            SimTime::from_secs_f64(self.cfg.multiplier * self.expected_gap().as_secs_f64());
+        let horizon = SimTime::from_secs_f64(MULTIPLIER * self.expected_gap().as_secs_f64());
         self.last.unwrap_or(SimTime::ZERO) + horizon
     }
 }
@@ -141,24 +105,17 @@ impl FailureDetector {
 /// node covering the crash → suspicion window, a `suspect` instant at its
 /// close, and the detection latency in the `detection_us` histogram. The
 /// schedule is the same whatever `rec` is.
-///
-/// # Panics
-/// Panics on an invalid `cfg` (see `FailureDetector::new`).
-pub fn suspicion_schedule(
-    plan: &FaultPlan,
-    cfg: DetectorConfig,
-    rec: &Recorder,
-) -> Vec<(SimTime, usize)> {
+pub fn suspicion_schedule(plan: &FaultPlan, rec: &Recorder) -> Vec<(SimTime, usize)> {
     let mut schedule = Vec::new();
     for node in 0..plan.nodes() {
         let Some(crash) = plan.crash_time(node) else {
             continue;
         };
-        let mut det = FailureDetector::new(cfg);
+        let mut det = FailureDetector::new();
         let mut t = SimTime::ZERO;
         while plan.is_alive(node, t) {
             det.heartbeat(t);
-            let stretched = cfg.heartbeat.as_secs_f64() * plan.slow_factor(node, t);
+            let stretched = HEARTBEAT.as_secs_f64() * plan.slow_factor(node, t);
             t += SimTime::from_secs_f64(stretched).max(SimTime::from_micros(1));
         }
         let suspected = det.suspicion_deadline().max(crash);
@@ -193,13 +150,9 @@ mod tests {
         now >= det.suspicion_deadline()
     }
 
-    fn cfg() -> DetectorConfig {
-        DetectorConfig::default()
-    }
-
     #[test]
     fn steady_heartbeats_keep_trust() {
-        let mut det = FailureDetector::new(cfg());
+        let mut det = FailureDetector::new();
         for i in 0..20u64 {
             det.heartbeat(SimTime::from_millis(100 * i));
         }
@@ -213,14 +166,14 @@ mod tests {
 
     #[test]
     fn no_heartbeat_node_is_suspected_from_nominal_interval() {
-        let det = FailureDetector::new(cfg());
+        let det = FailureDetector::new();
         assert!(!suspects(&det, SimTime::from_millis(299)));
         assert!(suspects(&det, SimTime::from_millis(300)));
     }
 
     #[test]
     fn ewma_adapts_to_slower_cadence() {
-        let mut det = FailureDetector::new(cfg());
+        let mut det = FailureDetector::new();
         det.heartbeat(SimTime::ZERO);
         det.heartbeat(SimTime::from_millis(100));
         assert_eq!(det.expected_gap(), SimTime::from_millis(100));
@@ -237,7 +190,7 @@ mod tests {
 
     #[test]
     fn late_heartbeat_clears_suspicion() {
-        let mut det = FailureDetector::new(cfg());
+        let mut det = FailureDetector::new();
         det.heartbeat(SimTime::ZERO);
         det.heartbeat(SimTime::from_millis(100));
         let silent = SimTime::from_millis(100) + SimTime::from_millis(350);
@@ -252,18 +205,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "time order")]
     fn out_of_order_heartbeat_panics() {
-        let mut det = FailureDetector::new(cfg());
+        let mut det = FailureDetector::new();
         det.heartbeat(SimTime::from_millis(200));
         det.heartbeat(SimTime::from_millis(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "multiplier")]
-    fn invalid_multiplier_panics() {
-        FailureDetector::new(DetectorConfig {
-            multiplier: 0.5,
-            ..cfg()
-        });
     }
 
     #[test]
@@ -271,7 +215,7 @@ mod tests {
         let plan = FaultPlan::none(6)
             .crash(2, SimTime::from_secs(3))
             .crash(4, SimTime::from_secs(1));
-        let schedule = suspicion_schedule(&plan, cfg(), &Recorder::off());
+        let schedule = suspicion_schedule(&plan, &Recorder::off());
         assert_eq!(schedule.len(), 2);
         // Sorted by suspicion time, and every suspicion strictly follows
         // its crash (silence must accumulate first).
@@ -285,13 +229,13 @@ mod tests {
             assert!(latency <= SimTime::from_millis(400), "latency {latency}");
         }
         // Determinism: same plan, same schedule.
-        assert_eq!(schedule, suspicion_schedule(&plan, cfg(), &Recorder::off()));
+        assert_eq!(schedule, suspicion_schedule(&plan, &Recorder::off()));
     }
 
     #[test]
     fn crash_at_time_zero_is_still_detected() {
         let plan = FaultPlan::none(3).crash(1, SimTime::ZERO);
-        let schedule = suspicion_schedule(&plan, cfg(), &Recorder::off());
+        let schedule = suspicion_schedule(&plan, &Recorder::off());
         // Never a single heartbeat: suspicion fires after the nominal
         // grace period from time zero.
         assert_eq!(schedule, vec![(SimTime::from_millis(300), 1)]);
@@ -307,8 +251,8 @@ mod tests {
             SimTime::from_secs(4),
             4.0,
         );
-        let t_base = suspicion_schedule(&baseline, cfg(), &Recorder::off())[0].0;
-        let t_slow = suspicion_schedule(&slowed, cfg(), &Recorder::off())[0].0;
+        let t_base = suspicion_schedule(&baseline, &Recorder::off())[0].0;
+        let t_slow = suspicion_schedule(&slowed, &Recorder::off())[0].0;
         // Stretched heartbeats teach the EWMA a longer gap, so the detector
         // waits longer before declaring the node dead.
         assert!(t_slow > t_base, "{t_slow} vs {t_base}");
@@ -316,6 +260,6 @@ mod tests {
 
     #[test]
     fn healthy_plan_yields_empty_schedule() {
-        assert!(suspicion_schedule(&FaultPlan::none(8), cfg(), &Recorder::off()).is_empty());
+        assert!(suspicion_schedule(&FaultPlan::none(8), &Recorder::off()).is_empty());
     }
 }

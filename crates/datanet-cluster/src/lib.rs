@@ -27,7 +27,7 @@ mod resource;
 pub mod time;
 
 pub use cluster::SimCluster;
-pub use detector::{suspicion_schedule, DetectorConfig};
+pub use detector::suspicion_schedule;
 pub use event::EventQueue;
 pub use fault::FaultPlan;
 pub use node::{NodeSpec, SimNode};

@@ -6,7 +6,6 @@
 //! mappings.
 
 use crate::ids::{BlockId, NodeId};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 /// The actual metadata tables, shared immutably between NameNode handles.
@@ -127,54 +126,6 @@ impl NameNode {
     }
 }
 
-// Hand-written serde keeping the same wire shape the derived impl used when
-// the tables were inline fields, so checkpoints written before the Arc
-// snapshot refactor still load.
-impl Serialize for NameNode {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("replicas".to_string(), self.tables.replicas.to_value()),
-            (
-                "local_blocks".to_string(),
-                self.tables.local_blocks.to_value(),
-            ),
-            ("epoch".to_string(), self.epoch.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for NameNode {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let Value::Object(fields) = value else {
-            return Err(DeError::expected("NameNode object", value));
-        };
-        let mut replicas = None;
-        let mut local_blocks = None;
-        let mut epoch = None;
-        for (k, v) in fields {
-            match k.as_str() {
-                "replicas" => replicas = Some(Vec::<Vec<NodeId>>::from_value(v)?),
-                "local_blocks" => local_blocks = Some(Vec::<Vec<BlockId>>::from_value(v)?),
-                "epoch" => epoch = Some(u64::from_value(v)?),
-                _ => {}
-            }
-        }
-        let replicas = replicas.ok_or_else(|| DeError::msg("NameNode: missing replicas"))?;
-        // Checkpoints written before the epoch counter existed lack the
-        // field; every historical mutation was a `register`, so the block
-        // count reconstructs exactly the epoch the writer would have had.
-        let epoch = epoch.unwrap_or(replicas.len() as u64);
-        Ok(Self {
-            tables: Arc::new(Tables {
-                replicas,
-                local_blocks: local_blocks
-                    .ok_or_else(|| DeError::msg("NameNode: missing local_blocks"))?,
-            }),
-            epoch,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,37 +191,6 @@ mod tests {
         assert!(nn.surviving_replicas(BlockId(2), &alive).is_empty());
         // Nothing survives an all-dead cluster.
         assert_eq!(lost(&nn, &[false; 4]).len(), 3);
-    }
-
-    #[test]
-    fn serde_preserves_pre_snapshot_wire_shape() {
-        let nn = sample();
-        let v = nn.to_value();
-        // Same leading field names/order the derived impl on inline fields
-        // produced; the epoch counter is appended after them.
-        let Value::Object(fields) = &v else {
-            panic!("expected object")
-        };
-        assert_eq!(fields[0].0, "replicas");
-        assert_eq!(fields[1].0, "local_blocks");
-        assert_eq!(fields[2].0, "epoch");
-        let back = NameNode::from_value(&v).unwrap();
-        assert_eq!(back, nn);
-    }
-
-    #[test]
-    fn pre_epoch_checkpoints_reconstruct_the_epoch() {
-        // A wire document written before the epoch counter existed: only
-        // the two table fields. Loading must reconstruct epoch = block
-        // count (each historical mutation was one register).
-        let nn = sample();
-        let Value::Object(mut fields) = nn.to_value() else {
-            panic!("expected object")
-        };
-        fields.retain(|(k, _)| k != "epoch");
-        let back = NameNode::from_value(&Value::Object(fields)).unwrap();
-        assert_eq!(back.epoch(), 3);
-        assert_eq!(back, nn);
     }
 
     /// Satellite acceptance: every mutation bumps the epoch exactly once,

@@ -33,9 +33,7 @@ use crate::scheduler::{MapScheduler, ResilientScheduler};
 use crate::shuffle::{self, ShufflePlan};
 use datanet::store::MetaStore;
 use datanet::{AggregationPlan, Assignment, RetryBudget};
-use datanet_cluster::{
-    suspicion_schedule, DetectorConfig, EventQueue, FaultPlan, NodeSpec, SimCluster, SimTime,
-};
+use datanet_cluster::{suspicion_schedule, EventQueue, FaultPlan, NodeSpec, SimCluster, SimTime};
 use datanet_dfs::{BlockId, Dfs, NodeId, SubDatasetId};
 use datanet_obs::{Category, Domain, FlightKind, Recorder, SpanCtx, SpanId};
 use std::sync::OnceLock;
@@ -43,19 +41,13 @@ use std::sync::OnceLock;
 /// Fixed per-task cost (scheduling heartbeat, JVM reuse, commit) — Hadoop
 /// charges ~1 s per task; scaled here by the same 256× factor as the
 /// data volume (see DESIGN.md), giving 6 ms.
-const DEFAULT_TASK_OVERHEAD: SimTime = SimTime::from_millis(6);
+pub(crate) const DEFAULT_TASK_OVERHEAD: SimTime = SimTime::from_millis(6);
 
 /// Parameters of the selection phase.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectionConfig {
     /// Node hardware.
     pub spec: NodeSpec,
-    /// CPU work per scanned byte (multiple of the baseline scan rate).
-    pub scan_factor: f64,
-    /// Cost per *filtered* byte, as a multiple of the disk rate: matching
-    /// records are parsed, sorted and spilled to the local partition
-    /// (Hadoop's map-side sort/spill), so hot blocks cost real extra time.
-    pub filtered_cost_factor: f64,
     /// Fixed per-map-task overhead (startup + commit).
     pub task_overhead: SimTime,
 }
@@ -64,8 +56,6 @@ impl Default for SelectionConfig {
     fn default() -> Self {
         Self {
             spec: NodeSpec::marmot(),
-            scan_factor: 1.0,
-            filtered_cost_factor: 1.0,
             task_overhead: DEFAULT_TASK_OVERHEAD,
         }
     }
@@ -97,12 +87,12 @@ pub struct FaultConfig {
     /// How many times a block may be *re*-executed after crashes before the
     /// engine gives up on it (Hadoop's `mapreduce.map.maxattempts` − 1).
     pub max_retries: u32,
-    /// `Some` switches crash notification from the PR 1 oracle (the engine
+    /// `true` switches crash notification from the PR 1 oracle (the engine
     /// reacts at the exact crash instant) to heartbeat-driven *suspicion*:
     /// recovery starts only once the failure detector's EWMA deadline
     /// passes, and every action in between is charged realistically — work
     /// "completing" on a dead-but-unsuspected node is void.
-    pub detection: Option<DetectorConfig>,
+    pub detection: bool,
 }
 
 impl FaultConfig {
@@ -112,14 +102,14 @@ impl FaultConfig {
         Self {
             plan,
             max_retries: 3,
-            detection: None,
+            detection: false,
         }
     }
 
     /// Same, but crashes are learned through the failure detector.
-    pub fn with_detection(plan: FaultPlan, detector: DetectorConfig) -> Self {
+    pub fn with_detection(plan: FaultPlan) -> Self {
         Self {
-            detection: Some(detector),
+            detection: true,
             ..Self::new(plan)
         }
     }
@@ -209,7 +199,10 @@ pub fn run_analysis_shuffled(
 
 /// Cost of one selection map task: disk read of the whole block, a NIC hop
 /// for non-local reads (degraded by `nic_fraction` under fault injection),
-/// scan CPU over the block, and the sort/spill of the filtered bytes.
+/// scan CPU over the block at the baseline scan rate, and the sort/spill
+/// of the filtered bytes at the disk rate — matching records are parsed,
+/// sorted and spilled to the local partition (Hadoop's map-side
+/// sort/spill), so hot blocks cost real extra time.
 fn map_task_duration(
     dfs: &Dfs,
     block: BlockId,
@@ -224,14 +217,8 @@ fn map_task_duration(
         let rate = ((cfg.spec.nic_bps as f64) * nic_fraction).max(1.0) as u64;
         dur += SimTime::for_bytes(block_bytes, rate);
     }
-    dur += SimTime::for_bytes(
-        (block_bytes as f64 * cfg.scan_factor).ceil() as u64,
-        cfg.spec.cpu_bps,
-    );
-    dur += SimTime::for_bytes(
-        (filtered as f64 * cfg.filtered_cost_factor).ceil() as u64,
-        cfg.spec.disk_bps,
-    );
+    dur += SimTime::for_bytes(block_bytes, cfg.spec.cpu_bps);
+    dur += SimTime::for_bytes(filtered, cfg.spec.disk_bps);
     dur
 }
 
@@ -377,7 +364,7 @@ impl<'a> Exec<'a> {
         cfg.spec.validate();
         let m = dfs.config().topology.len();
         let plan = self.faults.map(|f| &f.plan);
-        let detection = self.faults.and_then(|f| f.detection);
+        let detection = self.faults.is_some_and(|f| f.detection);
 
         let mut per_node_bytes = vec![0u64; m];
         let mut tasks_per_node = vec![0usize; m];
@@ -420,10 +407,10 @@ impl<'a> Exec<'a> {
         }
         // Under detection, the engine learns of a crash at the *suspicion*
         // instant; under the oracle model, at the crash instant itself.
-        let notifications = match (plan, detection) {
-            (Some(plan), Some(det)) => suspicion_schedule(plan, det, rec),
-            (Some(plan), None) => plan.crash_events(),
-            (None, _) => Vec::new(),
+        let notifications = match plan {
+            Some(plan) if detection => suspicion_schedule(plan, rec),
+            Some(plan) => plan.crash_events(),
+            None => Vec::new(),
         };
         // `done` is only ever read by a crash.
         let may_crash = !notifications.is_empty();
@@ -450,7 +437,7 @@ impl<'a> Exec<'a> {
                         crashed_at.as_micros(),
                         SpanCtx::default().node(dead.index()),
                     );
-                    if detection.is_some() {
+                    if detection {
                         stats
                             .detection_latency_secs
                             .push((now.saturating_sub(crashed_at)).as_secs_f64());

@@ -51,7 +51,4 @@ pub use shuffle::{
     ShufflePlan, ShufflePlanner,
 };
 pub use skewtune::{apportion, rebalance, split_threshold, MigrationOutcome};
-pub use speculation::{
-    speculative_map_phase, speculative_map_phase_with_slowdowns, SpeculationConfig,
-    SpeculativeMapOutcome,
-};
+pub use speculation::{speculative_map_phase, SpeculativeMapOutcome};

@@ -1,19 +1,18 @@
-//! Metrics-snapshot exporters: OpenMetrics/Prometheus text exposition and
-//! JSONL, plus a strict parser for the text format.
+//! Metrics-snapshot exporter: OpenMetrics/Prometheus text exposition, plus
+//! a strict parser for the text format.
 //!
 //! The exposition format follows the OpenMetrics conventions: counter
 //! samples carry the `_total` suffix, histogram series are exported as
 //! summaries (`quantile` label + `_sum` + `_count` — the percentiles are
 //! pre-derived from the Fibonacci buckets, so summaries lose nothing),
 //! and the document ends with `# EOF`. Windowed series have no cumulative
-//! reading, so they ride only in the JSONL export.
+//! reading, so they ride only in the JSON snapshot itself.
 //!
 //! The parser is deliberately strict — unknown line shape, sample before
 //! its `# TYPE`, bad label syntax or a missing `# EOF` are hard errors —
 //! because it doubles as the CI validator for the export path.
 
 use crate::metrics::{split_series, MetricsSnapshot};
-use serde::Value;
 
 /// Metric family kind in the text format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,94 +314,6 @@ pub fn parse_openmetrics(text: &str) -> Result<Vec<OmFamily>, String> {
     Ok(families)
 }
 
-/// JSONL export: one line per series (counters, windowed counters,
-/// histogram summaries, windowed histograms, gauges, windowed gauges).
-/// Unlike OpenMetrics this keeps the windowed views.
-pub fn to_jsonl(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let obj = |entries: Vec<(&str, Value)>| {
-        Value::Object(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    };
-    let mut push = |v: Value| {
-        out.push_str(&serde_json::to_string(&v).expect("jsonl serialization is infallible"));
-        out.push('\n');
-    };
-    let windows_value = |ws: &[(u64, u64)]| {
-        Value::Array(
-            ws.iter()
-                .map(|&(w, v)| Value::Array(vec![Value::U64(w), Value::U64(v)]))
-                .collect(),
-        )
-    };
-    push(obj(vec![
-        ("type", Value::Str("meta".into())),
-        ("window_us", Value::U64(snap.window_us)),
-    ]));
-    for (key, &v) in &snap.counters {
-        let mut entries = vec![
-            ("type", Value::Str("counter".into())),
-            ("series", Value::Str(key.clone())),
-            ("total", Value::U64(v)),
-        ];
-        if let Some(ws) = snap.windowed.get(key) {
-            entries.push(("windows", windows_value(ws)));
-        }
-        push(obj(entries));
-    }
-    for (key, h) in &snap.hists {
-        let mut entries = vec![
-            ("type", Value::Str("histogram".into())),
-            ("series", Value::Str(key.clone())),
-            ("count", Value::U64(h.count)),
-            ("sum", Value::U64(h.sum)),
-            ("p50", Value::U64(h.p50)),
-            ("p95", Value::U64(h.p95)),
-            ("p99", Value::U64(h.p99)),
-        ];
-        if let Some(ws) = snap.win_hists.get(key) {
-            entries.push((
-                "windows",
-                Value::Array(
-                    ws.iter()
-                        .map(|(w, h)| {
-                            Value::Array(vec![
-                                Value::U64(*w),
-                                Value::U64(h.count),
-                                Value::U64(h.p99),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        push(obj(entries));
-    }
-    for (key, &v) in &snap.gauges {
-        let mut entries = vec![
-            ("type", Value::Str("gauge".into())),
-            ("series", Value::Str(key.clone())),
-            ("value", Value::F64(v)),
-        ];
-        if let Some(ws) = snap.win_gauges.get(key) {
-            entries.push((
-                "windows",
-                Value::Array(
-                    ws.iter()
-                        .map(|&(w, v)| Value::Array(vec![Value::U64(w), Value::F64(v)]))
-                        .collect(),
-                ),
-            ));
-        }
-        push(obj(entries));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,18 +403,5 @@ mod tests {
             families[0].samples[0].label("note"),
             Some("say \"hi\"\\now")
         );
-    }
-
-    #[test]
-    fn jsonl_lines_each_parse_and_keep_windows() {
-        let snap = sample_snapshot();
-        let jsonl = to_jsonl(&snap);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        // meta + 3 counters + 1 hist + 2 gauges.
-        assert_eq!(lines.len(), 7, "{jsonl}");
-        for line in &lines {
-            serde_json::parse_value(line.as_bytes()).unwrap();
-        }
-        assert!(jsonl.contains("\"windows\""), "{jsonl}");
     }
 }

@@ -23,6 +23,12 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+/// Width of one metrics window, simulated microseconds.
+const METRICS_WINDOW_US: u64 = 1_000_000;
+
+/// Events a flight ring keeps.
+const FLIGHT_CAPACITY: usize = 256;
+
 /// Which clock an event's timestamps belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Domain {
@@ -220,17 +226,17 @@ impl Recorder {
         }
     }
 
-    /// Attach a fresh windowed metrics registry (`window_us` simulated
-    /// microseconds per window). Works on an enabled *or* disabled
-    /// recorder — metrics without traces is the cheap always-on mode.
-    pub fn with_metrics(mut self, window_us: u64) -> Self {
-        self.metrics = Some(Arc::new(Mutex::new(MetricsData::new(window_us))));
+    /// Attach a fresh windowed metrics registry with one-second windows
+    /// of simulated time. Works on an enabled *or* disabled recorder —
+    /// metrics without traces is the cheap always-on mode.
+    pub fn with_metrics(mut self) -> Self {
+        self.metrics = Some(Arc::new(Mutex::new(MetricsData::new(METRICS_WINDOW_US))));
         self
     }
 
-    /// Attach a fresh flight ring holding the newest `capacity` events.
-    pub fn with_flight(mut self, capacity: usize) -> Self {
-        self.flight = Some(Arc::new(Mutex::new(FlightRing::new(capacity))));
+    /// Attach a fresh flight ring holding the newest 256 events.
+    pub fn with_flight(mut self) -> Self {
+        self.flight = Some(Arc::new(Mutex::new(FlightRing::new(FLIGHT_CAPACITY))));
         self
     }
 
@@ -734,7 +740,7 @@ mod tests {
 
     #[test]
     fn metrics_only_spans_meter_without_a_trace_buffer() {
-        let rec = Recorder::off().with_metrics(1_000);
+        let rec = Recorder::off().with_metrics();
         assert!(!rec.is_enabled());
         assert!(rec.is_metering());
         let s = rec.begin(
@@ -759,7 +765,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "closed twice")]
     fn metrics_only_span_cannot_close_twice() {
-        let rec = Recorder::off().with_metrics(1_000);
+        let rec = Recorder::off().with_metrics();
         let s = rec.begin(Category::Task, "t", Domain::Sim, 0, SpanCtx::default());
         rec.end(s, 1);
         rec.end(s, 2);
@@ -769,7 +775,7 @@ mod tests {
     /// handles other threads hold.
     #[test]
     fn a_panic_inside_the_registry_leaves_other_handles_working() {
-        let rec = Recorder::off().with_metrics(1_000);
+        let rec = Recorder::off().with_metrics();
         rec.add("before", 1);
         let clone = rec.clone();
         let died = std::thread::spawn(move || {
@@ -791,7 +797,7 @@ mod tests {
 
     #[test]
     fn scoped_recorder_stamps_query_and_tenant() {
-        let rec = Recorder::new().with_metrics(1_000).with_flight(8);
+        let rec = Recorder::new().with_metrics().with_flight();
         let q = rec.scoped(QueryCtx::new(7).tenant("acme"));
         let s = q.begin(
             Category::Phase,
@@ -826,7 +832,7 @@ mod tests {
 
     #[test]
     fn checkpoint_span_ends_reach_the_flight_ring() {
-        let rec = Recorder::new().with_flight(4);
+        let rec = Recorder::new().with_flight();
         let s = rec.begin(
             Category::Checkpoint,
             "commit",
@@ -843,7 +849,7 @@ mod tests {
 
     #[test]
     fn fork_trace_shares_metrics_but_not_spans() {
-        let rec = Recorder::new().with_metrics(1_000);
+        let rec = Recorder::new().with_metrics();
         let stage = rec.fork_trace();
         let s = stage.begin(
             Category::Task,
@@ -863,9 +869,9 @@ mod tests {
 
     #[test]
     fn observe_at_windows_by_sim_time() {
-        let rec = Recorder::off().with_metrics(1_000);
-        rec.observe_at("lat", 1_500, 77);
+        let rec = Recorder::off().with_metrics();
+        rec.observe_at("lat", 1_500_000, 77);
         let snap = rec.metrics_snapshot().unwrap();
-        assert_eq!(snap.win_hists["lat"][0].0, 1_000);
+        assert_eq!(snap.win_hists["lat"][0].0, 1_000_000);
     }
 }

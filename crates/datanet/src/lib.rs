@@ -67,7 +67,7 @@ pub use planner::{
     plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
     BalancePolicy, FordFulkersonPlanner,
 };
-pub use retry::{RetryBudget, RetryPolicy};
+pub use retry::RetryBudget;
 pub use scan::ElasticMapArray;
 pub use store::{BlockSummary, Manifest, MetaStore, ScrubReport, StoreError, WritePlan};
 pub use symbol::{FastMap, FxHasher64, Sym, SymbolTable};

@@ -5,14 +5,14 @@
 //! 1. **MetaStore replica failover** ([`crate::MetaStore`]): a read tries
 //!    every replica once and fails over on any error; only when all of them
 //!    failed does it sleep the exponential (jittered) back-off and go round
-//!    again, so each replica is still tried `attempts_per_replica` times at
-//!    most and nothing sleeps while a healthy copy exists.
+//!    again, so each replica is still tried [`ATTEMPTS_PER_REPLICA`] times
+//!    at most and nothing sleeps while a healthy copy exists.
 //! 2. **Engine re-execution budget** (`datanet-mapreduce`): a [`RetryBudget`]
 //!    counts executions per block; a block whose re-execution count exceeds
 //!    `max_retries` after a crash is abandoned (Hadoop's
 //!    `mapreduce.map.maxattempts`).
 //! 3. **Pipeline checkpoint writes** (`datanet-analytics`): each per-stage
-//!    checkpoint commit is retried under the same policy.
+//!    checkpoint commit is retried under the same bound and back-off.
 //!
 //! Jitter is *deterministic*: it is derived from a caller-supplied seed, so
 //! simulated runs (and the `datanet-check` harness) replay identically while
@@ -20,50 +20,33 @@
 
 use std::time::Duration;
 
-/// Bounded retry with exponential backoff. The same operation is tried
-/// `attempts_per_replica` times (sleeping between attempts) before the
-/// caller escalates — to a quarantined shard for store reads (whose one
-/// attempt is a pass over every replica), to a violation for checkpoint
-/// writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per replica / per target (≥ 1).
-    pub attempts_per_replica: u32,
-    /// Sleep before the first same-target retry, microseconds.
-    pub backoff_base_micros: u64,
-    /// Backoff growth per retry (exponential).
-    pub backoff_multiplier: u32,
+/// How many times the same operation is tried (sleeping between attempts)
+/// before the caller escalates — to a quarantined shard for store reads
+/// (whose one attempt is a pass over every replica), to a violation for
+/// checkpoint writes.
+pub const ATTEMPTS_PER_REPLICA: u32 = 2;
+
+/// Sleep before the first same-target retry, microseconds.
+const BACKOFF_BASE_MICROS: u64 = 50;
+
+/// Backoff growth per retry (exponential).
+const BACKOFF_MULTIPLIER: u64 = 2;
+
+/// Backoff before retry number `retry` (1-based): `base · mult^(retry−1)`.
+fn backoff(retry: u32) -> Duration {
+    let factor = BACKOFF_MULTIPLIER.saturating_pow(retry.saturating_sub(1));
+    Duration::from_micros(BACKOFF_BASE_MICROS.saturating_mul(factor))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            attempts_per_replica: 2,
-            backoff_base_micros: 50,
-            backoff_multiplier: 2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): `base · mult^(retry−1)`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = u64::from(self.backoff_multiplier).saturating_pow(retry.saturating_sub(1));
-        Duration::from_micros(self.backoff_base_micros.saturating_mul(factor))
-    }
-
-    /// Jittered backoff in `[b/2, 3b/2)` around [`RetryPolicy::backoff`]'s
-    /// `b`. The jitter is a pure function of `(policy, retry, seed)` — same
-    /// seed, same sleep — so retries stay reproducible under the simulation
-    /// harness while distinct seeds (shard, replica, stage…) decorrelate.
-    pub fn backoff_jittered(&self, retry: u32, seed: u64) -> Duration {
-        let base = u64::try_from(self.backoff(retry).as_micros()).unwrap_or(u64::MAX);
-        if base == 0 {
-            return Duration::ZERO;
-        }
-        let h = mix(seed ^ (u64::from(retry).rotate_left(32)));
-        Duration::from_micros((base / 2).saturating_add(h % base))
-    }
+/// Jittered backoff in `[b/2, 3b/2)` around the exponential back-off `b`
+/// of retry number `retry`. The jitter is a pure function of `(retry,
+/// seed)` — same seed, same sleep — so retries stay reproducible under the
+/// simulation harness while distinct seeds (shard, replica, stage…)
+/// decorrelate.
+pub fn backoff_jittered(retry: u32, seed: u64) -> Duration {
+    let base = u64::try_from(backoff(retry).as_micros()).unwrap_or(u64::MAX);
+    let h = mix(seed ^ (u64::from(retry).rotate_left(32)));
+    Duration::from_micros((base / 2).saturating_add(h % base))
 }
 
 /// SplitMix64 finalizer: cheap, well-mixed, dependency-free.
@@ -122,24 +105,18 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let r = RetryPolicy {
-            attempts_per_replica: 3,
-            backoff_base_micros: 100,
-            backoff_multiplier: 2,
-        };
-        assert_eq!(r.backoff(1), Duration::from_micros(100));
-        assert_eq!(r.backoff(2), Duration::from_micros(200));
-        assert_eq!(r.backoff(3), Duration::from_micros(400));
+        assert_eq!(backoff(1), Duration::from_micros(50));
+        assert_eq!(backoff(2), Duration::from_micros(100));
+        assert_eq!(backoff(3), Duration::from_micros(200));
     }
 
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let r = RetryPolicy::default();
         for retry in 1..6 {
-            let base = r.backoff(retry).as_micros() as u64;
+            let base = backoff(retry).as_micros() as u64;
             for seed in 0..50u64 {
-                let j = r.backoff_jittered(retry, seed).as_micros() as u64;
-                assert_eq!(j, r.backoff_jittered(retry, seed).as_micros() as u64);
+                let j = backoff_jittered(retry, seed).as_micros() as u64;
+                assert_eq!(j, backoff_jittered(retry, seed).as_micros() as u64);
                 assert!(j >= base / 2 && j < base / 2 + base, "jitter out of band");
             }
         }
@@ -147,25 +124,12 @@ mod tests {
 
     #[test]
     fn jitter_seeds_decorrelate() {
-        let r = RetryPolicy {
-            attempts_per_replica: 2,
-            backoff_base_micros: 1_000_000,
-            backoff_multiplier: 2,
-        };
+        // Retry 16 backs off ~1.6 s, wide enough that 32 seeds collide
+        // only by a bad mix.
         let distinct: std::collections::BTreeSet<u128> = (0..32)
-            .map(|seed| r.backoff_jittered(1, seed).as_micros())
+            .map(|seed| backoff_jittered(16, seed).as_micros())
             .collect();
         assert!(distinct.len() > 16, "seeded jitter barely varies");
-    }
-
-    #[test]
-    fn zero_base_never_sleeps() {
-        let r = RetryPolicy {
-            attempts_per_replica: 4,
-            backoff_base_micros: 0,
-            backoff_multiplier: 7,
-        };
-        assert_eq!(r.backoff_jittered(3, 9), Duration::ZERO);
     }
 
     #[test]

@@ -83,7 +83,7 @@ use crate::bloom::BloomFilter;
 use crate::degrade::{DegradedView, MetaHealth, ShardSource};
 use crate::distribution::SubDatasetView;
 use crate::elasticmap::{ElasticMap, Separation, SizeInfo, BLOOM_EPSILON};
-use crate::retry::RetryPolicy;
+use crate::retry::{backoff_jittered, ATTEMPTS_PER_REPLICA};
 use crate::scan::{ElasticMapArray, ViewFold};
 use crate::wire::{put_var, Reader};
 use datanet_dfs::{BlockId, SubDatasetId};
@@ -601,7 +601,6 @@ pub struct MetaStore {
     /// LRU cache of decoded shards: back = most recently used.
     cache: VecDeque<(usize, Vec<ElasticMap>)>,
     cache_shards: usize,
-    retry: RetryPolicy,
     /// Shards with no healthy full copy; reads fail fast.
     quarantined: BTreeSet<usize>,
     /// Running resilience accounting (reads, repairs, quarantines).
@@ -873,7 +872,6 @@ impl MetaStore {
             manifest_name: manifest_name.to_string(),
             cache: VecDeque::new(),
             cache_shards,
-            retry: RetryPolicy::default(),
             quarantined: BTreeSet::new(),
             health: MetaHealth::default(),
             rec: Recorder::off(),
@@ -932,7 +930,7 @@ impl MetaStore {
     /// Read `file` from the first replica that yields it, **failing over
     /// before backing off**: every replica is tried once, and only when all
     /// of them failed does the read sleep the back-off and go round again —
-    /// `attempts_per_replica` rounds, so at most that many reads of each
+    /// [`ATTEMPTS_PER_REPLICA`] rounds, so at most that many reads of each
     /// copy. A checksum mismatch on a fully-read file does not heal by
     /// waiting, while a healthy replica answers now; with one replica this
     /// is plain retry-with-backoff. `decode` validates and parses the
@@ -945,7 +943,7 @@ impl MetaStore {
         decode: impl Fn(&[u8]) -> Result<T, String>,
     ) -> Result<T, StoreError> {
         let mut last = String::from("no replica tried");
-        for round in 0..self.retry.attempts_per_replica {
+        for round in 0..ATTEMPTS_PER_REPLICA {
             if round > 0 {
                 self.health.retries += 1;
                 self.rec.add("meta_retries", 1);
@@ -955,7 +953,7 @@ impl MetaStore {
                 // Deterministic per-shard jitter: concurrent readers of
                 // different shards never sleep in lockstep.
                 let seed = (shard as u64) << 8;
-                std::thread::sleep(self.retry.backoff_jittered(round, seed));
+                std::thread::sleep(backoff_jittered(round, seed));
             }
             for d in 0..self.dirs.len() {
                 if d > 0 {
@@ -2264,27 +2262,20 @@ mod tests {
     }
 
     /// Attempt-major order: a healthy replica is reached without a sleep,
-    /// and the bound of `attempts_per_replica` reads per copy holds.
+    /// and the bound of [`ATTEMPTS_PER_REPLICA`] reads per copy holds.
     #[test]
     fn read_fails_over_before_it_backs_off() {
         let (_dfs, arr) = sample_array();
         let reads = |h: &MetaHealth| (h.checksum_failures, h.retries, h.failovers);
 
-        // Replica 0 corrupt, replica 1 healthy, a two-second back-off that
-        // must never be slept.
+        // Replica 0 corrupt, replica 1 healthy: one failover, no retry
+        // round, so no back-off is slept.
         let dirs = replica_dirs("retry-order", 2);
         let refs: Vec<&Path> = dirs.iter().map(|d| d.as_path()).collect();
         MetaStore::save_replicated(&arr, &refs, 5).unwrap();
         fs::write(dirs[0].join(shard_file(0)), b"garbage").unwrap();
         let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
-        store.retry = RetryPolicy {
-            attempts_per_replica: 2,
-            backoff_base_micros: 2_000_000,
-            ..RetryPolicy::default()
-        };
-        let started = std::time::Instant::now();
         store.shard(0).unwrap();
-        assert!(started.elapsed() < std::time::Duration::from_millis(500));
         let expected = MetaHealth {
             checksum_failures: 1,
             failovers: 1,
@@ -2292,7 +2283,7 @@ mod tests {
         };
         assert_eq!(store.health(), &expected);
 
-        // Both copies corrupt, default policy: round, back-off, round.
+        // Both copies corrupt: round, back-off, round.
         fs::write(dirs[1].join(shard_file(0)), b"garbage").unwrap();
         let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
         assert!(matches!(

@@ -181,7 +181,7 @@ mod engine_digests {
     use datanet::{plan_aggregation, AggregationPlan, ElasticMapArray, MetaStore, Separation};
     use datanet_analytics::profiles::word_count_profile;
     use datanet_check::Scenario;
-    use datanet_cluster::{DetectorConfig, FaultPlan, NodeSpec, SimTime};
+    use datanet_cluster::{FaultPlan, NodeSpec, SimTime};
     use datanet_dfs::NodeId;
     use datanet_mapreduce::{
         range_matrix_estimate, range_matrix_truth, run_selection, AnalysisConfig, DataNetScheduler,
@@ -272,7 +272,7 @@ mod engine_digests {
         let mut fault_cfgs = vec![
             FaultConfig::new(FaultPlan::none(m)),
             FaultConfig::new(scripted.clone()),
-            FaultConfig::with_detection(scripted, DetectorConfig::default()),
+            FaultConfig::with_detection(scripted),
         ];
         if sc.has_faults() {
             fault_cfgs.push(sc.fault_config());

@@ -12,7 +12,6 @@ use datanet_mapreduce::{AnalysisConfig, DataNetScheduler, Exec, SelectionConfig}
 use datanet_obs::{parse_openmetrics, to_openmetrics, OmKind, QueryCtx, Recorder};
 
 const NODES: u32 = 8;
-const WINDOW_US: u64 = 1_000_000;
 
 /// Canonical series key of a parsed sample: family name plus its labels
 /// sorted by key — the exact format `MetricsSnapshot` keys use.
@@ -34,7 +33,7 @@ fn canonical_key(family: &str, labels: &[(String, String)]) -> String {
 fn metered_build_snapshot_is_deterministic() {
     let (dfs, _) = movie_dataset(NODES);
     let build_snapshot = || {
-        let rec = Recorder::off().with_metrics(WINDOW_US);
+        let rec = Recorder::off().with_metrics();
         ElasticMapArray::build_traced(&dfs, &Separation::Alpha(0.3), &rec);
         to_openmetrics(&rec.metrics_snapshot().expect("metrics attached"))
     };
@@ -58,7 +57,7 @@ fn openmetrics_roundtrip_preserves_every_series() {
     let hot = catalog.most_reviewed();
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let rec = Recorder::off()
-        .with_metrics(WINDOW_US)
+        .with_metrics()
         .scoped(QueryCtx::new(42).tenant("acme"));
     let mut sched = DataNetScheduler::new(&dfs, &view);
     Exec::default().rec(&rec).pipeline(
@@ -123,7 +122,7 @@ fn per_query_span_totals_reconcile_with_execution_report() {
     let hot = catalog.most_reviewed();
     let view = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3)).view(hot);
     let rec = Recorder::off()
-        .with_metrics(WINDOW_US)
+        .with_metrics()
         .scoped(QueryCtx::new(7).tenant("acme"));
     let mut sched = DataNetScheduler::new(&dfs, &view);
     let report = Exec::default().rec(&rec).pipeline(
@@ -182,7 +181,7 @@ fn shrunk_repro_embeds_flight_recording() {
 
     // Instrumented re-run of the *shrunk* scenario, exactly as the CLI
     // does when writing a repro.
-    let rec = Recorder::off().with_flight(256);
+    let rec = Recorder::off().with_flight();
     let rerun = check_scenario_instrumented(&min.scenario, &opts, &rec);
     assert!(!rerun.passed(), "shrunk scenario must still fail");
     let dump = rec.flight_dump().expect("flight plane attached");

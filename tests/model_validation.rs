@@ -3,7 +3,6 @@
 //! placed and scheduled content-obliviously, the per-node workloads should
 //! follow `Γ(nk/m, θ)` — the model and the machine must agree.
 
-use datanet_cluster::SimTime;
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_mapreduce::{run_selection, LocalityScheduler, SelectionConfig};
 use datanet_stats::{GammaDist, ImbalanceModel};
@@ -42,15 +41,7 @@ fn node_workloads(seed: u64) -> Vec<f64> {
     assert_eq!(dfs.block_count(), BLOCKS);
     let truth = dfs.subdataset_distribution(SubDatasetId(0));
     let mut sched = LocalityScheduler::new(&dfs);
-    // Constant per-task cost isolates the random-partition assumption the
-    // model makes (no workload-dependent pull-rate feedback).
-    let cfg = SelectionConfig {
-        scan_factor: 1.0,
-        filtered_cost_factor: 0.0001,
-        task_overhead: SimTime::from_millis(5),
-        ..Default::default()
-    };
-    let out = run_selection(&dfs, &truth, &mut sched, &cfg);
+    let out = run_selection(&dfs, &truth, &mut sched, &SelectionConfig::default());
     out.per_node_bytes
         .iter()
         .map(|&b| b as f64 / UNIT)

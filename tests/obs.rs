@@ -7,7 +7,7 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_bench::movie_dataset;
-use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
+use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
     run_selection, AnalysisConfig, DataNetScheduler, Exec, FaultConfig, MapScheduler,
@@ -96,7 +96,7 @@ fn detector_chain_latencies_match_fault_stats() {
 
     let rec = Recorder::new();
     let mut sched = DataNetScheduler::new(&dfs, &view);
-    let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
+    let faults = FaultConfig::with_detection(plan);
     let out = Exec::default().rec(&rec).faults(&faults).selection(
         &dfs,
         &truth,

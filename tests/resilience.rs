@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use datanet::store::MetaStore;
 use datanet::{ElasticMapArray, Separation};
 use datanet_bench::movie_dataset;
-use datanet_cluster::{DetectorConfig, FaultPlan, SimTime};
+use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{Exec, FaultConfig, SelectionConfig};
 
@@ -192,7 +192,7 @@ fn degraded_metadata_and_node_crash_compose() {
     assert!(crash_at > SimTime::ZERO);
 
     let plan = FaultPlan::none(NODES as usize).crash(3, crash_at);
-    let faults = FaultConfig::with_detection(plan, DetectorConfig::default());
+    let faults = FaultConfig::with_detection(plan);
     let out = Exec::default().faults(&faults).selection_resilient(
         &dfs,
         hot,
