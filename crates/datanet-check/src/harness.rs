@@ -130,11 +130,6 @@ impl CheckOutcome {
     }
 }
 
-/// Check one scenario against the full oracle catalog.
-pub fn check_scenario(sc: &Scenario) -> CheckOutcome {
-    check_scenario_with(sc, &CheckOptions::default())
-}
-
 /// Unique on-disk scratch space per store instantiation — the harness may
 /// run from many test threads at once, and shrinking re-checks mutated
 /// copies of the same scenario, so directory names must never collide.
@@ -169,14 +164,17 @@ impl Drop for ReplicaDirs {
     }
 }
 
-/// Check one scenario with planted-bug options (self-test entry point).
-pub fn check_scenario_with(sc: &Scenario, opts: &CheckOptions) -> CheckOutcome {
+/// [`check_scenario_instrumented`] with no recorder: the shrinker's and a
+/// replayed [`crate::Repro`]'s re-check.
+pub(crate) fn check_scenario_with(sc: &Scenario, opts: &CheckOptions) -> CheckOutcome {
     check_scenario_instrumented(sc, opts, &Recorder::off())
 }
 
-/// [`check_scenario_with`] with an observability [`Recorder`] attached:
-/// the healthy engine runs record through it (metrics flow into any
-/// attached registry), and every oracle violation is appended to any
+/// Check one scenario against the full oracle catalog, with the
+/// planted-bug `opts` (all off in production checking) and an
+/// observability [`Recorder`] attached: the healthy engine runs record
+/// through it (metrics flow into any attached registry, each run after the
+/// previous one on its clock), and every oracle violation is appended to any
 /// attached flight ring — so a dump taken right after a failing check
 /// ends with the violations, preceded by the last significant events of
 /// the run that produced them.
@@ -268,17 +266,19 @@ pub fn check_scenario_instrumented(
     let plan = ff_oracles(&mut v, &dfs, &view);
 
     // ---- healthy engine: all four schedulers -------------------------
+    // Each run restarts the simulated clock at 0; the recorder places it
+    // after the previous run (this scenario's or an earlier one's).
     let cfg = SelectionConfig::default();
-    let exec = Exec::default().rec(rec);
-    let loc = exec.selection(&dfs, &truth, &mut LocalityScheduler::new(&dfs), &cfg);
-    let del = exec.selection(&dfs, &truth, &mut DelayScheduler::new(&dfs, 2), &cfg);
-    let dn = exec.selection(&dfs, &truth, &mut DataNetScheduler::new(&dfs, &view), &cfg);
-    let ff = exec.selection(
-        &dfs,
-        &truth,
-        &mut PlannedScheduler::new(&plan, dfs.namenode()),
-        &cfg,
-    );
+    let run = |sched: &mut dyn MapScheduler| {
+        rec.start_run();
+        Exec::default()
+            .rec(rec)
+            .selection(&dfs, &truth, sched, &cfg)
+    };
+    let loc = run(&mut LocalityScheduler::new(&dfs));
+    let del = run(&mut DelayScheduler::new(&dfs, 2));
+    let dn = run(&mut DataNetScheduler::new(&dfs, &view));
+    let ff = run(&mut PlannedScheduler::new(&plan, dfs.namenode()));
     for out in [&loc, &del, &dn, &ff] {
         conservation_oracle(&mut v, "healthy-conservation", out, &truth, total);
     }
@@ -1726,7 +1726,7 @@ mod tests {
             if r_dn > worst_dn.0 {
                 worst_dn = (r_dn, seed);
             }
-            let out = check_scenario(&sc);
+            let out = check_scenario_with(&sc, &CheckOptions::default());
             if !out.passed() {
                 failures.push((seed, out.violations));
             }

@@ -60,20 +60,10 @@ pub mod repro;
 pub mod scenario;
 pub mod shrink;
 
-pub use harness::{
-    check_scenario, check_scenario_instrumented, check_scenario_with, CheckOptions, CheckOutcome,
-    Violation,
-};
+pub use harness::{check_scenario_instrumented, CheckOptions, CheckOutcome, Violation};
 pub use repro::Repro;
 pub use scenario::{
     Corruption, CrashEvent, IngestPlan, NicEvent, Scenario, ServeEventPlan, ServePlan, ShuffleAxis,
     SlowEvent,
 };
 pub use shrink::{shrink, Shrunk};
-
-/// Expand `seed` into its scenario and check every invariant oracle.
-pub fn check_seed(seed: u64) -> (Scenario, CheckOutcome) {
-    let sc = Scenario::from_seed(seed);
-    let out = check_scenario(&sc);
-    (sc, out)
-}

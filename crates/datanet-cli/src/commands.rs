@@ -3,6 +3,8 @@
 
 use crate::args::{ArgError, Args};
 use crate::dataset::DatasetFile;
+use crate::repro::SECTIONS;
+use crate::table::Table;
 use datanet::{
     Algorithm1, ElasticMapArray, FordFulkersonPlanner, IngestConfig, Ingestor, MetaStore,
     Separation, StoreError,
@@ -14,7 +16,6 @@ use datanet_analytics::{
     histogram_pipeline, join_word_count_pipeline, moving_average_pipeline, top_k_pipeline,
     word_count_pipeline, Pipeline, PipelineEnv, ShuffleParams,
 };
-use datanet_bench::{Table, SECTIONS};
 use datanet_dfs::{DfsConfig, NodeId, SubDatasetId, Topology};
 use datanet_mapreduce::{
     range_matrix_estimate, range_matrix_truth, run_analysis_shuffled, AnalysisConfig,
@@ -1112,15 +1113,15 @@ fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// error, raised before any section runs.
 fn cmd_repro(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let wanted: Vec<&str> = (1..).map_while(|i| args.positional(i)).collect();
-    datanet_bench::repro(&wanted, out).map_err(|e| match e.kind() {
+    crate::repro::repro(&wanted, out).map_err(|e| match e.kind() {
         std::io::ErrorKind::InvalidInput => ArgError(e.to_string()).into(),
         _ => CliError::Io(e),
     })
 }
 
-/// `datanet gate` — the recorder-overhead gate ([`datanet_bench::gate`]).
+/// `datanet gate` — the recorder-overhead gate (`gate::gate`).
 fn cmd_gate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    if !datanet_bench::gate(args.flag("quick"), args.get("json").map(Path::new), out)? {
+    if !crate::gate::gate(args.flag("quick"), args.get("json").map(Path::new), out)? {
         let verdict = "obs gate: every attempt broke a cap";
         return Err(CliError::Check(verdict.into()));
     }
@@ -1415,6 +1416,22 @@ fn label_of(series: &str, label: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
+/// The simulated horizon of a snapshot: the end of the latest window any
+/// series touched (utilisation denominators need *some* notion of "the
+/// run"; a multi-run recording places its runs one after another).
+fn horizon_us(snap: &datanet_obs::MetricsSnapshot) -> u64 {
+    snap.windowed
+        .values()
+        .flat_map(|w| w.iter().map(|&(start, _)| start + snap.window_us))
+        .chain(
+            snap.win_hists
+                .values()
+                .flat_map(|w| w.iter().map(|(start, _)| *start + snap.window_us)),
+        )
+        .max()
+        .unwrap_or(0)
+}
+
 /// A 20-cell utilisation bar for the dashboard.
 fn util_bar(fraction: f64) -> String {
     let cells = (fraction.clamp(0.0, 1.0) * 20.0).round() as usize;
@@ -1434,19 +1451,7 @@ fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let snap: MetricsSnapshot = serde_json::from_str(&raw)
         .map_err(|e| ArgError(format!("{path}: not a metrics snapshot: {e}")))?;
 
-    // The simulated horizon: the end of the latest window any series
-    // touched (utilisation denominators need *some* notion of "the run").
-    let horizon_us = snap
-        .windowed
-        .values()
-        .flat_map(|w| w.iter().map(|&(start, _)| start + snap.window_us))
-        .chain(
-            snap.win_hists
-                .values()
-                .flat_map(|w| w.iter().map(|(start, _)| *start + snap.window_us)),
-        )
-        .max()
-        .unwrap_or(0);
+    let horizon_us = horizon_us(&snap);
     writeln!(
         out,
         "datanet top — window {} ms, horizon {:.3} s, {} series",
@@ -1807,7 +1812,7 @@ mod tests {
     #[test]
     fn repro_prints_the_record_and_rejects_unknown_sections_and_flags() {
         let mut fig2 = Vec::new();
-        datanet_bench::repro(&["fig2"], &mut fig2).unwrap();
+        crate::repro::repro(&["fig2"], &mut fig2).unwrap();
         assert!(run("repro fig2").unwrap().as_bytes() == fig2);
         for (bad, problem) in [
             ("nosuch", "no section `nosuch`"),
@@ -2296,6 +2301,54 @@ mod tests {
         ));
         assert!(err.is_err());
         let _ = std::fs::remove_file(&ds);
+    }
+
+    /// Every `--metrics` snapshot the CLI writes keeps each node's busy
+    /// time within the horizon `datanet top` divides it by: at or below
+    /// 100 %. `check` records many runs, each restarting the simulated
+    /// clock, and places each after the previous one.
+    #[test]
+    fn every_metrics_snapshot_keeps_each_node_at_or_below_full_utilisation() {
+        let (ds, meta, ingested, ckpt, snap) = (
+            tmp("util-ds.json"),
+            tmp("util-meta"),
+            tmp("util-ingest"),
+            tmp("util-ckpt"),
+            tmp("util-snap.json"),
+        );
+        run(&format!(
+            "gen movies --records 20000 --nodes 8 --block-kb 64 --out {ds}"
+        ))
+        .unwrap();
+        for cmd in [
+            format!("scan --dataset {ds} --meta {meta}"),
+            format!("ingest --dataset {ds} --meta {ingested}"),
+            format!("query --dataset {ds} --meta {meta} --subdataset 0"),
+            format!("plan --dataset {ds} --meta {meta} --subdataset 0"),
+            format!("simulate --dataset {ds} --subdataset 0 --shuffle aware"),
+            format!("pipeline --dataset {ds} --subdataset 0 --with 1 --job join --ckpt {ckpt}"),
+            "serve --tenants 3 --queries 24 --records 400 --nodes 4 --seed 7".to_string(),
+            "check --seeds 8 --seed-start 5".to_string(),
+        ] {
+            run(&format!("{cmd} --metrics {snap}")).unwrap();
+            let parsed: datanet_obs::MetricsSnapshot =
+                serde_json::from_slice(&std::fs::read(&snap).unwrap()).unwrap();
+            let horizon = horizon_us(&parsed);
+            for (key, &busy) in &parsed.counters {
+                if key.starts_with("node_busy_us{") {
+                    assert!(
+                        busy <= horizon,
+                        "{cmd}: {key} busy {busy} us over a {horizon} us horizon"
+                    );
+                }
+            }
+        }
+        for dir in [&meta, &ingested, &ckpt] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        for file in [&ds, &snap] {
+            let _ = std::fs::remove_file(file);
+        }
     }
 
     #[test]

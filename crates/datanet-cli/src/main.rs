@@ -13,6 +13,10 @@
 mod args;
 mod commands;
 mod dataset;
+mod fixtures;
+mod gate;
+mod repro;
+mod table;
 
 fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();

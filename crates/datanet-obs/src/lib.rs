@@ -56,7 +56,7 @@ mod summary;
 mod trace;
 
 pub use context::QueryCtx;
-pub use export::{parse_openmetrics, to_openmetrics, OmFamily, OmKind, OmSample};
+pub use export::to_openmetrics;
 pub use flight::{FlightDump, FlightEvent, FlightKind, FlightRing};
 pub use hist::FibHistogram;
 pub use metrics::{detect_anomalies, series, split_series, Alert, HistSummary, MetricsSnapshot};

@@ -424,6 +424,12 @@ pub(crate) struct MetricsData {
     /// same window as its predecessor and skips the division.
     win_lo: u64,
     win_hi: u64,
+    /// Where the current run's simulated clock starts on the registry's
+    /// clock, and the latest simulated time recorded so far: a run that
+    /// restarts its clock at 0 is placed after the previous one
+    /// ([`MetricsData::start_run`]).
+    run_base_us: u64,
+    sim_end_us: u64,
 }
 
 impl MetricsData {
@@ -457,11 +463,21 @@ impl MetricsData {
             open_notes: FxMap::default(),
             win_lo: 0,
             win_hi: 0,
+            run_base_us: 0,
+            sim_end_us: 0,
         }
+    }
+
+    /// Place every later simulated timestamp after the latest one recorded
+    /// so far, so the next run's windows follow the previous run's.
+    pub(crate) fn start_run(&mut self) {
+        self.run_base_us = self.sim_end_us;
     }
 
     #[inline]
     fn window_of(&mut self, at_us: u64) -> u64 {
+        let at_us = self.run_base_us + at_us;
+        self.sim_end_us = self.sim_end_us.max(at_us);
         if at_us >= self.win_lo && at_us < self.win_hi {
             return self.win_lo;
         }
@@ -885,13 +901,6 @@ impl MetricsData {
     pub fn observe_at(&mut self, key: &str, sim_us: u64, value: u64) {
         let id = self.hist_id(key);
         self.hist_observe_at(id, sim_us, value);
-    }
-
-    /// Set a last-wins gauge.
-    #[cfg(test)]
-    pub(crate) fn gauge_set(&mut self, key: &str, value: f64) {
-        let id = self.gauge_id(key);
-        self.gauge_write(id, value);
     }
 
     /// Set a gauge and its sim-window bucket (last write per window wins).

@@ -240,6 +240,19 @@ impl Recorder {
         self
     }
 
+    /// Start a new run on the metrics plane's simulated clock: the
+    /// windowed series place every later simulated timestamp after the
+    /// latest one recorded so far. A caller that records several runs,
+    /// each restarting its clock at 0, calls this before each, so windows,
+    /// horizons and anomaly bands see the runs in sequence instead of
+    /// stacked in the first windows. Trace and flight timestamps stay
+    /// run-relative.
+    pub fn start_run(&self) {
+        if let Some(metrics) = &self.metrics {
+            registry(metrics).start_run();
+        }
+    }
+
     /// A handle sharing every buffer of `self` but stamping `query`'s id
     /// and tenant on each event it records. Scopes nest: the innermost
     /// scope wins for events recorded through its handle.

@@ -53,13 +53,6 @@ pub struct CrashChain {
     pub replanned_us: Option<u64>,
 }
 
-impl CrashChain {
-    /// Crash → suspicion latency in simulated seconds.
-    pub fn detection_secs(&self) -> Option<f64> {
-        self.suspected_us.map(|s| (s - self.crash_us) as f64 / 1e6)
-    }
-}
-
 /// Condensed per-run observability summary, attached to reports as
 /// `obs: Option<ObsSummary>` when a recorder was active.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -250,7 +243,7 @@ mod tests {
         assert_eq!(chains[0].node, 3);
         assert_eq!(chains[0].suspected_us, Some(1500));
         assert_eq!(chains[0].replanned_us, Some(1600));
-        assert!((chains[0].detection_secs().unwrap() - 0.0005).abs() < 1e-12);
+        assert_eq!(chains[0].suspected_us.unwrap() - chains[0].crash_us, 500);
         assert_eq!(chains[1].node, 7);
         assert_eq!(chains[1].suspected_us, None);
         assert_eq!(chains[1].replanned_us, None);

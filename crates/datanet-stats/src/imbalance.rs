@@ -86,13 +86,13 @@ impl ImbalanceModel {
     }
 
     /// Expected per-node workload `E(Z) = nkθ/m`.
-    pub fn expected_workload(&self, m: usize) -> f64 {
+    pub(crate) fn expected_workload(&self, m: usize) -> f64 {
         self.shape * self.blocks as f64 * self.scale / m as f64
     }
 
     /// `P(Z < frac·E(Z))` on an `m`-node cluster (Equation 3 evaluated at a
     /// fraction of the mean).
-    pub fn p_below(&self, m: usize, frac: f64) -> f64 {
+    pub(crate) fn p_below(&self, m: usize, frac: f64) -> f64 {
         assert!(frac > 0.0, "fraction must be positive");
         let z = self.node_workload(m);
         z.cdf(frac * self.expected_workload(m))

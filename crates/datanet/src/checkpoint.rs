@@ -28,13 +28,13 @@ pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 pub(crate) const LIVE_MANIFEST: &str = "pipeline.json";
 
 /// Payload file of stage `seq` (the serialized working state after it ran).
-pub fn payload_file(seq: u64) -> String {
+pub(crate) fn payload_file(seq: u64) -> String {
     format!("stage-{seq:04}.json")
 }
 
 /// Immutable manifest of stage `seq` (never rewritten once durable; the
 /// audit ledger for the checkpoint-monotonicity oracle).
-pub fn manifest_file(seq: u64) -> String {
+pub(crate) fn manifest_file(seq: u64) -> String {
     format!("pipeline-manifest-e{seq:04}.json")
 }
 

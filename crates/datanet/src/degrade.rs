@@ -24,18 +24,6 @@ use crate::distribution::SubDatasetView;
 use datanet_dfs::BlockId;
 use serde::{Deserialize, Serialize};
 
-/// Which rung of the degradation ladder served a block's metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rung {
-    /// Rung 1: exact hash-map size (τ₁).
-    Exact,
-    /// Rung 2: bloom membership only, weighted by δ (τ₂) — from a healthy
-    /// shard's bloom side or a summary sidecar of a lost shard.
-    Bloom,
-    /// Rung 3: metadata unavailable; locality-baseline placement.
-    Fallback,
-}
-
 /// Where each shard's metadata came from when assembling a degraded view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSource {
@@ -80,7 +68,7 @@ impl RungCounts {
 pub struct DegradedView {
     view: SubDatasetView,
     unknown: Vec<BlockId>,
-    sources: Vec<ShardSource>,
+    pub(crate) sources: Vec<ShardSource>,
 }
 
 impl DegradedView {
@@ -103,31 +91,6 @@ impl DegradedView {
     /// Rung-3 blocks: shards lost beyond repair, membership unknown.
     pub fn unknown_blocks(&self) -> &[BlockId] {
         &self.unknown
-    }
-
-    /// Per-shard provenance, indexed by shard.
-    pub fn shard_sources(&self) -> &[ShardSource] {
-        &self.sources
-    }
-
-    /// Which rung a block's metadata came from; `None` when the block is
-    /// known not to contain the sub-dataset (skippable).
-    pub fn rung_of(&self, b: BlockId) -> Option<Rung> {
-        if self
-            .view
-            .exact()
-            .binary_search_by_key(&b, |&(blk, _)| blk)
-            .is_ok()
-        {
-            return Some(Rung::Exact);
-        }
-        if self.view.bloom().binary_search(&b).is_ok() {
-            return Some(Rung::Bloom);
-        }
-        if self.unknown.binary_search(&b).is_ok() {
-            return Some(Rung::Fallback);
-        }
-        None
     }
 
     /// Block counts per rung.
@@ -187,6 +150,42 @@ impl MetaHealth {
             || self.retries > 0
             || self.failovers > 0
             || self.rungs.any_degraded()
+    }
+}
+
+/// Which rung of the degradation ladder served a block's metadata.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rung {
+    /// Rung 1: exact hash-map size (τ₁).
+    Exact,
+    /// Rung 2: bloom membership only, weighted by δ (τ₂) — from a healthy
+    /// shard's bloom side or a summary sidecar of a lost shard.
+    Bloom,
+    /// Rung 3: metadata unavailable; locality-baseline placement.
+    Fallback,
+}
+
+#[cfg(test)]
+impl DegradedView {
+    /// Which rung a block's metadata came from; `None` when the block is
+    /// known not to contain the sub-dataset (skippable).
+    pub(crate) fn rung_of(&self, b: BlockId) -> Option<Rung> {
+        if self
+            .view
+            .exact()
+            .binary_search_by_key(&b, |&(blk, _)| blk)
+            .is_ok()
+        {
+            return Some(Rung::Exact);
+        }
+        if self.view.bloom().binary_search(&b).is_ok() {
+            return Some(Rung::Bloom);
+        }
+        if self.unknown.binary_search(&b).is_ok() {
+            return Some(Rung::Fallback);
+        }
+        None
     }
 }
 

@@ -242,7 +242,7 @@ impl ElasticMap {
     }
 
     /// The tail bloom filter itself (for bloom-only summary sidecars).
-    pub fn bloom(&self) -> &BloomFilter {
+    pub(crate) fn bloom(&self) -> &BloomFilter {
         &self.bloom
     }
 

@@ -259,11 +259,6 @@ impl Ingestor {
         self.sealed.len() + self.pending.len()
     }
 
-    /// Pending (arrived, not yet compacted) blocks.
-    pub fn pending_blocks(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Accept one arriving block at simulated time `now_us`. Out-of-order
     /// arrival is fine — deltas park in an id-ordered pending set and
     /// compaction folds only the contiguous prefix. Auto-compacts once
@@ -555,9 +550,9 @@ mod tests {
             "pending delta must be lossless"
         );
         assert_eq!(ing.query(b.id(), SubDatasetId(9_999)), SizeInfo::Absent);
-        assert_eq!(ing.pending_blocks(), 1);
+        assert_eq!(ing.pending.len(), 1);
         ing.compact();
-        assert_eq!(ing.pending_blocks(), 0);
+        assert_eq!(ing.pending.len(), 0);
     }
 
     #[test]
@@ -575,7 +570,7 @@ mod tests {
             reversed.append(b, 0);
         }
         reversed.compact();
-        assert_eq!(reversed.pending_blocks(), 0);
+        assert_eq!(reversed.pending.len(), 0);
         assert_eq!(
             serde_json::to_string(&inorder.snapshot()).unwrap(),
             serde_json::to_string(&reversed.snapshot()).unwrap()

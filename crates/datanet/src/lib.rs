@@ -11,8 +11,8 @@
 //!    paper's bucket/count-sort trick that avoids an O(m log m) sort.
 //! 3. **Store** (`elasticmap`): an [`ElasticMap`] keeps dominant sizes
 //!    exactly in sorted arrays and the tail's mere existence in a
-//!    [`bloom::BloomFilter`]; the memory trade-off follows Equation 5
-//!    ([`memory`]).
+//!    cache-line-blocked Bloom filter; the memory trade-off follows
+//!    Equation 5 ([`memory`]).
 //! 4. **Query** ([`distribution`]): a [`SubDatasetView`] collects, for one
 //!    sub-dataset, the exact-size blocks (τ₁), the bloom-only blocks (τ₂)
 //!    and the Equation 6 size estimate `Z = Σ|s∩b| + δ·|τ₂|`.
@@ -40,7 +40,7 @@
 //! ```
 
 mod bipartite;
-pub mod bloom;
+mod bloom;
 mod buckets;
 pub mod checkpoint;
 pub mod degrade;
@@ -55,17 +55,15 @@ pub mod store;
 pub mod symbol;
 mod wire;
 
-pub use bloom::BloomFilter;
 pub use checkpoint::{CheckpointManifest, CheckpointPlan};
-pub use degrade::{DegradedView, MetaHealth, Rung, RungCounts, ShardSource};
+pub use degrade::{DegradedView, MetaHealth, RungCounts, ShardSource};
 pub use distribution::SubDatasetView;
 pub use elasticmap::{ElasticMap, Separation, SizeInfo};
 pub use ingest::{CommitPlan, IngestConfig, IngestStats, Ingestor};
 pub use memory::MemoryModel;
 pub use planner::plan_balanced_batch;
 pub use planner::{
-    plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
-    BalancePolicy, FordFulkersonPlanner,
+    plan_aggregation, AggregationPlan, Algorithm1, Assignment, BalancePolicy, FordFulkersonPlanner,
 };
 pub use retry::RetryBudget;
 pub use scan::ElasticMapArray;
@@ -74,15 +72,14 @@ pub use symbol::{FastMap, FxHasher64, Sym, SymbolTable};
 
 /// Common imports for downstream users.
 pub mod prelude {
-    pub use crate::bloom::BloomFilter;
     pub use crate::distribution::SubDatasetView;
     pub use crate::elasticmap::{ElasticMap, Separation, SizeInfo};
     pub use crate::ingest::{CommitPlan, IngestConfig, IngestStats, Ingestor};
     pub use crate::memory::MemoryModel;
     pub use crate::planner::plan_balanced_batch;
     pub use crate::planner::{
-        plan_aggregation, uniform_baseline_traffic, AggregationPlan, Algorithm1, Assignment,
-        BalancePolicy, FordFulkersonPlanner,
+        plan_aggregation, AggregationPlan, Algorithm1, Assignment, BalancePolicy,
+        FordFulkersonPlanner,
     };
     pub use crate::scan::ElasticMapArray;
     pub use crate::symbol::{FastMap, Sym, SymbolTable};

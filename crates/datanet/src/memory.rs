@@ -78,7 +78,7 @@ impl MemoryModel {
     }
 
     /// Equation 5 in bytes.
-    pub fn cost_bytes(&self, m: usize, alpha: f64) -> f64 {
+    pub(crate) fn cost_bytes(&self, m: usize, alpha: f64) -> f64 {
         self.cost_bits(m, alpha) / 8.0
     }
 
@@ -110,6 +110,8 @@ impl MemoryModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ElasticMapArray, Separation};
+    use datanet_workloads::{movie_dataset, NODES};
 
     #[test]
     fn paper_bits_per_item_figures() {
@@ -175,5 +177,26 @@ mod tests {
     #[should_panic]
     fn rejects_alpha_above_one() {
         MemoryModel::default().cost_bits(10, 1.01);
+    }
+
+    #[test]
+    fn equation5_model_brackets_measured_memory() {
+        // The Eq. 5 model with our actual record width should land within a
+        // small factor of the measured ElasticMap footprint.
+        let (dfs, _) = movie_dataset(NODES);
+        let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
+        // Our hash-map entries serialise at 12 B = 96 bits, ε = 1%.
+        let model = MemoryModel::new(0.01, 96.0, 1.0);
+        let modeled: f64 = arr
+            .to_maps()
+            .iter()
+            .map(|m| model.cost_bytes(m.distinct(), m.achieved_alpha()))
+            .sum();
+        let measured = arr.memory_bytes() as f64;
+        let ratio = measured / modeled;
+        assert!(
+            (0.5..2.0).contains(&ratio),
+            "measured {measured} vs modeled {modeled} (ratio {ratio})"
+        );
     }
 }

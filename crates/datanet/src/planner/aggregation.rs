@@ -98,18 +98,6 @@ impl AggregationPlan {
     }
 }
 
-/// Cross-network traffic of an arbitrary placement with uniform shares —
-/// the Hadoop default (reducers land wherever slots are free; we charge the
-/// canonical nodes `0..R`).
-pub fn uniform_baseline_traffic(map_output: &[u64], reducers: usize) -> u64 {
-    assert!(reducers > 0 && reducers <= map_output.len());
-    let total: u64 = map_output.iter().sum();
-    let share = 1.0 / reducers as f64;
-    (0..reducers)
-        .map(|r| (share * (total - map_output[r]) as f64) as u64)
-        .sum()
-}
-
 /// Plan reducer placement and shares from per-node map-output volumes.
 ///
 /// * `reducers` — how many reduce tasks to run.
@@ -184,6 +172,20 @@ pub fn plan_aggregation(map_output: &[u64], reducers: usize, max_skew: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Cross-network traffic of an arbitrary placement with uniform shares —
+    /// the Hadoop default (reducers land wherever slots are free; we charge the
+    /// canonical nodes `0..R`).
+    fn uniform_baseline_traffic(map_output: &[u64], reducers: usize) -> u64 {
+        assert!(reducers > 0 && reducers <= map_output.len());
+        let total: u64 = map_output.iter().sum();
+        let share = 1.0 / reducers as f64;
+        (0..reducers)
+            .map(|r| (share * (total - map_output[r]) as f64) as u64)
+            .sum()
+    }
 
     #[test]
     fn picks_data_richest_nodes() {
@@ -247,5 +249,31 @@ mod tests {
     #[should_panic]
     fn rejects_skew_below_one() {
         plan_aggregation(&[1, 2], 1, 0.5);
+    }
+
+    #[test]
+    fn aggregation_plan_is_valid_and_never_worse_than_uniform() {
+        for case in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xa000 + case);
+            let len = rng.gen_range(2..40);
+            let outputs: Vec<u64> = (0..len).map(|_| rng.gen_range(0u64..5_000_000)).collect();
+            let reducer_frac = rng.gen_range(0.1f64..1.0);
+            let skew = rng.gen_range(1.0f64..4.0);
+            let reducers = ((outputs.len() as f64 * reducer_frac) as usize).clamp(1, outputs.len());
+            let plan = plan_aggregation(&outputs, reducers, skew);
+            plan.validate();
+            assert!(plan.reduce_imbalance() <= skew + 1e-6, "case {case}");
+            // Placement on the richest nodes can't lose to canonical placement
+            // at the same reducer count with uniform shares.
+            let naive = uniform_baseline_traffic(&outputs, reducers);
+            let placed_uniform = plan_aggregation(&outputs, reducers, 1.0);
+            assert!(placed_uniform.est_traffic <= naive, "case {case}");
+            // Weighted shares can't exceed the placed-uniform traffic by more
+            // than rounding.
+            assert!(
+                plan.est_traffic <= placed_uniform.est_traffic + reducers as u64,
+                "case {case}"
+            );
+        }
     }
 }

@@ -36,15 +36,17 @@ pub enum BalancePolicy {
     /// for the ablation study.
     BestFitTerminal,
     /// The default: the same objective ("allow each computation node to
-    /// have an equal amount of workload", Section IV-B) implemented
-    /// correctly for constant-cadence pulls — *largest fit*: a requesting
-    /// node takes the heaviest available block that keeps it at or under
-    /// the target `W̄`, and only when nothing fits takes the lightest
-    /// available block (minimum overshoot). Heavy blocks drain while nodes
-    /// still have headroom (no endgame stranding) and no node ever
-    /// overshoots by more than the lightest block in its reach, which
-    /// reproduces the paper's Figure 10 balance (max ≈ 0.9, min ≈ 0.7 of
-    /// normalized workload).
+    /// have an equal amount of workload", Section IV-B) paced for
+    /// constant-cadence pulls — *largest fit*: a requesting node takes the
+    /// heaviest available block that keeps it at or under the target `W̄`,
+    /// and only when nothing fits takes the lightest available block
+    /// (minimum overshoot), so heavy blocks go first while nodes still have
+    /// headroom. On the paper-scale movie dataset it balances better than
+    /// [`BalancePolicy::BestFitTerminal`] (the `schedulers` test
+    /// `paced_policy_beats_literal_best_fit`), and `datanet repro`'s `fig5`
+    /// and `fig10` sections record its balance there. It does not rule out
+    /// endgame stranding: on some other draws of the same workload heavy
+    /// blocks still strand, and the plan ends at 1.28–1.47× max/avg.
     #[default]
     PacedGreedy,
 }

@@ -11,7 +11,7 @@ mod aggregation;
 mod algorithm1;
 mod maxflow;
 
-pub use aggregation::{plan_aggregation, uniform_baseline_traffic, AggregationPlan};
+pub use aggregation::{plan_aggregation, AggregationPlan};
 pub use algorithm1::{Algorithm1, BalancePolicy};
 pub use maxflow::FordFulkersonPlanner;
 

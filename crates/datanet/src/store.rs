@@ -28,7 +28,7 @@
 //!
 //! ## Payload encoding
 //!
-//! Since [`FORMAT_VERSION`] 4 the four shard-resident payloads (`shard-`,
+//! Since `FORMAT_VERSION` 4 the four shard-resident payloads (`shard-`,
 //! `summary-`, `epoch-NNNN`, `epoch-NNNN-summary`) are **binary**, converted
 //! once at write time so that no read re-parses text (HAIL's upload-time
 //! layout argument): a shard load is a CRC pass plus a few hundred varint
@@ -109,7 +109,7 @@ use std::path::{Path, PathBuf};
 /// encoding it holds — so one store may mix JSON payloads written before
 /// the upgrade with binary ones written after; the `.json` in the file
 /// names is historical.
-pub const FORMAT_VERSION: u32 = 4;
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// Typed errors of the metadata store.
 #[derive(Debug)]
@@ -883,11 +883,6 @@ impl MetaStore {
         &self.manifest
     }
 
-    /// Replica directories, read-preference order.
-    pub fn replica_dirs(&self) -> &[PathBuf] {
-        &self.dirs
-    }
-
     /// Attach an observability recorder: subsequent shard reads emit
     /// wall-clock `shard-load`/`summary-load` spans and cache counters, and
     /// scrub passes emit `scrub` spans. Pass [`Recorder::off`] to detach.
@@ -900,11 +895,6 @@ impl MetaStore {
     /// Resilience accounting accumulated by this handle's reads and scrubs.
     pub fn health(&self) -> &MetaHealth {
         &self.health
-    }
-
-    /// Currently quarantined shard indices.
-    pub fn quarantined_shards(&self) -> Vec<usize> {
-        self.quarantined.iter().copied().collect()
     }
 
     /// Blocks covered by shard `i`.
@@ -1339,12 +1329,20 @@ impl MetaStore {
 mod tests {
     use super::*;
     use crate::degrade::Rung;
+    use crate::{IngestConfig, Ingestor};
     use datanet_dfs::{Block, BlockId, Dfs, DfsConfig, Record, Topology};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Indices of the shards decoded in the cache, least recently used
     /// first (the front is the next eviction victim).
     fn cached(store: &MetaStore) -> Vec<usize> {
         store.cache.iter().map(|(i, _)| *i).collect()
+    }
+
+    /// Currently quarantined shard indices, ascending.
+    fn quarantined(store: &MetaStore) -> Vec<usize> {
+        store.quarantined.iter().copied().collect()
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -1760,7 +1758,7 @@ mod tests {
                 other => panic!("{literal}: expected AllReplicasFailed, got {other:?}"),
             }
             let lost = store.view_degraded(SubDatasetId(7));
-            assert_eq!(lost.shard_sources(), [ShardSource::Lost]);
+            assert_eq!(lost.sources, [ShardSource::Lost]);
         }
         // The binary decode: the same shapes as (bits, hashes, blocks, words).
         for (num_bits, num_hashes, blocks, words) in [
@@ -1993,7 +1991,7 @@ mod tests {
             Err(StoreError::AllReplicasFailed { shard: 1, .. })
         ));
         // The failed shard is quarantined: the next read fails fast.
-        assert_eq!(store.quarantined_shards(), vec![1]);
+        assert_eq!(quarantined(&store), vec![1]);
         assert!(matches!(
             store.shard(1),
             Err(StoreError::Quarantined { shard: 1 })
@@ -2184,7 +2182,7 @@ mod tests {
             }
             assert!(store.health().checksum_failures > 0);
             let rung2 = store.view_degraded(s);
-            assert_eq!(rung2.shard_sources()[1], ShardSource::Summary, "{tag}");
+            assert_eq!(rung2.sources[1], ShardSource::Summary, "{tag}");
 
             manifest.summary_crc[1] = crc32(&summary);
             fs::write(dir.join(summary_file(1)), &summary).unwrap();
@@ -2194,7 +2192,7 @@ mod tests {
             )
             .unwrap();
             let rung3 = MetaStore::open(&dir, 2).unwrap().view_degraded(s);
-            assert_eq!(rung3.shard_sources()[1], ShardSource::Lost, "{tag}");
+            assert_eq!(rung3.sources[1], ShardSource::Lost, "{tag}");
             assert_eq!(
                 rung3.unknown_blocks(),
                 (4..8).map(BlockId).collect::<Vec<_>>()
@@ -2255,7 +2253,7 @@ mod tests {
         assert!(store.health().failovers >= 2, "two replicas were skipped");
         assert!(store.health().checksum_failures > 0);
         assert!(store.health().io_failures > 0);
-        assert!(store.quarantined_shards().is_empty());
+        assert!(quarantined(&store).is_empty());
         for d in &dirs {
             let _ = fs::remove_dir_all(d);
         }
@@ -2291,7 +2289,7 @@ mod tests {
             Err(StoreError::AllReplicasFailed { shard: 0, .. })
         ));
         assert_eq!(reads(store.health()), (4, 1, 2));
-        assert_eq!(store.quarantined_shards(), vec![0]);
+        assert_eq!(quarantined(&store), vec![0]);
 
         // One replica: retry with back-off, as it always was.
         let mut solo = MetaStore::open(&dirs[0], 2).unwrap();
@@ -2349,7 +2347,7 @@ mod tests {
         }
         let report = store.scrub();
         assert_eq!(report.quarantined, vec![1]);
-        assert_eq!(store.quarantined_shards(), vec![1]);
+        assert_eq!(quarantined(&store), vec![1]);
         assert_eq!(store.health().shards_quarantined, 1);
         assert!(matches!(
             store.shard(1),
@@ -2361,7 +2359,7 @@ mod tests {
         let report = store.scrub();
         assert!(report.quarantined.is_empty());
         assert_eq!(report.repaired, 1);
-        assert!(store.quarantined_shards().is_empty());
+        assert!(quarantined(&store).is_empty());
         assert_eq!(store.health().shards_quarantined, 0);
         assert!(store.shard(1).is_ok());
         for d in &dirs {
@@ -2403,9 +2401,9 @@ mod tests {
         fs::write(dir.join(summary_file(1)), b"dead").unwrap();
         let mut store = MetaStore::open(&dir, 2).unwrap();
         let degraded = store.view_degraded(s);
-        assert_eq!(degraded.shard_sources()[0], ShardSource::Summary);
-        assert_eq!(degraded.shard_sources()[1], ShardSource::Lost);
-        assert!(degraded.shard_sources()[2..]
+        assert_eq!(degraded.sources[0], ShardSource::Summary);
+        assert_eq!(degraded.sources[1], ShardSource::Lost);
+        assert!(degraded.sources[2..]
             .iter()
             .all(|&src| src == ShardSource::Full));
         // Every healthy-view block of shard 0 is still *found*, now on
@@ -2457,6 +2455,221 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A random tiny DFS.
+    fn gen_dfs(rng: &mut StdRng) -> Dfs {
+        let record_count = rng.gen_range(20..400);
+        let nodes = rng.gen_range(2u32..12);
+        let replication = rng.gen_range(1usize..4);
+        let seed = rng.gen::<u64>();
+        let records: Vec<Record> = (0..record_count)
+            .map(|i| {
+                Record::new(
+                    SubDatasetId(rng.gen_range(0u64..20)),
+                    i as u64,
+                    rng.gen_range(50u32..500),
+                    i as u64,
+                )
+            })
+            .collect();
+        Dfs::write_random(
+            DfsConfig {
+                block_size: 2_000,
+                replication,
+                topology: Topology::single_rack(nodes),
+                seed,
+            },
+            records,
+        )
+    }
+
+    #[test]
+    fn replicated_store_answers_every_query_like_memory() {
+        // save_replicated → open_replicated is a faithful round-trip: the
+        // persisted store answers *every* membership and size query — all
+        // blocks × all sub-datasets — identically to the in-memory array, and
+        // every assembled view is equal too. Replication factor, shard size
+        // and cache pressure vary per case; none may change an answer.
+        for case in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xe000 + case);
+            let dfs = gen_dfs(&mut rng);
+            let shard = rng.gen_range(1usize..20);
+            let replicas = rng.gen_range(1usize..4);
+            let cache = rng.gen_range(0usize..4);
+            let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
+            let base = std::env::temp_dir()
+                .join(format!("datanet-repl-prop-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&base);
+            let dirs: Vec<std::path::PathBuf> =
+                (0..replicas).map(|i| base.join(format!("r{i}"))).collect();
+            let refs: Vec<&std::path::Path> = dirs.iter().map(|d| d.as_path()).collect();
+            MetaStore::save_replicated(&arr, &refs, shard).expect("save");
+            let mut store = MetaStore::open_replicated(&refs, cache).expect("open");
+            assert_eq!(store.manifest().blocks, arr.len(), "case {case}");
+            for s in 0..20u64 {
+                let s = SubDatasetId(s);
+                for i in 0..arr.len() {
+                    let b = BlockId(i as u32);
+                    assert_eq!(
+                        store.query(b, s).expect("query"),
+                        arr.query(b, s),
+                        "case {case}: query({i}, {s:?}) diverged after the round-trip"
+                    );
+                }
+                assert_eq!(store.view(s).expect("view"), arr.view(s), "case {case}");
+            }
+            // Every holder folds the same views, batched or one at a time:
+            // random id batches with repeats and absent ids (≥ 20).
+            for _ in 0..4 {
+                let ids: Vec<SubDatasetId> = (0..rng.gen_range(0usize..9))
+                    .map(|_| SubDatasetId(rng.gen_range(0u64..26)))
+                    .collect();
+                let single: Vec<SubDatasetView> = ids.iter().map(|&s| arr.view(s)).collect();
+                assert_eq!(arr.views(&ids), single, "case {case}: {ids:?}");
+                assert_eq!(store.views(&ids).expect("views"), single, "case {case}");
+                let degraded = store.views_degraded(&ids);
+                assert_eq!(degraded.len(), ids.len());
+                for (d, v) in degraded.iter().zip(&single) {
+                    assert_eq!(d.view(), v, "case {case}: {ids:?}");
+                    assert!(d.unknown_blocks().is_empty());
+                    assert_eq!(d.sources.len(), store.manifest().shard_count());
+                    assert!(d.sources.iter().all(|&src| src == ShardSource::Full));
+                }
+            }
+            // The store never had to repair, fail over or degrade anything.
+            assert!(!store.health().any(), "case {case}: {:?}", store.health());
+            std::fs::remove_dir_all(&base).expect("cleanup");
+
+            // The ingestor's live view over the same blocks, one of them held
+            // back so later arrivals park as out-of-order deltas: the sealed
+            // prefix answers like its snapshot, each pending delta exactly.
+            let held = rng.gen_range(0..arr.len());
+            let mut ing = Ingestor::new(IngestConfig {
+                compact_every: rng.gen_range(1usize..5),
+                ..IngestConfig::new(Separation::Alpha(0.3))
+            });
+            for b in dfs.blocks().iter().filter(|b| b.id().index() != held) {
+                ing.append(b, 0);
+            }
+            ing.compact();
+            let sealed = ing.snapshot();
+            assert_eq!(
+                sealed.len(),
+                held,
+                "case {case}: nothing past the gap seals"
+            );
+            assert_eq!(ing.blocks() - sealed.len(), arr.len() - held - 1);
+            for s in (0..26u64).map(SubDatasetId) {
+                let prefix = sealed.view(s);
+                let mut exact = prefix.exact().to_vec();
+                for b in &dfs.blocks()[held + 1..] {
+                    if b.subdataset_bytes(s) > 0 {
+                        exact.push((b.id(), b.subdataset_bytes(s)));
+                    }
+                }
+                let want = SubDatasetView::new(s, exact, prefix.bloom().to_vec(), prefix.delta());
+                assert_eq!(
+                    ing.view(s),
+                    want,
+                    "case {case}: {s:?} with block {held} held back"
+                );
+            }
+            ing.append(&dfs.blocks()[held], 0);
+            ing.compact();
+            let full = ing.snapshot();
+            for s in (0..26u64).map(SubDatasetId) {
+                assert_eq!(ing.view(s), full.view(s), "case {case}");
+                assert_eq!(full.view(s), arr.view(s), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_bloom_estimates_respect_equation6_envelope() {
+        // Degradation-ladder rung 2: when a shard's full copy is lost and the
+        // bloom-only summary answers instead, the Equation 6 estimate
+        // `Z = Σ_{τ₁}|s∩b| + δ·|τ₂|` must stay within the per-block envelope
+        // `|Z − T| ≤ Σ_{b∈τ₂} |truth_b − δ|` — the identity that holds whenever
+        // τ₁ entries are ground truth and τ₂ has no false negatives.
+        for case in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0xd000 + case);
+            // Seeded Zipf workload: skewed sub-dataset popularity, the regime
+            // the paper's α-separation is designed for.
+            let subdatasets = rng.gen_range(10usize..30);
+            let zipf = datanet_stats::Zipf::new(subdatasets, rng.gen_range(0.8f64..1.6));
+            let record_count = rng.gen_range(100..500);
+            let records: Vec<Record> = (0..record_count)
+                .map(|i| {
+                    Record::new(
+                        SubDatasetId(zipf.sample(&mut rng) as u64 - 1),
+                        i as u64,
+                        rng.gen_range(50u32..500),
+                        i as u64,
+                    )
+                })
+                .collect();
+            let dfs = Dfs::write_random(
+                DfsConfig {
+                    block_size: 2_000,
+                    replication: 2,
+                    topology: Topology::single_rack(rng.gen_range(2u32..8)),
+                    seed: rng.gen::<u64>(),
+                },
+                records,
+            );
+            let arr = ElasticMapArray::build(&dfs, &Separation::Alpha(0.3));
+            let dir =
+                std::env::temp_dir().join(format!("datanet-rung2-{}-{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            MetaStore::save(&arr, &dir, 2).expect("save");
+            let mut store = MetaStore::open(&dir, 4).expect("open");
+            // Lose every other shard's full copy; summaries stay intact, so
+            // those shards answer from rung 2.
+            for i in (0..store.manifest().shard_count()).step_by(2) {
+                std::fs::write(dir.join(format!("shard-{i:04}.json")), b"corrupt").unwrap();
+            }
+            for s in 0..subdatasets as u64 {
+                let s = SubDatasetId(s);
+                let deg = store.view_degraded(s);
+                assert!(
+                    deg.unknown_blocks().is_empty(),
+                    "case {case}: summaries keep every shard off rung 3"
+                );
+                let truth = dfs.subdataset_distribution(s);
+                // No false negatives through the summary path: every block
+                // really holding `s` is somewhere in the view.
+                for b in dfs.blocks() {
+                    if truth[b.id().index()] > 0 {
+                        assert!(
+                            deg.rung_of(b.id()).is_some(),
+                            "case {case}: block {:?} with {} bytes of {s:?} dropped",
+                            b.id(),
+                            truth[b.id().index()]
+                        );
+                    }
+                }
+                // τ₁ must still be ground truth under degradation.
+                for &(b, sz) in deg.view().exact() {
+                    assert_eq!(sz, truth[b.index()], "case {case}");
+                }
+                let z = deg.view().estimated_total() as i128;
+                let t = dfs.subdataset_total(s) as i128;
+                let delta = deg.view().delta() as i128;
+                let envelope: i128 = deg
+                    .view()
+                    .bloom()
+                    .iter()
+                    .map(|b| (truth[b.index()] as i128 - delta).abs())
+                    .sum();
+                assert!(
+                    (z - t).abs() <= envelope,
+                    "case {case}, {s:?}: |Z−T| = {} exceeds Σ|truth−δ| = {envelope}",
+                    (z - t).abs()
+                );
+            }
+            std::fs::remove_dir_all(&dir).expect("cleanup");
         }
     }
 }

@@ -3,13 +3,13 @@
 
 use datanet::{ElasticMapArray, MetaStore, Separation};
 use datanet_analytics::profiles::word_count_profile;
-use datanet_bench::{github_dataset, movie_dataset, NODES};
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_integration::testkit::ReplicaDirs;
 use datanet_mapreduce::{
     AnalysisConfig, DataNetScheduler, Exec, FaultConfig, LocalityScheduler, SelectionConfig,
 };
 use datanet_obs::{Recorder, TraceData};
+use datanet_workloads::{github_dataset, movie_dataset, NODES};
 
 #[test]
 fn movie_pipeline_is_bitwise_reproducible() {

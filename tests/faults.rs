@@ -4,13 +4,13 @@
 //! better balanced than the locality baseline's.
 
 use datanet::{ElasticMapArray, Separation};
-use datanet_bench::movie_dataset;
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
     run_selection, AnalysisConfig, DataNetScheduler, Exec, FaultConfig, JobProfile,
     LocalityScheduler, MapScheduler, SelectionConfig, SelectionOutcome,
 };
+use datanet_workloads::movie_dataset;
 
 const NODES: u32 = 8;
 

@@ -4,12 +4,11 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::top_k_profile;
-use datanet_bench::{github_dataset, movie_dataset, NODES};
 use datanet_mapreduce::{
     run_analysis, run_selection, AnalysisConfig, DataNetScheduler, LocalityScheduler,
     SelectionConfig,
 };
-use datanet_workloads::EventType;
+use datanet_workloads::{github_dataset, movie_dataset, EventType, NODES};
 
 #[test]
 fn issue_events_are_spread_not_clustered() {

@@ -4,7 +4,6 @@
 //! without redoing any work. (`tests/upgrade.rs` resumes a store an older
 //! format version wrote.)
 
-use datanet::store::FORMAT_VERSION;
 use datanet::{ElasticMapArray, IngestConfig, Ingestor, MetaStore, Separation};
 use datanet_dfs::{Dfs, DfsConfig, Record, SubDatasetId, Topology};
 use datanet_integration::testkit::{write_prefixes, ReplicaDirs};
@@ -59,7 +58,11 @@ fn arrival_order_is_immaterial_after_final_compaction() {
             ing.append(&dfs.blocks()[i], k as u64 * 100);
         }
         ing.compact();
-        assert_eq!(ing.pending_blocks(), 0, "trial {trial}: stream not drained");
+        assert_eq!(
+            ing.snapshot().len(),
+            ing.blocks(),
+            "trial {trial}: stream not drained"
+        );
         assert_eq!(
             serde_json::to_string(&ing.snapshot()).unwrap(),
             batch,
@@ -96,7 +99,7 @@ fn store_resumes_mid_ingest_without_resummarizing() {
 
     // The store on disk is a plain current-format store.
     let mut store = MetaStore::open_replicated(&refs, 2).unwrap();
-    assert_eq!(store.manifest().version, FORMAT_VERSION);
+    assert_eq!(store.manifest().version, 4, "the current format");
     assert_eq!(store.manifest().epoch, 1);
     assert_eq!(store.manifest().blocks, cut);
     store.view(SubDatasetId(0)).unwrap();

@@ -6,10 +6,15 @@
 
 use datanet::{ElasticMapArray, Separation};
 use datanet_analytics::profiles::word_count_profile;
-use datanet_bench::movie_dataset;
 use datanet_check::{check_scenario_instrumented, shrink, CheckOptions, Repro, Scenario};
-use datanet_mapreduce::{AnalysisConfig, DataNetScheduler, Exec, SelectionConfig};
-use datanet_obs::{parse_openmetrics, to_openmetrics, OmKind, QueryCtx, Recorder};
+use datanet_cluster::{FaultPlan, SimTime};
+use datanet_integration::testkit::{parse_openmetrics, OmKind};
+use datanet_mapreduce::{
+    AnalysisConfig, DataNetScheduler, Exec, FaultConfig, LocalityScheduler, MapScheduler,
+    SelectionConfig,
+};
+use datanet_obs::{detect_anomalies, to_openmetrics, MetricsSnapshot, QueryCtx, Recorder};
+use datanet_workloads::movie_dataset;
 
 const NODES: u32 = 8;
 
@@ -214,4 +219,84 @@ fn shrunk_repro_embeds_flight_recording() {
         min.outcome.oracle_names(),
         "replay trips the same oracles"
     );
+}
+
+/// The node a sweep plants slow: it exists only in the sweep's clusters of
+/// eight or more nodes, so its windows are lightly loaded.
+const SLOW_NODE: usize = 7;
+
+/// Seeds 5..25 metered the way `datanet check --seeds 20 --seed-start 5
+/// --metrics` meters them: one recorder, every run started after the
+/// previous one. The `planted` seed records two selections of its world
+/// with node [`SLOW_NODE`] 50x slower instead of being checked.
+fn metered_sweep(planted: Option<u64>) -> MetricsSnapshot {
+    let rec = Recorder::off().with_metrics();
+    for seed in 5..25 {
+        let sc = Scenario::from_seed(seed);
+        if planted != Some(seed) {
+            check_scenario_instrumented(&sc, &CheckOptions::default(), &rec);
+            continue;
+        }
+        let dfs = sc.build_dfs();
+        let truth = dfs.subdataset_distribution(sc.target_id());
+        let view = ElasticMapArray::build(&dfs, &Separation::Alpha(sc.alpha)).view(sc.target_id());
+        let plan = FaultPlan::none(sc.nodes as usize).slow(
+            SLOW_NODE,
+            SimTime::ZERO,
+            SimTime::from_secs(3600),
+            50.0,
+        );
+        let slow = FaultConfig::new(plan);
+        let mut schedulers: [Box<dyn MapScheduler>; 2] = [
+            Box::new(LocalityScheduler::new(&dfs)),
+            Box::new(DataNetScheduler::new(&dfs, &view)),
+        ];
+        for sched in &mut schedulers {
+            rec.start_run();
+            Exec::default().rec(&rec).faults(&slow).selection(
+                &dfs,
+                &truth,
+                sched.as_mut(),
+                &SelectionConfig::default(),
+            );
+        }
+    }
+    rec.metrics_snapshot().expect("metrics attached")
+}
+
+/// Runs that each restart the simulated clock at 0 are metered one after
+/// another: no node is busy longer than the sweep's horizon (the end of
+/// its latest window, what `datanet top` divides by), and a slow node
+/// planted in one seed is flagged in the window its runs land in — the
+/// first window where the planted sweep's busy time for that node departs
+/// from the clean sweep's.
+#[test]
+fn a_slow_node_planted_in_one_seed_of_a_sweep_is_flagged_in_its_window() {
+    let clean = metered_sweep(None);
+    let planted = metered_sweep(Some(24));
+    for snap in [&clean, &planted] {
+        let horizon = (snap.windowed.values().flatten())
+            .map(|&(start, _)| start + snap.window_us)
+            .max()
+            .expect("windowed series");
+        for (key, &busy) in &snap.counters {
+            if key.starts_with("node_busy_us{") {
+                assert!(busy <= horizon, "{key}: busy {busy} us of {horizon} us");
+            }
+        }
+    }
+    let key = format!("node_busy_us{{node=\"{SLOW_NODE}\"}}");
+    let flagged = |snap: &MetricsSnapshot| -> Vec<u64> {
+        (detect_anomalies(snap).into_iter())
+            .filter(|a| a.series == key)
+            .map(|a| a.window_us)
+            .collect()
+    };
+    assert_eq!(flagged(&clean), Vec::<u64>::new(), "clean sweep");
+    let departs = (planted.windowed[&key].iter())
+        .zip(&clean.windowed[&key])
+        .find(|(p, c)| p != c)
+        .map(|(p, _)| p.0)
+        .expect("the planted runs change the node's windows");
+    assert_eq!(flagged(&planted), vec![departs], "planted sweep");
 }

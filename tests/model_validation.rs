@@ -51,7 +51,8 @@ fn node_workloads(seed: u64) -> Vec<f64> {
 #[test]
 fn simulated_node_workloads_match_gamma_model() {
     let model = ImbalanceModel::new(1.2, 7.0, BLOCKS);
-    let expected_mean = model.expected_workload(NODES as usize);
+    // E(Z) = nkθ/m: n blocks of mean kθ over m nodes.
+    let expected_mean = GammaDist::new(1.2, 7.0).mean() * BLOCKS as f64 / NODES as f64;
 
     // Pool node workloads across placements for a decent sample.
     let mut samples = Vec::new();
@@ -71,7 +72,7 @@ fn simulated_node_workloads_match_gamma_model() {
     for frac in [0.5, 0.75, 1.25, 1.5, 2.0] {
         let threshold = frac * expected_mean;
         let empirical = samples.iter().filter(|&&w| w < threshold).count() as f64 / n;
-        let analytic = model.p_below(NODES as usize, frac);
+        let analytic = model.expected_nodes_below(NODES as usize, frac) / NODES as f64;
         assert!(
             (empirical - analytic).abs() < 0.05,
             "P(Z < {frac}·E): empirical {empirical} vs model {analytic}"

@@ -6,7 +6,6 @@
 //! and a recorder-off run must serialize byte-identically to a traced one.
 
 use datanet::{ElasticMapArray, Separation};
-use datanet_bench::movie_dataset;
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{
@@ -14,6 +13,7 @@ use datanet_mapreduce::{
     SelectionConfig,
 };
 use datanet_obs::{NodeClass, Recorder};
+use datanet_workloads::movie_dataset;
 
 const NODES: u32 = 8;
 
@@ -112,7 +112,8 @@ fn detector_chain_latencies_match_fault_stats() {
     let chains = data.crash_chains();
     assert_eq!(chains.len(), out.faults.detection_latency_secs.len());
     for (chain, &stat_secs) in chains.iter().zip(&out.faults.detection_latency_secs) {
-        let trace_secs = chain.detection_secs().expect("detector suspected the node");
+        let suspected_us = chain.suspected_us.expect("detector suspected the node");
+        let trace_secs = (suspected_us - chain.crash_us) as f64 / 1e6;
         assert!(
             (trace_secs - stat_secs).abs() < 1e-9,
             "trace says {trace_secs}s, FaultStats says {stat_secs}s"

@@ -11,7 +11,6 @@ use datanet_analytics::{
     word_count_pipeline, CrashPoint, MetaPlane, Pipeline, PipelineEnv, ShuffleParams, StageOp,
     WorkingState,
 };
-use datanet_bench::{movie_dataset, NODES};
 use datanet_check::Scenario;
 use datanet_dfs::SubDatasetId;
 use datanet_integration::testkit::{expected_resume_from, write_prefixes, ReplicaDirs as TmpDirs};
@@ -20,6 +19,7 @@ use datanet_mapreduce::{
     SelectionConfig,
 };
 use datanet_obs::Recorder;
+use datanet_workloads::{movie_dataset, NODES};
 
 /// Run selection under both schedulers once (shared by several tests).
 fn both_selections() -> (
@@ -295,16 +295,18 @@ fn each_state_is_serialised_once_and_every_commit_carries_its_crc() {
                     "{what}: stage {}",
                     stage.label
                 );
-                // What each replica holds: those bytes, under a manifest
-                // whose CRC is the file's.
+                // What each replica holds, under the on-disk names: those
+                // bytes, under a manifest whose CRC is the file's.
                 for dir in dirs.paths() {
                     let where_ = format!("{what}: stage {} in {}", stage.label, dir.display());
-                    let file = std::fs::read(dir.join(checkpoint::payload_file(stage.index)))
+                    let file = std::fs::read(dir.join(format!("stage-{:04}.json", stage.index)))
                         .expect("stage file");
                     assert!(file == bytes, "{where_}: stage file differs");
                     let manifest: checkpoint::CheckpointManifest = serde_json::from_slice(
-                        &std::fs::read(dir.join(checkpoint::manifest_file(stage.index)))
-                            .expect("stage manifest"),
+                        &std::fs::read(
+                            dir.join(format!("pipeline-manifest-e{:04}.json", stage.index)),
+                        )
+                        .expect("stage manifest"),
                     )
                     .expect("manifest decodes");
                     assert_eq!(

@@ -12,12 +12,12 @@
 use std::fs;
 use std::path::PathBuf;
 
-use datanet::store::MetaStore;
+use datanet::store::{MetaStore, StoreError};
 use datanet::{ElasticMapArray, Separation};
-use datanet_bench::movie_dataset;
 use datanet_cluster::{FaultPlan, SimTime};
 use datanet_dfs::SubDatasetId;
 use datanet_mapreduce::{Exec, FaultConfig, SelectionConfig};
+use datanet_workloads::movie_dataset;
 
 const NODES: u32 = 8;
 const SHARD_BLOCKS: usize = 4;
@@ -124,7 +124,11 @@ fn losing_every_replica_of_a_shard_degrades_to_rung_three() {
         "no summary survived to offer rung 2"
     );
     assert_eq!(out.meta.shards_quarantined, 1);
-    assert_eq!(store.quarantined_shards(), vec![doomed]);
+    // The one quarantined shard is `doomed`: its reads fail fast.
+    assert!(matches!(
+        store.shard(doomed),
+        Err(StoreError::Quarantined { shard }) if shard == doomed
+    ));
     assert_eq!(
         out.per_node_bytes.iter().sum::<u64>(),
         dfs.subdataset_total(hot),

@@ -3,13 +3,13 @@
 
 use datanet::planner::BalancePolicy;
 use datanet::{Algorithm1, ElasticMapArray, FordFulkersonPlanner, Separation};
-use datanet_bench::{movie_dataset, NODES};
 use datanet_cluster::NodeSpec;
 use datanet_dfs::BlockId;
 use datanet_mapreduce::{
     rebalance, run_selection, DataNetScheduler, LocalityScheduler, MapScheduler, PlannedScheduler,
     SelectionConfig,
 };
+use datanet_workloads::{movie_dataset, NODES};
 use std::collections::HashSet;
 
 #[test]

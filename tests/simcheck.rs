@@ -3,7 +3,21 @@
 //! the acceptance criteria demand, repro round-trips, and determinism
 //! of the checker itself.
 
-use datanet_check::{check_scenario, check_scenario_with, shrink, CheckOptions, Repro, Scenario};
+use datanet_check::{
+    check_scenario_instrumented, shrink, CheckOptions, CheckOutcome, Repro, Scenario,
+};
+use datanet_obs::Recorder;
+
+/// What `datanet check` runs per scenario (unmetered), with `opts`
+/// planted.
+fn check_planted(sc: &Scenario, opts: &CheckOptions) -> CheckOutcome {
+    check_scenario_instrumented(sc, opts, &Recorder::off())
+}
+
+/// What `datanet check` runs per scenario.
+fn check(sc: &Scenario) -> CheckOutcome {
+    check_planted(sc, &CheckOptions::default())
+}
 
 /// Parse `tests/corpus/seeds.txt`: one integer seed per line, `#`
 /// comments and blank lines ignored.
@@ -25,7 +39,8 @@ fn fixed_seed_corpus_passes() {
     let seeds = corpus_seeds();
     assert!(seeds.len() >= 48, "corpus should stay substantial");
     for seed in seeds {
-        let (sc, out) = datanet_check::check_seed(seed);
+        let sc = Scenario::from_seed(seed);
+        let out = check(&sc);
         assert!(
             out.passed(),
             "corpus seed {seed} violated: {:#?}",
@@ -43,7 +58,7 @@ fn fixed_seed_corpus_passes() {
 fn checker_is_deterministic() {
     for seed in [3u64, 17, 29] {
         let sc = Scenario::from_seed(seed);
-        assert_eq!(check_scenario(&sc), check_scenario(&sc));
+        assert_eq!(check(&sc), check(&sc));
     }
 }
 
@@ -56,7 +71,7 @@ fn planted_credit_bug_is_caught_and_shrunk() {
     let seed = 5u64;
     let sc = Scenario::from_seed(seed);
     assert!(
-        check_scenario(&sc).passed(),
+        check(&sc).passed(),
         "seed {seed} must be clean without the planted bug"
     );
 
@@ -64,7 +79,7 @@ fn planted_credit_bug_is_caught_and_shrunk() {
         credit_skew: 1,
         ..CheckOptions::default()
     };
-    let out = check_scenario_with(&sc, &opts);
+    let out = check_planted(&sc, &opts);
     assert!(
         out.violations
             .iter()
@@ -107,7 +122,7 @@ fn planted_reducer_overload_is_caught_and_shrunk() {
     let seed = 5u64;
     let sc = Scenario::from_seed(seed);
     assert!(
-        check_scenario(&sc).passed(),
+        check(&sc).passed(),
         "seed {seed} must be clean without the planted bug"
     );
 
@@ -115,7 +130,7 @@ fn planted_reducer_overload_is_caught_and_shrunk() {
         overload_reducer: true,
         ..CheckOptions::default()
     };
-    let out = check_scenario_with(&sc, &opts);
+    let out = check_planted(&sc, &opts);
     assert!(
         out.violations.iter().any(|v| v.oracle == "reduce-skew"),
         "planted reducer overload not caught: {:#?}",
@@ -157,7 +172,7 @@ fn planted_cache_staleness_bug_is_caught_and_shrunk() {
     let seed = 0u64;
     let sc = Scenario::from_seed(seed);
     assert!(
-        check_scenario(&sc).passed(),
+        check(&sc).passed(),
         "seed {seed} must be clean without the planted bug"
     );
 
@@ -165,7 +180,7 @@ fn planted_cache_staleness_bug_is_caught_and_shrunk() {
         stale_serve_cache: true,
         ..CheckOptions::default()
     };
-    let out = check_scenario_with(&sc, &opts);
+    let out = check_planted(&sc, &opts);
     assert!(
         out.violations
             .iter()
